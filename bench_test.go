@@ -13,12 +13,9 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/core"
@@ -247,152 +244,6 @@ func BenchmarkFigure8ParallelGantt(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitParallelBenchJSON writes BENCH_parallel.json — serial vs
-// parallel wall-clock for the figure workloads — when BENCH_PARALLEL_OUT
-// names the output path. CI runs it to archive the numbers; without the
-// env var it is a no-op skip.
-func TestEmitParallelBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_PARALLEL_OUT")
-	if path == "" {
-		t.Skip("BENCH_PARALLEL_OUT not set")
-	}
-	cfg := datagen.DG1000Shaped(42)
-	cfg.Vertices = 20_000
-	cfg.Edges = 100_000
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time1 := func(platform string, par int) float64 {
-		start := time.Now()
-		out, err := platforms.Run(platforms.Spec{
-			Platform:        platform,
-			Algorithm:       "BFS",
-			Source:          datagen.PeripheralSource(ds.Graph),
-			Dataset:         ds,
-			HostParallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.ModelErrors) != 0 {
-			t.Fatalf("model errors: %v", out.ModelErrors)
-		}
-		return time.Since(start).Seconds() * 1e3
-	}
-	type row struct {
-		Workload   string  `json:"workload"`
-		SerialMs   float64 `json:"serial_ms"`
-		ParallelMs float64 `json:"parallel_ms"`
-		Speedup    float64 `json:"speedup"`
-	}
-	report := struct {
-		Cores     int   `json:"cores"`
-		Workloads []row `json:"workloads"`
-	}{Cores: runtime.NumCPU()}
-	for _, platform := range []string{"Giraph", "PowerGraph"} {
-		time1(platform, 1) // warm caches before timing
-		serial := time1(platform, 1)
-		parallel := time1(platform, runtime.NumCPU())
-		report.Workloads = append(report.Workloads, row{
-			Workload:   "fig5-bfs-" + platform,
-			SerialMs:   serial,
-			ParallelMs: parallel,
-			Speedup:    serial / parallel,
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}
-
-// TestEmitKernelsBenchJSON writes BENCH_kernels.json — the zero-alloc
-// kernel numbers EXPERIMENTS.md's before/after table tracks: Figure-5
-// end-to-end wall clock per platform, end-to-end allocations per
-// superstep (runtime.MemStats delta across a full run, so it includes
-// simulation and tracing overhead, not just the kernel), and the local
-// CSR fragment memory footprint per edge. The kernel-only ns/allocs
-// figures come from BenchmarkSuperstepKernel (internal/pregel) and
-// BenchmarkGASIterationKernel (internal/gas). Set BENCH_KERNELS_OUT to
-// the output path; without it this is a no-op skip.
-func TestEmitKernelsBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_KERNELS_OUT")
-	if path == "" {
-		t.Skip("BENCH_KERNELS_OUT not set")
-	}
-	cfg := datagen.DG1000Shaped(42)
-	cfg.Vertices = 20_000
-	cfg.Edges = 100_000
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(platform string) *platforms.Output {
-		out, err := platforms.Run(platforms.Spec{
-			Platform:  platform,
-			Algorithm: "BFS",
-			Source:    datagen.PeripheralSource(ds.Graph),
-			Dataset:   ds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	type row struct {
-		Platform           string  `json:"platform"`
-		Figure5Ms          float64 `json:"figure5_ms"`
-		Supersteps         int     `json:"supersteps"`
-		AllocsPerRun       uint64  `json:"allocs_per_run"`
-		AllocsPerSuperstep float64 `json:"allocs_per_superstep"`
-	}
-	report := struct {
-		Cores        int     `json:"cores"`
-		BytesPerEdge float64 `json:"fragment_bytes_per_edge"`
-		Workloads    []row   `json:"workloads"`
-	}{Cores: runtime.NumCPU()}
-
-	// Fragment footprint on the benchmark dataset, per placed edge.
-	vc := graph.NewVertexCut(ds.Graph.NumVertices(), ds.Edges, 8, graph.VertexCutGreedy)
-	var fragBytes int64
-	for _, f := range graph.BuildFragments(ds.Graph.NumVertices(), ds.Edges, vc, !ds.Directed) {
-		fragBytes += f.MemoryBytes()
-	}
-	report.BytesPerEdge = float64(fragBytes) / float64(len(ds.Edges))
-
-	var m0, m1 runtime.MemStats
-	for _, platform := range []string{"Giraph", "PowerGraph"} {
-		run(platform) // warm caches before measuring
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		out := run(platform)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		allocs := m1.Mallocs - m0.Mallocs
-		report.Workloads = append(report.Workloads, row{
-			Platform:           platform,
-			Figure5Ms:          wall.Seconds() * 1e3,
-			Supersteps:         out.Supersteps,
-			AllocsPerRun:       allocs,
-			AllocsPerSuperstep: float64(allocs) / float64(out.Supersteps),
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }
 
 // --- Ablation benchmarks (design choices from DESIGN.md) ---

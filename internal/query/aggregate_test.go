@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/archive"
@@ -581,55 +580,4 @@ func TestBenchPathsAgree(t *testing.T) {
 			t.Fatalf("%q: pruning benchmark prunes nothing", raw)
 		}
 	}
-}
-
-// TestEmitQuery2BenchJSON records the cross-job aggregation numbers
-// (segment scan vs deserialize-and-tree-walk over 1000 jobs) as JSON
-// when BENCH_QUERY2_OUT names a path. CI uploads the file as the
-// BENCH_query2 artifact; EXPERIMENTS.md quotes it.
-func TestEmitQuery2BenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_QUERY2_OUT")
-	if path == "" {
-		t.Skip("BENCH_QUERY2_OUT not set")
-	}
-	seg := testing.Benchmark(BenchmarkAggregateSegments)
-	tree := testing.Benchmark(BenchmarkAggregateTreeWalkBaseline)
-	segP := testing.Benchmark(BenchmarkAggregateSegmentsPruned)
-	treeP := testing.Benchmark(BenchmarkAggregateTreeWalkPrunedBaseline)
-	_, prunedCount := buildBenchCorpus(t, 1000, benchPrunedQuery).runSegments(t)
-	report := struct {
-		Jobs                 int     `json:"jobs"`
-		Query                string  `json:"query"`
-		SegmentsNsOp         int64   `json:"segments_ns_per_op"`
-		TreeWalkNsOp         int64   `json:"tree_walk_ns_per_op"`
-		Speedup              float64 `json:"speedup"`
-		SegmentsAllocs       int64   `json:"segments_allocs_per_op"`
-		TreeWalkAllocs       int64   `json:"tree_walk_allocs_per_op"`
-		PrunedQuery          string  `json:"pruned_query"`
-		PrunedSegmentsNsOp   int64   `json:"pruned_segments_ns_per_op"`
-		PrunedTreeWalkNsOp   int64   `json:"pruned_tree_walk_ns_per_op"`
-		PrunedSpeedup        float64 `json:"pruned_speedup"`
-		PrunedSegmentsOf1000 int     `json:"pruned_segments_of_1000"`
-	}{
-		Jobs:                 1000,
-		Query:                benchQuery,
-		SegmentsNsOp:         seg.NsPerOp(),
-		TreeWalkNsOp:         tree.NsPerOp(),
-		Speedup:              float64(tree.NsPerOp()) / float64(seg.NsPerOp()),
-		SegmentsAllocs:       seg.AllocsPerOp(),
-		TreeWalkAllocs:       tree.AllocsPerOp(),
-		PrunedQuery:          benchPrunedQuery,
-		PrunedSegmentsNsOp:   segP.NsPerOp(),
-		PrunedTreeWalkNsOp:   treeP.NsPerOp(),
-		PrunedSpeedup:        float64(treeP.NsPerOp()) / float64(segP.NsPerOp()),
-		PrunedSegmentsOf1000: prunedCount,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s\n%s", path, data)
 }

@@ -22,8 +22,8 @@ import (
 // Concurrency: Append and Snapshot are safe to call concurrently. A
 // snapshot copies only slice headers (O(1)); appends after the snapshot
 // either write past the snapshot's length or reallocate the backing
-// array, so rows a snapshot can reach are never rewritten. The symbol
-// table's intern map is touched only under the writer lock.
+// array, so rows a snapshot can reach are never rewritten. The intern
+// maps are touched only under the writer lock.
 type AppendColumns struct {
 	mu   sync.Mutex
 	cols Columns
@@ -31,29 +31,23 @@ type AppendColumns struct {
 
 // NewAppendColumns returns an empty incremental column set.
 func NewAppendColumns() *AppendColumns {
-	return &AppendColumns{cols: Columns{syms: symtab{ids: map[string]uint32{}}}}
+	return &AppendColumns{cols: newColumns()}
 }
 
-// Append adds one completed operation at the given tree depth.
-func (a *AppendColumns) Append(op *archive.Operation, depth int) {
+// Append adds one completed operation at the given tree depth; path is
+// its mission path from the root ("A/B/C"), which a completed view no
+// longer carries parents to derive.
+func (a *AppendColumns) Append(op *archive.Operation, depth int, path string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := &a.cols
-	c.ops = append(c.ops, op)
-	c.depth = append(c.depth, int32(depth))
-	c.start = append(c.start, op.Start)
-	c.end = append(c.end, op.End)
-	c.dur = append(c.dur, op.Duration())
-	c.mission = append(c.mission, c.syms.intern(op.Mission))
-	c.actor = append(c.actor, c.syms.intern(op.Actor))
-	c.id = append(c.id, c.syms.intern(op.ID))
+	a.cols.add(op, int32(depth), path)
 }
 
 // Rows returns the number of operations appended so far.
 func (a *AppendColumns) Rows() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.cols.ops)
+	return a.cols.Rows()
 }
 
 // Snapshot returns an immutable view of the columns appended so far.
@@ -62,11 +56,10 @@ func (a *AppendColumns) Rows() int {
 func (a *AppendColumns) Snapshot() *Columns {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Copy the struct: slice headers are value copies pinned at the
+	// Copy the frame: slice headers are value copies pinned at the
 	// current length, so later appends (in place past len, or after a
-	// reallocation) are invisible to the snapshot. Symbol IDs referenced
-	// by the copied rows all precede the copied symtab lengths.
-	snap := a.cols
-	snap.syms.ids = nil // readers never consult the intern map
-	return &snap
+	// reallocation) are invisible to the snapshot. Symbol and path IDs
+	// referenced by the copied rows all precede the copied table lengths.
+	// Readers never consult the intern maps, so the snapshot has none.
+	return &Columns{f: a.cols.f}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -9,55 +10,55 @@ import (
 	"repro/internal/archive"
 )
 
-// flattenDFS returns (op, depth) pairs in the depth-first order
+// flattenDFS returns (op, depth, path) rows in the depth-first order
 // BuildColumns uses.
 type opDepth struct {
 	op    *archive.Operation
 	depth int
+	path  string
 }
 
 func flattenDFS(job *archive.Job) []opDepth {
 	var out []opDepth
-	var walk func(op *archive.Operation, d int)
-	walk = func(op *archive.Operation, d int) {
-		out = append(out, opDepth{op, d})
+	var walk func(op *archive.Operation, d int, path string)
+	walk = func(op *archive.Operation, d int, path string) {
+		out = append(out, opDepth{op, d, path})
 		for _, ch := range op.Children {
-			walk(ch, d+1)
+			walk(ch, d+1, path+"/"+ch.Mission)
 		}
 	}
 	if job != nil && job.Root != nil {
-		walk(job.Root, 0)
+		walk(job.Root, 0, job.Root.Mission)
 	}
 	return out
 }
 
-// requireColumnsIdentical asserts two column sets are byte-identical:
-// same rows (pointer-identical ops), same typed values, and the same
-// interned symbol table.
+// requireColumnsIdentical asserts two column sets hold identical
+// frames: same rows (pointer-identical ops), same typed values, and the
+// same interned symbol and path tables.
 func requireColumnsIdentical(t *testing.T, want, got *Columns) {
 	t.Helper()
-	if len(want.ops) != len(got.ops) {
-		t.Fatalf("rows: want %d, got %d", len(want.ops), len(got.ops))
+	w, g := &want.f, &got.f
+	if len(w.Ops) != len(g.Ops) {
+		t.Fatalf("rows: want %d, got %d", len(w.Ops), len(g.Ops))
 	}
-	for i := range want.ops {
-		if want.ops[i] != got.ops[i] {
-			t.Fatalf("row %d: different operation (%q vs %q)", i, want.ops[i].ID, got.ops[i].ID)
-		}
-		if want.depth[i] != got.depth[i] || want.start[i] != got.start[i] ||
-			want.end[i] != got.end[i] || want.dur[i] != got.dur[i] ||
-			want.mission[i] != got.mission[i] || want.actor[i] != got.actor[i] ||
-			want.id[i] != got.id[i] {
-			t.Fatalf("row %d: column values differ", i)
+	for i := range w.Ops {
+		if w.Ops[i] != g.Ops[i] {
+			t.Fatalf("row %d: different operation (%q vs %q)", i, w.Ops[i].ID, g.Ops[i].ID)
 		}
 	}
-	if len(want.syms.strs) != len(got.syms.strs) {
-		t.Fatalf("symtab: want %d symbols, got %d", len(want.syms.strs), len(got.syms.strs))
-	}
-	for s := range want.syms.strs {
-		if want.syms.strs[s] != got.syms.strs[s] || want.syms.finite[s] != got.syms.finite[s] {
-			t.Fatalf("symbol %d differs: %q vs %q", s, want.syms.strs[s], got.syms.strs[s])
+	for name, cols := range map[string][2]any{
+		"depth": {w.Depth, g.Depth}, "start": {w.Start, g.Start}, "end": {w.End, g.End}, "dur": {w.Dur, g.Dur},
+		"mission": {w.Mission, g.Mission}, "actor": {w.Actor, g.Actor}, "id": {w.ID, g.ID},
+		"path": {w.Path, g.Path}, "paths": {w.Paths, g.Paths},
+		"syms": {w.Syms, g.Syms}, "symFinite": {w.SymFinite, g.SymFinite},
+	} {
+		if !reflect.DeepEqual(cols[0], cols[1]) {
+			t.Fatalf("column %s differs", name)
 		}
-		if want.syms.finite[s] && want.syms.floats[s] != got.syms.floats[s] {
+	}
+	for s := range w.Syms {
+		if w.SymFinite[s] && w.SymFloat[s] != g.SymFloat[s] {
 			t.Fatalf("symbol %d float differs", s)
 		}
 	}
@@ -72,7 +73,7 @@ func TestAppendColumnsDFSOrderEqualsBuild(t *testing.T) {
 	for _, job := range jobs {
 		ac := NewAppendColumns()
 		for _, od := range flattenDFS(job) {
-			ac.Append(od.op, od.depth)
+			ac.Append(od.op, od.depth, od.path)
 		}
 		requireColumnsIdentical(t, BuildColumns(job), ac.Snapshot())
 	}
@@ -124,7 +125,7 @@ func TestAppendColumnsCompletionOrderOracle(t *testing.T) {
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		ac := NewAppendColumns()
 		for _, od := range rows {
-			ac.Append(od.op, od.depth)
+			ac.Append(od.op, od.depth, od.path)
 		}
 		snap := ac.Snapshot()
 		for _, qs := range oracleQueries {
@@ -180,7 +181,7 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 		}(int64(r))
 	}
 	for _, od := range rows {
-		ac.Append(od.op, od.depth)
+		ac.Append(od.op, od.depth, od.path)
 	}
 	close(stop)
 	wg.Wait()
@@ -204,7 +205,7 @@ func BenchmarkAppendVsRebuild(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ac := NewAppendColumns()
 			for _, od := range rows {
-				ac.Append(od.op, od.depth)
+				ac.Append(od.op, od.depth, od.path)
 			}
 			if got := q.SelectColumns(ac.Snapshot()); len(got) == 0 {
 				b.Fatal("no rows matched")

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -8,80 +9,96 @@ import (
 	"repro/internal/archive"
 )
 
-// Columns is the columnar projection of one job's operation tree: the
-// tree flattened into typed parallel arrays in depth-first order, with
-// mission, actor, and ID strings interned into a symbol table. It is
-// built once when a job enters the store and treated as immutable, so
-// repeated queries evaluate predicates against typed columns — an
-// integer compare or a precomputed per-symbol bitmap per row — instead
-// of converting fields to strings per operation the way the tree walker
-// does. The tree walker (Query.Select) remains the oracle:
-// Query.SelectColumns returns exactly the same operations in the same
-// order.
+// Columns builds one job's Frame: the operation tree flattened into the
+// frame's typed parallel arrays, with mission, actor, and ID strings
+// interned into its symbol table and mission paths into its path table.
+// It declares no column of its own — the frame is the only row layout —
+// and adds just the intern maps a builder needs. Built once when a job
+// enters the store and treated as immutable, so repeated queries
+// evaluate predicates against typed columns — an integer compare or a
+// precomputed per-symbol bitmap per row — instead of converting fields
+// to strings per operation the way the tree walker does. The tree
+// walker (Query.Select) remains the oracle: Query.SelectColumns returns
+// exactly the same operations in the same order.
 type Columns struct {
-	ops     []*archive.Operation
-	depth   []int32
-	start   []float64
-	end     []float64
-	dur     []float64
-	mission []uint32
-	actor   []uint32
-	id      []uint32
-	syms    symtab
+	f Frame
+	// symIDs and pathIDs index f.Syms and f.Paths while rows are being
+	// added; nil on snapshots, which are read-only.
+	symIDs  map[string]uint32
+	pathIDs map[string]uint32
 }
 
-// symtab interns strings to dense IDs. Alongside each symbol it keeps
-// the numeric interpretation compareValues would give it (value and
-// whether it parses as a finite float), so compiled predicates and sort
-// keys never re-parse a symbol.
-type symtab struct {
-	ids    map[string]uint32
-	strs   []string
-	floats []float64
-	finite []bool
+func newColumns() Columns {
+	return Columns{symIDs: map[string]uint32{}, pathIDs: map[string]uint32{}}
 }
 
-func (st *symtab) intern(s string) uint32 {
-	if id, ok := st.ids[s]; ok {
+// intern returns s's ID in the frame's symbol table, adding it on first
+// sight together with the numeric interpretation compareValues would
+// give it, so compiled predicates and sort keys never re-parse a symbol.
+func (c *Columns) intern(s string) uint32 {
+	if id, ok := c.symIDs[s]; ok {
 		return id
 	}
-	id := uint32(len(st.strs))
-	st.ids[s] = id
-	st.strs = append(st.strs, s)
-	f, err := strconv.ParseFloat(s, 64)
-	ok := err == nil && isFinite(f)
-	st.floats = append(st.floats, f)
-	st.finite = append(st.finite, ok)
+	f := &c.f
+	id := uint32(len(f.Syms))
+	c.symIDs[s] = id
+	f.Syms = append(f.Syms, s)
+	v, err := strconv.ParseFloat(s, 64)
+	f.SymFloat = append(f.SymFloat, v)
+	f.SymFinite = append(f.SymFinite, err == nil && isFinite(v))
 	return id
 }
 
-// BuildColumns flattens job's operation tree into columns. A nil or
-// empty job yields zero rows.
-func BuildColumns(job *archive.Job) *Columns {
-	c := &Columns{syms: symtab{ids: map[string]uint32{}}}
-	if job == nil || job.Root == nil {
-		return c
+// add appends one operation row. path is the operation's mission path
+// from the root, "A/B/C".
+func (c *Columns) add(op *archive.Operation, depth int32, path string) {
+	f := &c.f
+	pid, ok := c.pathIDs[path]
+	if !ok {
+		pid = uint32(len(f.Paths))
+		c.pathIDs[path] = pid
+		f.Paths = append(f.Paths, path)
 	}
-	var walk func(op *archive.Operation, d int32)
-	walk = func(op *archive.Operation, d int32) {
-		c.ops = append(c.ops, op)
-		c.depth = append(c.depth, d)
-		c.start = append(c.start, op.Start)
-		c.end = append(c.end, op.End)
-		c.dur = append(c.dur, op.Duration())
-		c.mission = append(c.mission, c.syms.intern(op.Mission))
-		c.actor = append(c.actor, c.syms.intern(op.Actor))
-		c.id = append(c.id, c.syms.intern(op.ID))
+	f.Ops = append(f.Ops, op)
+	f.Depth = append(f.Depth, depth)
+	f.Start = append(f.Start, op.Start)
+	f.End = append(f.End, op.End)
+	f.Dur = append(f.Dur, op.Duration())
+	f.Mission = append(f.Mission, c.intern(op.Mission))
+	f.Actor = append(f.Actor, c.intern(op.Actor))
+	f.ID = append(f.ID, c.intern(op.ID))
+	f.Path = append(f.Path, pid)
+}
+
+// BuildColumns flattens job's operation tree into columns, in
+// depth-first order. A nil or empty job yields zero rows.
+func BuildColumns(job *archive.Job) *Columns {
+	c := newColumns()
+	if job == nil || job.Root == nil {
+		return &c
+	}
+	var walk func(op *archive.Operation, d int32, path string)
+	walk = func(op *archive.Operation, d int32, path string) {
+		c.add(op, d, path)
 		for _, ch := range op.Children {
-			walk(ch, d+1)
+			walk(ch, d+1, path+"/"+ch.Mission)
 		}
 	}
-	walk(job.Root, 0)
-	return c
+	walk(job.Root, 0, job.Root.Mission)
+	return &c
 }
 
 // Rows returns the number of operations in the columns.
-func (c *Columns) Rows() int { return len(c.ops) }
+func (c *Columns) Rows() int { return c.f.Rows() }
+
+// Frame returns the columns' frame under the given job metadata: a
+// header copy sharing every column slice. The frame is immutable, like
+// the columns.
+func (c *Columns) Frame(meta JobMeta) *Frame {
+	f := c.f
+	f.Meta = meta
+	return &f
+}
 
 // SelectColumns runs the query against the columnar projection and
 // returns exactly what Select(job) would return for the job the columns
@@ -90,26 +107,32 @@ func (c *Columns) Rows() int { return len(c.ops) }
 // a bitmap over the symbol table per string predicate), after which
 // evaluation does no per-row string conversion on the built-in fields.
 func (q *Query) SelectColumns(c *Columns) []*archive.Operation {
-	if c == nil || len(c.ops) == 0 {
+	if c == nil || c.Rows() == 0 {
 		return nil
 	}
+	f := &c.f
 	var ev rowEval
 	if q.where != nil {
-		ev = compileExpr(q.where, c)
+		var err error
+		if ev, err = compileFrameExpr(q.where, f); err != nil {
+			// Columns always carry Ops and Path, and parsed queries name
+			// only known fields, so nothing a caller passes can get here.
+			panic(fmt.Sprintf("query: SelectColumns: %v", err))
+		}
 	}
 	var out []*archive.Operation
 	var rows []int32
 	needRows := q.orderBy != ""
-	for r := range c.ops {
+	for r, op := range f.Ops {
 		if ev == nil || ev(r) {
-			out = append(out, c.ops[r])
+			out = append(out, op)
 			if needRows {
 				rows = append(rows, int32(r))
 			}
 		}
 	}
 	if q.orderBy != "" && len(out) > 1 {
-		q.sortByColumns(c, out, rows)
+		q.sortByColumns(f, out, rows)
 	}
 	if q.limit >= 0 && len(out) > q.limit {
 		out = out[:q.limit]
@@ -127,22 +150,22 @@ type sortKey struct {
 	ok  bool
 }
 
-func makeSortKey(c *Columns, row int32, field string) sortKey {
+func makeSortKey(f *Frame, row int32, field string) sortKey {
 	// fieldValue is the oracle for the string form (including "" for an
 	// absent info key, which the tree path sorts on as well).
-	s, _ := fieldValue(c.ops[row], int(c.depth[row]), field)
-	f, err := strconv.ParseFloat(s, 64)
-	return sortKey{str: s, num: f, ok: err == nil && isFinite(f)}
+	s, _ := fieldValue(f.Ops[row], int(f.Depth[row]), field)
+	v, err := strconv.ParseFloat(s, 64)
+	return sortKey{str: s, num: v, ok: err == nil && isFinite(v)}
 }
 
-func (q *Query) sortByColumns(c *Columns, out []*archive.Operation, rows []int32) {
+func (q *Query) sortByColumns(f *Frame, out []*archive.Operation, rows []int32) {
 	type pair struct {
 		op  *archive.Operation
 		key sortKey
 	}
 	pairs := make([]pair, len(out))
 	for i := range out {
-		pairs[i] = pair{op: out[i], key: makeSortKey(c, rows[i], q.orderBy)}
+		pairs[i] = pair{op: out[i], key: makeSortKey(f, rows[i], q.orderBy)}
 	}
 	cmp := func(a, b sortKey) int {
 		if a.ok && b.ok {
@@ -173,65 +196,6 @@ func (q *Query) sortByColumns(c *Columns, out []*archive.Operation, rows []int32
 // rowEval is a compiled predicate over one columns row.
 type rowEval func(row int) bool
 
-func compileExpr(e expr, c *Columns) rowEval {
-	switch t := e.(type) {
-	case orExpr:
-		a, b := compileExpr(t.a, c), compileExpr(t.b, c)
-		return func(r int) bool { return a(r) || b(r) }
-	case andExpr:
-		a, b := compileExpr(t.a, c), compileExpr(t.b, c)
-		return func(r int) bool { return a(r) && b(r) }
-	case notExpr:
-		a := compileExpr(t.a, c)
-		return func(r int) bool { return !a(r) }
-	case predicate:
-		return compilePredicate(t, c)
-	}
-	// Unreachable: the parser produces only the four expr kinds above.
-	return func(r int) bool { return false }
-}
-
-func compilePredicate(pr predicate, c *Columns) rowEval {
-	switch strings.ToLower(pr.field) {
-	case "mission":
-		return symbolPredicate(pr, c.syms.strs, c.syms.floats, c.syms.finite, c.mission)
-	case "actor":
-		return symbolPredicate(pr, c.syms.strs, c.syms.floats, c.syms.finite, c.actor)
-	case "id":
-		return symbolPredicate(pr, c.syms.strs, c.syms.floats, c.syms.finite, c.id)
-	case "depth":
-		return depthPredicate(pr, c.depth)
-	case "duration":
-		return compileNumericPredicate(pr, c.dur)
-	case "start":
-		return compileNumericPredicate(pr, c.start)
-	case "end":
-		return compileNumericPredicate(pr, c.end)
-	}
-	// info./derived. fields need a per-row map lookup either way, but
-	// the prefix is stripped at compile time (fieldValue re-lowercases
-	// the field name per call, which allocates). The prefix match is
-	// case-sensitive exactly like fieldValue's.
-	if key, ok := strings.CutPrefix(pr.field, "info."); ok {
-		op, value := pr.op, pr.value
-		return func(r int) bool {
-			v, present := c.ops[r].Infos[key]
-			return present && evalStringPredicate(v, op, value)
-		}
-	}
-	if key, ok := strings.CutPrefix(pr.field, "derived."); ok {
-		op, value := pr.op, pr.value
-		return func(r int) bool {
-			v, present := c.ops[r].Derived[key]
-			return present && evalStringPredicate(v, op, value)
-		}
-	}
-	// Unreachable for parsed queries (validateField admits only the
-	// fields above, and a case-mismatched prefix like "Info.X" fails
-	// both CutPrefixes on the tree path too); defer to the oracle.
-	return func(r int) bool { return pr.eval(c.ops[r], int(c.depth[r])) }
-}
-
 // evalStringPredicate applies pr's operator to one candidate string,
 // with exactly the semantics of predicate.eval over fieldValue output.
 func evalStringPredicate(actual, op, value string) bool {
@@ -256,27 +220,26 @@ func evalStringPredicate(actual, op, value string) bool {
 
 // symbolPredicate evaluates pr once per distinct symbol into a bitmap;
 // row evaluation is then a single indexed load. Exact by construction:
-// every row with symbol s has fieldValue == strs[s], and the
+// every row with symbol s has fieldValue == Syms[s], and the
 // precomputed (float, finite) per symbol mirrors what compareValues
-// would decide per comparison — without re-parsing. Shared between the
-// in-memory Columns path and decoded segment Frames.
-func symbolPredicate(pr predicate, strs []string, floats []float64, finite []bool, col []uint32) rowEval {
-	match := make([]bool, len(strs))
+// would decide per comparison — without re-parsing.
+func (f *Frame) symbolPredicate(pr predicate, col []uint32) rowEval {
+	match := make([]bool, len(f.Syms))
 	if pr.op == "~" {
-		for s, str := range strs {
+		for s, str := range f.Syms {
 			match[s] = strings.Contains(str, pr.value)
 		}
 		return func(r int) bool { return match[col[r]] }
 	}
 	vf, err := strconv.ParseFloat(pr.value, 64)
 	vOK := err == nil && isFinite(vf)
-	for s, str := range strs {
+	for s, str := range f.Syms {
 		var cmp int
-		if vOK && finite[s] {
+		if vOK && f.SymFinite[s] {
 			switch {
-			case floats[s] < vf:
+			case f.SymFloat[s] < vf:
 				cmp = -1
-			case floats[s] > vf:
+			case f.SymFloat[s] > vf:
 				cmp = 1
 			}
 		} else {

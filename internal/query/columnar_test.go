@@ -167,6 +167,7 @@ func TestSelectColumnarOracle(t *testing.T) {
 func TestSelectColumnarRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	job := randomJob(rng, 400)
+	archive.New().Add(job) // parent links, which the tree side of a path match reads
 	cols := BuildColumns(job)
 	fields := []string{"mission", "actor", "id", "depth", "duration", "start", "end", "info.Vertices", "derived.PercentOfJob"}
 	ops := []string{"=", "!=", "~", ">", ">=", "<", "<="}
@@ -186,6 +187,38 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 			t.Fatalf("parse %q: %v", qs, err)
 		}
 		assertSameOps(t, qs, q.Select(job), q.SelectColumns(cols))
+	}
+
+	// Exact lookups (the service's ?mission=/?actor=/?path=): every key
+	// the job holds, plus absent ones and a field with no exact form.
+	keys := map[[2]string]bool{
+		{"mission", "nope"}: true, {"actor", ""}: true, {"path", "Job/nope"}: true,
+		{"path", "Job/Compute/"}: true, {"id", "op-1"}: true,
+	}
+	for _, od := range flattenDFS(job) {
+		keys[[2]string{"mission", od.op.Mission}] = true
+		keys[[2]string{"actor", od.op.Actor}] = true
+		keys[[2]string{"path", od.path}] = true
+	}
+	for k := range keys {
+		q := Exact(k[0], k[1])
+		if k[0] == "id" {
+			// Not an exact-match field: the tree matches nothing and the
+			// frame compiler refuses, rather than answering differently.
+			if _, err := compileFrameExpr(q.where, &cols.f); err == nil || len(q.Select(job)) != 0 {
+				t.Fatalf("exact %v: want a compile error and an empty tree result", k)
+			}
+			continue
+		}
+		assertSameOps(t, fmt.Sprint("exact ", k), q.Select(job), q.SelectColumns(cols))
+	}
+	// Exact means string identity: "42" and "0042" are equal to the =
+	// operator (both parse as 42) and distinct here.
+	eq, _ := Parse(`mission = 42`)
+	n42, n0042, nEq := len(Exact("mission", "42").SelectColumns(cols)),
+		len(Exact("mission", "0042").SelectColumns(cols)), len(eq.SelectColumns(cols))
+	if n42 == 0 || n0042 == 0 || n42+n0042 != nEq {
+		t.Fatalf("exact 42: %d, exact 0042: %d, = 42: %d; want two non-empty halves of the = result", n42, n0042, nEq)
 	}
 }
 
@@ -321,7 +354,10 @@ func TestColumnarEvalAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := compileExpr(q.where, cols)
+		ev, err := compileFrameExpr(q.where, &cols.f)
+		if err != nil {
+			t.Fatal(err)
+		}
 		matched := 0
 		allocs := testing.AllocsPerRun(20, func() {
 			for r := 0; r < cols.Rows(); r++ {

@@ -9,12 +9,14 @@ import (
 )
 
 // Frame is one job's rows in columnar form plus its job-level metadata
-// — the unit the aggregate executor scans. Two sources produce frames:
-// the in-memory Columns built when a job enters the store (Ops
-// populated, so info./derived. fields work), and decoded on-disk
-// segments (Ops nil; the engine never materializes the archive tree).
-// Both yield byte-identical aggregation results for queries that stay
-// on the columnar fields.
+// — the only row layout: row queries, aggregates, and the segment codec
+// all read it. Two sources produce frames: Columns, filled from an
+// operation tree when a job enters the store or as a live job's
+// operations complete (Ops and Path populated, so info./derived. fields
+// and path lookups work), and decoded on-disk segments (Ops and Path
+// nil; the engine never materializes the archive tree). Both yield
+// byte-identical aggregation results for queries that stay on the
+// columnar fields.
 type Frame struct {
 	Meta JobMeta
 
@@ -30,32 +32,18 @@ type Frame struct {
 	SymFloat  []float64
 	SymFinite []bool
 
-	// Ops is the depth-first operation list when the source retains the
-	// tree; nil for frames decoded from segments.
+	// Ops is the operation of each row when the source retains the tree;
+	// nil for frames decoded from segments.
 	Ops []*archive.Operation
+
+	// Path is each row's mission path from the root ("A/B/C") as an index
+	// into Paths. In memory only, like Ops: segments do not store it.
+	Path  []uint32
+	Paths []string
 }
 
 // Rows returns the number of operation rows in the frame.
 func (f *Frame) Rows() int { return len(f.Depth) }
-
-// Frame adapts the in-memory columns to a Frame, sharing the column
-// slices. The frame is immutable, like the columns it wraps.
-func (c *Columns) Frame(meta JobMeta) *Frame {
-	return &Frame{
-		Meta:      meta,
-		Depth:     c.depth,
-		Start:     c.start,
-		End:       c.end,
-		Dur:       c.dur,
-		Mission:   c.mission,
-		Actor:     c.actor,
-		ID:        c.id,
-		Syms:      c.syms.strs,
-		SymFloat:  c.syms.floats,
-		SymFinite: c.syms.finite,
-		Ops:       c.ops,
-	}
-}
 
 // symCompare orders two interned symbols with compareValues semantics,
 // using the precomputed numeric interpretations.
@@ -136,9 +124,10 @@ func (f *Frame) numExtractor(field string) (func(r int) float64, error) {
 	return nil, fmt.Errorf("query: %q is not a numeric field", field)
 }
 
-// compileFrameExpr compiles the where tree against a frame. It extends
-// the Columns compiler with job.* fields (constant per frame) and
-// errors on info./derived. fields when the frame has no operation tree.
+// compileFrameExpr compiles the where tree against a frame — the only
+// function that turns an expr into a rowEval. job.* fields are constant
+// per frame; info./derived. fields and path matches error when the
+// frame has no operation tree.
 func compileFrameExpr(e expr, f *Frame) (rowEval, error) {
 	switch t := e.(type) {
 	case orExpr:
@@ -169,6 +158,8 @@ func compileFrameExpr(e expr, f *Frame) (rowEval, error) {
 		return func(r int) bool { return !a(r) }, nil
 	case predicate:
 		return compileFramePredicate(t, f)
+	case exactExpr:
+		return compileFrameExact(t, f)
 	}
 	return nil, fmt.Errorf("query: unknown expression")
 }
@@ -177,11 +168,11 @@ func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
 	lf := strings.ToLower(pr.field)
 	switch lf {
 	case "mission":
-		return symbolPredicate(pr, f.Syms, f.SymFloat, f.SymFinite, f.Mission), nil
+		return f.symbolPredicate(pr, f.Mission), nil
 	case "actor":
-		return symbolPredicate(pr, f.Syms, f.SymFloat, f.SymFinite, f.Actor), nil
+		return f.symbolPredicate(pr, f.Actor), nil
 	case "id":
-		return symbolPredicate(pr, f.Syms, f.SymFloat, f.SymFinite, f.ID), nil
+		return f.symbolPredicate(pr, f.ID), nil
 	case "depth":
 		return depthPredicate(pr, f.Depth), nil
 	case "duration":
@@ -223,4 +214,32 @@ func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
 		return func(int) bool { return false }, nil
 	}
 	return nil, fmt.Errorf("query: unknown field %q", pr.field)
+}
+
+// compileFrameExact compiles an exact match to a symbol-ID compare: the
+// value is looked up once in the column's dictionary and rows compare
+// IDs, so "5" never equals "5.0" the way the = operator has it.
+func compileFrameExact(e exactExpr, f *Frame) (rowEval, error) {
+	var col []uint32
+	dict := f.Syms
+	switch e.field {
+	case "mission":
+		col = f.Mission
+	case "actor":
+		col = f.Actor
+	case "path":
+		if f.Path == nil {
+			return nil, fmt.Errorf("query: path matches require operation details not stored in columnar segments")
+		}
+		col, dict = f.Path, f.Paths
+	default:
+		return nil, fmt.Errorf("query: no exact match on field %q", e.field)
+	}
+	for id, s := range dict {
+		if s == e.value {
+			want := uint32(id)
+			return func(r int) bool { return col[r] == want }, nil
+		}
+	}
+	return func(int) bool { return false }, nil
 }

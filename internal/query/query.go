@@ -257,6 +257,30 @@ type predicate struct {
 	value string
 }
 
+// exactExpr matches rows whose mission, actor, or path ("A/B/C" from
+// the root) is exactly value — string identity, where the = operator
+// compares "5" and "5.0" as numbers. The grammar cannot produce it;
+// Exact builds it for the service's ?mission=/?actor=/?path= lookups.
+type exactExpr struct{ field, value string }
+
+func (e exactExpr) eval(op *archive.Operation, _ int) bool {
+	switch e.field {
+	case "mission":
+		return op.Mission == e.value
+	case "actor":
+		return op.Actor == e.value
+	case "path":
+		return strings.Join(op.Path(), "/") == e.value
+	}
+	return false
+}
+
+// Exact returns the query selecting every operation whose field —
+// "mission", "actor", or "path" — equals value exactly, in row order.
+func Exact(field, value string) *Query {
+	return &Query{where: exactExpr{field: field, value: value}, limit: -1}
+}
+
 func (p *parser) parseOr() (expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {

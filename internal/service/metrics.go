@@ -4,56 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/archivedb"
+	"repro/internal/metrics"
 )
-
-// latencyBuckets are the fixed histogram bucket upper bounds in
-// seconds. They span sub-millisecond JSON handlers to multi-second
-// simulation submissions.
-var latencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// histogram is a fixed-bucket latency histogram.
-type histogram struct {
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(latencyBuckets))}
-}
-
-func (h *histogram) observe(v float64) {
-	for i, ub := range latencyBuckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.count++
-}
-
-// quantile returns an upper-bound estimate of the q-quantile from the
-// cumulative bucket counts (the bucket boundary at which the
-// cumulative count crosses q·total).
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := q * float64(h.count)
-	for i, c := range h.counts {
-		if float64(c) >= target {
-			return latencyBuckets[i]
-		}
-	}
-	return latencyBuckets[len(latencyBuckets)-1]
-}
 
 // Metrics aggregates the service's operational counters: per-route
 // request-latency histograms, job lifecycle counters, and gauges
@@ -62,7 +17,7 @@ func (h *histogram) quantile(q float64) float64 {
 // byte-deterministic for a given state.
 type Metrics struct {
 	mu         sync.Mutex
-	requests   map[string]*histogram
+	requests   map[string]*metrics.Histogram
 	jobsStart  uint64
 	jobsDone   uint64
 	jobsFailed uint64
@@ -90,7 +45,7 @@ type Metrics struct {
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:    map[string]*histogram{},
+		requests:    map[string]*metrics.Histogram{},
 		transitions: map[BreakerState]uint64{},
 	}
 }
@@ -215,10 +170,10 @@ func (m *Metrics) ObserveRequest(route string, seconds float64) {
 	m.mu.Lock()
 	h, ok := m.requests[route]
 	if !ok {
-		h = newHistogram()
+		h = &metrics.Histogram{}
 		m.requests[route] = h
 	}
-	h.observe(seconds)
+	h.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -244,26 +199,6 @@ func (m *Metrics) JobFinished(ok bool) {
 		m.jobsFailed++
 	}
 	m.mu.Unlock()
-}
-
-// RequestQuantile estimates the q-quantile request latency across all
-// routes, in seconds.
-func (m *Metrics) RequestQuantile(q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	merged := newHistogram()
-	for _, h := range m.requests {
-		for i, c := range h.counts {
-			merged.counts[i] += c
-		}
-		merged.count += h.count
-		merged.sum += h.sum
-	}
-	return merged.quantile(q)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // CacheStats bundles the read-path cache counters sampled at scrape
@@ -293,14 +228,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, queueDepth, storeJobs int, storag
 	}
 	sort.Strings(routes)
 	for _, route := range routes {
-		h := m.requests[route]
-		for i, ub := range latencyBuckets {
-			fmt.Fprintf(w, "granula_http_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				route, formatFloat(ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "granula_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, h.count)
-		fmt.Fprintf(w, "granula_http_request_duration_seconds_sum{route=%q} %s\n", route, formatFloat(h.sum))
-		fmt.Fprintf(w, "granula_http_request_duration_seconds_count{route=%q} %d\n", route, h.count)
+		m.requests[route].Write(w, "granula_http_request_duration_seconds", fmt.Sprintf("route=%q,", route))
 	}
 
 	fmt.Fprintln(w, "# HELP granula_executor_jobs_total Jobs by terminal state.")

@@ -52,6 +52,10 @@ type Server struct {
 	// and in-process jobs mirrored by the executor's sinks.
 	streams   *stream.Manager
 	heartbeat time.Duration
+	// watchRace, when set, runs between a watch handler's two reads of a
+	// live job (its state, then its log), so a test can land a seal in
+	// exactly that window. Always nil outside tests.
+	watchRace func()
 
 	// durableMu guards durable, the per-live-job high-water sequence
 	// already persisted as stream batches; an ingest ack implies the
@@ -424,11 +428,12 @@ type queryResponse struct {
 }
 
 // handleQuery serves GET /jobs/{id}/query. Exactly one selector is
-// required: ?q= runs the internal/query language over the tree;
-// ?mission=, ?actor=, and ?path= hit the store's secondary indexes.
-// A job that is still streaming (no archive yet) answers from its
-// incremental columnar index over completed operations, marked live so
-// the response cache never files the moving bytes.
+// required: ?q= runs the internal/query language; ?mission=, ?actor=,
+// and ?path= select the operations whose field equals the value
+// exactly. All four are one scan of the job's columns. A job that is
+// still streaming (no archive yet) answers from its incremental columns
+// over completed operations, marked live so the response cache never
+// files the moving bytes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fail(SiteQuery); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -449,10 +454,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	params := r.URL.Query()
-	selectors := 0
+	selectors, selector := 0, ""
 	for _, k := range []string{"q", "mission", "actor", "path"} {
 		if params.Has(k) {
 			selectors++
+			selector = k
 		}
 	}
 	if selectors != 1 {
@@ -467,11 +473,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if live != nil {
 		lastSeq = live.LastSeq()
 	}
-	var ops []*archive.Operation
-	switch {
-	case params.Has("q"):
-		q, err := s.parseQuery(params.Get("q"))
-		if err != nil {
+	var q *query.Query
+	if selector == "q" {
+		var err error
+		if q, err = s.parseQuery(params.Get("q")); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -479,37 +484,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.handleJobAggregate(w, id, params.Get("q"), q, sj, live)
 			return
 		}
-		switch {
-		case live != nil:
-			// Snapshot of the incremental index: completed operations in
-			// completion order, race-free against concurrent ingest.
-			ops = q.SelectColumns(live.Columns())
-		case sj.Cols != nil:
-			// Compiled evaluation over the columnar projection built at
-			// Put time; returns exactly what q.Select(sj.Job) would.
-			ops = q.SelectColumns(sj.Cols)
-		default:
-			ops = q.Select(sj.Job)
-		}
-	case params.Has("mission"):
-		if live != nil {
-			ops = live.Lookup("mission", params.Get("mission"))
-		} else {
-			ops = sj.ByMission(params.Get("mission"))
-		}
-	case params.Has("actor"):
-		if live != nil {
-			ops = live.Lookup("actor", params.Get("actor"))
-		} else {
-			ops = sj.ByActor(params.Get("actor"))
-		}
-	case params.Has("path"):
-		if live != nil {
-			ops = live.Lookup("path", params.Get("path"))
-		} else {
-			ops = sj.ByPath(params.Get("path"))
-		}
+	} else {
+		q = query.Exact(selector, params.Get(selector))
 	}
+	var cols *query.Columns
+	if live != nil {
+		// Snapshot of the incremental columns: completed operations in
+		// completion order, race-free against concurrent ingest.
+		cols = live.Columns()
+	} else {
+		// Built at Put time in depth-first order; SelectColumns returns
+		// exactly what q.Select(sj.Job) would.
+		cols = sj.Cols
+	}
+	ops := q.SelectColumns(cols)
 	resp := queryResponse{JobID: id, Count: len(ops), Operations: viewOps(ops)}
 	if live != nil {
 		resp.Live = true
@@ -536,14 +524,7 @@ func (s *Server) handleJobAggregate(w http.ResponseWriter, id, raw string, q *qu
 			"job %q is still streaming; aggregate queries need a sealed archive", id)
 		return
 	}
-	var jp query.JobPartial
-	var err error
-	meta := jobMeta(id, sj.Summary)
-	if sj.Cols != nil {
-		jp, err = q.AggregateFrame(sj.Cols.Frame(meta))
-	} else {
-		jp, err = q.AggregateTree(sj.Job, meta)
-	}
+	jp, err := q.AggregateFrame(sj.Cols.Frame(jobMeta(id, sj.Summary)))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/archive"
 )
 
 // newTestServer wires a full service stack on an httptest server.
@@ -183,7 +185,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 	id := submitAndWait(t, ts.URL, smallRequest("Giraph", "BFS"))
 	sj, _ := store.Get(id)
 
-	// Indexed selectors agree with the query language.
+	// Exact selectors agree with the query language.
 	code, payload := httpGet(t, ts.URL+"/jobs/"+id+"/query?q=mission+=+Superstep")
 	if code != http.StatusOK {
 		t.Fatalf("q: %d: %s", code, payload)
@@ -206,15 +208,17 @@ func TestServerQueryEndpoints(t *testing.T) {
 	}
 
 	// Actor selector returns that actor's ops.
-	actors := sj.Actors()
-	if len(actors) == 0 {
-		t.Fatal("no actors")
-	}
-	_, payload = httpGet(t, ts.URL+"/jobs/"+id+"/query?actor="+actors[0])
+	actor, want := sj.Job.Root.Actor, 0
+	sj.Job.Root.Walk(func(op *archive.Operation) {
+		if op.Actor == actor {
+			want++
+		}
+	})
+	_, payload = httpGet(t, ts.URL+"/jobs/"+id+"/query?actor="+actor)
 	var viaActor queryResponse
 	json.Unmarshal(payload, &viaActor)
-	if viaActor.Count != len(sj.ByActor(actors[0])) {
-		t.Fatalf("actor query returned %d, index has %d", viaActor.Count, len(sj.ByActor(actors[0])))
+	if viaActor.Count != want {
+		t.Fatalf("actor query returned %d, tree has %d", viaActor.Count, want)
 	}
 
 	// Operation views carry paths and durations.
@@ -383,6 +387,23 @@ func TestServerMetrics(t *testing.T) {
 	// Histogram buckets are cumulative: the +Inf bucket equals the count.
 	if !strings.Contains(text, `_count{route="GET /jobs/{id}"}`) {
 		t.Fatalf("metrics lack per-route status histogram:\n%s", text)
+	}
+	// The exposition format of one route's histogram, sample for sample
+	// (values stripped): the 14 shared bounds, +Inf, sum, count.
+	var got []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "granula_http_request_duration_seconds_") && strings.Contains(line, `route="POST /jobs"`) {
+			got = append(got, line[:strings.LastIndex(line, " ")])
+		}
+	}
+	var want []string
+	for _, le := range []string{"0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "5", "10", "+Inf"} {
+		want = append(want, `granula_http_request_duration_seconds_bucket{route="POST /jobs",le="`+le+`"}`)
+	}
+	want = append(want, `granula_http_request_duration_seconds_sum{route="POST /jobs"}`,
+		`granula_http_request_duration_seconds_count{route="POST /jobs"}`)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("histogram exposition changed:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package service implements granula-serve: the long-running serving
 // layer over the Granula pipeline. It owns a bounded job executor pool
 // that runs (platform, algorithm, graph) simulations concurrently, an
-// in-memory archive store with secondary indexes over operation path,
-// actor, and mission (DESIGN.md ablation item 6: indexed vs. linear
-// scan), and a JSON HTTP API that exposes submission, status, archive
-// retrieval, the query language, visualization, and regression diffs.
+// in-memory archive store that keeps one columnar projection per job
+// for every query to scan (DESIGN.md ablation item 6), and a JSON HTTP
+// API that exposes submission, status, archive retrieval, the query
+// language, visualization, and regression diffs.
 //
 // The store and executor are safe for concurrent use; every JSON
 // response is deterministic (sorted keys and slices) so serve output is
@@ -43,103 +43,25 @@ type Summary struct {
 	ModelErrors       []string `json:"modelErrors,omitempty"`
 }
 
-// StoredJob is one archived job plus its secondary indexes. The indexes
-// are built once at Put time, after which the operation tree is treated
-// as immutable; repeated queries then hit a map lookup instead of
-// rescanning the tree. Cols is the columnar projection of the operation
-// tree that query.SelectColumns evaluates against, built at the same
-// time under the same immutability assumption.
+// StoredJob is one archived job: the operation tree, its summary, and
+// Cols, the columnar projection of the tree that every query on the
+// job — ?q= row queries, aggregates, the ?mission=/?actor=/?path=
+// lookups — evaluates against. Cols is built once when the job enters
+// the store, after which the tree is treated as immutable.
 type StoredJob struct {
 	Job     *archive.Job
 	Summary Summary
 	Cols    *query.Columns
-
-	byMission map[string][]*archive.Operation
-	byActor   map[string][]*archive.Operation
-	byPath    map[string][]*archive.Operation
 }
 
-// PathKey is the index key for an operation's mission path from the
-// root, e.g. "GiraphJob/ProcessGraph/Superstep".
+// PathKey is an operation's mission path from the root, e.g.
+// "GiraphJob/ProcessGraph/Superstep" — the key ?path= matches.
 func PathKey(op *archive.Operation) string {
 	return strings.Join(op.Path(), "/")
 }
 
 func indexJob(job *archive.Job, sum Summary) *StoredJob {
-	sj := &StoredJob{
-		Job:       job,
-		Summary:   sum,
-		byMission: map[string][]*archive.Operation{},
-		byActor:   map[string][]*archive.Operation{},
-		byPath:    map[string][]*archive.Operation{},
-	}
-	sj.Cols = query.BuildColumns(job)
-	if job.Root != nil {
-		job.Root.Walk(func(op *archive.Operation) {
-			sj.byMission[op.Mission] = append(sj.byMission[op.Mission], op)
-			sj.byActor[op.Actor] = append(sj.byActor[op.Actor], op)
-			sj.byPath[PathKey(op)] = append(sj.byPath[PathKey(op)], op)
-		})
-	}
-	return sj
-}
-
-// ByMission returns every operation with the given mission in
-// depth-first order, equivalent to Job.FindAll without the rescan.
-func (sj *StoredJob) ByMission(mission string) []*archive.Operation {
-	return sj.byMission[mission]
-}
-
-// ByActor returns every operation executed by the given actor, in
-// depth-first order.
-func (sj *StoredJob) ByActor(actor string) []*archive.Operation {
-	return sj.byActor[actor]
-}
-
-// ByPath returns the operations whose mission path from the root equals
-// the given "A/B/C" key, equivalent to Job.Find without the descent.
-func (sj *StoredJob) ByPath(path string) []*archive.Operation {
-	return sj.byPath[path]
-}
-
-// Missions returns the distinct missions present in the job, sorted.
-func (sj *StoredJob) Missions() []string {
-	out := make([]string, 0, len(sj.byMission))
-	for m := range sj.byMission {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Actors returns the distinct actors present in the job, sorted.
-func (sj *StoredJob) Actors() []string {
-	out := make([]string, 0, len(sj.byActor))
-	for a := range sj.byActor {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Paths returns the distinct mission paths present in the job, sorted.
-func (sj *StoredJob) Paths() []string {
-	out := make([]string, 0, len(sj.byPath))
-	for p := range sj.byPath {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// indexMeta projects the job's secondary-index keys into the form
-// archivedb persists next to each record.
-func (sj *StoredJob) indexMeta() archivedb.IndexMeta {
-	return archivedb.IndexMeta{
-		Missions: sj.Missions(),
-		Actors:   sj.Actors(),
-		Paths:    sj.Paths(),
-	}
+	return &StoredJob{Job: job, Summary: sum, Cols: query.BuildColumns(job)}
 }
 
 // persistedJob is the archivedb payload schema: the serving summary
@@ -179,7 +101,7 @@ type StoreOptions struct {
 }
 
 // Store is the performance-archive store: completed jobs keyed by job
-// ID, each with its secondary indexes. Without a database it is purely
+// ID, each with its columnar projection. Without a database it is purely
 // in-memory (a restart loses everything); with one it is a
 // write-through cache — Put persists to the WAL before publishing to
 // readers, and opening a store over an existing database restores
@@ -408,8 +330,9 @@ func (s *Store) writeSegment(id string, sj *StoredJob, version uint64) {
 
 // Put indexes and stores a completed job under its summary ID. Adding
 // the job to a throwaway archive first restores parent links and child
-// ordering, so path keys are correct for jobs fresh out of the harness
-// (Load-ed archives are already linked; relinking is idempotent).
+// ordering, so rows and path keys are canonical for jobs fresh out of
+// the harness (Load-ed archives are already linked; relinking is
+// idempotent).
 //
 // With a backing database the job is persisted before it becomes
 // visible to readers; an error means the job is neither durable nor
@@ -430,7 +353,7 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 		if !s.breaker.Allow() {
 			return ErrDegraded
 		}
-		if err := s.db.Put(sum.ID, payload, sj.indexMeta()); err != nil {
+		if err := s.db.Put(sum.ID, payload, archivedb.IndexMeta{}); err != nil {
 			s.breaker.Failure()
 			return err
 		}
@@ -530,7 +453,7 @@ func (s *Store) ApplyReplica(id string, version uint64, payload []byte) error {
 		if !s.breaker.Allow() {
 			return ErrDegraded
 		}
-		if err := s.db.Put(id, payload, sj.indexMeta()); err != nil {
+		if err := s.db.Put(id, payload, archivedb.IndexMeta{}); err != nil {
 			s.breaker.Failure()
 			return err
 		}

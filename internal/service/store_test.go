@@ -1,7 +1,10 @@
 package service
 
 import (
-	"reflect"
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/datagen"
 	"repro/internal/platforms"
+	"repro/internal/stream"
 )
 
 // testOutput runs one small real job through the pipeline so store and
@@ -56,43 +60,129 @@ func TestStorePutGet(t *testing.T) {
 	}
 }
 
-func TestStoreIndexesMatchLinearScan(t *testing.T) {
-	out := testOutput(t, "Giraph", "BFS")
-	s := NewStore()
-	s.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out))
-	sj, _ := s.Get(out.Job.ID)
-
-	for _, mission := range sj.Missions() {
-		want := out.Job.FindAll(mission)
-		got := sj.ByMission(mission)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ByMission(%q): indexed %d ops, linear %d", mission, len(got), len(want))
+// TestLookupMatchesTreeReference pins the ?mission=/?actor=/?path=
+// lookups to the tree: for every key of real Giraph and PowerGraph
+// archives the response bytes equal the tree reference (Job.FindAll,
+// an actor walk, Job.Find) rendered through viewOps. The odd job adds
+// keys that only exact matching gets right, and the live job the same
+// lookups mid-stream, where rows are in completion order and views have
+// no parents.
+func TestLookupMatchesTreeReference(t *testing.T) {
+	ts, store := streamStack(t, ServerOptions{})
+	check := func(jobID, selector, value string, want queryResponse) {
+		t.Helper()
+		want.JobID, want.Count = jobID, len(want.Operations)
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, want)
+		code, got := httpGet(t, ts.URL+"/jobs/"+jobID+"/query?"+selector+"="+url.QueryEscape(value))
+		if code != http.StatusOK || !bytes.Equal(got, rec.Body.Bytes()) {
+			t.Fatalf("%s ?%s=%q: %d\n got %s\nwant %s", jobID, selector, value, code, got, rec.Body.Bytes())
 		}
 	}
-
-	// Every indexed actor entry matches a full-tree filter.
-	for _, actor := range sj.Actors() {
-		var want []*archive.Operation
-		out.Job.Root.Walk(func(op *archive.Operation) {
-			if op.Actor == actor {
-				want = append(want, op)
+	walkWhere := func(job *archive.Job, keep func(*archive.Operation) bool) []*archive.Operation {
+		var out []*archive.Operation
+		job.Root.Walk(func(op *archive.Operation) {
+			if keep(op) {
+				out = append(out, op)
 			}
 		})
-		if got := sj.ByActor(actor); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ByActor(%q): indexed %d ops, linear %d", actor, len(got), len(want))
+		return out
+	}
+
+	for _, platform := range []string{"Giraph", "PowerGraph"} {
+		out := testOutput(t, platform, "BFS")
+		job := out.Job
+		store.Put(job, summarize(JobRequest{Algorithm: "BFS"}, out))
+		missions, actors, paths := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		job.Root.Walk(func(op *archive.Operation) {
+			missions[op.Mission], actors[op.Actor], paths[PathKey(op)] = true, true, true
+		})
+		if len(missions) < 5 || len(actors) < 3 || len(paths) < 5 {
+			t.Fatalf("%s archive too plain: %d missions, %d actors, %d paths", platform, len(missions), len(actors), len(paths))
+		}
+		for m := range missions {
+			check(job.ID, "mission", m, queryResponse{Operations: viewOps(job.FindAll(m))})
+		}
+		for a := range actors {
+			check(job.ID, "actor", a, queryResponse{Operations: viewOps(
+				walkWhere(job, func(op *archive.Operation) bool { return op.Actor == a }))})
+		}
+		for p := range paths {
+			check(job.ID, "path", p, queryResponse{Operations: viewOps(job.Find(strings.Split(p, "/")...))})
+		}
+		for _, selector := range []string{"mission", "actor", "path"} {
+			check(job.ID, selector, "absent", queryResponse{Operations: []OperationView{}})
 		}
 	}
 
-	// Path index agrees with Job.Find on a deep path.
-	path := []string{"GiraphJob", "ProcessGraph", "Superstep"}
-	want := out.Job.Find(path...)
-	if len(want) == 0 {
-		t.Fatal("expected supersteps in a Giraph BFS job")
+	// "5" and "5.0" are equal to the query language's = and distinct
+	// here; the path R/A/B is both the child "A/B" and the grandchild B.
+	odd := &archive.Job{ID: "odd", Root: &archive.Operation{
+		ID: "r", Mission: "R", Actor: "5", Start: 0, End: 9,
+		Children: []*archive.Operation{
+			{ID: "a", Mission: "A", Actor: "5.0", Start: 0, End: 3, Children: []*archive.Operation{
+				{ID: "ab", Mission: "B", Actor: "5", Start: 1, End: 2}}},
+			{ID: "a/b", Mission: "A/B", Actor: "5.0", Start: 3, End: 4},
+			{ID: "five", Mission: "5", Actor: "w", Start: 4, End: 5},
+			{ID: "five.0", Mission: "5.0", Actor: "w", Start: 5, End: 6},
+		},
+	}}
+	store.Put(odd, Summary{ID: "odd"})
+	fields := map[string]func(*archive.Operation) string{
+		"mission": func(op *archive.Operation) string { return op.Mission },
+		"actor":   func(op *archive.Operation) string { return op.Actor },
+		"path":    PathKey,
 	}
-	got := sj.ByPath(strings.Join(path, "/"))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ByPath: indexed %d ops, Find %d", len(got), len(want))
+	for _, k := range [][2]string{
+		{"mission", "5"}, {"mission", "5.0"}, {"mission", "05"}, {"actor", "5"}, {"actor", "5.0"},
+		{"mission", "A/B"}, {"path", "R/A/B"}, {"path", "R/5"}, {"path", "R/5.0"}, {"path", "R/A"}, {"path", "A/B"},
+	} {
+		field, value := fields[k[0]], k[1]
+		want := walkWhere(odd, func(op *archive.Operation) bool { return field(op) == value })
+		check("odd", k[0], value, queryResponse{Operations: viewOps(want)})
 	}
+	if n := len(odd.Find("R", "A", "B")); n != 1 {
+		t.Fatalf("Job.Find sees %d R/A/B operations; the table above expects the path key to see 2", n)
+	}
+
+	// Mid-stream: b completes before a, so completion order is b, a
+	// where depth-first order is a, b; the root is still open.
+	events := []stream.Event{
+		{Seq: 1, Type: stream.TypeStart, Time: 0, Op: "r", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: stream.TypeStart, Time: 1, Op: "a", Parent: "r", Actor: "W-0", Mission: "Step"},
+		{Seq: 3, Type: stream.TypeStart, Time: 1.5, Op: "b", Parent: "r", Actor: "W-1", Mission: "Step"},
+		{Seq: 4, Type: stream.TypeEnd, Time: 2, Op: "b"},
+		{Seq: 5, Type: stream.TypeEnd, Time: 3, Op: "a"},
+		{Seq: 6, Type: stream.TypeEnd, Time: 4, Op: "r"},
+		{Seq: 7, Type: stream.TypeSeal, Time: 4, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone},
+	}
+	if code, _, body, _ := postIngest(t, ts.URL, "live", events[:5]); code != http.StatusOK {
+		t.Fatalf("ingest: %d: %s", code, body)
+	}
+	a := OperationView{ID: "a", Actor: "W-0", Mission: "Step", Path: "Step", Start: 1, End: 3, Duration: 2}
+	b := OperationView{ID: "b", Actor: "W-1", Mission: "Step", Path: "Step", Start: 1.5, End: 2, Duration: 0.5}
+	for _, row := range []struct {
+		selector, value string
+		want            []OperationView
+	}{
+		{"mission", "Step", []OperationView{b, a}},
+		{"path", "Job/Step", []OperationView{b, a}},
+		{"actor", "W-0", []OperationView{a}},
+		{"mission", "Job", []OperationView{}},
+		{"path", "Step", []OperationView{}},
+	} {
+		check("live", row.selector, row.value, queryResponse{Operations: row.want, Live: true, LastSeq: 5})
+	}
+	if code, _, body, _ := postIngest(t, ts.URL, "live", events); code != http.StatusOK {
+		t.Fatalf("seal: %d: %s", code, body)
+	}
+	// Sealed, the same lookup is depth-first again: a, b.
+	sealed, _ := store.Get("live")
+	steps := sealed.Job.Find("Job", "Step")
+	if len(steps) != 2 || steps[0].ID != "a" || steps[1].ID != "b" {
+		t.Fatalf("sealed tree has steps %+v, want a then b", steps)
+	}
+	check("live", "path", "Job/Step", queryResponse{Operations: viewOps(steps)})
 }
 
 func TestStoreIDsSortedAndArchive(t *testing.T) {
@@ -117,18 +207,5 @@ func TestStoreIDsSortedAndArchive(t *testing.T) {
 	}
 	if one := s.Archive(g.Job.ID); len(one.Jobs) != 1 || one.Jobs[0] != g.Job {
 		t.Fatalf("Archive(%s) wrong", g.Job.ID)
-	}
-}
-
-func TestStoreMissionsActorsSorted(t *testing.T) {
-	out := testOutput(t, "PowerGraph", "BFS")
-	s := NewStore()
-	s.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out))
-	sj, _ := s.Get(out.Job.ID)
-	if m := sj.Missions(); !sort.StringsAreSorted(m) || len(m) == 0 {
-		t.Fatalf("Missions bad: %v", m)
-	}
-	if a := sj.Actors(); !sort.StringsAreSorted(a) || len(a) == 0 {
-		t.Fatalf("Actors bad: %v", a)
 	}
 }

@@ -374,8 +374,15 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		evs := live.EventsAfter(from)
+		// Sealed is read before the log, never after: a seal landing
+		// between the two reads would otherwise answer "sealed" over a
+		// batch that stops short of the seal event, and a client that
+		// trusts "sealed + empty batch = done" would stop without it.
 		sealed, _ := live.Sealed()
+		if s.watchRace != nil {
+			s.watchRace()
+		}
+		evs := live.EventsAfter(from)
 		if len(evs) > 0 || sealed || wait == 0 {
 			lastSeq := from
 			if len(evs) > 0 {
@@ -516,6 +523,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer hb.Stop()
 	cursor := from
 	for {
+		// Liveness is read before the log, never after: the final batch
+		// and finalizeStream can land between the two reads, and a tail
+		// that saw "still live, nothing new" followed by "retired" would
+		// end without the seal frame sitting in the log it holds. Read in
+		// this order, a retired job's log is already complete.
+		cur, stillLive := s.streams.Get(id)
+		if s.watchRace != nil {
+			s.watchRace()
+		}
 		evs := live.EventsAfter(cursor)
 		for _, e := range evs {
 			cursor = e.Seq
@@ -547,7 +563,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if sealed, _ := live.Sealed(); sealed && cursor >= live.LastSeq() {
 			return
 		}
-		if cur, stillLive := s.streams.Get(id); !stillLive || cur != live {
+		if !stillLive || cur != live {
 			// Removed (archived or abandoned) with nothing left to send.
 			return
 		}

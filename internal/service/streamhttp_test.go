@@ -9,19 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/archivedb"
 	"repro/internal/datagen"
 	"repro/internal/envmon"
 	"repro/internal/platforms"
-	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -332,6 +328,69 @@ func TestWatchTailAndResume(t *testing.T) {
 	text = watchCollect(t, ts.URL, "w1", "", "7")
 	if strings.Contains(text, "id: 1\n") || !strings.Contains(text, "event: seal") {
 		t.Fatalf("archived tail:\n%s", text)
+	}
+}
+
+// TestWatchSealRace forces the interleaving behind the "stream ended
+// before seal" flake instead of waiting for it: the watchRace seam runs
+// between a watch handler's two reads of the live job, and the test
+// lands the final batch, the seal, and finalizeStream (which retires
+// the job) in exactly that window. Every tail must still end with its
+// seal: the SSE tail with a seal frame, the long-poll client with a
+// batch that carries the seal event before it is told to stop.
+func TestWatchSealRace(t *testing.T) {
+	events := streamEventsFixture()
+	for _, mode := range []string{"sse", "poll"} {
+		store := NewStore()
+		metrics := NewMetrics()
+		exec := NewExecutor(1, 4, store, metrics)
+		srv := NewServerWith(exec, store, metrics, ServerOptions{})
+		body, err := stream.EncodeEvents(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var once sync.Once
+		srv.watchRace = func() {
+			once.Do(func() {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/ingest/race", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"archived"`) {
+					t.Errorf("%s: sealing ingest inside the window: %d: %s", mode, rec.Code, rec.Body)
+				}
+			})
+		}
+		ts := httptest.NewServer(srv.Handler())
+		postIngest(t, ts.URL, "race", events[:4])
+
+		switch mode {
+		case "sse":
+			if text := watchCollect(t, ts.URL, "race", "", ""); !strings.Contains(text, "id: 9\nevent: seal\n") {
+				t.Errorf("sse: tail ended without its seal frame:\n%s", text)
+			}
+		case "poll":
+			// A client that has everything so far polls from its cursor
+			// and stops on "sealed with nothing new".
+			from, sawSeal := uint64(4), false
+			for !sawSeal {
+				code, payload := httpGet(t, fmt.Sprintf("%s/watch/race?poll=1&wait=0&from=%d", ts.URL, from))
+				var batch pollResponse
+				if err := json.Unmarshal(payload, &batch); err != nil || code != http.StatusOK {
+					t.Fatalf("poll: %d: %v: %s", code, err, payload)
+				}
+				for _, e := range batch.Events {
+					sawSeal = sawSeal || e.Type == stream.TypeSeal
+				}
+				if batch.Sealed && len(batch.Events) == 0 {
+					break
+				}
+				from = batch.LastSeq
+			}
+			if !sawSeal {
+				t.Errorf("poll: client was told the stream sealed before it was handed the seal event")
+			}
+		}
+		ts.Close()
+		exec.Shutdown(context.Background())
 	}
 }
 
@@ -725,113 +784,4 @@ func TestStreamMetricsExposed(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-}
-
-// TestEmitStreamBenchJSON writes BENCH_stream.json — ingest throughput
-// at 1/8/64 concurrent writers and the incremental-index speedup over
-// per-event rebuilds — when BENCH_STREAM_OUT names the output path. CI
-// runs it to archive the numbers; without the env var it is a no-op
-// skip.
-func TestEmitStreamBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_STREAM_OUT")
-	if path == "" {
-		t.Skip("BENCH_STREAM_OUT not set")
-	}
-	ts, _ := streamStack(t, ServerOptions{StreamConfig: stream.Config{MaxLiveJobs: 128}})
-
-	type ingestPoint struct {
-		Writers   int     `json:"writers"`
-		Events    int     `json:"events"`
-		EventsSec float64 `json:"events_per_sec"`
-	}
-	var ingest []ingestPoint
-	for _, writers := range []int{1, 8, 64} {
-		events := syntheticStream(512)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				id := fmt.Sprintf("bench-%d-%d", writers, w)
-				for off := 0; off < len(events); off += 256 {
-					body, _ := stream.EncodeEvents(events[off:min(off+256, len(events))])
-					for {
-						resp, err := http.Post(ts.URL+"/ingest/"+id, "application/x-ndjson", bytes.NewReader(body))
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode == http.StatusOK {
-							break
-						}
-						if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
-							t.Errorf("ingest: %d", resp.StatusCode)
-							return
-						}
-						time.Sleep(10 * time.Millisecond)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := writers * len(events)
-		ingest = append(ingest, ingestPoint{
-			Writers: writers, Events: total,
-			EventsSec: float64(total) / time.Since(start).Seconds(),
-		})
-	}
-
-	// Incremental index vs per-event rebuild: appending one completed
-	// operation and snapshotting must beat rebuilding the whole columnar
-	// index from the growing archive each time.
-	const ops = 2000
-	root := &archive.Operation{ID: "root", Actor: "Client", Mission: "Job", Start: 0, End: ops}
-	children := make([]*archive.Operation, ops)
-	for i := range children {
-		children[i] = &archive.Operation{
-			ID: fmt.Sprintf("op-%d", i), Actor: "Worker", Mission: "Superstep",
-			Start: float64(i), End: float64(i) + 0.5,
-		}
-	}
-	startInc := time.Now()
-	ac := query.NewAppendColumns()
-	ac.Append(root, 0)
-	for _, op := range children {
-		ac.Append(op, 1)
-		_ = ac.Snapshot()
-	}
-	incremental := time.Since(startInc)
-
-	startRe := time.Now()
-	for i := range children {
-		root.Children = children[:i+1]
-		_ = query.BuildColumns(&archive.Job{ID: "bench", Root: root})
-	}
-	rebuild := time.Since(startRe)
-
-	report := struct {
-		Ingest        []ingestPoint `json:"ingest"`
-		IndexOps      int           `json:"index_ops"`
-		IncrementalMs float64       `json:"incremental_ms"`
-		RebuildMs     float64       `json:"rebuild_ms"`
-		IndexSpeedup  float64       `json:"index_speedup"`
-		HostNote      string        `json:"host_note"`
-	}{
-		Ingest: ingest, IndexOps: ops,
-		IncrementalMs: float64(incremental.Microseconds()) / 1000,
-		RebuildMs:     float64(rebuild.Microseconds()) / 1000,
-		IndexSpeedup:  rebuild.Seconds() / incremental.Seconds(),
-		HostNote:      fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s\n%s", path, data)
 }

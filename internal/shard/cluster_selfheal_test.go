@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -356,98 +355,4 @@ func TestClusterDetectorFlap(t *testing.T) {
 	if !landed {
 		t.Fatal("no test ID hashed to the flapping shard")
 	}
-}
-
-// TestEmitFailoverBenchJSON measures the self-healing numbers the
-// operator cares about — detection time, promotion latency, and
-// hint-drain throughput after a dead shard returns — and writes them
-// as JSON when BENCH_FAILOVER_OUT names a path. CI uploads the file as
-// the BENCH_failover artifact.
-func TestEmitFailoverBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_FAILOVER_OUT")
-	if path == "" {
-		t.Skip("BENCH_FAILOVER_OUT not set")
-	}
-	c := startCluster(t, selfHealConfig())
-	base := c.rts.URL
-	victim := c.shards[1]
-
-	// Seed a working set so the victim owes replicas after the kill.
-	var acked []string
-	for i := 0; i < 24; i++ {
-		id := fmt.Sprintf("bench-%02d", i)
-		if postJob(base, clusterJob(id, int64(i))) && pollDone(base, id, 30*time.Second) {
-			acked = append(acked, id)
-		}
-	}
-	if len(acked) < 12 {
-		t.Fatalf("only %d/24 seed jobs acked", len(acked))
-	}
-
-	killedAt := time.Now()
-	victim.kill()
-	waitCond(t, 10*time.Second, "detector down", func() bool { return c.det.Down(victim.id) })
-	detectMs := float64(time.Since(killedAt).Microseconds()) / 1000
-
-	// First promoted write latency, detector already converged.
-	var promoteMs float64
-	for i := 0; i < 50; i++ {
-		id := fmt.Sprintf("bench-promote-%02d", i)
-		if c.m.Owners(id)[0].ID != victim.id {
-			continue
-		}
-		start := time.Now()
-		if !postJob(base, clusterJob(id, int64(100+i))) || !pollDone(base, id, 30*time.Second) {
-			t.Fatalf("promoted bench write failed: %s", id)
-		}
-		promoteMs = float64(time.Since(start).Microseconds()) / 1000
-		acked = append(acked, id)
-		break
-	}
-
-	// Drain throughput: restart and time the convergence window.
-	var owed []string
-	for _, id := range acked {
-		for _, n := range c.m.Owners(id) {
-			if n.ID == victim.id {
-				owed = append(owed, id)
-			}
-		}
-	}
-	restartAt := time.Now()
-	victim.restart(t)
-	waitShardHealthy(t, victim.url)
-	waitCond(t, 60*time.Second, "victim converged", func() bool {
-		return len(missingOn(victim, owed)) == 0
-	})
-	drainSecs := time.Since(restartAt).Seconds()
-	drained := drainedHints(c)
-
-	report := struct {
-		Shards        int     `json:"shards"`
-		Replication   int     `json:"replication"`
-		WriteQuorum   int     `json:"write_quorum"`
-		AckedJobs     int     `json:"acked_jobs"`
-		DetectMs      float64 `json:"detect_ms"`
-		PromoteMs     float64 `json:"first_promoted_write_ms"`
-		OwedReplicas  int     `json:"owed_replicas"`
-		HintsDrained  uint64  `json:"hints_drained"`
-		ConvergeSecs  float64 `json:"converge_secs"`
-		DrainPerSec   float64 `json:"hints_drained_per_sec"`
-		RouterPromote uint64  `json:"router_promotions"`
-	}{
-		Shards: 3, Replication: 2, WriteQuorum: 2,
-		AckedJobs: len(acked), DetectMs: detectMs, PromoteMs: promoteMs,
-		OwedReplicas: len(owed), HintsDrained: drained, ConvergeSecs: drainSecs,
-		DrainPerSec:   float64(drained) / drainSecs,
-		RouterPromote: c.router.Metrics().Promotions(),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s\n%s", path, data)
 }

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -562,73 +561,6 @@ func missingOn(cs *clusterShard, ids []string) []string {
 		}
 	}
 	return missing
-}
-
-// TestEmitClusterBenchJSON compares mixed-workload loadtest throughput
-// through the router at 1 shard vs 3 shards and writes the numbers as
-// JSON when BENCH_CLUSTER_OUT names a path. Each shard runs one
-// executor worker over a durable (fsynced) WAL, so per-job service
-// time is commit-latency-bound — the resource sharding actually
-// multiplies — rather than bound by this host's CPU count. CI uploads
-// the file as the BENCH_cluster artifact; EXPERIMENTS.md quotes it.
-func TestEmitClusterBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_CLUSTER_OUT")
-	if path == "" {
-		t.Skip("BENCH_CLUSTER_OUT not set")
-	}
-
-	run := func(shards int) *service.LoadTestResult {
-		c := startCluster(t, clusterConfig{
-			shards: shards, replication: 1, quorum: 1,
-			workers: 1, nosync: false, commitWin: 50 * time.Millisecond,
-		})
-		res, err := service.RunLoadTest(service.LoadTestConfig{
-			BaseURL: c.rts.URL, Jobs: 60, Concurrency: 15,
-			Vertices: 80, Edges: 320, Nodes: 2, ReadRatio: 0.5, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed > 0 {
-			t.Fatalf("%d shards: %d jobs failed during the bench", shards, res.Failed)
-		}
-		return res
-	}
-	one := run(1)
-	three := run(3)
-
-	type point struct {
-		Jobs       int     `json:"jobs"`
-		JobsPerSec float64 `json:"jobs_per_sec"`
-		ReqPerSec  float64 `json:"req_per_sec"`
-		P50Ms      float64 `json:"p50_ms"`
-		P99Ms      float64 `json:"p99_ms"`
-	}
-	mk := func(r *service.LoadTestResult) point {
-		return point{
-			Jobs: r.Jobs, JobsPerSec: r.JobsPerSec, ReqPerSec: r.ReqPerSec,
-			P50Ms: float64(r.P50.Microseconds()) / 1000,
-			P99Ms: float64(r.P99.Microseconds()) / 1000,
-		}
-	}
-	report := struct {
-		Shards1  point                  `json:"shards_1"`
-		Shards3  point                  `json:"shards_3"`
-		Speedup  float64                `json:"jobs_per_sec_speedup"`
-		PerShard []service.ShardLatency `json:"per_shard_3"`
-	}{
-		Shards1: mk(one), Shards3: mk(three),
-		Speedup:  three.JobsPerSec / one.JobsPerSec,
-		PerShard: three.PerShard,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s\n%s", path, data)
 }
 
 // clusterStreamEvents is a tiny well-formed live stream: a root with

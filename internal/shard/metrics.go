@@ -4,71 +4,23 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
+
+	"repro/internal/metrics"
 )
-
-// histBuckets are the fixed latency-bucket upper bounds (seconds) shared
-// by the router and replication histograms — the same spans as the
-// service's request histogram so dashboards line up.
-var histBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// fixedHistogram is a cumulative fixed-bucket histogram. Callers
-// synchronize access.
-type fixedHistogram struct {
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newFixedHistogram() *fixedHistogram {
-	return &fixedHistogram{counts: make([]uint64, len(histBuckets))}
-}
-
-func (h *fixedHistogram) observe(v float64) {
-	for i, ub := range histBuckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.count++
-}
-
-// write renders the histogram under name. labels, when non-empty, is a
-// rendered label-pair prefix (e.g. `shard="s1",`) merged into every
-// sample's label set. The # HELP/# TYPE header is the caller's job when
-// the same metric name is written for several label values.
-func (h *fixedHistogram) write(w io.Writer, name, labels string) {
-	for i, ub := range histBuckets {
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, strconv.FormatFloat(ub, 'g', -1, 64), h.counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, h.count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.count)
-	} else {
-		trimmed := labels[:len(labels)-1] // drop the trailing comma
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, trimmed, strconv.FormatFloat(h.sum, 'g', -1, 64))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, trimmed, h.count)
-	}
-}
 
 // RouterMetrics is the router's operational counter set, exposed on the
 // router's own /metrics as the granula_router_* family.
 type RouterMetrics struct {
 	mu         sync.Mutex
-	requests   map[string]uint64          // proxied requests by shard
-	failovers  map[string]uint64          // requests failed away from a shard
-	latency    map[string]*fixedHistogram // proxy latency by shard
-	repairs    uint64                     // read-repairs dispatched
-	probes     uint64                     // divergence probes issued
-	divergent  uint64                     // probes that found divergent ETags
-	exhausted  uint64                     // requests that ran out of replicas
-	promotions uint64                     // writes routed past a Down primary
+	requests   map[string]uint64             // proxied requests by shard
+	failovers  map[string]uint64             // requests failed away from a shard
+	latency    map[string]*metrics.Histogram // proxy latency by shard
+	repairs    uint64                        // read-repairs dispatched
+	probes     uint64                        // divergence probes issued
+	divergent  uint64                        // probes that found divergent ETags
+	exhausted  uint64                        // requests that ran out of replicas
+	promotions uint64                        // writes routed past a Down primary
 }
 
 // NewRouterMetrics returns an empty router metrics set.
@@ -76,7 +28,7 @@ func NewRouterMetrics() *RouterMetrics {
 	return &RouterMetrics{
 		requests:  map[string]uint64{},
 		failovers: map[string]uint64{},
-		latency:   map[string]*fixedHistogram{},
+		latency:   map[string]*metrics.Histogram{},
 	}
 }
 
@@ -85,10 +37,10 @@ func (m *RouterMetrics) countRequest(shard string, seconds float64) {
 	m.requests[shard]++
 	h, ok := m.latency[shard]
 	if !ok {
-		h = newFixedHistogram()
+		h = &metrics.Histogram{}
 		m.latency[shard] = h
 	}
-	h.observe(seconds)
+	h.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -208,6 +160,6 @@ func (m *RouterMetrics) WritePrometheus(w io.Writer, mapVersion uint64, shards i
 	fmt.Fprintln(w, "# HELP granula_router_request_seconds Proxy latency by shard.")
 	fmt.Fprintln(w, "# TYPE granula_router_request_seconds histogram")
 	for _, id := range shardsSorted {
-		m.latency[id].write(w, "granula_router_request_seconds", fmt.Sprintf("shard=%q,", id))
+		m.latency[id].Write(w, "granula_router_request_seconds", fmt.Sprintf("shard=%q,", id))
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Cluster-internal wire protocol. These paths are served by every
@@ -269,7 +271,7 @@ type ReplMetrics struct {
 	mu      sync.Mutex
 	acks    map[string]uint64 // follower acks by shard
 	fails   map[string]uint64 // follower failures by shard
-	quorum  *fixedHistogram   // quorum wait in seconds
+	quorum  metrics.Histogram // quorum wait in seconds
 	reached uint64
 	missed  uint64
 }
@@ -277,9 +279,8 @@ type ReplMetrics struct {
 // NewReplMetrics returns an empty replication metrics set.
 func NewReplMetrics() *ReplMetrics {
 	return &ReplMetrics{
-		acks:   map[string]uint64{},
-		fails:  map[string]uint64{},
-		quorum: newFixedHistogram(),
+		acks:  map[string]uint64{},
+		fails: map[string]uint64{},
 	}
 }
 
@@ -295,7 +296,7 @@ func (m *ReplMetrics) countAck(shard string, ok bool) {
 
 func (m *ReplMetrics) observeQuorum(seconds float64, reached bool) {
 	m.mu.Lock()
-	m.quorum.observe(seconds)
+	m.quorum.Observe(seconds)
 	if reached {
 		m.reached++
 	} else {
@@ -328,7 +329,7 @@ func (m *ReplMetrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "granula_replication_quorum_total{outcome=\"missed\"} %d\n", m.missed)
 	fmt.Fprintln(w, "# HELP granula_replication_quorum_seconds Wall-clock from local persist to quorum outcome.")
 	fmt.Fprintln(w, "# TYPE granula_replication_quorum_seconds histogram")
-	m.quorum.write(w, "granula_replication_quorum_seconds", "")
+	m.quorum.Write(w, "granula_replication_quorum_seconds", "")
 }
 
 // sortedKeys merges the key sets of both maps, sorted.

@@ -576,6 +576,31 @@ func TestRouterMetricsExposition(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	// One shard's latency histogram, sample for sample (values
+	// stripped): the bounds granula-serve's request histogram uses,
+	// +Inf, sum, count.
+	const first = `granula_router_request_seconds_bucket{shard="`
+	at := strings.Index(text, first)
+	if at < 0 {
+		t.Fatalf("no latency histogram in:\n%s", text)
+	}
+	served := text[at+len(first):]
+	served = served[:strings.Index(served, `"`)]
+	var got []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "granula_router_request_seconds_") && strings.Contains(line, `shard="`+served+`"`) {
+			got = append(got, line[:strings.LastIndex(line, " ")])
+		}
+	}
+	var want []string
+	for _, le := range []string{"0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "5", "10", "+Inf"} {
+		want = append(want, `granula_router_request_seconds_bucket{shard="`+served+`",le="`+le+`"}`)
+	}
+	want = append(want, `granula_router_request_seconds_sum{shard="`+served+`"}`,
+		`granula_router_request_seconds_count{shard="`+served+`"}`)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("histogram exposition changed:\n got %q\nwant %q", got, want)
+	}
 }
 
 func TestReplicatorQuorum(t *testing.T) {

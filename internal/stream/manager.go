@@ -180,9 +180,8 @@ func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 // liveOp is the in-flight state of one operation.
 type liveOp struct {
 	op    *archive.Operation // staging copy, mutated until end
-	view  *archive.Operation // immutable clone taken at end
 	depth int
-	path  string // mission path, PathKey form
+	path  string // mission path from the root, "A/B/C": the path column's value
 	ended bool
 }
 
@@ -198,12 +197,11 @@ type Job struct {
 	events  []Event
 	lastSeq uint64
 
-	ops       map[string]*liveOp
-	root      *liveOp
-	open      int // started, not yet ended
-	completed []*liveOp
-	cols      *query.AppendColumns
-	samples   []envmon.Sample
+	ops     map[string]*liveOp
+	root    *liveOp
+	open    int // started, not yet ended
+	cols    *query.AppendColumns
+	samples []envmon.Sample
 
 	sealed    bool
 	sealState string
@@ -247,7 +245,7 @@ func (j *Job) Meta() (platform, algorithm string) {
 func (j *Job) Progress() (events, completedOps, openOps int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.events), len(j.completed), j.open
+	return len(j.events), j.cols.Rows(), j.open
 }
 
 func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
@@ -379,7 +377,7 @@ func (j *Job) apply(e Event) {
 		lo.op.End = e.Time
 		lo.ended = true
 		j.open--
-		// Freeze an immutable view for the live indexes: info events may
+		// Freeze an immutable view for the live columns: info events may
 		// still arrive for an ended op (the archive assembly sees them),
 		// but live readers must never race a map write.
 		view := *lo.op
@@ -389,9 +387,7 @@ func (j *Job) apply(e Event) {
 				view.Infos[k] = v
 			}
 		}
-		lo.view = &view
-		j.cols.Append(lo.view, lo.depth)
-		j.completed = append(j.completed, lo)
+		j.cols.Append(&view, lo.depth, lo.path)
 	case TypeInfo:
 		lo := j.ops[e.Op]
 		if lo.op.Infos == nil {
@@ -511,32 +507,6 @@ func (j *Job) notifyLocked() {
 // index over completed operations (completion order).
 func (j *Job) Columns() *query.Columns {
 	return j.cols.Snapshot()
-}
-
-// Lookup returns completed operations matching one secondary-index key
-// — kind is "mission", "actor", or "path" (mission path joined by "/")
-// — in completion order. Live jobs are scanned; the sealed archive gets
-// the store's real indexes.
-func (j *Job) Lookup(kind, value string) []*archive.Operation {
-	j.mu.Lock()
-	completed := j.completed[:len(j.completed):len(j.completed)]
-	j.mu.Unlock()
-	var out []*archive.Operation
-	for _, lo := range completed {
-		match := false
-		switch kind {
-		case "mission":
-			match = lo.view.Mission == value
-		case "actor":
-			match = lo.view.Actor == value
-		case "path":
-			match = lo.path == value
-		}
-		if match {
-			out = append(out, lo.view)
-		}
-	}
-	return out
 }
 
 // BuildArchive assembles the sealed stream into a finished archive job

@@ -222,18 +222,21 @@ func TestLiveQueryOverPartialJob(t *testing.T) {
 	if len(got) != 1 || got[0].ID != "op-2" {
 		t.Fatalf("live query: %+v", got)
 	}
-	if ops := j.Lookup("mission", "Load"); len(ops) != 1 || ops[0].Infos["Bytes"] != "1000" {
+	lookup := func(field, value string) []*archive.Operation {
+		return query.Exact(field, value).SelectColumns(j.Columns())
+	}
+	if ops := lookup("mission", "Load"); len(ops) != 1 || ops[0].Infos["Bytes"] != "1000" {
 		t.Fatalf("mission lookup: %+v", ops)
 	}
-	if ops := j.Lookup("actor", "Worker-0"); len(ops) != 1 {
+	if ops := lookup("actor", "Worker-0"); len(ops) != 1 {
 		t.Fatalf("actor lookup: %+v", ops)
 	}
-	if ops := j.Lookup("path", "Job/Load"); len(ops) != 1 {
+	if ops := lookup("path", "Job/Load"); len(ops) != 1 {
 		t.Fatalf("path lookup: %+v", ops)
 	}
-	// The still-open root is invisible to the live index.
-	if ops := j.Lookup("mission", "Job"); len(ops) != 0 {
-		t.Fatalf("open op leaked into live index: %+v", ops)
+	// The still-open root is invisible to the live columns.
+	if ops := lookup("mission", "Job"); len(ops) != 0 {
+		t.Fatalf("open op leaked into live columns: %+v", ops)
 	}
 }
 
@@ -521,7 +524,7 @@ func TestConcurrentIngestAndTail(t *testing.T) {
 				if j, ok := m.Get("race"); ok {
 					_ = j.EventsAfter(0)
 					_ = q.SelectColumns(j.Columns())
-					_ = j.Lookup("actor", "W")
+					_ = query.Exact("actor", "W").SelectColumns(j.Columns())
 				}
 			}
 		}()
