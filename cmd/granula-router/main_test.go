@@ -5,9 +5,34 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestFlagSurface pins the command line: a new flag is one more
+// configuration for every ablation to cover, so adding one must show up
+// as a reviewed change to this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "heartbeat-interval", "map", "map-version", "no-detector",
+		"quorum", "repair-every", "replication", "retry-budget", "shards",
+		"vnodes",
+	}
+	var usage bytes.Buffer
+	parseFlags([]string{"-h"}, &usage)
+	var got []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("granula-router -h lists %d flags:\n%v\nwant %d:\n%v", len(got), got, len(want), want)
+	}
+}
 
 func TestParseFlagsDefaults(t *testing.T) {
 	var buf bytes.Buffer

@@ -34,17 +34,14 @@
 // batch run over the same records. See the README's "Watching live
 // jobs" section.
 //
-// With -loadtest N the command instead starts an in-process server on a
-// loopback port, hammers it with N concurrent jobs plus archive reads,
-// prints throughput and latency, and exits. With -storagebench N it
-// benchmarks the storage engine (append throughput, compaction,
-// recovery replay) and exits.
+// Throughput, latency and storage figures come from the repository
+// benchmark, which drives this service code over loopback HTTP, e.g.
+// `sh bench/run.sh --workload serve-write` (see bench/README.md).
 //
 // With -chaos SPEC a deterministic, seedable fault injector is armed
 // across the stack (storage appends/reads, the executor run path, and
-// the HTTP handlers), e.g. -chaos "rate=0.05,seed=7,kinds=error+torn".
-// Combined with -loadtest this measures throughput and recovery under
-// injected failures; see internal/faults for the spec grammar.
+// the HTTP handlers), e.g. -chaos "rate=0.05,seed=7,kinds=error+torn";
+// see internal/faults for the spec grammar.
 //
 // With -shard-id and -peers the process joins a replicated cluster
 // fronted by cmd/granula-router: each finished job is pushed to its
@@ -75,7 +72,10 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // serveConfig is the parsed command line.
@@ -85,24 +85,17 @@ type serveConfig struct {
 	queueCap     int
 	dataDir      string
 	noSync       bool
-	loadtest     int
-	storagebench int
-	concurrency  int
 	drain        time.Duration
 	jobTimeout   time.Duration
 	chaos        string
 	parallelism  int
 	commitWindow time.Duration
 	pprofAddr    string
-	readRatio    float64
-	queries      int
-	loadtestURL  string
 	shardID      string
 	peers        string
 	replication  int
 	quorum       int
 	mapVersion   uint64
-	streamRatio  float64
 	maxLiveJobs  int
 	heartbeat    time.Duration
 	probeEvery   time.Duration
@@ -112,7 +105,7 @@ type serveConfig struct {
 }
 
 // parseFlags parses args into a serveConfig without touching globals,
-// so tests can drive every mode.
+// so tests can drive it.
 func parseFlags(args []string, stderr io.Writer) (*serveConfig, error) {
 	fs := flag.NewFlagSet("granula-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -122,24 +115,17 @@ func parseFlags(args []string, stderr io.Writer) (*serveConfig, error) {
 	fs.IntVar(&cfg.queueCap, "queue", 64, "bounded job-queue capacity")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable archive directory (empty = in-memory store, lost on restart)")
 	fs.BoolVar(&cfg.noSync, "no-sync", false, "skip fsync per archive write (faster; a machine crash may lose acked jobs)")
-	fs.IntVar(&cfg.loadtest, "loadtest", 0, "run a self-contained load test with N jobs, print stats, exit")
-	fs.IntVar(&cfg.storagebench, "storagebench", 0, "benchmark the storage engine with N jobs, print stats, exit")
-	fs.IntVar(&cfg.concurrency, "concurrency", 8, "load-test client goroutines")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-shutdown drain budget")
 	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 0, "default per-job deadline applied when a submit carries none (0 = unlimited)")
 	fs.StringVar(&cfg.chaos, "chaos", "", `fault-injection spec, e.g. "rate=0.1,seed=7,kinds=error+latency+torn" (see internal/faults)`)
 	fs.IntVar(&cfg.parallelism, "parallelism", 0, "per-job engine host parallelism; results are identical for every value (0 = NumCPU divided across the worker pool)")
 	fs.DurationVar(&cfg.commitWindow, "commit-window", 0, "WAL group-commit window: how long the committer waits for concurrent writers to share one fsync (0 = batch only naturally-concurrent writes, no added latency)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra loopback address, e.g. 127.0.0.1:6060 (empty = disabled; never expose publicly)")
-	fs.Float64Var(&cfg.readRatio, "read-ratio", 0, "loadtest: fraction of operations that are reads, in [0,1) — 0.9 issues nine Zipf-distributed query reads per job submission (0 = legacy fixed read sweep per job)")
-	fs.IntVar(&cfg.queries, "queries", 16, "loadtest: distinct query strings the mixed read workload draws from (Zipf-distributed)")
-	fs.StringVar(&cfg.loadtestURL, "loadtest-url", "", "loadtest: drive this base URL (e.g. a granula-router) instead of an in-process server; reports a per-shard latency split when the target is a cluster")
 	fs.StringVar(&cfg.shardID, "shard-id", "", "cluster: this node's shard ID (requires -peers)")
 	fs.StringVar(&cfg.peers, "peers", "", `cluster: full shard map as "id=url,id=url,..." including this node; empty = single-node`)
 	fs.IntVar(&cfg.replication, "replication", 0, "cluster: replicas per job incl. the primary (0 = all shards)")
 	fs.IntVar(&cfg.quorum, "quorum", 0, "cluster: write-quorum acks before a job is done (0 = majority of the replica set)")
 	fs.Uint64Var(&cfg.mapVersion, "map-version", 1, "cluster: shard-map version echoed on /cluster and /healthz")
-	fs.Float64Var(&cfg.streamRatio, "stream-ratio", 0, "loadtest: fraction of jobs streamed through /ingest with a concurrent /watch tail, in [0,1]; reports ingest events/s and tail latency")
 	fs.IntVar(&cfg.maxLiveJobs, "max-live-jobs", 0, "bound on concurrently streaming jobs before /ingest sheds with 429 (0 = 256)")
 	fs.DurationVar(&cfg.heartbeat, "watch-heartbeat", 0, "idle /watch connections get an SSE comment at this period (0 = 15s)")
 	fs.BoolVar(&cfg.selfHeal, "self-heal", true, "cluster: enable the failure detector, hinted handoff, and anti-entropy (requires -peers; -self-heal=false keeps strict quorum semantics)")
@@ -152,14 +138,6 @@ func parseFlags(args []string, stderr io.Writer) (*serveConfig, error) {
 	if (cfg.shardID == "") != (cfg.peers == "") {
 		fmt.Fprintf(stderr, "granula-serve: -shard-id and -peers must be set together\n")
 		return nil, fmt.Errorf("bad cluster flags")
-	}
-	if cfg.readRatio < 0 || cfg.readRatio >= 1 {
-		fmt.Fprintf(stderr, "granula-serve: -read-ratio %v outside [0,1)\n", cfg.readRatio)
-		return nil, fmt.Errorf("bad read ratio")
-	}
-	if cfg.streamRatio < 0 || cfg.streamRatio > 1 {
-		fmt.Fprintf(stderr, "granula-serve: -stream-ratio %v outside [0,1]\n", cfg.streamRatio)
-		return nil, fmt.Errorf("bad stream ratio")
 	}
 	if cfg.commitWindow < 0 {
 		fmt.Fprintf(stderr, "granula-serve: -commit-window must be >= 0\n")
@@ -178,26 +156,12 @@ func parseFlags(args []string, stderr io.Writer) (*serveConfig, error) {
 	return cfg, nil
 }
 
-// run is the testable entry point; it returns the process exit code.
-func run(args []string, stderr io.Writer) int {
+// run is the testable entry point: it serves until ctx is canceled,
+// drains, and returns the process exit code.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
 	cfg, err := parseFlags(args, stderr)
 	if err != nil {
 		return 2
-	}
-
-	if cfg.storagebench > 0 {
-		res, err := service.RunStorageBench(service.StorageBenchConfig{
-			Dir:  cfg.dataDir,
-			Jobs: cfg.storagebench,
-			Sync: !cfg.noSync,
-			Out:  stderr,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "granula-serve: storagebench: %v\n", err)
-			return 1
-		}
-		fmt.Print(res.Render())
-		return 0
 	}
 
 	var inj *faults.Injector
@@ -321,10 +285,7 @@ func run(args []string, stderr io.Writer) int {
 	exec := service.NewExecutorWith(cfg.workers, cfg.queueCap, store, metrics, execOpts)
 	srv := service.NewServerWith(exec, store, metrics, srvOpts)
 
-	if cfg.loadtest > 0 {
-		return runLoadTest(srv, exec, cfg, stderr)
-	}
-	return serve(srv, exec, cfg, stderr)
+	return serve(ctx, srv, exec, cfg, stderr)
 }
 
 // servePprof starts the profiling listener on its own address with an
@@ -355,9 +316,8 @@ func servePprof(addr string, stderr io.Writer) (func(), error) {
 // keep-alive connections. No WriteTimeout — archive and viz responses
 // are large and the executor already bounds job time; per-request body
 // size is capped inside the handlers instead.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
+func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -365,78 +325,36 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// serve runs the long-lived HTTP server until SIGINT/SIGTERM.
-func serve(srv *service.Server, exec *service.Executor, cfg *serveConfig, stderr io.Writer) int {
-	httpSrv := newHTTPServer(cfg.addr, srv.Handler())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Fprintln(stderr, "granula-serve: shutting down, draining jobs...")
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
-		if err := exec.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "granula-serve: drain incomplete: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(stderr, "granula-serve: listening on %s (%d workers, queue %d)\n",
-		cfg.addr, cfg.workers, cfg.queueCap)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+// serve runs the HTTP server until ctx is canceled (SIGINT/SIGTERM in
+// main), then stops accepting requests and drains the executor within
+// the -drain budget. It binds before announcing, so the printed address
+// is the real one even for -addr host:0.
+func serve(ctx context.Context, srv *service.Server, exec *service.Executor, cfg *serveConfig, stderr io.Writer) int {
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
 		fmt.Fprintf(stderr, "granula-serve: %v\n", err)
 		return 1
 	}
-	<-done
-	return 0
-}
-
-// runLoadTest drives the API with the load-test client. By default it
-// serves on a loopback port and drives itself — the zero-setup
-// throughput demonstration. With -loadtest-url it drives an external
-// endpoint instead (typically a granula-router fronting a cluster, in
-// which case the report includes a per-shard latency split).
-func runLoadTest(srv *service.Server, exec *service.Executor, cfg *serveConfig, stderr io.Writer) int {
-	var base string
-	var httpSrv *http.Server
-	if cfg.loadtestURL != "" {
-		base = cfg.loadtestURL
-	} else {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(stderr, "granula-serve: %v\n", err)
-			return 1
-		}
-		httpSrv = newHTTPServer("", srv.Handler())
-		go httpSrv.Serve(ln)
-		base = "http://" + ln.Addr().String()
+	httpSrv := newHTTPServer(srv.Handler())
+	// Shutdown waits for open connections; live tails must not hold it.
+	httpSrv.RegisterOnShutdown(srv.EndTails)
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(stderr, "granula-serve: listening on %s (%d workers, queue %d)\n",
+		ln.Addr(), cfg.workers, cfg.queueCap)
+	select {
+	case err := <-served:
+		fmt.Fprintf(stderr, "granula-serve: %v\n", err)
+		return 1
+	case <-ctx.Done():
 	}
-	fmt.Fprintf(stderr, "granula-serve: load-testing %s with %d jobs (%d clients)\n",
-		base, cfg.loadtest, cfg.concurrency)
-
-	res, err := service.RunLoadTest(service.LoadTestConfig{
-		BaseURL:       base,
-		Jobs:          cfg.loadtest,
-		Concurrency:   cfg.concurrency,
-		ReadRatio:     cfg.readRatio,
-		QueryVariants: cfg.queries,
-		StreamRatio:   cfg.streamRatio,
-		Out:           stderr,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
+	fmt.Fprintln(stderr, "granula-serve: shutting down, draining jobs...")
+	drain, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
-	if httpSrv != nil {
-		httpSrv.Shutdown(ctx)
-	}
-	exec.Shutdown(ctx)
-	if err != nil {
-		fmt.Fprintf(stderr, "granula-serve: loadtest: %v\n", err)
-		return 1
-	}
-	fmt.Print(res.Render())
-	if res.Failed > 0 {
-		return 1
+	httpSrv.Shutdown(drain)
+	<-served
+	if err := exec.Shutdown(drain); err != nil {
+		fmt.Fprintf(stderr, "granula-serve: drain incomplete: %v\n", err)
 	}
 	return 0
 }

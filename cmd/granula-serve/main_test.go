@@ -2,11 +2,37 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
+	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestFlagSurface pins the command line: a new flag is one more
+// configuration for every ablation to cover, so adding one must show up
+// as a reviewed change to this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "anti-entropy", "chaos", "commit-window", "data-dir", "drain",
+		"heartbeat-interval", "hint-drain", "job-timeout", "map-version",
+		"max-live-jobs", "no-sync", "parallelism", "peers", "pprof-addr",
+		"queue", "quorum", "replication", "self-heal", "shard-id",
+		"watch-heartbeat", "workers",
+	}
+	var usage bytes.Buffer
+	parseFlags([]string{"-h"}, &usage)
+	var got []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("granula-serve -h lists %d flags:\n%v\nwant %d:\n%v", len(got), got, len(want), want)
+	}
+}
 
 func TestParseFlagsDefaults(t *testing.T) {
 	var buf bytes.Buffer
@@ -17,7 +43,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8080" || cfg.workers != 4 || cfg.queueCap != 64 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.dataDir != "" || cfg.noSync || cfg.loadtest != 0 || cfg.storagebench != 0 {
+	if cfg.dataDir != "" || cfg.noSync {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if cfg.drain != 30*time.Second {
@@ -26,7 +52,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.chaos != "" || cfg.jobTimeout != 0 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.commitWindow != 0 || cfg.pprofAddr != "" || cfg.readRatio != 0 || cfg.queries != 16 {
+	if cfg.commitWindow != 0 || cfg.pprofAddr != "" {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }
@@ -49,7 +75,7 @@ func TestParseFlagsChaos(t *testing.T) {
 	if _, err := parseFlags([]string{"-chaos", "bogus"}, &buf); err == nil {
 		t.Fatal("parseFlags accepted a malformed chaos spec")
 	}
-	if code := run([]string{"-chaos", "bogus"}, &buf); code != 2 {
+	if code := run(context.Background(), []string{"-chaos", "bogus"}, &buf); code != 2 {
 		t.Fatalf("run with bad -chaos = %d, want exit code 2", code)
 	}
 }
@@ -58,15 +84,13 @@ func TestParseFlagsValues(t *testing.T) {
 	var buf bytes.Buffer
 	cfg, err := parseFlags([]string{
 		"-addr", ":9999", "-workers", "2", "-queue", "8",
-		"-data-dir", "/tmp/x", "-no-sync", "-loadtest", "5",
-		"-concurrency", "3", "-drain", "5s",
+		"-data-dir", "/tmp/x", "-no-sync", "-drain", "5s",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.addr != ":9999" || cfg.workers != 2 || cfg.queueCap != 8 ||
-		cfg.dataDir != "/tmp/x" || !cfg.noSync || cfg.loadtest != 5 ||
-		cfg.concurrency != 3 || cfg.drain != 5*time.Second {
+		cfg.dataDir != "/tmp/x" || !cfg.noSync || cfg.drain != 5*time.Second {
 		t.Fatalf("parsed config wrong: %+v", cfg)
 	}
 }
@@ -75,13 +99,11 @@ func TestParseFlagsHotPath(t *testing.T) {
 	var buf bytes.Buffer
 	cfg, err := parseFlags([]string{
 		"-commit-window", "2ms", "-pprof-addr", "127.0.0.1:0",
-		"-read-ratio", "0.9", "-queries", "32",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.commitWindow != 2*time.Millisecond || cfg.pprofAddr != "127.0.0.1:0" ||
-		cfg.readRatio != 0.9 || cfg.queries != 32 {
+	if cfg.commitWindow != 2*time.Millisecond || cfg.pprofAddr != "127.0.0.1:0" {
 		t.Fatalf("parsed config wrong: %+v", cfg)
 	}
 }
@@ -91,102 +113,15 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-definitely-not-a-flag"},
 		{"-workers", "notanumber"},
 		{"stray-positional"},
-		{"-read-ratio", "1"},
-		{"-read-ratio", "-0.1"},
 		{"-commit-window", "-5ms"},
 	} {
 		var buf bytes.Buffer
 		if _, err := parseFlags(args, &buf); err == nil {
 			t.Fatalf("parseFlags(%v) accepted bad input", args)
 		}
-		if code := run(args, &buf); code != 2 {
+		if code := run(context.Background(), args, &buf); code != 2 {
 			t.Fatalf("run(%v) = %d, want exit code 2", args, code)
 		}
-	}
-}
-
-// TestLoadTestSmoke runs the -loadtest mode at reduced scale: a real
-// in-process HTTP server, two jobs, and the full read fan-out.
-func TestLoadTestSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	code := run([]string{"-loadtest", "2", "-concurrency", "2", "-workers", "2"}, &buf)
-	if code != 0 {
-		t.Fatalf("run -loadtest 2 = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "2/2 jobs") && !strings.Contains(buf.String(), "load-testing") {
-		t.Fatalf("loadtest produced no progress output:\n%s", buf.String())
-	}
-}
-
-// TestLoadTestWithDataDir runs the load test against a durable store
-// and then verifies the archives survive into a second run() via the
-// same data directory.
-func TestLoadTestWithDataDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "archives")
-	var buf bytes.Buffer
-	code := run([]string{"-loadtest", "2", "-concurrency", "2", "-workers", "2",
-		"-data-dir", dir, "-no-sync"}, &buf)
-	if code != 0 {
-		t.Fatalf("run -loadtest with -data-dir = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-
-	buf.Reset()
-	code = run([]string{"-loadtest", "1", "-concurrency", "1", "-workers", "1",
-		"-data-dir", dir, "-no-sync"}, &buf)
-	if code != 0 {
-		t.Fatalf("second run over same data dir = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "archived jobs restored") {
-		t.Fatalf("second run did not restore archives:\n%s", buf.String())
-	}
-}
-
-// TestLoadTestChaosSmoke runs the load test with latency-only fault
-// injection armed: faults fire but no request can fail, so the run must
-// still complete every job.
-func TestLoadTestChaosSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	code := run([]string{"-loadtest", "2", "-concurrency", "2", "-workers", "2",
-		"-chaos", "rate=0.2,seed=7,latency=1ms,kinds=latency"}, &buf)
-	if code != 0 {
-		t.Fatalf("run -loadtest with -chaos = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "chaos mode") {
-		t.Fatalf("chaos run did not announce its fault schedule:\n%s", buf.String())
-	}
-}
-
-// TestLoadTestMixedReadsSmoke runs the mixed read/write workload with
-// the pprof listener and a group-commit window armed — the full hot
-// read/write path end to end.
-func TestLoadTestMixedReadsSmoke(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "archives")
-	var buf bytes.Buffer
-	code := run([]string{"-loadtest", "2", "-concurrency", "4", "-workers", "2",
-		"-read-ratio", "0.8", "-queries", "8",
-		"-data-dir", dir, "-commit-window", "1ms",
-		"-pprof-addr", "127.0.0.1:0"}, &buf)
-	if code != 0 {
-		t.Fatalf("run mixed loadtest = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "mixed workload") {
-		t.Fatalf("mixed loadtest did not announce its schedule:\n%s", out)
-	}
-	if !strings.Contains(out, "pprof on http://127.0.0.1:") {
-		t.Fatalf("pprof listener did not announce itself:\n%s", out)
-	}
-}
-
-// TestStorageBenchSmoke runs -storagebench at reduced scale.
-func TestStorageBenchSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	code := run([]string{"-storagebench", "25"}, &buf)
-	if code != 0 {
-		t.Fatalf("run -storagebench 25 = %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "[storagebench]") {
-		t.Fatalf("storagebench produced no progress output:\n%s", buf.String())
 	}
 }
 
@@ -196,7 +131,6 @@ func TestParseFlagsCluster(t *testing.T) {
 		"-shard-id", "s1",
 		"-peers", "s1=http://h1:1,s2=http://h2:1,s3=http://h3:1",
 		"-replication", "3", "-quorum", "2",
-		"-loadtest-url", "http://router:8080",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +138,7 @@ func TestParseFlagsCluster(t *testing.T) {
 	if cfg.shardID != "s1" || cfg.replication != 3 || cfg.quorum != 2 {
 		t.Fatalf("cluster flags wrong: %+v", cfg)
 	}
-	if cfg.loadtestURL != "http://router:8080" || cfg.mapVersion != 1 {
+	if cfg.mapVersion != 1 {
 		t.Fatalf("cluster flags wrong: %+v", cfg)
 	}
 	// -shard-id and -peers only make sense together.
@@ -215,7 +149,7 @@ func TestParseFlagsCluster(t *testing.T) {
 		t.Fatal("parseFlags accepted -peers without -shard-id")
 	}
 	// A shard ID outside the map is caught before anything starts.
-	if code := run([]string{"-shard-id", "nope", "-peers", "s1=http://h1:1"}, &buf); code != 2 {
+	if code := run(context.Background(), []string{"-shard-id", "nope", "-peers", "s1=http://h1:1"}, &buf); code != 2 {
 		t.Fatalf("run with a shard ID outside the map = %d, want exit code 2", code)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -273,22 +272,4 @@ func TestStoreWithNilDB(t *testing.T) {
 	if bytes.Contains(buf.Bytes(), []byte("granula_storage_")) {
 		t.Fatalf("in-memory metrics leak storage family:\n%s", buf.String())
 	}
-}
-
-// TestStorageBenchSmall exercises the bench driver end to end.
-func TestStorageBenchSmall(t *testing.T) {
-	res, err := RunStorageBench(StorageBenchConfig{Jobs: 20, OpsPerJob: 16, Rewrites: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Appends != 40 || res.FinalJobs != 20 {
-		t.Fatalf("bench counts wrong: %+v", res)
-	}
-	if res.ReclaimedBytes <= 0 {
-		t.Fatalf("bench reclaimed nothing: %+v", res)
-	}
-	if res.Render() == "" {
-		t.Fatal("empty render")
-	}
-	_ = fmt.Sprintf("%+v", res)
 }

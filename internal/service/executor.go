@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/envmon"
 	"repro/internal/faults"
@@ -734,7 +733,3 @@ func summarize(req JobRequest, out *platforms.Output) Summary {
 	}
 	return sum
 }
-
-// ClusterDefaults exposes the default cluster model so callers (and
-// docs) can report what Nodes=0 means.
-func ClusterDefaults() cluster.Config { return platforms.DAS5Config() }

@@ -147,20 +147,6 @@ func (m *Metrics) Robustness() (retries, panics, shed uint64) {
 	return m.retries, m.panics, m.shed
 }
 
-// BreakerTransitions returns the per-state transition counts.
-func (m *Metrics) BreakerTransitions() map[BreakerState]uint64 {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[BreakerState]uint64, len(m.transitions))
-	for k, v := range m.transitions {
-		out[k] = v
-	}
-	return out
-}
-
 // ObserveRequest records one served request's latency under its route
 // pattern (e.g. "GET /jobs/{id}").
 func (m *Metrics) ObserveRequest(route string, seconds float64) {

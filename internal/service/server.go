@@ -56,6 +56,9 @@ type Server struct {
 	// live job (its state, then its log), so a test can land a seal in
 	// exactly that window. Always nil outside tests.
 	watchRace func()
+	// closing is closed by EndTails; the /watch loops select on it.
+	closing     chan struct{}
+	closingOnce sync.Once
 
 	// durableMu guards durable, the per-live-job high-water sequence
 	// already persisted as stream batches; an ingest ack implies the
@@ -120,6 +123,7 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 		exec: exec, store: store, metrics: m, faults: opts.Faults,
 		shardID: opts.ShardID, cluster: opts.Cluster, extra: opts.ExtraMetrics,
 		streams: opts.Streams, heartbeat: opts.WatchHeartbeat,
+		closing: make(chan struct{}),
 		durable: map[string]uint64{},
 		jitter:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
@@ -169,6 +173,14 @@ func (s *Server) Streams() *stream.Manager { return s.streams }
 
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
+
+// EndTails ends every open /watch tail, SSE and long-poll, and makes a
+// later one return after its first batch. http.Server.Shutdown waits
+// for active connections without canceling their requests, so a tail
+// of an unsealed job would otherwise hold the whole drain budget away
+// from the executor; register EndTails with RegisterOnShutdown. A cut
+// tail resumes with Last-Event-ID, as it does after a restart.
+func (s *Server) EndTails() { s.closingOnce.Do(func() { close(s.closing) }) }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }

@@ -446,26 +446,3 @@ func TestServerCancelEndpoint(t *testing.T) {
 		t.Fatalf("cancel ghost: %d, want 404", resp.StatusCode)
 	}
 }
-
-func TestLoadTestDriver(t *testing.T) {
-	ts, _, _ := newTestServer(t, 4, 32)
-	res, err := RunLoadTest(LoadTestConfig{
-		BaseURL:     ts.URL,
-		Jobs:        9,
-		Concurrency: 3,
-		Vertices:    1500,
-		Edges:       8000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Done != 9 || res.Failed != 0 {
-		t.Fatalf("loadtest: %+v", res)
-	}
-	if res.Requests < 9*6 { // submit + ≥1 poll + 5 reads per job
-		t.Fatalf("loadtest made only %d requests", res.Requests)
-	}
-	if !strings.Contains(res.Render(), "jobs/s") {
-		t.Fatalf("render: %s", res.Render())
-	}
-}

@@ -405,14 +405,17 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 		select {
 		case <-r.Context().Done():
 			return
-		case <-deadline.C:
-			w.Header().Set(liveHeader, "1")
-			writeJSON(w, http.StatusOK, pollResponse{
-				JobID: id, Events: []stream.Event{}, LastSeq: from, State: "streaming",
-			})
-			return
 		case <-sub:
+			continue
+		case <-deadline.C:
+		case <-s.closing:
 		}
+		// Out of time or shutting down: an empty batch at the same cursor.
+		w.Header().Set(liveHeader, "1")
+		writeJSON(w, http.StatusOK, pollResponse{
+			JobID: id, Events: []stream.Event{}, LastSeq: from, State: "streaming",
+		})
+		return
 	}
 }
 
@@ -569,6 +572,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-r.Context().Done():
+			return
+		case <-s.closing:
 			return
 		case <-sub:
 		case <-hb.C:

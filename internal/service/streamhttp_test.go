@@ -515,24 +515,96 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 		}
 	}
 
-	paths := []string{
-		"/jobs/eq-job/archive",
-		"/jobs/eq-job/query?q=" + url.QueryEscape(`mission = "Superstep" order by start`),
-		"/jobs/eq-job/query?mission=ProcessGraph",
+	equivalent := func(t *testing.T, id string) {
+		t.Helper()
+		for _, p := range []string{
+			"/jobs/" + id + "/archive",
+			"/jobs/" + id + "/query?q=" + url.QueryEscape(`mission = "Superstep" order by start`),
+			"/jobs/" + id + "/query?mission=ProcessGraph",
+		} {
+			codeA, bodyA, hdrA := getBytes(t, tsA.URL+p)
+			codeB, bodyB, hdrB := getBytes(t, tsB.URL+p)
+			if codeA != http.StatusOK || codeB != http.StatusOK {
+				t.Fatalf("%s: batch %d streamed %d", p, codeA, codeB)
+			}
+			if !bytes.Equal(bodyA, bodyB) {
+				t.Fatalf("%s: streamed bytes differ from batch (%d vs %d bytes)", p, len(bodyB), len(bodyA))
+			}
+			if hdrA.Get("ETag") == "" || hdrA.Get("ETag") != hdrB.Get("ETag") {
+				t.Fatalf("%s: ETag %q vs %q", p, hdrA.Get("ETag"), hdrB.Get("ETag"))
+			}
+		}
 	}
-	for _, p := range paths {
-		codeA, bodyA, hdrA := getBytes(t, tsA.URL+p)
-		codeB, bodyB, hdrB := getBytes(t, tsB.URL+p)
-		if codeA != http.StatusOK || codeB != http.StatusOK {
-			t.Fatalf("%s: batch %d streamed %d", p, codeA, codeB)
+	equivalent(t, "eq-job")
+
+	// The same stream under three IDs at once, each with an SSE tail
+	// attached as soon as its first event has opened the job: every tail
+	// must end on the seal frame and every archive must still equal the
+	// batch run of that ID.
+	t.Run("concurrent tails", func(t *testing.T) {
+		ids := []string{"eq-c0", "eq-c1", "eq-c2"}
+		for _, id := range ids {
+			r := req
+			r.ID = id
+			submitUntilAccepted(t, tsA.URL, r)
+			if st := waitHTTPTerminal(t, tsA.URL, id); st.Status != StatusDone {
+				t.Fatalf("batch job: %+v", st)
+			}
 		}
-		if !bytes.Equal(bodyA, bodyB) {
-			t.Fatalf("%s: streamed bytes differ from batch (%d vs %d bytes)", p, len(bodyB), len(bodyA))
+		ingest := func(id string, evs []stream.Event) bool {
+			body, err := stream.EncodeEvents(evs)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			resp, err := http.Post(tsB.URL+"/ingest/"+id, "application/x-ndjson", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("ingest %s at seq %d: %d", id, evs[0].Seq, resp.StatusCode)
+			}
+			return resp.StatusCode == http.StatusOK
 		}
-		if hdrA.Get("ETag") == "" || hdrA.Get("ETag") != hdrB.Get("ETag") {
-			t.Fatalf("%s: ETag %q vs %q", p, hdrA.Get("ETag"), hdrB.Get("ETag"))
+		var wg sync.WaitGroup
+		for _, id := range ids {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				if !ingest(id, events[:1]) {
+					return
+				}
+				resp, err := http.Get(tsB.URL + "/watch/" + id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				for off := 1; off < len(events); off += 64 {
+					if !ingest(id, events[off:min(off+64, len(events))]) {
+						return
+					}
+				}
+				tail, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Errorf("tail %s: %v", id, err)
+				}
+				frames := strings.Split(strings.TrimSuffix(string(tail), "\n\n"), "\n\n")
+				if last := frames[len(frames)-1]; !strings.HasPrefix(last, fmt.Sprintf("id: %d\nevent: seal\n", len(events))) {
+					t.Errorf("tail %s ended on %q, want the seal frame", id, last)
+				}
+			}(id)
 		}
-	}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for _, id := range ids {
+			equivalent(t, id)
+		}
+	})
 }
 
 // TestStreamRestartRecovery is the chaos half: acked ingest batches
@@ -739,32 +811,6 @@ func TestExecutorJobsStreamLive(t *testing.T) {
 	}
 	if code, _, _ := getBytes(t, ts.URL+"/jobs/"+id+"/archive"); code != http.StatusOK {
 		t.Fatalf("archive: %d", code)
-	}
-}
-
-// TestLoadTestStreamingMode smokes satellite (d): the loadtest's
-// -stream-ratio path drives /ingest with concurrent /watch tails and
-// reports ingest throughput and tail latency.
-func TestLoadTestStreamingMode(t *testing.T) {
-	ts, _ := streamStack(t, ServerOptions{})
-	res, err := RunLoadTest(LoadTestConfig{
-		BaseURL:      ts.URL,
-		Jobs:         3,
-		Concurrency:  3,
-		StreamRatio:  1,
-		StreamEvents: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 || res.Streamed != 3 {
-		t.Fatalf("streaming loadtest: %+v", res)
-	}
-	if res.IngestEvents == 0 || res.TailMax == 0 {
-		t.Fatalf("missing streaming stats: %+v", res)
-	}
-	if !strings.Contains(res.Render(), "streaming:") {
-		t.Fatalf("render lacks streaming line:\n%s", res.Render())
 	}
 }
 

@@ -30,8 +30,7 @@ const (
 	// shards) or the full membership with live health (on the router).
 	ClusterPath = "/cluster"
 	// ShardHeader names the shard that served a proxied response, so
-	// clients (and the loadtest driver's per-shard latency split) can
-	// attribute a response without parsing bodies.
+	// clients can attribute a response without parsing bodies.
 	ShardHeader = "X-Granula-Shard"
 
 	// Query2Path is the public analytical endpoint (?q= holds a v2

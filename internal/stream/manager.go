@@ -214,9 +214,6 @@ type Job struct {
 // ID returns the job ID.
 func (j *Job) ID() string { return j.id }
 
-// Internal reports whether the job is fed by in-process engines.
-func (j *Job) Internal() bool { return j.internal }
-
 // LastSeq returns the accepted high-water sequence number.
 func (j *Job) LastSeq() uint64 {
 	j.mu.Lock()
