@@ -111,7 +111,7 @@ func main() {
 			printAggregate(q, *sel, "job", job.ID, []*archive.Job{job})
 			return
 		}
-		ops := q.Select(job)
+		ops := q.SelectColumns(query.BuildColumns(job))
 		if len(ops) == 0 {
 			fatalf("no operations match %q", *sel)
 		}

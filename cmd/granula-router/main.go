@@ -24,9 +24,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,8 +38,16 @@ import (
 	"repro/internal/shard"
 )
 
+// shutdownGrace is how long in-flight proxied requests get to finish
+// after SIGINT/SIGTERM. The router holds no state worth a longer wait;
+// whatever is still open then — an SSE pass-through — is cut.
+const shutdownGrace = 5 * time.Second
+
 func main() {
-	os.Exit(run(os.Args[1:], os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // routerConfig is the parsed command line.
@@ -102,8 +112,11 @@ func loadMap(cfg *routerConfig) (*shard.Map, error) {
 	return shard.NewMap(cfg.mapVersion, nodes, cfg.replication, cfg.quorum, cfg.vnodes)
 }
 
-// run is the testable entry point; it returns the process exit code.
-func run(args []string, stderr io.Writer) int {
+// run is the testable entry point: it serves until ctx is canceled
+// (SIGINT/SIGTERM in main) and returns the process exit code. It binds
+// before announcing, so the printed address is the real one even for
+// -addr host:0.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
 	cfg, err := parseFlags(args, stderr)
 	if err != nil {
 		return 2
@@ -113,44 +126,47 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "granula-router: %v\n", err)
 		return 2
 	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "granula-router: %v\n", err)
+		return 1
+	}
 	var det *shard.Detector
 	if !cfg.noDetector {
 		// Self "" — the router is not in the map and probes every shard.
 		det = shard.NewDetector(m, "", shard.DetectorOptions{Interval: cfg.probeEvery})
 		det.Start()
+		defer det.Close()
 	}
 	rt := shard.NewRouter(m, shard.RouterOptions{
 		RepairEvery: cfg.repairEvery,
 		RetryBudget: cfg.retryBudget,
 		Detector:    det,
 	})
+	defer rt.WaitRepairs()
 
 	httpSrv := &http.Server{
-		Addr:              cfg.addr,
 		Handler:           rt.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Fprintln(stderr, "granula-router: shutting down...")
-		httpSrv.Close()
-		if det != nil {
-			det.Close()
-		}
-		rt.WaitRepairs()
-	}()
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(stderr, "granula-router: listening on %s for %d shards (map v%d, R=%d, W=%d)\n",
-		cfg.addr, len(m.Shards), m.Version, m.Replication, m.WriteQuorum)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		ln.Addr(), len(m.Shards), m.Version, m.Replication, m.WriteQuorum)
+	select {
+	case err := <-served:
 		fmt.Fprintf(stderr, "granula-router: %v\n", err)
 		return 1
+	case <-ctx.Done():
 	}
-	<-done
+	fmt.Fprintln(stderr, "granula-router: shutting down...")
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := httpSrv.Shutdown(grace); err != nil {
+		httpSrv.Close()
+	}
+	<-served
 	return 0
 }

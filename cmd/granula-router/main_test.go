@@ -2,13 +2,22 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/service"
+	"repro/internal/shard"
 )
 
 // TestFlagSurface pins the command line: a new flag is one more
@@ -64,11 +73,11 @@ func TestParseFlagsRejectsBadCombos(t *testing.T) {
 	if _, err := parseFlags([]string{"-shards", "s1=http://h1:1", "extra"}, &buf); err == nil {
 		t.Fatal("parseFlags accepted positional arguments")
 	}
-	if code := run([]string{"-shards", "bogus"}, &buf); code != 2 {
+	if code := run(context.Background(), []string{"-shards", "bogus"}, &buf); code != 2 {
 		t.Fatalf("run with a malformed -shards = %d, want exit code 2", code)
 	}
 	// A quorum larger than the replica set cannot be satisfied.
-	if code := run([]string{"-shards", "s1=http://h1:1,s2=http://h2:1", "-quorum", "3"}, &buf); code != 2 {
+	if code := run(context.Background(), []string{"-shards", "s1=http://h1:1,s2=http://h2:1", "-quorum", "3"}, &buf); code != 2 {
 		t.Fatalf("run with quorum > replication = %d, want exit code 2", code)
 	}
 }
@@ -143,5 +152,117 @@ func TestParseFlagsSelfHealing(t *testing.T) {
 	// A malformed probe period is a parse error, not a silent default.
 	if _, err := parseFlags([]string{"-shards", "s1=http://h1:1", "-heartbeat-interval", "soon"}, &buf); err == nil {
 		t.Fatal("parseFlags accepted a malformed -heartbeat-interval")
+	}
+}
+
+// syncLog is run's stderr: safe to read while run is still writing.
+type syncLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestRouterServeSmoke boots the same run(ctx, …) main does on
+// 127.0.0.1:0 in front of one in-process shard, runs the operator's
+// loop through it — submit, poll until done, read the archive — and
+// stops it the way SIGTERM does: cancel, exit 0.
+func TestRouterServeSmoke(t *testing.T) {
+	store := service.NewStore()
+	metrics := service.NewMetrics()
+	exec := service.NewExecutor(2, 8, store, metrics)
+	backend := httptest.NewServer(service.NewServer(exec, store, metrics).Handler())
+	defer func() {
+		backend.Close()
+		exec.Shutdown(context.Background())
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	log := &syncLog{}
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-addr", "127.0.0.1:0", "-shards", "s1=" + backend.URL, "-heartbeat-interval", "20ms"}, log)
+	}()
+	listening := regexp.MustCompile(`listening on (\S+)`)
+	var base string
+	for deadline := time.Now().Add(30 * time.Second); base == ""; time.Sleep(time.Millisecond) {
+		if m := listening.FindStringSubmatch(log.String()); m != nil {
+			base = "http://" + m[1]
+		} else if len(exit) > 0 || time.Now().After(deadline) {
+			t.Fatalf("run never listened:\n%s", log)
+		}
+	}
+
+	// One connection per request: Shutdown gives a parked, never-used
+	// keep-alive connection five seconds, which is not what is timed here.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	do := func(method, url, body string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", method, url, err, log)
+		}
+		defer resp.Body.Close()
+		buf, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf
+	}
+	if resp, body := do("POST", base+"/jobs", `{"platform":"Giraph","algorithm":"BFS","vertices":500,"edges":2000,"id":"j1"}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit through the router: %d: %s", resp.StatusCode, body)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		_, body := do("GET", base+"/jobs/j1", "")
+		var st struct {
+			Status string `json:"status"`
+		}
+		json.Unmarshal(body, &st)
+		if st.Status == "done" {
+			break
+		}
+		if st.Status == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job is %q: %s", st.Status, body)
+		}
+	}
+	resp, routed := do("GET", base+"/jobs/j1/archive", "")
+	_, direct := do("GET", backend.URL+"/jobs/j1/archive", "")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(routed, direct) || len(routed) == 0 {
+		t.Fatalf("archive through the router: %d, %d bytes, the shard serves %d", resp.StatusCode, len(routed), len(direct))
+	}
+	if got := resp.Header.Get(shard.ShardHeader); got != "s1" {
+		t.Fatalf("%s = %q, want s1", shard.ShardHeader, got)
+	}
+
+	start := time.Now()
+	cancel()
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("run exited %d, want 0:\n%s", code, log)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run did not return after cancel:\n%s", log)
+	}
+	if took := time.Since(start); took > shutdownGrace/2 {
+		t.Errorf("idle shutdown took %v", took)
+	}
+	if !strings.Contains(log.String(), "shutting down") {
+		t.Fatalf("shutdown log:\n%s", log)
 	}
 }

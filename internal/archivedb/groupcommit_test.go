@@ -320,65 +320,3 @@ func TestGroupCommitDeleteVisibility(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkAppendGroupCommit measures durable append throughput at 1, 8,
-// and 64 concurrent writers with real fsyncs, the workload group commit
-// exists for. The 1-writer case is the baseline (every record pays a
-// full fsync, window zero adds no latency); multi-writer cases share
-// fsyncs across the batch.
-func BenchmarkAppendGroupCommit(b *testing.B) {
-	payload := bytes.Repeat([]byte("x"), 256)
-	for _, writers := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			opts := Options{
-				SegmentSize:   1 << 30,
-				SnapshotEvery: -1,
-				NoBackground:  true,
-			}
-			db, err := Open(b.TempDir(), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			var next int64
-			var mu sync.Mutex
-			take := func() (int, bool) {
-				mu.Lock()
-				defer mu.Unlock()
-				if next >= int64(b.N) {
-					return 0, false
-				}
-				next++
-				return int(next - 1), true
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i, ok := take()
-						if !ok {
-							return
-						}
-						id := fmt.Sprintf("w%d-%d", w, i)
-						if err := db.Put(id, payload, IndexMeta{}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := db.Stats()
-			b.ReportMetric(float64(st.GroupCommitFsyncs), "fsyncs")
-			if st.GroupCommitFsyncs > 0 {
-				b.ReportMetric(float64(st.GroupCommitRecords)/float64(st.GroupCommitFsyncs), "recs/fsync")
-			}
-		})
-	}
-}

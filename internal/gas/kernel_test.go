@@ -1,7 +1,6 @@
 package gas
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -38,13 +37,13 @@ const (
 	maxIterationAllocsParallel = 40
 )
 
-func kernelDataset(tb testing.TB) *datagen.Dataset {
-	tb.Helper()
+func kernelDataset(t *testing.T) *datagen.Dataset {
+	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Kind: datagen.SocialNetwork, Vertices: 2000, Edges: 10000, Seed: 11, Directed: true,
 	})
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	return ds
 }
@@ -73,25 +72,6 @@ func TestGASIterationKernelAllocs(t *testing.T) {
 			t.Logf("allocs/iteration = %v", allocs)
 			if allocs > tc.budget {
 				t.Errorf("steady-state iteration allocates %v times, budget %v", allocs, tc.budget)
-			}
-		})
-	}
-}
-
-// BenchmarkGASIterationKernel measures one steady-state GAS iteration of
-// the semantic kernel alone (no simulation, no tracing): gather + apply +
-// scatter over the local CSR fragments. CI archives ns/iteration and
-// allocs/iteration from this benchmark in BENCH_kernels.json.
-func BenchmarkGASIterationKernel(b *testing.B) {
-	ds := kernelDataset(b)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism-%d", par), func(b *testing.B) {
-			st := newState(ds.Graph, ds.Edges, 4, graph.VertexCutGreedy, par, churn{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.ensurePrepared(churn{}, st.iter)
-				st.finishIteration()
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package pregel
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -24,7 +23,7 @@ func (chatter) Compute(ctx *Context, msgs []float64) {
 	ctx.SendToAllNeighbors(1)
 }
 
-func kernelGraph(t testing.TB) *graph.Graph {
+func kernelGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Kind: datagen.SocialNetwork, Vertices: 2000, Edges: 10000, Seed: 11, Directed: true,
@@ -75,27 +74,6 @@ func TestSuperstepKernelAllocs(t *testing.T) {
 			t.Logf("allocs/superstep = %v", allocs)
 			if allocs > tc.budget {
 				t.Errorf("steady-state superstep allocates %v times, budget %v", allocs, tc.budget)
-			}
-		})
-	}
-}
-
-// BenchmarkSuperstepKernel measures one steady-state superstep of the
-// message kernel alone (no simulation, no tracing): compute + combine +
-// arena delivery + buffer swap. CI archives ns/superstep and
-// allocs/superstep from this benchmark in BENCH_kernels.json.
-func BenchmarkSuperstepKernel(b *testing.B) {
-	g := kernelGraph(b)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism-%d", par), func(b *testing.B) {
-			js := newJobState(g, graph.NewHashPartitioner(4), 4, MinCombiner{}, sim.NewHostPool(par))
-			step := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				js.prepareSuperstep(chatter{}, step)
-				js.swapBuffers()
-				step++
 			}
 		})
 	}

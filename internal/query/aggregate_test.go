@@ -526,48 +526,8 @@ func (c *benchCorpus) runTreeWalk(tb testing.TB) []byte {
 	return body
 }
 
-// BenchmarkAggregateSegments is the v2 path: decode columnar segments
-// and scan them. Compare with BenchmarkAggregateTreeWalkBaseline —
-// the v1 way to answer the same question (deserialize every archived
-// job, walk its tree).
-func BenchmarkAggregateSegments(b *testing.B) {
-	c := buildBenchCorpus(b, 1000, benchQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.runSegments(b)
-	}
-}
-
-// BenchmarkAggregateSegmentsPruned is the zone-map payoff case: the
-// predicate folds exactly against per-segment stats, so ~95% of the
-// corpus is answered from footers without decoding a body.
-func BenchmarkAggregateSegmentsPruned(b *testing.B) {
-	c := buildBenchCorpus(b, 1000, benchPrunedQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.runSegments(b)
-	}
-}
-
-func BenchmarkAggregateTreeWalkBaseline(b *testing.B) {
-	c := buildBenchCorpus(b, 1000, benchQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.runTreeWalk(b)
-	}
-}
-
-func BenchmarkAggregateTreeWalkPrunedBaseline(b *testing.B) {
-	c := buildBenchCorpus(b, 1000, benchPrunedQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.runTreeWalk(b)
-	}
-}
-
-// TestBenchPathsAgree pins that the benchmark paths answer the same
-// bytes — with and without pruning in play — so the speedups are
-// apples-to-apples.
+// TestBenchPathsAgree pins that the segment path and the tree walk
+// answer the same bytes, with and without pruning in play.
 func TestBenchPathsAgree(t *testing.T) {
 	for _, raw := range []string{benchQuery, benchPrunedQuery} {
 		c := buildBenchCorpus(t, 50, raw)
@@ -577,7 +537,7 @@ func TestBenchPathsAgree(t *testing.T) {
 			t.Fatalf("%q: bench paths disagree:\n%s\nvs\n%s", raw, got, want)
 		}
 		if raw == benchPrunedQuery && pruned == 0 {
-			t.Fatalf("%q: pruning benchmark prunes nothing", raw)
+			t.Fatalf("%q: prunes nothing", raw)
 		}
 	}
 }

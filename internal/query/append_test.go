@@ -189,41 +189,3 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 		t.Fatalf("appended %d rows, have %d", len(rows), ac.Rows())
 	}
 }
-
-// BenchmarkAppendVsRebuild measures the point of the incremental index:
-// per-event cost of append+snapshot+query versus rebuilding the full
-// columns before each query, at a growing archive size.
-func BenchmarkAppendVsRebuild(b *testing.B) {
-	job := randomJob(rand.New(rand.NewSource(11)), 2000)
-	rows := flattenDFS(job)
-	q, err := Parse(`mission = Compute and duration > 1`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ac := NewAppendColumns()
-			for _, od := range rows {
-				ac.Append(od.op, od.depth, od.path)
-			}
-			if got := q.SelectColumns(ac.Snapshot()); len(got) == 0 {
-				b.Fatal("no rows matched")
-			}
-		}
-	})
-	b.Run("rebuild-per-batch", func(b *testing.B) {
-		// Rebuild the columns once per 64-op ingest batch — the cost the
-		// live /query path would pay without append mode.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var cols *Columns
-			for n := 0; n < len(rows); n += 64 {
-				cols = BuildColumns(job)
-			}
-			if got := q.SelectColumns(cols); len(got) == 0 {
-				b.Fatal("no rows matched")
-			}
-		}
-	})
-}

@@ -433,61 +433,3 @@ func figureScaleJob(workers, supersteps int) *archive.Job {
 	}
 	return &archive.Job{ID: "fig5", Root: root}
 }
-
-// --- benchmarks ---
-
-// BenchmarkQueryCompileCached compares a cold Parse per request against
-// a cache hit, the repeated-query serving path.
-func BenchmarkQueryCompileCached(b *testing.B) {
-	const qs = `mission = Superstep and duration > 0.5 order by duration desc limit 10`
-	b.Run("parse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Parse(qs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		c := NewCache(8)
-		if _, err := c.Parse(qs); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Parse(qs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSelectColumnarVsTree compares the tree-walking oracle with
-// columnar evaluation on a Figure-5-scale archive.
-func BenchmarkSelectColumnarVsTree(b *testing.B) {
-	job := figureScaleJob(32, 24)
-	cols := BuildColumns(job)
-	for _, tc := range []struct{ name, qs string }{
-		{"filter", `mission = Compute and duration > 0.5`},
-		{"filter-order", `actor ~ Worker and duration > 0.3 order by duration desc limit 20`},
-		{"scan-all", `duration >= 0`},
-	} {
-		q, err := Parse(tc.qs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name+"/tree", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q.Select(job)
-			}
-		})
-		b.Run(tc.name+"/columnar", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q.SelectColumns(cols)
-			}
-		})
-	}
-}

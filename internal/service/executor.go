@@ -166,9 +166,6 @@ type ExecutorOptions struct {
 	// DefaultTimeout applies to jobs that do not set TimeoutSeconds;
 	// 0 leaves them unbounded.
 	DefaultTimeout time.Duration
-	// JitterSeed seeds backoff jitter (0 selects 1), so tests get a
-	// reproducible retry schedule.
-	JitterSeed int64
 	// HostParallelism is the per-job host goroutine budget for the
 	// simulation engines. 0 divides runtime.NumCPU() across the worker
 	// pool (so concurrent jobs never oversubscribe the host); results
@@ -256,10 +253,6 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 	if queueCap < 1 {
 		queueCap = 1
 	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	jobPar := opts.HostParallelism
 	if jobPar <= 0 {
 		// Cap workers × per-job pool at the host's cores so concurrent
@@ -284,7 +277,7 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 		cancel:   cancel,
 		queueCap: queueCap,
 		states:   map[string]*JobState{},
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(1)),
 		datasets: map[datasetKey]*datagen.Dataset{},
 	}
 	e.cond = sync.NewCond(&e.mu)

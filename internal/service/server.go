@@ -98,11 +98,8 @@ type ServerOptions struct {
 	ExtraMetrics func(io.Writer)
 	// Streams is the live-job manager shared with the executor (so
 	// in-process jobs stream their own supersteps); nil creates a
-	// private manager with StreamConfig's bounds.
+	// private manager with default bounds.
 	Streams *stream.Manager
-	// StreamConfig bounds the private manager created when Streams is
-	// nil; ignored otherwise.
-	StreamConfig stream.Config
 	// WatchHeartbeat is the /watch SSE keep-alive comment interval;
 	// 0 selects 15 s.
 	WatchHeartbeat time.Duration
@@ -128,7 +125,7 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 		jitter:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if s.streams == nil {
-		s.streams = stream.NewManager(opts.StreamConfig)
+		s.streams = stream.NewManager(stream.Config{})
 	}
 	if s.heartbeat <= 0 {
 		s.heartbeat = 15 * time.Second

@@ -155,7 +155,7 @@ func TestIngestErrors(t *testing.T) {
 }
 
 func TestIngestBackpressure(t *testing.T) {
-	ts, _ := streamStack(t, ServerOptions{StreamConfig: stream.Config{MaxLiveJobs: 1, MaxEventsPerJob: 6}})
+	ts, _ := streamStack(t, ServerOptions{Streams: stream.NewManager(stream.Config{MaxLiveJobs: 1, MaxEventsPerJob: 6})})
 	events := streamEventsFixture()
 
 	if code, _, _, _ := postIngest(t, ts.URL, "b1", events[:4]); code != http.StatusOK {

@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 	"unicode/utf8"
 )
@@ -106,18 +103,13 @@ type AntiEntropyOptions struct {
 // replicas converge to byte-identical archives even if no client ever
 // reads them.
 type AntiEntropy struct {
-	m        *Map
-	self     string
-	store    LocalReplicaStore
-	client   *http.Client
-	interval time.Duration
-	det      *Detector
-	metrics  *SelfHealMetrics
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	*ticker
+	m       *Map
+	self    string
+	store   LocalReplicaStore
+	peer    peerClient
+	det     *Detector
+	metrics *SelfHealMetrics
 }
 
 // NewAntiEntropy builds the sweep for one shard (self) over the map.
@@ -125,47 +117,16 @@ func NewAntiEntropy(self string, m *Map, store LocalReplicaStore, opts AntiEntro
 	if _, ok := m.Node(self); !ok {
 		return nil, fmt.Errorf("shard: anti-entropy self %q is not in the map", self)
 	}
-	c := opts.Client
-	if c == nil {
-		c = &http.Client{Timeout: 30 * time.Second}
-	}
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	return &AntiEntropy{
-		m: m, self: self, store: store, client: c, interval: interval,
+	ae := &AntiEntropy{
+		m: m, self: self, store: store, peer: newPeerClient(opts.Client, 30*time.Second),
 		det: opts.Detector, metrics: opts.Metrics,
-		stop: make(chan struct{}), done: make(chan struct{}),
-	}, nil
-}
-
-// Start launches the background sweep loop. Idempotent.
-func (ae *AntiEntropy) Start() {
-	ae.startOnce.Do(func() { go ae.loop() })
-}
-
-// Close stops the loop and waits for it; safe without Start.
-func (ae *AntiEntropy) Close() {
-	ae.stopOnce.Do(func() { close(ae.stop) })
-	ae.startOnce.Do(func() { close(ae.done) })
-	<-ae.done
-}
-
-func (ae *AntiEntropy) loop() {
-	defer close(ae.done)
-	t := time.NewTicker(ae.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ae.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), ae.interval*4+30*time.Second)
-			ae.SweepOnce(ctx)
-			cancel()
-		}
 	}
+	ae.ticker = newTicker(interval, func(ctx context.Context) { ae.SweepOnce(ctx) })
+	return ae, nil
 }
 
 // SweepOnce runs one full digest exchange against every reachable peer
@@ -192,19 +153,15 @@ func (ae *AntiEntropy) SweepOnce(ctx context.Context) (pushed, pulled int) {
 		pushed += p
 		pulled += q
 	}
-	if ae.metrics != nil {
-		ae.metrics.countSweep(pushed, pulled)
-	}
+	ae.metrics.countSweep(pushed, pulled)
 	return pushed, pulled
 }
 
 // sweepPeer reconciles the local store against one peer's digest.
 func (ae *AntiEntropy) sweepPeer(ctx context.Context, peer Node, local map[string]uint64) (pushed, pulled int) {
-	remote, err := ae.fetchDigest(ctx, peer)
+	remote, err := ae.peer.digest(ctx, peer)
 	if err != nil {
-		if ae.metrics != nil {
-			ae.metrics.countSweepError()
-		}
+		ae.metrics.countSweepError()
 		return 0, 0
 	}
 	remoteV := map[string]uint64{}
@@ -257,79 +214,18 @@ func (ae *AntiEntropy) coOwned(id, peerID string) bool {
 	return selfOwns && peerOwns
 }
 
-// fetchDigest GETs and validates one peer's digest.
-func (ae *AntiEntropy) fetchDigest(ctx context.Context, n Node) ([]DigestEntry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+DigestPath, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ae.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("shard: digest from %s: %s", n.ID, resp.Status)
-	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeDigest(buf)
-}
-
-// pushRecord ships the local bytes for id to the peer's replicate
-// endpoint (idempotent by version, so races with hints and read-repair
-// are harmless).
+// pushRecord ships the local bytes for id to the peer (races with hints
+// and read-repair are harmless).
 func (ae *AntiEntropy) pushRecord(ctx context.Context, n Node, id string) bool {
 	rec, ok, err := ae.store.ExportRecord(id)
 	if err != nil || !ok {
 		return false
 	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.URL+ReplicatePath, bytes.NewReader(buf))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := ae.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return ae.peer.replicate(ctx, n, rec) == nil
 }
 
 // pullRecord fetches the peer's bytes for id and applies them locally.
 func (ae *AntiEntropy) pullRecord(ctx context.Context, n Node, id string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+ExportPathPrefix+id, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := ae.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return false
-	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return false
-	}
-	var rec ReplicaRecord
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		return false
-	}
-	if rec.ID != id || rec.Version == 0 || len(rec.Payload) == 0 {
-		return false
-	}
-	return ae.store.ApplyRecord(rec) == nil
+	rec, ok := ae.peer.export(ctx, n, id)
+	return ok && ae.store.ApplyRecord(rec) == nil
 }

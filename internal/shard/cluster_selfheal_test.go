@@ -204,9 +204,12 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	waitCond(t, 30*time.Second, "victim converged via hints/anti-entropy", func() bool {
 		return len(missingOn(victim, owed)) == 0
 	})
-	if drainedHints(c) == 0 {
-		t.Fatal("victim converged without a single hint draining — sloppy quorum never engaged")
-	}
+	// The victim's own anti-entropy sweep may pull every record before
+	// its peers' detectors mark it up and their drainers replay, so
+	// convergence can precede the first drain; the hints still drain.
+	waitCond(t, 30*time.Second, "a hint drains — sloppy quorum engaged", func() bool {
+		return drainedHints(c) > 0
+	})
 	if got := c.router.Metrics().Repairs(); got != repairsBefore {
 		t.Fatalf("read-repair ran %d more times during convergence — the hints/anti-entropy proof is contaminated", got-repairsBefore)
 	}
@@ -288,9 +291,11 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	waitCond(t, 10*time.Second, "detector marks the victim up", func() bool {
 		return !c.det.Down(victim.id)
 	})
-	if drainedHints(c) == 0 {
-		t.Fatal("partition healed without a single hint draining")
-	}
+	// As in TestClusterFailoverPromotion: convergence may precede the
+	// first drain.
+	waitCond(t, 30*time.Second, "a hint drains after the heal", func() bool {
+		return drainedHints(c) > 0
+	})
 	// Sanity: convergence produced real bytes, not matching 404s.
 	for _, id := range acked {
 		buf, ok := exportBytes(victim, id)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -22,7 +21,7 @@ type NodeState int
 const (
 	// NodeUp: the node answers probes; route to it normally.
 	NodeUp NodeState = iota
-	// NodeSuspect: consecutive misses crossed SuspectAfter but not yet
+	// NodeSuspect: consecutive misses crossed suspectAfter but not yet
 	// DownAfter. Suspects keep their ring position (a latency spike must
 	// not reorder owners) but operators can see the wobble.
 	NodeSuspect
@@ -51,29 +50,26 @@ type NodeStatus struct {
 	Misses int       `json:"misses,omitempty"`
 }
 
+// Hysteresis thresholds. A single dropped probe (GC pause, latency
+// spike) moves a node at most to Suspect, which does not change routing,
+// and one lucky probe does not flap a dead node back.
+const (
+	suspectAfter     = 2 // consecutive misses before Up -> Suspect
+	defaultDownAfter = 4 // consecutive misses before -> Down
+	upAfter          = 2 // consecutive hits before Suspect/Down -> Up
+)
+
 // DetectorOptions tunes NewDetector; zero values select defaults.
 type DetectorOptions struct {
 	// Client issues the health probes; nil selects a short-timeout
 	// client (probes must fail fast, not queue behind slow requests).
 	Client *http.Client
-	// Interval is the probe period; 0 selects 500 ms.
+	// Interval is the probe period; 0 selects 500 ms. One probe is
+	// bounded by min(Interval, 1 s).
 	Interval time.Duration
-	// Timeout bounds one probe; 0 selects min(Interval, 1 s).
-	Timeout time.Duration
-	// SuspectAfter is the consecutive misses before Up -> Suspect;
-	// < 1 selects 2.
-	SuspectAfter int
-	// DownAfter is the consecutive misses before -> Down; < 1 selects 4.
-	// Hysteresis lives in the gap: a single dropped probe (GC pause,
-	// latency spike) moves a node at most to Suspect, which does not
-	// change routing.
+	// DownAfter is the consecutive misses before -> Down; < 1 selects 4,
+	// and it is never below the Suspect threshold (2).
 	DownAfter int
-	// UpAfter is the consecutive hits before Suspect/Down -> Up;
-	// < 1 selects 2, so one lucky probe does not flap a dead node back.
-	UpAfter int
-	// OnTransition observes state changes (for logs/tests); may be nil.
-	// Called outside the detector lock.
-	OnTransition func(node string, from, to NodeState)
 	// Metrics receives transition counters; may be nil.
 	Metrics *SelfHealMetrics
 }
@@ -86,24 +82,16 @@ type DetectorOptions struct {
 // Observe, so a dead node is noticed between probe ticks too. It is
 // safe for concurrent use.
 type Detector struct {
-	m            *Map
-	self         string
-	client       *http.Client
-	interval     time.Duration
-	timeout      time.Duration
-	suspectAfter int
-	downAfter    int
-	upAfter      int
-	onTransition func(node string, from, to NodeState)
-	metrics      *SelfHealMetrics
+	*ticker
+	m         *Map
+	self      string
+	peer      peerClient
+	timeout   time.Duration
+	downAfter int
+	metrics   *SelfHealMetrics
 
 	mu    sync.Mutex
 	nodes map[string]*nodeHealth
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 // nodeHealth is one node's hysteresis state.
@@ -121,73 +109,31 @@ func NewDetector(m *Map, self string, opts DetectorOptions) *Detector {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = interval
-		if timeout > time.Second {
-			timeout = time.Second
-		}
+	timeout := interval
+	if timeout > time.Second {
+		timeout = time.Second
 	}
-	c := opts.Client
-	if c == nil {
-		c = &http.Client{Timeout: timeout}
-	}
-	sa, da, ua := opts.SuspectAfter, opts.DownAfter, opts.UpAfter
-	if sa < 1 {
-		sa = 2
-	}
+	da := opts.DownAfter
 	if da < 1 {
-		da = 4
+		da = defaultDownAfter
 	}
-	if da < sa {
-		da = sa
-	}
-	if ua < 1 {
-		ua = 2
+	if da < suspectAfter {
+		da = suspectAfter
 	}
 	d := &Detector{
-		m: m, self: self, client: c,
-		interval: interval, timeout: timeout,
-		suspectAfter: sa, downAfter: da, upAfter: ua,
-		onTransition: opts.OnTransition, metrics: opts.Metrics,
+		m: m, self: self, peer: newPeerClient(opts.Client, timeout),
+		timeout: timeout, downAfter: da, metrics: opts.Metrics,
 		nodes: map[string]*nodeHealth{},
-		stop:  make(chan struct{}), done: make(chan struct{}),
 	}
+	d.ticker = newTicker(interval, d.probeAll)
 	for _, n := range m.Shards {
 		d.nodes[n.ID] = &nodeHealth{state: NodeUp}
 	}
 	return d
 }
 
-// Start launches the probe loop. Idempotent.
-func (d *Detector) Start() {
-	d.startOnce.Do(func() { go d.loop() })
-}
-
-// Close stops the probe loop and waits for it. Safe without Start and
-// safe to call multiple times.
-func (d *Detector) Close() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.startOnce.Do(func() { close(d.done) }) // never started: unblock the wait
-	<-d.done
-}
-
-func (d *Detector) loop() {
-	defer close(d.done)
-	t := time.NewTicker(d.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.probeAll()
-		}
-	}
-}
-
 // probeAll probes every peer concurrently and feeds the outcomes in.
-func (d *Detector) probeAll() {
+func (d *Detector) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, n := range d.m.Shards {
 		if n.ID == d.self {
@@ -196,38 +142,21 @@ func (d *Detector) probeAll() {
 		wg.Add(1)
 		go func(n Node) {
 			defer wg.Done()
-			d.Observe(n.ID, d.probe(n))
+			d.Observe(n.ID, d.probe(ctx, n))
 		}(n)
 	}
 	wg.Wait()
 }
 
-// probe issues one health GET; any 2xx answer counts as alive — even a
-// degraded (breaker-open) shard is reachable and must not be promoted
-// around, it still serves reads and replica applies.
-func (d *Detector) probe(n Node) bool {
-	// The probe carries its own deadline: a caller-supplied client (e.g.
-	// a test's partition transport) may have no timeout, and a hanging
-	// probe must count as a miss, not stall the loop.
-	ctx, cancel := context.WithTimeout(context.Background(), d.timeout)
+// probe issues one health check under its own deadline: a
+// caller-supplied client (e.g. a test's partition transport) may have
+// no timeout, and a hanging probe must count as a miss, not stall the
+// loop.
+func (d *Detector) probe(ctx context.Context, n Node) bool {
+	ctx, cancel := context.WithTimeout(ctx, d.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+HealthPath, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		if d.metrics != nil {
-			d.metrics.countProbe(false)
-		}
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	ok := resp.StatusCode >= 200 && resp.StatusCode < 300
-	if d.metrics != nil {
-		d.metrics.countProbe(ok)
-	}
+	ok := d.peer.alive(ctx, n)
+	d.metrics.countProbe(ok)
 	return ok
 }
 
@@ -247,7 +176,7 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 		h.misses = 0
 		if h.state != NodeUp {
 			h.hits++
-			if h.hits >= d.upAfter {
+			if h.hits >= upAfter {
 				h.state = NodeUp
 				h.hits = 0
 			}
@@ -258,19 +187,14 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 		switch {
 		case h.misses >= d.downAfter:
 			h.state = NodeDown
-		case h.misses >= d.suspectAfter && h.state == NodeUp:
+		case h.misses >= suspectAfter && h.state == NodeUp:
 			h.state = NodeSuspect
 		}
 	}
 	to := h.state
 	d.mu.Unlock()
 	if from != to {
-		if d.metrics != nil {
-			d.metrics.countTransition(to)
-		}
-		if d.onTransition != nil {
-			d.onTransition(nodeID, from, to)
-		}
+		d.metrics.countTransition(to)
 	}
 }
 

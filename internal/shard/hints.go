@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 	"unicode/utf8"
 )
@@ -115,62 +112,26 @@ type DrainerOptions struct {
 // durable copies" back to full replication after a dead replica
 // returns — without operator action and without waiting for a read.
 type Drainer struct {
-	m        *Map
-	journal  HintJournal
-	client   *http.Client
-	interval time.Duration
-	det      *Detector
-	metrics  *SelfHealMetrics
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	*ticker
+	m       *Map
+	journal HintJournal
+	peer    peerClient
+	det     *Detector
+	metrics *SelfHealMetrics
 }
 
 // NewDrainer builds a drainer over the map and journal.
 func NewDrainer(m *Map, journal HintJournal, opts DrainerOptions) *Drainer {
-	c := opts.Client
-	if c == nil {
-		c = &http.Client{Timeout: 30 * time.Second}
-	}
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Drainer{
-		m: m, journal: journal, client: c, interval: interval,
+	d := &Drainer{
+		m: m, journal: journal, peer: newPeerClient(opts.Client, 30*time.Second),
 		det: opts.Detector, metrics: opts.Metrics,
-		stop: make(chan struct{}), done: make(chan struct{}),
 	}
-}
-
-// Start launches the background drain loop. Idempotent.
-func (d *Drainer) Start() {
-	d.startOnce.Do(func() { go d.loop() })
-}
-
-// Close stops the loop and waits for it; safe without Start.
-func (d *Drainer) Close() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.startOnce.Do(func() { close(d.done) })
-	<-d.done
-}
-
-func (d *Drainer) loop() {
-	defer close(d.done)
-	t := time.NewTicker(d.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), d.interval*4+30*time.Second)
-			d.DrainOnce(ctx)
-			cancel()
-		}
-	}
+	d.ticker = newTicker(interval, func(ctx context.Context) { d.DrainOnce(ctx) })
+	return d
 }
 
 // DrainOnce attempts one replay pass over every pending target and
@@ -196,43 +157,16 @@ func (d *Drainer) DrainOnce(ctx context.Context) int {
 			if ctx.Err() != nil {
 				return drained
 			}
-			if err := d.replay(ctx, node, h); err != nil {
-				if d.metrics != nil {
-					d.metrics.countHintDrain(false)
-				}
+			// Replaying a hint is the POST the original fan-out would
+			// have issued.
+			err := d.peer.replicate(ctx, node, ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
+			d.metrics.countHintDrain(err == nil)
+			if err != nil {
 				break // peer still unreachable; retry next tick
-			}
-			if d.metrics != nil {
-				d.metrics.countHintDrain(true)
 			}
 			d.journal.DeleteHint(target, h.ID, h.Version) //nolint:errcheck
 			drained++
 		}
 	}
 	return drained
-}
-
-// replay POSTs one hint to its target's replicate endpoint. The
-// endpoint is idempotent by (ID, version), so replaying a hint that a
-// repair or anti-entropy sweep already delivered is a harmless ack.
-func (d *Drainer) replay(ctx context.Context, n Node, h HintRecord) error {
-	rec, err := json.Marshal(ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.URL+ReplicatePath, bytes.NewReader(rec))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard: hint replay to %s: %s", n.ID, resp.Status)
-	}
-	return nil
 }

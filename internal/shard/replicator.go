@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -64,7 +63,7 @@ type ReplicaRecord struct {
 type Replicator struct {
 	self     string
 	m        *Map
-	client   *http.Client
+	peer     peerClient
 	metrics  *ReplMetrics
 	hints    HintJournal
 	det      *Detector
@@ -98,16 +97,12 @@ func NewReplicator(self string, m *Map, opts ReplicatorOptions) (*Replicator, er
 	if _, ok := m.Node(self); !ok {
 		return nil, fmt.Errorf("shard: replicator self %q is not in the map", self)
 	}
-	c := opts.Client
-	if c == nil {
-		c = &http.Client{Timeout: 30 * time.Second}
-	}
 	mt := opts.Metrics
 	if mt == nil {
 		mt = NewReplMetrics()
 	}
 	return &Replicator{
-		self: self, m: m, client: c, metrics: mt,
+		self: self, m: m, peer: newPeerClient(opts.Client, 30*time.Second), metrics: mt,
 		hints: opts.Hints, det: opts.Detector, selfheal: opts.SelfHeal,
 	}, nil
 }
@@ -190,9 +185,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 					Target: n.ID, ID: id, Version: version, Payload: payload,
 				}); herr == nil {
 					hinted = true
-					if r.selfheal != nil {
-						r.selfheal.countHintRecorded()
-					}
+					r.selfheal.countHintRecorded()
 				} else {
 					err = fmt.Errorf("%v (hint journal: %v)", err, herr)
 				}
@@ -240,26 +233,16 @@ func (r *Replicator) push(ctx context.Context, n Node, rec []byte) error {
 				return ctx.Err()
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.URL+ReplicatePath, bytes.NewReader(rec))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			last = err
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		status, err := r.peer.replicateBytes(ctx, n, rec)
+		if err == nil {
 			return nil
 		}
-		last = fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusServiceUnavailable {
-			continue // the follower may be mid-recovery; one more try
+		last = err
+		if status != 0 && status < 500 {
+			return last // 4xx is definitive
 		}
-		return last // 4xx is definitive
+		// A transport error or 5xx: the follower may be mid-recovery;
+		// one more try.
 	}
 	return last
 }

@@ -78,6 +78,9 @@ type RouterOptions struct {
 type Router struct {
 	m      *Map
 	client *http.Client
+	// peer speaks the cluster-internal protocol for read-repair, over
+	// the same client.
+	peer peerClient
 	// streamClient carries the long-lived /watch pass-throughs: same
 	// transport as client, but no overall timeout — a healthy SSE tail
 	// legitimately outlives any request deadline.
@@ -124,7 +127,7 @@ func NewRouter(m *Map, opts RouterOptions) *Router {
 		budget = defaultRetryBudget
 	}
 	rt := &Router{
-		m: m, client: c,
+		m: m, client: c, peer: peerClient{client: c},
 		streamClient: &http.Client{Transport: c.Transport},
 		metrics:      mt, repairN: opts.RepairEvery, healthT: ht, repairT: repairT,
 		det: opts.Detector, budget: budget,
@@ -542,8 +545,8 @@ func (rt *Router) scheduleRepairs(id string, from Node, missing []Node) {
 func (rt *Router) repairPair(id string, a, b Node) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.repairT)
 	defer cancel()
-	exA, okA := rt.export(ctx, a, id)
-	exB, okB := rt.export(ctx, b, id)
+	exA, okA := rt.peer.export(ctx, a, id)
+	exB, okB := rt.peer.export(ctx, b, id)
 	switch {
 	case okA && (!okB || exA.Version > exB.Version):
 		rt.pushRepair(ctx, b, exA)
@@ -552,29 +555,9 @@ func (rt *Router) repairPair(id string, a, b Node) {
 	}
 }
 
-// export fetches a shard's replica record for id.
-func (rt *Router) export(ctx context.Context, n Node, id string) (ReplicaRecord, bool) {
-	res := rt.forward(ctx, n, http.MethodGet, ExportPathPrefix+id, nil, http.Header{})
-	if res.err != nil || res.status != http.StatusOK {
-		return ReplicaRecord{}, false
-	}
-	var rec ReplicaRecord
-	if err := json.Unmarshal(res.body, &rec); err != nil {
-		return ReplicaRecord{}, false
-	}
-	return rec, true
-}
-
 // pushRepair replicates a record onto a shard and counts the repair.
 func (rt *Router) pushRepair(ctx context.Context, n Node, rec ReplicaRecord) {
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	hdr := http.Header{}
-	hdr.Set("Content-Type", "application/json")
-	res := rt.forward(ctx, n, http.MethodPost, ReplicatePath, buf, hdr)
-	if res.err == nil && res.status == http.StatusOK {
+	if rt.peer.replicate(ctx, n, rec) == nil {
 		rt.metrics.countRepair()
 	}
 }

@@ -10,7 +10,9 @@ import (
 // machinery — failure detector, hinted handoff, anti-entropy — exposed
 // on a shard's /metrics as the granula_selfheal_* family. One instance
 // is threaded through the detector, replicator, drainer, and sweep so
-// operators see the whole convergence story in one place.
+// operators see the whole convergence story in one place. The count*
+// methods are no-ops on a nil receiver, so unmetered components need no
+// guards.
 type SelfHealMetrics struct {
 	mu            sync.Mutex
 	transitions   map[string]uint64 // detector transitions by target state
@@ -50,12 +52,18 @@ func (m *SelfHealMetrics) SetDetector(d *Detector) {
 }
 
 func (m *SelfHealMetrics) countTransition(to NodeState) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.transitions[to.String()]++
 	m.mu.Unlock()
 }
 
 func (m *SelfHealMetrics) countProbe(ok bool) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.probes++
 	if !ok {
@@ -65,12 +73,18 @@ func (m *SelfHealMetrics) countProbe(ok bool) {
 }
 
 func (m *SelfHealMetrics) countHintRecorded() {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.hintsRecorded++
 	m.mu.Unlock()
 }
 
 func (m *SelfHealMetrics) countHintDrain(ok bool) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	if ok {
 		m.hintsDrained++
@@ -81,6 +95,9 @@ func (m *SelfHealMetrics) countHintDrain(ok bool) {
 }
 
 func (m *SelfHealMetrics) countSweep(pushed, pulled int) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.sweeps++
 	m.sweepPushed += uint64(pushed)
@@ -89,6 +106,9 @@ func (m *SelfHealMetrics) countSweep(pushed, pulled int) {
 }
 
 func (m *SelfHealMetrics) countSweepError() {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.sweepErrors++
 	m.mu.Unlock()
