@@ -1,6 +1,7 @@
 package query
 
 import (
+	"container/list"
 	"strings"
 	"sync"
 )
@@ -10,22 +11,19 @@ import (
 // matter how many times clients repeat it. A *Query is immutable after
 // Parse (Select only reads it), so one compiled query is safely shared
 // by concurrent callers. The hit path performs no allocations: one map
-// lookup plus an intrusive-list move.
+// lookup plus a list move.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*cacheEntry
-	// Intrusive LRU list: head is most recent, tail is the eviction
-	// candidate.
-	head, tail *cacheEntry
-	hits       uint64
-	misses     uint64
+	entries map[string]*list.Element // of *cacheEntry
+	lru     list.List                // front is most recent, back the eviction candidate
+	hits    uint64
+	misses  uint64
 }
 
 type cacheEntry struct {
-	key        string
-	q          *Query
-	prev, next *cacheEntry
+	key string
+	q   *Query
 }
 
 // NewCache returns a compiled-query cache holding at most capacity
@@ -34,7 +32,7 @@ func NewCache(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 256
 	}
-	return &Cache{cap: capacity, entries: make(map[string]*cacheEntry)}
+	return &Cache{cap: capacity, entries: make(map[string]*list.Element)}
 }
 
 // Parse returns the compiled form of input, from cache when the
@@ -44,10 +42,10 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Parse(input string) (*Query, error) {
 	key := Normalize(input)
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.hits++
-		c.moveToFront(e)
-		q := e.q
+		c.lru.MoveToFront(el)
+		q := el.Value.(*cacheEntry).q
 		c.mu.Unlock()
 		return q, nil
 	}
@@ -61,16 +59,14 @@ func (c *Cache) Parse(input string) (*Query, error) {
 	}
 
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if el, ok := c.entries[key]; ok {
 		// A concurrent miss beat us to it; keep the first compile.
-		c.moveToFront(e)
-		q = e.q
+		c.lru.MoveToFront(el)
+		q = el.Value.(*cacheEntry).q
 	} else {
-		e := &cacheEntry{key: key, q: q}
-		c.entries[key] = e
-		c.pushFront(e)
+		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, q: q})
 		if len(c.entries) > c.cap {
-			c.evictTail()
+			delete(c.entries, c.lru.Remove(c.lru.Back()).(*cacheEntry).key)
 		}
 	}
 	c.mu.Unlock()
@@ -82,50 +78,6 @@ func (c *Cache) Stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, len(c.entries)
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFront(e)
-}
-
-func (c *Cache) evictTail() {
-	e := c.tail
-	if e == nil {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = nil
-	}
-	c.tail = e.prev
-	if c.head == e {
-		c.head = nil
-	}
-	delete(c.entries, e.key)
 }
 
 // Normalize canonicalizes a query string for cache keying: runs of

@@ -254,8 +254,7 @@ func TestChaosStormAndRecovery(t *testing.T) {
 	}
 
 	// Retries must have fired (appends failed at 35% with 3 attempts).
-	retries, _, _ := s.metrics.Robustness()
-	if retries == 0 {
+	if s.metrics.retries.Value() == 0 {
 		t.Error("no persistence retries recorded under a 35% append fault rate")
 	}
 
@@ -449,7 +448,7 @@ func TestChaosPanicRecoveredInWorker(t *testing.T) {
 	if !strings.Contains(st.Stack, "runIsolated") {
 		t.Fatalf("job state has no usable stack:\n%s", st.Stack)
 	}
-	if _, panics, _ := metrics.Robustness(); panics == 0 {
+	if metrics.panics.Value() == 0 {
 		t.Fatal("recovered panic not counted")
 	}
 
@@ -490,7 +489,7 @@ func TestChaosHandlerPanicIsolated(t *testing.T) {
 	if code, _, _ := getBytes(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("server dead after handler panic: %d", code)
 	}
-	if _, panics, _ := metrics.Robustness(); panics == 0 {
+	if metrics.panics.Value() == 0 {
 		t.Fatal("recovered handler panic not counted")
 	}
 }
@@ -599,7 +598,7 @@ func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if _, _, shed := metrics.Robustness(); shed == 0 {
+	if metrics.shed.Value() == 0 {
 		t.Fatal("shed submit not counted")
 	}
 

@@ -267,8 +267,12 @@ func TestStoreWithNilDB(t *testing.T) {
 	if s.DB() != nil || s.StorageStats() != nil {
 		t.Fatal("nil-db store reports storage")
 	}
+	m := NewMetrics()
+	exec := NewExecutor(1, 1, s, m)
+	defer exec.Shutdown(context.Background())
+	NewServer(exec, s, m)
 	var buf bytes.Buffer
-	NewMetrics().WritePrometheus(&buf, 0, 0, nil, BreakerClosed, nil)
+	m.reg.Write(&buf)
 	if bytes.Contains(buf.Bytes(), []byte("granula_storage_")) {
 		t.Fatalf("in-memory metrics leak storage family:\n%s", buf.String())
 	}

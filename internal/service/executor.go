@@ -240,7 +240,8 @@ type datasetKey struct {
 }
 
 // NewExecutor starts a pool of workers over a queue of the given
-// capacity with default robustness options. Metrics may be nil.
+// capacity with default robustness options. Metrics may be nil, in which
+// case a private set is created.
 func NewExecutor(workers, queueCap int, store *Store, m *Metrics) *Executor {
 	return NewExecutorWith(workers, queueCap, store, m, ExecutorOptions{})
 }
@@ -252,6 +253,9 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 	}
 	if queueCap < 1 {
 		queueCap = 1
+	}
+	if m == nil {
+		m = NewMetrics()
 	}
 	jobPar := opts.HostParallelism
 	if jobPar <= 0 {
@@ -311,7 +315,7 @@ func (e *Executor) Submit(req JobRequest) (string, error) {
 	}
 	if len(e.pending) >= e.queueCap {
 		e.mu.Unlock()
-		e.metrics.CountShed()
+		e.metrics.shed.Inc()
 		return "", ErrQueueFull
 	}
 	e.seq++
@@ -520,7 +524,7 @@ func (e *Executor) runIsolated(ctx context.Context, id string, req JobRequest) (
 		if r := recover(); r != nil {
 			stack = string(debug.Stack())
 			err = fmt.Errorf("service: job panicked: %v", r)
-			e.metrics.CountPanicRecovered()
+			e.metrics.panics.Inc()
 		}
 	}()
 	if ferr := e.faults.FailCtx(ctx, SiteRun); ferr != nil {
@@ -565,7 +569,7 @@ func (e *Executor) persist(ctx context.Context, job *archive.Job, sum Summary) e
 	var last error
 	for attempt := 1; attempt <= e.retry.Attempts; attempt++ {
 		if attempt > 1 {
-			e.metrics.CountRetry()
+			e.metrics.retries.Inc()
 			select {
 			case <-time.After(e.backoff(attempt - 1)):
 			case <-ctx.Done():
@@ -592,7 +596,7 @@ func (e *Executor) setRunning(id string) bool {
 		return false
 	}
 	st.Status = StatusRunning
-	e.metrics.JobStarted()
+	e.metrics.jobsStarted.Inc()
 	return true
 }
 
@@ -603,7 +607,7 @@ func (e *Executor) setAborted(id string, err error) {
 	st := e.states[id]
 	st.Status = StatusCanceled
 	st.Error = err.Error()
-	e.metrics.JobFinished(false)
+	e.metrics.jobsFailed.Inc()
 }
 
 func (e *Executor) setFailed(id string, err error, stack string) {
@@ -613,7 +617,7 @@ func (e *Executor) setFailed(id string, err error, stack string) {
 	st.Status = StatusFailed
 	st.Error = err.Error()
 	st.Stack = stack
-	e.metrics.JobFinished(false)
+	e.metrics.jobsFailed.Inc()
 }
 
 func (e *Executor) setDone(id string, sum Summary) {
@@ -623,7 +627,7 @@ func (e *Executor) setDone(id string, sum Summary) {
 	st.Status = StatusDone
 	s := sum
 	st.Summary = &s
-	e.metrics.JobFinished(true)
+	e.metrics.jobsDone.Inc()
 }
 
 // dataset returns the generated dataset for a request, cached by

@@ -139,7 +139,9 @@ func (s *Server) handleQuery2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.metrics.CountQuery2(resp.Scanned, resp.Pruned)
+	s.metrics.query2Queries.Inc()
+	s.metrics.query2Scanned.Add(uint64(resp.Scanned))
+	s.metrics.query2Pruned.Add(uint64(resp.Pruned))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(shard.ScannedHeader, strconv.Itoa(resp.Scanned))
 	w.Header().Set(shard.PrunedHeader, strconv.Itoa(resp.Pruned))
@@ -175,7 +177,9 @@ func (s *Server) handleInternalQuery2(w http.ResponseWriter, r *http.Request) {
 			scanned++
 		}
 	}
-	s.metrics.CountQuery2(scanned, pruned)
+	s.metrics.query2Queries.Inc()
+	s.metrics.query2Scanned.Add(uint64(scanned))
+	s.metrics.query2Pruned.Add(uint64(pruned))
 	w.Header().Set(shard.ScannedHeader, strconv.Itoa(scanned))
 	w.Header().Set(shard.PrunedHeader, strconv.Itoa(pruned))
 	writeJSON(w, http.StatusOK, internalQuery2Response{Shard: s.shardID, Partials: partials})

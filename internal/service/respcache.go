@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
@@ -25,9 +26,8 @@ import (
 type RespCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[respKey]*respEntry
-	// Intrusive LRU list: head is most recent, tail is next to evict.
-	head, tail *respEntry
+	entries map[respKey]*list.Element // of *respEntry
+	lru     list.List                 // front is most recent, back is next to evict
 
 	hits        uint64
 	misses      uint64
@@ -45,7 +45,6 @@ type respEntry struct {
 	contentType string
 	etag        string
 	body        []byte
-	prev, next  *respEntry
 }
 
 // NewRespCache returns a response cache holding at most capacity
@@ -54,7 +53,7 @@ func NewRespCache(capacity int) *RespCache {
 	if capacity < 1 {
 		capacity = 512
 	}
-	return &RespCache{cap: capacity, entries: make(map[respKey]*respEntry)}
+	return &RespCache{cap: capacity, entries: make(map[respKey]*list.Element)}
 }
 
 // RespCacheStats is a point-in-time snapshot of the cache counters.
@@ -80,31 +79,30 @@ func (c *RespCache) get(gen uint64, req string) *respEntry {
 	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
 		return nil
 	}
 	c.hits++
-	c.moveToFront(e)
-	return e
+	c.lru.MoveToFront(el)
+	return el.Value.(*respEntry)
 }
 
 func (c *RespCache) put(gen uint64, req, contentType, etag string, body []byte) {
 	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
+	if el, ok := c.entries[k]; ok {
 		// A concurrent miss on the same key rendered the same bytes
 		// (same generation, deterministic handlers); keep the first.
-		c.moveToFront(e)
+		c.lru.MoveToFront(el)
 		return
 	}
-	e := &respEntry{key: k, contentType: contentType, etag: etag, body: body}
-	c.entries[k] = e
-	c.pushFront(e)
+	c.entries[k] = c.lru.PushFront(&respEntry{key: k, contentType: contentType, etag: etag, body: body})
 	if len(c.entries) > c.cap {
-		c.evictTail()
+		delete(c.entries, c.lru.Remove(c.lru.Back()).(*respEntry).key)
+		c.evictions++
 	}
 }
 
@@ -112,50 +110,6 @@ func (c *RespCache) countNotModified() {
 	c.mu.Lock()
 	c.notModified++
 	c.mu.Unlock()
-}
-
-func (c *RespCache) pushFront(e *respEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *RespCache) moveToFront(e *respEntry) {
-	if c.head == e {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFront(e)
-}
-
-func (c *RespCache) evictTail() {
-	e := c.tail
-	if e == nil {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = nil
-	}
-	c.tail = e.prev
-	if c.head == e {
-		c.head = nil
-	}
-	delete(c.entries, e.key)
-	c.evictions++
 }
 
 // etagFor is the strong content-hash validator: quoted first 16 bytes

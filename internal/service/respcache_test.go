@@ -294,17 +294,13 @@ func TestCacheMetricsExposed(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
-	for _, want := range []string{
+	wantSamples(t, body,
 		"granula_querycache_hits_total 1",
 		"granula_querycache_misses_total 1",
 		"granula_respcache_hits_total 2",
 		"granula_respcache_misses_total 2",
 		"granula_respcache_entries 2",
-	} {
-		if !bytes.Contains(body, []byte(want)) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
-		}
-	}
+	)
 }
 
 // TestResponseCacheLRUEviction fills the cache beyond capacity and

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/regression"
 	"repro/internal/shard"
@@ -136,6 +137,14 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	if opts.RespCacheSize >= 0 {
 		s.resp = NewRespCache(opts.RespCacheSize)
 	}
+	m.gauges.Bind(func(e *metrics.Emitter) {
+		writeGauges(e, exec.QueueDepth(), store.Len(), store.BreakerState())
+	})
+	m.tail.Bind(func(e *metrics.Emitter) {
+		writeCaches(e, s.cacheStats())
+		writeStorage(e, store.StorageStats())
+		writeLiveJobs(e, s.streams.Live())
+	})
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.instrument(pattern, h))
@@ -201,12 +210,12 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.metrics.CountPanicRecovered()
+				s.metrics.panics.Inc()
 				// Best effort: if the handler already wrote headers this
 				// write is a no-op on the status line, which is fine.
 				writeError(w, http.StatusInternalServerError, "internal panic: %v", rec)
 			}
-			s.metrics.ObserveRequest(pattern, time.Since(start).Seconds())
+			s.metrics.requests.With(pattern).Observe(time.Since(start).Seconds())
 		}()
 		h(w, r)
 	})
@@ -275,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.store.ReadOnly() {
 		// Degraded read-only mode: reads keep serving, submits are shed
 		// until the breaker's probe confirms storage recovered.
-		s.metrics.CountShed()
+		s.metrics.shed.Inc()
 		s.setRetryAfter(w)
 		writeError(w, http.StatusServiceUnavailable, "%v", ErrDegraded)
 		return
@@ -686,8 +695,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.exec.QueueDepth(), s.store.Len(), s.store.StorageStats(), s.store.BreakerState(), s.cacheStats())
-	fmt.Fprintf(w, "# HELP granula_stream_live_jobs Jobs currently streaming (external ingest plus in-process mirrors).\n# TYPE granula_stream_live_jobs gauge\ngranula_stream_live_jobs %d\n", s.streams.Live())
+	s.metrics.reg.Write(w)
 	if s.extra != nil {
 		s.extra(w)
 	}

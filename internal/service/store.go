@@ -96,7 +96,7 @@ type StoreOptions struct {
 	// ProbeInterval is the background recovery-probe period; <= 0
 	// selects 500 ms.
 	ProbeInterval time.Duration
-	// Metrics observes breaker transitions; may be nil.
+	// Metrics observes breaker transitions; nil creates a private set.
 	Metrics *Metrics
 }
 
@@ -163,8 +163,12 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 	if db == nil {
 		return s, nil
 	}
+	m := opts.Metrics
+	if m == nil {
+		m = NewMetrics()
+	}
 	s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to BreakerState) {
-		opts.Metrics.BreakerTransition(to)
+		m.transitions.With(to.String()).Inc()
 	})
 	interval := opts.ProbeInterval
 	if interval <= 0 {

@@ -89,7 +89,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.streams.Ingest(id, events)
 	if err != nil {
-		s.metrics.CountIngestRejected()
+		s.metrics.ingestRejected.Inc()
 		var gap *stream.GapError
 		switch {
 		case errors.As(err, &gap):
@@ -98,7 +98,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, stream.ErrSealed):
 			writeError(w, http.StatusConflict, "%v", err)
 		case errors.Is(err, stream.ErrOverflow), errors.Is(err, stream.ErrTooManyJobs):
-			s.metrics.CountShed()
+			s.metrics.shed.Inc()
 			s.setRetryAfter(w)
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 		default:
@@ -116,7 +116,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.metrics.CountIngestBatch(res.Accepted)
+	s.metrics.ingestBatches.Inc()
+	s.metrics.ingestEvents.Add(uint64(res.Accepted))
 	state := "streaming"
 	if j, ok := s.streams.Get(id); ok {
 		if sealed, _ := j.Sealed(); sealed {
@@ -350,7 +351,7 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 			// Terminal answer: the job sealed and published before this
 			// poll; hand the client the same closing fact the SSE tail
 			// would, so its loop terminates.
-			s.metrics.CountWatch()
+			s.metrics.watchConns.Inc()
 			writeJSON(w, http.StatusOK, pollResponse{
 				JobID: id, Count: 1, Events: []stream.Event{{
 					Type: stream.TypeSeal, Time: sj.Summary.Runtime,
@@ -368,7 +369,7 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 
-	s.metrics.CountWatch()
+	s.metrics.watchConns.Inc()
 	sub := live.Subscribe()
 	defer live.Unsubscribe(sub)
 	deadline := time.NewTimer(wait)
@@ -493,7 +494,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if sj, archived := s.store.Get(id); archived {
 			// The job already sealed and published; answer the tail's only
 			// remaining fact so late watchers terminate cleanly.
-			s.metrics.CountWatch()
+			s.metrics.watchConns.Inc()
 			sseHeaders()
 			w.WriteHeader(http.StatusOK)
 			stream.WriteFrame(w, 0, "seal", stream.Event{ //nolint:errcheck
@@ -511,7 +512,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.metrics.CountWatch()
+	s.metrics.watchConns.Inc()
 	sseHeaders()
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()

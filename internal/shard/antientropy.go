@@ -91,7 +91,7 @@ type AntiEntropyOptions struct {
 	// Detector, when set, skips peers marked Down (they cannot answer;
 	// the sweep catches them up after they return).
 	Detector *Detector
-	// Metrics receives sweep counters; may be nil.
+	// Metrics receives sweep counters; nil creates a private set.
 	Metrics *SelfHealMetrics
 }
 
@@ -123,7 +123,7 @@ func NewAntiEntropy(self string, m *Map, store LocalReplicaStore, opts AntiEntro
 	}
 	ae := &AntiEntropy{
 		m: m, self: self, store: store, peer: newPeerClient(opts.Client, 30*time.Second),
-		det: opts.Detector, metrics: opts.Metrics,
+		det: opts.Detector, metrics: orPrivate(opts.Metrics),
 	}
 	ae.ticker = newTicker(interval, func(ctx context.Context) { ae.SweepOnce(ctx) })
 	return ae, nil
@@ -153,7 +153,9 @@ func (ae *AntiEntropy) SweepOnce(ctx context.Context) (pushed, pulled int) {
 		pushed += p
 		pulled += q
 	}
-	ae.metrics.countSweep(pushed, pulled)
+	ae.metrics.sweeps.Inc()
+	ae.metrics.sweepsPushed.Add(uint64(pushed))
+	ae.metrics.sweepsPulled.Add(uint64(pulled))
 	return pushed, pulled
 }
 
@@ -161,7 +163,7 @@ func (ae *AntiEntropy) SweepOnce(ctx context.Context) (pushed, pulled int) {
 func (ae *AntiEntropy) sweepPeer(ctx context.Context, peer Node, local map[string]uint64) (pushed, pulled int) {
 	remote, err := ae.peer.digest(ctx, peer)
 	if err != nil {
-		ae.metrics.countSweepError()
+		ae.metrics.sweepErrors.Inc()
 		return 0, 0
 	}
 	remoteV := map[string]uint64{}

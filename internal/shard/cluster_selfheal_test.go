@@ -67,13 +67,21 @@ func shardByID(c *cluster, id string) *clusterShard {
 	return nil
 }
 
+// promotions and readRepairs read the router's counters.
+func promotions(t *testing.T, c *cluster) float64 {
+	return shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_promotions_total")
+}
+
+func readRepairs(t *testing.T, c *cluster) float64 {
+	return shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_read_repairs_total")
+}
+
 // drainedHints sums delivered-hint counters across the live shards.
-func drainedHints(c *cluster) uint64 {
-	var total uint64
+func drainedHints(t *testing.T, c *cluster) float64 {
+	var total float64
 	for _, cs := range c.shards {
 		if cs.heal != nil {
-			_, drained := cs.heal.Hints()
-			total += drained
+			total += shard.MetricSum(t, cs.heal.WritePrometheus, "granula_selfheal_hints_total", `event="drained"`)
 		}
 	}
 	return total
@@ -161,11 +169,11 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		if c.m.Owners(id)[0].ID != victim.id {
 			continue
 		}
-		before := c.router.Metrics().Promotions()
+		before := promotions(t, c)
 		if !postJob(base, clusterJob(id, int64(1000+i))) {
 			t.Fatalf("write with dead primary rejected: %s", id)
 		}
-		if c.router.Metrics().Promotions() <= before {
+		if promotions(t, c) <= before {
 			t.Fatalf("write %s did not count a promotion", id)
 		}
 		if !pollDone(base, id, 30*time.Second) {
@@ -189,7 +197,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	// needs none — no router reads run during this window, so any new
 	// repair would be a contamination of the hints/anti-entropy proof.
 	c.router.WaitRepairs()
-	repairsBefore := c.router.Metrics().Repairs()
+	repairsBefore := readRepairs(t, c)
 	var owed []string
 	for _, id := range acked {
 		for _, n := range c.m.Owners(id) {
@@ -208,10 +216,10 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	// its peers' detectors mark it up and their drainers replay, so
 	// convergence can precede the first drain; the hints still drain.
 	waitCond(t, 30*time.Second, "a hint drains — sloppy quorum engaged", func() bool {
-		return drainedHints(c) > 0
+		return drainedHints(t, c) > 0
 	})
-	if got := c.router.Metrics().Repairs(); got != repairsBefore {
-		t.Fatalf("read-repair ran %d more times during convergence — the hints/anti-entropy proof is contaminated", got-repairsBefore)
+	if got := readRepairs(t, c); got != repairsBefore {
+		t.Fatalf("read-repair ran %v more times during convergence — the hints/anti-entropy proof is contaminated", got-repairsBefore)
 	}
 }
 
@@ -294,7 +302,7 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	// As in TestClusterFailoverPromotion: convergence may precede the
 	// first drain.
 	waitCond(t, 30*time.Second, "a hint drains after the heal", func() bool {
-		return drainedHints(c) > 0
+		return drainedHints(t, c) > 0
 	})
 	// Sanity: convergence produced real bytes, not matching 404s.
 	for _, id := range acked {
@@ -326,11 +334,11 @@ func TestClusterDetectorFlap(t *testing.T) {
 			t.Fatalf("round %d: a latency blip was promoted to death", round)
 		}
 	}
-	if got := c.heal.Transitions(shard.NodeDown); got != 0 {
-		t.Fatalf("router detector counted %d down transitions during flapping, want 0", got)
+	if got := shard.MetricSum(t, c.heal.WritePrometheus, "granula_selfheal_detector_transitions_total", `to="down"`); got != 0 {
+		t.Fatalf("router detector counted %v down transitions during flapping, want 0", got)
 	}
-	if got := c.router.Metrics().Promotions(); got != 0 {
-		t.Fatalf("router promoted %d writes around a flapping shard, want 0", got)
+	if got := promotions(t, c); got != 0 {
+		t.Fatalf("router promoted %v writes around a flapping shard, want 0", got)
 	}
 
 	// Writes still route to the flapping shard's primaries: ring order

@@ -468,7 +468,7 @@ func TestClusterChaos(t *testing.T) {
 			t.Fatalf("acked %s unreadable with one shard down: %d %s", id, code, body)
 		}
 	}
-	if c.router.Metrics().Failovers() == 0 {
+	if shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_failovers_total") == 0 {
 		t.Fatal("a killed shard produced no failovers")
 	}
 
@@ -509,7 +509,7 @@ func TestClusterChaos(t *testing.T) {
 			t.Fatalf("victim still missing %d jobs after repair sweeps: %v", len(missing), missing)
 		}
 	}
-	if c.router.Metrics().Repairs() == 0 {
+	if readRepairs(t, c) == 0 {
 		t.Fatal("restart convergence happened without a single read-repair")
 	}
 

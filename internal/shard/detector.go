@@ -70,7 +70,7 @@ type DetectorOptions struct {
 	// DownAfter is the consecutive misses before -> Down; < 1 selects 4,
 	// and it is never below the Suspect threshold (2).
 	DownAfter int
-	// Metrics receives transition counters; may be nil.
+	// Metrics receives transition counters; nil creates a private set.
 	Metrics *SelfHealMetrics
 }
 
@@ -122,7 +122,7 @@ func NewDetector(m *Map, self string, opts DetectorOptions) *Detector {
 	}
 	d := &Detector{
 		m: m, self: self, peer: newPeerClient(opts.Client, timeout),
-		timeout: timeout, downAfter: da, metrics: opts.Metrics,
+		timeout: timeout, downAfter: da, metrics: orPrivate(opts.Metrics),
 		nodes: map[string]*nodeHealth{},
 	}
 	d.ticker = newTicker(interval, d.probeAll)
@@ -156,7 +156,7 @@ func (d *Detector) probe(ctx context.Context, n Node) bool {
 	ctx, cancel := context.WithTimeout(ctx, d.timeout)
 	defer cancel()
 	ok := d.peer.alive(ctx, n)
-	d.metrics.countProbe(ok)
+	pick(ok, d.metrics.probesOK, d.metrics.probesMiss).Inc()
 	return ok
 }
 
@@ -194,7 +194,7 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 	to := h.state
 	d.mu.Unlock()
 	if from != to {
-		d.metrics.countTransition(to)
+		d.metrics.transitions.With(to.String()).Inc()
 	}
 }
 

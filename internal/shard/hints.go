@@ -101,7 +101,7 @@ type DrainerOptions struct {
 	// without an attempt (the journal is durable, there is no hurry).
 	// Without a detector every target is attempted each tick.
 	Detector *Detector
-	// Metrics receives drain counters; may be nil.
+	// Metrics receives drain counters; nil creates a private set.
 	Metrics *SelfHealMetrics
 }
 
@@ -128,7 +128,7 @@ func NewDrainer(m *Map, journal HintJournal, opts DrainerOptions) *Drainer {
 	}
 	d := &Drainer{
 		m: m, journal: journal, peer: newPeerClient(opts.Client, 30*time.Second),
-		det: opts.Detector, metrics: opts.Metrics,
+		det: opts.Detector, metrics: orPrivate(opts.Metrics),
 	}
 	d.ticker = newTicker(interval, func(ctx context.Context) { d.DrainOnce(ctx) })
 	return d
@@ -160,7 +160,7 @@ func (d *Drainer) DrainOnce(ctx context.Context) int {
 			// Replaying a hint is the POST the original fan-out would
 			// have issued.
 			err := d.peer.replicate(ctx, node, ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
-			d.metrics.countHintDrain(err == nil)
+			pick(err == nil, d.metrics.hintsDrained, d.metrics.hintsDrainFailed).Inc()
 			if err != nil {
 				break // peer still unreachable; retry next tick
 			}

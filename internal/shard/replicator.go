@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -88,7 +87,8 @@ type ReplicatorOptions struct {
 	// marked Down: the write goes straight to the hint journal instead
 	// of waiting out a connection timeout on a corpse.
 	Detector *Detector
-	// SelfHeal receives hint-recording counters; may be nil.
+	// SelfHeal receives hint-recording counters; nil creates a private
+	// set.
 	SelfHeal *SelfHealMetrics
 }
 
@@ -103,7 +103,7 @@ func NewReplicator(self string, m *Map, opts ReplicatorOptions) (*Replicator, er
 	}
 	return &Replicator{
 		self: self, m: m, peer: newPeerClient(opts.Client, 30*time.Second), metrics: mt,
-		hints: opts.Hints, det: opts.Detector, selfheal: opts.SelfHeal,
+		hints: opts.Hints, det: opts.Detector, selfheal: orPrivate(opts.SelfHeal),
 	}, nil
 }
 
@@ -140,6 +140,10 @@ func (e *QuorumError) Error() string {
 // read-repair and anti-entropy but do not count toward the quorum.
 func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64, payload []byte) error {
 	start := time.Now()
+	outcome := func(reached bool) {
+		r.metrics.seconds.Observe(time.Since(start).Seconds())
+		pick(reached, r.metrics.quorumReached, r.metrics.quorumMissed).Inc()
+	}
 	owners := r.m.Owners(id)
 	followers := make([]Node, 0, len(owners))
 	acks := 1 // the local fsynced persist
@@ -150,7 +154,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 	}
 	need := r.m.WriteQuorum - acks
 	if need <= 0 && len(followers) == 0 {
-		r.metrics.observeQuorum(time.Since(start).Seconds(), true)
+		outcome(true)
 		return nil
 	}
 
@@ -175,7 +179,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 			} else {
 				err = r.push(ctx, n, rec)
 			}
-			r.metrics.countAck(n.ID, err == nil)
+			r.metrics.acks.With(n.ID).With(pick(err == nil, "ok", "error")).Inc()
 			hinted := false
 			if err != nil && r.hints != nil {
 				// The hint is journaled on the push goroutine itself, not
@@ -185,7 +189,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 					Target: n.ID, ID: id, Version: version, Payload: payload,
 				}); herr == nil {
 					hinted = true
-					r.selfheal.countHintRecorded()
+					r.selfheal.hintsRecorded.Inc()
 				} else {
 					err = fmt.Errorf("%v (hint journal: %v)", err, herr)
 				}
@@ -211,12 +215,12 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 			// pushes keep running on their own goroutines (results is
 			// buffered) so healthy followers still converge; the ack
 			// returns now.
-			r.metrics.observeQuorum(time.Since(start).Seconds(), true)
+			outcome(true)
 			return nil
 		}
 	}
 	sort.Strings(errs)
-	r.metrics.observeQuorum(time.Since(start).Seconds(), false)
+	outcome(false)
 	return &QuorumError{Acks: acks, Hinted: hinted, Quorum: r.m.WriteQuorum, Errs: errs}
 }
 
@@ -247,85 +251,30 @@ func (r *Replicator) push(ctx context.Context, n Node, rec []byte) error {
 	return last
 }
 
-// ReplMetrics counts the shard-side replication work; granula-serve
-// appends it to /metrics as the granula_replication_* family.
+// ReplMetrics declares the shard-side replication counters;
+// granula-serve appends them to /metrics as the granula_replication_*
+// family, shards sorted so the output is byte-deterministic.
 type ReplMetrics struct {
-	mu      sync.Mutex
-	acks    map[string]uint64 // follower acks by shard
-	fails   map[string]uint64 // follower failures by shard
-	quorum  metrics.Histogram // quorum wait in seconds
-	reached uint64
-	missed  uint64
+	reg     *metrics.Registry
+	acks    metrics.CounterVec2 // follower pushes by shard and outcome: ok, error
+	seconds *metrics.Histogram  // quorum wait
+
+	// Quorum outcomes.
+	quorumReached *metrics.Counter
+	quorumMissed  *metrics.Counter
 }
 
 // NewReplMetrics returns an empty replication metrics set.
 func NewReplMetrics() *ReplMetrics {
-	return &ReplMetrics{
-		acks:  map[string]uint64{},
-		fails: map[string]uint64{},
-	}
-}
-
-func (m *ReplMetrics) countAck(shard string, ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.acks[shard]++
-	} else {
-		m.fails[shard]++
-	}
-	m.mu.Unlock()
-}
-
-func (m *ReplMetrics) observeQuorum(seconds float64, reached bool) {
-	m.mu.Lock()
-	m.quorum.Observe(seconds)
-	if reached {
-		m.reached++
-	} else {
-		m.missed++
-	}
-	m.mu.Unlock()
-}
-
-// Quorums returns the (reached, missed) quorum outcome counters.
-func (m *ReplMetrics) Quorums() (reached, missed uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reached, m.missed
+	r := metrics.NewRegistry()
+	m := &ReplMetrics{reg: r}
+	m.acks = r.CounterVec2("granula_replication_acks_total", "Follower replication acks by shard and outcome.", "shard", "outcome", "ok", "error")
+	quorum := r.CounterVec("granula_replication_quorum_total", "Write-quorum outcomes.", "outcome", "reached", "missed")
+	m.quorumReached, m.quorumMissed = quorum.With("reached"), quorum.With("missed")
+	m.seconds = r.Histogram("granula_replication_quorum_seconds", "Wall-clock from local persist to quorum outcome.")
+	return m
 }
 
 // WritePrometheus renders the replication family in Prometheus text
-// format, shards sorted so the output is byte-deterministic.
-func (m *ReplMetrics) WritePrometheus(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fmt.Fprintln(w, "# HELP granula_replication_acks_total Follower replication acks by shard and outcome.")
-	fmt.Fprintln(w, "# TYPE granula_replication_acks_total counter")
-	for _, id := range sortedKeys(m.acks, m.fails) {
-		fmt.Fprintf(w, "granula_replication_acks_total{shard=%q,outcome=\"ok\"} %d\n", id, m.acks[id])
-		fmt.Fprintf(w, "granula_replication_acks_total{shard=%q,outcome=\"error\"} %d\n", id, m.fails[id])
-	}
-	fmt.Fprintln(w, "# HELP granula_replication_quorum_total Write-quorum outcomes.")
-	fmt.Fprintln(w, "# TYPE granula_replication_quorum_total counter")
-	fmt.Fprintf(w, "granula_replication_quorum_total{outcome=\"reached\"} %d\n", m.reached)
-	fmt.Fprintf(w, "granula_replication_quorum_total{outcome=\"missed\"} %d\n", m.missed)
-	fmt.Fprintln(w, "# HELP granula_replication_quorum_seconds Wall-clock from local persist to quorum outcome.")
-	fmt.Fprintln(w, "# TYPE granula_replication_quorum_seconds histogram")
-	m.quorum.Write(w, "granula_replication_quorum_seconds", "")
-}
-
-// sortedKeys merges the key sets of both maps, sorted.
-func sortedKeys(ms ...map[string]uint64) []string {
-	set := map[string]bool{}
-	for _, m := range ms {
-		for k := range m {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// format.
+func (m *ReplMetrics) WritePrometheus(w io.Writer) { m.reg.Write(w) }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // maxProxyBytes caps proxied request bodies, matching the shards' own
@@ -110,6 +112,7 @@ func NewRouter(m *Map, opts RouterOptions) *Router {
 	if mt == nil {
 		mt = NewRouterMetrics()
 	}
+	mt.shardMap.Bind(func(e *metrics.Emitter) { writeShardMap(e, m) })
 	ht := opts.HealthTimeout
 	if ht <= 0 {
 		ht = time.Second
@@ -185,7 +188,10 @@ type proxyResult struct {
 // response. Request latency is recorded against the shard either way.
 func (rt *Router) forward(ctx context.Context, n Node, method, pathq string, body []byte, hdr http.Header) proxyResult {
 	start := time.Now()
-	defer func() { rt.metrics.countRequest(n.ID, time.Since(start).Seconds()) }()
+	defer func() {
+		rt.metrics.requests.With(n.ID).Inc()
+		rt.metrics.latency.With(n.ID).Observe(time.Since(start).Seconds())
+	}()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -278,7 +284,7 @@ func (rt *Router) routeOrder(owners []Node, countPromotions bool) []Node {
 		return owners
 	}
 	if countPromotions && dead[0].ID == owners[0].ID {
-		rt.metrics.countPromotion()
+		rt.metrics.promotions.Inc()
 	}
 	return append(live, dead...)
 }
@@ -328,7 +334,7 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 			break // retry budget spent; answer with the least-bad result
 		}
 		if ctx.Err() != nil {
-			rt.metrics.countExhausted()
+			rt.metrics.exhausted.Inc()
 			writeRouterError(w, http.StatusGatewayTimeout,
 				"deadline exceeded after %d attempts for %s %s", i, method, pathq)
 			return
@@ -344,8 +350,8 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 		if retry && res.err != nil && ctx.Err() != nil {
 			// The transport error is (or masks) the deadline expiring;
 			// report the timeout rather than a misleading 502.
-			rt.metrics.countFailover(n.ID)
-			rt.metrics.countExhausted()
+			rt.metrics.failovers.With(n.ID).Inc()
+			rt.metrics.exhausted.Inc()
 			writeRouterError(w, http.StatusGatewayTimeout,
 				"deadline exceeded after %d attempts for %s %s", i+1, method, pathq)
 			return
@@ -363,13 +369,13 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 		if res.err == nil && res.status == http.StatusNotFound {
 			missed404 = append(missed404, n)
 		}
-		rt.metrics.countFailover(n.ID)
+		rt.metrics.failovers.With(n.ID).Inc()
 		if best == nil || rank(res) > rank(*best) {
 			cp := res
 			best = &cp
 		}
 	}
-	rt.metrics.countExhausted()
+	rt.metrics.exhausted.Inc()
 	if best == nil || best.err != nil {
 		writeRouterError(w, http.StatusBadGateway, "no shard reachable for %s %s", method, pathq)
 		return
@@ -511,12 +517,12 @@ func (rt *Router) probeDivergence(id, pathq, etag string, served, other Node) {
 	hdr.Set("If-None-Match", etag)
 	res := rt.forward(ctx, other, http.MethodGet, pathq, nil, hdr)
 	if res.err != nil {
-		rt.metrics.countProbe(false)
+		rt.metrics.probesClean.Inc()
 		return
 	}
 	divergent := res.status == http.StatusNotFound ||
 		(res.status == http.StatusOK && res.header.Get("ETag") != etag)
-	rt.metrics.countProbe(divergent)
+	pick(divergent, rt.metrics.probesDivergent, rt.metrics.probesClean).Inc()
 	if divergent {
 		rt.repairPair(id, served, other)
 	}
@@ -558,7 +564,7 @@ func (rt *Router) repairPair(id string, a, b Node) {
 // pushRepair replicates a record onto a shard and counts the repair.
 func (rt *Router) pushRepair(ctx context.Context, n Node, rec ReplicaRecord) {
 	if rt.peer.replicate(ctx, n, rec) == nil {
-		rt.metrics.countRepair()
+		rt.metrics.repairs.Inc()
 	}
 }
 
@@ -697,12 +703,13 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		start := time.Now()
 		resp, err := rt.streamClient.Do(req)
-		rt.metrics.countRequest(n.ID, time.Since(start).Seconds())
+		rt.metrics.requests.With(n.ID).Inc()
+		rt.metrics.latency.With(n.ID).Observe(time.Since(start).Seconds())
 		if rt.det != nil {
 			rt.det.Observe(n.ID, err == nil)
 		}
 		if err != nil {
-			rt.metrics.countFailover(n.ID)
+			rt.metrics.failovers.With(n.ID).Inc()
 			if best == nil {
 				best = &proxyResult{node: n, err: err}
 			}
@@ -714,7 +721,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			res := proxyResult{node: n, status: resp.StatusCode, header: resp.Header, body: buf}
 			if resp.StatusCode >= 500 || retriableStatus(resp.StatusCode) {
-				rt.metrics.countFailover(n.ID)
+				rt.metrics.failovers.With(n.ID).Inc()
 				if best == nil || best.err != nil || best.status >= 500 {
 					best = &res
 				}
@@ -749,7 +756,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	rt.metrics.countExhausted()
+	rt.metrics.exhausted.Inc()
 	if best == nil || best.err != nil {
 		writeRouterError(w, http.StatusBadGateway, "no shard reachable for GET %s", pathq)
 		return
@@ -863,5 +870,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.WritePrometheus(w, rt.m.Version, len(rt.m.Shards))
+	rt.metrics.WritePrometheus(w)
 }

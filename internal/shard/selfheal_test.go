@@ -190,13 +190,13 @@ func TestDetectorHysteresis(t *testing.T) {
 		t.Fatalf("after 2 hits: %v, want up", got)
 	}
 
-	if got := met.Transitions(NodeSuspect); got != 1 {
+	if got := met.transitions.With(NodeSuspect.String()).Value(); got != 1 {
 		t.Fatalf("suspect transitions = %d, want 1", got)
 	}
-	if got := met.Transitions(NodeDown); got != 1 {
+	if got := met.transitions.With(NodeDown.String()).Value(); got != 1 {
 		t.Fatalf("down transitions = %d, want 1", got)
 	}
-	if got := met.Transitions(NodeUp); got != 1 {
+	if got := met.transitions.With(NodeUp.String()).Value(); got != 1 {
 		t.Fatalf("up transitions = %d, want 1", got)
 	}
 
@@ -302,10 +302,10 @@ func TestDetectorFlapNeverReachesDown(t *testing.T) {
 			t.Fatalf("round %d: state after recovery = %v, want up", round, got)
 		}
 	}
-	if got := met.Transitions(NodeDown); got != 0 {
+	if got := met.transitions.With(NodeDown.String()).Value(); got != 0 {
 		t.Fatalf("down transitions during flapping = %d, want 0", got)
 	}
-	if got := rt.Metrics().Promotions(); got != 0 {
+	if got := rt.Metrics().promotions.Value(); got != 0 {
 		t.Fatalf("promotions during flapping = %d, want 0", got)
 	}
 }
@@ -429,10 +429,9 @@ func TestReplicatorSloppyQuorum(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "recorded hint counters", func() bool {
-		recorded, _ := sh.Hints()
-		return recorded == 2
+		return sh.hintsRecorded.Value() == 2
 	})
-	if reached, missed := rep.Metrics().Quorums(); reached != 1 || missed != 0 {
+	if reached, missed := rep.Metrics().quorumReached.Value(), rep.Metrics().quorumMissed.Value(); reached != 1 || missed != 0 {
 		t.Fatalf("quorum outcomes = (%d reached, %d missed), want (1, 0)", reached, missed)
 	}
 }
@@ -511,7 +510,7 @@ func TestDrainerReplaysHints(t *testing.T) {
 	if got := journal.HintCount(); got != 1 { // the ghost hint remains
 		t.Fatalf("pending after drain = %d, want 1 (the unroutable ghost)", got)
 	}
-	if _, drained := sh.Hints(); drained != 3 {
+	if drained := sh.hintsDrained.Value(); drained != 3 {
 		t.Fatalf("drained counter = %d, want 3", drained)
 	}
 	// The replayed bytes are the journaled payloads verbatim.
@@ -639,7 +638,7 @@ func TestAntiEntropyConverges(t *testing.T) {
 	if p, q := ae.SweepOnce(context.Background()); p != 0 || q != 0 {
 		t.Fatalf("second sweep = (%d, %d), want (0, 0)", p, q)
 	}
-	if sweeps, _, _ := sh.Sweeps(); sweeps != 2 {
+	if sweeps := sh.sweeps.Value(); sweeps != 2 {
 		t.Fatalf("sweep counter = %d, want 2", sweeps)
 	}
 }
@@ -736,8 +735,8 @@ func TestRouterRetryBudgetBoundsFailover(t *testing.T) {
 		if total != tc.attempts {
 			t.Fatalf("budget %d: %d shard attempts, want %d", tc.budget, total, tc.attempts)
 		}
-		if got := rt.Metrics().Failovers(); got != uint64(tc.attempts) {
-			t.Fatalf("budget %d: failover counter = %d, want %d", tc.budget, got, tc.attempts)
+		if got := MetricSum(t, rt.Metrics().WritePrometheus, "granula_router_failovers_total"); got != float64(tc.attempts) {
+			t.Fatalf("budget %d: failover counter = %v, want %d", tc.budget, got, tc.attempts)
 		}
 	}
 }
@@ -835,7 +834,7 @@ func TestRouterPromotesPastDownPrimary(t *testing.T) {
 	if got := byID(shards, primary.ID).submittedIDs(); len(got) != 0 {
 		t.Fatalf("down primary still saw submits %v", got)
 	}
-	if got := rt.Metrics().Promotions(); got != 1 {
+	if got := rt.Metrics().promotions.Value(); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 
@@ -866,35 +865,37 @@ func TestRouterPromotesPastDownPrimary(t *testing.T) {
 // ---------------------------------------------------------------------
 // Metrics exposition.
 
+// TestSelfHealMetricsExposition: the two sampled families are absent
+// until their sampler is bound, then read the live detector and journal.
+// (The format is pinned by TestMetricsGoldenShardNode.)
 func TestSelfHealMetricsExposition(t *testing.T) {
-	m := detectorMap(t, "s1", "s2")
 	sh := NewSelfHealMetrics()
-	d := NewDetector(m, "", DetectorOptions{Metrics: sh})
+	d := NewDetector(detectorMap(t, "s1", "s2"), "", DetectorOptions{Metrics: sh})
 	defer d.Close()
+	var buf bytes.Buffer
+	sh.WritePrometheus(&buf)
+	for _, absent := range []string{"granula_selfheal_hints_pending", "granula_selfheal_node_state"} {
+		if strings.Contains(buf.String(), absent) {
+			t.Errorf("%s exposed before its sampler was bound", absent)
+		}
+	}
+
 	sh.SetDetector(d)
 	sh.SetHintGauge(func() int { return 7 })
 	for i := 0; i < 4; i++ {
 		d.Observe("s2", false)
 	}
-	sh.countHintRecorded()
-	sh.countHintDrain(true)
-	sh.countSweep(2, 1)
-
-	var buf bytes.Buffer
-	sh.WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`granula_selfheal_detector_transitions_total{to="down"} 1`,
-		`granula_selfheal_hints_total{event="recorded"} 1`,
-		`granula_selfheal_hints_total{event="drained"} 1`,
-		`granula_selfheal_hints_pending 7`,
-		`granula_selfheal_antientropy_total{event="sweeps"} 1`,
-		`granula_selfheal_antientropy_total{event="pushed"} 2`,
-		`granula_selfheal_node_state{node="s1"} 0`,
-		`granula_selfheal_node_state{node="s2"} 2`,
+	for _, tc := range []struct {
+		name, match string
+		want        float64
+	}{
+		{"granula_selfheal_detector_transitions_total", `to="down"`, 1},
+		{"granula_selfheal_hints_pending", "", 7},
+		{"granula_selfheal_node_state", `node="s1"`, 0},
+		{"granula_selfheal_node_state", `node="s2"`, 2},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
+		if got := MetricSum(t, sh.WritePrometheus, tc.name, tc.match); got != tc.want {
+			t.Errorf("%s{%s} = %v, want %v", tc.name, tc.match, got, tc.want)
 		}
 	}
 }
