@@ -119,8 +119,12 @@ func TestLoadMapFromFlagAndFile(t *testing.T) {
 	if len(m2.Shards) != 3 || m2.Replication != 3 || m2.WriteQuorum != 2 || m2.Version != 7 {
 		t.Fatalf("map from -map file wrong: %+v", m2)
 	}
-	if m.Ring().Primary("job-0001") != m2.Ring().Primary("job-0001") {
-		t.Fatal("flag-built and file-built maps disagree on placement")
+	blob2, err := json.Marshal(m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, blob2) {
+		t.Fatalf("flag-built and file-built maps differ:\n%s\n%s", blob, blob2)
 	}
 }
 
@@ -178,10 +182,13 @@ func (l *syncLog) String() string {
 // loop through it — submit, poll until done, read the archive — and
 // stops it the way SIGTERM does: cancel, exit 0.
 func TestRouterServeSmoke(t *testing.T) {
-	store := service.NewStore()
+	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	metrics := service.NewMetrics()
-	exec := service.NewExecutor(2, 8, store, metrics)
-	backend := httptest.NewServer(service.NewServer(exec, store, metrics).Handler())
+	exec := service.NewExecutorWith(2, 8, store, metrics, service.ExecutorOptions{})
+	backend := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())
 	defer func() {
 		backend.Close()
 		exec.Shutdown(context.Background())

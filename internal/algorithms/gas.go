@@ -19,7 +19,7 @@ func (b GASBFS) Init(v graph.VertexID, _ *graph.Graph) (float64, bool) {
 	if v == b.Source {
 		return 0, true
 	}
-	return Unreached, false
+	return unreached, false
 }
 
 // GatherDir implements gas.Program.
@@ -60,7 +60,7 @@ func (s GASSSSP) Init(v graph.VertexID, _ *graph.Graph) (float64, bool) {
 	if v == s.Source {
 		return 0, true
 	}
-	return Unreached, false
+	return unreached, false
 }
 
 // GatherDir implements gas.Program.

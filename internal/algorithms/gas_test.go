@@ -27,7 +27,7 @@ func runGAS(t *testing.T, ds *datagen.Dataset, prog gas.Program) []float64 {
 	deps := gas.Deps{
 		Cluster:    c,
 		Store:      store,
-		MPI:        mpi.DefaultConfig(),
+		MPI:        mpi.Config{SpawnLatency: 0.15, MsgOverheadBytes: 64, FinalizeLatency: 0.2},
 		InputPath:  "/in",
 		OutputPath: "/out",
 	}
@@ -37,7 +37,7 @@ func runGAS(t *testing.T, ds *datagen.Dataset, prog gas.Program) []float64 {
 	cfg := gas.Config{
 		Machines: 4, LoadThreads: 4, ComputeThreads: 4,
 		CutStrategy: graph.VertexCutHash, MaxIterations: 500,
-		ChunkBytes: 64 << 10, WorkScale: 1, Costs: gas.DefaultCostModel(),
+		ChunkBytes: 64 << 10, WorkScale: 1, Costs: gas.CostModel{},
 	}
 	em := trace.NewEmitter(trace.NewLog(), "gas-alg-test", eng.Now)
 	var values []float64

@@ -14,8 +14,8 @@ import (
 	"repro/internal/pregel"
 )
 
-// Unreached is the vertex value of vertices not reached by a traversal.
-var Unreached = math.Inf(1)
+// unreached is the vertex value of vertices not reached by a traversal.
+var unreached = math.Inf(1)
 
 // PregelBFS is breadth-first search from Source: the vertex value becomes
 // the hop distance from the source, or +Inf if unreached. Use
@@ -31,7 +31,7 @@ func (b PregelBFS) Compute(ctx *pregel.Context, msgs []float64) {
 			ctx.SetValue(0)
 			ctx.SendToAllNeighbors(1)
 		} else {
-			ctx.SetValue(Unreached)
+			ctx.SetValue(unreached)
 		}
 		ctx.VoteToHalt()
 		return
@@ -78,7 +78,7 @@ func (s PregelSSSP) Compute(ctx *pregel.Context, msgs []float64) {
 			ctx.SetValue(0)
 			relax(0)
 		} else {
-			ctx.SetValue(Unreached)
+			ctx.SetValue(unreached)
 		}
 		ctx.VoteToHalt()
 		return

@@ -29,7 +29,7 @@ func runPregel(t *testing.T, ds *datagen.Dataset, prog pregel.Program, combiner 
 		Cluster:    c,
 		RM:         yarn.NewResourceManager(c, yarn.Config{SubmitLatency: 0.1, AllocLatency: 0.01, LaunchLatency: 0.1, LaunchCPUSeconds: 0.05, ReleaseLatency: 0.05}),
 		HDFS:       h,
-		ZK:         zookeeper.NewService(c.Node(0), zookeeper.DefaultConfig()),
+		ZK:         zookeeper.NewService(c.Node(0), zookeeper.Config{OpLatency: 0.004, OpCPUSeconds: 0.0005, ConnectLatency: 0.05}),
 		InputPath:  "/in",
 		OutputPath: "/out",
 	}
@@ -39,7 +39,7 @@ func runPregel(t *testing.T, ds *datagen.Dataset, prog pregel.Program, combiner 
 	cfg := pregel.Config{
 		Workers: 4, ComputeThreads: 4, ParseThreads: 4,
 		Combiner: combiner, MaxSupersteps: 500, WorkScale: 1,
-		Costs: pregel.DefaultCostModel(),
+		Costs: pregel.CostModel{},
 	}
 	em := trace.NewEmitter(trace.NewLog(), "alg-test", eng.Now)
 	var values []float64

@@ -18,7 +18,7 @@ func RefBFS(g *graph.Graph, src graph.VertexID) []float64 {
 	n := g.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
-		dist[i] = Unreached
+		dist[i] = unreached
 	}
 	if n == 0 {
 		return dist
@@ -44,7 +44,7 @@ func RefSSSP(g *graph.Graph, src graph.VertexID) []float64 {
 	n := g.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
-		dist[i] = Unreached
+		dist[i] = unreached
 	}
 	if n == 0 {
 		return dist

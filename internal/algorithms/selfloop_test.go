@@ -24,7 +24,7 @@ func selfLoopDataset(t *testing.T) *datagen.Dataset {
 	}
 	return &datagen.Dataset{
 		Name: "selfloop", Graph: g, Edges: edges, Directed: false,
-		EdgeBytes: datagen.DefaultEdgeBytes,
+		EdgeBytes: 20,
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"sort"
 )
 
-// FormatVersion identifies the archive JSON schema.
-const FormatVersion = 1
+// formatVersion identifies the archive JSON schema.
+const formatVersion = 1
 
 // Archive is a set of analyzed jobs.
 type Archive struct {
@@ -75,16 +75,6 @@ type Operation struct {
 
 // Duration returns the operation's wall time.
 func (o *Operation) Duration() float64 { return o.End - o.Start }
-
-// Parent returns the parent operation, or nil at the root. It is restored
-// by link() after construction or loading.
-func (o *Operation) Parent() *Operation { return o.parent }
-
-// Info returns a recorded info value.
-func (o *Operation) Info(key string) (string, bool) {
-	v, ok := o.Infos[key]
-	return v, ok
-}
 
 // SetDerived records a derived metric on the operation.
 func (o *Operation) SetDerived(key, value string) {
@@ -210,9 +200,9 @@ func (j *Job) FindAll(mission string) []*Operation {
 	return out
 }
 
-// ActiveAt returns the operations whose interval contains time t, in
+// activeAt returns the operations whose interval contains time t, in
 // depth-first order.
-func (j *Job) ActiveAt(t float64) []*Operation {
+func (j *Job) activeAt(t float64) []*Operation {
 	var out []*Operation
 	if j.Root == nil {
 		return out
@@ -225,8 +215,8 @@ func (j *Job) ActiveAt(t float64) []*Operation {
 	return out
 }
 
-// SumDurations totals the durations of a set of operations.
-func SumDurations(ops []*Operation) float64 {
+// sumDurations totals the durations of a set of operations.
+func sumDurations(ops []*Operation) float64 {
 	total := 0.0
 	for _, op := range ops {
 		total += op.Duration()
@@ -236,7 +226,7 @@ func SumDurations(ops []*Operation) float64 {
 
 // New returns an empty archive at the current format version.
 func New() *Archive {
-	return &Archive{Version: FormatVersion}
+	return &Archive{Version: formatVersion}
 }
 
 // Add appends a job and re-links its operation tree.
@@ -271,7 +261,7 @@ func Load(r io.Reader) (*Archive, error) {
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("archive: decode: %w", err)
 	}
-	if a.Version != FormatVersion {
+	if a.Version != formatVersion {
 		return nil, fmt.Errorf("archive: unsupported format version %d", a.Version)
 	}
 	for _, j := range a.Jobs {

@@ -46,10 +46,10 @@ func TestOperationBasics(t *testing.T) {
 		t.Fatalf("Duration = %v", got)
 	}
 	load := j.Root.Children[1]
-	if v, ok := load.Info("Bytes"); !ok || v != "100" {
+	if v, ok := load.Infos["Bytes"]; !ok || v != "100" {
 		t.Fatalf("Info = %q,%v", v, ok)
 	}
-	if _, ok := load.Info("Missing"); ok {
+	if _, ok := load.Infos["Missing"]; ok {
 		t.Fatal("missing info reported present")
 	}
 	load.SetDerived("Rate", "33")
@@ -61,8 +61,8 @@ func TestOperationBasics(t *testing.T) {
 func TestParentAndPath(t *testing.T) {
 	j := testJob()
 	step := j.Root.Children[2].Children[0]
-	if step.Parent() == nil || step.Parent().Mission != "ProcessGraph" {
-		t.Fatalf("parent = %v", step.Parent())
+	if step.parent == nil || step.parent.Mission != "ProcessGraph" {
+		t.Fatalf("parent = %v", step.parent)
 	}
 	path := step.Path()
 	want := []string{"GiraphJob", "ProcessGraph", "Superstep"}
@@ -107,26 +107,26 @@ func TestFindAllAndWalk(t *testing.T) {
 
 func TestActiveAt(t *testing.T) {
 	j := testJob()
-	ops := j.ActiveAt(6)
+	ops := j.activeAt(6)
 	missions := map[string]bool{}
 	for _, op := range ops {
 		missions[op.Mission] = true
 	}
 	if !missions["GiraphJob"] || !missions["ProcessGraph"] || !missions["Superstep"] {
-		t.Fatalf("ActiveAt(6) = %v", missions)
+		t.Fatalf("activeAt(6) = %v", missions)
 	}
 	if missions["Startup"] || missions["Cleanup"] {
-		t.Fatalf("ActiveAt(6) includes inactive ops: %v", missions)
+		t.Fatalf("activeAt(6) includes inactive ops: %v", missions)
 	}
 }
 
 func TestSumDurations(t *testing.T) {
 	j := testJob()
-	if got := SumDurations(j.Root.Children); got != 10 {
-		t.Fatalf("SumDurations = %v", got)
+	if got := sumDurations(j.Root.Children); got != 10 {
+		t.Fatalf("sumDurations = %v", got)
 	}
-	if got := SumDurations(nil); got != 0 {
-		t.Fatalf("SumDurations(nil) = %v", got)
+	if got := sumDurations(nil); got != 0 {
+		t.Fatalf("sumDurations(nil) = %v", got)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestArchiveSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Parent links restored.
 	steps := j.Find("GiraphJob", "ProcessGraph", "Superstep")
-	if len(steps) != 2 || steps[0].Parent() == nil {
+	if len(steps) != 2 || steps[0].parent == nil {
 		t.Fatal("links not restored after load")
 	}
 	if len(j.EnvSamples) != 2 {

@@ -117,7 +117,7 @@ func TestWalkVisitsEveryOpOnceProperty(t *testing.T) {
 	}
 }
 
-// TestActiveAtConsistencyProperty: every operation returned by ActiveAt(t)
+// TestActiveAtConsistencyProperty: every operation returned by activeAt(t)
 // indeed contains t, and the root is always active inside its interval.
 func TestActiveAtConsistencyProperty(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -127,7 +127,7 @@ func TestActiveAtConsistencyProperty(t *testing.T) {
 		job.Root.link(nil)
 		for trial := 0; trial < 10; trial++ {
 			at := rng.Float64() * 100
-			ops := job.ActiveAt(at)
+			ops := job.activeAt(at)
 			for _, op := range ops {
 				if at < op.Start || at >= op.End {
 					return false

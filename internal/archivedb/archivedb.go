@@ -56,10 +56,10 @@ type FaultInjector interface {
 
 // Injection sites threaded through the engine.
 const (
-	// SiteAppend guards every WAL append (Put, Delete, Probe).
-	SiteAppend = "archivedb.append"
-	// SiteRead guards every record read (Get).
-	SiteRead = "archivedb.read"
+	// siteAppend guards every WAL append (Put, Delete, Probe).
+	siteAppend = "archivedb.append"
+	// siteRead guards every record read (Get).
+	siteRead = "archivedb.read"
 )
 
 // Options tunes the engine. The zero value selects the durable
@@ -85,7 +85,7 @@ type Options struct {
 	// MaxRecordBytes bounds a single record; reads also use it to
 	// reject absurd lengths from corrupt frame headers.
 	MaxRecordBytes int64
-	// NoBackground disables the compaction goroutine; Compact can
+	// NoBackground disables the compaction goroutine; compact can
 	// still be called manually (deterministic tests). The group-commit
 	// committer goroutine always runs: it is the write path.
 	NoBackground bool
@@ -163,8 +163,8 @@ type recordLoc struct {
 	meta IndexMeta
 }
 
-// ErrClosed is returned by operations on a closed DB.
-var ErrClosed = fmt.Errorf("archivedb: database is closed")
+// errClosed is returned by operations on a closed DB.
+var errClosed = fmt.Errorf("archivedb: database is closed")
 
 // DB is the storage engine handle. All methods are safe for concurrent
 // use; writes are serialized (single-writer), reads run concurrently.
@@ -445,10 +445,10 @@ func (db *DB) appendLocked(frame []byte) (int64, error) {
 	}
 	off := db.activeSize
 	if inj := db.opts.Injector; inj != nil {
-		if err := inj.Fail(SiteAppend); err != nil {
+		if err := inj.Fail(siteAppend); err != nil {
 			return 0, fmt.Errorf("archivedb: append: %w", err)
 		}
-		torn, err := inj.Mangle(SiteAppend, frame)
+		torn, err := inj.Mangle(siteAppend, frame)
 		if err != nil {
 			// Torn write: persist the prefix exactly as a crash mid-write
 			// would, without advancing activeSize — the next successful
@@ -550,7 +550,7 @@ func (db *DB) Delete(id string) error {
 	_, present := db.index[id]
 	db.mu.RUnlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	if !present {
 		return nil
@@ -568,7 +568,7 @@ func (db *DB) Delete(id string) error {
 	// never resurrect a deleted job. Readers only consult segments for
 	// ids still in the index, and the compaction sweep mops up if this
 	// removal loses a race or crashes — so best-effort is safe here.
-	return db.DeleteSegment(id)
+	return db.deleteSegment(id)
 }
 
 // Get returns the payload stored under id. The read re-verifies the
@@ -578,14 +578,14 @@ func (db *DB) Get(id string) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return nil, false, ErrClosed
+		return nil, false, errClosed
 	}
 	loc, ok := db.index[id]
 	if !ok {
 		return nil, false, nil
 	}
 	if inj := db.opts.Injector; inj != nil {
-		if err := inj.Fail(SiteRead); err != nil {
+		if err := inj.Fail(siteRead); err != nil {
 			return nil, false, fmt.Errorf("archivedb: read %q: %w", id, err)
 		}
 	}
@@ -606,14 +606,6 @@ func (db *DB) Get(id string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("archivedb: index points record %q at a frame for %q", id, env.ID)
 	}
 	return data, true, nil
-}
-
-// Meta returns the secondary-index metadata stored with id.
-func (db *DB) Meta(id string) (IndexMeta, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	loc, ok := db.index[id]
-	return loc.meta, ok
 }
 
 // readFileLocked returns a handle for reading a segment. The active
@@ -648,13 +640,6 @@ func (db *DB) IDs() []string {
 	return out
 }
 
-// Len returns the number of live records.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.index)
-}
-
 // Probe appends (and, unless NoSync, fsyncs) an empty probe record,
 // exercising the same write path as Put: segment rotation, the fault
 // injector, and the disk itself. It is how a circuit breaker's
@@ -667,16 +652,6 @@ func (db *DB) Probe() error {
 		return err
 	}
 	return db.appendShared(frame, nil)
-}
-
-// Snapshot forces an index snapshot now.
-func (db *DB) Snapshot() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.writeSnapshotLocked()
 }
 
 // Stats returns a point-in-time copy of the engine counters.
@@ -700,7 +675,7 @@ func (db *DB) Stats() Stats {
 }
 
 // Close stops background compaction, writes a final snapshot, and
-// closes every file. Further operations return ErrClosed.
+// closes every file. Further operations return errClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {

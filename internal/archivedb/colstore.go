@@ -55,7 +55,7 @@ func (db *DB) checkOpen() error {
 	closed := db.closed
 	db.mu.RUnlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	return nil
 }
@@ -132,8 +132,8 @@ func (db *DB) GetSegmentTail(id string, maxBytes int) ([]byte, int64, bool, erro
 	return tail, size, true, nil
 }
 
-// DeleteSegment removes id's segment if present.
-func (db *DB) DeleteSegment(id string) error {
+// deleteSegment removes id's segment if present.
+func (db *DB) deleteSegment(id string) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}

@@ -39,10 +39,10 @@ func TestSegmentPutGetDelete(t *testing.T) {
 		t.Fatalf("missing segment: ok=%v err=%v", ok, err)
 	}
 	// Delete is idempotent.
-	if err := db.DeleteSegment("job/α 1"); err != nil {
+	if err := db.deleteSegment("job/α 1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DeleteSegment("job/α 1"); err != nil {
+	if err := db.deleteSegment("job/α 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := db.GetSegment("job/α 1"); ok {
@@ -150,7 +150,7 @@ func TestCompactSweepsOrphanSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.Compact(); err != nil {
+	if err := db.compact(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := db.GetSegment("ghost"); ok {
@@ -190,16 +190,16 @@ func TestSegmentOpsOnClosedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	if err := db.PutSegment("x", []byte("y")); err != ErrClosed {
+	if err := db.PutSegment("x", []byte("y")); err != errClosed {
 		t.Fatalf("PutSegment on closed db: %v", err)
 	}
-	if _, _, err := db.GetSegment("x"); err != ErrClosed {
+	if _, _, err := db.GetSegment("x"); err != errClosed {
 		t.Fatalf("GetSegment on closed db: %v", err)
 	}
-	if _, _, _, err := db.GetSegmentTail("x", 10); err != ErrClosed {
+	if _, _, _, err := db.GetSegmentTail("x", 10); err != errClosed {
 		t.Fatalf("GetSegmentTail on closed db: %v", err)
 	}
-	if err := db.DeleteSegment("x"); err != ErrClosed {
+	if err := db.deleteSegment("x"); err != errClosed {
 		t.Fatalf("DeleteSegment on closed db: %v", err)
 	}
 }

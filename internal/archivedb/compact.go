@@ -21,19 +21,19 @@ func (db *DB) compactLoop() {
 			// A failure here leaves the WAL intact (compaction only
 			// removes segments after a successful snapshot), so the
 			// next kick simply retries.
-			db.Compact()
+			db.compact()
 		}
 	}
 }
 
-// Compact rewrites every live record from sealed segments into the
+// compact rewrites every live record from sealed segments into the
 // active segment, snapshots the index, and deletes the sealed
 // segments. Crash safety comes from ordering alone: copies are ordinary
 // appends (old and new versions coexist, replay keeps the newer), and
 // victims are removed only after the copies and the snapshot are on
 // disk. A crash at any point leaves a WAL that replays to the same
 // live set.
-func (db *DB) Compact() error {
+func (db *DB) compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.compactLocked()
@@ -41,7 +41,7 @@ func (db *DB) Compact() error {
 
 func (db *DB) compactLocked() error {
 	if db.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if db.activeSize > segmentHeaderSize {
 		if err := db.rotateLocked(); err != nil {

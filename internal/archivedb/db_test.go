@@ -33,6 +33,14 @@ func metaFor(i int) IndexMeta {
 	}
 }
 
+// metaOf reads the index metadata stored with id.
+func metaOf(db *DB, id string) (IndexMeta, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	loc, ok := db.index[id]
+	return loc.meta, ok
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	db, err := Open(t.TempDir(), testOptions())
 	if err != nil {
@@ -45,8 +53,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Fatalf("put %s: %v", id, err)
 		}
 	}
-	if db.Len() != 20 {
-		t.Fatalf("Len = %d, want 20", db.Len())
+	if len(db.IDs()) != 20 {
+		t.Fatalf("Len = %d, want 20", len(db.IDs()))
 	}
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("job-%02d", i)
@@ -57,7 +65,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("get %s: payload mismatch", id)
 		}
-		meta, ok := db.Meta(id)
+		meta, ok := metaOf(db, id)
 		if !ok || len(meta.Actors) != 2 {
 			t.Fatalf("meta %s: %+v ok=%v", id, meta, ok)
 		}
@@ -98,8 +106,8 @@ func TestSupersedeAndDelete(t *testing.T) {
 	if err := db.Delete("a"); err != nil {
 		t.Fatalf("deleting absent id: %v", err)
 	}
-	if db.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", db.Len())
+	if len(db.IDs()) != 0 {
+		t.Fatalf("Len = %d, want 0", len(db.IDs()))
 	}
 }
 
@@ -126,8 +134,8 @@ func TestReopenRestoresState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.Len() != 29 {
-		t.Fatalf("after reopen Len = %d, want 29", db2.Len())
+	if len(db2.IDs()) != 29 {
+		t.Fatalf("after reopen Len = %d, want 29", len(db2.IDs()))
 	}
 	// Close wrote a snapshot, so reopen should restore from it without
 	// replaying records.
@@ -148,7 +156,7 @@ func TestReopenRestoresState(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("reopen get %s: ok=%v err=%v", id, ok, err)
 		}
-		if meta, _ := db2.Meta(id); len(meta.Missions) != 1 || meta.Missions[0] != fmt.Sprintf("M%d", i) {
+		if meta, _ := metaOf(db2, id); len(meta.Missions) != 1 || meta.Missions[0] != fmt.Sprintf("M%d", i) {
 			t.Fatalf("reopen meta %s: %+v", id, meta)
 		}
 	}
@@ -216,8 +224,8 @@ func TestCorruptSnapshotIsDiscarded(t *testing.T) {
 	if !st.SnapshotDiscarded {
 		t.Fatal("corrupt snapshot not flagged as discarded")
 	}
-	if db2.Len() != 5 || st.RecoveredRecords != 5 {
-		t.Fatalf("fallback replay: len=%d replayed=%d, want 5/5", db2.Len(), st.RecoveredRecords)
+	if len(db2.IDs()) != 5 || st.RecoveredRecords != 5 {
+		t.Fatalf("fallback replay: len=%d replayed=%d, want 5/5", len(db2.IDs()), st.RecoveredRecords)
 	}
 }
 
@@ -239,7 +247,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	if before.DeadBytes == 0 {
 		t.Fatal("expected dead bytes before compaction")
 	}
-	if err := db.Compact(); err != nil {
+	if err := db.compact(); err != nil {
 		t.Fatal(err)
 	}
 	after := db.Stats()
@@ -295,7 +303,7 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	// The kick is asynchronous; Close drains the compactor goroutine,
 	// so sample stats after a manual compact to make the test
 	// deterministic while still exercising the background path.
-	if err := db.Compact(); err != nil {
+	if err := db.compact(); err != nil {
 		t.Fatal(err)
 	}
 	if st := db.Stats(); st.Compactions == 0 {
@@ -327,10 +335,10 @@ func TestClosedDB(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := db.Put("x", []byte("y"), IndexMeta{}); err != ErrClosed {
+	if err := db.Put("x", []byte("y"), IndexMeta{}); err != errClosed {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := db.Get("x"); err != ErrClosed {
+	if _, _, err := db.Get("x"); err != errClosed {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
 	}
 }
@@ -369,7 +377,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if db.Len() != jobs {
-		t.Fatalf("Len = %d, want %d", db.Len(), jobs)
+	if len(db.IDs()) != jobs {
+		t.Fatalf("Len = %d, want %d", len(db.IDs()), jobs)
 	}
 }

@@ -36,7 +36,7 @@ func (db *DB) appendShared(frame []byte, apply func(seg uint64, off int64)) erro
 	db.gcMu.Lock()
 	if db.gcClosed {
 		db.gcMu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	db.gcQueue = append(db.gcQueue, req)
 	db.gcMu.Unlock()
@@ -62,7 +62,7 @@ func (db *DB) commitLoop() {
 			db.gcQueue = nil
 			db.gcMu.Unlock()
 			for _, r := range rest {
-				r.err = ErrClosed
+				r.err = errClosed
 				close(r.done)
 			}
 			return
@@ -128,7 +128,7 @@ func (db *DB) waitQueueSettled() {
 func (db *DB) flushBatchLocked(batch []*commitReq) {
 	if db.closed {
 		for _, r := range batch {
-			r.err = ErrClosed
+			r.err = errClosed
 		}
 		return
 	}
@@ -191,11 +191,11 @@ func (db *DB) flushBatchLocked(batch []*commitReq) {
 			}
 		}
 		if inj := db.opts.Injector; inj != nil {
-			if err := inj.Fail(SiteAppend); err != nil {
+			if err := inj.Fail(siteAppend); err != nil {
 				r.err = fmt.Errorf("archivedb: append: %w", err)
 				continue
 			}
-			torn, err := inj.Mangle(SiteAppend, r.frame)
+			torn, err := inj.Mangle(siteAppend, r.frame)
 			if err != nil {
 				// Flush what's buffered so the torn prefix lands at the
 				// exact offset a crash mid-write would have torn.

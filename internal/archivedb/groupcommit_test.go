@@ -38,8 +38,8 @@ func TestGroupCommitConcurrentPuts(t *testing.T) {
 	}
 	wg.Wait()
 
-	if db.Len() != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", db.Len(), writers*perWriter)
+	if len(db.IDs()) != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", len(db.IDs()), writers*perWriter)
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
@@ -143,8 +143,8 @@ func TestGroupCommitBatchSpansRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.Len() != writers {
-		t.Fatalf("after reopen Len = %d, want %d", db2.Len(), writers)
+	if len(db2.IDs()) != writers {
+		t.Fatalf("after reopen Len = %d, want %d", len(db2.IDs()), writers)
 	}
 	for w := 0; w < writers; w++ {
 		got, ok, err := db2.Get(fmt.Sprintf("w%02d", w))
@@ -160,11 +160,10 @@ func TestGroupCommitBatchSpansRotation(t *testing.T) {
 // record may resurface.
 func TestGroupCommitFaultIsolation(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Config{
-		Seed:  7,
-		Kinds: []faults.Kind{faults.KindError, faults.KindTorn},
-		Sites: map[string]float64{SiteAppend: 0.4},
-	})
+	inj, err := faults.Parse("rate=0,seed=7,kinds=error+torn,sites=" + siteAppend + ":0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := testOptions()
 	opts.SegmentSize = 2048
 	opts.GroupCommitWindow = time.Millisecond
@@ -204,8 +203,8 @@ func TestGroupCommitFaultIsolation(t *testing.T) {
 				}
 			}
 		}
-		if d.Len() > writers*perWriter {
-			t.Fatalf("%s: Len = %d beyond %d attempts", stage, d.Len(), writers*perWriter)
+		if len(d.IDs()) > writers*perWriter {
+			t.Fatalf("%s: Len = %d beyond %d attempts", stage, len(d.IDs()), writers*perWriter)
 		}
 		if n == 0 {
 			t.Fatalf("%s: every Put failed; fault rate too high for the test to mean anything", stage)
@@ -272,7 +271,7 @@ func TestGroupCommitCloseUnblocksWriters(t *testing.T) {
 				t.Fatalf("acked %s lost across Close/reopen: ok=%v err=%v", id, ok, err)
 			}
 		default:
-			if errs[w] != ErrClosed {
+			if errs[w] != errClosed {
 				t.Fatalf("put %s: unexpected error %v", id, errs[w])
 			}
 		}
@@ -307,8 +306,8 @@ func TestGroupCommitDeleteVisibility(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if db.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", db.Len())
+	if len(db.IDs()) != 5 {
+		t.Fatalf("Len = %d, want 5", len(db.IDs()))
 	}
 	for i := 0; i < 10; i++ {
 		_, ok, err := db.Get(fmt.Sprintf("k%d", i))

@@ -298,8 +298,8 @@ func TestSnapshotAheadOfTornTail(t *testing.T) {
 	if !st.SnapshotDiscarded {
 		t.Fatal("stale snapshot pointing past the torn tail was trusted")
 	}
-	if db2.Len() != 5 {
-		t.Fatalf("Len = %d, want the 5 surviving records", db2.Len())
+	if len(db2.IDs()) != 5 {
+		t.Fatalf("Len = %d, want the 5 surviving records", len(db2.IDs()))
 	}
 	for i := 0; i < 5; i++ {
 		got, ok, err := db2.Get(fmt.Sprintf("job-%d", i))

@@ -54,8 +54,8 @@ type Segment struct {
 	End   float64
 }
 
-// Duration returns the segment length.
-func (s Segment) Duration() float64 { return s.End - s.Start }
+// duration returns the segment length.
+func (s Segment) duration() float64 { return s.End - s.Start }
 
 // MissionShare aggregates blocking-chain time per mission.
 type MissionShare struct {
@@ -69,13 +69,12 @@ type Kind string
 
 // Finding kinds.
 const (
-	KindDominant     Kind = "dominant-operation"
-	KindImbalance    Kind = "imbalance"
-	KindIdle         Kind = "latency-bound"
-	KindSaturation   Kind = "cpu-saturated"
-	KindDiskBound    Kind = "disk-saturated"
-	KindSharedFSHot  Kind = "sharedfs-saturated"
-	KindSingleLoader Kind = "single-node-hotspot"
+	kindDominant     Kind = "dominant-operation"
+	kindImbalance    Kind = "imbalance"
+	kindIdle         Kind = "latency-bound"
+	kindSaturation   Kind = "cpu-saturated"
+	kindSharedFSHot  Kind = "sharedfs-saturated"
+	kindSingleLoader Kind = "single-node-hotspot"
 )
 
 // Finding is one ranked choke-point.
@@ -124,7 +123,7 @@ func Analyze(job *archive.Job, opts Options) (*Report, error) {
 
 	shares := map[string]float64{}
 	for _, seg := range r.Chain {
-		shares[seg.Op.Mission] += seg.Duration()
+		shares[seg.Op.Mission] += seg.duration()
 	}
 	for mission, secs := range shares {
 		share := MissionShare{Mission: mission, Seconds: secs}
@@ -208,7 +207,7 @@ func dominantFindings(r *Report, opts Options) []Finding {
 			continue
 		}
 		out = append(out, Finding{
-			Kind:          KindDominant,
+			Kind:          kindDominant,
 			Mission:       share.Mission,
 			ImpactSeconds: share.Seconds,
 			ImpactPercent: share.Percent,
@@ -260,7 +259,7 @@ func imbalanceFindings(job *archive.Job, opts Options) []Finding {
 	var out []Finding
 	for mission, secs := range impact {
 		f := Finding{
-			Kind:          KindImbalance,
+			Kind:          kindImbalance,
 			Mission:       mission,
 			ImpactSeconds: secs,
 			Detail: fmt.Sprintf("%s is imbalanced across actors (worst straggler %.2fx the mean); "+
@@ -299,11 +298,11 @@ func resourceFindings(job *archive.Job, opts Options) []Finding {
 		}
 		switch {
 		case opts.CPUCapacity > 0 && rate >= 0.85*opts.CPUCapacity:
-			f.Kind = KindSaturation
+			f.Kind = kindSaturation
 			f.Detail = fmt.Sprintf("%s runs CPU-saturated (%.1f of %.1f cpu-s/s): compute-bound — "+
 				"more cores or cheaper per-unit work would help", op.Mission, rate, opts.CPUCapacity)
 		case opts.CPUCapacity > 0 && rate <= 0.05*opts.CPUCapacity:
-			f.Kind = KindIdle
+			f.Kind = kindIdle
 			f.Detail = fmt.Sprintf("%s leaves the CPU idle (%.1f of %.1f cpu-s/s): latency-bound — "+
 				"look at coordination, provisioning, or I/O waits", op.Mission, rate, opts.CPUCapacity)
 		default:
@@ -350,7 +349,7 @@ func ioFindings(job *archive.Job, opts Options) []Finding {
 			rate := sharedBytes / op.Duration()
 			if rate >= 0.7*opts.SharedFSCapacity {
 				out = append(out, Finding{
-					Kind: KindSharedFSHot, Mission: op.Mission,
+					Kind: kindSharedFSHot, Mission: op.Mission,
 					ImpactSeconds: impact, ImpactPercent: pct,
 					Detail: fmt.Sprintf("%s keeps the shared filesystem at %.0f%% of its bandwidth "+
 						"(%.2e of %.2e B/s): a central storage bottleneck",
@@ -371,7 +370,7 @@ func ioFindings(job *archive.Job, opts Options) []Finding {
 			}
 			if total > 0 && max/total > 0.6 && pct >= 20 {
 				out = append(out, Finding{
-					Kind: KindSingleLoader, Mission: op.Mission,
+					Kind: kindSingleLoader, Mission: op.Mission,
 					ImpactSeconds: impact, ImpactPercent: pct,
 					Detail: fmt.Sprintf("%s runs almost entirely on %s (%.0f%% of all CPU during the "+
 						"operation) while the other %d nodes idle — parallelize this stage",

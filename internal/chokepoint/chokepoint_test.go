@@ -72,11 +72,11 @@ func TestBlockingChainCoversMakespan(t *testing.T) {
 		if seg.Start < last-1e-9 {
 			t.Fatalf("chain overlaps at %v", seg.Start)
 		}
-		if seg.Duration() < 0 {
+		if seg.duration() < 0 {
 			t.Fatalf("negative segment %+v", seg)
 		}
 		last = seg.End
-		total += seg.Duration()
+		total += seg.duration()
 	}
 	if math.Abs(total-20) > 1e-9 {
 		t.Fatalf("chain covers %.2fs, want 20", total)
@@ -129,7 +129,7 @@ func TestImbalanceDetected(t *testing.T) {
 	}
 	var found *Finding
 	for i := range r.Findings {
-		if r.Findings[i].Kind == KindImbalance && r.Findings[i].Mission == "Local" {
+		if r.Findings[i].Kind == kindImbalance && r.Findings[i].Mission == "Local" {
 			found = &r.Findings[i]
 		}
 	}
@@ -150,14 +150,14 @@ func TestResourceClassification(t *testing.T) {
 	}
 	kinds := map[string]Kind{}
 	for _, f := range r.Findings {
-		if f.Kind == KindIdle || f.Kind == KindSaturation {
+		if f.Kind == kindIdle || f.Kind == kindSaturation {
 			kinds[f.Mission] = f.Kind
 		}
 	}
-	if kinds["Startup"] != KindIdle {
+	if kinds["Startup"] != kindIdle {
 		t.Fatalf("Startup classified %v, want idle", kinds["Startup"])
 	}
-	if kinds["LoadGraph"] != KindSaturation {
+	if kinds["LoadGraph"] != kindSaturation {
 		t.Fatalf("LoadGraph classified %v, want saturated", kinds["LoadGraph"])
 	}
 	if _, ok := kinds["ProcessGraph"]; ok {
@@ -223,7 +223,7 @@ func TestSelfTimeAttribution(t *testing.T) {
 	var selfTime float64
 	for _, seg := range r.Chain {
 		if seg.Op.ID == "r" {
-			selfTime += seg.Duration()
+			selfTime += seg.duration()
 		}
 	}
 	if math.Abs(selfTime-4) > 1e-9 {

@@ -32,9 +32,9 @@ type Config struct {
 	NodeNameStart  int
 }
 
-// DefaultConfig returns a DAS5-like 8-node cluster: 24 cores per node,
+// defaultConfig returns a DAS5-like 8-node cluster: 24 cores per node,
 // 500 MB/s local disks, 10 Gbit/s NICs, and a shared filesystem server.
-func DefaultConfig() Config {
+func defaultConfig() Config {
 	return Config{
 		Nodes:             8,
 		CoresPerNode:      24,
@@ -111,16 +111,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Nodes returns all nodes in ID order. The returned slice must not be
 // modified.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// NodeByName returns the node with the given name, or nil.
-func (c *Cluster) NodeByName(name string) *Node {
-	for _, n := range c.nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
 
 // Exec consumes cpuSeconds of single-threaded CPU work on the node,
 // blocking p until it completes under fair sharing.

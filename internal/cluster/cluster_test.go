@@ -34,19 +34,13 @@ func TestClusterConstruction(t *testing.T) {
 	if got := c.Node(3).Name; got != "node103" {
 		t.Fatalf("node 3 name = %q, want node103", got)
 	}
-	if n := c.NodeByName("node102"); n == nil || n.ID != 2 {
-		t.Fatalf("NodeByName(node102) = %v", n)
-	}
-	if n := c.NodeByName("nope"); n != nil {
-		t.Fatalf("NodeByName(nope) = %v, want nil", n)
-	}
 	if len(c.Nodes()) != 4 {
 		t.Fatalf("Nodes() returned %d", len(c.Nodes()))
 	}
 }
 
 func TestDefaultConfigIsPaperScale(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	if cfg.Nodes != 8 {
 		t.Fatalf("default Nodes = %d, want 8 (the paper uses 8 DAS5 nodes)", cfg.Nodes)
 	}

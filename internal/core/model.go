@@ -20,20 +20,20 @@ import (
 type Level int
 
 // Model abstraction levels. Implementation-level operations may nest
-// further; they all share LevelImplementation.
+// further; they all share levelImplementation.
 const (
-	LevelDomain         Level = 1
-	LevelSystem         Level = 2
-	LevelImplementation Level = 3
+	levelDomain         Level = 1
+	levelSystem         Level = 2
+	levelImplementation Level = 3
 )
 
 func (l Level) String() string {
 	switch l {
-	case LevelDomain:
+	case levelDomain:
 		return "domain"
-	case LevelSystem:
+	case levelSystem:
 		return "system"
-	case LevelImplementation:
+	case levelImplementation:
 		return "implementation"
 	default:
 		return fmt.Sprintf("level-%d", int(l))
@@ -82,9 +82,9 @@ type Model struct {
 	Root *OperationSpec
 }
 
-// Validate checks the model's structural sanity: non-empty missions,
+// validate checks the model's structural sanity: non-empty missions,
 // unique sibling missions, monotone levels.
-func (m *Model) Validate() error {
+func (m *Model) validate() error {
 	if m.Root == nil {
 		return fmt.Errorf("core: model %s has no root", m.Platform)
 	}
@@ -110,28 +110,6 @@ func (m *Model) Validate() error {
 		return nil
 	}
 	return check(m.Root, m.Root.Level)
-}
-
-// Find returns the spec with the given mission, or nil.
-func (m *Model) Find(mission string) *OperationSpec {
-	var found *OperationSpec
-	var walk func(*OperationSpec)
-	walk = func(s *OperationSpec) {
-		if found != nil {
-			return
-		}
-		if s.Mission == mission {
-			found = s
-			return
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	if m.Root != nil {
-		walk(m.Root)
-	}
-	return found
 }
 
 // Missions returns every mission in the model, sorted.
@@ -251,7 +229,7 @@ func (m *Model) CheckJob(job *archive.Job) []ConformanceError {
 				// may be instrumented more coarsely than the model, so
 				// absence is only an error for required domain-level
 				// operations, which every conforming job must expose.
-				if !cs.Optional && cs.Level == LevelDomain {
+				if !cs.Optional && cs.Level == levelDomain {
 					errs = append(errs, ConformanceError{
 						OpID: op.ID, Mission: op.Mission,
 						Problem: fmt.Sprintf("modeled child %q missing", mission),

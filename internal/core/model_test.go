@@ -10,7 +10,7 @@ import (
 
 func TestBuiltinModelsValidate(t *testing.T) {
 	for _, m := range []*Model{GiraphModel(), PowerGraphModel(), DomainModel("Job")} {
-		if err := m.Validate(); err != nil {
+		if err := m.validate(); err != nil {
 			t.Fatalf("%s: %v", m.Platform, err)
 		}
 	}
@@ -25,6 +25,10 @@ func TestGiraphModelHasFourLevels(t *testing.T) {
 		t.Fatalf("depth = %d, want >= 4 (the paper's Figure 4)", d)
 	}
 	// The Figure 4 missions must all be present.
+	have := map[string]bool{}
+	for _, mission := range m.Missions() {
+		have[mission] = true
+	}
 	for _, mission := range []string{
 		"GiraphJob", "Startup", "LoadGraph", "ProcessGraph", "OffloadGraph", "Cleanup",
 		"JobStartup", "LaunchWorkers", "LocalStartup", "LocalLoad", "LoadHdfsData",
@@ -32,7 +36,7 @@ func TestGiraphModelHasFourLevels(t *testing.T) {
 		"SyncZookeeper", "LocalOffload", "OffloadHdfsData",
 		"JobCleanup", "AbortWorkers", "ClientCleanup", "ServerCleanup", "ZkCleanup",
 	} {
-		if m.Find(mission) == nil {
+		if !have[mission] {
 			t.Fatalf("mission %s missing from Giraph model", mission)
 		}
 	}
@@ -42,12 +46,16 @@ func TestDomainLevelSharedAcrossModels(t *testing.T) {
 	// The paper's cross-platform comparison requires identical domain
 	// missions in every model.
 	for _, m := range []*Model{GiraphModel(), PowerGraphModel()} {
-		for _, mission := range DomainMissions {
-			spec := m.Find(mission)
+		children := map[string]*OperationSpec{}
+		for _, c := range m.Root.Children {
+			children[c.Mission] = c
+		}
+		for _, mission := range []string{"Startup", "LoadGraph", "ProcessGraph", "OffloadGraph", "Cleanup"} {
+			spec := children[mission]
 			if spec == nil {
 				t.Fatalf("%s: domain mission %s missing", m.Platform, mission)
 			}
-			if spec.Level != LevelDomain {
+			if spec.Level != levelDomain {
 				t.Fatalf("%s: mission %s at level %v, want domain", m.Platform, mission, spec.Level)
 			}
 		}
@@ -56,28 +64,28 @@ func TestDomainLevelSharedAcrossModels(t *testing.T) {
 
 func TestModelValidateCatchesBadModels(t *testing.T) {
 	noRoot := &Model{Platform: "x"}
-	if err := noRoot.Validate(); err == nil {
+	if err := noRoot.validate(); err == nil {
 		t.Fatal("expected error for missing root")
 	}
 	dup := &Model{Platform: "x", Root: &OperationSpec{
-		Mission: "Job", Level: LevelDomain,
+		Mission: "Job", Level: levelDomain,
 		Children: []*OperationSpec{
-			{Mission: "A", Level: LevelSystem},
-			{Mission: "A", Level: LevelSystem},
+			{Mission: "A", Level: levelSystem},
+			{Mission: "A", Level: levelSystem},
 		},
 	}}
-	if err := dup.Validate(); err == nil {
+	if err := dup.validate(); err == nil {
 		t.Fatal("expected error for duplicate sibling missions")
 	}
 	coarser := &Model{Platform: "x", Root: &OperationSpec{
-		Mission: "Job", Level: LevelSystem,
-		Children: []*OperationSpec{{Mission: "A", Level: LevelDomain}},
+		Mission: "Job", Level: levelSystem,
+		Children: []*OperationSpec{{Mission: "A", Level: levelDomain}},
 	}}
-	if err := coarser.Validate(); err == nil {
+	if err := coarser.validate(); err == nil {
 		t.Fatal("expected error for child at coarser level")
 	}
-	unnamed := &Model{Platform: "x", Root: &OperationSpec{Level: LevelDomain}}
-	if err := unnamed.Validate(); err == nil {
+	unnamed := &Model{Platform: "x", Root: &OperationSpec{Level: levelDomain}}
+	if err := unnamed.validate(); err == nil {
 		t.Fatal("expected error for unnamed mission")
 	}
 }
@@ -202,8 +210,8 @@ func TestCheckJobWrongRoot(t *testing.T) {
 }
 
 func TestLevelString(t *testing.T) {
-	if LevelDomain.String() != "domain" || LevelSystem.String() != "system" ||
-		LevelImplementation.String() != "implementation" {
+	if levelDomain.String() != "domain" || levelSystem.String() != "system" ||
+		levelImplementation.String() != "implementation" {
 		t.Fatal("level names wrong")
 	}
 	if Level(9).String() != "level-9" {
@@ -247,17 +255,17 @@ func TestCheckJobErrorsDeterministic(t *testing.T) {
 	model := &Model{
 		Platform: "Det",
 		Root: &OperationSpec{
-			Mission: "Job", ActorType: "Client", Level: LevelDomain,
+			Mission: "Job", ActorType: "Client", Level: levelDomain,
 			Children: []*OperationSpec{
-				{Mission: "Alpha", ActorType: "M", Level: LevelDomain},
-				{Mission: "Beta", ActorType: "M", Level: LevelDomain},
-				{Mission: "Gamma", ActorType: "M", Level: LevelDomain},
-				{Mission: "Delta", ActorType: "M", Level: LevelDomain},
-				{Mission: "Work", ActorType: "W", Level: LevelSystem, PerActor: true},
+				{Mission: "Alpha", ActorType: "M", Level: levelDomain},
+				{Mission: "Beta", ActorType: "M", Level: levelDomain},
+				{Mission: "Gamma", ActorType: "M", Level: levelDomain},
+				{Mission: "Delta", ActorType: "M", Level: levelDomain},
+				{Mission: "Work", ActorType: "W", Level: levelSystem, PerActor: true},
 			},
 		},
 	}
-	if err := model.Validate(); err != nil {
+	if err := model.validate(); err != nil {
 		t.Fatal(err)
 	}
 	job := &archive.Job{

@@ -33,7 +33,7 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler; the decoded model is NOT
-// validated (call Validate).
+// validated (LoadModelJSON does).
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var f modelFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -61,7 +61,7 @@ func LoadModelJSON(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	return &m, nil

@@ -2,19 +2,19 @@ package datagen
 
 import "math/rand"
 
-// Alias is Walker/Vose alias-method sampler: O(n) construction, O(1)
+// alias is a Walker/Vose alias-method sampler: O(n) construction, O(1)
 // sampling from an arbitrary discrete distribution. It backs the Chung–Lu
 // generator, where every edge endpoint is drawn from the Zipf weight
 // vector.
-type Alias struct {
+type alias struct {
 	prob  []float64
 	alias []int
 	rng   *rand.Rand
 }
 
-// NewAlias builds a sampler over the given non-negative weights, which
+// newAlias builds a sampler over the given non-negative weights, which
 // need not be normalized. At least one weight must be positive.
-func NewAlias(weights []float64, rng *rand.Rand) *Alias {
+func newAlias(weights []float64, rng *rand.Rand) *alias {
 	n := len(weights)
 	if n == 0 {
 		panic("datagen: empty weight vector")
@@ -29,7 +29,7 @@ func NewAlias(weights []float64, rng *rand.Rand) *Alias {
 	if total <= 0 {
 		panic("datagen: all weights zero")
 	}
-	a := &Alias{
+	a := &alias{
 		prob:  make([]float64, n),
 		alias: make([]int, n),
 		rng:   rng,
@@ -72,8 +72,8 @@ func NewAlias(weights []float64, rng *rand.Rand) *Alias {
 	return a
 }
 
-// Sample draws one index from the distribution.
-func (a *Alias) Sample() int {
+// sample draws one index from the distribution.
+func (a *alias) sample() int {
 	i := a.rng.Intn(len(a.prob))
 	if a.rng.Float64() < a.prob[i] {
 		return i

@@ -83,9 +83,9 @@ func (d *Dataset) SizeBytes() int64 {
 	return int64(len(d.Edges)) * d.EdgeBytes
 }
 
-// DefaultEdgeBytes is the simulated encoding size per edge: two ~9-digit
+// defaultEdgeBytes is the simulated encoding size per edge: two ~9-digit
 // decimal IDs, a space and a newline.
-const DefaultEdgeBytes = 20
+const defaultEdgeBytes = 20
 
 // Generate produces a dataset from cfg.
 func Generate(cfg Config) (*Dataset, error) {
@@ -145,7 +145,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		Graph:     g,
 		Edges:     edges,
 		Directed:  cfg.Directed,
-		EdgeBytes: DefaultEdgeBytes,
+		EdgeBytes: defaultEdgeBytes,
 	}, nil
 }
 
@@ -159,7 +159,7 @@ func socialNetwork(rng *rand.Rand, n, m int64, s, locality float64, window int64
 	for v := int64(0); v < n; v++ {
 		weights[v] = math.Pow(float64(v+1), -s)
 	}
-	sampler := NewAlias(weights, rng)
+	sampler := newAlias(weights, rng)
 	edges := make([]graph.Edge, 0, m)
 	for int64(len(edges)) < m {
 		var u, v graph.VertexID
@@ -170,8 +170,8 @@ func socialNetwork(rng *rand.Rand, n, m int64, s, locality float64, window int64
 			off := rng.Int63n(2*window+1) - window
 			v = graph.VertexID(((int64(u)+off)%n + n) % n)
 		} else {
-			u = graph.VertexID(sampler.Sample())
-			v = graph.VertexID(sampler.Sample())
+			u = graph.VertexID(sampler.sample())
+			v = graph.VertexID(sampler.sample())
 		}
 		if u == v {
 			continue

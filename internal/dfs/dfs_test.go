@@ -35,25 +35,14 @@ func TestHDFSCreateAndMetadata(t *testing.T) {
 	if !h.Exists("/data/g.e") {
 		t.Fatal("file missing after create")
 	}
-	size, err := h.Size("/data/g.e")
-	if err != nil || size != 250 {
-		t.Fatalf("Size = %d,%v", size, err)
+	if size := h.files["/data/g.e"].size; size != 250 {
+		t.Fatalf("size = %d", size)
 	}
 	if err := h.Create("/data/g.e", 1); err == nil {
 		t.Fatal("duplicate create should fail")
 	}
-	if _, err := h.Size("/nope"); err == nil {
-		t.Fatal("size of missing file should fail")
-	}
-	files := h.Files()
-	if len(files) != 1 || files[0] != "/data/g.e" {
-		t.Fatalf("Files = %v", files)
-	}
-	if err := h.Delete("/data/g.e"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Delete("/data/g.e"); err == nil {
-		t.Fatal("double delete should fail")
+	if len(h.files) != 1 {
+		t.Fatalf("%d files, want 1", len(h.files))
 	}
 }
 
@@ -61,8 +50,8 @@ func TestHDFSReplicationClamped(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
 	h := NewHDFS(c, HDFSConfig{BlockSize: 10, Replication: 99, NameNodeLatency: 0})
-	if h.Config().Replication != c.Size() {
-		t.Fatalf("replication = %d, want clamped to %d", h.Config().Replication, c.Size())
+	if h.cfg.Replication != c.Size() {
+		t.Fatalf("replication = %d, want clamped to %d", h.cfg.Replication, c.Size())
 	}
 }
 
@@ -216,8 +205,8 @@ func TestSharedStoreReadWrite(t *testing.T) {
 	if sz, err := s.Size("/g"); err != nil || sz != 500 {
 		t.Fatalf("Size = %d,%v", sz, err)
 	}
-	if files := s.Files(); len(files) != 1 || files[0] != "/g" {
-		t.Fatalf("Files = %v", files)
+	if len(s.files) != 1 {
+		t.Fatalf("%d files, want 1", len(s.files))
 	}
 }
 
@@ -248,11 +237,5 @@ func TestSharedStoreErrors(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Delete("/g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("/g"); err == nil {
-		t.Fatal("double delete should fail")
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultBlockSize is the HDFS block size in bytes (128 MB).
-const DefaultBlockSize = 128 << 20
+// defaultBlockSize is the HDFS block size in bytes (128 MB).
+const defaultBlockSize = 128 << 20
 
 // HDFSConfig parameterizes the distributed filesystem.
 type HDFSConfig struct {
@@ -30,14 +30,14 @@ type HDFSConfig struct {
 // DefaultHDFSConfig mirrors a stock HDFS deployment.
 func DefaultHDFSConfig() HDFSConfig {
 	return HDFSConfig{
-		BlockSize:       DefaultBlockSize,
+		BlockSize:       defaultBlockSize,
 		Replication:     3,
 		NameNodeLatency: 0.002,
 	}
 }
 
-// Block is one replicated chunk of a file.
-type Block struct {
+// block is one replicated chunk of a file.
+type block struct {
 	Index    int
 	Size     int64
 	Replicas []int // node IDs holding a replica, primary first
@@ -46,7 +46,7 @@ type Block struct {
 // fileMeta is the namenode's record of one file.
 type fileMeta struct {
 	size   int64
-	blocks []Block
+	blocks []block
 }
 
 // HDFS is the distributed filesystem: block placement metadata plus
@@ -74,32 +74,10 @@ func NewHDFS(c *cluster.Cluster, cfg HDFSConfig) *HDFS {
 	return &HDFS{cluster: c, cfg: cfg, files: map[string]*fileMeta{}}
 }
 
-// Config returns the filesystem configuration.
-func (h *HDFS) Config() HDFSConfig { return h.cfg }
-
 // Exists reports whether path is present.
 func (h *HDFS) Exists(path string) bool {
 	_, ok := h.files[path]
 	return ok
-}
-
-// Size returns the file size, or an error if absent.
-func (h *HDFS) Size(path string) (int64, error) {
-	f, ok := h.files[path]
-	if !ok {
-		return 0, fmt.Errorf("dfs: no such file %q", path)
-	}
-	return f.size, nil
-}
-
-// Files returns all paths in sorted order.
-func (h *HDFS) Files() []string {
-	out := make([]string, 0, len(h.files))
-	for p := range h.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Create registers a file of the given size without charging I/O time —
@@ -125,7 +103,7 @@ func (h *HDFS) Create(path string, size int64) error {
 			replicas = append(replicas, (h.nextDN+r)%h.cluster.Size())
 		}
 		h.nextDN = (h.nextDN + 1) % h.cluster.Size()
-		meta.blocks = append(meta.blocks, Block{Index: idx, Size: bs, Replicas: replicas})
+		meta.blocks = append(meta.blocks, block{Index: idx, Size: bs, Replicas: replicas})
 		remaining -= bs
 		idx++
 		if size == 0 {
@@ -133,15 +111,6 @@ func (h *HDFS) Create(path string, size int64) error {
 		}
 	}
 	h.files[path] = meta
-	return nil
-}
-
-// Delete removes a file's metadata.
-func (h *HDFS) Delete(path string) error {
-	if _, ok := h.files[path]; !ok {
-		return fmt.Errorf("dfs: no such file %q", path)
-	}
-	delete(h.files, path)
 	return nil
 }
 

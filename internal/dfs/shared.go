@@ -2,7 +2,6 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -48,25 +47,6 @@ func (s *SharedStore) Size(path string) (int64, error) {
 		return 0, fmt.Errorf("dfs: no such file %q", path)
 	}
 	return sz, nil
-}
-
-// Files returns all paths in sorted order.
-func (s *SharedStore) Files() []string {
-	out := make([]string, 0, len(s.files))
-	for p := range s.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Delete removes a file.
-func (s *SharedStore) Delete(path string) error {
-	if _, ok := s.files[path]; !ok {
-		return fmt.Errorf("dfs: no such file %q", path)
-	}
-	delete(s.files, path)
-	return nil
 }
 
 // Read reads length bytes of path from node at, contending on the shared

@@ -12,7 +12,6 @@ package envmon
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -20,14 +19,14 @@ import (
 
 // Resource kinds recorded by the monitor.
 const (
-	KindCPU  = "cpu"
-	KindDisk = "disk"
-	KindNIC  = "nic"
+	kindCPU  = "cpu"
+	kindDisk = "disk"
+	kindNIC  = "nic"
 )
 
-// SharedFSNode is the pseudo-node name under which shared-filesystem
+// sharedFSNode is the pseudo-node name under which shared-filesystem
 // traffic is recorded.
-const SharedFSNode = "sharedfs"
+const sharedFSNode = "sharedfs"
 
 // Sample is one per-node, per-resource measurement over one sampling
 // interval.
@@ -44,10 +43,10 @@ type Sample struct {
 	Used float64 `json:"used"`
 }
 
-// CPUUsed returns Used for CPU samples and 0 otherwise, a convenience for
+// cpuUsed returns Used for CPU samples and 0 otherwise, a convenience for
 // CPU-only consumers.
-func (s Sample) CPUUsed() float64 {
-	if s.Kind == KindCPU {
+func (s Sample) cpuUsed() float64 {
+	if s.Kind == kindCPU {
 		return s.Used
 	}
 	return 0
@@ -60,7 +59,6 @@ type Monitor struct {
 	samples  []Sample
 	sink     func(Sample)
 	stopped  bool
-	done     *sim.Event
 }
 
 // SetSink registers a callback invoked synchronously for every sample
@@ -80,7 +78,6 @@ func Start(c *cluster.Cluster, interval float64) *Monitor {
 	m := &Monitor{
 		cluster:  c,
 		interval: interval,
-		done:     sim.NewEvent(c.Engine()),
 	}
 	c.Engine().Spawn("envmon", m.run)
 	return m
@@ -95,16 +92,15 @@ type gauge struct {
 }
 
 func (m *Monitor) run(p *sim.Proc) {
-	defer m.done.Fire()
 	var gauges []*gauge
 	for _, n := range m.cluster.Nodes() {
 		gauges = append(gauges,
-			&gauge{node: n.Name, kind: KindCPU, res: n.CPU},
-			&gauge{node: n.Name, kind: KindDisk, res: n.Disk},
-			&gauge{node: n.Name, kind: KindNIC, res: n.NIC},
+			&gauge{node: n.Name, kind: kindCPU, res: n.CPU},
+			&gauge{node: n.Name, kind: kindDisk, res: n.Disk},
+			&gauge{node: n.Name, kind: kindNIC, res: n.NIC},
 		)
 	}
-	gauges = append(gauges, &gauge{node: SharedFSNode, kind: KindDisk, res: m.cluster.SharedFS()})
+	gauges = append(gauges, &gauge{node: sharedFSNode, kind: kindDisk, res: m.cluster.SharedFS()})
 	for _, g := range gauges {
 		g.last = g.res.Consumed()
 	}
@@ -127,77 +123,9 @@ func (m *Monitor) run(p *sim.Proc) {
 // call from inside or outside the simulation, and more than once.
 func (m *Monitor) Stop() { m.stopped = true }
 
-// Done returns an event fired when the monitoring process has exited.
-func (m *Monitor) Done() *sim.Event { return m.done }
-
-// Interval returns the sampling interval in simulated seconds.
-func (m *Monitor) Interval() float64 { return m.interval }
-
 // Samples returns all samples recorded so far, in time order (and gauge
 // order within one tick). The returned slice must not be modified.
 func (m *Monitor) Samples() []Sample { return m.samples }
-
-// NodeSeries returns the per-interval series of one resource kind on one
-// node.
-func (m *Monitor) NodeSeries(kind, node string) []float64 {
-	var out []float64
-	for _, s := range m.samples {
-		if s.Node == node && s.Kind == kind {
-			out = append(out, s.Used)
-		}
-	}
-	return out
-}
-
-// Nodes returns the sorted set of node names present in the samples
-// (excluding the shared-FS pseudo-node).
-func (m *Monitor) Nodes() []string {
-	set := map[string]struct{}{}
-	for _, s := range m.samples {
-		if s.Node != SharedFSNode {
-			set[s.Node] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CumulativeSeries returns, for each sampling tick, the total usage of a
-// resource kind summed over all nodes — for CPU, the quantity plotted as
-// the stacked-area envelope in the paper's Figures 6 and 7.
-func (m *Monitor) CumulativeSeries(kind string) (times, totals []float64) {
-	byTime := map[float64]float64{}
-	for _, s := range m.samples {
-		if s.Kind == kind && s.Node != SharedFSNode {
-			byTime[s.Time] += s.Used
-		}
-	}
-	for t := range byTime {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
-	for _, t := range times {
-		totals = append(totals, byTime[t])
-	}
-	return times, totals
-}
-
-// PeakCumulative returns the maximum of CumulativeSeries for a kind, or 0
-// with no samples.
-func (m *Monitor) PeakCumulative(kind string) float64 {
-	_, totals := m.CumulativeSeries(kind)
-	peak := 0.0
-	for _, v := range totals {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
 
 // String summarizes the monitor state for debugging.
 func (m *Monitor) String() string {

@@ -2,6 +2,7 @@ package envmon
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -22,6 +23,34 @@ func testCluster(e *sim.Engine) *cluster.Cluster {
 	})
 }
 
+// nodeSeries is the per-interval usage of one resource kind on one node.
+func nodeSeries(m *Monitor, kind, node string) []float64 {
+	var out []float64
+	for _, s := range m.Samples() {
+		if s.Node == node && s.Kind == kind {
+			out = append(out, s.Used)
+		}
+	}
+	return out
+}
+
+// nodes is the sorted set of node names in the samples, excluding the
+// shared-FS pseudo-node.
+func nodes(m *Monitor) []string {
+	set := map[string]struct{}{}
+	for _, s := range m.Samples() {
+		if s.Node != sharedFSNode {
+			set[s.Node] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for n := range set {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestMonitorSamplesCPU(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
@@ -34,14 +63,14 @@ func TestMonitorSamplesCPU(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	series := m.NodeSeries(KindCPU, "node0")
+	series := nodeSeries(m, kindCPU, "node0")
 	if len(series) < 2 {
 		t.Fatalf("series = %v, want >= 2 samples", series)
 	}
 	if !almostEqual(series[0], 1) || !almostEqual(series[1], 1) {
 		t.Fatalf("node0 series = %v, want [1 1 ...]", series)
 	}
-	idle := m.NodeSeries(KindCPU, "node1")
+	idle := nodeSeries(m, kindCPU, "node1")
 	for _, v := range idle {
 		if v != 0 {
 			t.Fatalf("idle node shows CPU usage: %v", idle)
@@ -62,7 +91,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	disk := m.NodeSeries(KindDisk, "node0")
+	disk := nodeSeries(m, kindDisk, "node0")
 	total := 0.0
 	for _, v := range disk {
 		total += v
@@ -70,7 +99,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if !almostEqual(total, 150) {
 		t.Fatalf("node0 disk bytes = %v, want 150", total)
 	}
-	nic := m.NodeSeries(KindNIC, "node0")
+	nic := nodeSeries(m, kindNIC, "node0")
 	total = 0
 	for _, v := range nic {
 		total += v
@@ -78,7 +107,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if !almostEqual(total, 100) {
 		t.Fatalf("node0 nic bytes = %v, want 100", total)
 	}
-	shared := m.NodeSeries(KindDisk, SharedFSNode)
+	shared := nodeSeries(m, kindDisk, sharedFSNode)
 	total = 0
 	for _, v := range shared {
 		total += v
@@ -99,17 +128,14 @@ func TestMonitorStopsAfterStop(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Done().Fired() {
-		t.Fatal("monitor did not exit after Stop")
-	}
 	// Monitor exits at next tick after Stop: at most 2.5s of samples.
 	for _, s := range m.Samples() {
 		if s.Time > 2.5+1e-9 {
 			t.Fatalf("sample after stop: %+v", s)
 		}
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d, want 0", e.LiveProcs())
+	if n := e.Shutdown(); n != 0 {
+		t.Fatalf("leaked %d processes", n)
 	}
 }
 
@@ -126,24 +152,34 @@ func TestCumulativeSeriesSumsNodes(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	times, totals := m.CumulativeSeries(KindCPU)
-	if len(times) == 0 {
-		t.Fatal("no cumulative samples")
+	byTime := map[float64]float64{}
+	for _, s := range m.Samples() {
+		if s.Kind == kindCPU && s.Node != sharedFSNode {
+			byTime[s.Time] += s.Used
+		}
 	}
 	// During the first 3 seconds: node0 at 1 cpu/s + node1 at 2 cpu/s.
-	if !almostEqual(totals[0], 3) {
-		t.Fatalf("first total = %v, want 3", totals[0])
-	}
-	if peak := m.PeakCumulative(KindCPU); !almostEqual(peak, 3) {
-		t.Fatalf("peak = %v, want 3", peak)
-	}
-	sum := 0.0
-	for _, v := range totals {
+	sum, peak := 0.0, 0.0
+	for _, v := range byTime {
 		sum += v
+		peak = math.Max(peak, v)
+	}
+	if !almostEqual(byTime[1], 3) || !almostEqual(peak, 3) {
+		t.Fatalf("first total = %v, peak = %v, want 3", byTime[1], peak)
 	}
 	if !almostEqual(sum, 9) { // total work = 3 + 6 cpu-seconds
 		t.Fatalf("sum of cumulative = %v, want 9", sum)
 	}
+}
+
+func TestStartPanicsOnBadInterval(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	e := sim.NewEngine()
+	Start(testCluster(e), 0)
 }
 
 func TestNodesSortedAndExcludeSharedFS(t *testing.T) {
@@ -157,27 +193,17 @@ func TestNodesSortedAndExcludeSharedFS(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	nodes := m.Nodes()
-	if len(nodes) != 2 || nodes[0] != "node0" || nodes[1] != "node1" {
-		t.Fatalf("Nodes = %v, want [node0 node1]", nodes)
+	got := nodes(m)
+	if len(got) != 2 || got[0] != "node0" || got[1] != "node1" {
+		t.Fatalf("nodes = %v, want [node0 node1]", got)
 	}
 }
 
 func TestSampleCPUUsedHelper(t *testing.T) {
-	if (Sample{Kind: KindCPU, Used: 3}).CPUUsed() != 3 {
+	if (Sample{Kind: kindCPU, Used: 3}).cpuUsed() != 3 {
 		t.Fatal("CPU sample helper wrong")
 	}
-	if (Sample{Kind: KindDisk, Used: 3}).CPUUsed() != 0 {
+	if (Sample{Kind: kindDisk, Used: 3}).cpuUsed() != 0 {
 		t.Fatal("non-CPU sample must report 0 cpu")
 	}
-}
-
-func TestStartPanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e := sim.NewEngine()
-	Start(testCluster(e), 0)
 }

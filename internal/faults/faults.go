@@ -9,8 +9,8 @@
 // injector is a single atomic load.
 //
 // The injector is safe for concurrent use. Tests (and the -chaos flag
-// on granula-serve) construct one from a Config or a parsed spec
-// string, and can disarm it at runtime to model a fault source
+// on granula-serve) construct one from a spec string with Parse, and
+// can disarm it at runtime to model a fault source
 // clearing — the recovery half of every chaos scenario.
 package faults
 
@@ -27,47 +27,47 @@ import (
 	"time"
 )
 
-// Kind is one class of injectable fault.
-type Kind string
+// kind is one class of injectable fault.
+type kind string
 
 // Injectable fault classes.
 const (
-	// KindError makes the site return ErrInjected.
-	KindError Kind = "error"
-	// KindLatency makes the site sleep Config.Latency before succeeding.
-	KindLatency Kind = "latency"
-	// KindPanic makes the site panic.
-	KindPanic Kind = "panic"
-	// KindHang blocks the site until its context is canceled (sites
+	// kindError makes the site return errInjected.
+	kindError kind = "error"
+	// kindLatency makes the site sleep config.Latency before succeeding.
+	kindLatency kind = "latency"
+	// kindPanic makes the site panic.
+	kindPanic kind = "panic"
+	// kindHang blocks the site until its context is canceled (sites
 	// without a context degrade to a latency spike).
-	KindHang Kind = "hang"
-	// KindTorn truncates a write to a strict prefix and fails it;
+	kindHang kind = "hang"
+	// kindTorn truncates a write to a strict prefix and fails it;
 	// only write sites that call Mangle can draw it.
-	KindTorn Kind = "torn"
+	kindTorn kind = "torn"
 )
 
-// ErrInjected marks every synthetic failure so tests and retry logic
+// errInjected marks every synthetic failure so tests and retry logic
 // can distinguish injected faults from real ones with errors.Is.
-var ErrInjected = errors.New("faults: injected failure")
+var errInjected = errors.New("faults: injected failure")
 
-// PanicValue is the value thrown by KindPanic faults, prefixed with the
+// panicValue is the value thrown by kindPanic faults, prefixed with the
 // site name, so recovery paths can assert they caught an injected panic.
-type PanicValue string
+type panicValue string
 
-func (p PanicValue) String() string { return string(p) }
+func (p panicValue) String() string { return string(p) }
 
-// Config describes a fault schedule.
-type Config struct {
+// config describes a fault schedule.
+type config struct {
 	// Seed seeds the decision PRNG; the same seed and call sequence
 	// produce the same faults.
 	Seed int64
 	// Rate is the default probability in [0,1] that a site hit draws a
 	// fault.
 	Rate float64
-	// Latency is the injected delay for KindLatency (default 1ms).
+	// Latency is the injected delay for kindLatency (default 1ms).
 	Latency time.Duration
-	// Kinds are the enabled fault classes; empty enables KindError only.
-	Kinds []Kind
+	// Kinds are the enabled fault classes; empty enables kindError only.
+	Kinds []kind
 	// Sites overrides Rate per site name; a site mapped to 0 is immune.
 	Sites map[string]float64
 }
@@ -78,18 +78,18 @@ type Injector struct {
 
 	mu   sync.Mutex
 	rng  *rand.Rand
-	cfg  Config
+	cfg  config
 	hits map[string]uint64 // injected faults by site
 }
 
-// New returns an armed injector for cfg. A zero Rate arms an injector
-// that never fires (still useful: tests re-arm it with SetRate).
-func New(cfg Config) *Injector {
+// newInjector returns an armed injector for cfg. A zero Rate arms an
+// injector that never fires.
+func newInjector(cfg config) *Injector {
 	if cfg.Latency <= 0 {
 		cfg.Latency = time.Millisecond
 	}
 	if len(cfg.Kinds) == 0 {
-		cfg.Kinds = []Kind{KindError}
+		cfg.Kinds = []kind{kindError}
 	}
 	inj := &Injector{
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -100,57 +100,17 @@ func New(cfg Config) *Injector {
 	return inj
 }
 
-// Disarm stops all fault injection; the schedule can be resumed with
-// Arm. Disarming models the fault source clearing in recovery tests.
+// Disarm stops all fault injection for good. Disarming models the
+// fault source clearing in recovery tests.
 func (inj *Injector) Disarm() {
 	if inj != nil {
 		inj.armed.Store(false)
 	}
 }
 
-// Arm (re-)enables the schedule.
-func (inj *Injector) Arm() {
-	if inj != nil {
-		inj.armed.Store(true)
-	}
-}
-
-// SetRate replaces the default fault probability.
-func (inj *Injector) SetRate(rate float64) {
-	if inj == nil {
-		return
-	}
-	inj.mu.Lock()
-	inj.cfg.Rate = rate
-	inj.mu.Unlock()
-}
-
-// Counts returns the number of injected faults per site.
-func (inj *Injector) Counts() map[string]uint64 {
-	if inj == nil {
-		return nil
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make(map[string]uint64, len(inj.hits))
-	for k, v := range inj.hits {
-		out[k] = v
-	}
-	return out
-}
-
-// Total returns the total number of injected faults.
-func (inj *Injector) Total() uint64 {
-	var n uint64
-	for _, v := range inj.Counts() {
-		n += v
-	}
-	return n
-}
-
 // draw rolls the dice for one site hit. It returns the chosen kind and
 // whether a fault fires, consuming PRNG state only when armed.
-func (inj *Injector) draw(site string, write bool) (Kind, bool) {
+func (inj *Injector) draw(site string, write bool) (kind, bool) {
 	if inj == nil || !inj.armed.Load() {
 		return "", false
 	}
@@ -163,9 +123,9 @@ func (inj *Injector) draw(site string, write bool) (Kind, bool) {
 	if rate <= 0 || inj.rng.Float64() >= rate {
 		return "", false
 	}
-	kinds := make([]Kind, 0, len(inj.cfg.Kinds))
+	kinds := make([]kind, 0, len(inj.cfg.Kinds))
 	for _, k := range inj.cfg.Kinds {
-		if k == KindTorn && !write {
+		if k == kindTorn && !write {
 			continue // torn writes only make sense at write sites
 		}
 		kinds = append(kinds, k)
@@ -186,13 +146,13 @@ func (inj *Injector) latency() time.Duration {
 }
 
 // Fail is the plain injection point: it may sleep, panic, or return an
-// error wrapping ErrInjected. Sites without a context degrade KindHang
+// error wrapping errInjected. Sites without a context degrade kindHang
 // to a latency spike so they cannot wedge forever.
 func (inj *Injector) Fail(site string) error {
 	return inj.fire(site, nil)
 }
 
-// FailCtx is Fail for sites that hold a cancelable context; KindHang
+// FailCtx is Fail for sites that hold a cancelable context; kindHang
 // blocks until the context is canceled and returns its error.
 func (inj *Injector) FailCtx(ctx context.Context, site string) error {
 	return inj.fire(site, ctx)
@@ -204,12 +164,12 @@ func (inj *Injector) fire(site string, ctx context.Context) error {
 		return nil
 	}
 	switch kind {
-	case KindLatency:
+	case kindLatency:
 		time.Sleep(inj.latency())
 		return nil
-	case KindPanic:
-		panic(PanicValue("faults: injected panic at " + site))
-	case KindHang:
+	case kindPanic:
+		panic(panicValue("faults: injected panic at " + site))
+	case kindHang:
 		if ctx == nil || ctx.Done() == nil {
 			time.Sleep(inj.latency())
 			return nil
@@ -217,9 +177,9 @@ func (inj *Injector) fire(site string, ctx context.Context) error {
 		<-ctx.Done()
 		// Wrap the context error too, so callers can classify the hang as
 		// a deadline overrun or a cancellation with errors.Is.
-		return fmt.Errorf("%w: hang at %s: %w", ErrInjected, site, ctx.Err())
-	default: // KindError
-		return fmt.Errorf("%w at %s", ErrInjected, site)
+		return fmt.Errorf("%w: hang at %s: %w", errInjected, site, ctx.Err())
+	default: // kindError
+		return fmt.Errorf("%w at %s", errInjected, site)
 	}
 }
 
@@ -234,24 +194,24 @@ func (inj *Injector) Mangle(site string, b []byte) ([]byte, error) {
 		return b, nil
 	}
 	switch kind {
-	case KindLatency:
+	case kindLatency:
 		time.Sleep(inj.latency())
 		return b, nil
-	case KindPanic:
-		panic(PanicValue("faults: injected panic at " + site))
-	case KindTorn:
+	case kindPanic:
+		panic(panicValue("faults: injected panic at " + site))
+	case kindTorn:
 		inj.mu.Lock()
 		n := 0
 		if len(b) > 0 {
 			n = inj.rng.Intn(len(b))
 		}
 		inj.mu.Unlock()
-		return b[:n], fmt.Errorf("%w: torn write at %s (%d of %d bytes)", ErrInjected, site, n, len(b))
-	case KindHang:
+		return b[:n], fmt.Errorf("%w: torn write at %s (%d of %d bytes)", errInjected, site, n, len(b))
+	case kindHang:
 		time.Sleep(inj.latency())
 		return b, nil
-	default: // KindError
-		return nil, fmt.Errorf("%w at %s", ErrInjected, site)
+	default: // kindError
+		return nil, fmt.Errorf("%w at %s", errInjected, site)
 	}
 }
 
@@ -270,7 +230,7 @@ func Parse(spec string) (*Injector, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("faults: empty chaos spec")
 	}
-	cfg := Config{Rate: 0.01}
+	cfg := config{Rate: 0.01}
 	for _, part := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -297,8 +257,8 @@ func Parse(spec string) (*Injector, error) {
 			cfg.Latency = d
 		case "kinds":
 			for _, k := range strings.Split(val, "+") {
-				switch kind := Kind(k); kind {
-				case KindError, KindLatency, KindPanic, KindHang, KindTorn:
+				switch kind := kind(k); kind {
+				case kindError, kindLatency, kindPanic, kindHang, kindTorn:
 					cfg.Kinds = append(cfg.Kinds, kind)
 				default:
 					return nil, fmt.Errorf("faults: unknown kind %q", k)
@@ -321,7 +281,7 @@ func Parse(spec string) (*Injector, error) {
 			return nil, fmt.Errorf("faults: unknown chaos key %q", key)
 		}
 	}
-	return New(cfg), nil
+	return newInjector(cfg), nil
 }
 
 // Describe renders the injector's configuration for logs, with sites

@@ -17,44 +17,50 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatalf("nil injector mangled write: %q %v", b, err)
 	}
 	inj.Disarm()
-	inj.Arm()
-	inj.SetRate(1)
-	if inj.Total() != 0 || inj.Counts() != nil {
-		t.Fatal("nil injector counted faults")
+}
+
+// total is the number of faults inj has injected.
+func total(inj *Injector) uint64 {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	var n uint64
+	for _, v := range inj.hits {
+		n += v
 	}
+	return n
 }
 
 func TestDeterministicSchedule(t *testing.T) {
-	cfg := Config{Seed: 7, Rate: 0.5, Kinds: []Kind{KindError, KindLatency}, Latency: time.Microsecond}
-	a, b := New(cfg), New(cfg)
+	cfg := config{Seed: 7, Rate: 0.5, Kinds: []kind{kindError, kindLatency}, Latency: time.Microsecond}
+	a, b := newInjector(cfg), newInjector(cfg)
 	for i := 0; i < 200; i++ {
 		ea, eb := a.Fail("site.x"), b.Fail("site.x")
 		if (ea == nil) != (eb == nil) {
 			t.Fatalf("hit %d diverged: %v vs %v", i, ea, eb)
 		}
 	}
-	if a.Total() == 0 {
+	if total(a) == 0 {
 		t.Fatal("rate 0.5 never fired in 200 hits")
 	}
-	if a.Total() != b.Total() {
-		t.Fatalf("totals diverged: %d vs %d", a.Total(), b.Total())
+	if total(a) != total(b) {
+		t.Fatalf("totals diverged: %d vs %d", total(a), total(b))
 	}
 }
 
 func TestRateOneAlwaysFires(t *testing.T) {
-	inj := New(Config{Rate: 1})
+	inj := newInjector(config{Rate: 1})
 	for i := 0; i < 10; i++ {
-		if err := inj.Fail("s"); !errors.Is(err, ErrInjected) {
-			t.Fatalf("hit %d: err = %v, want ErrInjected", i, err)
+		if err := inj.Fail("s"); !errors.Is(err, errInjected) {
+			t.Fatalf("hit %d: err = %v, want errInjected", i, err)
 		}
 	}
-	if got := inj.Counts()["s"]; got != 10 {
+	if got := inj.hits["s"]; got != 10 {
 		t.Fatalf("counted %d faults, want 10", got)
 	}
 }
 
 func TestDisarmStopsFaults(t *testing.T) {
-	inj := New(Config{Rate: 1})
+	inj := newInjector(config{Rate: 1})
 	if err := inj.Fail("s"); err == nil {
 		t.Fatal("armed injector did not fire")
 	}
@@ -64,14 +70,10 @@ func TestDisarmStopsFaults(t *testing.T) {
 			t.Fatalf("disarmed injector fired: %v", err)
 		}
 	}
-	inj.Arm()
-	if err := inj.Fail("s"); err == nil {
-		t.Fatal("re-armed injector did not fire")
-	}
 }
 
 func TestSiteOverrides(t *testing.T) {
-	inj := New(Config{Rate: 1, Sites: map[string]float64{"immune.site": 0}})
+	inj := newInjector(config{Rate: 1, Sites: map[string]float64{"immune.site": 0}})
 	for i := 0; i < 20; i++ {
 		if err := inj.Fail("immune.site"); err != nil {
 			t.Fatalf("immune site fired: %v", err)
@@ -83,11 +85,11 @@ func TestSiteOverrides(t *testing.T) {
 }
 
 func TestPanicKind(t *testing.T) {
-	inj := New(Config{Rate: 1, Kinds: []Kind{KindPanic}})
+	inj := newInjector(config{Rate: 1, Kinds: []kind{kindPanic}})
 	defer func() {
 		r := recover()
-		if _, ok := r.(PanicValue); !ok {
-			t.Fatalf("recovered %v (%T), want PanicValue", r, r)
+		if _, ok := r.(panicValue); !ok {
+			t.Fatalf("recovered %v (%T), want panicValue", r, r)
 		}
 	}()
 	inj.Fail("s")
@@ -95,35 +97,35 @@ func TestPanicKind(t *testing.T) {
 }
 
 func TestHangRespectsContext(t *testing.T) {
-	inj := New(Config{Rate: 1, Kinds: []Kind{KindHang}})
+	inj := newInjector(config{Rate: 1, Kinds: []kind{kindHang}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	err := inj.FailCtx(ctx, "s")
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("hang returned %v, want ErrInjected", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("hang returned %v, want errInjected", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("hang did not release on context cancel")
 	}
 	// Without a context, hang degrades to a bounded latency spike.
-	inj2 := New(Config{Rate: 1, Kinds: []Kind{KindHang}, Latency: time.Microsecond})
+	inj2 := newInjector(config{Rate: 1, Kinds: []kind{kindHang}, Latency: time.Microsecond})
 	if err := inj2.Fail("s"); err != nil {
 		t.Fatalf("context-free hang returned %v", err)
 	}
 }
 
 func TestTornWriteIsStrictPrefix(t *testing.T) {
-	inj := New(Config{Rate: 1, Kinds: []Kind{KindTorn}})
+	inj := newInjector(config{Rate: 1, Kinds: []kind{kindTorn}})
 	full := []byte("0123456789")
 	b, err := inj.Mangle("w", full)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("torn write returned %v, want ErrInjected", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("torn write returned %v, want errInjected", err)
 	}
 	if len(b) >= len(full) || string(b) != string(full[:len(b)]) {
 		t.Fatalf("torn bytes %q are not a strict prefix of %q", b, full)
 	}
-	// Torn never fires at non-write sites; with only KindTorn enabled a
+	// Torn never fires at non-write sites; with only kindTorn enabled a
 	// Fail hit draws nothing.
 	if err := inj.Fail("r"); err != nil {
 		t.Fatalf("torn-only injector fired at read site: %v", err)

@@ -101,6 +101,20 @@ func testDataset(t *testing.T) *datagen.Dataset {
 	return ds
 }
 
+// testCosts are modest per-unit costs for small test jobs.
+var testCosts = CostModel{
+	ParseCPUPerByte:        250e-9,
+	DistributeBytesPerEdge: 16,
+	FinalizeCPUPerEdge:     120e-9,
+	FinalizeCPUPerReplica:  200e-9,
+	GatherCPUPerEdge:       25e-9,
+	ApplyCPUPerVertex:      60e-9,
+	ScatterCPUPerEdge:      25e-9,
+	PartialBytes:           16,
+	SyncBytes:              12,
+	ResultBytesPerVertex:   16,
+}
+
 func testJobConfig(machines int) Config {
 	return Config{
 		Machines:       machines,
@@ -110,7 +124,7 @@ func testJobConfig(machines int) Config {
 		MaxIterations:  200,
 		ChunkBytes:     64 << 10,
 		WorkScale:      1,
-		Costs:          DefaultCostModel(),
+		Costs:          testCosts,
 	}
 }
 
@@ -127,8 +141,8 @@ func runGASJob(t *testing.T, env *testEnv, cfg Config, prog Program, ds *datagen
 	if jobErr != nil {
 		t.Fatal(jobErr)
 	}
-	if env.eng.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes", env.eng.LiveProcs())
+	if n := env.eng.Shutdown(); n != 0 {
+		t.Fatalf("leaked %d processes", n)
 	}
 	return result
 }
@@ -390,7 +404,7 @@ func TestGASParallelLoadIsFasterAndEquivalent(t *testing.T) {
 type degreeCount struct{}
 
 func (degreeCount) Init(graph.VertexID, *graph.Graph) (float64, bool) { return 0, true }
-func (degreeCount) GatherDir() Direction                              { return Both }
+func (degreeCount) GatherDir() Direction                              { return both }
 func (degreeCount) Gather(_ int, _, _ graph.VertexID, _ float64) float64 {
 	return 1
 }
@@ -401,7 +415,7 @@ func (degreeCount) Apply(_ int, _ graph.VertexID, _, acc float64, hasAcc bool) f
 	}
 	return acc
 }
-func (degreeCount) ScatterDir() Direction { return None }
+func (degreeCount) ScatterDir() Direction { return none }
 func (degreeCount) Scatter(_ int, _, _ graph.VertexID, _, _ float64) bool {
 	return false
 }
@@ -433,7 +447,7 @@ func TestGASDeterministicRuntime(t *testing.T) {
 }
 
 func TestDirectionString(t *testing.T) {
-	cases := map[Direction]string{None: "none", In: "in", Out: "out", Both: "both"}
+	cases := map[Direction]string{none: "none", In: "in", Out: "out", both: "both"}
 	for d, want := range cases {
 		if d.String() != want {
 			t.Fatalf("%d.String() = %q", int(d), d.String())

@@ -30,21 +30,21 @@ type Direction int
 
 // Edge-set choices for GatherDir and ScatterDir.
 const (
-	None Direction = iota
+	none Direction = iota
 	In
 	Out
-	Both
+	both
 )
 
 func (d Direction) String() string {
 	switch d {
-	case None:
+	case none:
 		return "none"
 	case In:
 		return "in"
 	case Out:
 		return "out"
-	case Both:
+	case both:
 		return "both"
 	}
 	return "invalid"
@@ -101,23 +101,6 @@ type CostModel struct {
 	ResultBytesPerVertex float64
 }
 
-// DefaultCostModel returns constants for a C++ platform (cheaper per-unit
-// compute than the JVM platform, but a far more expensive load path).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ParseCPUPerByte:        250e-9,
-		DistributeBytesPerEdge: 16,
-		FinalizeCPUPerEdge:     120e-9,
-		FinalizeCPUPerReplica:  200e-9,
-		GatherCPUPerEdge:       25e-9,
-		ApplyCPUPerVertex:      60e-9,
-		ScatterCPUPerEdge:      25e-9,
-		PartialBytes:           16,
-		SyncBytes:              12,
-		ResultBytesPerVertex:   16,
-	}
-}
-
 // Config parameterizes a job.
 type Config struct {
 	// Machines is the number of MPI ranks (one per node in the paper's
@@ -150,21 +133,6 @@ type Config struct {
 	HostParallelism int
 	// Costs is the platform cost model.
 	Costs CostModel
-}
-
-// DefaultConfig returns an 8-machine configuration matching the paper's
-// deployment.
-func DefaultConfig() Config {
-	return Config{
-		Machines:       8,
-		LoadThreads:    16,
-		ComputeThreads: 16,
-		CutStrategy:    graph.VertexCutHash,
-		MaxIterations:  500,
-		ChunkBytes:     256 << 20,
-		WorkScale:      1,
-		Costs:          DefaultCostModel(),
-	}
 }
 
 // Result carries a completed job's output and summary counters.

@@ -13,7 +13,7 @@ import (
 type churn struct{}
 
 func (churn) Init(graph.VertexID, *graph.Graph) (float64, bool) { return 0, true }
-func (churn) GatherDir() Direction                              { return Both }
+func (churn) GatherDir() Direction                              { return both }
 func (churn) Gather(_ int, _, _ graph.VertexID, otherValue float64) float64 {
 	return otherValue + 1
 }

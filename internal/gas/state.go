@@ -193,7 +193,7 @@ func (st *state) neighbors(dir Direction, m int, v graph.VertexID) (first, secon
 		return f.InNeighbors(v), nil
 	case Out:
 		return f.OutNeighbors(v), nil
-	case Both:
+	case both:
 		return f.InNeighbors(v), f.OutNeighbors(v)
 	default:
 		return nil, nil

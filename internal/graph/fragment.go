@@ -30,20 +30,6 @@ type Fragment struct {
 	inTgt  []VertexID
 }
 
-// NumLocal returns the number of vertices with at least one local arc
-// endpoint on this machine.
-func (f *Fragment) NumLocal() int { return len(f.l2g) }
-
-// LocalArcs returns the number of arcs placed on this machine (undirected
-// input edges count their materialized reverse arc too).
-func (f *Fragment) LocalArcs() int64 { return int64(len(f.outTgt)) }
-
-// Local returns v's dense local ID, or -1 if v has no local arcs.
-func (f *Fragment) Local(v VertexID) int32 { return f.g2l[v] }
-
-// Global returns the global ID of local vertex lv.
-func (f *Fragment) Global(lv int32) VertexID { return f.l2g[lv] }
-
 // OutNeighbors returns v's out-neighbors along arcs placed on this
 // machine, in arc input order. The slice aliases fragment storage and must
 // not be modified; it is empty when v has no local out-arcs.
@@ -87,7 +73,7 @@ func BuildFragments(n int64, edges []Edge, vc *VertexCut, undirected bool) []*Fr
 	if n > 1<<31-1 {
 		panic(fmt.Sprintf("graph: fragment builder supports at most 2^31-1 vertices, got %d", n))
 	}
-	k := vc.K()
+	k := vc.k
 	frags := make([]*Fragment, k)
 	for m := 0; m < k; m++ {
 		frags[m] = &Fragment{g2l: make([]int32, n)}
@@ -110,14 +96,14 @@ func BuildFragments(n int64, edges []Edge, vc *VertexCut, undirected bool) []*Fr
 		inDeg[m][dst]++
 	}
 	for i, e := range edges {
-		count(vc.ArcMachine(i), e.Src, e.Dst)
+		count(vc.place[i], e.Src, e.Dst)
 	}
 	if undirected {
 		for i, e := range edges {
 			if e.Src == e.Dst {
 				continue
 			}
-			count(vc.ArcMachine(i), e.Dst, e.Src)
+			count(vc.place[i], e.Dst, e.Src)
 		}
 	}
 
@@ -159,14 +145,14 @@ func BuildFragments(n int64, edges []Edge, vc *VertexCut, undirected bool) []*Fr
 		inDeg[m][dst]++
 	}
 	for i, e := range edges {
-		fill(vc.ArcMachine(i), e.Src, e.Dst)
+		fill(vc.place[i], e.Src, e.Dst)
 	}
 	if undirected {
 		for i, e := range edges {
 			if e.Src == e.Dst {
 				continue
 			}
-			fill(vc.ArcMachine(i), e.Dst, e.Src)
+			fill(vc.place[i], e.Dst, e.Src)
 		}
 	}
 	return frags

@@ -8,7 +8,7 @@ import (
 // historically built with map appends: arcs in input order, undirected
 // reverse arcs in a second pass (self-loops contribute a single arc).
 func refLocalAdjacency(edges []Edge, vc *VertexCut, undirected bool) (out, in []map[VertexID][]VertexID) {
-	k := vc.K()
+	k := vc.k
 	out = make([]map[VertexID][]VertexID, k)
 	in = make([]map[VertexID][]VertexID, k)
 	for m := 0; m < k; m++ {
@@ -20,14 +20,14 @@ func refLocalAdjacency(edges []Edge, vc *VertexCut, undirected bool) (out, in []
 		in[m][dst] = append(in[m][dst], src)
 	}
 	for i, e := range edges {
-		add(vc.ArcMachine(i), e.Src, e.Dst)
+		add(vc.place[i], e.Src, e.Dst)
 	}
 	if undirected {
 		for i, e := range edges {
 			if e.Src == e.Dst {
 				continue
 			}
-			add(vc.ArcMachine(i), e.Dst, e.Src)
+			add(vc.place[i], e.Dst, e.Src)
 		}
 	}
 	return out, in
@@ -87,22 +87,22 @@ func TestFragmentLocalGlobalIndexers(t *testing.T) {
 	frags := BuildFragments(n, edges, vc, false)
 	var totalArcs int64
 	for m, f := range frags {
-		for lv := int32(0); lv < int32(f.NumLocal()); lv++ {
-			v := f.Global(lv)
-			if f.Local(v) != lv {
-				t.Fatalf("m=%d: Local(Global(%d)) = %d", m, lv, f.Local(v))
+		for lv := int32(0); lv < int32(len(f.l2g)); lv++ {
+			v := f.l2g[lv]
+			if f.g2l[v] != lv {
+				t.Fatalf("m=%d: Local(Global(%d)) = %d", m, lv, f.g2l[v])
 			}
-			if lv > 0 && f.Global(lv-1) >= v {
+			if lv > 0 && f.l2g[lv-1] >= v {
 				t.Fatalf("m=%d: l2g not strictly ascending at %d", m, lv)
 			}
 		}
 		// A vertex absent from the fragment reports no neighbors.
 		for v := VertexID(0); v < n; v++ {
-			if f.Local(v) < 0 && (len(f.OutNeighbors(v)) != 0 || len(f.InNeighbors(v)) != 0) {
+			if f.g2l[v] < 0 && (len(f.OutNeighbors(v)) != 0 || len(f.InNeighbors(v)) != 0) {
 				t.Fatalf("m=%d: absent vertex %d has neighbors", m, v)
 			}
 		}
-		totalArcs += f.LocalArcs()
+		totalArcs += int64(len(f.outTgt))
 		if f.MemoryBytes() <= 0 {
 			t.Fatalf("m=%d: non-positive memory estimate", m)
 		}

@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -135,47 +134,4 @@ func (g *Graph) OutNeighbors(v VertexID) []VertexID {
 // returned slice aliases internal storage and must not be modified.
 func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inTargets[g.inOffsets[v]:g.inOffsets[v+1]]
-}
-
-// DegreeStats summarizes the out-degree distribution of a graph.
-type DegreeStats struct {
-	Min    int64
-	Max    int64
-	Mean   float64
-	StdDev float64
-	// Skew is max/mean, a cheap indicator of power-law-like imbalance:
-	// ~1 for regular graphs, large for skewed graphs.
-	Skew float64
-}
-
-// OutDegreeStats computes degree statistics over all vertices.
-func (g *Graph) OutDegreeStats() DegreeStats {
-	if g.n == 0 {
-		return DegreeStats{}
-	}
-	var st DegreeStats
-	st.Min = math.MaxInt64
-	var sum, sumSq float64
-	for v := int64(0); v < g.n; v++ {
-		d := g.OutDegree(VertexID(v))
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		fd := float64(d)
-		sum += fd
-		sumSq += fd * fd
-	}
-	st.Mean = sum / float64(g.n)
-	variance := sumSq/float64(g.n) - st.Mean*st.Mean
-	if variance < 0 {
-		variance = 0
-	}
-	st.StdDev = math.Sqrt(variance)
-	if st.Mean > 0 {
-		st.Skew = float64(st.Max) / st.Mean
-	}
-	return st
 }

@@ -20,10 +20,6 @@ func TestEmptyGraph(t *testing.T) {
 	if g.NumVertices() != 0 || g.NumArcs() != 0 {
 		t.Fatalf("empty graph has n=%d m=%d", g.NumVertices(), g.NumArcs())
 	}
-	st := g.OutDegreeStats()
-	if st.Max != 0 || st.Mean != 0 {
-		t.Fatalf("empty stats = %+v", st)
-	}
 }
 
 func TestDirectedAdjacency(t *testing.T) {
@@ -107,22 +103,6 @@ func TestSelfLoopsAndDuplicatesKept(t *testing.T) {
 	}
 	if g.OutDegree(0) != 3 {
 		t.Fatalf("deg(0) = %d, want 3", g.OutDegree(0))
-	}
-}
-
-func TestDegreeStats(t *testing.T) {
-	// Star graph: hub 0 connects to 1..4.
-	edges := []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
-	g := mustFromEdges(t, 5, edges, true)
-	st := g.OutDegreeStats()
-	if st.Max != 4 || st.Min != 0 {
-		t.Fatalf("stats = %+v, want max 4 min 0", st)
-	}
-	if st.Mean != 0.8 {
-		t.Fatalf("mean = %v, want 0.8", st.Mean)
-	}
-	if st.Skew != 5 {
-		t.Fatalf("skew = %v, want 5", st.Skew)
 	}
 }
 

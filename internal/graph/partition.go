@@ -48,63 +48,6 @@ func (h *HashPartitioner) K() int { return h.k }
 // Name implements Partitioner.
 func (h *HashPartitioner) Name() string { return "hash" }
 
-// RangePartitioner splits the ID space into k contiguous ranges. With
-// generators that cluster high-degree vertices at low IDs this produces
-// the skewed partitions that make superstep imbalance visible.
-type RangePartitioner struct {
-	k int
-	n int64
-}
-
-// NewRangePartitioner returns a range partitioner of n vertices over k
-// partitions.
-func NewRangePartitioner(n int64, k int) *RangePartitioner {
-	if k <= 0 {
-		panic("graph: partitions must be positive")
-	}
-	if n < 0 {
-		panic("graph: negative vertex count")
-	}
-	return &RangePartitioner{k: k, n: n}
-}
-
-// Partition implements Partitioner.
-func (r *RangePartitioner) Partition(v VertexID) int {
-	if r.n == 0 {
-		return 0
-	}
-	p := int(int64(v) * int64(r.k) / r.n)
-	if p >= r.k {
-		p = r.k - 1
-	}
-	return p
-}
-
-// K implements Partitioner.
-func (r *RangePartitioner) K() int { return r.k }
-
-// Name implements Partitioner.
-func (r *RangePartitioner) Name() string { return "range" }
-
-// PartitionSizes counts vertices per partition.
-func PartitionSizes(g *Graph, p Partitioner) []int64 {
-	sizes := make([]int64, p.K())
-	for v := int64(0); v < g.NumVertices(); v++ {
-		sizes[p.Partition(VertexID(v))]++
-	}
-	return sizes
-}
-
-// PartitionArcCounts counts out-arcs whose source lies in each partition —
-// the compute work each Pregel worker performs per full-graph superstep.
-func PartitionArcCounts(g *Graph, p Partitioner) []int64 {
-	arcs := make([]int64, p.K())
-	for v := int64(0); v < g.NumVertices(); v++ {
-		arcs[p.Partition(VertexID(v))] += g.OutDegree(VertexID(v))
-	}
-	return arcs
-}
-
 // VertexCut is an edge-placement partitioning in the PowerGraph style:
 // every arc lives on exactly one machine; a vertex whose arcs span several
 // machines is replicated there, with one replica designated master.
@@ -229,12 +172,6 @@ func (vc *VertexCut) greedyPlace(e Edge, seen []bool) int {
 	}
 	return best
 }
-
-// K returns the number of machines.
-func (vc *VertexCut) K() int { return vc.k }
-
-// ArcMachine returns the machine of arc i (input order).
-func (vc *VertexCut) ArcMachine(i int) int { return vc.place[i] }
 
 // Master returns the machine owning v's master replica.
 func (vc *VertexCut) Master(v VertexID) int { return vc.master[v] }

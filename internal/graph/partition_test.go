@@ -49,48 +49,13 @@ func TestHashPartitionerBalance(t *testing.T) {
 	}
 }
 
-func TestRangePartitioner(t *testing.T) {
-	p := NewRangePartitioner(100, 4)
-	if p.Partition(0) != 0 || p.Partition(24) != 0 {
-		t.Fatal("low IDs should land in partition 0")
-	}
-	if p.Partition(99) != 3 {
-		t.Fatalf("Partition(99) = %d, want 3", p.Partition(99))
-	}
-	if p.Name() != "range" {
-		t.Fatalf("Name = %q", p.Name())
-	}
-	// Zero-vertex partitioner must not divide by zero.
-	z := NewRangePartitioner(0, 4)
-	if z.Partition(0) != 0 {
-		t.Fatal("zero-vertex range partitioner should return 0")
-	}
-}
-
-func TestPartitionSizesAndArcCounts(t *testing.T) {
-	edges := []Edge{{0, 1}, {0, 2}, {1, 2}, {3, 0}}
-	g, err := FromEdges(4, edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewRangePartitioner(4, 2) // {0,1} -> 0, {2,3} -> 1
-	sizes := PartitionSizes(g, p)
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("sizes = %v, want [2 2]", sizes)
-	}
-	arcs := PartitionArcCounts(g, p)
-	if arcs[0] != 3 || arcs[1] != 1 {
-		t.Fatalf("arcs = %v, want [3 1]", arcs)
-	}
-}
-
 func TestVertexCutPlacesEveryArc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edges := randomEdges(rng, 50, 300)
 	for _, strategy := range []VertexCutStrategy{VertexCutHash, VertexCutGreedy} {
 		vc := NewVertexCut(50, edges, 4, strategy)
-		if vc.K() != 4 {
-			t.Fatalf("K = %d", vc.K())
+		if vc.k != 4 {
+			t.Fatalf("K = %d", vc.k)
 		}
 		var total int64
 		for _, c := range vc.ArcCounts() {
@@ -100,7 +65,7 @@ func TestVertexCutPlacesEveryArc(t *testing.T) {
 			t.Fatalf("%v: placed %d arcs, want 300", strategy, total)
 		}
 		for i := range edges {
-			m := vc.ArcMachine(i)
+			m := vc.place[i]
 			if m < 0 || m >= 4 {
 				t.Fatalf("arc %d on machine %d", i, m)
 			}

@@ -50,25 +50,25 @@ func (rs *RuleSet) Apply(job *archive.Job) {
 	})
 }
 
-// Duration derives the operation's wall time in seconds.
-type Duration struct{}
+// durationRule derives the operation's wall time in seconds.
+type durationRule struct{}
 
 // Name implements Rule.
-func (Duration) Name() string { return "Duration" }
+func (durationRule) Name() string { return "Duration" }
 
 // Derive implements Rule.
-func (Duration) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
+func (durationRule) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	return formatFloat(op.Duration()), true
 }
 
-// PercentOfJob derives the operation's share of the job makespan.
-type PercentOfJob struct{}
+// percentOfJob derives the operation's share of the job makespan.
+type percentOfJob struct{}
 
 // Name implements Rule.
-func (PercentOfJob) Name() string { return "PercentOfJob" }
+func (percentOfJob) Name() string { return "PercentOfJob" }
 
 // Derive implements Rule.
-func (PercentOfJob) Derive(op *archive.Operation, job *archive.Job) (string, bool) {
+func (percentOfJob) Derive(op *archive.Operation, job *archive.Job) (string, bool) {
 	total := job.Root.Duration()
 	if total <= 0 {
 		return "", false
@@ -76,8 +76,8 @@ func (PercentOfJob) Derive(op *archive.Operation, job *archive.Job) (string, boo
 	return formatFloat(100 * op.Duration() / total), true
 }
 
-// ChildSum sums a recorded info over direct children with a mission.
-type ChildSum struct {
+// childSum sums a recorded info over direct children with a mission.
+type childSum struct {
 	// Key is the derived-info name to write.
 	Key string
 	// Mission filters children ("" matches all).
@@ -87,10 +87,10 @@ type ChildSum struct {
 }
 
 // Name implements Rule.
-func (r ChildSum) Name() string { return r.Key }
+func (r childSum) Name() string { return r.Key }
 
 // Derive implements Rule.
-func (r ChildSum) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
+func (r childSum) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	sum := 0.0
 	found := false
 	for _, c := range op.Children {
@@ -111,17 +111,17 @@ func (r ChildSum) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	return formatFloat(sum), true
 }
 
-// ChildCount counts direct children with a mission.
-type ChildCount struct {
+// childCount counts direct children with a mission.
+type childCount struct {
 	Key     string
 	Mission string
 }
 
 // Name implements Rule.
-func (r ChildCount) Name() string { return r.Key }
+func (r childCount) Name() string { return r.Key }
 
 // Derive implements Rule.
-func (r ChildCount) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
+func (r childCount) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	n := 0
 	for _, c := range op.Children {
 		if r.Mission == "" || c.Mission == r.Mission {
@@ -134,18 +134,18 @@ func (r ChildCount) Derive(op *archive.Operation, _ *archive.Job) (string, bool)
 	return strconv.Itoa(n), true
 }
 
-// InfoRate derives recorded-info units per second of operation time
+// infoRate derives recorded-info units per second of operation time
 // (e.g. bytes/s from BytesRead).
-type InfoRate struct {
+type infoRate struct {
 	Key  string
 	Info string
 }
 
 // Name implements Rule.
-func (r InfoRate) Name() string { return r.Key }
+func (r infoRate) Name() string { return r.Key }
 
 // Derive implements Rule.
-func (r InfoRate) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
+func (r infoRate) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	raw, ok := op.Infos[r.Info]
 	if !ok || op.Duration() <= 0 {
 		return "", false
@@ -157,7 +157,7 @@ func (r InfoRate) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 	return formatFloat(v / op.Duration()), true
 }
 
-// CPUDuring derives the total CPU time (cpu-seconds, all nodes) consumed
+// cpuDuring derives the total CPU time (cpu-seconds, all nodes) consumed
 // during the operation's interval, from the job's environment samples —
 // the mapping of resource usage to operations behind Figures 6 and 7.
 //
@@ -168,7 +168,7 @@ func (r InfoRate) Derive(op *archive.Operation, _ *archive.Job) (string, bool) {
 // keeps time-ascending) and binary-searches each operation's (start, end]
 // window. The window is summed left to right — the same additions in the
 // same order as the full scan — so derived values are bit-identical.
-type CPUDuring struct {
+type cpuDuring struct {
 	job    *archive.Job
 	times  []float64
 	used   []float64
@@ -176,10 +176,10 @@ type CPUDuring struct {
 }
 
 // Name implements Rule.
-func (r *CPUDuring) Name() string { return "CPUSeconds" }
+func (r *cpuDuring) Name() string { return "CPUSeconds" }
 
 // Derive implements Rule.
-func (r *CPUDuring) Derive(op *archive.Operation, job *archive.Job) (string, bool) {
+func (r *cpuDuring) Derive(op *archive.Operation, job *archive.Job) (string, bool) {
 	if len(job.EnvSamples) == 0 {
 		return "", false
 	}
@@ -210,7 +210,7 @@ func (r *CPUDuring) Derive(op *archive.Operation, job *archive.Job) (string, boo
 // index extracts the CPU samples of job in slice order and records
 // whether their times are non-decreasing (true for monitor-assembled
 // jobs, which sort samples by time at assembly).
-func (r *CPUDuring) index(job *archive.Job) {
+func (r *cpuDuring) index(job *archive.Job) {
 	r.job = job
 	r.times = r.times[:0]
 	r.used = r.used[:0]
@@ -233,15 +233,15 @@ func (r *CPUDuring) index(job *archive.Job) {
 // archived job.
 func StandardRules() *RuleSet {
 	return &RuleSet{
-		Global: []Rule{Duration{}, PercentOfJob{}, &CPUDuring{}},
+		Global: []Rule{durationRule{}, percentOfJob{}, &cpuDuring{}},
 		PerMission: map[string][]Rule{
-			"ProcessGraph": {ChildCount{Key: "Supersteps", Mission: "Superstep"}},
+			"ProcessGraph": {childCount{Key: "Supersteps", Mission: "Superstep"}},
 			"Superstep": {
-				ChildCount{Key: "Workers", Mission: "LocalSuperstep"},
+				childCount{Key: "Workers", Mission: "LocalSuperstep"},
 			},
-			"LoadHdfsData":    {InfoRate{Key: "ReadThroughput", Info: "BytesRead"}},
-			"OffloadHdfsData": {InfoRate{Key: "WriteThroughput", Info: "BytesWritten"}},
-			"SequentialLoad":  {InfoRate{Key: "LoadThroughput", Info: "BytesLoaded"}},
+			"LoadHdfsData":    {infoRate{Key: "ReadThroughput", Info: "BytesRead"}},
+			"OffloadHdfsData": {infoRate{Key: "WriteThroughput", Info: "BytesWritten"}},
+			"SequentialLoad":  {infoRate{Key: "LoadThroughput", Info: "BytesLoaded"}},
 		},
 	}
 }

@@ -107,7 +107,7 @@ func TestCPUDuringAttributesSamples(t *testing.T) {
 func TestChildSumRule(t *testing.T) {
 	j := testJob()
 	rs := &RuleSet{PerMission: map[string][]Rule{
-		"Superstep": {ChildSum{Key: "TotalVertices", Mission: "LocalSuperstep", Info: "Vertices"}},
+		"Superstep": {childSum{Key: "TotalVertices", Mission: "LocalSuperstep", Info: "Vertices"}},
 	}}
 	rs.Apply(j)
 	ss1 := j.Root.Children[2].Children[0]
@@ -124,7 +124,7 @@ func TestChildSumRule(t *testing.T) {
 func TestChildCountZeroDoesNotAnnotate(t *testing.T) {
 	j := testJob()
 	rs := &RuleSet{PerMission: map[string][]Rule{
-		"Startup": {ChildCount{Key: "Anything", Mission: "Nothing"}},
+		"Startup": {childCount{Key: "Anything", Mission: "Nothing"}},
 	}}
 	rs.Apply(j)
 	if _, ok := j.Root.Children[0].Derived["Anything"]; ok {
@@ -134,11 +134,11 @@ func TestChildCountZeroDoesNotAnnotate(t *testing.T) {
 
 func TestInfoRateSkipsBadInputs(t *testing.T) {
 	op := &archive.Operation{ID: "x", Start: 0, End: 0, Infos: map[string]string{"B": "10"}}
-	if _, ok := (InfoRate{Key: "R", Info: "B"}).Derive(op, nil); ok {
+	if _, ok := (infoRate{Key: "R", Info: "B"}).Derive(op, nil); ok {
 		t.Fatal("zero-duration rate should not apply")
 	}
 	op2 := &archive.Operation{ID: "y", Start: 0, End: 1, Infos: map[string]string{"B": "abc"}}
-	if _, ok := (InfoRate{Key: "R", Info: "B"}).Derive(op2, nil); ok {
+	if _, ok := (infoRate{Key: "R", Info: "B"}).Derive(op2, nil); ok {
 		t.Fatal("non-numeric rate should not apply")
 	}
 }

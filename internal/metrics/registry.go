@@ -68,11 +68,11 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
+// value returns the current count.
+func (c *Counter) value() uint64 { return c.n.Load() }
 
 func (c *Counter) write(e *Emitter, name, labels string) {
-	e.line(name, "", labels, strconv.FormatUint(c.Value(), 10))
+	e.line(name, "", labels, strconv.FormatUint(c.value(), 10))
 }
 
 // Counter declares an unlabelled counter family.

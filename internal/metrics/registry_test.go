@@ -147,7 +147,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	close(stop)
 	<-scraped
 
-	if got := c.Value(); got != workers*rounds {
+	if got := c.value(); got != workers*rounds {
 		t.Errorf("counter = %d, want %d", got, workers*rounds)
 	}
 	var buf bytes.Buffer

@@ -26,8 +26,8 @@ func TestAssembleBuildsTree(t *testing.T) {
 		rec(1, "other", "x", "", "", "", trace.EventEnd),
 	}
 	samples := []envmon.Sample{
-		{Time: 2, Node: "n1", Kind: envmon.KindCPU, Used: 1},
-		{Time: 1, Node: "n0", Kind: envmon.KindCPU, Used: 2},
+		{Time: 2, Node: "n1", Kind: "cpu", Used: 1},
+		{Time: 1, Node: "n0", Kind: "cpu", Used: 2},
 	}
 	job, err := Assemble("j", "Giraph", records, samples)
 	if err != nil {
@@ -135,8 +135,8 @@ func TestSessionRunsEndToEnd(t *testing.T) {
 	if total < 2-1e-6 {
 		t.Fatalf("sampled CPU = %v, want ~2", total)
 	}
-	if eng.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes", eng.LiveProcs())
+	if n := eng.Shutdown(); n != 0 {
+		t.Fatalf("leaked %d processes", n)
 	}
 }
 

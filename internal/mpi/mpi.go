@@ -23,15 +23,6 @@ type Config struct {
 	FinalizeLatency float64
 }
 
-// DefaultConfig mirrors OpenMPI over a fast interconnect.
-func DefaultConfig() Config {
-	return Config{
-		SpawnLatency:     0.15,
-		MsgOverheadBytes: 64,
-		FinalizeLatency:  0.2,
-	}
-}
-
 // World is a set of ranks with messaging and collectives.
 type World struct {
 	cluster *cluster.Cluster
@@ -39,8 +30,6 @@ type World struct {
 	comms   []*Comm
 	barrier *sim.Barrier
 	done    *sim.Event
-	// bytesSent counts application payload bytes for reporting.
-	bytesSent float64
 }
 
 // Message is a tagged payload between ranks.
@@ -105,12 +94,6 @@ func Spawn(p *sim.Proc, c *cluster.Cluster, cfg Config, nprocs int, fn func(*sim
 // Done returns an event fired when every rank's function has returned.
 func (w *World) Done() *sim.Event { return w.done }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.comms) }
-
-// BytesSent returns the total payload bytes sent so far.
-func (w *World) BytesSent() float64 { return w.bytesSent }
-
 // Finalize charges the world teardown cost.
 func (w *World) Finalize(p *sim.Proc) {
 	p.Sleep(w.cfg.FinalizeLatency)
@@ -119,8 +102,8 @@ func (w *World) Finalize(p *sim.Proc) {
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the world size.
-func (c *Comm) Size() int { return len(c.world.comms) }
+// size returns the world size.
+func (c *Comm) size() int { return len(c.world.comms) }
 
 // Node returns the cluster node this rank runs on.
 func (c *Comm) Node() *cluster.Node { return c.node }
@@ -130,7 +113,6 @@ func (c *Comm) Node() *cluster.Node { return c.node }
 func (c *Comm) Send(p *sim.Proc, to int, tag string, bytes float64, payload any) {
 	dst := c.world.comms[to]
 	c.world.cluster.Transfer(p, c.node, dst.node, bytes+c.world.cfg.MsgOverheadBytes)
-	c.world.bytesSent += bytes
 	dst.inbox.Put(Message{From: c.rank, Tag: tag, Bytes: bytes, Payload: payload})
 }
 
@@ -158,9 +140,9 @@ func (c *Comm) Barrier(p *sim.Proc) {
 	c.world.barrier.Await(p)
 }
 
-// Bcast sends payload of the given size from root to every other rank and
+// bcast sends payload of the given size from root to every other rank and
 // returns the payload on all ranks. It is synchronizing.
-func (c *Comm) Bcast(p *sim.Proc, root int, bytes float64, payload any) any {
+func (c *Comm) bcast(p *sim.Proc, root int, bytes float64, payload any) any {
 	if c.rank == root {
 		for r := range c.world.comms {
 			if r != root {
@@ -175,13 +157,13 @@ func (c *Comm) Bcast(p *sim.Proc, root int, bytes float64, payload any) any {
 	return m.Payload
 }
 
-// Gather collects one float64 per rank at root; non-root ranks receive
+// gather collects one float64 per rank at root; non-root ranks receive
 // nil. It is synchronizing.
-func (c *Comm) Gather(p *sim.Proc, root int, bytes float64, value float64) []float64 {
+func (c *Comm) gather(p *sim.Proc, root int, bytes float64, value float64) []float64 {
 	if c.rank == root {
-		out := make([]float64, c.Size())
+		out := make([]float64, c.size())
 		out[root] = value
-		for i := 1; i < c.Size(); i++ {
+		for i := 1; i < c.size(); i++ {
 			m := c.Recv(p, "__gather")
 			out[m.From] = m.Payload.(float64)
 		}
@@ -197,13 +179,13 @@ func (c *Comm) Gather(p *sim.Proc, root int, bytes float64, value float64) []flo
 // synchronizing and uses a root-based reduce + broadcast.
 func (c *Comm) AllreduceSum(p *sim.Proc, value float64) float64 {
 	const root = 0
-	vals := c.Gather(p, root, 8, value)
+	vals := c.gather(p, root, 8, value)
 	var sum float64
 	if c.rank == root {
 		for _, v := range vals {
 			sum += v
 		}
 	}
-	res := c.Bcast(p, root, 8, sum)
+	res := c.bcast(p, root, 8, sum)
 	return res.(float64)
 }

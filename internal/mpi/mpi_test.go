@@ -49,8 +49,8 @@ func TestSpawnAssignsRanksRoundRobin(t *testing.T) {
 	ranks := map[int]string{}
 	runWorld(t, 4, func(p *sim.Proc, c *Comm) {
 		ranks[c.Rank()] = c.Node().Name
-		if c.Size() != 4 {
-			t.Errorf("Size = %d, want 4", c.Size())
+		if c.size() != 4 {
+			t.Errorf("Size = %d, want 4", c.size())
 		}
 	})
 	if len(ranks) != 4 {
@@ -140,7 +140,7 @@ func TestBcast(t *testing.T) {
 		if c.Rank() == 0 {
 			payload = 42
 		}
-		got[c.Rank()] = c.Bcast(p, 0, 8, payload)
+		got[c.Rank()] = c.bcast(p, 0, 8, payload)
 	})
 	for r, v := range got {
 		if v.(int) != 42 {
@@ -152,7 +152,7 @@ func TestBcast(t *testing.T) {
 func TestGather(t *testing.T) {
 	var rootResult []float64
 	runWorld(t, 4, func(p *sim.Proc, c *Comm) {
-		res := c.Gather(p, 0, 8, float64(c.Rank()*10))
+		res := c.gather(p, 0, 8, float64(c.Rank()*10))
 		if c.Rank() == 0 {
 			rootResult = res
 		} else if res != nil {
@@ -190,11 +190,10 @@ func TestBytesSentAccounted(t *testing.T) {
 			c.Recv(p, "x")
 		}
 	})
-	if w.BytesSent() != 1000 {
-		t.Fatalf("BytesSent = %v, want 1000", w.BytesSent())
-	}
-	if w.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", w.Size())
+	// The sender's NIC carries the payload plus the message framing.
+	want := 1000 + w.cfg.MsgOverheadBytes
+	if got := w.comms[0].node.NIC.Consumed(); got != want {
+		t.Fatalf("rank 0 NIC bytes = %v, want %v", got, want)
 	}
 }
 

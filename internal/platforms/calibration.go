@@ -24,16 +24,16 @@ import (
 // The constants below were fixed once against those shapes (see
 // EXPERIMENTS.md for the resulting numbers) and are not fitted per run.
 
-// PaperEdges is the dg1000 edge count the cost models scale to.
-const PaperEdges = 1.03e9
+// paperEdges is the dg1000 edge count the cost models scale to.
+const paperEdges = 1.03e9
 
-// DG1000WorkScale returns the factor that maps a laptop-sized stand-in
+// dg1000WorkScale returns the factor that maps a laptop-sized stand-in
 // dataset to dg1000-scale work.
-func DG1000WorkScale(ds *datagen.Dataset) float64 {
+func dg1000WorkScale(ds *datagen.Dataset) float64 {
 	if len(ds.Edges) == 0 {
 		return 1
 	}
-	return PaperEdges / float64(len(ds.Edges))
+	return paperEdges / float64(len(ds.Edges))
 }
 
 // DAS5Config returns the simulated 8-node DAS5 cluster used by the
@@ -52,9 +52,9 @@ func DAS5Config() cluster.Config {
 	}
 }
 
-// GiraphYarnConfig is the Yarn latency profile calibrated to Giraph's
+// giraphYarnConfig is the Yarn latency profile calibrated to Giraph's
 // slow, CPU-light startup (Figures 5-6).
-func GiraphYarnConfig() yarn.Config {
+func giraphYarnConfig() yarn.Config {
 	return yarn.Config{
 		SubmitLatency:    4.0,
 		AllocLatency:     0.4,
@@ -64,8 +64,8 @@ func GiraphYarnConfig() yarn.Config {
 	}
 }
 
-// GiraphZKConfig is the coordination-cost profile.
-func GiraphZKConfig() zookeeper.Config {
+// giraphZKConfig is the coordination-cost profile.
+func giraphZKConfig() zookeeper.Config {
 	return zookeeper.Config{
 		OpLatency:      0.004,
 		OpCPUSeconds:   0.0005,
@@ -73,18 +73,18 @@ func GiraphZKConfig() zookeeper.Config {
 	}
 }
 
-// GiraphPaperConfig returns the Pregel-platform configuration calibrated
+// giraphPaperConfig returns the Pregel-platform configuration calibrated
 // to the paper's Giraph deployment: 8 workers (one per node), parallel
 // parse threads that saturate the node during loading, and JVM-grade
 // per-unit compute costs.
-func GiraphPaperConfig(ds *datagen.Dataset) pregel.Config {
+func giraphPaperConfig(ds *datagen.Dataset) pregel.Config {
 	return pregel.Config{
 		Workers:        8,
 		ComputeThreads: 8,
 		ParseThreads:   24,
 		Combiner:       pregel.MinCombiner{},
 		MaxSupersteps:  200,
-		WorkScale:      DG1000WorkScale(ds),
+		WorkScale:      dg1000WorkScale(ds),
 		Costs: pregel.CostModel{
 			ParseCPUPerByte:          160e-9,
 			BuildCPUPerEdge:          180e-9,
@@ -103,8 +103,8 @@ func GiraphPaperConfig(ds *datagen.Dataset) pregel.Config {
 	}
 }
 
-// PowerGraphMPIConfig is the MPI cost profile (fast startup).
-func PowerGraphMPIConfig() mpi.Config {
+// powerGraphMPIConfig is the MPI cost profile (fast startup).
+func powerGraphMPIConfig() mpi.Config {
 	return mpi.Config{
 		SpawnLatency:     0.15,
 		MsgOverheadBytes: 64,
@@ -112,11 +112,11 @@ func PowerGraphMPIConfig() mpi.Config {
 	}
 }
 
-// PowerGraphPaperConfig returns the GAS-platform configuration calibrated
+// powerGraphPaperConfig returns the GAS-platform configuration calibrated
 // to the paper's PowerGraph deployment: 8 ranks, a sequential loader
 // whose parse cost pins one node for minutes at dg1000 scale, and cheap
 // C++ per-unit compute costs.
-func PowerGraphPaperConfig(ds *datagen.Dataset) gas.Config {
+func powerGraphPaperConfig(ds *datagen.Dataset) gas.Config {
 	return gas.Config{
 		Machines:       8,
 		LoadThreads:    16,
@@ -124,7 +124,7 @@ func PowerGraphPaperConfig(ds *datagen.Dataset) gas.Config {
 		CutStrategy:    graphCutDefault,
 		MaxIterations:  500,
 		ChunkBytes:     256 << 20,
-		WorkScale:      DG1000WorkScale(ds),
+		WorkScale:      dg1000WorkScale(ds),
 		Costs: gas.CostModel{
 			ParseCPUPerByte:        270e-9,
 			DistributeBytesPerEdge: 16,

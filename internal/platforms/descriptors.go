@@ -11,9 +11,9 @@ import (
 	"strings"
 )
 
-// Descriptor is one row of the paper's Table 1: the high-level
+// descriptor is one row of the paper's Table 1: the high-level
 // characteristics of a graph-processing platform.
-type Descriptor struct {
+type descriptor struct {
 	Name             string
 	Vendor           string
 	Version          string
@@ -27,11 +27,11 @@ type Descriptor struct {
 	Simulated bool
 }
 
-// Registry returns the seven platforms of Table 1, in the paper's order.
+// registry returns the seven platforms of Table 1, in the paper's order.
 // Giraph and PowerGraph (bold in the paper) are the ones this repository
 // simulates end to end.
-func Registry() []Descriptor {
-	return []Descriptor{
+func registry() []descriptor {
+	return []descriptor{
 		{Name: "Giraph", Vendor: "Apache", Version: "1.2.0", Language: "Java", Distributed: true,
 			Provisioning: "Yarn", ProgrammingModel: "Pregel", DataFormat: "VertexStore", FileSystem: "HDFS", Simulated: true},
 		{Name: "PowerGraph", Vendor: "CMU", Version: "2.2", Language: "C++", Distributed: true,
@@ -49,23 +49,12 @@ func Registry() []Descriptor {
 	}
 }
 
-// Lookup returns the descriptor with the given name, or nil.
-func Lookup(name string) *Descriptor {
-	for _, d := range Registry() {
-		if strings.EqualFold(d.Name, name) {
-			d := d
-			return &d
-		}
-	}
-	return nil
-}
-
 // Table1 renders the registry in the paper's Table 1 layout.
 func Table1() string {
 	var sb strings.Builder
 	header := []string{"Name", "Vendor", "Vers.", "Lang.", "Distr.", "Provisioning", "Programming Model", "Data Format", "File Sys."}
 	rows := [][]string{header}
-	for _, d := range Registry() {
+	for _, d := range registry() {
 		distr := "no"
 		if d.Distributed {
 			distr = "yes"

@@ -50,7 +50,7 @@ type Spec struct {
 	// Cluster is the hardware model; zero value selects DAS5Config.
 	Cluster cluster.Config
 	// WorkScale scales measured work to target size; 0 selects
-	// DG1000WorkScale(Dataset).
+	// dg1000WorkScale(Dataset).
 	WorkScale float64
 	// JobID labels the archive job; empty derives one.
 	JobID string
@@ -150,7 +150,7 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 		return nil, fmt.Errorf("platforms: spec needs a dataset")
 	}
 	if spec.WorkScale == 0 {
-		spec.WorkScale = DG1000WorkScale(spec.Dataset)
+		spec.WorkScale = dg1000WorkScale(spec.Dataset)
 	}
 	if spec.Cluster.Nodes == 0 {
 		spec.Cluster = DAS5Config()
@@ -187,7 +187,7 @@ func runGiraph(ctx context.Context, spec Spec) (*Output, error) {
 	defer eng.Shutdown()
 	defer watchContext(ctx, eng)()
 	c := cluster.New(eng, spec.Cluster)
-	cfg := GiraphPaperConfig(spec.Dataset)
+	cfg := giraphPaperConfig(spec.Dataset)
 	if spec.Pregel != nil {
 		cfg = *spec.Pregel
 	} else {
@@ -215,9 +215,9 @@ func runGiraph(ctx context.Context, spec Spec) (*Output, error) {
 	h := dfs.NewHDFS(c, hcfg)
 	deps := pregel.Deps{
 		Cluster:    c,
-		RM:         yarn.NewResourceManager(c, GiraphYarnConfig()),
+		RM:         yarn.NewResourceManager(c, giraphYarnConfig()),
 		HDFS:       h,
-		ZK:         zookeeper.NewService(c.Node(0), GiraphZKConfig()),
+		ZK:         zookeeper.NewService(c.Node(0), giraphZKConfig()),
 		InputPath:  "/input/" + spec.Dataset.Name,
 		OutputPath: "/output",
 	}
@@ -249,7 +249,7 @@ func runPowerGraph(ctx context.Context, spec Spec) (*Output, error) {
 	defer eng.Shutdown()
 	defer watchContext(ctx, eng)()
 	c := cluster.New(eng, spec.Cluster)
-	cfg := PowerGraphPaperConfig(spec.Dataset)
+	cfg := powerGraphPaperConfig(spec.Dataset)
 	if spec.GAS != nil {
 		cfg = *spec.GAS
 	} else {
@@ -269,7 +269,7 @@ func runPowerGraph(ctx context.Context, spec Spec) (*Output, error) {
 	deps := gas.Deps{
 		Cluster:    c,
 		Store:      store,
-		MPI:        PowerGraphMPIConfig(),
+		MPI:        powerGraphMPIConfig(),
 		InputPath:  "/data/" + spec.Dataset.Name,
 		OutputPath: "/out",
 	}

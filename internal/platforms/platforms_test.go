@@ -31,7 +31,7 @@ func smallCluster() cluster.Config {
 }
 
 func TestRegistryMatchesTable1(t *testing.T) {
-	reg := Registry()
+	reg := registry()
 	if len(reg) != 7 {
 		t.Fatalf("registry has %d platforms, want 7 (Table 1)", len(reg))
 	}
@@ -52,15 +52,6 @@ func TestRegistryMatchesTable1(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	if d := Lookup("giraph"); d == nil || d.ProgrammingModel != "Pregel" {
-		t.Fatalf("Lookup(giraph) = %+v", d)
-	}
-	if Lookup("nope") != nil {
-		t.Fatal("Lookup(nope) should be nil")
-	}
-}
-
 func TestTable1Rendering(t *testing.T) {
 	out := Table1()
 	for _, want := range []string{"Giraph", "PowerGraph", "Hadoop", "Pregel", "GAS", "HDFS", "Provisioning"} {
@@ -76,12 +67,12 @@ func TestTable1Rendering(t *testing.T) {
 
 func TestDG1000WorkScale(t *testing.T) {
 	ds := smallDataset(t)
-	scale := DG1000WorkScale(ds)
-	if math.Abs(scale-PaperEdges/8000) > 1e-6 {
+	scale := dg1000WorkScale(ds)
+	if math.Abs(scale-paperEdges/8000) > 1e-6 {
 		t.Fatalf("scale = %v", scale)
 	}
 	empty := &datagen.Dataset{}
-	if DG1000WorkScale(empty) != 1 {
+	if dg1000WorkScale(empty) != 1 {
 		t.Fatal("empty dataset scale should be 1")
 	}
 }
@@ -258,7 +249,7 @@ func TestChokepointDiagnosesPowerGraphLoader(t *testing.T) {
 	}
 	var hotspot *chokepoint.Finding
 	for i := range report.Findings {
-		if report.Findings[i].Kind == chokepoint.KindSingleLoader &&
+		if report.Findings[i].Kind == "single-node-hotspot" &&
 			report.Findings[i].Mission == "LoadGraph" {
 			hotspot = &report.Findings[i]
 		}

@@ -14,7 +14,7 @@ import (
 func TestRegressionWorkflowEndToEnd(t *testing.T) {
 	ds := smallDataset(t)
 
-	baselineCfg := GiraphPaperConfig(ds)
+	baselineCfg := giraphPaperConfig(ds)
 	baselineCfg.Workers = 4
 	baseline, err := Run(Spec{
 		Platform: "Giraph", Algorithm: "BFS", Dataset: ds,
@@ -26,7 +26,7 @@ func TestRegressionWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// The "new build": parsing became 2.5x more expensive.
-	slowCfg := GiraphPaperConfig(ds)
+	slowCfg := giraphPaperConfig(ds)
 	slowCfg.Workers = 4
 	slowCfg.Costs.ParseCPUPerByte *= 2.5
 	current, err := Run(Spec{
@@ -54,7 +54,7 @@ func TestRegressionWorkflowEndToEnd(t *testing.T) {
 	// The findings must point at loading, not at processing.
 	loadFlagged, processFlagged := false, false
 	for _, f := range report.Findings {
-		if f.Verdict != regression.Regression {
+		if f.Verdict != "regression" {
 			continue
 		}
 		switch f.Mission {

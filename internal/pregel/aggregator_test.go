@@ -53,7 +53,7 @@ func (echoDegree) Compute(ctx *Context, msgs []float64) {
 		if int64(len(ctx.OutNeighbors())) != ctx.OutDegree() {
 			panic("neighbor count disagrees with degree")
 		}
-		if ctx.NumVertices() <= 0 || ctx.NumEdges() <= 0 {
+		if ctx.NumVertices() <= 0 {
 			panic("graph size accessors broken")
 		}
 		ctx.SetValue(float64(ctx.OutDegree()))

@@ -38,9 +38,6 @@ func (c *Context) Superstep() int { return c.superstep }
 // NumVertices returns the graph's vertex count.
 func (c *Context) NumVertices() int64 { return c.js.g.NumVertices() }
 
-// NumEdges returns the graph's arc count.
-func (c *Context) NumEdges() int64 { return c.js.g.NumArcs() }
-
 // Value returns the vertex's current value.
 func (c *Context) Value() float64 { return c.js.values[c.vertex] }
 
@@ -58,12 +55,12 @@ func (c *Context) OutNeighbors() []graph.VertexID {
 
 // SendTo sends msg to vertex dst, delivered in the next superstep. A dst
 // outside [0, NumVertices) is a vertex-program bug; it fails the job with
-// a VertexProgramError at the superstep barrier instead of panicking the
+// a vertexProgramError at the superstep barrier instead of panicking the
 // whole engine, so one misbehaving program cannot take down the process.
 func (c *Context) SendTo(dst graph.VertexID, msg float64) {
 	if dst < 0 || int64(dst) >= c.js.g.NumVertices() {
 		if c.out.sendErr == nil {
-			c.out.sendErr = &VertexProgramError{
+			c.out.sendErr = &vertexProgramError{
 				Superstep: c.superstep,
 				Vertex:    c.vertex,
 				Problem:   fmt.Sprintf("SendTo(%d) outside [0,%d)", dst, c.js.g.NumVertices()),
@@ -102,17 +99,17 @@ func (c *Context) AggregatedValue(name string) float64 {
 	return c.js.aggCur[name]
 }
 
-// VertexProgramError reports a vertex program violating the engine API
+// vertexProgramError reports a vertex program violating the engine API
 // contract (e.g. sending to a nonexistent vertex). It fails the job it
 // occurred in — a per-job conformance error, mirroring core.CheckJob's
 // error model — rather than panicking the shared process.
-type VertexProgramError struct {
+type vertexProgramError struct {
 	Superstep int
 	Vertex    graph.VertexID
 	Problem   string
 }
 
-func (e *VertexProgramError) Error() string {
+func (e *vertexProgramError) Error() string {
 	return fmt.Sprintf("pregel: vertex program error at superstep %d, vertex %d: %s",
 		e.Superstep, e.Vertex, e.Problem)
 }

@@ -209,7 +209,7 @@ func (j *job) startup(root trace.OpRef) {
 			local := j.em.Start(launch, w.actor(), "LocalStartup")
 			w.zk = j.deps.ZK.Connect(wp, w.actor())
 			// Worker registration znode.
-			_ = w.zk.Create(wp, fmt.Sprintf("/giraph-w%d", w.id), nil)
+			_ = w.zk.Create(wp, fmt.Sprintf("/giraph-w%d", w.id))
 			j.em.End(local)
 			readyEv.Fire()
 			j.workerLoop(wp, w)
@@ -438,7 +438,7 @@ func (j *job) recoverWorker(processOp trace.OpRef) int {
 	w.proc = containers[0].Launch(j.p, fmt.Sprintf("giraph-worker-%d-r", w.id), func(wp *sim.Proc) {
 		local := j.em.Start(restart, w.actor(), "LocalStartup")
 		w.zk = j.deps.ZK.Connect(wp, w.actor())
-		_ = w.zk.Create(wp, fmt.Sprintf("/giraph-w%d-r", w.id), nil)
+		_ = w.zk.Create(wp, fmt.Sprintf("/giraph-w%d-r", w.id))
 		j.em.End(local)
 		ready.Fire()
 		j.workerLoop(wp, w)
@@ -480,7 +480,7 @@ func (j *job) ownedVertices(workerID int) int64 {
 // boundary: aggregator collection and superstep state in ZooKeeper.
 func (j *job) masterSync() {
 	path := fmt.Sprintf("/master-sync-%d", j.js.superstep)
-	_ = j.masterZK.Create(j.p, path, nil)
+	_ = j.masterZK.Create(j.p, path)
 	_ = j.masterZK.Delete(j.p, path)
 }
 

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -86,7 +87,7 @@ func newTestEnv(t *testing.T, ds *datagen.Dataset, workScale float64) *testEnv {
 		Cluster:    c,
 		RM:         yarn.NewResourceManager(c, yarn.Config{SubmitLatency: 0.5, AllocLatency: 0.05, LaunchLatency: 0.5, LaunchCPUSeconds: 0.2, ReleaseLatency: 0.2}),
 		HDFS:       h,
-		ZK:         zookeeper.NewService(c.Node(0), zookeeper.DefaultConfig()),
+		ZK:         zookeeper.NewService(c.Node(0), zookeeper.Config{OpLatency: 0.004, OpCPUSeconds: 0.0005, ConnectLatency: 0.05}),
 		InputPath:  "/input/" + ds.Name,
 		OutputPath: "/output",
 	}
@@ -109,6 +110,23 @@ func testDataset(t *testing.T) *datagen.Dataset {
 	return ds
 }
 
+// testCosts are modest per-unit costs for small test jobs.
+var testCosts = CostModel{
+	ParseCPUPerByte:          60e-9,
+	BuildCPUPerEdge:          150e-9,
+	ShuffleBytesPerEdge:      16,
+	ComputeCPUPerVertex:      250e-9,
+	ComputeCPUPerMessage:     120e-9,
+	MessageBytes:             16,
+	OutputBytesPerVertex:     16,
+	CheckpointBytesPerVertex: 24,
+	RecoveryDetectSeconds:    2.0,
+	WorkerShutdownSeconds:    0.3,
+	ClientCleanupSeconds:     1.0,
+	ServerCleanupSeconds:     1.5,
+	ZkCleanupSeconds:         0.5,
+}
+
 func testJobConfig(workers int) Config {
 	return Config{
 		Workers:        workers,
@@ -117,7 +135,7 @@ func testJobConfig(workers int) Config {
 		Combiner:       MinCombiner{},
 		MaxSupersteps:  100,
 		WorkScale:      1,
-		Costs:          DefaultCostModel(),
+		Costs:          testCosts,
 	}
 }
 
@@ -135,8 +153,8 @@ func runJob(t *testing.T, env *testEnv, cfg Config, prog Program, ds *datagen.Da
 	if jobErr != nil {
 		t.Fatal(jobErr)
 	}
-	if env.eng.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes after job", env.eng.LiveProcs())
+	if n := env.eng.Shutdown(); n != 0 {
+		t.Fatalf("leaked %d processes after job", n)
 	}
 	return result
 }
@@ -363,15 +381,11 @@ func TestOutputWrittenToHDFS(t *testing.T) {
 	ds := testDataset(t)
 	env := newTestEnv(t, ds, 1)
 	runJob(t, env, testJobConfig(4), bfs{source: 0}, ds)
-	files := env.deps.HDFS.Files()
-	outputs := 0
-	for _, f := range files {
-		if len(f) > 8 && f[:8] == "/output/" {
-			outputs++
+	for w := 0; w <= 4; w++ {
+		path := fmt.Sprintf("%s/part-%05d-%s", env.deps.OutputPath, w, env.em.Job())
+		if got := env.deps.HDFS.Exists(path); got != (w < 4) {
+			t.Fatalf("output part %s exists = %v, want one part per worker (4)", path, got)
 		}
-	}
-	if outputs != 4 {
-		t.Fatalf("output parts = %d, want 4 (one per worker)", outputs)
 	}
 }
 

@@ -123,7 +123,7 @@ func (m misbehaving) Compute(ctx *Context, msgs []float64) {
 }
 
 // TestMisbehavingProgramFailsJobNotEngine is the regression test for the
-// out-of-range SendTo: the job must return a VertexProgramError instead of
+// out-of-range SendTo: the job must return a vertexProgramError instead of
 // panicking the engine, and the simulation must wind down cleanly.
 func TestMisbehavingProgramFailsJobNotEngine(t *testing.T) {
 	ds := testDataset(t)
@@ -138,15 +138,15 @@ func TestMisbehavingProgramFailsJobNotEngine(t *testing.T) {
 		if err := env.eng.Run(); err != nil {
 			t.Fatalf("par=%d: engine failed: %v", par, err)
 		}
-		if env.eng.LiveProcs() != 0 {
-			t.Fatalf("par=%d: leaked %d processes after failed job", par, env.eng.LiveProcs())
+		if n := env.eng.Shutdown(); n != 0 {
+			t.Fatalf("par=%d: leaked %d processes after failed job", par, n)
 		}
-		var vpe *VertexProgramError
+		var vpe *vertexProgramError
 		if jobErr == nil {
 			t.Fatalf("par=%d: job succeeded despite out-of-range SendTo", par)
 		}
 		if !errors.As(jobErr, &vpe) {
-			t.Fatalf("par=%d: error %v is not a VertexProgramError", par, jobErr)
+			t.Fatalf("par=%d: error %v is not a vertexProgramError", par, jobErr)
 		}
 		if vpe.Vertex != 3 || vpe.Superstep != 1 {
 			t.Fatalf("par=%d: error %+v, want vertex 3 at superstep 1", par, vpe)

@@ -95,26 +95,6 @@ type CostModel struct {
 	ZkCleanupSeconds float64
 }
 
-// DefaultCostModel returns constants calibrated for a JVM platform; see
-// internal/platforms for the paper-scale calibration.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ParseCPUPerByte:          60e-9,
-		BuildCPUPerEdge:          150e-9,
-		ShuffleBytesPerEdge:      16,
-		ComputeCPUPerVertex:      250e-9,
-		ComputeCPUPerMessage:     120e-9,
-		MessageBytes:             16,
-		OutputBytesPerVertex:     16,
-		CheckpointBytesPerVertex: 24,
-		RecoveryDetectSeconds:    2.0,
-		WorkerShutdownSeconds:    0.3,
-		ClientCleanupSeconds:     1.0,
-		ServerCleanupSeconds:     1.5,
-		ZkCleanupSeconds:         0.5,
-	}
-}
-
 // Config parameterizes a job.
 type Config struct {
 	// Workers is the number of worker containers (one per node works
@@ -158,19 +138,6 @@ type Config struct {
 	// injection.
 	FailWorker      int
 	FailAtSuperstep int
-}
-
-// DefaultConfig returns an 8-worker configuration matching the paper's
-// deployment (one worker per node).
-func DefaultConfig() Config {
-	return Config{
-		Workers:        8,
-		ComputeThreads: 8,
-		ParseThreads:   24,
-		MaxSupersteps:  200,
-		WorkScale:      1,
-		Costs:          DefaultCostModel(),
-	}
 }
 
 // Result carries a completed job's algorithm output and summary counters.

@@ -1,7 +1,7 @@
 package pregel
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -45,14 +45,13 @@ func TestCheckpointingEmitsOpsAndCostsTime(t *testing.T) {
 		t.Fatalf("LocalCheckpoint ops = %d, want %d", counts["LocalCheckpoint"], wantCk*4)
 	}
 	// Checkpoint files landed in HDFS.
-	ckFiles := 0
-	for _, f := range envCk.deps.HDFS.Files() {
-		if strings.HasPrefix(f, "/checkpoints/") {
-			ckFiles++
+	for step := 0; step < ck.Supersteps; step += 2 {
+		for w := 0; w < 4; w++ {
+			path := fmt.Sprintf("/checkpoints/%s/step-%04d/part-%03d", envCk.em.Job(), step, w)
+			if !envCk.deps.HDFS.Exists(path) {
+				t.Fatalf("checkpoint file %s missing", path)
+			}
 		}
-	}
-	if ckFiles != wantCk*4 {
-		t.Fatalf("checkpoint files = %d, want %d", ckFiles, wantCk*4)
 	}
 }
 
@@ -98,8 +97,8 @@ func TestFailureRecoveryProducesCorrectResult(t *testing.T) {
 		t.Fatalf("LocalRestore ops = %d, want 4", counts["LocalRestore"])
 	}
 	// No leaked processes despite the crash-and-restart.
-	if envFail.eng.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes", envFail.eng.LiveProcs())
+	if n := envFail.eng.Shutdown(); n != 0 {
+		t.Fatalf("leaked %d processes", n)
 	}
 }
 

@@ -326,7 +326,7 @@ func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
 	}
 	keyBuf := make([]string, len(q.groupBy))
 
-	rows := f.Rows()
+	rows := f.rows()
 	for r := 0; r < rows; r++ {
 		if ev != nil && !ev(r) {
 			continue
@@ -519,7 +519,7 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 	fieldStr := func(op *archive.Operation, d int, field string) (string, bool) {
 		lf := strings.ToLower(field)
 		if strings.HasPrefix(lf, "job.") {
-			return meta.Field(lf)
+			return meta.field(lf)
 		}
 		return fieldValue(op, d, field)
 	}
@@ -548,7 +548,7 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 			return !evalWhere(t.a, op, d)
 		case predicate:
 			if strings.HasPrefix(strings.ToLower(t.field), "job.") {
-				v, ok := meta.Field(strings.ToLower(t.field))
+				v, ok := meta.field(strings.ToLower(t.field))
 				return ok && evalStringPredicate(v, t.op, t.value)
 			}
 			return t.eval(op, d)
@@ -694,8 +694,8 @@ func (q *Query) MergePartials(raw, scope, jobID string, partials []JobPartial) (
 		Query:      raw,
 		Scope:      scope,
 		Job:        jobID,
-		GroupBy:    q.GroupFields(),
-		Aggregates: q.AggNames(),
+		GroupBy:    q.groupFields(),
+		Aggregates: q.aggNames(),
 		Jobs:       len(deduped),
 	}
 	groups := map[string]*mergedGroup{}

@@ -47,7 +47,7 @@ func (a *AppendColumns) Append(op *archive.Operation, depth int, path string) {
 func (a *AppendColumns) Rows() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.cols.Rows()
+	return a.cols.rows()
 }
 
 // Snapshot returns an immutable view of the columns appended so far.

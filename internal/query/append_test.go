@@ -160,7 +160,7 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 				default:
 				}
 				snap := ac.Snapshot()
-				n := snap.Rows()
+				n := snap.rows()
 				for _, qs := range queries {
 					q, err := Parse(qs)
 					if err != nil {
@@ -173,8 +173,8 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 						return
 					}
 				}
-				if snap.Rows() != n {
-					t.Errorf("snapshot grew from %d to %d rows", n, snap.Rows())
+				if snap.rows() != n {
+					t.Errorf("snapshot grew from %d to %d rows", n, snap.rows())
 					return
 				}
 			}

@@ -88,8 +88,8 @@ func BuildColumns(job *archive.Job) *Columns {
 	return &c
 }
 
-// Rows returns the number of operations in the columns.
-func (c *Columns) Rows() int { return c.f.Rows() }
+// rows returns the number of operations in the columns.
+func (c *Columns) rows() int { return c.f.rows() }
 
 // Frame returns the columns' frame under the given job metadata: a
 // header copy sharing every column slice. The frame is immutable, like
@@ -107,7 +107,7 @@ func (c *Columns) Frame(meta JobMeta) *Frame {
 // a bitmap over the symbol table per string predicate), after which
 // evaluation does no per-row string conversion on the built-in fields.
 func (q *Query) SelectColumns(c *Columns) []*archive.Operation {
-	if c == nil || c.Rows() == 0 {
+	if c == nil || c.rows() == 0 {
 		return nil
 	}
 	f := &c.f

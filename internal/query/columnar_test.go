@@ -148,8 +148,8 @@ func TestSelectColumnarOracle(t *testing.T) {
 		if job.Root != nil {
 			n := 0
 			job.Root.Walk(func(*archive.Operation) { n++ })
-			if cols.Rows() != n {
-				t.Fatalf("job %d: columns have %d rows, tree has %d ops", ji, cols.Rows(), n)
+			if cols.rows() != n {
+				t.Fatalf("job %d: columns have %d rows, tree has %d ops", ji, cols.rows(), n)
 			}
 		}
 		for _, qs := range oracleQueries {
@@ -222,117 +222,6 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 	}
 }
 
-func TestCacheHitReturnsSameCompiledQuery(t *testing.T) {
-	c := NewCache(8)
-	q1, err := c.Parse(`mission = Compute and duration > 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whitespace differences normalize to the same key; quoted strings
-	// do not lose their internal spacing.
-	q2, err := c.Parse("  mission   =\tCompute and\nduration > 1 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1 != q2 {
-		t.Fatal("normalized re-parse missed the cache")
-	}
-	hits, misses, size := c.Stats()
-	if hits != 1 || misses != 1 || size != 1 {
-		t.Fatalf("stats = %d hits, %d misses, %d entries; want 1, 1, 1", hits, misses, size)
-	}
-}
-
-func TestCacheQuotedNormalization(t *testing.T) {
-	if Normalize(`actor = "a  b"`) != `actor = "a  b"` {
-		t.Fatalf("quoted whitespace was collapsed: %q", Normalize(`actor = "a  b"`))
-	}
-	if Normalize("actor   =  \"a  b\"") != `actor = "a  b"` {
-		t.Fatalf("outer whitespace not collapsed: %q", Normalize("actor   =  \"a  b\""))
-	}
-	if Normalize(`actor ~ "x\"  y"`) != `actor ~ "x\"  y"` {
-		t.Fatalf("escaped quote mishandled: %q", Normalize(`actor ~ "x\"  y"`))
-	}
-	// Distinct quoted contents must not collide.
-	if Normalize(`actor = "a b"`) == Normalize(`actor = "a  b"`) {
-		t.Fatal("distinct quoted strings normalized to the same key")
-	}
-}
-
-func TestCacheEvictsLRU(t *testing.T) {
-	c := NewCache(2)
-	mustParse := func(qs string) {
-		t.Helper()
-		if _, err := c.Parse(qs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustParse(`mission = A`)
-	mustParse(`mission = B`)
-	mustParse(`mission = A`) // refresh A
-	mustParse(`mission = C`) // evicts B
-	hits, misses, size := c.Stats()
-	if size != 2 {
-		t.Fatalf("size = %d, want 2", size)
-	}
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 1/3", hits, misses)
-	}
-	mustParse(`mission = A`) // must still be cached
-	if h, _, _ := c.Stats(); h != 2 {
-		t.Fatalf("A was evicted out of LRU order (hits = %d)", h)
-	}
-	mustParse(`mission = B`) // miss: was evicted
-	if _, m, _ := c.Stats(); m != 4 {
-		t.Fatalf("B should have been evicted (misses = %d)", m)
-	}
-}
-
-func TestCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewCache(4)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Parse(`mission =`); err == nil {
-			t.Fatal("expected parse error")
-		}
-	}
-	_, misses, size := c.Stats()
-	if size != 0 {
-		t.Fatalf("error query was cached (size %d)", size)
-	}
-	if misses != 3 {
-		t.Fatalf("misses = %d, want 3", misses)
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(16)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 500; i++ {
-				qs := fmt.Sprintf("mission = M%d", i%20)
-				if _, err := c.Parse(qs); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses, size := c.Stats()
-	if size > 16 {
-		t.Fatalf("cache overflowed its capacity: %d entries", size)
-	}
-	if hits+misses != 8*500 {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*500)
-	}
-}
-
 // --- allocation gates (the perf-correctness contract) ---
 
 // TestColumnarEvalAllocs pins the columnar evaluation hot path at zero
@@ -360,7 +249,7 @@ func TestColumnarEvalAllocs(t *testing.T) {
 		}
 		matched := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			for r := 0; r < cols.Rows(); r++ {
+			for r := 0; r < cols.rows(); r++ {
 				if ev(r) {
 					matched++
 				}
@@ -372,27 +261,6 @@ func TestColumnarEvalAllocs(t *testing.T) {
 		if matched == 0 {
 			t.Fatalf("query %q matched nothing; the gate measured an empty loop", qs)
 		}
-	}
-}
-
-// TestCacheHitAllocs pins the compiled-query cache hit path at zero
-// allocations.
-func TestCacheHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed under -race")
-	}
-	c := NewCache(8)
-	const qs = `mission = Superstep and duration > 0.5 order by duration desc limit 10`
-	if _, err := c.Parse(qs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.Parse(qs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("cache hit allocates %.1f times, want 0", allocs)
 	}
 }
 

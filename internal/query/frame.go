@@ -42,8 +42,8 @@ type Frame struct {
 	Paths []string
 }
 
-// Rows returns the number of operation rows in the frame.
-func (f *Frame) Rows() int { return len(f.Depth) }
+// rows returns the number of operation rows in the frame.
+func (f *Frame) rows() int { return len(f.Depth) }
 
 // symCompare orders two interned symbols with compareValues semantics,
 // using the precomputed numeric interpretations.
@@ -85,7 +85,7 @@ func (f *Frame) fieldString(r int, field string) (string, bool) {
 		return strconv.Itoa(int(f.Depth[r])), true
 	}
 	if strings.HasPrefix(lf, "job.") {
-		return f.Meta.Field(lf)
+		return f.Meta.field(lf)
 	}
 	if f.Ops != nil {
 		if key, ok := strings.CutPrefix(field, "info."); ok {
@@ -185,7 +185,7 @@ func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
 	if strings.HasPrefix(lf, "job.") {
 		// Constant per frame: fold to a constant evaluator, mirroring
 		// what the zone-map pruner decides for whole segments.
-		v, ok := f.Meta.Field(lf)
+		v, ok := f.Meta.field(lf)
 		res := ok && evalStringPredicate(v, pr.op, pr.value)
 		return func(int) bool { return res }, nil
 	}

@@ -142,13 +142,13 @@ func symRangeOf(col []uint32, syms []string) SymRange {
 	return r
 }
 
-// BuildSegStats computes the zone-map footer for a frame.
-func BuildSegStats(f *Frame, jobVersion uint64) *SegStats {
+// buildSegStats computes the zone-map footer for a frame.
+func buildSegStats(f *Frame, jobVersion uint64) *SegStats {
 	return &SegStats{
 		FormatVersion: SegmentVersion,
 		JobVersion:    jobVersion,
 		Meta:          f.Meta,
-		Rows:          f.Rows(),
+		Rows:          f.rows(),
 		Depth:         numRangeOfInt32(f.Depth),
 		Start:         numRangeOf(f.Start),
 		End:           numRangeOf(f.End),
@@ -162,7 +162,7 @@ func BuildSegStats(f *Frame, jobVersion uint64) *SegStats {
 // EncodeSegment serializes a frame (and its zone-map stats) into the
 // segment file format.
 func EncodeSegment(f *Frame, jobVersion uint64) ([]byte, error) {
-	rows := f.Rows()
+	rows := f.rows()
 	body := make([]byte, 0, 8+rows*(4+8*3+4*3)+len(f.Syms)*8)
 	body = binary.LittleEndian.AppendUint32(body, uint32(rows))
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(f.Syms)))
@@ -184,7 +184,7 @@ func EncodeSegment(f *Frame, jobVersion uint64) ([]byte, error) {
 		body = append(body, s...)
 	}
 
-	stats, err := json.Marshal(BuildSegStats(f, jobVersion))
+	stats, err := json.Marshal(buildSegStats(f, jobVersion))
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +394,7 @@ func predPossible(pr predicate, st *SegStats) bool {
 	lf := strings.ToLower(pr.field)
 	if strings.HasPrefix(lf, "job.") {
 		// Constant per job: the zone "range" is exact.
-		v, ok := st.Meta.Field(lf)
+		v, ok := st.Meta.field(lf)
 		return ok && evalStringPredicate(v, pr.op, pr.value)
 	}
 	switch lf {

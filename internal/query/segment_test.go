@@ -26,8 +26,8 @@ func TestSegmentRoundtrip(t *testing.T) {
 		if st.JobVersion != uint64(i+1) || st.FormatVersion != SegmentVersion {
 			t.Fatalf("stats header wrong: %+v", st)
 		}
-		if got.Rows() != f.Rows() {
-			t.Fatalf("rows %d != %d", got.Rows(), f.Rows())
+		if got.rows() != f.rows() {
+			t.Fatalf("rows %d != %d", got.rows(), f.rows())
 		}
 		if got.Meta != f.Meta {
 			t.Fatalf("meta %+v != %+v", got.Meta, f.Meta)
@@ -127,7 +127,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 		job := genJob(rng, fmt.Sprintf("prune-%03d", i))
 		meta := genMeta(rng, job)
 		f := BuildColumns(job).Frame(meta)
-		st := BuildSegStats(f, 1)
+		st := buildSegStats(f, 1)
 		raw := genAggQuery(rng)
 		q, err := Parse(raw)
 		if err != nil {
@@ -158,7 +158,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 func TestZoneMapPruningEffective(t *testing.T) {
 	job := testJob() // starts 0..20, missions Cleanup..ProcessGraph
 	meta := JobMeta{ID: "q", Platform: "Giraph", Runtime: 20, Supersteps: 3}
-	st := BuildSegStats(BuildColumns(job).Frame(meta), 1)
+	st := buildSegStats(BuildColumns(job).Frame(meta), 1)
 	prunable := []string{
 		`from jobs where start > 100 group by mission`,
 		`from jobs where duration < 0 group by mission`,
@@ -211,7 +211,7 @@ func TestPruneNumericLookalikeSymbols(t *testing.T) {
 		},
 	}
 	f := BuildColumns(job).Frame(JobMeta{ID: "numsym"})
-	st := BuildSegStats(f, 1)
+	st := buildSegStats(f, 1)
 
 	// "5.0" is lexicographically outside the ["5","5"] range but
 	// numerically equal to every value in it: pruning would be wrong.

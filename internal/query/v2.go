@@ -44,9 +44,9 @@ type JobMeta struct {
 	Operations int     `json:"operations"`
 }
 
-// Field resolves a (lower-cased) job.* field to the string form the
+// field resolves a (lower-cased) job.* field to the string form the
 // query engine compares and groups on.
-func (m *JobMeta) Field(lf string) (string, bool) {
+func (m *JobMeta) field(lf string) (string, bool) {
 	switch lf {
 	case "job.id":
 		return m.ID, true
@@ -129,13 +129,13 @@ func (q *Query) IsAggregate() bool { return len(q.groupBy) > 0 }
 // FromJobs reports whether the query scans every archived job.
 func (q *Query) FromJobs() bool { return q.fromJobs }
 
-// GroupFields returns the group-by field list as written.
-func (q *Query) GroupFields() []string {
+// groupFields returns the group-by field list as written.
+func (q *Query) groupFields() []string {
 	return append([]string(nil), q.groupBy...)
 }
 
-// AggNames returns the display names of the aggregate list.
-func (q *Query) AggNames() []string {
+// aggNames returns the display names of the aggregate list.
+func (q *Query) aggNames() []string {
 	out := make([]string, len(q.aggs))
 	for i, a := range q.aggs {
 		out[i] = a.name()

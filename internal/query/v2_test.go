@@ -20,10 +20,10 @@ func TestParseV2GroupBy(t *testing.T) {
 	if !q.IsAggregate() || !q.FromJobs() {
 		t.Fatalf("expected cross-job aggregate, got aggregate=%v fromJobs=%v", q.IsAggregate(), q.FromJobs())
 	}
-	if got := strings.Join(q.GroupFields(), ","); got != "mission,actor" {
+	if got := strings.Join(q.groupFields(), ","); got != "mission,actor" {
 		t.Fatalf("group fields = %q", got)
 	}
-	if got := strings.Join(q.AggNames(), ","); got != "count,avg(duration)" {
+	if got := strings.Join(q.aggNames(), ","); got != "count,avg(duration)" {
 		t.Fatalf("agg names = %q", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestParseV2DefaultAggIsCount(t *testing.T) {
 	if q.FromJobs() {
 		t.Fatal("no 'from jobs' prefix, but FromJobs() is true")
 	}
-	if got := strings.Join(q.AggNames(), ","); got != "count" {
+	if got := strings.Join(q.aggNames(), ","); got != "count" {
 		t.Fatalf("agg names = %q, want count", got)
 	}
 }

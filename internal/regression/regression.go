@@ -35,10 +35,10 @@ type Verdict string
 
 // Finding verdicts.
 const (
-	Regression  Verdict = "regression"
-	Improvement Verdict = "improvement"
-	Added       Verdict = "added"
-	Removed     Verdict = "removed"
+	verdictRegression  Verdict = "regression"
+	verdictImprovement Verdict = "improvement"
+	verdictAdded       Verdict = "added"
+	verdictRemoved     Verdict = "removed"
 )
 
 // Finding is one flagged difference.
@@ -71,7 +71,7 @@ type Report struct {
 // additions, and removals do not fail a run by themselves).
 func (r *Report) Pass() bool {
 	for _, f := range r.Findings {
-		if f.Verdict == Regression {
+		if f.Verdict == verdictRegression {
 			return false
 		}
 	}
@@ -145,14 +145,14 @@ func Compare(baseline, current *archive.Job, th Thresholds) (*Report, error) {
 				continue
 			}
 			r.Findings = append(r.Findings, Finding{
-				Key: k, Mission: b.Mission, Baseline: b.Duration(), Verdict: Removed, Change: -1,
+				Key: k, Mission: b.Mission, Baseline: b.Duration(), Verdict: verdictRemoved, Change: -1,
 			})
 		case !inBase && inCur:
 			if c.Duration() < th.MinSeconds {
 				continue
 			}
 			r.Findings = append(r.Findings, Finding{
-				Key: k, Mission: c.Mission, Current: c.Duration(), Verdict: Added, Change: 1,
+				Key: k, Mission: c.Mission, Current: c.Duration(), Verdict: verdictAdded, Change: 1,
 			})
 		default:
 			bd, cd := b.Duration(), c.Duration()
@@ -166,12 +166,12 @@ func Compare(baseline, current *archive.Job, th Thresholds) (*Report, error) {
 			if change > th.RelativeChange {
 				r.Findings = append(r.Findings, Finding{
 					Key: k, Mission: c.Mission, Baseline: bd, Current: cd,
-					Change: change, Verdict: Regression,
+					Change: change, Verdict: verdictRegression,
 				})
 			} else if change < -th.RelativeChange {
 				r.Findings = append(r.Findings, Finding{
 					Key: k, Mission: c.Mission, Baseline: bd, Current: cd,
-					Change: change, Verdict: Improvement,
+					Change: change, Verdict: verdictImprovement,
 				})
 			}
 		}
@@ -203,9 +203,9 @@ func (r *Report) Render() string {
 	}
 	for _, f := range r.Findings {
 		switch f.Verdict {
-		case Added:
+		case verdictAdded:
 			fmt.Fprintf(&sb, "  [added]       %-50s now %.2fs\n", f.Key, f.Current)
-		case Removed:
+		case verdictRemoved:
 			fmt.Fprintf(&sb, "  [removed]     %-50s was %.2fs\n", f.Key, f.Baseline)
 		default:
 			fmt.Fprintf(&sb, "  [%-11s] %-50s %.2fs → %.2fs (%+.1f%%)\n",

@@ -57,7 +57,7 @@ func TestRegressionFlagged(t *testing.T) {
 		t.Fatalf("findings = %+v", r.Findings)
 	}
 	f := r.Findings[0]
-	if f.Verdict != Regression || f.Mission != "Load" {
+	if f.Verdict != verdictRegression || f.Mission != "Load" {
 		t.Fatalf("finding = %+v", f)
 	}
 	if math.Abs(f.Change-0.6) > 1e-9 {
@@ -75,7 +75,7 @@ func TestImprovementDoesNotFail(t *testing.T) {
 	if !r.Pass() {
 		t.Fatal("improvements must not fail the run")
 	}
-	if len(r.Findings) != 1 || r.Findings[0].Verdict != Improvement {
+	if len(r.Findings) != 1 || r.Findings[0].Verdict != verdictImprovement {
 		t.Fatalf("findings = %+v", r.Findings)
 	}
 }
@@ -91,7 +91,7 @@ func TestAddedAndRemoved(t *testing.T) {
 	for _, f := range r.Findings {
 		verdicts[f.Verdict]++
 	}
-	if verdicts[Added] != 1 || verdicts[Removed] != 1 {
+	if verdicts[verdictAdded] != 1 || verdicts[verdictRemoved] != 1 {
 		t.Fatalf("verdicts = %v", verdicts)
 	}
 	if !r.Pass() {

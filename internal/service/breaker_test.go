@@ -6,122 +6,122 @@ import (
 )
 
 // fakeBreaker returns a breaker on a fake clock; advance moves time.
-func fakeBreaker(threshold int, cooldown time.Duration, onTransition func(BreakerState)) (b *Breaker, advance func(time.Duration)) {
+func fakeBreaker(threshold int, cooldown time.Duration, onTransition func(breakerState)) (b *breaker, advance func(time.Duration)) {
 	now := time.Unix(1000, 0)
-	b = NewBreaker(threshold, cooldown, onTransition)
+	b = newBreaker(threshold, cooldown, onTransition)
 	b.now = func() time.Time { return now }
 	return b, func(d time.Duration) { now = now.Add(d) }
 }
 
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	b, advance := fakeBreaker(3, time.Second, nil)
-	if b.State() != BreakerClosed {
-		t.Fatalf("new breaker is %v", b.State())
+	if b.current() != breakerClosed {
+		t.Fatalf("new breaker is %v", b.current())
 	}
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatalf("breaker tripped below threshold: %v", b.State())
+	b.failure()
+	b.failure()
+	if b.current() != breakerClosed {
+		t.Fatalf("breaker tripped below threshold: %v", b.current())
 	}
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("closed breaker refused work")
 	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("breaker did not trip at threshold: %v", b.State())
+	b.failure()
+	if b.current() != breakerOpen {
+		t.Fatalf("breaker did not trip at threshold: %v", b.current())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("open breaker admitted work before cooldown")
 	}
 	advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("open breaker refused the trial after cooldown")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("post-cooldown Allow left breaker %v, want half-open", b.State())
+	if b.current() != breakerHalfOpen {
+		t.Fatalf("post-cooldown Allow left breaker %v, want half-open", b.current())
 	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("trial success left breaker %v, want closed", b.State())
+	b.success()
+	if b.current() != breakerClosed {
+		t.Fatalf("trial success left breaker %v, want closed", b.current())
 	}
 	// The failure streak must have reset: two failures stay closed.
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
+	b.failure()
+	b.failure()
+	if b.current() != breakerClosed {
 		t.Fatal("failure streak survived a success")
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b, advance := fakeBreaker(1, time.Second, nil)
-	b.Failure()
+	b.failure()
 	advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("no trial after cooldown")
 	}
-	b.Failure() // the trial fails
-	if b.State() != BreakerOpen {
-		t.Fatalf("failed trial left breaker %v, want open", b.State())
+	b.failure() // the trial fails
+	if b.current() != breakerOpen {
+		t.Fatalf("failed trial left breaker %v, want open", b.current())
 	}
 	// The cooldown restarted at the trial failure.
 	advance(time.Second / 2)
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("breaker admitted work half way into the restarted cooldown")
 	}
 	advance(time.Second / 2)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("breaker refused the next trial after the restarted cooldown")
 	}
 }
 
 func TestBreakerFailureWhileOpenRestartsCooldown(t *testing.T) {
 	b, advance := fakeBreaker(1, time.Second, nil)
-	b.Failure()
+	b.failure()
 	advance(800 * time.Millisecond)
-	b.Failure() // e.g. a shedding caller reporting late
+	b.failure() // e.g. a shedding caller reporting late
 	advance(800 * time.Millisecond)
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("cooldown was not restarted by the open-state failure")
 	}
 }
 
 func TestBreakerTryProbe(t *testing.T) {
 	b, advance := fakeBreaker(1, time.Second, nil)
-	if b.TryProbe() {
+	if b.tryProbe() {
 		t.Fatal("closed breaker offered a probe")
 	}
-	b.Failure()
-	if b.TryProbe() {
+	b.failure()
+	if b.tryProbe() {
 		t.Fatal("probe offered before cooldown")
 	}
 	advance(time.Second)
-	if !b.TryProbe() {
+	if !b.tryProbe() {
 		t.Fatal("no probe after cooldown")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("TryProbe left breaker %v, want half-open", b.State())
+	if b.current() != breakerHalfOpen {
+		t.Fatalf("TryProbe left breaker %v, want half-open", b.current())
 	}
-	if b.TryProbe() {
+	if b.tryProbe() {
 		t.Fatal("half-open breaker offered a second concurrent probe")
 	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("probe success left breaker %v, want closed", b.State())
+	b.success()
+	if b.current() != breakerClosed {
+		t.Fatalf("probe success left breaker %v, want closed", b.current())
 	}
 }
 
 func TestBreakerTransitionsObserved(t *testing.T) {
-	var seen []BreakerState
-	b, advance := fakeBreaker(2, time.Second, func(s BreakerState) { seen = append(seen, s) })
-	b.Failure()
-	b.Failure() // -> open
+	var seen []breakerState
+	b, advance := fakeBreaker(2, time.Second, func(s breakerState) { seen = append(seen, s) })
+	b.failure()
+	b.failure() // -> open
 	advance(time.Second)
-	b.Allow()   // -> half-open
-	b.Failure() // -> open
+	b.allow()   // -> half-open
+	b.failure() // -> open
 	advance(time.Second)
-	b.TryProbe() // -> half-open
-	b.Success()  // -> closed
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
+	b.tryProbe() // -> half-open
+	b.success()  // -> closed
+	want := []breakerState{breakerOpen, breakerHalfOpen, breakerOpen, breakerHalfOpen, breakerClosed}
 	if len(seen) != len(want) {
 		t.Fatalf("transitions %v, want %v", seen, want)
 	}
@@ -133,21 +133,21 @@ func TestBreakerTransitionsObserved(t *testing.T) {
 }
 
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(0, 0, nil)
+	b := newBreaker(0, 0, nil)
 	for i := 0; i < 4; i++ {
-		b.Failure()
+		b.failure()
 	}
-	if b.State() != BreakerClosed {
+	if b.current() != breakerClosed {
 		t.Fatal("default threshold is below 5")
 	}
-	b.Failure()
-	if b.State() != BreakerOpen {
+	b.failure()
+	if b.current() != breakerOpen {
 		t.Fatal("default threshold is above 5")
 	}
 }
 
 func TestBreakerStateStrings(t *testing.T) {
-	if BreakerClosed.String() != "closed" || BreakerHalfOpen.String() != "half-open" || BreakerOpen.String() != "open" {
+	if breakerClosed.String() != "closed" || breakerHalfOpen.String() != "half-open" || breakerOpen.String() != "open" {
 		t.Fatal("breaker state names changed; /metrics and /healthz consumers depend on them")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -35,9 +36,19 @@ type chaosStack struct {
 	ts      *httptest.Server
 }
 
-func startChaosStack(t *testing.T, dir string, cfg faults.Config) *chaosStack {
+// chaosInjector parses a faults spec (the -chaos flag's syntax).
+func chaosInjector(t *testing.T, spec string) *faults.Injector {
 	t.Helper()
-	inj := faults.New(cfg)
+	inj, err := faults.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+func startChaosStack(t *testing.T, dir string, spec string) *chaosStack {
+	t.Helper()
+	inj := chaosInjector(t, spec)
 	db, err := archivedb.Open(dir, archivedb.Options{NoSync: true, Injector: inj})
 	if err != nil {
 		t.Fatal(err)
@@ -138,17 +149,8 @@ func waitHTTPTerminal(t *testing.T, base, id string) JobState {
 // breaker must close and new jobs must complete.
 func TestChaosStormAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := startChaosStack(t, dir, faults.Config{
-		Seed:    7,
-		Latency: 200 * time.Microsecond,
-		Kinds:   []faults.Kind{faults.KindError, faults.KindLatency, faults.KindTorn},
-		Sites: map[string]float64{
-			archivedb.SiteAppend: 0.35,
-			archivedb.SiteRead:   0.05,
-			SiteSubmit:           0.10,
-			SiteQuery:            0.10,
-		},
-	})
+	s := startChaosStack(t, dir, "rate=0,seed=7,latency=200us,kinds=error+latency+torn,"+
+		"sites=archivedb.append:0.35+archivedb.read:0.05+http.submit:0.1+http.query:0.1")
 
 	const clients, jobsPerClient = 3, 4
 	var (
@@ -254,7 +256,7 @@ func TestChaosStormAndRecovery(t *testing.T) {
 	}
 
 	// Retries must have fired (appends failed at 35% with 3 attempts).
-	if s.metrics.retries.Value() == 0 {
+	if counterValue(t, s.metrics, "granula_retries_total") == 0 {
 		t.Error("no persistence retries recorded under a 35% append fault rate")
 	}
 
@@ -266,13 +268,13 @@ func TestChaosStormAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	store2, err := NewStoreWithDB(db2)
+	store2, err := NewStoreWithOptions(db2, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
 	for _, id := range doneIDs {
-		if _, ok := store2.Get(id); !ok {
+		if _, ok := store2.get(id); !ok {
 			t.Fatalf("acked job %s lost across restart", id)
 		}
 	}
@@ -300,12 +302,12 @@ func waitBreakerClosed(t *testing.T, store *Store) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if store.BreakerState() == BreakerClosed {
+		if store.breakerStatus() == breakerClosed {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("breaker did not close after faults cleared (state %v)", store.BreakerState())
+	t.Fatalf("breaker did not close after faults cleared (state %v)", store.breakerStatus())
 }
 
 // TestBreakerOpensAndRecoversOverHTTP drives the breaker through its
@@ -315,10 +317,7 @@ func waitBreakerClosed(t *testing.T, store *Store) {
 // after the faults clear, the background probe closes the breaker and
 // submissions flow again — all observable through the HTTP API.
 func TestBreakerOpensAndRecoversOverHTTP(t *testing.T) {
-	s := startChaosStack(t, t.TempDir(), faults.Config{
-		Seed:  1,
-		Sites: map[string]float64{archivedb.SiteAppend: 1},
-	})
+	s := startChaosStack(t, t.TempDir(), "rate=0,seed=1,sites=archivedb.append:1")
 
 	id := submitUntilAccepted(t, s.ts.URL, smallJob(1))
 	st := waitHTTPTerminal(t, s.ts.URL, id)
@@ -417,24 +416,33 @@ func metricLine(text []byte, prefix string) string {
 	return ""
 }
 
+// counterValue reads one unlabelled counter from m's exposition.
+func counterValue(t *testing.T, m *Metrics, name string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	m.reg.Write(&buf)
+	line := metricLine(buf.Bytes(), name+" ")
+	n, err := strconv.ParseUint(strings.TrimPrefix(line, name+" "), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return n
+}
+
 // TestChaosPanicRecoveredInWorker injects a panic into every run: the
 // job must fail with the recovered stack in its state, the process must
 // survive, and the same worker must complete the next job.
 func TestChaosPanicRecoveredInWorker(t *testing.T) {
-	inj := faults.New(faults.Config{
-		Seed:  3,
-		Kinds: []faults.Kind{faults.KindPanic},
-		Sites: map[string]float64{SiteRun: 1},
-	})
+	inj := chaosInjector(t, "rate=0,seed=3,kinds=panic,sites=executor.run:1")
 	metrics := NewMetrics()
-	exec := NewExecutorWith(1, 4, NewStore(), metrics, ExecutorOptions{Faults: inj})
+	exec := NewExecutorWith(1, 4, newStore(), metrics, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
 		defer cancel()
 		exec.Shutdown(ctx)
 	}()
 
-	id, err := exec.Submit(smallJob(1))
+	id, err := exec.submit(smallJob(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,19 +450,19 @@ func TestChaosPanicRecoveredInWorker(t *testing.T) {
 	if st.Status != StatusFailed {
 		t.Fatalf("panicking job is %s, want failed", st.Status)
 	}
-	if !strings.Contains(st.Error, "panicked") || !strings.Contains(st.Error, SiteRun) {
+	if !strings.Contains(st.Error, "panicked") || !strings.Contains(st.Error, siteRun) {
 		t.Fatalf("failure reason does not describe the panic: %q", st.Error)
 	}
 	if !strings.Contains(st.Stack, "runIsolated") {
 		t.Fatalf("job state has no usable stack:\n%s", st.Stack)
 	}
-	if metrics.panics.Value() == 0 {
+	if counterValue(t, metrics, "granula_panics_recovered_total") == 0 {
 		t.Fatal("recovered panic not counted")
 	}
 
 	// The worker survived the panic: it must run the next job.
 	inj.Disarm()
-	id2, err := exec.Submit(smallJob(2))
+	id2, err := exec.submit(smallJob(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,13 +474,9 @@ func TestChaosPanicRecoveredInWorker(t *testing.T) {
 // TestChaosHandlerPanicIsolated injects a panic into the submit
 // handler: the client gets a 500, the server keeps serving.
 func TestChaosHandlerPanicIsolated(t *testing.T) {
-	inj := faults.New(faults.Config{
-		Seed:  5,
-		Kinds: []faults.Kind{faults.KindPanic},
-		Sites: map[string]float64{SiteSubmit: 1},
-	})
+	inj := chaosInjector(t, "rate=0,seed=5,kinds=panic,sites=http.submit:1")
 	metrics := NewMetrics()
-	store := NewStore()
+	store := newStore()
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
@@ -489,7 +493,7 @@ func TestChaosHandlerPanicIsolated(t *testing.T) {
 	if code, _, _ := getBytes(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("server dead after handler panic: %d", code)
 	}
-	if metrics.panics.Value() == 0 {
+	if counterValue(t, metrics, "granula_panics_recovered_total") == 0 {
 		t.Fatal("recovered handler panic not counted")
 	}
 }
@@ -498,12 +502,8 @@ func TestChaosHandlerPanicIsolated(t *testing.T) {
 // with a small deadline must fail with a timeout reason and release its
 // worker for the next job.
 func TestChaosDeadlineFreesHungWorker(t *testing.T) {
-	inj := faults.New(faults.Config{
-		Seed:  9,
-		Kinds: []faults.Kind{faults.KindHang},
-		Sites: map[string]float64{SiteRun: 1},
-	})
-	exec := NewExecutorWith(1, 4, NewStore(), nil, ExecutorOptions{Faults: inj})
+	inj := chaosInjector(t, "rate=0,seed=9,kinds=hang,sites=executor.run:1")
+	exec := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
 		defer cancel()
@@ -512,7 +512,7 @@ func TestChaosDeadlineFreesHungWorker(t *testing.T) {
 
 	req := smallJob(1)
 	req.TimeoutSeconds = 0.05
-	id, err := exec.Submit(req)
+	id, err := exec.submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestChaosDeadlineFreesHungWorker(t *testing.T) {
 
 	// The single worker is free again: a fault-free job completes.
 	inj.Disarm()
-	id2, err := exec.Submit(smallJob(2))
+	id2, err := exec.submit(smallJob(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,12 +538,8 @@ func TestChaosDeadlineFreesHungWorker(t *testing.T) {
 // TestChaosDefaultTimeoutApplied: the executor's DefaultTimeout bounds
 // jobs that carry no deadline of their own.
 func TestChaosDefaultTimeoutApplied(t *testing.T) {
-	inj := faults.New(faults.Config{
-		Seed:  2,
-		Kinds: []faults.Kind{faults.KindHang},
-		Sites: map[string]float64{SiteRun: 1},
-	})
-	exec := NewExecutorWith(1, 4, NewStore(), nil, ExecutorOptions{
+	inj := chaosInjector(t, "rate=0,seed=2,kinds=hang,sites=executor.run:1")
+	exec := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{
 		Faults:         inj,
 		DefaultTimeout: 50 * time.Millisecond,
 	})
@@ -552,7 +548,7 @@ func TestChaosDefaultTimeoutApplied(t *testing.T) {
 		defer cancel()
 		exec.Shutdown(ctx)
 	}()
-	id, err := exec.Submit(smallJob(1))
+	id, err := exec.submit(smallJob(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,13 +562,9 @@ func TestChaosDefaultTimeoutApplied(t *testing.T) {
 // regression test: with the single worker wedged, canceling a queued
 // job must free its queue slot for a new submission immediately.
 func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
-	inj := faults.New(faults.Config{
-		Seed:  4,
-		Kinds: []faults.Kind{faults.KindHang},
-		Sites: map[string]float64{SiteRun: 1},
-	})
+	inj := chaosInjector(t, "rate=0,seed=4,kinds=hang,sites=executor.run:1")
 	metrics := NewMetrics()
-	store := NewStore()
+	store := newStore()
 	exec := NewExecutorWith(1, 2, store, metrics, ExecutorOptions{Faults: inj})
 	ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{}).Handler())
 	defer ts.Close()
@@ -581,7 +573,7 @@ func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 	// to leave the queue so the capacity math below is exact.
 	runningID := submitUntilAccepted(t, ts.URL, smallJob(1))
 	deadline := time.Now().Add(10 * time.Second)
-	for getStatus(t, ts.URL, runningID).Status != StatusRunning {
+	for getStatus(t, ts.URL, runningID).Status != statusRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started")
 		}
@@ -598,7 +590,7 @@ func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if metrics.shed.Value() == 0 {
+	if counterValue(t, metrics, "granula_shed_total") == 0 {
 		t.Fatal("shed submit not counted")
 	}
 
@@ -624,8 +616,8 @@ func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 	ctx, cancel := newTimeoutCtx(200 * time.Millisecond)
 	defer cancel()
 	exec.Shutdown(ctx)
-	for _, st := range exec.States() {
-		if st.Status == StatusQueued || st.Status == StatusRunning {
+	for _, st := range exec.listStates() {
+		if st.Status == statusQueued || st.Status == statusRunning {
 			t.Fatalf("job %s left %s after Shutdown", st.ID, st.Status)
 		}
 	}
@@ -635,11 +627,7 @@ func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 // the time, Shutdown must still drain every job to a terminal state.
 func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Config{
-		Seed:  11,
-		Kinds: []faults.Kind{faults.KindError, faults.KindTorn},
-		Sites: map[string]float64{archivedb.SiteAppend: 0.5},
-	})
+	inj := chaosInjector(t, "rate=0,seed=11,kinds=error+torn,sites=archivedb.append:0.5")
 	db, err := archivedb.Open(dir, archivedb.Options{NoSync: true, Injector: inj})
 	if err != nil {
 		t.Fatal(err)
@@ -659,7 +647,7 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 	})
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := exec.Submit(smallJob(int64(i)))
+		id, err := exec.submit(smallJob(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -672,7 +660,7 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 	}
 	done := 0
 	for _, id := range ids {
-		st, _ := exec.State(id)
+		st, _ := exec.jobState(id)
 		switch st.Status {
 		case StatusDone:
 			done++
@@ -691,14 +679,14 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 // before they are buffered.
 func TestSubmitBodyTooLarge(t *testing.T) {
 	metrics := NewMetrics()
-	store := NewStore()
-	exec := NewExecutor(1, 4, store, metrics)
+	store := newStore()
+	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
 		defer cancel()
 		exec.Shutdown(ctx)
 	}()
-	ts := httptest.NewServer(NewServer(exec, store, metrics).Handler())
+	ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{}).Handler())
 	defer ts.Close()
 
 	huge := append([]byte(`{"platform":"`), bytes.Repeat([]byte("x"), maxSubmitBytes+1)...)

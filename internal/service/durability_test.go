@@ -29,12 +29,12 @@ func startDurableServer(t *testing.T, dir string) *durableServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStoreWithDB(db)
+	store, err := NewStoreWithOptions(db, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := NewExecutor(2, 16, store, nil)
-	srv := NewServer(exec, store, nil)
+	exec := NewExecutorWith(2, 16, store, nil, ExecutorOptions{})
+	srv := NewServerWith(exec, store, nil, ServerOptions{})
 	return &durableServer{db: db, exec: exec, srv: httptest.NewServer(srv.Handler())}
 }
 
@@ -220,11 +220,11 @@ func TestPersistFailureFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStoreWithDB(db)
+	store, err := NewStoreWithOptions(db, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := NewExecutor(1, 4, store, nil)
+	exec := NewExecutorWith(1, 4, store, nil, ExecutorOptions{})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -234,13 +234,13 @@ func TestPersistFailureFailsJob(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	id, err := exec.Submit(JobRequest{Platform: "Giraph", Algorithm: "BFS", Vertices: 200, Edges: 800})
+	id, err := exec.submit(JobRequest{Platform: "Giraph", Algorithm: "BFS", Vertices: 200, Edges: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		st, ok := exec.State(id)
+		st, ok := exec.jobState(id)
 		if !ok {
 			t.Fatal("job vanished")
 		}
@@ -260,17 +260,17 @@ func TestPersistFailureFailsJob(t *testing.T) {
 
 // TestStoreWithNilDB covers the -data-dir="" degradation.
 func TestStoreWithNilDB(t *testing.T) {
-	s, err := NewStoreWithDB(nil)
+	s, err := NewStoreWithOptions(nil, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.DB() != nil || s.StorageStats() != nil {
+	if s.db != nil || s.storageStats() != nil {
 		t.Fatal("nil-db store reports storage")
 	}
 	m := NewMetrics()
-	exec := NewExecutor(1, 1, s, m)
+	exec := NewExecutorWith(1, 1, s, m, ExecutorOptions{})
 	defer exec.Shutdown(context.Background())
-	NewServer(exec, s, m)
+	NewServerWith(exec, s, m, ServerOptions{})
 	var buf bytes.Buffer
 	m.reg.Write(&buf)
 	if bytes.Contains(buf.Bytes(), []byte("granula_storage_")) {

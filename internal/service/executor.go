@@ -25,20 +25,20 @@ type JobStatus string
 
 // Job lifecycle states.
 const (
-	StatusQueued   JobStatus = "queued"
-	StatusRunning  JobStatus = "running"
+	statusQueued   JobStatus = "queued"
+	statusRunning  JobStatus = "running"
 	StatusDone     JobStatus = "done"
 	StatusFailed   JobStatus = "failed"
 	StatusCanceled JobStatus = "canceled"
-	// StatusStreaming is reported for jobs the executor does not know:
+	// statusStreaming is reported for jobs the executor does not know:
 	// externally run jobs whose events arrive through POST /ingest and
 	// which have not sealed yet.
-	StatusStreaming JobStatus = "streaming"
+	statusStreaming JobStatus = "streaming"
 )
 
-// SiteRun is the fault-injection point on the executor's run path,
+// siteRun is the fault-injection point on the executor's run path,
 // hit once per job before the simulation starts.
-const SiteRun = "executor.run"
+const siteRun = "executor.run"
 
 // maxTimeoutSeconds bounds JobRequest.TimeoutSeconds (about 11 days).
 const maxTimeoutSeconds = 1e6
@@ -239,14 +239,8 @@ type datasetKey struct {
 	seed     int64
 }
 
-// NewExecutor starts a pool of workers over a queue of the given
-// capacity with default robustness options. Metrics may be nil, in which
-// case a private set is created.
-func NewExecutor(workers, queueCap int, store *Store, m *Metrics) *Executor {
-	return NewExecutorWith(workers, queueCap, store, m, ExecutorOptions{})
-}
-
-// NewExecutorWith is NewExecutor with explicit robustness options.
+// NewExecutorWith starts a pool of workers over a queue of the given
+// capacity. Metrics may be nil, in which case a private set is created.
 func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts ExecutorOptions) *Executor {
 	if workers < 1 {
 		workers = 1
@@ -292,14 +286,14 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 	return e
 }
 
-// ErrQueueFull is returned by Submit when the bounded queue is at
+// errQueueFull is returned by submit when the bounded queue is at
 // capacity; HTTP maps it to 429.
-var ErrQueueFull = fmt.Errorf("service: job queue is full")
+var errQueueFull = fmt.Errorf("service: job queue is full")
 
-// Submit validates and enqueues a request, returning the assigned job
+// submit validates and enqueues a request, returning the assigned job
 // ID. It never blocks: a full queue sheds the submission with
-// ErrQueueFull so the caller stays responsive under overload.
-func (e *Executor) Submit(req JobRequest) (string, error) {
+// errQueueFull so the caller stays responsive under overload.
+func (e *Executor) submit(req JobRequest) (string, error) {
 	if err := req.validate(); err != nil {
 		return "", err
 	}
@@ -316,7 +310,7 @@ func (e *Executor) Submit(req JobRequest) (string, error) {
 	if len(e.pending) >= e.queueCap {
 		e.mu.Unlock()
 		e.metrics.shed.Inc()
-		return "", ErrQueueFull
+		return "", errQueueFull
 	}
 	e.seq++
 	if req.ID == "" {
@@ -326,7 +320,7 @@ func (e *Executor) Submit(req JobRequest) (string, error) {
 		e.mu.Unlock()
 		return "", fmt.Errorf("service: duplicate job ID %q", req.ID)
 	}
-	st := &JobState{ID: req.ID, Request: req, Status: StatusQueued}
+	st := &JobState{ID: req.ID, Request: req, Status: statusQueued}
 	e.states[req.ID] = st
 	e.order = append(e.order, req.ID)
 	e.pending = append(e.pending, req.ID)
@@ -335,8 +329,8 @@ func (e *Executor) Submit(req JobRequest) (string, error) {
 	return req.ID, nil
 }
 
-// State returns a copy of one job's state.
-func (e *Executor) State(id string) (JobState, bool) {
+// jobState returns a copy of one job's state.
+func (e *Executor) jobState(id string) (JobState, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.states[id]
@@ -346,8 +340,8 @@ func (e *Executor) State(id string) (JobState, bool) {
 	return *st, true
 }
 
-// States returns copies of every job state in submission order.
-func (e *Executor) States() []JobState {
+// listStates returns copies of every job state in submission order.
+func (e *Executor) listStates() []JobState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]JobState, 0, len(e.order))
@@ -364,15 +358,15 @@ func (e *Executor) QueueDepth() int {
 	return len(e.pending)
 }
 
-// Cancel marks a queued job canceled and removes it from the queue, so
+// cancelJob marks a queued job canceled and removes it from the queue, so
 // its slot is free for new submissions immediately (not only once a
 // worker reaches and skips it). Running jobs cannot be canceled through
-// this path; Cancel reports whether the job was still cancelable.
-func (e *Executor) Cancel(id string) bool {
+// this path; cancelJob reports whether the job was still cancelable.
+func (e *Executor) cancelJob(id string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.states[id]
-	if !ok || st.Status != StatusQueued {
+	if !ok || st.Status != statusQueued {
 		return false
 	}
 	st.Status = StatusCanceled
@@ -412,7 +406,7 @@ func (e *Executor) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		e.mu.Lock()
 		for _, id := range e.pending {
-			if st := e.states[id]; st.Status == StatusQueued {
+			if st := e.states[id]; st.Status == statusQueued {
 				st.Status = StatusCanceled
 				st.Error = "canceled: shutdown drain expired"
 			}
@@ -506,7 +500,7 @@ func (e *Executor) process(id string) {
 // replicate pushes a freshly persisted job to its replica set and waits
 // for the write quorum.
 func (e *Executor) replicate(ctx context.Context, id string) error {
-	payload, version, ok, err := e.store.Export(id)
+	payload, version, ok, err := e.store.export(id)
 	if err != nil {
 		return err
 	}
@@ -527,7 +521,7 @@ func (e *Executor) runIsolated(ctx context.Context, id string, req JobRequest) (
 			e.metrics.panics.Inc()
 		}
 	}()
-	if ferr := e.faults.FailCtx(ctx, SiteRun); ferr != nil {
+	if ferr := e.faults.FailCtx(ctx, siteRun); ferr != nil {
 		return Summary{}, nil, "", ferr
 	}
 	sum, job, err = e.run(ctx, id, req)
@@ -581,7 +575,7 @@ func (e *Executor) persist(ctx context.Context, job *archive.Job, sum Summary) e
 			return nil
 		}
 		last = err
-		if errors.Is(err, ErrDegraded) {
+		if errors.Is(err, errDegraded) {
 			return err
 		}
 	}
@@ -592,10 +586,10 @@ func (e *Executor) setRunning(id string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.states[id]
-	if st.Status != StatusQueued {
+	if st.Status != statusQueued {
 		return false
 	}
-	st.Status = StatusRunning
+	st.Status = statusRunning
 	e.metrics.jobsStarted.Inc()
 	return true
 }

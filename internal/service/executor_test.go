@@ -18,7 +18,7 @@ func waitTerminal(t *testing.T, e *Executor, id string) JobState {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		st, ok := e.State(id)
+		st, ok := e.jobState(id)
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
@@ -33,11 +33,11 @@ func waitTerminal(t *testing.T, e *Executor, id string) JobState {
 }
 
 func TestExecutorRunsJob(t *testing.T) {
-	store := NewStore()
-	e := NewExecutor(2, 8, store, nil)
+	store := newStore()
+	e := NewExecutorWith(2, 8, store, nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
-	id, err := e.Submit(smallRequest("Giraph", "BFS"))
+	id, err := e.submit(smallRequest("Giraph", "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExecutorRunsJob(t *testing.T) {
 	if st.Summary == nil || st.Summary.Runtime <= 0 || st.Summary.Operations == 0 {
 		t.Fatalf("bad summary: %+v", st.Summary)
 	}
-	if _, ok := store.Get(id); !ok {
+	if _, ok := store.get(id); !ok {
 		t.Fatalf("done job %s not in store", id)
 	}
 	// Defaults are recorded on the request.
@@ -61,10 +61,10 @@ func TestExecutorRunsJob(t *testing.T) {
 }
 
 func TestExecutorRecordsFailure(t *testing.T) {
-	e := NewExecutor(1, 4, NewStore(), nil)
+	e := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
-	id, err := e.Submit(smallRequest("NoSuchPlatform", "BFS"))
+	id, err := e.submit(smallRequest("NoSuchPlatform", "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExecutorRecordsFailure(t *testing.T) {
 }
 
 func TestExecutorValidatesRequests(t *testing.T) {
-	e := NewExecutor(1, 4, NewStore(), nil)
+	e := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	bad := []JobRequest{
@@ -85,17 +85,17 @@ func TestExecutorValidatesRequests(t *testing.T) {
 		{Platform: "Giraph", Algorithm: "BFS", Vertices: -1},
 	}
 	for i, req := range bad {
-		if _, err := e.Submit(req); err == nil {
+		if _, err := e.submit(req); err == nil {
 			t.Fatalf("case %d: bad request accepted", i)
 		}
 	}
 	// Duplicate IDs are rejected.
 	req := smallRequest("Giraph", "BFS")
 	req.ID = "dup"
-	if _, err := e.Submit(req); err != nil {
+	if _, err := e.submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit(req); err == nil {
+	if _, err := e.submit(req); err == nil {
 		t.Fatal("duplicate job ID accepted")
 	}
 }
@@ -103,18 +103,18 @@ func TestExecutorValidatesRequests(t *testing.T) {
 func TestExecutorQueueBound(t *testing.T) {
 	// Zero workers is clamped to one; stall it with a big job so the
 	// 1-slot queue fills.
-	e := NewExecutor(1, 1, NewStore(), nil)
+	e := NewExecutorWith(1, 1, newStore(), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	big := JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}
-	if _, err := e.Submit(big); err != nil {
+	if _, err := e.submit(big); err != nil {
 		t.Fatal(err)
 	}
-	// Fill the queue, then expect ErrQueueFull. The first submit may
+	// Fill the queue, then expect errQueueFull. The first submit may
 	// be picked up immediately, so allow one extra.
 	full := false
 	for i := 0; i < 3; i++ {
-		if _, err := e.Submit(smallRequest("Giraph", "BFS")); err == ErrQueueFull {
+		if _, err := e.submit(smallRequest("Giraph", "BFS")); err == errQueueFull {
 			full = true
 			break
 		} else if err != nil {
@@ -127,40 +127,40 @@ func TestExecutorQueueBound(t *testing.T) {
 }
 
 func TestExecutorCancelQueued(t *testing.T) {
-	e := NewExecutor(1, 8, NewStore(), nil)
+	e := NewExecutorWith(1, 8, newStore(), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	// Occupy the single worker, then queue a victim.
-	if _, err := e.Submit(JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}); err != nil {
+	if _, err := e.submit(JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}); err != nil {
 		t.Fatal(err)
 	}
-	victim, err := e.Submit(smallRequest("Giraph", "BFS"))
+	victim, err := e.submit(smallRequest("Giraph", "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Cancel(victim) {
-		st, _ := e.State(victim)
+	if !e.cancelJob(victim) {
+		st, _ := e.jobState(victim)
 		t.Fatalf("could not cancel queued job (status %s)", st.Status)
 	}
 	st := waitTerminal(t, e, victim)
 	if st.Status != StatusCanceled {
 		t.Fatalf("status %s, want canceled", st.Status)
 	}
-	if e.Cancel(victim) {
+	if e.cancelJob(victim) {
 		t.Fatal("cancel of a canceled job should fail")
 	}
-	if e.Cancel("ghost") {
+	if e.cancelJob("ghost") {
 		t.Fatal("cancel of an unknown job should fail")
 	}
 }
 
 func TestExecutorShutdownDrains(t *testing.T) {
-	store := NewStore()
-	e := NewExecutor(2, 16, store, nil)
+	store := newStore()
+	e := NewExecutorWith(2, 16, store, nil, ExecutorOptions{})
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := e.Submit(smallRequest([]string{"Giraph", "PowerGraph", "OpenG"}[i%3], "BFS"))
+		id, err := e.submit(smallRequest([]string{"Giraph", "PowerGraph", "OpenG"}[i%3], "BFS"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestExecutorShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		st, _ := e.State(id)
+		st, _ := e.jobState(id)
 		if st.Status != StatusDone {
 			t.Fatalf("after drain, job %s is %s (%s)", id, st.Status, st.Error)
 		}
@@ -179,7 +179,7 @@ func TestExecutorShutdownDrains(t *testing.T) {
 		t.Fatalf("store has %d jobs after drain, want %d", store.Len(), len(ids))
 	}
 	// Submissions after shutdown are refused; double shutdown is a no-op.
-	if _, err := e.Submit(smallRequest("Giraph", "BFS")); err == nil {
+	if _, err := e.submit(smallRequest("Giraph", "BFS")); err == nil {
 		t.Fatal("submit after shutdown accepted")
 	}
 	if err := e.Shutdown(context.Background()); err != nil {
@@ -188,15 +188,15 @@ func TestExecutorShutdownDrains(t *testing.T) {
 }
 
 func TestExecutorShutdownDeadlineCancelsQueued(t *testing.T) {
-	e := NewExecutor(1, 16, NewStore(), nil)
+	e := NewExecutorWith(1, 16, newStore(), nil, ExecutorOptions{})
 
 	// One slow job holds the worker; the rest wait in the queue.
-	if _, err := e.Submit(JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}); err != nil {
+	if _, err := e.submit(JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}); err != nil {
 		t.Fatal(err)
 	}
 	var queued []string
 	for i := 0; i < 4; i++ {
-		id, err := e.Submit(smallRequest("Giraph", "BFS"))
+		id, err := e.submit(smallRequest("Giraph", "BFS"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestExecutorShutdownDeadlineCancelsQueued(t *testing.T) {
 	}
 	canceled := 0
 	for _, id := range queued {
-		if st, _ := e.State(id); st.Status == StatusCanceled {
+		if st, _ := e.jobState(id); st.Status == StatusCanceled {
 			canceled++
 		}
 	}
@@ -219,14 +219,14 @@ func TestExecutorShutdownDeadlineCancelsQueued(t *testing.T) {
 }
 
 func TestExecutorStatesOrder(t *testing.T) {
-	e := NewExecutor(2, 16, NewStore(), nil)
+	e := NewExecutorWith(2, 16, newStore(), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 	for i := 0; i < 4; i++ {
-		if _, err := e.Submit(smallRequest("OpenG", "BFS")); err != nil {
+		if _, err := e.submit(smallRequest("OpenG", "BFS")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	states := e.States()
+	states := e.listStates()
 	if len(states) != 4 {
 		t.Fatalf("States returned %d, want 4", len(states))
 	}

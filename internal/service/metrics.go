@@ -52,7 +52,7 @@ func NewMetrics() *Metrics {
 	m.jobsStarted, m.jobsDone, m.jobsFailed = jobs.With("started"), jobs.With("done"), jobs.With("failed")
 	m.gauges = r.Sampled()
 	m.transitions = r.CounterVec("granula_breaker_transitions_total", "Circuit-breaker transitions by target state.", "state",
-		BreakerClosed.String(), BreakerHalfOpen.String(), BreakerOpen.String())
+		breakerClosed.String(), breakerHalfOpen.String(), breakerOpen.String())
 	m.retries = r.Counter("granula_retries_total", "Archive-persistence retries.")
 	m.panics = r.Counter("granula_panics_recovered_total", "Panics caught by worker and handler isolation.")
 	m.shed = r.Counter("granula_shed_total", "Requests shed by admission control (429) or degraded mode (503).")
@@ -68,35 +68,23 @@ func NewMetrics() *Metrics {
 }
 
 // writeGauges is the sampler body of Metrics.gauges.
-func writeGauges(e *metrics.Emitter, queueDepth, storeJobs int, breaker BreakerState) {
+func writeGauges(e *metrics.Emitter, queueDepth, storeJobs int, breaker breakerState) {
 	e.Gauge("granula_executor_queue_depth", "Jobs waiting for a worker.", int64(queueDepth))
 	e.Gauge("granula_store_jobs", "Archived jobs held in the store.", int64(storeJobs))
 	e.Gauge("granula_breaker_state", "Archive-persistence circuit breaker (0=closed, 1=half-open, 2=open).", int64(breaker))
 }
 
-// CacheStats bundles the read-path cache counters sampled at scrape
-// time: the compiled-query LRU and the HTTP response cache.
-type CacheStats struct {
-	QueryHits   uint64
-	QueryMisses uint64
-	QuerySize   int
-	Resp        RespCacheStats
-}
-
 // writeCaches opens Metrics.tail; c is nil, and the family absent, when
-// both caches are disabled.
-func writeCaches(e *metrics.Emitter, c *CacheStats) {
+// the response cache is disabled.
+func writeCaches(e *metrics.Emitter, c *respCacheStats) {
 	if c == nil {
 		return
 	}
-	e.Counter("granula_querycache_hits_total", "Compiled-query cache hits.", c.QueryHits)
-	e.Counter("granula_querycache_misses_total", "Compiled-query cache misses (full parses).", c.QueryMisses)
-	e.Gauge("granula_querycache_entries", "Compiled queries held in the cache.", int64(c.QuerySize))
-	e.Counter("granula_respcache_hits_total", "HTTP response cache hits.", c.Resp.Hits)
-	e.Counter("granula_respcache_misses_total", "HTTP response cache misses (handler renders).", c.Resp.Misses)
-	e.Counter("granula_respcache_not_modified_total", "Conditional requests answered 304 Not Modified.", c.Resp.NotModified)
-	e.Counter("granula_respcache_evictions_total", "Responses evicted by LRU pressure.", c.Resp.Evictions)
-	e.Gauge("granula_respcache_entries", "Responses held in the cache.", int64(c.Resp.Size))
+	e.Counter("granula_respcache_hits_total", "HTTP response cache hits.", c.Hits)
+	e.Counter("granula_respcache_misses_total", "HTTP response cache misses (handler renders).", c.Misses)
+	e.Counter("granula_respcache_not_modified_total", "Conditional requests answered 304 Not Modified.", c.NotModified)
+	e.Counter("granula_respcache_evictions_total", "Responses evicted by LRU pressure.", c.Evictions)
+	e.Gauge("granula_respcache_entries", "Responses held in the cache.", int64(c.Size))
 }
 
 // writeStorage continues Metrics.tail with one archivedb snapshot per

@@ -44,9 +44,9 @@ func goldenMetrics() *Metrics {
 	m.retries.Add(4)
 	m.panics.Add(1)
 	m.shed.Add(5)
-	m.transitions.With(BreakerOpen.String()).Add(2)
-	m.transitions.With(BreakerHalfOpen.String()).Add(1)
-	m.transitions.With(BreakerClosed.String()).Add(1)
+	m.transitions.With(breakerOpen.String()).Add(2)
+	m.transitions.With(breakerHalfOpen.String()).Add(1)
+	m.transitions.With(breakerClosed.String()).Add(1)
 	m.ingestBatches.Add(2)
 	m.ingestEvents.Add(49)
 	m.ingestRejected.Add(1)
@@ -54,7 +54,7 @@ func goldenMetrics() *Metrics {
 	m.query2Queries.Add(2)
 	m.query2Scanned.Add(8)
 	m.query2Pruned.Add(9)
-	m.gauges.Bind(func(e *metrics.Emitter) { writeGauges(e, 3, 5, BreakerHalfOpen) })
+	m.gauges.Bind(func(e *metrics.Emitter) { writeGauges(e, 3, 5, breakerHalfOpen) })
 	return m
 }
 
@@ -66,10 +66,7 @@ var goldenStorage = archivedb.Stats{
 	ColSegWrites: 43, ColSegDeletes: 2, ColSegFullReads: 19, ColSegTailReads: 23, ColSegSweeps: 1,
 }
 
-var goldenCaches = CacheStats{
-	QueryHits: 90, QueryMisses: 10, QuerySize: 9,
-	Resp: RespCacheStats{Hits: 70, Misses: 30, NotModified: 13, Evictions: 4, Size: 26},
-}
+var goldenCaches = respCacheStats{Hits: 70, Misses: 30, NotModified: 13, Evictions: 4, Size: 26}
 
 // TestMetricsGolden pins granula-serve's /metrics byte for byte on a
 // single node without storage or caches and on a durable node with
@@ -80,7 +77,7 @@ var goldenCaches = CacheStats{
 func TestMetricsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		file    string
-		caches  *CacheStats
+		caches  *respCacheStats
 		storage *archivedb.Stats
 	}{
 		{"testdata/metrics_single.prom", nil, nil},

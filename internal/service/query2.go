@@ -32,7 +32,7 @@ func (s *Server) aggQuery(w http.ResponseWriter, r *http.Request) (*query.Query,
 		writeError(w, http.StatusBadRequest, "need a q= query parameter")
 		return nil, "", false
 	}
-	q, err := s.parseQuery(raw)
+	q, err := query.Parse(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, "", false
@@ -55,7 +55,7 @@ func (s *Server) aggQuery(w http.ResponseWriter, r *http.Request) (*query.Query,
 // and falling back to the in-memory columns when a segment is
 // missing, stale, or corrupt (pre-v2 archives, crash before rebuild).
 func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
-	ids := s.store.IDs()
+	ids := s.store.ids()
 	partials := make([]query.JobPartial, 0, len(ids))
 	for _, id := range ids {
 		jp, ok, err := s.partialForJob(q, id)
@@ -73,7 +73,7 @@ func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
 // between listing and reading (a concurrent delete) — it simply
 // contributes nothing, exactly as if the listing had run later.
 func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, bool, error) {
-	version := s.store.Version(id)
+	version := s.store.version(id)
 	if db := s.store.db; db != nil && version != 0 {
 		// Stats footer first: a pruned segment costs one small tail
 		// read and its column blocks are never touched.
@@ -103,7 +103,7 @@ func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, boo
 	}
 	// Lazy rebuild: no usable segment, so aggregate the in-memory
 	// columns and persist a fresh segment for the next query.
-	sj, ok := s.store.Get(id)
+	sj, ok := s.store.get(id)
 	if !ok {
 		return query.JobPartial{}, false, nil
 	}
@@ -116,7 +116,7 @@ func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, boo
 // columnar segments, merged with the canonical fold and rendered
 // byte-deterministically.
 func (s *Server) handleQuery2(w http.ResponseWriter, r *http.Request) {
-	if err := s.faults.Fail(SiteQuery); err != nil {
+	if err := s.faults.Fail(siteQuery); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -20,11 +20,11 @@ import (
 func exportedJob(t *testing.T) (id string, payload []byte, version uint64) {
 	t.Helper()
 	out := testOutput(t, "Giraph", "BFS")
-	src := NewStore()
+	src := newStore()
 	if err := src.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
 		t.Fatal(err)
 	}
-	payload, version, ok, err := src.Export(out.Job.ID)
+	payload, version, ok, err := src.export(out.Job.ID)
 	if err != nil || !ok {
 		t.Fatalf("Export: ok=%v err=%v", ok, err)
 	}
@@ -33,9 +33,9 @@ func exportedJob(t *testing.T) (id string, payload []byte, version uint64) {
 
 func TestStoreVersionTracksPuts(t *testing.T) {
 	out := testOutput(t, "Giraph", "BFS")
-	s := NewStore()
+	s := newStore()
 	id := out.Job.ID
-	if got := s.Version(id); got != 0 {
+	if got := s.version(id); got != 0 {
 		t.Fatalf("Version of an unknown job = %d, want 0", got)
 	}
 	sum := summarize(JobRequest{Algorithm: "BFS"}, out)
@@ -43,11 +43,11 @@ func TestStoreVersionTracksPuts(t *testing.T) {
 		if err := s.Put(out.Job, sum); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Version(id); got != want {
+		if got := s.version(id); got != want {
 			t.Fatalf("after %d puts Version = %d", want, got)
 		}
 	}
-	payload, version, ok, err := s.Export(id)
+	payload, version, ok, err := s.export(id)
 	if err != nil || !ok || version != 3 {
 		t.Fatalf("Export: ok=%v version=%d err=%v", ok, version, err)
 	}
@@ -58,7 +58,7 @@ func TestStoreVersionTracksPuts(t *testing.T) {
 	if pj.Version != 3 || pj.Summary.ID != id {
 		t.Fatalf("export payload carries version %d id %q", pj.Version, pj.Summary.ID)
 	}
-	if _, _, ok, _ := s.Export("nope"); ok {
+	if _, _, ok, _ := s.export("nope"); ok {
 		t.Fatal("Export(nope) should miss")
 	}
 }
@@ -70,49 +70,49 @@ func TestStoreVersionTracksPuts(t *testing.T) {
 func TestStoreApplyReplicaIdempotent(t *testing.T) {
 	id, payload, version := exportedJob(t)
 
-	dst := NewStore()
-	if err := dst.ApplyReplica(id, version, payload); err != nil {
+	dst := newStore()
+	if err := dst.applyReplica(id, version, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.Version(id); got != version {
+	if got := dst.version(id); got != version {
 		t.Fatalf("replica version = %d, want %d", got, version)
 	}
-	if _, ok := dst.Get(id); !ok {
+	if _, ok := dst.get(id); !ok {
 		t.Fatal("applied replica is not readable")
 	}
-	gen := dst.Generation()
+	gen := dst.gen()
 
 	// Replaying the same record must ack without republishing: a
 	// generation bump here would invalidate response caches on every
 	// replication retry.
-	if err := dst.ApplyReplica(id, version, payload); err != nil {
+	if err := dst.applyReplica(id, version, payload); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if dst.Generation() != gen {
-		t.Fatalf("replay bumped generation %d -> %d", gen, dst.Generation())
+	if dst.gen() != gen {
+		t.Fatalf("replay bumped generation %d -> %d", gen, dst.gen())
 	}
 
 	// A stale version is also an acked no-op (the pusher is behind).
-	if err := dst.ApplyReplica(id, 0, []byte("garbage — must not even be decoded")); err != nil {
+	if err := dst.applyReplica(id, 0, []byte("garbage — must not even be decoded")); err != nil {
 		t.Fatalf("stale version: %v", err)
 	}
-	if dst.Version(id) != version || dst.Generation() != gen {
+	if dst.version(id) != version || dst.gen() != gen {
 		t.Fatal("stale version changed the store")
 	}
 
 	// A newer version replaces the record.
-	if err := dst.ApplyReplica(id, version+5, payload); err != nil {
+	if err := dst.applyReplica(id, version+5, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.Version(id); got != version+5 {
+	if got := dst.version(id); got != version+5 {
 		t.Fatalf("newer version = %d, want %d", got, version+5)
 	}
-	if dst.Generation() == gen {
+	if dst.gen() == gen {
 		t.Fatal("installing a newer version must bump the generation")
 	}
 
 	// Undecodable payloads are rejected, not installed.
-	if err := dst.ApplyReplica("other", 1, []byte("{")); err == nil {
+	if err := dst.applyReplica("other", 1, []byte("{")); err == nil {
 		t.Fatal("ApplyReplica accepted a truncated payload")
 	}
 }
@@ -128,14 +128,14 @@ func TestStoreApplyReplicaDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewStoreWithDB(db)
+	dst, err := NewStoreWithOptions(db, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ApplyReplica(id, version, payload); err != nil {
+	if err := dst.applyReplica(id, version, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, gotV, ok, err := dst.Export(id)
+	got, gotV, ok, err := dst.export(id)
 	if err != nil || !ok {
 		t.Fatalf("Export: ok=%v err=%v", ok, err)
 	}
@@ -150,15 +150,15 @@ func TestStoreApplyReplicaDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	re, err := NewStoreWithDB(db2)
+	re, err := NewStoreWithOptions(db2, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Version(id); got != version {
+	if got := re.version(id); got != version {
 		t.Fatalf("restart lost the version: %d, want %d", got, version)
 	}
-	got2, _, ok, err := re.Export(id)
+	got2, _, ok, err := re.export(id)
 	if err != nil || !ok || !bytes.Equal(got2, payload) {
 		t.Fatalf("restart changed the replica bytes (ok=%v err=%v)", ok, err)
 	}
@@ -176,7 +176,7 @@ func (f replicateFunc) ReplicateJob(ctx context.Context, id string, version uint
 // replicates the exact persisted bytes, and a quorum failure fails the
 // job — the client must never see done with fewer than W copies.
 func TestExecutorReplicationGate(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	var gotID string
 	var gotVersion uint64
 	var gotPayload []byte
@@ -187,14 +187,14 @@ func TestExecutorReplicationGate(t *testing.T) {
 		}),
 	})
 	defer ok.Shutdown(context.Background())
-	id, err := ok.Submit(smallRequest("Giraph", "BFS"))
+	id, err := ok.submit(smallRequest("Giraph", "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, ok, id); st.Status != StatusDone {
 		t.Fatalf("job with an acking replicator = %s (%s)", st.Status, st.Error)
 	}
-	wantPayload, wantVersion, _, err := store.Export(id)
+	wantPayload, wantVersion, _, err := store.export(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestExecutorReplicationGate(t *testing.T) {
 			gotID, gotVersion, len(gotPayload), id, wantVersion, len(wantPayload))
 	}
 
-	fail := NewExecutorWith(1, 4, NewStore(), nil, ExecutorOptions{
+	fail := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{
 		Replicator: replicateFunc(func(context.Context, string, uint64, []byte) error {
 			return errors.New("2 of 3 replicas unreachable")
 		}),
 	})
 	defer fail.Shutdown(context.Background())
-	id2, err := fail.Submit(smallRequest("Giraph", "BFS"))
+	id2, err := fail.submit(smallRequest("Giraph", "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestExecutorReplicationGate(t *testing.T) {
 func TestServerReplicationEndpoints(t *testing.T) {
 	id, payload, version := exportedJob(t)
 
-	store := NewStore()
-	exec := NewExecutor(1, 4, store, nil)
+	store := newStore()
+	exec := NewExecutorWith(1, 4, store, nil, ExecutorOptions{})
 	defer exec.Shutdown(context.Background())
-	ts := httptest.NewServer(NewServer(exec, store, nil).Handler())
+	ts := httptest.NewServer(NewServerWith(exec, store, nil, ServerOptions{}).Handler())
 	defer ts.Close()
 
 	rec, err := json.Marshal(shard.ReplicaRecord{ID: id, Version: version, Payload: payload})

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// RespCache is a bounded LRU of rendered HTTP responses for the
+// respCache is a bounded LRU of rendered HTTP responses for the
 // read-only archive endpoints (/archive, /query, /viz). Entries are
 // keyed on (store generation, request), where the generation is read
 // before the handler touches any data: every acked write bumps the
@@ -23,7 +23,7 @@ import (
 // tag hashes the body rather than the generation, a client revalidating
 // with If-None-Match still gets 304 across writes that did not change
 // the bytes it holds.
-type RespCache struct {
+type respCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[respKey]*list.Element // of *respEntry
@@ -47,17 +47,17 @@ type respEntry struct {
 	body        []byte
 }
 
-// NewRespCache returns a response cache holding at most capacity
+// newRespCache returns a response cache holding at most capacity
 // responses; capacity < 1 selects 512.
-func NewRespCache(capacity int) *RespCache {
+func newRespCache(capacity int) *respCache {
 	if capacity < 1 {
 		capacity = 512
 	}
-	return &RespCache{cap: capacity, entries: make(map[respKey]*list.Element)}
+	return &respCache{cap: capacity, entries: make(map[respKey]*list.Element)}
 }
 
-// RespCacheStats is a point-in-time snapshot of the cache counters.
-type RespCacheStats struct {
+// respCacheStats is a point-in-time snapshot of the cache counters.
+type respCacheStats struct {
 	Hits        uint64
 	Misses      uint64
 	NotModified uint64
@@ -65,17 +65,17 @@ type RespCacheStats struct {
 	Size        int
 }
 
-// Stats returns the lifetime counters and current size.
-func (c *RespCache) Stats() RespCacheStats {
+// stats returns the lifetime counters and current size.
+func (c *respCache) stats() respCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return RespCacheStats{
+	return respCacheStats{
 		Hits: c.hits, Misses: c.misses, NotModified: c.notModified,
 		Evictions: c.evictions, Size: len(c.entries),
 	}
 }
 
-func (c *RespCache) get(gen uint64, req string) *respEntry {
+func (c *respCache) get(gen uint64, req string) *respEntry {
 	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -89,7 +89,7 @@ func (c *RespCache) get(gen uint64, req string) *respEntry {
 	return el.Value.(*respEntry)
 }
 
-func (c *RespCache) put(gen uint64, req, contentType, etag string, body []byte) {
+func (c *respCache) put(gen uint64, req, contentType, etag string, body []byte) {
 	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -106,7 +106,7 @@ func (c *RespCache) put(gen uint64, req, contentType, etag string, body []byte) 
 	}
 }
 
-func (c *RespCache) countNotModified() {
+func (c *respCache) countNotModified() {
 	c.mu.Lock()
 	c.notModified++
 	c.mu.Unlock()
@@ -147,7 +147,7 @@ func (r *bodyRecorder) Write(p []byte) (int, error) {
 
 // cached wraps a read-only GET handler with the response cache. The
 // store generation is read before the handler (or the cache) is
-// consulted — see the RespCache doc comment for why that ordering makes
+// consulted — see the respCache doc comment for why that ordering makes
 // a write invalidate every stale body. When the cache is disabled the
 // handler runs bare, byte-identical by construction (this is what the
 // equivalence tests pin).
@@ -157,7 +157,7 @@ func (s *Server) cached(h http.HandlerFunc) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		gen := s.store.Generation()
+		gen := s.store.gen()
 		req := r.Method + " " + r.URL.Path + "?" + r.URL.RawQuery
 
 		serve := func(contentType, etag string, body []byte) {

@@ -35,7 +35,7 @@ func revJob(id string, rev int) *archive.Job {
 // given cache options, plus a tiny executor the handlers require.
 func cacheTestServer(t *testing.T, store *Store, opts ServerOptions) *httptest.Server {
 	t.Helper()
-	exec := NewExecutor(1, 1, store, nil)
+	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
 	srv := NewServerWith(exec, store, nil, opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -71,7 +71,7 @@ func getWithETag(t *testing.T, url, ifNoneMatch string) (int, string, []byte) {
 // after the underlying job changes, and a 304 again after an unrelated
 // write that bumped the generation but not these bytes.
 func TestETagRoundTrip(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestETagRoundTrip(t *testing.T) {
 // byte-identical (body and Content-Type) to a server with every cache
 // disabled, on first hit and on repeat (cached) hits.
 func TestResponseCacheByteEquivalence(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	out := testOutput(t, "Giraph", "BFS")
 	if err := store.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 	id := out.Job.ID
 
 	cached := cacheTestServer(t, store, ServerOptions{})
-	bare := cacheTestServer(t, store, ServerOptions{QueryCacheSize: -1, RespCacheSize: -1})
+	bare := cacheTestServer(t, store, ServerOptions{RespCacheSize: -1})
 
 	paths := []string{
 		"/jobs/" + id + "/archive",
@@ -178,7 +178,7 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 // increasing revisions, every read that starts after revision r acked
 // must observe revision >= r, on both the query and archive endpoints.
 func TestResponseCacheNoStaleReads(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	if err := store.Put(revJob("live", 0), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 			return -1
 		}
 		var doc struct {
-			Operations []OperationView `json:"operations"`
+			Operations []operationView `json:"operations"`
 			Jobs       []*archive.Job  `json:"jobs"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
@@ -269,16 +269,14 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 // TestCacheMetricsExposed checks the /metrics families for both caches
 // and the group-commit counters appear once traffic has flowed.
 func TestCacheMetricsExposed(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
 	ts := cacheTestServer(t, store, ServerOptions{})
-	// Two spellings of the same query: distinct response-cache keys
-	// (the raw request differs) but one normalized compiled query, so
-	// the second spelling exercises a query-cache hit; then a repeat of
-	// each spelling exercises response-cache hits without ever reaching
-	// the parser again.
+	// Two spellings of the same query are distinct response-cache keys
+	// (the raw request differs); a repeat of each spelling exercises
+	// response-cache hits without ever reaching the parser again.
 	urls := []string{
 		ts.URL + "/jobs/live/query?q=depth+%3D+0",
 		ts.URL + "/jobs/live/query?q=depth++%3D++0",
@@ -295,8 +293,6 @@ func TestCacheMetricsExposed(t *testing.T) {
 		t.Fatalf("metrics: %d", code)
 	}
 	wantSamples(t, body,
-		"granula_querycache_hits_total 1",
-		"granula_querycache_misses_total 1",
 		"granula_respcache_hits_total 2",
 		"granula_respcache_misses_total 2",
 		"granula_respcache_entries 2",
@@ -306,14 +302,14 @@ func TestCacheMetricsExposed(t *testing.T) {
 // TestResponseCacheLRUEviction fills the cache beyond capacity and
 // checks eviction keeps it bounded while still serving correct bytes.
 func TestResponseCacheLRUEviction(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("j%d", i)
 		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	exec := NewExecutor(1, 1, store, nil)
+	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
 	defer exec.Shutdown(context.Background())
 	srv := NewServerWith(exec, store, nil, ServerOptions{RespCacheSize: 4})
 	ts := httptest.NewServer(srv.Handler())
@@ -330,7 +326,7 @@ func TestResponseCacheLRUEviction(t *testing.T) {
 			}
 		}
 	}
-	st := srv.resp.Stats()
+	st := srv.resp.stats()
 	if st.Size > 4 {
 		t.Fatalf("cache size %d above capacity 4", st.Size)
 	}

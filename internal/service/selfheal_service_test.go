@@ -22,7 +22,7 @@ func hintStore(t *testing.T, dir string) (*Store, *archivedb.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStoreWithDB(db)
+	store, err := NewStoreWithOptions(db, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +128,9 @@ func TestHintJournalVersionOrdering(t *testing.T) {
 // publish generation, and the digest decodes into the store's sorted
 // (id, version) set.
 func TestInternalHealthAndDigestEndpoints(t *testing.T) {
-	store := NewStore()
+	store := newStore()
 	metrics := NewMetrics()
-	exec := NewExecutor(2, 8, store, metrics)
+	exec := NewExecutorWith(2, 8, store, metrics, ExecutorOptions{})
 	t.Cleanup(func() { exec.Shutdown(context.Background()) })
 	srv := NewServerWith(exec, store, metrics, ServerOptions{ShardID: "s1"})
 	ts := httptest.NewServer(srv.Handler())
@@ -159,8 +159,8 @@ func TestInternalHealthAndDigestEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("digest: %d: %s", code, body)
 	}
-	entries, err := shard.DecodeDigest(body)
-	if err != nil {
+	var entries []shard.DigestEntry
+	if err := json.Unmarshal(body, &entries); err != nil {
 		t.Fatalf("digest does not decode: %v: %s", err, body)
 	}
 	if len(entries) != 2 {
@@ -330,10 +330,10 @@ func TestWatchLongPollErrors(t *testing.T) {
 // a fixed constant would re-synchronize every backed-off client into
 // the next thundering herd.
 func TestRetryAfterJitter(t *testing.T) {
-	store := NewStore()
-	exec := NewExecutor(1, 4, store, nil)
+	store := newStore()
+	exec := NewExecutorWith(1, 4, store, nil, ExecutorOptions{})
 	t.Cleanup(func() { exec.Shutdown(context.Background()) })
-	srv := NewServer(exec, store, nil)
+	srv := NewServerWith(exec, store, nil, ServerOptions{})
 
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {

@@ -28,10 +28,10 @@ const maxSubmitBytes = 1 << 20
 
 // Fault-injection points on the HTTP layer.
 const (
-	// SiteSubmit is hit at the top of POST /jobs.
-	SiteSubmit = "http.submit"
-	// SiteQuery is hit at the top of GET /jobs/{id}/query.
-	SiteQuery = "http.query"
+	// siteSubmit is hit at the top of POST /jobs.
+	siteSubmit = "http.submit"
+	// siteQuery is hit at the top of GET /jobs/{id}/query.
+	siteQuery = "http.query"
 )
 
 // Server is the HTTP face of the service: it routes the JSON API over
@@ -41,8 +41,7 @@ type Server struct {
 	store   *Store
 	metrics *Metrics
 	faults  *faults.Injector
-	queries *query.Cache
-	resp    *RespCache
+	resp    *respCache
 	handler http.Handler
 
 	shardID string
@@ -80,12 +79,9 @@ type ServerOptions struct {
 	// Faults is the chaos injector threaded through the handlers; nil
 	// injects nothing.
 	Faults *faults.Injector
-	// QueryCacheSize bounds the compiled-query LRU: 0 selects the
-	// default capacity, < 0 disables the cache (every request re-parses,
-	// used by equivalence tests).
-	QueryCacheSize int
-	// RespCacheSize bounds the HTTP response cache the same way: 0 for
-	// the default capacity, < 0 to serve every request from the handler.
+	// RespCacheSize bounds the HTTP response cache: 0 selects the
+	// default capacity, < 0 serves every request from the handler (used
+	// by equivalence tests).
 	RespCacheSize int
 	// ShardID names this node in a cluster; empty means single-node.
 	// It is echoed in /healthz and /cluster.
@@ -106,13 +102,8 @@ type ServerOptions struct {
 	WatchHeartbeat time.Duration
 }
 
-// NewServer wires the API routes. Metrics may be nil, in which case a
-// fresh registry is created.
-func NewServer(exec *Executor, store *Store, m *Metrics) *Server {
-	return NewServerWith(exec, store, m, ServerOptions{})
-}
-
-// NewServerWith is NewServer with explicit robustness options.
+// NewServerWith wires the API routes. Metrics may be nil, in which case
+// a fresh registry is created.
 func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions) *Server {
 	if m == nil {
 		m = NewMetrics()
@@ -131,18 +122,15 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	if s.heartbeat <= 0 {
 		s.heartbeat = 15 * time.Second
 	}
-	if opts.QueryCacheSize >= 0 {
-		s.queries = query.NewCache(opts.QueryCacheSize)
-	}
 	if opts.RespCacheSize >= 0 {
-		s.resp = NewRespCache(opts.RespCacheSize)
+		s.resp = newRespCache(opts.RespCacheSize)
 	}
 	m.gauges.Bind(func(e *metrics.Emitter) {
-		writeGauges(e, exec.QueueDepth(), store.Len(), store.BreakerState())
+		writeGauges(e, exec.QueueDepth(), store.Len(), store.breakerStatus())
 	})
 	m.tail.Bind(func(e *metrics.Emitter) {
 		writeCaches(e, s.cacheStats())
-		writeStorage(e, store.StorageStats())
+		writeStorage(e, store.storageStats())
 		writeLiveJobs(e, s.streams.Live())
 	})
 	mux := http.NewServeMux()
@@ -173,10 +161,6 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	return s
 }
 
-// Streams returns the live-job manager, for wiring the executor's
-// in-process streaming sinks to the same manager /watch serves.
-func (s *Server) Streams() *stream.Manager { return s.streams }
-
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
@@ -187,9 +171,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // from the executor; register EndTails with RegisterOnShutdown. A cut
 // tail resumes with Last-Event-ID, as it does after a restart.
 func (s *Server) EndTails() { s.closingOnce.Do(func() { close(s.closing) }) }
-
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // instrument records request latency under the route pattern and
 // isolates handler panics: a panicking handler (from a bug or an
@@ -277,24 +258,24 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if err := s.faults.Fail(SiteSubmit); err != nil {
+	if err := s.faults.Fail(siteSubmit); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if s.store.ReadOnly() {
+	if s.store.readOnly() {
 		// Degraded read-only mode: reads keep serving, submits are shed
 		// until the breaker's probe confirms storage recovered.
 		s.metrics.shed.Inc()
 		s.setRetryAfter(w)
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrDegraded)
+		writeError(w, http.StatusServiceUnavailable, "%v", errDegraded)
 		return
 	}
 	var req JobRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	id, err := s.exec.Submit(req)
-	if err == ErrQueueFull {
+	id, err := s.exec.submit(req)
+	if err == errQueueFull {
 		s.setRetryAfter(w)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
@@ -303,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: StatusQueued})
+	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: statusQueued})
 }
 
 // listResponse enumerates every submitted job in submission order.
@@ -313,20 +294,20 @@ type listResponse struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	states := s.exec.States()
+	states := s.exec.listStates()
 	writeJSON(w, http.StatusOK, listResponse{Count: len(states), Jobs: states})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := s.exec.State(id)
+	st, ok := s.exec.jobState(id)
 	if !ok {
 		// The executor never saw this job, but the store may hold its
 		// archive anyway: jobs replicated from another shard, and jobs
 		// restored from the archive database after a restart, exist only
 		// as archives. Synthesize the terminal state from the summary so
 		// status survives primary failover and process restarts.
-		if sj, stored := s.store.Get(id); stored {
+		if sj, stored := s.store.get(id); stored {
 			sum := sj.Summary
 			writeJSON(w, http.StatusOK, JobState{
 				ID:      id,
@@ -344,7 +325,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, JobState{
 				ID:      id,
 				Request: JobRequest{Platform: platform, Algorithm: algorithm, ID: id},
-				Status:  StatusStreaming,
+				Status:  statusStreaming,
 				Stream: &StreamProgress{
 					Events: events, CompletedOps: completed, OpenOps: open,
 					LastSeq: lj.LastSeq(),
@@ -360,35 +341,26 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.exec.State(id); !ok {
+	if _, ok := s.exec.jobState(id); !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	if !s.exec.Cancel(id) {
+	if !s.exec.cancelJob(id) {
 		writeError(w, http.StatusConflict, "job %q is no longer cancelable", id)
 		return
 	}
-	st, _ := s.exec.State(id)
+	st, _ := s.exec.jobState(id)
 	writeJSON(w, http.StatusOK, st)
-}
-
-// parseQuery compiles a query string, through the compiled-query cache
-// when one is configured.
-func (s *Server) parseQuery(input string) (*query.Query, error) {
-	if s.queries != nil {
-		return s.queries.Parse(input)
-	}
-	return query.Parse(input)
 }
 
 // storedJob resolves a job ID to its archived result, writing the
 // appropriate error (404 for unknown, 409 for not-yet-done) otherwise.
-func (s *Server) storedJob(w http.ResponseWriter, id string) (*StoredJob, bool) {
-	sj, ok := s.store.Get(id)
+func (s *Server) storedJob(w http.ResponseWriter, id string) (*storedJob, bool) {
+	sj, ok := s.store.get(id)
 	if ok {
 		return sj, true
 	}
-	if st, known := s.exec.State(id); known {
+	if st, known := s.exec.jobState(id); known {
 		writeError(w, http.StatusConflict, "job %q is %s, no archive yet", id, st.Status)
 	} else {
 		writeError(w, http.StatusNotFound, "no job %q", id)
@@ -408,8 +380,8 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	a.Save(w)
 }
 
-// OperationView is the flat JSON projection of one operation.
-type OperationView struct {
+// operationView is the flat JSON projection of one operation.
+type operationView struct {
 	ID       string            `json:"id"`
 	Actor    string            `json:"actor"`
 	Mission  string            `json:"mission"`
@@ -421,11 +393,11 @@ type OperationView struct {
 	Derived  map[string]string `json:"derived,omitempty"`
 }
 
-func viewOps(ops []*archive.Operation) []OperationView {
-	out := make([]OperationView, 0, len(ops))
+func viewOps(ops []*archive.Operation) []operationView {
+	out := make([]operationView, 0, len(ops))
 	for _, op := range ops {
-		out = append(out, OperationView{
-			ID: op.ID, Actor: op.Actor, Mission: op.Mission, Path: PathKey(op),
+		out = append(out, operationView{
+			ID: op.ID, Actor: op.Actor, Mission: op.Mission, Path: pathKey(op),
 			Start: op.Start, End: op.End, Duration: op.Duration(),
 			Infos: op.Infos, Derived: op.Derived,
 		})
@@ -440,7 +412,7 @@ func viewOps(ops []*archive.Operation) []OperationView {
 type queryResponse struct {
 	JobID      string          `json:"jobId"`
 	Count      int             `json:"count"`
-	Operations []OperationView `json:"operations"`
+	Operations []operationView `json:"operations"`
 	Live       bool            `json:"live,omitempty"`
 	LastSeq    uint64          `json:"lastSeq,omitempty"`
 }
@@ -453,17 +425,17 @@ type queryResponse struct {
 // over completed operations, marked live so the response cache never
 // files the moving bytes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if err := s.faults.Fail(SiteQuery); err != nil {
+	if err := s.faults.Fail(siteQuery); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	id := r.PathValue("id")
-	sj, stored := s.store.Get(id)
+	sj, stored := s.store.get(id)
 	var live *stream.Job
 	if !stored {
 		if lj, ok := s.streams.Get(id); ok {
 			live = lj
-		} else if st, known := s.exec.State(id); known {
+		} else if st, known := s.exec.jobState(id); known {
 			writeError(w, http.StatusConflict, "job %q is %s, no archive yet", id, st.Status)
 			return
 		} else {
@@ -494,7 +466,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q *query.Query
 	if selector == "q" {
 		var err error
-		if q, err = s.parseQuery(params.Get("q")); err != nil {
+		if q, err = query.Parse(params.Get("q")); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -531,7 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // info./derived. group fields work here (unlike the segment-only
 // /query2 path). Live jobs are refused: their summary (job.runtime
 // and friends) does not exist until the job seals.
-func (s *Server) handleJobAggregate(w http.ResponseWriter, id, raw string, q *query.Query, sj *StoredJob, live *stream.Job) {
+func (s *Server) handleJobAggregate(w http.ResponseWriter, id, raw string, q *query.Query, sj *storedJob, live *stream.Job) {
 	if q.FromJobs() {
 		writeError(w, http.StatusBadRequest,
 			"cross-job queries ('from jobs') are served by /query2, not /jobs/{id}/query")
@@ -587,8 +559,8 @@ func (s *Server) handleViz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// DiffRequest asks for a regression comparison between two stored jobs.
-type DiffRequest struct {
+// diffRequest asks for a regression comparison between two stored jobs.
+type diffRequest struct {
 	BaselineID string `json:"baselineId"`
 	CurrentID  string `json:"currentId"`
 	// Threshold is the relative duration change that counts as a
@@ -599,8 +571,8 @@ type DiffRequest struct {
 	MinSeconds float64 `json:"minSeconds,omitempty"`
 }
 
-// DiffFinding mirrors regression.Finding with JSON names.
-type DiffFinding struct {
+// diffFinding mirrors regression.Finding with JSON names.
+type diffFinding struct {
 	Key      string  `json:"key"`
 	Mission  string  `json:"mission"`
 	Baseline float64 `json:"baseline"`
@@ -609,18 +581,18 @@ type DiffFinding struct {
 	Verdict  string  `json:"verdict"`
 }
 
-// DiffResponse is the serialized regression report.
-type DiffResponse struct {
+// diffResponse is the serialized regression report.
+type diffResponse struct {
 	JobID            string        `json:"jobId"`
 	Pass             bool          `json:"pass"`
 	BaselineMakespan float64       `json:"baselineMakespan"`
 	CurrentMakespan  float64       `json:"currentMakespan"`
 	MakespanChange   float64       `json:"makespanChange"`
-	Findings         []DiffFinding `json:"findings"`
+	Findings         []diffFinding `json:"findings"`
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	var req DiffRequest
+	var req diffRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -638,16 +610,16 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := DiffResponse{
+	resp := diffResponse{
 		JobID:            report.JobID,
 		Pass:             report.Pass(),
 		BaselineMakespan: report.BaselineMakespan,
 		CurrentMakespan:  report.CurrentMakespan,
 		MakespanChange:   report.MakespanChange,
-		Findings:         make([]DiffFinding, 0, len(report.Findings)),
+		Findings:         make([]diffFinding, 0, len(report.Findings)),
 	}
 	for _, f := range report.Findings {
-		resp.Findings = append(resp.Findings, DiffFinding{
+		resp.Findings = append(resp.Findings, diffFinding{
 			Key: f.Key, Mission: f.Mission, Baseline: f.Baseline,
 			Current: f.Current, Change: f.Change, Verdict: string(f.Verdict),
 		})
@@ -673,18 +645,18 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	breaker := s.store.BreakerState()
+	breaker := s.store.breakerStatus()
 	status := "ok"
-	if breaker != BreakerClosed {
+	if breaker != breakerClosed {
 		status = "degraded"
 	}
 	resp := healthResponse{
 		Status:     status,
 		Breaker:    breaker.String(),
-		Jobs:       len(s.exec.States()),
+		Jobs:       len(s.exec.listStates()),
 		QueueDepth: s.exec.QueueDepth(),
 		StoreJobs:  s.store.Len(),
-		Generation: s.store.Generation(),
+		Generation: s.store.gen(),
 		ShardID:    s.shardID,
 	}
 	if s.cluster != nil {
@@ -720,8 +692,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "replica record needs an id and a payload")
 		return
 	}
-	if err := s.store.ApplyReplica(rec.ID, rec.Version, rec.Payload); err != nil {
-		if errors.Is(err, ErrDegraded) {
+	if err := s.store.applyReplica(rec.ID, rec.Version, rec.Payload); err != nil {
+		if errors.Is(err, errDegraded) {
 			s.setRetryAfter(w)
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
@@ -729,7 +701,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, replicateResponse{ID: rec.ID, Version: s.store.Version(rec.ID)})
+	writeJSON(w, http.StatusOK, replicateResponse{ID: rec.ID, Version: s.store.version(rec.ID)})
 }
 
 // handleExport serves the cluster-internal read side of replication:
@@ -737,7 +709,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // router's read-repair to converge divergent replicas.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	payload, version, ok, err := s.store.Export(id)
+	payload, version, ok, err := s.store.export(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -766,12 +738,12 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // is not dead and must not trigger promotion or hinted handoff.
 func (s *Server) handleInternalHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if s.store.ReadOnly() {
+	if s.store.readOnly() {
 		status = "degraded"
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"shardId\":%q,\"status\":%q,\"generation\":%d}\n",
-		s.shardID, status, s.store.Generation())
+		s.shardID, status, s.store.gen())
 }
 
 // handleDigest serves the anti-entropy exchange: this shard's full
@@ -799,7 +771,7 @@ type clusterInfo struct {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	info := clusterInfo{Mode: "single", Generation: s.store.Generation()}
+	info := clusterInfo{Mode: "single", Generation: s.store.gen()}
 	if s.cluster != nil {
 		info.Mode = "shard"
 		info.ShardID = s.shardID
@@ -809,18 +781,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// cacheStats samples the read-path caches for /metrics; nil when both
-// are disabled.
-func (s *Server) cacheStats() *CacheStats {
-	if s.queries == nil && s.resp == nil {
+// cacheStats samples the response cache for /metrics; nil when it is
+// disabled.
+func (s *Server) cacheStats() *respCacheStats {
+	if s.resp == nil {
 		return nil
 	}
-	var cs CacheStats
-	if s.queries != nil {
-		cs.QueryHits, cs.QueryMisses, cs.QuerySize = s.queries.Stats()
-	}
-	if s.resp != nil {
-		cs.Resp = s.resp.Stats()
-	}
+	cs := s.resp.stats()
 	return &cs
 }

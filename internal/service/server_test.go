@@ -19,10 +19,10 @@ import (
 // newTestServer wires a full service stack on an httptest server.
 func newTestServer(t *testing.T, workers, queueCap int) (*httptest.Server, *Executor, *Store) {
 	t.Helper()
-	store := NewStore()
+	store := newStore()
 	metrics := NewMetrics()
-	exec := NewExecutor(workers, queueCap, store, metrics)
-	srv := NewServer(exec, store, metrics)
+	exec := NewExecutorWith(workers, queueCap, store, metrics, ExecutorOptions{})
+	srv := NewServerWith(exec, store, metrics, ServerOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -183,7 +183,7 @@ func TestServerDeterministicResponses(t *testing.T) {
 func TestServerQueryEndpoints(t *testing.T) {
 	ts, _, store := newTestServer(t, 2, 8)
 	id := submitAndWait(t, ts.URL, smallRequest("Giraph", "BFS"))
-	sj, _ := store.Get(id)
+	sj, _ := store.get(id)
 
 	// Exact selectors agree with the query language.
 	code, payload := httpGet(t, ts.URL+"/jobs/"+id+"/query?q=mission+=+Superstep")
@@ -284,11 +284,11 @@ func TestServerDiff(t *testing.T) {
 	submitAndWait(t, ts.URL, base)
 	submitAndWait(t, ts.URL, cur)
 
-	code, payload := httpPost(t, ts.URL+"/diff", DiffRequest{BaselineID: "baseline", CurrentID: "current"})
+	code, payload := httpPost(t, ts.URL+"/diff", diffRequest{BaselineID: "baseline", CurrentID: "current"})
 	if code != http.StatusOK {
 		t.Fatalf("diff: %d: %s", code, payload)
 	}
-	var dr DiffResponse
+	var dr diffResponse
 	if err := json.Unmarshal(payload, &dr); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestServerDiff(t *testing.T) {
 	}
 
 	// A job diffed against itself passes clean.
-	code, payload = httpPost(t, ts.URL+"/diff", DiffRequest{BaselineID: "baseline", CurrentID: "baseline"})
+	code, payload = httpPost(t, ts.URL+"/diff", diffRequest{BaselineID: "baseline", CurrentID: "baseline"})
 	if code != http.StatusOK {
 		t.Fatalf("self-diff: %d", code)
 	}
@@ -311,7 +311,7 @@ func TestServerDiff(t *testing.T) {
 	}
 
 	// Unknown job IDs 404.
-	if code, _ := httpPost(t, ts.URL+"/diff", DiffRequest{BaselineID: "baseline", CurrentID: "ghost"}); code != http.StatusNotFound {
+	if code, _ := httpPost(t, ts.URL+"/diff", diffRequest{BaselineID: "baseline", CurrentID: "ghost"}); code != http.StatusNotFound {
 		t.Fatalf("diff against ghost: %d, want 404", code)
 	}
 }

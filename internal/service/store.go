@@ -43,25 +43,25 @@ type Summary struct {
 	ModelErrors       []string `json:"modelErrors,omitempty"`
 }
 
-// StoredJob is one archived job: the operation tree, its summary, and
+// storedJob is one archived job: the operation tree, its summary, and
 // Cols, the columnar projection of the tree that every query on the
 // job — ?q= row queries, aggregates, the ?mission=/?actor=/?path=
 // lookups — evaluates against. Cols is built once when the job enters
 // the store, after which the tree is treated as immutable.
-type StoredJob struct {
+type storedJob struct {
 	Job     *archive.Job
 	Summary Summary
 	Cols    *query.Columns
 }
 
-// PathKey is an operation's mission path from the root, e.g.
+// pathKey is an operation's mission path from the root, e.g.
 // "GiraphJob/ProcessGraph/Superstep" — the key ?path= matches.
-func PathKey(op *archive.Operation) string {
+func pathKey(op *archive.Operation) string {
 	return strings.Join(op.Path(), "/")
 }
 
-func indexJob(job *archive.Job, sum Summary) *StoredJob {
-	return &StoredJob{Job: job, Summary: sum, Cols: query.BuildColumns(job)}
+func indexJob(job *archive.Job, sum Summary) *storedJob {
+	return &storedJob{Job: job, Summary: sum, Cols: query.BuildColumns(job)}
 }
 
 // persistedJob is the archivedb payload schema: the serving summary
@@ -77,11 +77,11 @@ type persistedJob struct {
 	Version uint64       `json:"version,omitempty"`
 }
 
-// ErrDegraded is returned by Put while the persistence circuit breaker
+// errDegraded is returned by Put while the persistence circuit breaker
 // is open: the store is in degraded read-only mode — reads and queries
 // keep serving from the in-memory cache, but nothing new is accepted
 // until a probe confirms storage has recovered. HTTP maps it to 503.
-var ErrDegraded = errors.New("service: archive storage degraded (circuit breaker open), store is read-only")
+var errDegraded = errors.New("service: archive storage degraded (circuit breaker open), store is read-only")
 
 // StoreOptions tunes the durability circuit breaker of a store with a
 // backing database; the zero value selects the defaults. Stores without
@@ -111,7 +111,7 @@ type StoreOptions struct {
 // safe for concurrent readers and writers.
 type Store struct {
 	mu       sync.RWMutex
-	jobs     map[string]*StoredJob
+	jobs     map[string]*storedJob
 	versions map[string]uint64
 	db       *archivedb.DB
 
@@ -124,7 +124,7 @@ type Store struct {
 	hints map[string]map[string]shard.HintRecord
 	// recoveredStream holds the stream batches found during warm-up,
 	// sorted by (job, lastSeq); the server replays them at startup.
-	recoveredStream []StreamBatch
+	recoveredStream []streamBatch
 
 	// generation counts publishes. It is bumped inside the same critical
 	// section that makes a job visible, before the Put acks, so a
@@ -133,32 +133,26 @@ type Store struct {
 	// invalidation story of the HTTP response cache.
 	generation uint64
 
-	breaker   *Breaker
+	breaker   *breaker
 	probeStop chan struct{}
 	probeDone chan struct{}
 	closeOnce sync.Once
 }
 
-// NewStore returns an empty in-memory store with no durability.
-func NewStore() *Store {
+// newStore returns an empty in-memory store with no durability.
+func newStore() *Store {
 	return &Store{
-		jobs:       map[string]*StoredJob{},
+		jobs:       map[string]*storedJob{},
 		versions:   map[string]uint64{},
 		streamKeys: map[string][]string{},
 		hints:      map[string]map[string]shard.HintRecord{},
 	}
 }
 
-// NewStoreWithDB returns a store backed by db with default breaker
-// options, warmed with every job already persisted in it. A nil db
-// degrades to NewStore.
-func NewStoreWithDB(db *archivedb.DB) (*Store, error) {
-	return NewStoreWithOptions(db, StoreOptions{})
-}
-
-// NewStoreWithOptions is NewStoreWithDB with explicit breaker tuning.
+// NewStoreWithOptions returns a store backed by db, warmed with every
+// job already persisted in it. A nil db gives an in-memory store.
 func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
-	s := NewStore()
+	s := newStore()
 	s.db = db
 	if db == nil {
 		return s, nil
@@ -167,7 +161,7 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 	if m == nil {
 		m = NewMetrics()
 	}
-	s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to BreakerState) {
+	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
 		m.transitions.With(to.String()).Inc()
 	})
 	interval := opts.ProbeInterval
@@ -208,7 +202,7 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 			// the serving layer to replay (or discard, if the job was
 			// sealed) instead of decoding them as jobs.
 			s.streamKeys[jobID] = append(s.streamKeys[jobID], id)
-			s.recoveredStream = append(s.recoveredStream, StreamBatch{
+			s.recoveredStream = append(s.recoveredStream, streamBatch{
 				JobID: jobID, LastSeq: lastSeq, Payload: payload,
 			})
 			continue
@@ -252,13 +246,13 @@ func (s *Store) probeLoop(interval time.Duration) {
 		case <-s.probeStop:
 			return
 		case <-t.C:
-			if !s.breaker.TryProbe() {
+			if !s.breaker.tryProbe() {
 				continue
 			}
 			if err := s.db.Probe(); err != nil {
-				s.breaker.Failure()
+				s.breaker.failure()
 			} else {
-				s.breaker.Success()
+				s.breaker.success()
 			}
 		}
 	}
@@ -276,25 +270,22 @@ func (s *Store) Close() {
 	})
 }
 
-// BreakerState returns the persistence breaker's state; stores without
+// breakerStatus returns the persistence breaker's state; stores without
 // a database report closed.
-func (s *Store) BreakerState() BreakerState {
+func (s *Store) breakerStatus() breakerState {
 	if s.breaker == nil {
-		return BreakerClosed
+		return breakerClosed
 	}
-	return s.breaker.State()
+	return s.breaker.current()
 }
 
-// ReadOnly reports whether the store is in degraded read-only mode
+// readOnly reports whether the store is in degraded read-only mode
 // (breaker open): reads serve from cache, submits should be shed.
-func (s *Store) ReadOnly() bool { return s.BreakerState() == BreakerOpen }
+func (s *Store) readOnly() bool { return s.breakerStatus() == breakerOpen }
 
-// DB returns the backing database, or nil for an in-memory store.
-func (s *Store) DB() *archivedb.DB { return s.db }
-
-// StorageStats returns the backing engine's stats, or nil when the
+// storageStats returns the backing engine's stats, or nil when the
 // store is in-memory.
-func (s *Store) StorageStats() *archivedb.Stats {
+func (s *Store) storageStats() *archivedb.Stats {
 	if s.db == nil {
 		return nil
 	}
@@ -321,7 +312,7 @@ func jobMeta(id string, sum Summary) query.JobMeta {
 // segment is rebuilt lazily from the in-memory columns on the next
 // aggregate query — so a failure here must not fail the Put that
 // carries the durable record.
-func (s *Store) writeSegment(id string, sj *StoredJob, version uint64) {
+func (s *Store) writeSegment(id string, sj *storedJob, version uint64) {
 	if s.db == nil {
 		return
 	}
@@ -340,7 +331,7 @@ func (s *Store) writeSegment(id string, sj *StoredJob, version uint64) {
 //
 // With a backing database the job is persisted before it becomes
 // visible to readers; an error means the job is neither durable nor
-// published. While the breaker is open Put fails fast with ErrDegraded
+// published. While the breaker is open Put fails fast with errDegraded
 // without touching storage; every real persistence outcome feeds the
 // breaker.
 func (s *Store) Put(job *archive.Job, sum Summary) error {
@@ -354,14 +345,14 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 		if err != nil {
 			return fmt.Errorf("service: encode job %q: %w", sum.ID, err)
 		}
-		if !s.breaker.Allow() {
-			return ErrDegraded
+		if !s.breaker.allow() {
+			return errDegraded
 		}
 		if err := s.db.Put(sum.ID, payload, archivedb.IndexMeta{}); err != nil {
-			s.breaker.Failure()
+			s.breaker.failure()
 			return err
 		}
-		s.breaker.Success()
+		s.breaker.success()
 		s.writeSegment(sum.ID, sj, version)
 	}
 	s.mu.Lock()
@@ -372,37 +363,19 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 	return nil
 }
 
-// Delete removes a job from the store: the in-memory entry, the
-// durable record, and its columnar segment, in that order of
-// authority. The publish generation bumps so every cached response
-// that could still mention the job is invalidated.
-func (s *Store) Delete(id string) error {
-	if s.db != nil {
-		if err := s.db.Delete(id); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	delete(s.jobs, id)
-	delete(s.versions, id)
-	s.generation++
-	s.mu.Unlock()
-	return nil
-}
-
-// Version returns the stored job's write version (0 when unknown).
-func (s *Store) Version(id string) uint64 {
+// version returns the stored job's write version (0 when unknown).
+func (s *Store) version(id string) uint64 {
 	s.mu.RLock()
 	v := s.versions[id]
 	s.mu.RUnlock()
 	return v
 }
 
-// Export returns the replication payload for a stored job: the exact
+// export returns the replication payload for a stored job: the exact
 // persistedJob bytes (from the backing database when there is one, so
 // replicas receive what the primary fsynced) plus its version. It feeds
 // both the write-path replication fan-out and the router's read-repair.
-func (s *Store) Export(id string) (payload []byte, version uint64, ok bool, err error) {
+func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err error) {
 	s.mu.RLock()
 	sj, have := s.jobs[id]
 	version = s.versions[id]
@@ -426,7 +399,7 @@ func (s *Store) Export(id string) (payload []byte, version uint64, ok bool, err 
 	return payload, version, true, nil
 }
 
-// ApplyReplica applies one replicated write: the exact payload bytes
+// applyReplica applies one replicated write: the exact payload bytes
 // another shard persisted for this job, tagged with its version. It is
 // idempotent — a version at or below the local one is a replay and
 // succeeds without writing — so replication retries and read-repair can
@@ -434,7 +407,7 @@ func (s *Store) Export(id string) (payload []byte, version uint64, ok bool, err 
 // backing database unchanged, keeping every replica byte-identical to
 // the primary; the decoded job is published to readers under the same
 // generation rules as Put.
-func (s *Store) ApplyReplica(id string, version uint64, payload []byte) error {
+func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	if version == 0 {
 		version = 1
 	}
@@ -454,14 +427,14 @@ func (s *Store) ApplyReplica(id string, version uint64, payload []byte) error {
 	archive.New().Add(pj.Job)
 	sj := indexJob(pj.Job, pj.Summary)
 	if s.db != nil {
-		if !s.breaker.Allow() {
-			return ErrDegraded
+		if !s.breaker.allow() {
+			return errDegraded
 		}
 		if err := s.db.Put(id, payload, archivedb.IndexMeta{}); err != nil {
-			s.breaker.Failure()
+			s.breaker.failure()
 			return err
 		}
-		s.breaker.Success()
+		s.breaker.success()
 		s.writeSegment(id, sj, version)
 	}
 	s.mu.Lock()
@@ -474,18 +447,18 @@ func (s *Store) ApplyReplica(id string, version uint64, payload []byte) error {
 	return nil
 }
 
-// Generation returns the store's publish counter. It changes on every
+// gen returns the store's publish counter. It changes on every
 // write that becomes visible to readers; response caches key on it so a
 // write invalidates every cached body in O(1).
-func (s *Store) Generation() uint64 {
+func (s *Store) gen() uint64 {
 	s.mu.RLock()
 	g := s.generation
 	s.mu.RUnlock()
 	return g
 }
 
-// Get returns the stored job with the given ID.
-func (s *Store) Get(id string) (*StoredJob, bool) {
+// get returns the stored job with the given ID.
+func (s *Store) get(id string) (*storedJob, bool) {
 	s.mu.RLock()
 	sj, ok := s.jobs[id]
 	s.mu.RUnlock()
@@ -500,8 +473,8 @@ func (s *Store) Len() int {
 	return n
 }
 
-// IDs returns the stored job IDs, sorted.
-func (s *Store) IDs() []string {
+// ids returns the stored job IDs, sorted.
+func (s *Store) ids() []string {
 	s.mu.RLock()
 	out := make([]string, 0, len(s.jobs))
 	for id := range s.jobs {
@@ -519,10 +492,10 @@ func (s *Store) IDs() []string {
 // without ambiguity; warm-up routes on the prefix.
 const streamKeyPrefix = "~stream/"
 
-// StreamBatch is one durable acked ingest batch: the encoded events of
+// streamBatch is one durable acked ingest batch: the encoded events of
 // a live streamed job up to LastSeq, recovered at startup so a restart
 // never loses an acked batch.
-type StreamBatch struct {
+type streamBatch struct {
 	JobID   string
 	LastSeq uint64
 	Payload []byte
@@ -553,49 +526,49 @@ func parseStreamKey(key string) (jobID string, lastSeq uint64, ok bool) {
 	return rest[:i], seq, true
 }
 
-// AppendStreamBatch persists one acked ingest batch through the same
+// appendStreamBatch persists one acked ingest batch through the same
 // WAL group-commit path archives take: the caller acks the batch to the
 // client only after this returns, so "202 accepted" means the events
 // survive a crash. In-memory stores (no database) ack immediately —
 // they advertise no durability for archives either. The breaker guards
 // the write exactly as it guards Put.
-func (s *Store) AppendStreamBatch(jobID string, lastSeq uint64, payload []byte) error {
+func (s *Store) appendStreamBatch(jobID string, lastSeq uint64, payload []byte) error {
 	if s.db == nil {
 		return nil
 	}
-	if !s.breaker.Allow() {
-		return ErrDegraded
+	if !s.breaker.allow() {
+		return errDegraded
 	}
 	key := streamBatchKey(jobID, lastSeq)
 	if err := s.db.Put(key, payload, archivedb.IndexMeta{}); err != nil {
-		s.breaker.Failure()
+		s.breaker.failure()
 		return err
 	}
-	s.breaker.Success()
+	s.breaker.success()
 	s.mu.Lock()
 	s.streamKeys[jobID] = append(s.streamKeys[jobID], key)
 	s.mu.Unlock()
 	return nil
 }
 
-// RecoveredStreamBatches returns the acked ingest batches found when
+// recoveredStreamBatches returns the acked ingest batches found when
 // the store was opened over an existing database, sorted by
 // (job, lastSeq) — replay order. The serving layer folds them back into
 // live jobs at startup.
-func (s *Store) RecoveredStreamBatches() []StreamBatch {
+func (s *Store) recoveredStreamBatches() []streamBatch {
 	s.mu.RLock()
-	out := make([]StreamBatch, len(s.recoveredStream))
+	out := make([]streamBatch, len(s.recoveredStream))
 	copy(out, s.recoveredStream)
 	s.mu.RUnlock()
 	return out
 }
 
-// DeleteStreamBatches removes every durable ingest batch of a job,
+// deleteStreamBatches removes every durable ingest batch of a job,
 // called once the sealed archive itself is durable (the batches are
 // then redundant) or when a recovered job's archive already exists.
 // Best effort: a delete failure leaves an orphan batch that the next
 // startup discards the same way.
-func (s *Store) DeleteStreamBatches(jobID string) error {
+func (s *Store) deleteStreamBatches(jobID string) error {
 	s.mu.Lock()
 	keys := s.streamKeys[jobID]
 	delete(s.streamKeys, jobID)
@@ -610,19 +583,4 @@ func (s *Store) DeleteStreamBatches(jobID string) error {
 		}
 	}
 	return first
-}
-
-// Archive assembles the stored jobs (sorted by ID) into one archive,
-// the same format cmd/granula writes to disk.
-func (s *Store) Archive(ids ...string) *archive.Archive {
-	if len(ids) == 0 {
-		ids = s.IDs()
-	}
-	a := archive.New()
-	for _, id := range ids {
-		if sj, ok := s.Get(id); ok {
-			a.Jobs = append(a.Jobs, sj.Job)
-		}
-	}
-	return a
 }

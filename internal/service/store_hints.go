@@ -58,14 +58,14 @@ func (s *Store) AppendHint(rec shard.HintRecord) error {
 		return nil
 	}
 	if s.db != nil {
-		if !s.breaker.Allow() {
-			return ErrDegraded
+		if !s.breaker.allow() {
+			return errDegraded
 		}
 		if err := s.db.Put(hintKey(rec.Target, rec.ID), buf, archivedb.IndexMeta{}); err != nil {
-			s.breaker.Failure()
+			s.breaker.failure()
 			return err
 		}
-		s.breaker.Success()
+		s.breaker.success()
 	}
 	s.mu.Lock()
 	if s.hints[rec.Target] == nil {
@@ -157,7 +157,7 @@ func (s *Store) Digest() []shard.DigestEntry {
 // ExportRecord returns the exact persisted bytes for one job as a
 // replica record, implementing shard.LocalReplicaStore.
 func (s *Store) ExportRecord(id string) (shard.ReplicaRecord, bool, error) {
-	payload, version, ok, err := s.Export(id)
+	payload, version, ok, err := s.export(id)
 	if err != nil || !ok {
 		return shard.ReplicaRecord{}, ok, err
 	}
@@ -170,5 +170,5 @@ func (s *Store) ApplyRecord(rec shard.ReplicaRecord) error {
 	if rec.ID == "" || len(rec.Payload) == 0 {
 		return fmt.Errorf("service: apply record: missing id or payload")
 	}
-	return s.ApplyReplica(rec.ID, rec.Version, rec.Payload)
+	return s.applyReplica(rec.ID, rec.Version, rec.Payload)
 }

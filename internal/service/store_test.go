@@ -39,7 +39,7 @@ func testOutput(t testing.TB, platform, algorithm string) *platforms.Output {
 
 func TestStorePutGet(t *testing.T) {
 	out := testOutput(t, "Giraph", "BFS")
-	s := NewStore()
+	s := newStore()
 	if s.Len() != 0 {
 		t.Fatalf("new store has %d jobs", s.Len())
 	}
@@ -48,14 +48,14 @@ func TestStorePutGet(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("store has %d jobs, want 1", s.Len())
 	}
-	sj, ok := s.Get(out.Job.ID)
+	sj, ok := s.get(out.Job.ID)
 	if !ok {
 		t.Fatalf("Get(%q) missing", out.Job.ID)
 	}
 	if sj.Summary.Platform != "Giraph" || sj.Summary.Operations == 0 {
 		t.Fatalf("bad summary: %+v", sj.Summary)
 	}
-	if _, ok := s.Get("nope"); ok {
+	if _, ok := s.get("nope"); ok {
 		t.Fatal("Get(nope) should miss")
 	}
 }
@@ -95,7 +95,7 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 		store.Put(job, summarize(JobRequest{Algorithm: "BFS"}, out))
 		missions, actors, paths := map[string]bool{}, map[string]bool{}, map[string]bool{}
 		job.Root.Walk(func(op *archive.Operation) {
-			missions[op.Mission], actors[op.Actor], paths[PathKey(op)] = true, true, true
+			missions[op.Mission], actors[op.Actor], paths[pathKey(op)] = true, true, true
 		})
 		if len(missions) < 5 || len(actors) < 3 || len(paths) < 5 {
 			t.Fatalf("%s archive too plain: %d missions, %d actors, %d paths", platform, len(missions), len(actors), len(paths))
@@ -111,7 +111,7 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 			check(job.ID, "path", p, queryResponse{Operations: viewOps(job.Find(strings.Split(p, "/")...))})
 		}
 		for _, selector := range []string{"mission", "actor", "path"} {
-			check(job.ID, selector, "absent", queryResponse{Operations: []OperationView{}})
+			check(job.ID, selector, "absent", queryResponse{Operations: []operationView{}})
 		}
 	}
 
@@ -131,7 +131,7 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 	fields := map[string]func(*archive.Operation) string{
 		"mission": func(op *archive.Operation) string { return op.Mission },
 		"actor":   func(op *archive.Operation) string { return op.Actor },
-		"path":    PathKey,
+		"path":    pathKey,
 	}
 	for _, k := range [][2]string{
 		{"mission", "5"}, {"mission", "5.0"}, {"mission", "05"}, {"actor", "5"}, {"actor", "5.0"},
@@ -148,28 +148,28 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 	// Mid-stream: b completes before a, so completion order is b, a
 	// where depth-first order is a, b; the root is still open.
 	events := []stream.Event{
-		{Seq: 1, Type: stream.TypeStart, Time: 0, Op: "r", Actor: "Client", Mission: "Job"},
-		{Seq: 2, Type: stream.TypeStart, Time: 1, Op: "a", Parent: "r", Actor: "W-0", Mission: "Step"},
-		{Seq: 3, Type: stream.TypeStart, Time: 1.5, Op: "b", Parent: "r", Actor: "W-1", Mission: "Step"},
-		{Seq: 4, Type: stream.TypeEnd, Time: 2, Op: "b"},
-		{Seq: 5, Type: stream.TypeEnd, Time: 3, Op: "a"},
-		{Seq: 6, Type: stream.TypeEnd, Time: 4, Op: "r"},
+		{Seq: 1, Type: "start", Time: 0, Op: "r", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: "start", Time: 1, Op: "a", Parent: "r", Actor: "W-0", Mission: "Step"},
+		{Seq: 3, Type: "start", Time: 1.5, Op: "b", Parent: "r", Actor: "W-1", Mission: "Step"},
+		{Seq: 4, Type: "end", Time: 2, Op: "b"},
+		{Seq: 5, Type: "end", Time: 3, Op: "a"},
+		{Seq: 6, Type: "end", Time: 4, Op: "r"},
 		{Seq: 7, Type: stream.TypeSeal, Time: 4, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone},
 	}
 	if code, _, body, _ := postIngest(t, ts.URL, "live", events[:5]); code != http.StatusOK {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
-	a := OperationView{ID: "a", Actor: "W-0", Mission: "Step", Path: "Step", Start: 1, End: 3, Duration: 2}
-	b := OperationView{ID: "b", Actor: "W-1", Mission: "Step", Path: "Step", Start: 1.5, End: 2, Duration: 0.5}
+	a := operationView{ID: "a", Actor: "W-0", Mission: "Step", Path: "Step", Start: 1, End: 3, Duration: 2}
+	b := operationView{ID: "b", Actor: "W-1", Mission: "Step", Path: "Step", Start: 1.5, End: 2, Duration: 0.5}
 	for _, row := range []struct {
 		selector, value string
-		want            []OperationView
+		want            []operationView
 	}{
-		{"mission", "Step", []OperationView{b, a}},
-		{"path", "Job/Step", []OperationView{b, a}},
-		{"actor", "W-0", []OperationView{a}},
-		{"mission", "Job", []OperationView{}},
-		{"path", "Step", []OperationView{}},
+		{"mission", "Step", []operationView{b, a}},
+		{"path", "Job/Step", []operationView{b, a}},
+		{"actor", "W-0", []operationView{a}},
+		{"mission", "Job", []operationView{}},
+		{"path", "Step", []operationView{}},
 	} {
 		check("live", row.selector, row.value, queryResponse{Operations: row.want, Live: true, LastSeq: 5})
 	}
@@ -177,7 +177,7 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 		t.Fatalf("seal: %d: %s", code, body)
 	}
 	// Sealed, the same lookup is depth-first again: a, b.
-	sealed, _ := store.Get("live")
+	sealed, _ := store.get("live")
 	steps := sealed.Job.Find("Job", "Step")
 	if len(steps) != 2 || steps[0].ID != "a" || steps[1].ID != "b" {
 		t.Fatalf("sealed tree has steps %+v, want a then b", steps)
@@ -188,24 +188,12 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 func TestStoreIDsSortedAndArchive(t *testing.T) {
 	g := testOutput(t, "Giraph", "BFS")
 	pg := testOutput(t, "PowerGraph", "BFS")
-	s := NewStore()
+	s := newStore()
 	s.Put(pg.Job, summarize(JobRequest{Algorithm: "BFS"}, pg))
 	s.Put(g.Job, summarize(JobRequest{Algorithm: "BFS"}, g))
 
-	ids := s.IDs()
-	if !sort.StringsAreSorted(ids) {
-		t.Fatalf("IDs not sorted: %v", ids)
-	}
-	a := s.Archive()
-	if len(a.Jobs) != 2 {
-		t.Fatalf("archive has %d jobs, want 2", len(a.Jobs))
-	}
-	for i, id := range ids {
-		if a.Jobs[i].ID != id {
-			t.Fatalf("archive job %d = %s, want %s", i, a.Jobs[i].ID, id)
-		}
-	}
-	if one := s.Archive(g.Job.ID); len(one.Jobs) != 1 || one.Jobs[0] != g.Job {
-		t.Fatalf("Archive(%s) wrong", g.Job.ID)
+	ids := s.ids()
+	if len(ids) != 2 || !sort.StringsAreSorted(ids) {
+		t.Fatalf("IDs = %v, want both jobs sorted", ids)
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // Fault-injection points on the streaming layer.
 const (
-	// SiteIngest is hit at the top of POST /ingest/{id}.
-	SiteIngest = "http.ingest"
-	// SiteWatch is hit at the top of GET /watch/{id}.
-	SiteWatch = "http.watch"
+	// siteIngest is hit at the top of POST /ingest/{id}.
+	siteIngest = "http.ingest"
+	// siteWatch is hit at the top of GET /watch/{id}.
+	siteWatch = "http.watch"
 )
 
 // liveHeader marks a response computed from a still-streaming job. The
@@ -59,7 +59,7 @@ type StreamProgress struct {
 // after an ack never loses them). Backpressure (full per-job buffer or
 // too many live jobs) answers 429 + Retry-After.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if err := s.faults.Fail(SiteIngest); err != nil {
+	if err := s.faults.Fail(siteIngest); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -77,7 +77,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, liveNow := s.streams.Get(id); !liveNow {
-		if _, archived := s.store.Get(id); archived {
+		if _, archived := s.store.get(id); archived {
 			// The stream was sealed and published; a client replaying its
 			// last acked batch (e.g. the ack was lost) gets a terminal
 			// success instead of a confusing gap error.
@@ -123,7 +123,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if sealed, _ := j.Sealed(); sealed {
 			st, ferr := s.finalizeStream(id, j)
 			if ferr != nil {
-				if errors.Is(ferr, ErrDegraded) {
+				if errors.Is(ferr, errDegraded) {
 					s.setRetryAfter(w)
 					writeError(w, http.StatusServiceUnavailable, "%v", ferr)
 				} else {
@@ -165,7 +165,7 @@ func (s *Server) persistStreamTail(id string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.store.AppendStreamBatch(id, last, payload); err != nil {
+	if err := s.store.appendStreamBatch(id, last, payload); err != nil {
 		return err
 	}
 	s.durableMu.Lock()
@@ -202,7 +202,7 @@ func (s *Server) finalizeStream(id string, j *stream.Job) (string, error) {
 // dropStream removes a job's live state, its durable stream batches,
 // and its durability bookkeeping.
 func (s *Server) dropStream(id string) {
-	s.store.DeleteStreamBatches(id)
+	s.store.deleteStreamBatches(id)
 	s.streams.Remove(id)
 	s.durableMu.Lock()
 	delete(s.durable, id)
@@ -240,7 +240,7 @@ func streamSummary(job *archive.Job, algorithm string) Summary {
 // were sealed but not yet published complete their publish. Corrupt or
 // stale batch sets are discarded — they were never acked as archives.
 func (s *Server) recoverStreams() {
-	batches := s.store.RecoveredStreamBatches()
+	batches := s.store.recoveredStreamBatches()
 	if len(batches) == 0 {
 		return
 	}
@@ -254,8 +254,8 @@ func (s *Server) recoverStreams() {
 		group := batches[i:jEnd]
 		i = jEnd
 
-		if _, archived := s.store.Get(id); archived {
-			s.store.DeleteStreamBatches(id)
+		if _, archived := s.store.get(id); archived {
+			s.store.deleteStreamBatches(id)
 			continue
 		}
 		replayOK := true
@@ -347,7 +347,7 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 
 	live, ok := s.streams.Get(id)
 	if !ok {
-		if sj, archived := s.store.Get(id); archived {
+		if sj, archived := s.store.get(id); archived {
 			// Terminal answer: the job sealed and published before this
 			// poll; hand the client the same closing fact the SSE tail
 			// would, so its loop terminates.
@@ -361,7 +361,7 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 			})
 			return
 		}
-		if st, known := s.exec.State(id); known {
+		if st, known := s.exec.jobState(id); known {
 			writeError(w, http.StatusConflict, "job %q is %s, not streaming", id, st.Status)
 		} else {
 			writeError(w, http.StatusNotFound, "no job %q", id)
@@ -429,7 +429,7 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 // the same way). Idle connections get comment heartbeats. Watching an
 // already archived job yields a single seal frame.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if err := s.faults.Fail(SiteWatch); err != nil {
+	if err := s.faults.Fail(siteWatch); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -491,7 +491,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	live, ok := s.streams.Get(id)
 	if !ok {
-		if sj, archived := s.store.Get(id); archived {
+		if sj, archived := s.store.get(id); archived {
 			// The job already sealed and published; answer the tail's only
 			// remaining fact so late watchers terminate cleanly.
 			s.metrics.watchConns.Inc()
@@ -504,7 +504,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		if st, known := s.exec.State(id); known {
+		if st, known := s.exec.jobState(id); known {
 			writeError(w, http.StatusConflict, "job %q is %s, not streaming", id, st.Status)
 		} else {
 			writeError(w, http.StatusNotFound, "no job %q", id)

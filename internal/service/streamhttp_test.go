@@ -25,9 +25,9 @@ import (
 // streamStack wires a service stack with live streaming enabled.
 func streamStack(t *testing.T, opts ServerOptions) (*httptest.Server, *Store) {
 	t.Helper()
-	store := NewStore()
+	store := newStore()
 	metrics := NewMetrics()
-	exec := NewExecutor(1, 4, store, metrics)
+	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 	srv := NewServerWith(exec, store, metrics, opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -42,14 +42,14 @@ func streamStack(t *testing.T, opts ServerOptions) (*httptest.Server, *Store) {
 // done at t=6.
 func streamEventsFixture() []stream.Event {
 	return []stream.Event{
-		{Seq: 1, Type: stream.TypeStart, Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
-		{Seq: 2, Type: stream.TypeStart, Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
-		{Seq: 3, Type: stream.TypeInfo, Time: 1.5, Op: "op-2", Key: "Bytes", Value: "1000"},
-		{Seq: 4, Type: stream.TypeEnd, Time: 2, Op: "op-2"},
-		{Seq: 5, Type: stream.TypeEnv, Time: 2, Node: "node-0", Kind: "cpu", Used: 1.5},
-		{Seq: 6, Type: stream.TypeStart, Time: 2, Op: "op-3", Parent: "op-1", Actor: "Worker-1", Mission: "Compute"},
-		{Seq: 7, Type: stream.TypeEnd, Time: 5, Op: "op-3"},
-		{Seq: 8, Type: stream.TypeEnd, Time: 6, Op: "op-1"},
+		{Seq: 1, Type: "start", Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: "start", Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
+		{Seq: 3, Type: "info", Time: 1.5, Op: "op-2", Key: "Bytes", Value: "1000"},
+		{Seq: 4, Type: "end", Time: 2, Op: "op-2"},
+		{Seq: 5, Type: "env", Time: 2, Node: "node-0", Kind: "cpu", Used: 1.5},
+		{Seq: 6, Type: "start", Time: 2, Op: "op-3", Parent: "op-1", Actor: "Worker-1", Mission: "Compute"},
+		{Seq: 7, Type: "end", Time: 5, Op: "op-3"},
+		{Seq: 8, Type: "end", Time: 6, Op: "op-1"},
 		{Seq: 9, Type: stream.TypeSeal, Time: 6, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone},
 	}
 }
@@ -96,7 +96,7 @@ func TestIngestLifecycle(t *testing.T) {
 		t.Fatalf("seal ack: %+v", ack)
 	}
 
-	sj, ok := store.Get("j1")
+	sj, ok := store.get("j1")
 	if !ok {
 		t.Fatal("sealed job not in store")
 	}
@@ -145,7 +145,7 @@ func TestIngestErrors(t *testing.T) {
 	}
 
 	// A tree-invalid batch answers 400 and leaves state untouched.
-	bad := []stream.Event{{Seq: 3, Type: stream.TypeEnd, Time: 2, Op: "nope"}}
+	bad := []stream.Event{{Seq: 3, Type: "end", Time: 2, Op: "nope"}}
 	if code, _, body, _ := postIngest(t, ts.URL, "g1", bad); code != http.StatusBadRequest {
 		t.Fatalf("invalid batch: %d: %s", code, body)
 	}
@@ -181,7 +181,7 @@ func TestStatusStreaming(t *testing.T) {
 	postIngest(t, ts.URL, "s1", events[:5])
 
 	st := getStatus(t, ts.URL, "s1")
-	if st.Status != StatusStreaming {
+	if st.Status != statusStreaming {
 		t.Fatalf("status = %q, want streaming", st.Status)
 	}
 	if st.Stream == nil || st.Stream.LastSeq != 5 || st.Stream.Events != 5 ||
@@ -341,9 +341,9 @@ func TestWatchTailAndResume(t *testing.T) {
 func TestWatchSealRace(t *testing.T) {
 	events := streamEventsFixture()
 	for _, mode := range []string{"sse", "poll"} {
-		store := NewStore()
+		store := newStore()
 		metrics := NewMetrics()
-		exec := NewExecutor(1, 4, store, metrics)
+		exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 		srv := NewServerWith(exec, store, metrics, ServerOptions{})
 		body, err := stream.EncodeEvents(events)
 		if err != nil {
@@ -456,7 +456,7 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 	req := JobRequest{Platform: "Giraph", Algorithm: "BFS", Vertices: 300, Edges: 900, ID: "eq-job"}
 
 	// Server A: the batch path.
-	storeA := NewStore()
+	storeA := newStore()
 	metricsA := NewMetrics()
 	execA := NewExecutorWith(1, 4, storeA, metricsA, ExecutorOptions{HostParallelism: 1})
 	tsA := httptest.NewServer(NewServerWith(execA, storeA, metricsA, ServerOptions{}).Handler())
@@ -498,7 +498,7 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 				Actor: r.Actor, Mission: r.Mission, Key: r.Key, Value: r.Value})
 		},
 		SampleSink: func(s envmon.Sample) {
-			push(stream.Event{Type: stream.TypeEnv, Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
+			push(stream.Event{Type: "env", Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
 		},
 	})
 	if err != nil {
@@ -625,7 +625,7 @@ func TestStreamRestartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec := NewExecutor(1, 4, store, metrics)
+		exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 		ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{}).Handler())
 		return ts, store, db, exec
 	}
@@ -649,7 +649,7 @@ func TestStreamRestartRecovery(t *testing.T) {
 
 	ts2, store2, db2, exec2 := open()
 	st := getStatus(t, ts2.URL, "r1")
-	if st.Status != StatusStreaming || st.Stream == nil || st.Stream.LastSeq != 6 {
+	if st.Status != statusStreaming || st.Stream == nil || st.Stream.LastSeq != 6 {
 		t.Fatalf("recovered status: %+v", st)
 	}
 	// The recovered tail replays every acked event.
@@ -671,7 +671,7 @@ func TestStreamRestartRecovery(t *testing.T) {
 	// publishes just before it archives the job — give the put a moment.
 	archived := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if _, ok := store2.Get("r1"); ok {
+		if _, ok := store2.get("r1"); ok {
 			archived = true
 			break
 		}
@@ -684,13 +684,13 @@ func TestStreamRestartRecovery(t *testing.T) {
 
 	ts3, store3, db3, exec3 := open()
 	defer kill(ts3, store3, db3, exec3)
-	if _, ok := store3.Get("r1"); !ok {
+	if _, ok := store3.get("r1"); !ok {
 		t.Fatal("archive lost across second restart")
 	}
 	if st := getStatus(t, ts3.URL, "r1"); st.Status != StatusDone {
 		t.Fatalf("status after second restart: %+v", st)
 	}
-	if n := len(store3.RecoveredStreamBatches()); n != 0 {
+	if n := len(store3.recoveredStreamBatches()); n != 0 {
 		t.Fatalf("%d stale stream batches survived archiving", n)
 	}
 }
@@ -710,7 +710,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 		seq  uint64
 		data string
 	}{{"j1", 4, "a"}, {"j1", 9, "b"}, {"j2", 3, "c"}} {
-		if err := store.AppendStreamBatch(b.id, b.seq, []byte(b.data)); err != nil {
+		if err := store.appendStreamBatch(b.id, b.seq, []byte(b.data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -725,11 +725,11 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := store2.RecoveredStreamBatches()
+	got := store2.recoveredStreamBatches()
 	if len(got) != 3 {
 		t.Fatalf("recovered %d batches, want 3: %+v", len(got), got)
 	}
-	want := []StreamBatch{
+	want := []streamBatch{
 		{JobID: "j1", LastSeq: 4, Payload: []byte("a")},
 		{JobID: "j1", LastSeq: 9, Payload: []byte("b")},
 		{JobID: "j2", LastSeq: 3, Payload: []byte("c")},
@@ -740,7 +740,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 			t.Fatalf("batch %d = %+v, want %+v", i, g, w)
 		}
 	}
-	if err := store2.DeleteStreamBatches("j1"); err != nil {
+	if err := store2.deleteStreamBatches("j1"); err != nil {
 		t.Fatal(err)
 	}
 	store2.Close()
@@ -758,7 +758,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 		store3.Close()
 		db3.Close()
 	}()
-	got = store3.RecoveredStreamBatches()
+	got = store3.recoveredStreamBatches()
 	if len(got) != 1 || got[0].JobID != "j2" {
 		t.Fatalf("after delete: %+v", got)
 	}
@@ -769,7 +769,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 // and ends with a seal frame once it completes.
 func TestExecutorJobsStreamLive(t *testing.T) {
 	streams := stream.NewManager(stream.Config{})
-	store := NewStore()
+	store := newStore()
 	metrics := NewMetrics()
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{Streams: streams, HostParallelism: 1})
 	ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{Streams: streams}).Handler())

@@ -56,8 +56,8 @@ func EncodeDigest(entries []DigestEntry) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeDigest unmarshals and validates a wire digest.
-func DecodeDigest(buf []byte) ([]DigestEntry, error) {
+// decodeDigest unmarshals and validates a wire digest.
+func decodeDigest(buf []byte) ([]DigestEntry, error) {
 	var entries []DigestEntry
 	if err := json.Unmarshal(buf, &entries); err != nil {
 		return nil, fmt.Errorf("shard: decode digest: %w", err)
@@ -114,7 +114,7 @@ type AntiEntropy struct {
 
 // NewAntiEntropy builds the sweep for one shard (self) over the map.
 func NewAntiEntropy(self string, m *Map, store LocalReplicaStore, opts AntiEntropyOptions) (*AntiEntropy, error) {
-	if _, ok := m.Node(self); !ok {
+	if _, ok := m.lookup(self); !ok {
 		return nil, fmt.Errorf("shard: anti-entropy self %q is not in the map", self)
 	}
 	interval := opts.Interval
@@ -125,16 +125,16 @@ func NewAntiEntropy(self string, m *Map, store LocalReplicaStore, opts AntiEntro
 		m: m, self: self, store: store, peer: newPeerClient(opts.Client, 30*time.Second),
 		det: opts.Detector, metrics: orPrivate(opts.Metrics),
 	}
-	ae.ticker = newTicker(interval, func(ctx context.Context) { ae.SweepOnce(ctx) })
+	ae.ticker = newTicker(interval, func(ctx context.Context) { ae.sweepOnce(ctx) })
 	return ae, nil
 }
 
-// SweepOnce runs one full digest exchange against every reachable peer
+// sweepOnce runs one full digest exchange against every reachable peer
 // and returns how many records were pushed to and pulled from peers.
 // Only records both sides own (per the ring) are exchanged — a digest
 // names everything a shard holds, but convergence is defined over
 // replica sets, not over the union of all shards.
-func (ae *AntiEntropy) SweepOnce(ctx context.Context) (pushed, pulled int) {
+func (ae *AntiEntropy) sweepOnce(ctx context.Context) (pushed, pulled int) {
 	local := map[string]uint64{}
 	for _, e := range ae.store.Digest() {
 		local[e.ID] = e.Version
@@ -143,7 +143,7 @@ func (ae *AntiEntropy) SweepOnce(ctx context.Context) (pushed, pulled int) {
 		if peer.ID == ae.self {
 			continue
 		}
-		if ae.det != nil && ae.det.Down(peer.ID) {
+		if ae.det != nil && ae.det.isDown(peer.ID) {
 			continue
 		}
 		if ctx.Err() != nil {
@@ -205,7 +205,7 @@ func (ae *AntiEntropy) sweepPeer(ctx context.Context, peer Node, local map[strin
 // — the only pairs with a convergence obligation.
 func (ae *AntiEntropy) coOwned(id, peerID string) bool {
 	selfOwns, peerOwns := false, false
-	for _, n := range ae.m.Owners(id) {
+	for _, n := range ae.m.owners(id) {
 		if n.ID == ae.self {
 			selfOwns = true
 		}

@@ -69,11 +69,11 @@ func shardByID(c *cluster, id string) *clusterShard {
 
 // promotions and readRepairs read the router's counters.
 func promotions(t *testing.T, c *cluster) float64 {
-	return shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_promotions_total")
+	return shard.MetricSum(t, c.router.WriteMetrics, "granula_router_promotions_total")
 }
 
 func readRepairs(t *testing.T, c *cluster) float64 {
-	return shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_read_repairs_total")
+	return shard.MetricSum(t, c.router.WriteMetrics, "granula_router_read_repairs_total")
 }
 
 // drainedHints sums delivered-hint counters across the live shards.

@@ -339,7 +339,10 @@ func mustGet(t *testing.T, rawurl string) (int, []byte, http.Header) {
 // sharding happened.
 func TestClusterRouterByteEquivalence(t *testing.T) {
 	metrics := service.NewMetrics()
-	store := service.NewStore()
+	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := service.NewExecutorWith(2, 64, store, metrics, service.ExecutorOptions{HostParallelism: 1})
 	defer exec.Shutdown(context.Background())
 	single := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())
@@ -468,7 +471,7 @@ func TestClusterChaos(t *testing.T) {
 			t.Fatalf("acked %s unreadable with one shard down: %d %s", id, code, body)
 		}
 	}
-	if shard.MetricSum(t, c.router.Metrics().WritePrometheus, "granula_router_failovers_total") == 0 {
+	if shard.MetricSum(t, c.router.WriteMetrics, "granula_router_failovers_total") == 0 {
 		t.Fatal("a killed shard produced no failovers")
 	}
 
@@ -567,12 +570,12 @@ func missingOn(cs *clusterShard, ids []string) []string {
 // one child operation and an env sample, sealed done at t=4.
 func clusterStreamEvents() []stream.Event {
 	return []stream.Event{
-		{Seq: 1, Type: stream.TypeStart, Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
-		{Seq: 2, Type: stream.TypeStart, Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
-		{Seq: 3, Type: stream.TypeInfo, Time: 1.5, Op: "op-2", Key: "Bytes", Value: "4096"},
-		{Seq: 4, Type: stream.TypeEnv, Time: 2, Node: "node-0", Kind: "cpu", Used: 0.8},
-		{Seq: 5, Type: stream.TypeEnd, Time: 3, Op: "op-2"},
-		{Seq: 6, Type: stream.TypeEnd, Time: 4, Op: "op-1"},
+		{Seq: 1, Type: "start", Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: "start", Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
+		{Seq: 3, Type: "info", Time: 1.5, Op: "op-2", Key: "Bytes", Value: "4096"},
+		{Seq: 4, Type: "env", Time: 2, Node: "node-0", Kind: "cpu", Used: 0.8},
+		{Seq: 5, Type: "end", Time: 3, Op: "op-2"},
+		{Seq: 6, Type: "end", Time: 4, Op: "op-1"},
 		{Seq: 7, Type: stream.TypeSeal, Time: 4, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone},
 	}
 }

@@ -15,37 +15,37 @@ import (
 // stays negligible at any probe rate.
 const HealthPath = "/internal/health"
 
-// NodeState is the failure detector's verdict on one node.
-type NodeState int
+// nodeState is the failure detector's verdict on one node.
+type nodeState int
 
 const (
-	// NodeUp: the node answers probes; route to it normally.
-	NodeUp NodeState = iota
-	// NodeSuspect: consecutive misses crossed suspectAfter but not yet
+	// nodeUp: the node answers probes; route to it normally.
+	nodeUp nodeState = iota
+	// nodeSuspect: consecutive misses crossed suspectAfter but not yet
 	// DownAfter. Suspects keep their ring position (a latency spike must
 	// not reorder owners) but operators can see the wobble.
-	NodeSuspect
-	// NodeDown: consecutive misses crossed DownAfter. The router demotes
+	nodeSuspect
+	// nodeDown: consecutive misses crossed DownAfter. The router demotes
 	// the node to the tail of every replica set (promotion) and writers
 	// journal hints for it instead of waiting on its timeout.
-	NodeDown
+	nodeDown
 )
 
-func (s NodeState) String() string {
+func (s nodeState) String() string {
 	switch s {
-	case NodeSuspect:
+	case nodeSuspect:
 		return "suspect"
-	case NodeDown:
+	case nodeDown:
 		return "down"
 	default:
 		return "up"
 	}
 }
 
-// NodeStatus is one node's row in a detector snapshot.
-type NodeStatus struct {
+// nodeStatus is one node's row in a detector snapshot.
+type nodeStatus struct {
 	ID     string    `json:"id"`
-	State  NodeState `json:"-"`
+	State  nodeState `json:"-"`
 	Status string    `json:"status"`
 	Misses int       `json:"misses,omitempty"`
 }
@@ -79,7 +79,7 @@ type DetectorOptions struct {
 // on a fixed interval and turns consecutive outcomes into Up / Suspect
 // / Down verdicts with hysteresis on both edges. Transport-level
 // failures observed by the request path can be fed in passively via
-// Observe, so a dead node is noticed between probe ticks too. It is
+// observe, so a dead node is noticed between probe ticks too. It is
 // safe for concurrent use.
 type Detector struct {
 	*ticker
@@ -96,7 +96,7 @@ type Detector struct {
 
 // nodeHealth is one node's hysteresis state.
 type nodeHealth struct {
-	state  NodeState
+	state  nodeState
 	misses int // consecutive failed observations
 	hits   int // consecutive successful observations while not Up
 }
@@ -127,7 +127,7 @@ func NewDetector(m *Map, self string, opts DetectorOptions) *Detector {
 	}
 	d.ticker = newTicker(interval, d.probeAll)
 	for _, n := range m.Shards {
-		d.nodes[n.ID] = &nodeHealth{state: NodeUp}
+		d.nodes[n.ID] = &nodeHealth{state: nodeUp}
 	}
 	return d
 }
@@ -142,7 +142,7 @@ func (d *Detector) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(n Node) {
 			defer wg.Done()
-			d.Observe(n.ID, d.probe(ctx, n))
+			d.observe(n.ID, d.probe(ctx, n))
 		}(n)
 	}
 	wg.Wait()
@@ -160,11 +160,11 @@ func (d *Detector) probe(ctx context.Context, n Node) bool {
 	return ok
 }
 
-// Observe feeds one observation of a node — a probe outcome, or a
+// observe feeds one observation of a node — a probe outcome, or a
 // passive signal from the request path (the router reports transport
 // errors here; HTTP error statuses do NOT count as misses, a process
 // answering 5xx is alive). Unknown nodes are ignored.
-func (d *Detector) Observe(nodeID string, ok bool) {
+func (d *Detector) observe(nodeID string, ok bool) {
 	d.mu.Lock()
 	h, known := d.nodes[nodeID]
 	if !known {
@@ -174,10 +174,10 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 	from := h.state
 	if ok {
 		h.misses = 0
-		if h.state != NodeUp {
+		if h.state != nodeUp {
 			h.hits++
 			if h.hits >= upAfter {
-				h.state = NodeUp
+				h.state = nodeUp
 				h.hits = 0
 			}
 		}
@@ -186,9 +186,9 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 		h.misses++
 		switch {
 		case h.misses >= d.downAfter:
-			h.state = NodeDown
-		case h.misses >= suspectAfter && h.state == NodeUp:
-			h.state = NodeSuspect
+			h.state = nodeDown
+		case h.misses >= suspectAfter && h.state == nodeUp:
+			h.state = nodeSuspect
 		}
 	}
 	to := h.state
@@ -198,27 +198,27 @@ func (d *Detector) Observe(nodeID string, ok bool) {
 	}
 }
 
-// State returns the detector's verdict on a node; unknown nodes report
+// stateOf returns the detector's verdict on a node; unknown nodes report
 // Up (an unknown node is not evidence of failure).
-func (d *Detector) State(nodeID string) NodeState {
+func (d *Detector) stateOf(nodeID string) nodeState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if h, ok := d.nodes[nodeID]; ok {
 		return h.state
 	}
-	return NodeUp
+	return nodeUp
 }
 
-// Down reports whether a node is marked down.
-func (d *Detector) Down(nodeID string) bool { return d.State(nodeID) == NodeDown }
+// isDown reports whether a node is marked down.
+func (d *Detector) isDown(nodeID string) bool { return d.stateOf(nodeID) == nodeDown }
 
-// Snapshot returns every node's status, sorted by ID, for /cluster and
+// snapshot returns every node's status, sorted by ID, for /cluster and
 // the metrics exposition.
-func (d *Detector) Snapshot() []NodeStatus {
+func (d *Detector) snapshot() []nodeStatus {
 	d.mu.Lock()
-	out := make([]NodeStatus, 0, len(d.nodes))
+	out := make([]nodeStatus, 0, len(d.nodes))
 	for id, h := range d.nodes {
-		out = append(out, NodeStatus{ID: id, State: h.state, Status: h.state.String(), Misses: h.misses})
+		out = append(out, nodeStatus{ID: id, State: h.state, Status: h.state.String(), Misses: h.misses})
 	}
 	d.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

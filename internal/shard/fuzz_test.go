@@ -22,7 +22,7 @@ func FuzzHintRecord(f *testing.F) {
 		if err != nil {
 			return // rejected input: nothing else to check
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.validate(); err != nil {
 			t.Fatalf("decoder accepted a hint that fails validation: %v", err)
 		}
 		buf, err := EncodeHintRecord(h)
@@ -62,7 +62,7 @@ func FuzzDigest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"id":"a"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeDigest(data)
+		entries, err := decodeDigest(data)
 		if err != nil {
 			return
 		}
@@ -80,7 +80,7 @@ func FuzzDigest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded digest does not re-encode: %v", err)
 		}
-		entries2, err := DecodeDigest(buf)
+		entries2, err := decodeDigest(buf)
 		if err != nil {
 			t.Fatalf("re-encoded digest does not decode: %v", err)
 		}

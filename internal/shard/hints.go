@@ -24,9 +24,9 @@ type HintRecord struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Validate checks the structural invariants every hint must hold
+// validate checks the structural invariants every hint must hold
 // before it is journaled or replayed. Fuzzed via FuzzHintRecord.
-func (h HintRecord) Validate() error {
+func (h HintRecord) validate() error {
 	switch {
 	case h.Target == "":
 		return fmt.Errorf("shard: hint has no target")
@@ -48,7 +48,7 @@ func (h HintRecord) Validate() error {
 
 // EncodeHintRecord validates and marshals one hint for the journal.
 func EncodeHintRecord(h HintRecord) ([]byte, error) {
-	if err := h.Validate(); err != nil {
+	if err := h.validate(); err != nil {
 		return nil, err
 	}
 	buf, err := json.Marshal(h)
@@ -64,7 +64,7 @@ func DecodeHintRecord(buf []byte) (HintRecord, error) {
 	if err := json.Unmarshal(buf, &h); err != nil {
 		return HintRecord{}, fmt.Errorf("shard: decode hint: %w", err)
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.validate(); err != nil {
 		return HintRecord{}, err
 	}
 	return h, nil
@@ -130,22 +130,22 @@ func NewDrainer(m *Map, journal HintJournal, opts DrainerOptions) *Drainer {
 		m: m, journal: journal, peer: newPeerClient(opts.Client, 30*time.Second),
 		det: opts.Detector, metrics: orPrivate(opts.Metrics),
 	}
-	d.ticker = newTicker(interval, func(ctx context.Context) { d.DrainOnce(ctx) })
+	d.ticker = newTicker(interval, func(ctx context.Context) { d.drainOnce(ctx) })
 	return d
 }
 
-// DrainOnce attempts one replay pass over every pending target and
+// drainOnce attempts one replay pass over every pending target and
 // returns how many hints were delivered (and deleted). Targets the
 // detector marks Down are skipped; a replay failure abandons that
 // target for this pass (the peer is still unreachable) but other
 // targets keep draining.
-func (d *Drainer) DrainOnce(ctx context.Context) int {
+func (d *Drainer) drainOnce(ctx context.Context) int {
 	drained := 0
 	for _, target := range d.journal.HintTargets() {
-		if d.det != nil && d.det.Down(target) {
+		if d.det != nil && d.det.isDown(target) {
 			continue
 		}
-		node, ok := d.m.Node(target)
+		node, ok := d.m.lookup(target)
 		if !ok {
 			continue // target left the map; hints are unreachable garbage
 		}

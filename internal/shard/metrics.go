@@ -8,7 +8,7 @@ import (
 
 // RouterMetrics declares the router's operational counter set, exposed
 // on the router's own /metrics as the granula_router_* family in the
-// order NewRouterMetrics declares it, shards sorted, so the output is
+// order newRouterMetrics declares it, shards sorted, so the output is
 // byte-deterministic for a given state.
 type RouterMetrics struct {
 	reg        *metrics.Registry
@@ -25,8 +25,8 @@ type RouterMetrics struct {
 	probesDivergent *metrics.Counter
 }
 
-// NewRouterMetrics returns an empty router metrics set.
-func NewRouterMetrics() *RouterMetrics {
+// newRouterMetrics returns an empty router metrics set.
+func newRouterMetrics() *RouterMetrics {
 	r := metrics.NewRegistry()
 	m := &RouterMetrics{reg: r}
 	m.shardMap = r.Sampled()
@@ -47,5 +47,5 @@ func writeShardMap(e *metrics.Emitter, m *Map) {
 	e.Gauge("granula_router_map_version", "Active shard-map version.", int64(m.Version))
 }
 
-// WritePrometheus renders the router family in Prometheus text format.
-func (m *RouterMetrics) WritePrometheus(w io.Writer) { m.reg.Write(w) }
+// writePrometheus renders the router family in Prometheus text format.
+func (m *RouterMetrics) writePrometheus(w io.Writer) { m.reg.Write(w) }

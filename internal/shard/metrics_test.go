@@ -63,7 +63,7 @@ func checkGolden(t *testing.T, path string, got []byte) {
 // byte for byte. The .prom files in this package were written by the
 // hand-rolled writers the registry replaced (see CHANGES.md, PR 19).
 func TestMetricsGoldenShardNode(t *testing.T) {
-	rep := NewReplMetrics()
+	rep := newReplMetrics()
 	rep.acks.With("s2").With("ok").Add(2)
 	rep.acks.With("s3").With("error").Inc()
 	rep.acks.With("s10").With("ok").Inc()
@@ -90,7 +90,7 @@ func TestMetricsGoldenShardNode(t *testing.T) {
 		{"s2", false, 2}, // up -> suspect
 	} {
 		for i := 0; i < o.n; i++ {
-			d.Observe(o.node, o.ok)
+			d.observe(o.node, o.ok)
 		}
 	}
 	sh.probesOK.Add(4)
@@ -116,7 +116,7 @@ func TestMetricsGoldenRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRouter(shardMap, RouterOptions{}).Metrics()
+	m := NewRouter(shardMap, RouterOptions{}).metrics
 	for _, o := range []struct {
 		shard   string
 		seconds float64
@@ -133,7 +133,7 @@ func TestMetricsGoldenRouter(t *testing.T) {
 	m.promotions.Add(2)
 
 	var buf bytes.Buffer
-	m.WritePrometheus(&buf)
+	m.writePrometheus(&buf)
 	checkGolden(t, "testdata/metrics_router.prom", buf.Bytes())
 }
 
@@ -182,7 +182,7 @@ func countsDuring(t *testing.T, g *gate, scrape func(), count func()) {
 // measured path to keep counting meanwhile: no lock is held across
 // either.
 func TestScrapeNeverBlocksCounting(t *testing.T) {
-	rt, rep, sh := NewRouterMetrics(), NewReplMetrics(), NewSelfHealMetrics()
+	rt, rep, sh := newRouterMetrics(), newReplMetrics(), NewSelfHealMetrics()
 	seen := 0
 	fresh := func() string { // a first-seen label value takes the insert path
 		seen++
@@ -192,7 +192,7 @@ func TestScrapeNeverBlocksCounting(t *testing.T) {
 		write func(io.Writer)
 		count func()
 	}{
-		{rt.WritePrometheus, func() {
+		{rt.writePrometheus, func() {
 			rt.requests.With("s1").Inc()
 			rt.latency.With("s1").Observe(0.01)
 			rt.failovers.With(fresh()).Inc()

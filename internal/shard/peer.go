@@ -111,7 +111,7 @@ func (p peerClient) digest(ctx context.Context, n Node) ([]DigestEntry, error) {
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("shard: digest from %s: %d %s", n.ID, status, http.StatusText(status))
 	}
-	return DecodeDigest(body)
+	return decodeDigest(body)
 }
 
 // alive issues one health GET; any 2xx answer counts — even a degraded

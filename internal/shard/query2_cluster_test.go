@@ -22,7 +22,10 @@ import (
 // the body.
 func TestClusterQuery2ByteEquivalence(t *testing.T) {
 	metrics := service.NewMetrics()
-	store := service.NewStore()
+	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := service.NewExecutorWith(2, 64, store, metrics, service.ExecutorOptions{HostParallelism: 1})
 	defer exec.Shutdown(context.Background())
 	single := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())

@@ -94,12 +94,12 @@ type ReplicatorOptions struct {
 
 // NewReplicator builds the fan-out for one shard (self) over the map.
 func NewReplicator(self string, m *Map, opts ReplicatorOptions) (*Replicator, error) {
-	if _, ok := m.Node(self); !ok {
+	if _, ok := m.lookup(self); !ok {
 		return nil, fmt.Errorf("shard: replicator self %q is not in the map", self)
 	}
 	mt := opts.Metrics
 	if mt == nil {
-		mt = NewReplMetrics()
+		mt = newReplMetrics()
 	}
 	return &Replicator{
 		self: self, m: m, peer: newPeerClient(opts.Client, 30*time.Second), metrics: mt,
@@ -110,17 +110,17 @@ func NewReplicator(self string, m *Map, opts ReplicatorOptions) (*Replicator, er
 // Metrics returns the replicator's counters.
 func (r *Replicator) Metrics() *ReplMetrics { return r.metrics }
 
-// QuorumError reports a write that could not reach its quorum: how many
+// quorumError reports a write that could not reach its quorum: how many
 // acks were collected (the local durable write counts as one), how many
 // durable hints were journaled toward it, and the per-shard failures.
-type QuorumError struct {
+type quorumError struct {
 	Acks   int
 	Hinted int
 	Quorum int
 	Errs   []string
 }
 
-func (e *QuorumError) Error() string {
+func (e *quorumError) Error() string {
 	return fmt.Sprintf("shard: write quorum not reached: %d/%d acks (%d hinted) (%s)",
 		e.Acks, e.Quorum, e.Hinted, strings.Join(e.Errs, "; "))
 }
@@ -144,7 +144,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 		r.metrics.seconds.Observe(time.Since(start).Seconds())
 		pick(reached, r.metrics.quorumReached, r.metrics.quorumMissed).Inc()
 	}
-	owners := r.m.Owners(id)
+	owners := r.m.owners(id)
 	followers := make([]Node, 0, len(owners))
 	acks := 1 // the local fsynced persist
 	for _, n := range owners {
@@ -172,7 +172,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 	for _, n := range followers {
 		go func(n Node) {
 			var err error
-			if r.det != nil && r.det.Down(n.ID) {
+			if r.det != nil && r.det.isDown(n.ID) {
 				// Known corpse: don't wait out a transport timeout, go
 				// straight to the hint path below.
 				err = fmt.Errorf("detector marks %s down", n.ID)
@@ -221,7 +221,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 	}
 	sort.Strings(errs)
 	outcome(false)
-	return &QuorumError{Acks: acks, Hinted: hinted, Quorum: r.m.WriteQuorum, Errs: errs}
+	return &quorumError{Acks: acks, Hinted: hinted, Quorum: r.m.WriteQuorum, Errs: errs}
 }
 
 // push sends one replica record to one follower, retrying once on
@@ -264,8 +264,8 @@ type ReplMetrics struct {
 	quorumMissed  *metrics.Counter
 }
 
-// NewReplMetrics returns an empty replication metrics set.
-func NewReplMetrics() *ReplMetrics {
+// newReplMetrics returns an empty replication metrics set.
+func newReplMetrics() *ReplMetrics {
 	r := metrics.NewRegistry()
 	m := &ReplMetrics{reg: r}
 	m.acks = r.CounterVec2("granula_replication_acks_total", "Follower replication acks by shard and outcome.", "shard", "outcome", "ok", "error")

@@ -17,10 +17,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count when a Map
+// defaultVirtualNodes is the per-shard virtual-node count when a Map
 // does not set one. 160 points per shard keeps the max/mean key load
 // within ~1.25x on small clusters while the ring stays tiny (a few KiB).
-const DefaultVirtualNodes = 160
+const defaultVirtualNodes = 160
 
 // Ring is an immutable consistent-hash ring with virtual nodes. Every
 // shard contributes vnodes points; a key is owned by the first point at
@@ -59,14 +59,14 @@ func hashKey(s string) uint64 {
 }
 
 // NewRing builds a ring over the given shard IDs with vnodes virtual
-// nodes per shard (< 1 selects DefaultVirtualNodes). Duplicate IDs are
+// nodes per shard (< 1 selects defaultVirtualNodes). Duplicate IDs are
 // an error: a duplicated shard would silently double its key share.
 func NewRing(ids []string, vnodes int) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one shard")
 	}
 	if vnodes < 1 {
-		vnodes = DefaultVirtualNodes
+		vnodes = defaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(ids))
 	r := &Ring{points: make([]ringPoint, 0, len(ids)*vnodes)}
@@ -99,13 +99,6 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Shards returns the distinct shard IDs on the ring, sorted.
-func (r *Ring) Shards() []string {
-	out := make([]string, len(r.shards))
-	copy(out, r.shards)
-	return out
-}
-
 // Owners returns the n distinct shards responsible for key, in ring
 // order starting at the key's successor point. The first owner is the
 // key's primary; the rest are its replicas. n is clamped to the shard
@@ -134,9 +127,4 @@ func (r *Ring) Owners(key string, n int) []string {
 		out = append(out, p.shard)
 	}
 	return out
-}
-
-// Primary returns the shard that owns key.
-func (r *Ring) Primary(key string) string {
-	return r.Owners(key, 1)[0]
 }

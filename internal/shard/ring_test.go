@@ -13,6 +13,9 @@ func ringKeys(n int) []string {
 	return keys
 }
 
+// primary is the shard that owns key.
+func primary(r *Ring, key string) string { return r.Owners(key, 1)[0] }
+
 func TestRingValidation(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Fatal("NewRing accepted an empty shard list")
@@ -35,16 +38,16 @@ func TestRingDeterministicPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range ringKeys(500) {
-		if r1.Primary(k) != r2.Primary(k) {
+		if primary(r1, k) != primary(r2, k) {
 			t.Fatalf("placement of %q depends on construction order: %q vs %q",
-				k, r1.Primary(k), r2.Primary(k))
+				k, primary(r1, k), primary(r2, k))
 		}
 		owners := r1.Owners(k, 2)
 		if len(owners) != 2 || owners[0] == owners[1] {
 			t.Fatalf("Owners(%q, 2) = %v, want 2 distinct shards", k, owners)
 		}
-		if owners[0] != r1.Primary(k) {
-			t.Fatalf("Owners(%q)[0] = %q, but Primary = %q", k, owners[0], r1.Primary(k))
+		if owners[0] != primary(r1, k) {
+			t.Fatalf("Owners(%q)[0] = %q, but Primary = %q", k, owners[0], primary(r1, k))
 		}
 	}
 }
@@ -67,7 +70,7 @@ func TestRingDistribution(t *testing.T) {
 		}
 		counts := map[string]int{}
 		for _, k := range ringKeys(keys) {
-			counts[r.Primary(k)]++
+			counts[primary(r, k)]++
 		}
 		fair := float64(keys) / float64(shards)
 		for _, id := range ids {
@@ -103,7 +106,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	moved := 0
 	for _, k := range keys {
-		before, after := base.Primary(k), grown.Primary(k)
+		before, after := primary(base, k), primary(grown, k)
 		if before != after {
 			moved++
 			if after != "s6" {
@@ -125,7 +128,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	moved = 0
 	for _, k := range keys {
-		before, after := base.Primary(k), shrunk.Primary(k)
+		before, after := primary(base, k), primary(shrunk, k)
 		if before != after {
 			moved++
 			if before != "s3" {
@@ -149,7 +152,7 @@ func TestRingOwnersClamp(t *testing.T) {
 	if got := r.Owners("k", 0); len(got) != 1 {
 		t.Fatalf("Owners with n = 0 = %v, want the primary alone", got)
 	}
-	if got := r.Shards(); len(got) != 2 {
-		t.Fatalf("Shards() = %v", got)
+	if got := r.shards; len(got) != 2 {
+		t.Fatalf("shards = %v", got)
 	}
 }

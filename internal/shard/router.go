@@ -110,7 +110,7 @@ func NewRouter(m *Map, opts RouterOptions) *Router {
 	}
 	mt := opts.Metrics
 	if mt == nil {
-		mt = NewRouterMetrics()
+		mt = newRouterMetrics()
 	}
 	mt.shardMap.Bind(func(e *metrics.Emitter) { writeShardMap(e, m) })
 	ht := opts.HealthTimeout
@@ -156,12 +156,6 @@ func NewRouter(m *Map, opts RouterOptions) *Router {
 
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.handler }
-
-// Metrics returns the router's counters.
-func (rt *Router) Metrics() *RouterMetrics { return rt.metrics }
-
-// Map returns the active shard map.
-func (rt *Router) Map() *Map { return rt.m }
 
 // WaitRepairs blocks until every dispatched background repair and
 // divergence probe has finished; tests use it to assert repair effects
@@ -274,7 +268,7 @@ func (rt *Router) routeOrder(owners []Node, countPromotions bool) []Node {
 	live := make([]Node, 0, len(owners))
 	var dead []Node
 	for _, n := range owners {
-		if rt.det.Down(n.ID) {
+		if rt.det.isDown(n.ID) {
 			dead = append(dead, n)
 		} else {
 			live = append(live, n)
@@ -297,7 +291,7 @@ func (rt *Router) observe(n Node, res proxyResult) {
 	if rt.det == nil {
 		return
 	}
-	rt.det.Observe(n.ID, res.err == nil)
+	rt.det.observe(n.ID, res.err == nil)
 }
 
 // tryOwners forwards the request to owners in order until one returns a
@@ -420,7 +414,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	owners := rt.routeOrder(rt.m.Owners(peek.ID), true)
+	owners := rt.routeOrder(rt.m.owners(peek.ID), true)
 	rt.tryOwners(w, r, owners, http.MethodPost, "/jobs", body, false, nil)
 }
 
@@ -437,14 +431,14 @@ func isMaxBytes(err error, target **http.MaxBytesError) bool {
 // from their store fallback when the primary is down.
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.Owners(id), false), http.MethodGet, "/jobs/"+id, nil, true, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodGet, "/jobs/"+id, nil, true, nil)
 }
 
 // handleCancel routes DELETE /jobs/{id} primary-first; only the shard
 // whose executor queued the job can cancel it.
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.Owners(id), false), http.MethodDelete, "/jobs/"+id, nil, true, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodDelete, "/jobs/"+id, nil, true, nil)
 }
 
 // handleRead serves the job-scoped read endpoints (/archive, /query,
@@ -457,7 +451,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 // surface.
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	owners := rt.m.Owners(id)
+	owners := rt.m.owners(id)
 	if len(owners) > 1 {
 		start := int(rt.rr.Add(1)) % len(owners)
 		rotated := make([]Node, 0, len(owners))
@@ -661,7 +655,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.Owners(id), true), http.MethodPost, "/ingest/"+id, body, false, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), true), http.MethodPost, "/ingest/"+id, body, false, nil)
 }
 
 // handleWatch passes GET /watch/{id} through as a live SSE stream:
@@ -681,7 +675,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("poll") == "1" {
 		// Long-poll fallback: the shard answers one buffered JSON batch,
 		// so the ordinary failover path applies — no streaming relay.
-		rt.tryOwners(w, r, rt.routeOrder(rt.m.Owners(id), false), http.MethodGet, pathq, nil, false, nil)
+		rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodGet, pathq, nil, false, nil)
 		return
 	}
 	flusher, canFlush := w.(http.Flusher)
@@ -690,7 +684,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var best *proxyResult
-	for _, n := range rt.routeOrder(rt.m.Owners(id), false) {
+	for _, n := range rt.routeOrder(rt.m.owners(id), false) {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.URL+pathq, nil)
 		if err != nil {
 			writeRouterError(w, http.StatusInternalServerError, "%v", err)
@@ -706,7 +700,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		rt.metrics.requests.With(n.ID).Inc()
 		rt.metrics.latency.With(n.ID).Observe(time.Since(start).Seconds())
 		if rt.det != nil {
-			rt.det.Observe(n.ID, err == nil)
+			rt.det.observe(n.ID, err == nil)
 		}
 		if err != nil {
 			rt.metrics.failovers.With(n.ID).Inc()
@@ -785,7 +779,7 @@ func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "diff request needs a baselineId")
 		return
 	}
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.Owners(peek.BaselineID), false), http.MethodPost, "/diff", body, false, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(peek.BaselineID), false), http.MethodPost, "/diff", body, false, nil)
 }
 
 // shardHealth is one shard's row in the router's /cluster view.
@@ -817,7 +811,7 @@ func (rt *Router) probeShards(ctx context.Context) []shardHealth {
 			defer wg.Done()
 			sh := shardHealth{ID: n.ID, URL: n.URL, Status: "down"}
 			if rt.det != nil {
-				sh.Detector = rt.det.State(n.ID).String()
+				sh.Detector = rt.det.stateOf(n.ID).String()
 			}
 			res := rt.forward(ctx, n, http.MethodGet, "/healthz", nil, http.Header{})
 			if res.err == nil && res.status == http.StatusOK && json.Valid(res.body) {
@@ -870,5 +864,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.WritePrometheus(w)
+	rt.metrics.writePrometheus(w)
 }

@@ -264,7 +264,7 @@ func routerGet(t *testing.T, rt *Router, path string, hdr map[string]string) *ht
 func TestRouterSubmitRoutesToPrimary(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 1, 1, 0)
 	const id = "job-routing-check"
-	primary := m.Ring().Primary(id)
+	primary := m.ring.Owners(id, 1)[0]
 
 	body := fmt.Sprintf(`{"platform":"Giraph","algorithm":"BFS","id":%q}`, id)
 	req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader([]byte(body)))
@@ -306,7 +306,7 @@ func TestRouterSubmitAssignsID(t *testing.T) {
 	if resp.ID == "" {
 		t.Fatal("router did not assign a job ID")
 	}
-	primary := m.Ring().Primary(resp.ID)
+	primary := m.ring.Owners(resp.ID, 1)[0]
 	if got := byID(shards, primary).submittedIDs(); len(got) != 1 || got[0] != resp.ID {
 		t.Fatalf("assigned ID %q did not land on its primary %s (saw %v)", resp.ID, primary, got)
 	}
@@ -315,7 +315,7 @@ func TestRouterSubmitAssignsID(t *testing.T) {
 func TestRouterReadPassesBytesAndETag(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 2, 1, 0)
 	const id, body, etag = "job-etag", "{\n  \"jobs\": [1]\n}\n", `"abc123"`
-	for _, n := range m.Owners(id) {
+	for _, n := range m.owners(id) {
 		byID(shards, n.ID).setJob(id, fakeJob{body: body, etag: etag, version: 1})
 	}
 
@@ -346,7 +346,7 @@ func TestRouterReadPassesBytesAndETag(t *testing.T) {
 func TestRouterFailoverOnDownShard(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 2, 1, 0)
 	const id, body = "job-failover", "archive-bytes\n"
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	for _, n := range owners {
 		byID(shards, n.ID).setJob(id, fakeJob{body: body, etag: `"e1"`, version: 1})
 	}
@@ -366,7 +366,7 @@ func TestRouterFailoverOnDownShard(t *testing.T) {
 			t.Fatalf("read %d body %q", i, w.Body)
 		}
 	}
-	if got := MetricSum(t, rt.Metrics().WritePrometheus, "granula_router_failovers_total"); got == 0 {
+	if got := MetricSum(t, rt.metrics.writePrometheus, "granula_router_failovers_total"); got == 0 {
 		t.Fatal("failovers counter did not move")
 	}
 
@@ -387,7 +387,7 @@ func TestRouterFailoverOnDownShard(t *testing.T) {
 func TestRouterRepairsMissingReplica(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 2, 1, 0)
 	const id, body = "job-repair", `{"summary":1}`
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	has, missing := byID(shards, owners[0].ID), byID(shards, owners[1].ID)
 	has.setJob(id, fakeJob{body: body, etag: `"e1"`, version: 3})
 
@@ -411,7 +411,7 @@ func TestRouterRepairsMissingReplica(t *testing.T) {
 	if applied[0].ID != id || applied[0].Version != 3 || string(applied[0].Payload) != body {
 		t.Fatalf("repair pushed %+v, want id=%s v=3 payload=%s", applied[0], id, body)
 	}
-	if got := rt.Metrics().repairs.Value(); got == 0 {
+	if got := MetricSum(t, rt.metrics.writePrometheus, "granula_router_read_repairs_total"); got == 0 {
 		t.Fatal("repairs counter did not move")
 	}
 	// The repaired replica now serves the record itself.
@@ -426,7 +426,7 @@ func TestRouterRepairsMissingReplica(t *testing.T) {
 func TestRouterDivergenceProbeRepairsStaleReplica(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 2, 1, 1) // probe on every read
 	const id = "job-diverge"
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	fresh, stale := byID(shards, owners[0].ID), byID(shards, owners[1].ID)
 	fresh.setJob(id, fakeJob{body: `{"v":2}`, etag: `"new"`, version: 2})
 	stale.setJob(id, fakeJob{body: `{"v":1}`, etag: `"old"`, version: 1})
@@ -440,7 +440,7 @@ func TestRouterDivergenceProbeRepairsStaleReplica(t *testing.T) {
 	}
 	rt.WaitRepairs()
 
-	if divergent := rt.Metrics().probesDivergent.Value(); divergent == 0 {
+	if divergent := MetricSum(t, rt.metrics.writePrometheus, "granula_router_divergence_probes_total", `outcome="divergent"`); divergent == 0 {
 		t.Fatal("no divergence probe found the stale replica")
 	}
 	// The stale side must have been repaired up to version 2, and the
@@ -466,7 +466,7 @@ func TestRouterListMergesShards(t *testing.T) {
 	perShard := map[string][]string{}
 	for i := 0; i < 9; i++ {
 		id := fmt.Sprintf("job-%04d", i)
-		p := m.Ring().Primary(id)
+		p := m.ring.Owners(id, 1)[0]
 		byID(shards, p).setJob(id, fakeJob{body: "{}", version: 1})
 		perShard[p] = append(perShard[p], id)
 	}
@@ -554,7 +554,7 @@ func TestRouterClusterAndHealth(t *testing.T) {
 func TestRouterMetricsExposition(t *testing.T) {
 	shards, m, rt := newFakeCluster(t, 3, 2, 1, 0)
 	const id = "job-metrics"
-	for _, n := range m.Owners(id) {
+	for _, n := range m.owners(id) {
 		byID(shards, n.ID).setJob(id, fakeJob{body: "{}", etag: `"m"`, version: 1})
 	}
 	routerGet(t, rt, "/jobs/"+id+"/archive", nil)
@@ -593,15 +593,15 @@ func TestReplicatorQuorum(t *testing.T) {
 	// Pick a job whose primary IS shard 0 so the fan-out targets the
 	// other two shards.
 	jobID := "job-q"
-	for i := 0; m.Ring().Primary(jobID) != self.id; i++ {
+	for i := 0; m.ring.Owners(jobID, 1)[0] != self.id; i++ {
 		jobID = fmt.Sprintf("job-q%d", i)
 	}
 	if err := rep.ReplicateJob(context.Background(), jobID, 1, []byte(`{"p":1}`)); err != nil {
 		t.Fatalf("quorum replicate: %v", err)
 	}
-	reached, missed := rep.Metrics().quorumReached.Value(), rep.Metrics().quorumMissed.Value()
+	reached, missed := MetricSum(t, rep.Metrics().WritePrometheus, "granula_replication_quorum_total", `outcome="reached"`), MetricSum(t, rep.Metrics().WritePrometheus, "granula_replication_quorum_total", `outcome="missed"`)
 	if reached != 1 || missed != 0 {
-		t.Fatalf("quorum counters = (%d, %d), want (1, 0)", reached, missed)
+		t.Fatalf("quorum counters = (%v, %v), want (1, 0)", reached, missed)
 	}
 
 	// One follower down: 2/3 acks (local + one follower) still meets W=2.
@@ -615,7 +615,7 @@ func TestReplicatorQuorum(t *testing.T) {
 	shards[1].failing.Store(true)
 	shards[2].failing.Store(true)
 	err = rep.ReplicateJob(context.Background(), jobID, 3, []byte(`{"p":3}`))
-	qe, ok := err.(*QuorumError)
+	qe, ok := err.(*quorumError)
 	if !ok {
 		t.Fatalf("replicate with all followers down = %v, want *QuorumError", err)
 	}
@@ -639,7 +639,7 @@ func TestPartitionTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobID := "job-p"
-	for i := 0; m.Ring().Primary(jobID) != shards[0].id; i++ {
+	for i := 0; m.ring.Owners(jobID, 1)[0] != shards[0].id; i++ {
 		jobID = fmt.Sprintf("job-p%d", i)
 	}
 

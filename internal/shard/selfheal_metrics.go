@@ -14,7 +14,7 @@ import (
 // built without one counts into a private set.
 type SelfHealMetrics struct {
 	reg         *metrics.Registry
-	transitions metrics.CounterVec // detector transitions by target NodeState
+	transitions metrics.CounterVec // detector transitions by target nodeState
 	pending     *metrics.Sampled   // pending-hint gauge, bound by SetHintGauge
 	nodeState   *metrics.Sampled   // per-node verdict, bound by SetDetector
 
@@ -39,7 +39,7 @@ func NewSelfHealMetrics() *SelfHealMetrics {
 	r := metrics.NewRegistry()
 	m := &SelfHealMetrics{reg: r}
 	m.transitions = r.CounterVec("granula_selfheal_detector_transitions_total", "Failure-detector state transitions by target state.", "to",
-		NodeUp.String(), NodeSuspect.String(), NodeDown.String())
+		nodeUp.String(), nodeSuspect.String(), nodeDown.String())
 	probes := r.CounterVec("granula_selfheal_probes_total", "Health probes issued (and how many missed).", "outcome", "ok", "miss")
 	m.probesOK, m.probesMiss = probes.With("ok"), probes.With("miss")
 	hints := r.CounterVec("granula_selfheal_hints_total", "Hinted-handoff lifecycle counters.", "event", "recorded", "drained", "drain_failed")
@@ -83,7 +83,7 @@ func (m *SelfHealMetrics) SetDetector(d *Detector) {
 	m.nodeState.Bind(func(e *metrics.Emitter) {
 		const name = "granula_selfheal_node_state"
 		e.Header(name, "Failure-detector verdict per node (0=up, 1=suspect, 2=down).", "gauge")
-		for _, ns := range d.Snapshot() {
+		for _, ns := range d.snapshot() {
 			e.Sample(name, "node", ns.ID, int64(ns.State))
 		}
 	})

@@ -30,7 +30,7 @@ func newMemJournal() *memJournal {
 }
 
 func (j *memJournal) AppendHint(rec HintRecord) error {
-	if err := rec.Validate(); err != nil {
+	if err := rec.validate(); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -138,7 +138,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // detectorMap builds a map whose node URLs are never dialed — for tests
-// that drive the detector purely through Observe.
+// that drive the detector purely through observe.
 func detectorMap(t *testing.T, ids ...string) *Map {
 	t.Helper()
 	nodes := make([]Node, len(ids))
@@ -162,60 +162,60 @@ func TestDetectorHysteresis(t *testing.T) {
 	defer d.Close() // safe without Start
 
 	// One miss is noise: still Up.
-	d.Observe("s1", false)
-	if got := d.State("s1"); got != NodeUp {
+	d.observe("s1", false)
+	if got := d.stateOf("s1"); got != nodeUp {
 		t.Fatalf("after 1 miss: %v, want up", got)
 	}
 	// Second consecutive miss crosses SuspectAfter.
-	d.Observe("s1", false)
-	if got := d.State("s1"); got != NodeSuspect {
+	d.observe("s1", false)
+	if got := d.stateOf("s1"); got != nodeSuspect {
 		t.Fatalf("after 2 misses: %v, want suspect", got)
 	}
 	// Third miss: still only suspect — Down needs DownAfter.
-	d.Observe("s1", false)
-	if got := d.State("s1"); got != NodeSuspect {
+	d.observe("s1", false)
+	if got := d.stateOf("s1"); got != nodeSuspect {
 		t.Fatalf("after 3 misses: %v, want suspect", got)
 	}
-	d.Observe("s1", false)
-	if !d.Down("s1") {
-		t.Fatalf("after 4 misses: %v, want down", d.State("s1"))
+	d.observe("s1", false)
+	if !d.isDown("s1") {
+		t.Fatalf("after 4 misses: %v, want down", d.stateOf("s1"))
 	}
 	// One lucky probe must not resurrect a confirmed corpse.
-	d.Observe("s1", true)
-	if got := d.State("s1"); got != NodeDown {
+	d.observe("s1", true)
+	if got := d.stateOf("s1"); got != nodeDown {
 		t.Fatalf("after 1 hit: %v, want still down", got)
 	}
-	d.Observe("s1", true)
-	if got := d.State("s1"); got != NodeUp {
+	d.observe("s1", true)
+	if got := d.stateOf("s1"); got != nodeUp {
 		t.Fatalf("after 2 hits: %v, want up", got)
 	}
 
-	if got := met.transitions.With(NodeSuspect.String()).Value(); got != 1 {
-		t.Fatalf("suspect transitions = %d, want 1", got)
+	if got := MetricSum(t, met.WritePrometheus, "granula_selfheal_detector_transitions_total", `to="suspect"`); got != 1 {
+		t.Fatalf("suspect transitions = %v, want 1", got)
 	}
-	if got := met.transitions.With(NodeDown.String()).Value(); got != 1 {
-		t.Fatalf("down transitions = %d, want 1", got)
+	if got := MetricSum(t, met.WritePrometheus, "granula_selfheal_detector_transitions_total", `to="down"`); got != 1 {
+		t.Fatalf("down transitions = %v, want 1", got)
 	}
-	if got := met.transitions.With(NodeUp.String()).Value(); got != 1 {
-		t.Fatalf("up transitions = %d, want 1", got)
+	if got := MetricSum(t, met.WritePrometheus, "granula_selfheal_detector_transitions_total", `to="up"`); got != 1 {
+		t.Fatalf("up transitions = %v, want 1", got)
 	}
 
 	// A success between misses resets the consecutive count: three
 	// misses broken by an ack never reach Down.
 	for i := 0; i < 6; i++ {
-		d.Observe("s2", false)
-		d.Observe("s2", false)
-		d.Observe("s2", false)
-		d.Observe("s2", true)
-		d.Observe("s2", true)
+		d.observe("s2", false)
+		d.observe("s2", false)
+		d.observe("s2", false)
+		d.observe("s2", true)
+		d.observe("s2", true)
 	}
-	if d.Down("s2") {
+	if d.isDown("s2") {
 		t.Fatal("interrupted miss runs must not reach down")
 	}
 
 	// Unknown nodes are ignored, not tracked.
-	d.Observe("ghost", false)
-	if got := d.State("ghost"); got != NodeUp {
+	d.observe("ghost", false)
+	if got := d.stateOf("ghost"); got != nodeUp {
 		t.Fatalf("unknown node state = %v, want up", got)
 	}
 }
@@ -227,15 +227,15 @@ func TestDetectorProbeLoopMarksDownAndRecovers(t *testing.T) {
 	defer d.Close()
 
 	shards[1].failing.Store(true)
-	waitFor(t, 5*time.Second, "s2 marked down", func() bool { return d.Down(shards[1].id) })
+	waitFor(t, 5*time.Second, "s2 marked down", func() bool { return d.isDown(shards[1].id) })
 
 	// The healthy shards never degraded.
 	for _, fs := range []*fakeShard{shards[0], shards[2]} {
-		if got := d.State(fs.id); got != NodeUp {
+		if got := d.stateOf(fs.id); got != nodeUp {
 			t.Fatalf("%s = %v, want up", fs.id, got)
 		}
 	}
-	snap := d.Snapshot()
+	snap := d.snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d rows, want 3", len(snap))
 	}
@@ -251,7 +251,7 @@ func TestDetectorProbeLoopMarksDownAndRecovers(t *testing.T) {
 
 	// Recovery: the node answers again and climbs back to Up.
 	shards[1].failing.Store(false)
-	waitFor(t, 5*time.Second, "s2 back up", func() bool { return d.State(shards[1].id) == NodeUp })
+	waitFor(t, 5*time.Second, "s2 back up", func() bool { return d.stateOf(shards[1].id) == nodeUp })
 }
 
 func TestDetectorSelfIsNeverProbed(t *testing.T) {
@@ -263,8 +263,8 @@ func TestDetectorSelfIsNeverProbed(t *testing.T) {
 	defer d.Close()
 	shards[0].failing.Store(true)
 	shards[1].failing.Store(true)
-	waitFor(t, 5*time.Second, "peer marked down", func() bool { return d.Down(shards[1].id) })
-	if got := d.State(shards[0].id); got != NodeUp {
+	waitFor(t, 5*time.Second, "peer marked down", func() bool { return d.isDown(shards[1].id) })
+	if got := d.stateOf(shards[0].id); got != nodeUp {
 		t.Fatalf("self state = %v, want up (a node does not suspect itself)", got)
 	}
 }
@@ -280,13 +280,13 @@ func TestDetectorFlapNeverReachesDown(t *testing.T) {
 	defer d.Close()
 	rt := NewRouter(m, RouterOptions{Detector: d})
 
-	owners := m.Owners("job-flap")
+	owners := m.owners("job-flap")
 	for round := 0; round < 20; round++ {
 		// Three misses: Suspect (DownAfter is 4).
 		for i := 0; i < 3; i++ {
-			d.Observe(owners[0].ID, false)
+			d.observe(owners[0].ID, false)
 		}
-		if d.Down(owners[0].ID) {
+		if d.isDown(owners[0].ID) {
 			t.Fatalf("round %d: flapping node marked down", round)
 		}
 		// Suspect keeps ring order — no promotion, no reorder.
@@ -296,17 +296,17 @@ func TestDetectorFlapNeverReachesDown(t *testing.T) {
 				t.Fatalf("round %d: suspect node reordered routing: %v", round, ordered)
 			}
 		}
-		d.Observe(owners[0].ID, true)
-		d.Observe(owners[0].ID, true)
-		if got := d.State(owners[0].ID); got != NodeUp {
+		d.observe(owners[0].ID, true)
+		d.observe(owners[0].ID, true)
+		if got := d.stateOf(owners[0].ID); got != nodeUp {
 			t.Fatalf("round %d: state after recovery = %v, want up", round, got)
 		}
 	}
-	if got := met.transitions.With(NodeDown.String()).Value(); got != 0 {
-		t.Fatalf("down transitions during flapping = %d, want 0", got)
+	if got := MetricSum(t, met.WritePrometheus, "granula_selfheal_detector_transitions_total", `to="down"`); got != 0 {
+		t.Fatalf("down transitions during flapping = %v, want 0", got)
 	}
-	if got := rt.Metrics().promotions.Value(); got != 0 {
-		t.Fatalf("promotions during flapping = %d, want 0", got)
+	if got := MetricSum(t, rt.metrics.writePrometheus, "granula_router_promotions_total"); got != 0 {
+		t.Fatalf("promotions during flapping = %v, want 0", got)
 	}
 }
 
@@ -353,7 +353,7 @@ func TestDigestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDigest(buf)
+	got, err := decodeDigest(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestDigestInvalid(t *testing.T) {
 func TestReplicatorSloppyQuorum(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 3, 3, 2, 0)
 	const id = "job-sloppy"
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	self := owners[0].ID
 	journal := newMemJournal()
 	sh := NewSelfHealMetrics()
@@ -429,24 +429,24 @@ func TestReplicatorSloppyQuorum(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "recorded hint counters", func() bool {
-		return sh.hintsRecorded.Value() == 2
+		return MetricSum(t, sh.WritePrometheus, "granula_selfheal_hints_total", `event="recorded"`) == 2
 	})
-	if reached, missed := rep.Metrics().quorumReached.Value(), rep.Metrics().quorumMissed.Value(); reached != 1 || missed != 0 {
-		t.Fatalf("quorum outcomes = (%d reached, %d missed), want (1, 0)", reached, missed)
+	if reached, missed := MetricSum(t, rep.Metrics().WritePrometheus, "granula_replication_quorum_total", `outcome="reached"`), MetricSum(t, rep.Metrics().WritePrometheus, "granula_replication_quorum_total", `outcome="missed"`); reached != 1 || missed != 0 {
+		t.Fatalf("quorum outcomes = (%v reached, %v missed), want (1, 0)", reached, missed)
 	}
 }
 
 func TestReplicatorDetectorShortCircuitsToHint(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 3, 3, 2, 0)
 	const id = "job-short-circuit"
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	self := owners[0].ID
 	corpse := owners[2].ID
 
 	d := NewDetector(m, self, DetectorOptions{})
 	defer d.Close()
 	for i := 0; i < 4; i++ {
-		d.Observe(corpse, false)
+		d.observe(corpse, false)
 	}
 	journal := newMemJournal()
 	rep, err := NewReplicator(self, m, ReplicatorOptions{Hints: journal, Detector: d})
@@ -504,14 +504,14 @@ func TestDrainerReplaysHints(t *testing.T) {
 	journal.AppendHint(HintRecord{Target: "ghost", ID: "job-x", Version: 1, Payload: json.RawMessage(`{}`)})
 
 	dr := NewDrainer(m, journal, DrainerOptions{Metrics: sh})
-	if got := dr.DrainOnce(context.Background()); got != 3 {
+	if got := dr.drainOnce(context.Background()); got != 3 {
 		t.Fatalf("drained = %d, want 3", got)
 	}
 	if got := journal.HintCount(); got != 1 { // the ghost hint remains
 		t.Fatalf("pending after drain = %d, want 1 (the unroutable ghost)", got)
 	}
-	if drained := sh.hintsDrained.Value(); drained != 3 {
-		t.Fatalf("drained counter = %d, want 3", drained)
+	if drained := MetricSum(t, sh.WritePrometheus, "granula_selfheal_hints_total", `event="drained"`); drained != 3 {
+		t.Fatalf("drained counter = %v, want 3", drained)
 	}
 	// The replayed bytes are the journaled payloads verbatim.
 	applied := byID(shards, shards[1].id).appliedRecords()
@@ -524,7 +524,7 @@ func TestDrainerReplaysHints(t *testing.T) {
 		}
 	}
 	// A second pass finds nothing to do.
-	if got := dr.DrainOnce(context.Background()); got != 0 {
+	if got := dr.drainOnce(context.Background()); got != 0 {
 		t.Fatalf("second drain delivered %d, want 0", got)
 	}
 }
@@ -537,11 +537,11 @@ func TestDrainerSkipsDownTargetsAndKeepsHints(t *testing.T) {
 	d := NewDetector(m, "", DetectorOptions{})
 	defer d.Close()
 	for i := 0; i < 4; i++ {
-		d.Observe(shards[1].id, false)
+		d.observe(shards[1].id, false)
 	}
 	dr := NewDrainer(m, journal, DrainerOptions{Detector: d})
 	before := shards[1].hits.Load()
-	if got := dr.DrainOnce(context.Background()); got != 0 {
+	if got := dr.drainOnce(context.Background()); got != 0 {
 		t.Fatalf("drained to a down target: %d", got)
 	}
 	if got := shards[1].hits.Load(); got != before {
@@ -552,9 +552,9 @@ func TestDrainerSkipsDownTargetsAndKeepsHints(t *testing.T) {
 	}
 
 	// The target recovers; the next pass delivers and clears.
-	d.Observe(shards[1].id, true)
-	d.Observe(shards[1].id, true)
-	if got := dr.DrainOnce(context.Background()); got != 1 {
+	d.observe(shards[1].id, true)
+	d.observe(shards[1].id, true)
+	if got := dr.drainOnce(context.Background()); got != 1 {
 		t.Fatalf("post-recovery drain = %d, want 1", got)
 	}
 	if journal.HintCount() != 0 {
@@ -570,7 +570,7 @@ func TestDrainerKeepsHintOnFailedReplay(t *testing.T) {
 	shards[1].failing.Store(true)
 
 	dr := NewDrainer(m, journal, DrainerOptions{Metrics: sh})
-	if got := dr.DrainOnce(context.Background()); got != 0 {
+	if got := dr.drainOnce(context.Background()); got != 0 {
 		t.Fatalf("drained through a 500: %d", got)
 	}
 	if journal.HintCount() != 1 {
@@ -578,7 +578,7 @@ func TestDrainerKeepsHintOnFailedReplay(t *testing.T) {
 	}
 	// Durable until delivered: the peer comes back, the hint drains.
 	shards[1].failing.Store(false)
-	if got := dr.DrainOnce(context.Background()); got != 1 {
+	if got := dr.drainOnce(context.Background()); got != 1 {
 		t.Fatalf("post-recovery drain = %d, want 1", got)
 	}
 	if applied := shards[1].appliedRecords(); len(applied) != 1 || applied[0].ID != "job-retry" {
@@ -610,7 +610,7 @@ func TestAntiEntropyConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, pulled := ae.SweepOnce(context.Background())
+	pushed, pulled := ae.sweepOnce(context.Background())
 	if pushed != 2 || pulled != 1 {
 		t.Fatalf("sweep = (%d pushed, %d pulled), want (2, 1)", pushed, pulled)
 	}
@@ -635,11 +635,11 @@ func TestAntiEntropyConverges(t *testing.T) {
 	}
 
 	// Convergence is a fixed point: the next sweep moves nothing.
-	if p, q := ae.SweepOnce(context.Background()); p != 0 || q != 0 {
+	if p, q := ae.sweepOnce(context.Background()); p != 0 || q != 0 {
 		t.Fatalf("second sweep = (%d, %d), want (0, 0)", p, q)
 	}
-	if sweeps := sh.sweeps.Value(); sweeps != 2 {
-		t.Fatalf("sweep counter = %d, want 2", sweeps)
+	if sweeps := MetricSum(t, sh.WritePrometheus, "granula_selfheal_antientropy_total", `event="sweeps"`); sweeps != 2 {
+		t.Fatalf("sweep counter = %v, want 2", sweeps)
 	}
 }
 
@@ -662,7 +662,7 @@ func TestAntiEntropyOnlyExchangesCoOwnedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, q := ae.SweepOnce(context.Background()); p != 0 || q != 0 {
+	if p, q := ae.sweepOnce(context.Background()); p != 0 || q != 0 {
 		t.Fatalf("R=1 sweep exchanged (%d, %d), want (0, 0)", p, q)
 	}
 	if _, ok, _ := store.ExportRecord("job-theirs"); ok {
@@ -681,7 +681,7 @@ func TestAntiEntropySkipsDownPeers(t *testing.T) {
 	d := NewDetector(m, "s1", DetectorOptions{})
 	defer d.Close()
 	for i := 0; i < 4; i++ {
-		d.Observe("s2", false)
+		d.observe("s2", false)
 	}
 	store := newMemStore()
 	store.ApplyRecord(ReplicaRecord{ID: "job-a", Version: 1, Payload: json.RawMessage(`{}`)})
@@ -691,7 +691,7 @@ func TestAntiEntropySkipsDownPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := peer.hits.Load()
-	if p, q := ae.SweepOnce(context.Background()); p != 0 || q != 0 {
+	if p, q := ae.sweepOnce(context.Background()); p != 0 || q != 0 {
 		t.Fatalf("sweep against a down peer = (%d, %d), want (0, 0)", p, q)
 	}
 	if got := peer.hits.Load(); got != before {
@@ -735,7 +735,7 @@ func TestRouterRetryBudgetBoundsFailover(t *testing.T) {
 		if total != tc.attempts {
 			t.Fatalf("budget %d: %d shard attempts, want %d", tc.budget, total, tc.attempts)
 		}
-		if got := MetricSum(t, rt.Metrics().WritePrometheus, "granula_router_failovers_total"); got != float64(tc.attempts) {
+		if got := MetricSum(t, rt.metrics.writePrometheus, "granula_router_failovers_total"); got != float64(tc.attempts) {
 			t.Fatalf("budget %d: failover counter = %v, want %d", tc.budget, got, tc.attempts)
 		}
 	}
@@ -775,7 +775,7 @@ func TestRouterPropagatesDeadlineToShards(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 3, 2, 1, 0)
 	rt := NewRouter(m, RouterOptions{})
 	const id = "job-deadline-header"
-	for _, n := range m.Owners(id) {
+	for _, n := range m.owners(id) {
 		byID(shards, n.ID).setJob(id, fakeJob{body: "{}", version: 1})
 	}
 	deadline := time.Now().Add(5 * time.Second).UnixMilli()
@@ -812,10 +812,10 @@ func TestRouterPromotesPastDownPrimary(t *testing.T) {
 	rt := NewRouter(m, RouterOptions{Detector: d})
 
 	const id = "job-promote"
-	owners := m.Owners(id)
+	owners := m.owners(id)
 	primary, secondary := owners[0], owners[1]
 	for i := 0; i < 4; i++ {
-		d.Observe(primary.ID, false)
+		d.observe(primary.ID, false)
 	}
 
 	body := fmt.Sprintf(`{"platform":"Giraph","algorithm":"BFS","id":%q}`, id)
@@ -834,8 +834,8 @@ func TestRouterPromotesPastDownPrimary(t *testing.T) {
 	if got := byID(shards, primary.ID).submittedIDs(); len(got) != 0 {
 		t.Fatalf("down primary still saw submits %v", got)
 	}
-	if got := rt.Metrics().promotions.Value(); got != 1 {
-		t.Fatalf("promotions = %d, want 1", got)
+	if got := MetricSum(t, rt.metrics.writePrometheus, "granula_router_promotions_total"); got != 1 {
+		t.Fatalf("promotions = %v, want 1", got)
 	}
 
 	// Reads route around the corpse too.
@@ -851,8 +851,8 @@ func TestRouterPromotesPastDownPrimary(t *testing.T) {
 	}
 
 	// The primary recovers; writes return to it.
-	d.Observe(primary.ID, true)
-	d.Observe(primary.ID, true)
+	d.observe(primary.ID, true)
+	d.observe(primary.ID, true)
 	req = httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader([]byte(body)))
 	req.Header.Set("Content-Type", "application/json")
 	w = httptest.NewRecorder()
@@ -883,7 +883,7 @@ func TestSelfHealMetricsExposition(t *testing.T) {
 	sh.SetDetector(d)
 	sh.SetHintGauge(func() int { return 7 })
 	for i := 0; i < 4; i++ {
-		d.Observe("s2", false)
+		d.observe("s2", false)
 	}
 	for _, tc := range []struct {
 		name, match string

@@ -37,7 +37,7 @@ type Map struct {
 	// WriteQuorum W is how many replica acks (the writing shard counts
 	// as one) a job needs before it may be acked done. 1 <= W <= R.
 	WriteQuorum int `json:"writeQuorum"`
-	// VirtualNodes per shard on the ring; 0 selects DefaultVirtualNodes.
+	// VirtualNodes per shard on the ring; 0 selects defaultVirtualNodes.
 	VirtualNodes int `json:"virtualNodes,omitempty"`
 
 	ring *Ring
@@ -142,11 +142,8 @@ func (m *Map) init() error {
 	return nil
 }
 
-// Ring returns the map's consistent-hash ring.
-func (m *Map) Ring() *Ring { return m.ring }
-
-// Owners returns the replica set (primary first) for a job ID.
-func (m *Map) Owners(jobID string) []Node {
+// owners returns the replica set (primary first) for a job ID.
+func (m *Map) owners(jobID string) []Node {
 	ids := m.ring.Owners(jobID, m.Replication)
 	out := make([]Node, 0, len(ids))
 	for _, id := range ids {
@@ -161,8 +158,8 @@ func (m *Map) node(id string) Node {
 	return m.Shards[i]
 }
 
-// Node returns the shard with the given ID.
-func (m *Map) Node(id string) (Node, bool) {
+// lookup returns the shard with the given ID.
+func (m *Map) lookup(id string) (Node, bool) {
 	i := sort.Search(len(m.Shards), func(i int) bool { return m.Shards[i].ID >= id })
 	if i < len(m.Shards) && m.Shards[i].ID == id {
 		return m.Shards[i], true

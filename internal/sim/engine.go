@@ -23,25 +23,20 @@ import (
 	"sync/atomic"
 )
 
-// Time is a point in simulated time, in seconds since the start of the
-// simulation. Durations are plain float64 seconds as well; the kernel does
-// not distinguish the two types because all model arithmetic is on seconds.
-type Time = float64
-
-// ErrStopped is the panic value used to unwind process goroutines when the
+// errStopped is the panic value used to unwind process goroutines when the
 // engine shuts down. Process bodies must not recover it; the kernel's
 // process wrapper does.
 var errStopped = errors.New("sim: engine stopped")
 
-// ErrInterrupted is returned by Run when Interrupt was called while the
+// errInterrupted is returned by Run when Interrupt was called while the
 // simulation was executing: the event loop stopped between events and
 // the simulation is incomplete. The caller is expected to Shutdown the
 // engine to release process goroutines.
-var ErrInterrupted = errors.New("sim: interrupted")
+var errInterrupted = errors.New("sim: interrupted")
 
 // event is a scheduled callback in the engine's queue.
 type event struct {
-	at     Time
+	at     float64
 	seq    uint64
 	action func()
 
@@ -87,7 +82,7 @@ func (h *eventHeap) Pop() any {
 // concurrent use from multiple OS threads (it never needs to be, since at
 // most one process runs at a time).
 type Engine struct {
-	now     Time
+	now     float64
 	queue   eventHeap
 	seq     uint64
 	running bool
@@ -102,9 +97,8 @@ type Engine struct {
 	// returning control to the engine loop.
 	yield chan struct{}
 
-	procs    map[*Proc]struct{}
-	procSeq  uint64
-	liveProc int
+	procs   map[*Proc]struct{}
+	procSeq uint64
 
 	// fault records the first process panic; Run surfaces it as an error.
 	fault error
@@ -119,11 +113,11 @@ func NewEngine() *Engine {
 }
 
 // Now returns the current simulated time in seconds.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() float64 { return e.now }
 
 // schedule enqueues action to run at time at. It returns the event so the
 // caller can cancel it.
-func (e *Engine) schedule(at Time, action func()) *event {
+func (e *Engine) schedule(at float64, action func()) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -164,11 +158,8 @@ type Proc struct {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.eng.now }
+func (p *Proc) Now() float64 { return p.eng.now }
 
 // Done returns an Event fired when the process function returns. It can be
 // waited on by other processes (a join).
@@ -190,7 +181,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		done:   NewEvent(e),
 	}
 	e.procs[p] = struct{}{}
-	e.liveProc++
 	go func() {
 		defer func() {
 			if r := recover(); r != nil && r != errStopped { //nolint:errorlint // sentinel identity check
@@ -202,7 +192,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 			p.state = procEnded
-			e.liveProc--
 			delete(e.procs, p)
 			if !e.stopped {
 				p.done.Fire()
@@ -256,7 +245,7 @@ func (p *Proc) wake() {
 
 // Sleep suspends the calling process for d seconds of simulated time.
 // Negative durations are treated as zero.
-func (p *Proc) Sleep(d Time) {
+func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
@@ -264,9 +253,9 @@ func (p *Proc) Sleep(d Time) {
 	p.block()
 }
 
-// WaitUntil suspends the calling process until the simulated clock reaches
+// waitUntil suspends the calling process until the simulated clock reaches
 // t. If t is in the past it returns immediately.
-func (p *Proc) WaitUntil(t Time) {
+func (p *Proc) waitUntil(t float64) {
 	if t <= p.eng.now {
 		return
 	}
@@ -279,12 +268,12 @@ func (e *Engine) Run() error {
 	return e.run(-1)
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-func (e *Engine) RunUntil(t Time) error {
+// runUntil executes events with timestamps <= t, then sets the clock to t.
+func (e *Engine) runUntil(t float64) error {
 	return e.run(t)
 }
 
-func (e *Engine) run(until Time) error {
+func (e *Engine) run(until float64) error {
 	if e.running {
 		return errors.New("sim: engine already running")
 	}
@@ -295,7 +284,7 @@ func (e *Engine) run(until Time) error {
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 {
 		if e.interrupted.Load() {
-			return ErrInterrupted
+			return errInterrupted
 		}
 		next := e.queue[0]
 		if until >= 0 && next.at > until {
@@ -321,8 +310,8 @@ func (e *Engine) run(until Time) error {
 	return nil
 }
 
-// Idle reports whether the event queue holds no runnable events.
-func (e *Engine) Idle() bool {
+// idle reports whether the event queue holds no runnable events.
+func (e *Engine) idle() bool {
 	for _, ev := range e.queue {
 		if !ev.canceled {
 			return false
@@ -331,28 +320,23 @@ func (e *Engine) Idle() bool {
 	return true
 }
 
-// LiveProcs returns the number of processes that have been spawned and not
-// yet ended, including processes blocked on primitives.
-func (e *Engine) LiveProcs() int { return e.liveProc }
-
 // Interrupt asks a running simulation to stop between events; Run then
-// returns ErrInterrupted. Unlike every other Engine method, Interrupt is
+// returns errInterrupted. Unlike every other Engine method, Interrupt is
 // safe to call from any goroutine — it is how a wall-clock deadline or a
 // job cancellation reaches into a simulation that only knows virtual
 // time. Interrupting an idle or finished engine is a no-op for any Run
 // call that has already returned.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
 
-// Interrupted reports whether Interrupt has been called.
-func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
-
 // Shutdown terminates every live process by unwinding its goroutine, and
 // marks the engine stopped. It is safe to call after Run returns; it is the
 // supported way to release goroutines of processes that are still blocked
-// (e.g. servers waiting for requests that will never arrive).
-func (e *Engine) Shutdown() {
+// (e.g. servers waiting for requests that will never arrive). It returns
+// how many processes it unwound: 0 after a model whose processes all
+// ended, and on a second call.
+func (e *Engine) Shutdown() int {
 	if e.stopped {
-		return
+		return 0
 	}
 	e.stopped = true
 	// Unwind in a stable order for determinism of any recovery side effects.
@@ -361,12 +345,15 @@ func (e *Engine) Shutdown() {
 		live = append(live, p)
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	n := 0
 	for _, p := range live {
 		if p.state == procEnded {
 			continue
 		}
 		p.resume <- struct{}{}
 		<-e.yield
+		n++
 	}
 	e.queue = nil
+	return n
 }

@@ -18,7 +18,7 @@ func TestEngineClockStartsAtZero(t *testing.T) {
 
 func TestSleepAdvancesClock(t *testing.T) {
 	e := NewEngine()
-	var woke Time
+	var woke float64
 	e.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(2.5)
 		woke = p.Now()
@@ -49,23 +49,6 @@ func TestNegativeSleepIsZero(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("process did not run")
-	}
-}
-
-func TestWaitUntil(t *testing.T) {
-	e := NewEngine()
-	var times []Time
-	e.Spawn("p", func(p *Proc) {
-		p.WaitUntil(3)
-		times = append(times, p.Now())
-		p.WaitUntil(1) // already past; must not block or rewind
-		times = append(times, p.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 2 || !almostEqual(times[0], 3) || !almostEqual(times[1], 3) {
-		t.Fatalf("times = %v, want [3 3]", times)
 	}
 }
 
@@ -109,7 +92,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
-	var childTime Time
+	var childTime float64
 	e.Spawn("parent", func(p *Proc) {
 		p.Sleep(1)
 		child := e.Spawn("child", func(c *Proc) {
@@ -149,6 +132,50 @@ func TestDoneEventAfterCompletion(t *testing.T) {
 	}
 }
 
+func TestShutdownReleasesBlockedProcesses(t *testing.T) {
+	e := NewEngine()
+	ev := NewEvent(e)
+	e.Spawn("stuck", func(p *Proc) {
+		ev.Wait(p) // never fired
+		t.Error("stuck process resumed normally")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Shutdown(); n != 1 {
+		t.Fatalf("Shutdown unwound %d processes, want 1", n)
+	}
+	if n := e.Shutdown(); n != 0 {
+		t.Fatalf("second Shutdown unwound %d processes, want 0", n)
+	}
+}
+
+func TestProcessPanicIsReported(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("bad", func(p *Proc) { panic("boom") })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("expected error from panicking process")
+	}
+}
+
+func TestWaitUntil(t *testing.T) {
+	e := NewEngine()
+	var times []float64
+	e.Spawn("p", func(p *Proc) {
+		p.waitUntil(3)
+		times = append(times, p.Now())
+		p.waitUntil(1) // already past; must not block or rewind
+		times = append(times, p.Now())
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != 2 || !almostEqual(times[0], 3) || !almostEqual(times[1], 3) {
+		t.Fatalf("times = %v, want [3 3]", times)
+	}
+}
+
 func TestRunUntilStopsEarly(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
@@ -158,7 +185,7 @@ func TestRunUntilStopsEarly(t *testing.T) {
 			ticks++
 		}
 	})
-	if err := e.RunUntil(10.5); err != nil {
+	if err := e.runUntil(10.5); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 10 {
@@ -178,7 +205,7 @@ func TestRunUntilStopsEarly(t *testing.T) {
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	e := NewEngine()
-	if err := e.RunUntil(42); err != nil {
+	if err := e.runUntil(42); err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(e.Now(), 42) {
@@ -186,47 +213,19 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestShutdownReleasesBlockedProcesses(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	e.Spawn("stuck", func(p *Proc) {
-		ev.Wait(p) // never fired
-		t.Error("stuck process resumed normally")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveProcs() != 1 {
-		t.Fatalf("LiveProcs = %d, want 1", e.LiveProcs())
-	}
-	e.Shutdown()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs after shutdown = %d, want 0", e.LiveProcs())
-	}
-}
-
-func TestProcessPanicIsReported(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("bad", func(p *Proc) { panic("boom") })
-	err := e.Run()
-	if err == nil {
-		t.Fatal("expected error from panicking process")
-	}
-}
-
 func TestIdleReflectsQueue(t *testing.T) {
 	e := NewEngine()
-	if !e.Idle() {
+	if !e.idle() {
 		t.Fatal("new engine should be idle")
 	}
 	e.Spawn("p", func(p *Proc) { p.Sleep(1) })
-	if e.Idle() {
+	if e.idle() {
 		t.Fatal("engine with pending spawn should not be idle")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Idle() {
+	if !e.idle() {
 		t.Fatal("engine should be idle after Run")
 	}
 }

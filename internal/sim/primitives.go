@@ -21,9 +21,6 @@ func NewEvent(e *Engine) *Event {
 	return &Event{eng: e}
 }
 
-// Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Fire marks the event fired and wakes all waiters in arrival order.
 // Firing twice is a no-op.
 func (ev *Event) Fire() {
@@ -61,9 +58,6 @@ func NewMailbox[T any](e *Engine) *Mailbox[T] {
 	return &Mailbox[T]{eng: e}
 }
 
-// Len returns the number of queued values.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
-
 // Put enqueues v and wakes the oldest waiting receiver, if any. It may be
 // called from any process or from non-process setup code.
 func (m *Mailbox[T]) Put(v T) {
@@ -92,9 +86,9 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	return v
 }
 
-// TryGet dequeues a value without blocking. The second result reports
+// tryGet dequeues a value without blocking. The second result reports
 // whether a value was available.
-func (m *Mailbox[T]) TryGet() (T, bool) {
+func (m *Mailbox[T]) tryGet() (T, bool) {
 	var zero T
 	if len(m.items) == 0 {
 		return zero, false
@@ -104,10 +98,10 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 	return v, true
 }
 
-// Semaphore is a counting semaphore with FIFO fairness: acquisitions are
+// semaphore is a counting semaphore with FIFO fairness: acquisitions are
 // granted strictly in arrival order, so a large request cannot be starved
 // by a stream of small ones.
-type Semaphore struct {
+type semaphore struct {
 	eng     *Engine
 	avail   int
 	waiters []*semWaiter
@@ -119,19 +113,16 @@ type semWaiter struct {
 	woken bool
 }
 
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
+// newSemaphore returns a semaphore with n initial permits.
+func newSemaphore(e *Engine, n int) *semaphore {
 	if n < 0 {
 		panic("sim: negative semaphore capacity")
 	}
-	return &Semaphore{eng: e, avail: n}
+	return &semaphore{eng: e, avail: n}
 }
 
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Acquire takes n permits, suspending p until they are available.
-func (s *Semaphore) Acquire(p *Proc, n int) {
+// acquire takes n permits, suspending p until they are available.
+func (s *semaphore) acquire(p *Proc, n int) {
 	if n < 0 {
 		panic("sim: negative semaphore acquire")
 	}
@@ -153,9 +144,9 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	}
 }
 
-// Release returns n permits and wakes the head waiter if it can now
+// release returns n permits and wakes the head waiter if it can now
 // proceed.
-func (s *Semaphore) Release(n int) {
+func (s *semaphore) release(n int) {
 	if n < 0 {
 		panic("sim: negative semaphore release")
 	}
@@ -163,7 +154,7 @@ func (s *Semaphore) Release(n int) {
 	s.grantNext()
 }
 
-func (s *Semaphore) grantNext() {
+func (s *semaphore) grantNext() {
 	if len(s.waiters) > 0 && s.avail >= s.waiters[0].n && !s.waiters[0].woken {
 		s.waiters[0].woken = true
 		s.waiters[0].p.wake()
@@ -188,9 +179,6 @@ func NewBarrier(e *Engine, parties int) *Barrier {
 	}
 	return &Barrier{eng: e, parties: parties}
 }
-
-// Parties returns the number of processes the barrier waits for.
-func (b *Barrier) Parties() int { return b.parties }
 
 // Await blocks p until all parties have arrived, then returns the completed
 // generation number.

@@ -31,7 +31,7 @@ func TestEventBroadcast(t *testing.T) {
 			t.Fatalf("woken = %v, want FIFO order", woken)
 		}
 	}
-	if !ev.Fired() {
+	if !ev.fired {
 		t.Fatal("event should report fired")
 	}
 }
@@ -105,82 +105,6 @@ func TestMailboxMultipleReceivers(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[string](e)
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox returned ok")
-	}
-	mb.Put("x")
-	if mb.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", mb.Len())
-	}
-	v, ok := mb.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v, want x,true", v, ok)
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 2)
-	active, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn("worker", func(p *Proc) {
-			sem.Acquire(p, 1)
-			active++
-			if active > peak {
-				peak = active
-			}
-			p.Sleep(1)
-			active--
-			sem.Release(1)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if !almostEqual(e.Now(), 3) {
-		t.Fatalf("finished at %v, want 3 (6 jobs / 2 slots)", e.Now())
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("Available = %d, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreFIFONoStarvation(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 2)
-	var order []string
-	e.Spawn("hog", func(p *Proc) {
-		sem.Acquire(p, 2)
-		p.Sleep(1)
-		sem.Release(2)
-	})
-	// big arrives second and needs both permits; smalls arrive later.
-	e.Spawn("big", func(p *Proc) {
-		p.Sleep(0.1)
-		sem.Acquire(p, 2)
-		order = append(order, "big")
-		sem.Release(2)
-	})
-	e.Spawn("small", func(p *Proc) {
-		p.Sleep(0.2)
-		sem.Acquire(p, 1)
-		order = append(order, "small")
-		sem.Release(1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small] (FIFO)", order)
-	}
-}
-
 func TestBarrierRounds(t *testing.T) {
 	e := NewEngine()
 	b := NewBarrier(e, 3)
@@ -204,9 +128,6 @@ func TestBarrierRounds(t *testing.T) {
 			t.Fatalf("%s generations = %v, want [0 1]", name, g)
 		}
 	}
-	if b.Parties() != 3 {
-		t.Fatalf("Parties = %d, want 3", b.Parties())
-	}
 }
 
 func TestBarrierSingleParty(t *testing.T) {
@@ -225,15 +146,6 @@ func TestBarrierSingleParty(t *testing.T) {
 	}
 }
 
-func TestNewSemaphorePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSemaphore(NewEngine(), -1)
-}
-
 func TestNewBarrierPanicsOnZeroParties(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -241,4 +153,89 @@ func TestNewBarrierPanicsOnZeroParties(t *testing.T) {
 		}
 	}()
 	NewBarrier(NewEngine(), 0)
+}
+
+func TestMailboxTryGet(t *testing.T) {
+	e := NewEngine()
+	mb := NewMailbox[string](e)
+	if _, ok := mb.tryGet(); ok {
+		t.Fatal("tryGet on empty mailbox returned ok")
+	}
+	mb.Put("x")
+	if len(mb.items) != 1 {
+		t.Fatalf("queued = %d, want 1", len(mb.items))
+	}
+	v, ok := mb.tryGet()
+	if !ok || v != "x" {
+		t.Fatalf("tryGet = %q,%v, want x,true", v, ok)
+	}
+}
+
+func TestSemaphoreLimitsConcurrency(t *testing.T) {
+	e := NewEngine()
+	sem := newSemaphore(e, 2)
+	active, peak := 0, 0
+	for i := 0; i < 6; i++ {
+		e.Spawn("worker", func(p *Proc) {
+			sem.acquire(p, 1)
+			active++
+			if active > peak {
+				peak = active
+			}
+			p.Sleep(1)
+			active--
+			sem.release(1)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peak != 2 {
+		t.Fatalf("peak concurrency = %d, want 2", peak)
+	}
+	if !almostEqual(e.Now(), 3) {
+		t.Fatalf("finished at %v, want 3 (6 jobs / 2 slots)", e.Now())
+	}
+	if sem.avail != 2 {
+		t.Fatalf("avail = %d, want 2", sem.avail)
+	}
+}
+
+func TestSemaphoreFIFONoStarvation(t *testing.T) {
+	e := NewEngine()
+	sem := newSemaphore(e, 2)
+	var order []string
+	e.Spawn("hog", func(p *Proc) {
+		sem.acquire(p, 2)
+		p.Sleep(1)
+		sem.release(2)
+	})
+	// big arrives second and needs both permits; smalls arrive later.
+	e.Spawn("big", func(p *Proc) {
+		p.Sleep(0.1)
+		sem.acquire(p, 2)
+		order = append(order, "big")
+		sem.release(2)
+	})
+	e.Spawn("small", func(p *Proc) {
+		p.Sleep(0.2)
+		sem.acquire(p, 1)
+		order = append(order, "small")
+		sem.release(1)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
+		t.Fatalf("order = %v, want [big small] (FIFO)", order)
+	}
+}
+
+func TestNewSemaphorePanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	newSemaphore(NewEngine(), -1)
 }

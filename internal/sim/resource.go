@@ -27,7 +27,7 @@ type Resource struct {
 	perTaskCap float64
 
 	tasks      []*resTask
-	lastSettle Time
+	lastSettle float64
 	consumed   float64
 	pending    *event
 }
@@ -56,7 +56,7 @@ const completionEpsilon = 1e-9
 // of the current time — in which case the event queue could never make
 // progress on it (the completion event would fire at the same timestamp
 // forever).
-func (t *resTask) finishedAt(now Time) bool {
+func (t *resTask) finishedAt(now float64) bool {
 	eps := completionEpsilon * math.Max(1, t.amount)
 	if t.rate > 0 {
 		ulp := math.Nextafter(now, math.Inf(1)) - now
@@ -79,14 +79,8 @@ func NewResource(e *Engine, name string, capacity, perTaskCap float64) *Resource
 	return &Resource{eng: e, name: name, capacity: capacity, perTaskCap: perTaskCap}
 }
 
-// Name returns the resource name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // Engine returns the engine this resource belongs to.
 func (r *Resource) Engine() *Engine { return r.eng }
-
-// Capacity returns the total capacity in units per second.
-func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Consumed returns the cumulative number of units consumed by all tasks up
 // to the current simulated time. Monitors sample this and take differences
@@ -94,19 +88,6 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 func (r *Resource) Consumed() float64 {
 	r.settle()
 	return r.consumed
-}
-
-// ActiveTasks returns the number of tasks currently using the resource.
-func (r *Resource) ActiveTasks() int { return len(r.tasks) }
-
-// ActiveRate returns the aggregate consumption rate (units per second) at
-// the current instant.
-func (r *Resource) ActiveRate() float64 {
-	total := 0.0
-	for _, t := range r.tasks {
-		total += t.rate
-	}
-	return total
 }
 
 // Use consumes amount units on behalf of p with width 1, blocking p until

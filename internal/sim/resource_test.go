@@ -10,7 +10,7 @@ import (
 func TestResourceSingleTask(t *testing.T) {
 	e := NewEngine()
 	cpu := NewResource(e, "cpu", 4, 1)
-	var end Time
+	var end float64
 	e.Spawn("task", func(p *Proc) {
 		cpu.Use(p, 2) // 2 cpu-seconds at rate 1 -> 2 seconds
 		end = p.Now()
@@ -29,7 +29,7 @@ func TestResourceSingleTask(t *testing.T) {
 func TestResourceParallelTasksUnderCapacity(t *testing.T) {
 	e := NewEngine()
 	cpu := NewResource(e, "cpu", 4, 1)
-	ends := make([]Time, 3)
+	ends := make([]float64, 3)
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn("task", func(p *Proc) {
@@ -51,7 +51,7 @@ func TestResourceParallelTasksUnderCapacity(t *testing.T) {
 func TestResourceContention(t *testing.T) {
 	e := NewEngine()
 	cpu := NewResource(e, "cpu", 2, 1)
-	var end Time
+	var end float64
 	for i := 0; i < 4; i++ {
 		e.Spawn("task", func(p *Proc) {
 			cpu.Use(p, 3)
@@ -73,7 +73,7 @@ func TestResourceContention(t *testing.T) {
 func TestResourceWidthActsAsThreads(t *testing.T) {
 	e := NewEngine()
 	cpu := NewResource(e, "cpu", 8, 1)
-	var wideEnd, narrowEnd Time
+	var wideEnd, narrowEnd float64
 	e.Spawn("wide", func(p *Proc) {
 		cpu.UseWidth(p, 8, 4) // 4 threads on idle 8-core: rate 4 -> 2s
 		wideEnd = p.Now()
@@ -96,7 +96,7 @@ func TestResourceWidthActsAsThreads(t *testing.T) {
 func TestResourceLateArrivalSlowsEveryone(t *testing.T) {
 	e := NewEngine()
 	disk := NewResource(e, "disk", 100, 100) // 100 B/s, single task can use all
-	var firstEnd, secondEnd Time
+	var firstEnd, secondEnd float64
 	e.Spawn("first", func(p *Proc) {
 		disk.Use(p, 100)
 		firstEnd = p.Now()
@@ -149,7 +149,9 @@ func TestResourceActiveRateRespectsCapacity(t *testing.T) {
 	}
 	e.Spawn("observer", func(p *Proc) {
 		p.Sleep(1)
-		observed = cpu.ActiveRate()
+		for _, task := range cpu.tasks {
+			observed += task.rate
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -207,7 +209,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			start := rng.Float64() * 3
 			totalWork += amount
 			e.Spawn("task", func(p *Proc) {
-				p.WaitUntil(start)
+				p.Sleep(start)
 				began := p.Now()
 				cpu.Use(p, amount)
 				elapsed := p.Now() - began

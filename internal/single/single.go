@@ -45,8 +45,8 @@ type CostModel struct {
 	ProcessExitSeconds  float64
 }
 
-// DefaultCostModel returns C++-kernel constants.
-func DefaultCostModel() CostModel {
+// defaultCostModel returns C++-kernel constants.
+func defaultCostModel() CostModel {
 	return CostModel{
 		ParseCPUPerByte:      80e-9,
 		BuildCPUPerEdge:      60e-9,
@@ -75,7 +75,7 @@ func DefaultConfig() Config {
 	return Config{
 		Threads:   24,
 		WorkScale: 1,
-		Costs:     DefaultCostModel(),
+		Costs:     defaultCostModel(),
 	}
 }
 

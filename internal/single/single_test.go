@@ -172,10 +172,10 @@ func TestRunJobValidation(t *testing.T) {
 			cfg  Config
 		}{
 			{Deps{}, DefaultConfig()}, // no cluster
-			{good, Config{NodeID: 5, Threads: 1, WorkScale: 1, Costs: DefaultCostModel()}},  // bad node
-			{good, Config{Threads: 0, WorkScale: 1, Costs: DefaultCostModel()}},             // bad threads
-			{good, Config{Threads: 1, WorkScale: 0, Costs: DefaultCostModel()}},             // bad scale
-			{Deps{Cluster: c}, Config{Threads: 1, WorkScale: 1, Costs: DefaultCostModel()}}, // no input
+			{good, Config{NodeID: 5, Threads: 1, WorkScale: 1, Costs: defaultCostModel()}},  // bad node
+			{good, Config{Threads: 0, WorkScale: 1, Costs: defaultCostModel()}},             // bad threads
+			{good, Config{Threads: 1, WorkScale: 0, Costs: defaultCostModel()}},             // bad scale
+			{Deps{Cluster: c}, Config{Threads: 1, WorkScale: 1, Costs: defaultCostModel()}}, // no input
 		}
 		for i, tc := range cases {
 			if _, err := RunJob(p, tc.deps, tc.cfg, BFSKernel{}, ds, em); err == nil {

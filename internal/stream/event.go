@@ -30,10 +30,10 @@ import (
 // Event types. The start/end/info kinds mirror trace.Record events;
 // env carries one envmon sample; seal terminates the stream.
 const (
-	TypeStart = "start"
-	TypeEnd   = "end"
-	TypeInfo  = "info"
-	TypeEnv   = "env"
+	typeStart = "start"
+	typeEnd   = "end"
+	typeInfo  = "info"
+	typeEnv   = "env"
 	TypeSeal  = "seal"
 )
 
@@ -74,12 +74,12 @@ type Event struct {
 	State     string `json:"state,omitempty"`
 }
 
-// MaxLineBytes bounds one encoded event line on the ingest path.
-const MaxLineBytes = 1 << 20
+// maxLineBytes bounds one encoded event line on the ingest path.
+const maxLineBytes = 1 << 20
 
-// Validate checks the event's shape independent of any job state (the
+// validate checks the event's shape independent of any job state (the
 // sequence-continuity and tree checks happen at apply time).
-func (e *Event) Validate() error {
+func (e *Event) validate() error {
 	if e.Seq == 0 {
 		return fmt.Errorf("stream: event needs seq >= 1")
 	}
@@ -87,19 +87,19 @@ func (e *Event) Validate() error {
 		return fmt.Errorf("stream: event %d: bad time %v", e.Seq, e.Time)
 	}
 	switch e.Type {
-	case TypeStart:
+	case typeStart:
 		if e.Op == "" {
 			return fmt.Errorf("stream: event %d: start needs op", e.Seq)
 		}
-	case TypeEnd:
+	case typeEnd:
 		if e.Op == "" {
 			return fmt.Errorf("stream: event %d: end needs op", e.Seq)
 		}
-	case TypeInfo:
+	case typeInfo:
 		if e.Op == "" || e.Key == "" {
 			return fmt.Errorf("stream: event %d: info needs op and key", e.Seq)
 		}
-	case TypeEnv:
+	case typeEnv:
 		if e.Node == "" || e.Kind == "" {
 			return fmt.Errorf("stream: event %d: env needs node and kind", e.Seq)
 		}
@@ -126,7 +126,7 @@ func (e *Event) Validate() error {
 // event is validated.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	var out []Event
 	lineNo := 0
 	for sc.Scan() {
@@ -146,7 +146,7 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 		if dec.More() {
 			return nil, fmt.Errorf("stream: line %d: trailing data after event", lineNo)
 		}
-		if err := e.Validate(); err != nil {
+		if err := e.validate(); err != nil {
 			return nil, fmt.Errorf("stream: line %d: %w", lineNo, err)
 		}
 		out = append(out, e)

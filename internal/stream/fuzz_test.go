@@ -28,7 +28,7 @@ func FuzzIngestEvent(f *testing.F) {
 			return
 		}
 		for i := range events {
-			if verr := events[i].Validate(); verr != nil {
+			if verr := events[i].validate(); verr != nil {
 				t.Fatalf("DecodeEvents returned invalid event %d: %v", i, verr)
 			}
 		}

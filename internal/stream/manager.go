@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/archive"
@@ -82,18 +81,6 @@ func (m *Manager) Live() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.jobs)
-}
-
-// IDs returns the live job IDs, sorted.
-func (m *Manager) IDs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Remove drops a job's live state (after its sealed archive has been
@@ -211,9 +198,6 @@ type Job struct {
 	subs map[chan struct{}]struct{}
 }
 
-// ID returns the job ID.
-func (j *Job) ID() string { return j.id }
-
 // LastSeq returns the accepted high-water sequence number.
 func (j *Job) LastSeq() uint64 {
 	j.mu.Lock()
@@ -307,7 +291,7 @@ func (j *Job) dryRun(events []Event) error {
 	open := j.open
 	for _, e := range events {
 		switch e.Type {
-		case TypeStart:
+		case typeStart:
 			if _, ok := state(e.Op); ok {
 				return fmt.Errorf("stream: event %d: duplicate start for op %q", e.Seq, e.Op)
 			}
@@ -321,7 +305,7 @@ func (j *Job) dryRun(events []Event) error {
 			}
 			overlay[e.Op] = opState{exists: true}
 			open++
-		case TypeEnd:
+		case typeEnd:
 			s, ok := state(e.Op)
 			if !ok {
 				return fmt.Errorf("stream: event %d: end before start for op %q", e.Seq, e.Op)
@@ -331,11 +315,11 @@ func (j *Job) dryRun(events []Event) error {
 			}
 			overlay[e.Op] = opState{exists: true, ended: true}
 			open--
-		case TypeInfo:
+		case typeInfo:
 			if _, ok := state(e.Op); !ok {
 				return fmt.Errorf("stream: event %d: info before start for op %q", e.Seq, e.Op)
 			}
-		case TypeEnv:
+		case typeEnv:
 			// No tree state.
 		case TypeSeal:
 			if !rootSeen {
@@ -355,7 +339,7 @@ func (j *Job) apply(e Event) {
 	j.events = append(j.events, e)
 	j.lastSeq = e.Seq
 	switch e.Type {
-	case TypeStart:
+	case typeStart:
 		lo := &liveOp{op: &archive.Operation{
 			ID: e.Op, Actor: e.Actor, Mission: e.Mission, Start: e.Time,
 		}}
@@ -369,7 +353,7 @@ func (j *Job) apply(e Event) {
 		}
 		j.ops[e.Op] = lo
 		j.open++
-	case TypeEnd:
+	case typeEnd:
 		lo := j.ops[e.Op]
 		lo.op.End = e.Time
 		lo.ended = true
@@ -385,13 +369,13 @@ func (j *Job) apply(e Event) {
 			}
 		}
 		j.cols.Append(&view, lo.depth, lo.path)
-	case TypeInfo:
+	case typeInfo:
 		lo := j.ops[e.Op]
 		if lo.op.Infos == nil {
 			lo.op.Infos = map[string]string{}
 		}
 		lo.op.Infos[e.Key] = e.Value
-	case TypeEnv:
+	case typeEnv:
 		j.samples = append(j.samples, envmon.Sample{
 			Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used,
 		})
@@ -434,7 +418,7 @@ func (j *Job) PublishRecord(r trace.Record) error {
 // monitor.
 func (j *Job) PublishSample(s envmon.Sample) error {
 	return j.publish(Event{
-		Type: TypeEnv, Time: s.Time,
+		Type: typeEnv, Time: s.Time,
 		Node: s.Node, Kind: s.Kind, Used: s.Used,
 	})
 }
@@ -525,13 +509,13 @@ func (j *Job) BuildArchive() (*archive.Job, error) {
 	var samples []envmon.Sample
 	for _, e := range events {
 		switch e.Type {
-		case TypeStart, TypeEnd, TypeInfo:
+		case typeStart, typeEnd, typeInfo:
 			records = append(records, trace.Record{
 				Time: e.Time, Job: j.id, Op: e.Op, Parent: e.Parent,
 				Actor: e.Actor, Mission: e.Mission,
 				Event: trace.EventType(e.Type), Key: e.Key, Value: e.Value,
 			})
-		case TypeEnv:
+		case typeEnv:
 			samples = append(samples, envmon.Sample{
 				Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used,
 			})

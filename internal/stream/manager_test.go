@@ -20,14 +20,14 @@ import (
 // root with two sequential children, one info, env samples, seal.
 func simpleJobEvents() []Event {
 	return []Event{
-		{Seq: 1, Type: TypeStart, Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
-		{Seq: 2, Type: TypeStart, Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
-		{Seq: 3, Type: TypeInfo, Time: 1.5, Op: "op-2", Key: "Bytes", Value: "1000"},
-		{Seq: 4, Type: TypeEnd, Time: 2, Op: "op-2"},
-		{Seq: 5, Type: TypeEnv, Time: 2, Node: "node-0", Kind: "cpu", Used: 1.5},
-		{Seq: 6, Type: TypeStart, Time: 2, Op: "op-3", Parent: "op-1", Actor: "Worker-1", Mission: "Compute"},
-		{Seq: 7, Type: TypeEnd, Time: 5, Op: "op-3"},
-		{Seq: 8, Type: TypeEnd, Time: 6, Op: "op-1"},
+		{Seq: 1, Type: typeStart, Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: typeStart, Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
+		{Seq: 3, Type: typeInfo, Time: 1.5, Op: "op-2", Key: "Bytes", Value: "1000"},
+		{Seq: 4, Type: typeEnd, Time: 2, Op: "op-2"},
+		{Seq: 5, Type: typeEnv, Time: 2, Node: "node-0", Kind: "cpu", Used: 1.5},
+		{Seq: 6, Type: typeStart, Time: 2, Op: "op-3", Parent: "op-1", Actor: "Worker-1", Mission: "Compute"},
+		{Seq: 7, Type: typeEnd, Time: 5, Op: "op-3"},
+		{Seq: 8, Type: typeEnd, Time: 6, Op: "op-1"},
 		{Seq: 9, Type: TypeSeal, Time: 6, Platform: "Giraph", Algorithm: "BFS", State: StateDone},
 	}
 }
@@ -102,7 +102,7 @@ func TestIngestBatchIsAtomic(t *testing.T) {
 	// its valid prefix.
 	bad := []Event{
 		events[4],
-		{Seq: 6, Type: TypeEnd, Time: 3, Op: "op-2"},
+		{Seq: 6, Type: typeEnd, Time: 3, Op: "op-2"},
 	}
 	if _, err := m.Ingest("j1", bad); err == nil || !strings.Contains(err.Error(), "duplicate end") {
 		t.Fatalf("want duplicate-end rejection, got %v", err)
@@ -142,24 +142,24 @@ func TestIngestRejectsInvalidTreeShapes(t *testing.T) {
 		want string
 	}{
 		{"duplicate start", []Event{
-			{Seq: 1, Type: TypeStart, Time: 0, Op: "a", Mission: "Job"},
-			{Seq: 2, Type: TypeStart, Time: 0, Op: "a", Parent: "a", Mission: "X"},
+			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
+			{Seq: 2, Type: typeStart, Time: 0, Op: "a", Parent: "a", Mission: "X"},
 		}, "duplicate start"},
 		{"end before start", []Event{
-			{Seq: 1, Type: TypeEnd, Time: 0, Op: "a"},
+			{Seq: 1, Type: typeEnd, Time: 0, Op: "a"},
 		}, "end before start"},
 		{"info before start", []Event{
-			{Seq: 1, Type: TypeInfo, Time: 0, Op: "a", Key: "k"},
+			{Seq: 1, Type: typeInfo, Time: 0, Op: "a", Key: "k"},
 		}, "info before start"},
 		{"unknown parent", []Event{
-			{Seq: 1, Type: TypeStart, Time: 0, Op: "a", Parent: "nope", Mission: "X"},
+			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Parent: "nope", Mission: "X"},
 		}, "unknown parent"},
 		{"second root", []Event{
-			{Seq: 1, Type: TypeStart, Time: 0, Op: "a", Mission: "Job"},
-			{Seq: 2, Type: TypeStart, Time: 0, Op: "b", Mission: "Job"},
+			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
+			{Seq: 2, Type: typeStart, Time: 0, Op: "b", Mission: "Job"},
 		}, "multiple root"},
 		{"seal with open ops", []Event{
-			{Seq: 1, Type: TypeStart, Time: 0, Op: "a", Mission: "Job"},
+			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
 			{Seq: 2, Type: TypeSeal, Time: 1, Platform: "Giraph", State: StateDone},
 		}, "still open"},
 	}
@@ -277,7 +277,7 @@ func streamedArchiveBytes(t *testing.T, platform, algorithm string) (batch, stre
 				Actor: r.Actor, Mission: r.Mission, Key: r.Key, Value: r.Value})
 		},
 		SampleSink: func(s envmon.Sample) {
-			push(Event{Type: TypeEnv, Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
+			push(Event{Type: typeEnv, Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
 		},
 	})
 	if err != nil {
@@ -499,13 +499,13 @@ func TestConcurrentIngestAndTail(t *testing.T) {
 			mission = "Step"
 		}
 		events = append(events,
-			Event{Seq: uint64(2*i + 1), Type: TypeStart, Time: float64(i), Op: op, Parent: parent, Actor: "W", Mission: mission})
+			Event{Seq: uint64(2*i + 1), Type: typeStart, Time: float64(i), Op: op, Parent: parent, Actor: "W", Mission: mission})
 		if i > 0 {
 			events = append(events,
-				Event{Seq: uint64(2*i + 2), Type: TypeEnd, Time: float64(i) + 0.5, Op: op})
+				Event{Seq: uint64(2*i + 2), Type: typeEnd, Time: float64(i) + 0.5, Op: op})
 		} else {
 			events = append(events,
-				Event{Seq: uint64(2*i + 2), Type: TypeInfo, Time: float64(i), Op: op, Key: "k", Value: "v"})
+				Event{Seq: uint64(2*i + 2), Type: typeInfo, Time: float64(i), Op: op, Key: "k", Value: "v"})
 		}
 	}
 	var wg sync.WaitGroup

@@ -32,9 +32,9 @@ func WriteHeartbeat(w io.Writer) error {
 // operation-record kinds, "env", "seal").
 func EventFrameName(e Event) string {
 	switch e.Type {
-	case TypeStart, TypeEnd, TypeInfo:
+	case typeStart, typeEnd, typeInfo:
 		return "op"
-	case TypeEnv:
+	case typeEnv:
 		return "env"
 	case TypeSeal:
 		return "seal"

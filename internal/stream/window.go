@@ -56,10 +56,10 @@ func (w *WindowAgg) Feed(e Event) []Window {
 		w.cur = nil
 	}
 	switch e.Type {
-	case TypeStart:
+	case typeStart:
 		w.starts[e.Op] = opStart{time: e.Time, mission: e.Mission}
 		w.bucket(idx).Started++
-	case TypeEnd:
+	case typeEnd:
 		b := w.bucket(idx)
 		b.Completed++
 		if st, ok := w.starts[e.Op]; ok {
@@ -69,7 +69,7 @@ func (w *WindowAgg) Feed(e Event) []Window {
 			b.Phases[st.mission] += e.Time - st.time
 			delete(w.starts, e.Op)
 		}
-	case TypeInfo, TypeEnv, TypeSeal:
+	case typeInfo, typeEnv, TypeSeal:
 		// Counted toward no bucket, but they advance LastSeq for the
 		// window they fall into if one is open.
 	}

@@ -15,7 +15,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -70,8 +69,8 @@ func NewLog() *Log { return &Log{} }
 // sink disables the callback.
 func (l *Log) SetSink(sink func(Record)) { l.sink = sink }
 
-// Append adds a record.
-func (l *Log) Append(r Record) {
+// add appends a record.
+func (l *Log) add(r Record) {
 	l.records = append(l.records, r)
 	if l.sink != nil {
 		l.sink(r)
@@ -82,19 +81,13 @@ func (l *Log) Append(r Record) {
 // modified.
 func (l *Log) Records() []Record { return l.records }
 
-// Len returns the number of records.
-func (l *Log) Len() int { return len(l.records) }
-
 // OpRef identifies a started operation for an Emitter's End/Info calls.
 type OpRef struct {
 	id string
 }
 
-// ID returns the operation ID.
-func (o OpRef) ID() string { return o.id }
-
-// Valid reports whether the reference identifies an operation.
-func (o OpRef) Valid() bool { return o.id != "" }
+// valid reports whether the reference identifies an operation.
+func (o OpRef) valid() bool { return o.id != "" }
 
 // Root is the OpRef used as the parent of a job's top-level operation.
 var Root = OpRef{}
@@ -126,7 +119,7 @@ func (e *Emitter) Job() string { return e.job }
 func (e *Emitter) Start(parent OpRef, actor, mission string) OpRef {
 	e.seq++
 	op := OpRef{id: fmt.Sprintf("op-%06d", e.seq)}
-	e.log.Append(Record{
+	e.log.add(Record{
 		Time:    e.now(),
 		Job:     e.job,
 		Op:      op.id,
@@ -140,10 +133,10 @@ func (e *Emitter) Start(parent OpRef, actor, mission string) OpRef {
 
 // End emits the end record for op.
 func (e *Emitter) End(op OpRef) {
-	if !op.Valid() {
+	if !op.valid() {
 		panic("trace: End of invalid OpRef")
 	}
-	e.log.Append(Record{
+	e.log.add(Record{
 		Time:  e.now(),
 		Job:   e.job,
 		Op:    op.id,
@@ -153,10 +146,10 @@ func (e *Emitter) End(op OpRef) {
 
 // Info attaches a key/value observation to op.
 func (e *Emitter) Info(op OpRef, key, value string) {
-	if !op.Valid() {
+	if !op.valid() {
 		panic("trace: Info on invalid OpRef")
 	}
-	e.log.Append(Record{
+	e.log.add(Record{
 		Time:  e.now(),
 		Job:   e.job,
 		Op:    op.id,
@@ -340,18 +333,4 @@ func unquoteField(q string) (string, error) {
 		return inner, nil
 	}
 	return strconv.Unquote(q)
-}
-
-// JobIDs returns the distinct job IDs present in records, sorted.
-func JobIDs(records []Record) []string {
-	set := map[string]struct{}{}
-	for _, r := range records {
-		set[r.Job] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for j := range set {
-		out = append(out, j)
-	}
-	sort.Strings(out)
-	return out
 }

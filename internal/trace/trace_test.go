@@ -38,8 +38,8 @@ func TestEmitterProducesWellFormedRecords(t *testing.T) {
 	if recs[3].Event != EventEnd || recs[3].Time != 2 {
 		t.Fatalf("end record wrong: %+v", recs[3])
 	}
-	if log.Len() != 5 {
-		t.Fatalf("Len = %d", log.Len())
+	if len(log.Records()) != 5 {
+		t.Fatalf("records = %d", len(log.Records()))
 	}
 }
 
@@ -132,18 +132,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(c)); err == nil {
 			t.Errorf("expected parse error for %q", c)
 		}
-	}
-}
-
-func TestJobIDs(t *testing.T) {
-	records := []Record{
-		{Job: "b", Op: "1", Event: EventStart},
-		{Job: "a", Op: "2", Event: EventStart},
-		{Job: "b", Op: "1", Event: EventEnd},
-	}
-	ids := JobIDs(records)
-	if !reflect.DeepEqual(ids, []string{"a", "b"}) {
-		t.Fatalf("JobIDs = %v", ids)
 	}
 }
 

@@ -121,7 +121,7 @@ func SVGCPUChart(job *archive.Job) string {
 	plotW, plotH := float64(w-left-right), float64(h-top-bottom)
 	var sb strings.Builder
 	svgHeader(&sb, w, h, fmt.Sprintf("CPU utilization — %s (%s)", job.ID, job.Platform))
-	nodes, times, values := CPUSeries(job)
+	nodes, times, values := cpuSeries(job)
 	if len(times) == 0 {
 		sb.WriteString("</svg>\n")
 		return sb.String()

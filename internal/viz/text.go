@@ -74,18 +74,18 @@ func BreakdownBar(job *archive.Job, width int) (string, error) {
 	return sb.String(), nil
 }
 
-// CPUSeries extracts per-node CPU series from a job's environment
+// cpuSeries extracts per-node CPU series from a job's environment
 // samples, bucketed at the sampling interval: it returns sorted node
 // names, sorted sample times, and values[node][timeIndex].
-func CPUSeries(job *archive.Job) (nodes []string, times []float64, values map[string][]float64) {
-	return ResourceSeries(job, "cpu")
+func cpuSeries(job *archive.Job) (nodes []string, times []float64, values map[string][]float64) {
+	return resourceSeries(job, "cpu")
 }
 
-// ResourceSeries extracts per-node series for one resource kind ("cpu",
+// resourceSeries extracts per-node series for one resource kind ("cpu",
 // "disk", "nic"; the shared filesystem reports as node "sharedfs" under
 // kind "disk"). An empty sample kind counts as "cpu" for archives written
 // before multi-resource monitoring.
-func ResourceSeries(job *archive.Job, kind string) (nodes []string, times []float64, values map[string][]float64) {
+func resourceSeries(job *archive.Job, kind string) (nodes []string, times []float64, values map[string][]float64) {
 	match := func(s archive.EnvSample) bool {
 		if kind == "cpu" {
 			return s.IsCPU()
@@ -137,7 +137,7 @@ func CPUTimeline(job *archive.Job, rows, width int) string {
 	if width <= 0 {
 		width = 50
 	}
-	nodes, times, values := CPUSeries(job)
+	nodes, times, values := cpuSeries(job)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "CPU utilization, %s (%s): %d nodes, %d samples\n",
 		job.ID, job.Platform, len(nodes), len(times))

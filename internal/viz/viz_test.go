@@ -83,7 +83,7 @@ func TestBreakdownBar(t *testing.T) {
 }
 
 func TestCPUSeries(t *testing.T) {
-	nodes, times, values := CPUSeries(ganttJob())
+	nodes, times, values := cpuSeries(ganttJob())
 	if len(nodes) != 2 || nodes[0] != "node1" {
 		t.Fatalf("nodes = %v", nodes)
 	}

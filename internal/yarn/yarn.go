@@ -31,9 +31,9 @@ type Config struct {
 	ReleaseLatency float64
 }
 
-// DefaultConfig mirrors a stock Hadoop 2.x deployment: container grants in
+// defaultConfig mirrors a stock Hadoop 2.x deployment: container grants in
 // heartbeat rounds and multi-second JVM startup.
-func DefaultConfig() Config {
+func defaultConfig() Config {
 	return Config{
 		SubmitLatency:    2.0,
 		AllocLatency:     0.25,
@@ -61,12 +61,6 @@ func NewResourceManager(c *cluster.Cluster, cfg Config) *ResourceManager {
 	}
 	return &ResourceManager{cluster: c, cfg: cfg, freeCores: free}
 }
-
-// Config returns the RM latency profile.
-func (rm *ResourceManager) Config() Config { return rm.cfg }
-
-// FreeCores returns the uncommitted cores on node i.
-func (rm *ResourceManager) FreeCores(i int) int { return rm.freeCores[i] }
 
 // Application is a submitted YARN application.
 type Application struct {
@@ -165,6 +159,3 @@ func (a *Application) Release(p *sim.Proc) {
 	a.containers = nil
 	a.released = true
 }
-
-// Containers returns the application's currently-held containers.
-func (a *Application) Containers() []*Container { return a.containers }

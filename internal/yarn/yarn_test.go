@@ -89,8 +89,8 @@ func TestAllocateInsufficientCapacityRollsBack(t *testing.T) {
 		}
 		// All cores must be free again.
 		for i := 0; i < c.Size(); i++ {
-			if rm.FreeCores(i) != 4 {
-				t.Errorf("node %d free = %d, want 4", i, rm.FreeCores(i))
+			if rm.freeCores[i] != 4 {
+				t.Errorf("node %d free = %d, want 4", i, rm.freeCores[i])
 			}
 		}
 	})
@@ -161,18 +161,18 @@ func TestReleaseReturnsCores(t *testing.T) {
 			return
 		}
 		for i := 0; i < c.Size(); i++ {
-			if rm.FreeCores(i) != 0 {
-				t.Errorf("node %d free = %d, want 0", i, rm.FreeCores(i))
+			if rm.freeCores[i] != 0 {
+				t.Errorf("node %d free = %d, want 0", i, rm.freeCores[i])
 			}
 		}
-		if len(app.Containers()) != 4 {
-			t.Errorf("containers = %d, want 4", len(app.Containers()))
+		if len(app.containers) != 4 {
+			t.Errorf("containers = %d, want 4", len(app.containers))
 		}
 		app.Release(p)
 		app.Release(p) // idempotent
 		for i := 0; i < c.Size(); i++ {
-			if rm.FreeCores(i) != 4 {
-				t.Errorf("node %d free = %d after release, want 4", i, rm.FreeCores(i))
+			if rm.freeCores[i] != 4 {
+				t.Errorf("node %d free = %d after release, want 4", i, rm.freeCores[i])
 			}
 		}
 	})
@@ -182,7 +182,7 @@ func TestReleaseReturnsCores(t *testing.T) {
 }
 
 func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	if cfg.SubmitLatency <= 0 || cfg.LaunchLatency <= 0 || cfg.AllocLatency <= 0 {
 		t.Fatalf("default config has non-positive latencies: %+v", cfg)
 	}

@@ -26,25 +26,14 @@ type Config struct {
 	ConnectLatency float64
 }
 
-// DefaultConfig mirrors a small co-located ZooKeeper ensemble.
-func DefaultConfig() Config {
-	return Config{
-		OpLatency:      0.004,
-		OpCPUSeconds:   0.0005,
-		ConnectLatency: 0.05,
-	}
-}
-
 // Service is the coordination service, hosted on one cluster node.
 type Service struct {
 	host *cluster.Node
 	cfg  Config
 	eng  *sim.Engine
 
-	nodes    map[string][]byte
-	watches  map[string][]*sim.Event
-	sessions int
-	ops      int64
+	nodes   map[string]bool
+	watches map[string][]*sim.Event
 }
 
 // NewService starts a service hosted on the given node.
@@ -53,14 +42,10 @@ func NewService(host *cluster.Node, cfg Config) *Service {
 		host:    host,
 		cfg:     cfg,
 		eng:     host.CPU.Engine(),
-		nodes:   map[string][]byte{"/": nil},
+		nodes:   map[string]bool{"/": true},
 		watches: map[string][]*sim.Event{},
 	}
 }
-
-// Ops returns the number of znode operations served, a measure of
-// coordination traffic.
-func (s *Service) Ops() int64 { return s.ops }
 
 // Session is one client's connection to the service.
 type Session struct {
@@ -72,18 +57,13 @@ type Session struct {
 // Connect establishes a session from a client process.
 func (s *Service) Connect(p *sim.Proc, client string) *Session {
 	p.Sleep(s.cfg.ConnectLatency)
-	s.sessions++
 	return &Session{svc: s, Client: client}
 }
-
-// Sessions returns the number of sessions ever opened.
-func (s *Service) Sessions() int { return s.sessions }
 
 func (se *Session) op(p *sim.Proc) {
 	if se.closed {
 		panic("zookeeper: operation on closed session")
 	}
-	se.svc.ops++
 	p.Sleep(se.svc.cfg.OpLatency)
 	se.svc.host.Exec(p, se.svc.cfg.OpCPUSeconds)
 }
@@ -113,7 +93,7 @@ func parent(path string) string {
 }
 
 // Create makes a znode; the parent must exist.
-func (se *Session) Create(p *sim.Proc, path string, data []byte) error {
+func (se *Session) Create(p *sim.Proc, path string) error {
 	se.op(p)
 	if err := validPath(path); err != nil {
 		return err
@@ -124,38 +104,17 @@ func (se *Session) Create(p *sim.Proc, path string, data []byte) error {
 	if _, ok := se.svc.nodes[parent(path)]; !ok {
 		return fmt.Errorf("zookeeper: parent of %q missing", path)
 	}
-	se.svc.nodes[path] = data
+	se.svc.nodes[path] = true
 	se.svc.trigger(parent(path))
 	se.svc.trigger(path)
 	return nil
 }
 
-// Exists reports whether a znode is present.
-func (se *Session) Exists(p *sim.Proc, path string) bool {
+// exists reports whether a znode is present.
+func (se *Session) exists(p *sim.Proc, path string) bool {
 	se.op(p)
 	_, ok := se.svc.nodes[path]
 	return ok
-}
-
-// GetData returns a znode's data.
-func (se *Session) GetData(p *sim.Proc, path string) ([]byte, error) {
-	se.op(p)
-	data, ok := se.svc.nodes[path]
-	if !ok {
-		return nil, fmt.Errorf("zookeeper: no node %q", path)
-	}
-	return data, nil
-}
-
-// SetData replaces a znode's data.
-func (se *Session) SetData(p *sim.Proc, path string, data []byte) error {
-	se.op(p)
-	if _, ok := se.svc.nodes[path]; !ok {
-		return fmt.Errorf("zookeeper: no node %q", path)
-	}
-	se.svc.nodes[path] = data
-	se.svc.trigger(path)
-	return nil
 }
 
 // Delete removes a znode; it must have no children.
@@ -175,8 +134,8 @@ func (se *Session) Delete(p *sim.Proc, path string) error {
 	return nil
 }
 
-// Children lists the names of a znode's children, sorted.
-func (se *Session) Children(p *sim.Proc, path string) ([]string, error) {
+// children lists the names of a znode's children, sorted.
+func (se *Session) children(p *sim.Proc, path string) ([]string, error) {
 	se.op(p)
 	if _, ok := se.svc.nodes[path]; !ok {
 		return nil, fmt.Errorf("zookeeper: no node %q", path)
@@ -191,9 +150,9 @@ func (se *Session) Children(p *sim.Proc, path string) ([]string, error) {
 	return out, nil
 }
 
-// Watch returns a one-shot event fired at the next change of path (create,
+// watch returns a one-shot event fired at the next change of path (create,
 // data change, delete, or child change).
-func (se *Session) Watch(p *sim.Proc, path string) *sim.Event {
+func (se *Session) watch(p *sim.Proc, path string) *sim.Event {
 	se.op(p)
 	ev := sim.NewEvent(se.svc.eng)
 	se.svc.watches[path] = append(se.svc.watches[path], ev)
@@ -229,25 +188,25 @@ func NewDoubleBarrier(se *Session, path string, n int, name string) *DoubleBarri
 
 // Enter joins the barrier and blocks until all n participants have joined.
 func (b *DoubleBarrier) Enter(p *sim.Proc) error {
-	if !b.se.Exists(p, b.path) {
+	if !b.se.exists(p, b.path) {
 		// First arrival creates the barrier root; a concurrent create by
 		// another participant is fine.
-		_ = b.se.Create(p, b.path, nil)
+		_ = b.se.Create(p, b.path)
 	}
-	if err := b.se.Create(p, b.path+"/"+b.name, nil); err != nil {
+	if err := b.se.Create(p, b.path+"/"+b.name); err != nil {
 		return err
 	}
 	for {
-		children, err := b.se.Children(p, b.path)
+		children, err := b.se.children(p, b.path)
 		if err != nil {
 			return err
 		}
 		if len(children) >= b.n {
 			return nil
 		}
-		ev := b.se.Watch(p, b.path)
+		ev := b.se.watch(p, b.path)
 		// Re-check after setting the watch to avoid a lost wakeup.
-		children, err = b.se.Children(p, b.path)
+		children, err = b.se.children(p, b.path)
 		if err != nil {
 			return err
 		}
@@ -264,15 +223,15 @@ func (b *DoubleBarrier) Leave(p *sim.Proc) error {
 		return err
 	}
 	for {
-		children, err := b.se.Children(p, b.path)
+		children, err := b.se.children(p, b.path)
 		if err != nil {
 			return err
 		}
 		if len(children) == 0 {
 			return nil
 		}
-		ev := b.se.Watch(p, b.path)
-		children, err = b.se.Children(p, b.path)
+		ev := b.se.watch(p, b.path)
+		children, err = b.se.children(p, b.path)
 		if err != nil {
 			return err
 		}
