@@ -247,11 +247,21 @@ func (a *Archive) Job(id string) *Job {
 	return nil
 }
 
-// Save writes the archive as indented JSON.
+// Save writes the archive as indented JSON: byte for byte what
+// encoding/json's Encoder with SetIndent("", "  ") writes, trailing
+// newline included. It renders in one pass into a pooled buffer and
+// hands w the whole document in one Write. A NaN or infinite float is
+// an error, and then nothing is written.
 func (a *Archive) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.buf, e.err = e.buf[:0], nil
+	e.archive(a)
+	if e.err != nil {
+		return e.err
+	}
+	_, err := w.Write(e.buf)
+	return err
 }
 
 // Load reads an archive from JSON and restores internal links.

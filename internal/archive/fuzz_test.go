@@ -8,7 +8,8 @@ import (
 
 // FuzzReadArchive feeds Load arbitrary bytes: it must return an archive
 // or an error, never panic, and anything it accepts must satisfy the
-// structural invariants and survive a save/load round trip.
+// structural invariants, save to exactly the bytes encoding/json writes
+// for it, and survive a save/load round trip.
 func FuzzReadArchive(f *testing.F) {
 	// A valid archive, so the fuzzer starts from the happy path.
 	f.Add([]byte(`{"version":1,"jobs":[{"id":"j1","platform":"Giraph","root":{` +
@@ -53,6 +54,9 @@ func FuzzReadArchive(f *testing.F) {
 		var buf bytes.Buffer
 		if err := a.Save(&buf); err != nil {
 			t.Fatalf("Save of a loaded archive failed: %v", err)
+		}
+		if want, _ := referenceSave(a); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Save bytes differ from encoding/json\n got: %q\nwant: %q", buf.Bytes(), want)
 		}
 		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("round trip failed: %v", err)

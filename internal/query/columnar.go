@@ -23,7 +23,8 @@ import (
 type Columns struct {
 	f Frame
 	// symIDs and pathIDs index f.Syms and f.Paths while rows are being
-	// added; nil on snapshots, which are read-only.
+	// added; nil once BuildColumns returns and on snapshots, both
+	// read-only.
 	symIDs  map[string]uint32
 	pathIDs map[string]uint32
 }
@@ -73,10 +74,10 @@ func (c *Columns) add(op *archive.Operation, depth int32, path string) {
 // BuildColumns flattens job's operation tree into columns, in
 // depth-first order. A nil or empty job yields zero rows.
 func BuildColumns(job *archive.Job) *Columns {
-	c := newColumns()
 	if job == nil || job.Root == nil {
-		return &c
+		return &Columns{}
 	}
+	c := newColumns()
 	var walk func(op *archive.Operation, d int32, path string)
 	walk = func(op *archive.Operation, d int32, path string) {
 		c.add(op, d, path)
@@ -85,6 +86,8 @@ func BuildColumns(job *archive.Job) *Columns {
 		}
 	}
 	walk(job.Root, 0, job.Root.Mission)
+	// The columns are read-only from here; the intern maps are garbage.
+	c.symIDs, c.pathIDs = nil, nil
 	return &c
 }
 

@@ -9,15 +9,18 @@ import (
 )
 
 // respCache is a bounded LRU of rendered HTTP responses for the
-// read-only archive endpoints (/archive, /query, /viz). Entries are
-// keyed on (store generation, request), where the generation is read
-// before the handler touches any data: every acked write bumps the
-// generation inside the store's publish critical section, so a response
-// rendered concurrently with a write can only ever be filed under the
-// old generation — which no reader that observed the write's ack will
-// present. Invalidation is therefore O(1) (stale entries age out of the
-// LRU) and a hit returns bytes identical to what the handler would
-// render.
+// read-only archive endpoints (/archive, /query, /viz). It holds one
+// store generation, the newest it has seen, and its entries are keyed
+// on the request. Callers pass the generation they read before the
+// handler touched any data: every acked write bumps the generation
+// inside the store's publish critical section, so a response rendered
+// concurrently with a write can only ever carry the old generation —
+// which no reader that observed the write's ack will present. The first
+// get or put carrying a newer generation therefore drops every entry,
+// and a put carrying an older one is not stored: those bytes could
+// never be hit again. Invalidation is O(1), the cache's memory is that
+// of the live generation's entries, and a hit returns bytes identical
+// to what the handler would render.
 //
 // Every 200 response carries a strong content-hash ETag. Because the
 // tag hashes the body rather than the generation, a client revalidating
@@ -26,22 +29,18 @@ import (
 type respCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[respKey]*list.Element // of *respEntry
-	lru     list.List                 // front is most recent, back is next to evict
+	gen     uint64                   // the generation every entry was rendered under
+	entries map[string]*list.Element // request (METHOD path?rawquery) -> *respEntry
+	lru     list.List                // front is most recent, back is next to evict
 
 	hits        uint64
 	misses      uint64
 	notModified uint64
-	evictions   uint64
-}
-
-type respKey struct {
-	gen uint64
-	req string // METHOD path?rawquery
+	evictions   uint64 // LRU evictions within a generation; dropped generations do not count
 }
 
 type respEntry struct {
-	key         respKey
+	req         string
 	contentType string
 	etag        string
 	body        []byte
@@ -53,7 +52,19 @@ func newRespCache(capacity int) *respCache {
 	if capacity < 1 {
 		capacity = 512
 	}
-	return &respCache{cap: capacity, entries: make(map[respKey]*list.Element)}
+	return &respCache{cap: capacity, entries: make(map[string]*list.Element)}
+}
+
+// live moves the cache to gen if gen is newer, dropping every entry of
+// the older generation, and reports whether gen is the live generation.
+// Called with c.mu held.
+func (c *respCache) live(gen uint64) bool {
+	if gen > c.gen {
+		c.gen = gen
+		clear(c.entries)
+		c.lru.Init()
+	}
+	return gen == c.gen
 }
 
 // respCacheStats is a point-in-time snapshot of the cache counters.
@@ -76,11 +87,13 @@ func (c *respCache) stats() respCacheStats {
 }
 
 func (c *respCache) get(gen uint64, req string) *respEntry {
-	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
+	var el *list.Element
+	if c.live(gen) {
+		el = c.entries[req]
+	}
+	if el == nil {
 		c.misses++
 		return nil
 	}
@@ -90,18 +103,20 @@ func (c *respCache) get(gen uint64, req string) *respEntry {
 }
 
 func (c *respCache) put(gen uint64, req, contentType, etag string, body []byte) {
-	k := respKey{gen: gen, req: req}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
+	if !c.live(gen) {
+		return
+	}
+	if el, ok := c.entries[req]; ok {
 		// A concurrent miss on the same key rendered the same bytes
 		// (same generation, deterministic handlers); keep the first.
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[k] = c.lru.PushFront(&respEntry{key: k, contentType: contentType, etag: etag, body: body})
+	c.entries[req] = c.lru.PushFront(&respEntry{req: req, contentType: contentType, etag: etag, body: body})
 	if len(c.entries) > c.cap {
-		delete(c.entries, c.lru.Remove(c.lru.Back()).(*respEntry).key)
+		delete(c.entries, c.lru.Remove(c.lru.Back()).(*respEntry).req)
 		c.evictions++
 	}
 }

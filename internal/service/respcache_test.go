@@ -299,6 +299,60 @@ func TestCacheMetricsExposed(t *testing.T) {
 	)
 }
 
+// TestResponseCacheHoldsOneGeneration pins what the cache keeps across
+// a write: the first read under the new store generation drops every
+// entry of the old one without counting evictions, and a response
+// rendered under an older generation than the cache's is not stored.
+func TestResponseCacheHoldsOneGeneration(t *testing.T) {
+	store := newStore()
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("j%d", i)
+		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
+	defer exec.Shutdown(context.Background())
+	srv := NewServerWith(exec, store, nil, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	get := func(id string) {
+		t.Helper()
+		if code, _, _ := getWithETag(t, ts.URL+"/jobs/"+id+"/archive", ""); code != http.StatusOK {
+			t.Fatalf("%s: code %d", id, code)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		get(fmt.Sprintf("j%d", i))
+	}
+	before := srv.resp.stats()
+	if before.Size != 4 {
+		t.Fatalf("size %d after four distinct reads, want 4", before.Size)
+	}
+
+	if err := store.Put(revJob("j0", 9), Summary{ID: "j0"}); err != nil {
+		t.Fatal(err)
+	}
+	get("j1")
+	after := srv.resp.stats()
+	if after.Size != 1 {
+		t.Fatalf("size %d after a write and one read, want 1: the old generation's entries stay", after.Size)
+	}
+	if after.Evictions != before.Evictions {
+		t.Fatalf("evictions %d -> %d: dropping a generation counted as LRU eviction", before.Evictions, after.Evictions)
+	}
+
+	gen := store.gen()
+	srv.resp.put(gen-1, "GET /stale?", "application/json", `"x"`, []byte("stale"))
+	if st := srv.resp.stats(); st.Size != 1 {
+		t.Fatalf("size %d after a put under an older generation, want 1", st.Size)
+	}
+	if e := srv.resp.get(gen, "GET /stale?"); e != nil {
+		t.Fatal("a render filed under an older generation was served")
+	}
+}
+
 // TestResponseCacheLRUEviction fills the cache beyond capacity and
 // checks eviction keeps it bounded while still serving correct bytes.
 func TestResponseCacheLRUEviction(t *testing.T) {

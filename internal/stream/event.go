@@ -126,7 +126,7 @@ func (e *Event) validate() error {
 // event is validated.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	sc.Buffer(nil, maxLineBytes)
 	var out []Event
 	lineNo := 0
 	for sc.Scan() {

@@ -184,11 +184,10 @@ type Job struct {
 	events  []Event
 	lastSeq uint64
 
-	ops     map[string]*liveOp
-	root    *liveOp
-	open    int // started, not yet ended
-	cols    *query.AppendColumns
-	samples []envmon.Sample
+	ops  map[string]*liveOp
+	root *liveOp
+	open int // started, not yet ended
+	cols *query.AppendColumns
 
 	sealed    bool
 	sealState string
@@ -375,10 +374,6 @@ func (j *Job) apply(e Event) {
 			lo.op.Infos = map[string]string{}
 		}
 		lo.op.Infos[e.Key] = e.Value
-	case typeEnv:
-		j.samples = append(j.samples, envmon.Sample{
-			Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used,
-		})
 	case TypeSeal:
 		j.sealed = true
 		j.sealState = e.State
