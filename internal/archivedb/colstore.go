@@ -15,9 +15,9 @@ package archivedb
 //     temp files), so a deleted job can never resurrect through a
 //     segment scan.
 //   - GetSegmentTail reads only the file's tail — enough for a
-//     zone-map stats footer — so a pruned segment costs one small read
-//     and the body is never touched. The full/tail read counters in
-//     Stats let tests prove that.
+//     zone-map stats footer — without touching the body. The serving
+//     store keeps zone maps in memory and never calls it; the full/tail
+//     read counters in Stats let tests prove what a query read.
 
 import (
 	"encoding/hex"

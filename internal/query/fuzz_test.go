@@ -1,13 +1,108 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/archive"
 )
+
+// sameStats compares two footers with floats compared by IEEE bits, so
+// -0 differs from 0 and a NaN equals itself.
+func sameStats(a, b SegStats) bool {
+	floats := func(s *SegStats) []*float64 {
+		return []*float64{&s.Meta.Runtime,
+			&s.Depth.Min, &s.Depth.Max, &s.Start.Min, &s.Start.Max,
+			&s.End.Min, &s.End.Max, &s.Dur.Min, &s.Dur.Max}
+	}
+	fa, fb := floats(&a), floats(&b)
+	for i := range fa {
+		if math.Float64bits(*fa[i]) != math.Float64bits(*fb[i]) {
+			return false
+		}
+		*fa[i], *fb[i] = 0, 0
+	}
+	return a == b
+}
+
+// fuzzFrame builds a small frame of n%3 rows whose values come from the
+// fuzzer: zero rows give empty symbol ranges, and start/dur/runtime may
+// be -0, NaN or ±Inf.
+func fuzzFrame(n uint8, sym string, runtime, start, dur float64) *Frame {
+	f := &Frame{
+		Meta: JobMeta{ID: sym, Platform: sym + "p", Runtime: runtime, Supersteps: -int(n), Operations: int(n) << 40},
+		Syms: []string{sym, ""},
+	}
+	for i := 0; i < int(n%3); i++ {
+		f.Depth = append(f.Depth, int32(i)-1)
+		f.Start = append(f.Start, start)
+		f.End = append(f.End, start+dur)
+		f.Dur = append(f.Dur, dur*float64(i))
+		f.Mission = append(f.Mission, uint32(i%2))
+		f.Actor = append(f.Actor, 0)
+		f.ID = append(f.ID, 1)
+	}
+	return f
+}
+
+// FuzzSegmentDecode feeds arbitrary bytes to the segment decoders. They
+// must never panic; a blob that decodes must yield the same footer from
+// DecodeSegmentStats as from DecodeSegment; and a frame built from the
+// other inputs must round-trip EncodeSegment → DecodeSegment to exactly
+// its FrameStats, and re-encode to the same bytes.
+func FuzzSegmentDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(53))
+	job := genJob(rng, "fz-seg")
+	valid, err := EncodeSegment(BuildColumns(job).Frame(genMeta(rng, job)), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, seed := range []struct {
+		blob           []byte
+		n              uint8
+		sym            string
+		rt, start, dur float64
+	}{
+		{valid, 2, "Compute", 21, 0, 5},
+		{valid[:len(valid)-1], 0, "", negZero, negZero, 0},
+		{valid[len(valid)-40:], 1, "5.0", math.NaN(), math.Inf(-1), math.Inf(1)},
+		{[]byte("GRNLCOL1"), 2, "x", math.Inf(1), 1e308, 1e308},
+		{nil, 1, "", -1, math.NaN(), -0.5},
+	} {
+		f.Add(seed.blob, seed.n, seed.sym, seed.rt, seed.start, seed.dur)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, n uint8, sym string, rt, start, dur float64) {
+		if _, st, err := DecodeSegment(blob); err == nil {
+			tail, err := DecodeSegmentStats(blob, int64(len(blob)))
+			if err != nil || !sameStats(*st, *tail) {
+				t.Fatalf("DecodeSegment stats %+v, DecodeSegmentStats %+v (%v)", st, tail, err)
+			}
+		}
+
+		fr := fuzzFrame(n, sym, rt, start, dur)
+		version := uint64(n) << 56
+		enc, err := EncodeSegment(fr, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, st, err := DecodeSegment(enc)
+		if err != nil {
+			t.Fatalf("encoded segment does not decode: %v", err)
+		}
+		if want := FrameStats(fr, version); !sameStats(*st, *want) {
+			t.Fatalf("footer %+v, FrameStats %+v", st, want)
+		}
+		re, err := EncodeSegment(dec, version)
+		if err != nil || !bytes.Equal(re, enc) {
+			t.Fatalf("decoded frame re-encodes differently (%v)", err)
+		}
+	})
+}
 
 // TestParseNeverPanicsProperty feeds the parser random byte soup and
 // random near-grammatical strings: it must return an error or a query,

@@ -4,7 +4,7 @@
 // plus a zone-map stats footer, CRC-framed in the WAL's style
 // (little-endian u32 length + u32 CRC32C per frame):
 //
-//	magic "GRNLCOL1"                     (8 bytes)
+//	magic "GRNLCOL2"                     (8 bytes)
 //	u32 bodyLen | u32 crc32c(body)       body frame header
 //	body:
 //	  u32 rows | u32 nsyms
@@ -16,21 +16,31 @@
 //	  actor   uint32  × rows
 //	  id      uint32  × rows
 //	  syms:   nsyms × (u32 len | bytes)
-//	u32 statsLen | u32 crc32c(stats)     stats frame (JSON SegStats)
-//	u32 statsFrameLen | magic "GCT1"     trailer (8 bytes)
+//	u32 statsLen | u32 crc32c(stats)     stats frame header
+//	stats (SegStats, field order):
+//	  u32 format | u64 jobVersion
+//	  meta: str id | str platform | str algorithm
+//	        f64 runtime | i64 supersteps | i64 operations
+//	  u32 rows
+//	  depth, start, end, dur:   f64 min | f64 max | u8 finite
+//	  mission, actor, id:       str min | str max
+//	u32 statsFrameLen | magic "GCT2"     trailer (8 bytes)
+//
+// where str is u32 len | bytes, f64 is IEEE bits (so -0, NaN and ±Inf
+// round-trip exactly) and finite is 0 or 1. The v1 layout ("GRNLCOL1",
+// a JSON stats frame, "GCT1") fails to decode and is rebuilt lazily.
 //
 // Columns are contiguous fixed-stride blocks at computable offsets —
 // an mmap of the body could serve the typed slices directly; the
 // current reader copies, which keeps segments independent of the file
 // lifetime. The stats footer is reachable from the file tail alone
-// (read the 8-byte trailer, then the stats frame), so zone-map pruning
-// decides whether to touch the body without reading any column bytes —
-// that is what the "pruned segments are never read" test measures.
+// (read the 8-byte trailer, then the stats frame). The serving store
+// keeps every job's stats resident (FrameStats), so it prunes without
+// touching the file and reads a scanned segment exactly once.
 package query
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -40,11 +50,12 @@ import (
 )
 
 const (
-	segMagic        = "GRNLCOL1"
-	segTrailerMagic = "GCT1"
-	// SegmentVersion stamps encoded segments; bump it when the layout
-	// or the stats semantics change so stale segments rebuild lazily.
-	SegmentVersion = 1
+	segMagic        = "GRNLCOL2"
+	segTrailerMagic = "GCT2"
+	// segmentVersion stamps encoded segments; bump it (and the magics)
+	// when the layout or the stats semantics change: a segment of
+	// another version fails to decode and is rebuilt lazily.
+	segmentVersion = 2
 	// SegmentTailHint is how many trailing bytes of a segment file are
 	// enough to recover the stats footer in one read for any realistic
 	// stats size.
@@ -54,43 +65,43 @@ const (
 	maxSegSyms = 1 << 26
 )
 
-// ErrSegmentTail reports that the provided tail window was too small
+// errSegmentTail reports that the provided tail window was too small
 // to contain the stats footer; callers fall back to a full read.
-var ErrSegmentTail = errors.New("query: segment stats footer exceeds tail window")
+var errSegmentTail = errors.New("query: segment stats footer exceeds tail window")
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // NumRange is a numeric column's zone map. Finite reports that every
 // value in the column is finite; Min/Max cover the finite values.
 type NumRange struct {
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Finite bool    `json:"finite"`
+	Min    float64
+	Max    float64
+	Finite bool
 }
 
 // SymRange is a symbol column's zone map: the lexicographically
 // smallest and largest strings appearing in the column.
 type SymRange struct {
-	Min string `json:"min"`
-	Max string `json:"max"`
+	Min string
+	Max string
 }
 
 // SegStats is the segment's stats footer: the job metadata, a version
 // for staleness detection, and per-column zone maps. It is all a
 // planner needs to prune the segment without reading the body.
 type SegStats struct {
-	FormatVersion int     `json:"format"`
-	JobVersion    uint64  `json:"jobVersion"`
-	Meta          JobMeta `json:"meta"`
-	Rows          int     `json:"rows"`
+	FormatVersion int
+	JobVersion    uint64
+	Meta          JobMeta
+	Rows          int
 
-	Depth   NumRange `json:"depth"`
-	Start   NumRange `json:"start"`
-	End     NumRange `json:"end"`
-	Dur     NumRange `json:"dur"`
-	Mission SymRange `json:"mission"`
-	Actor   SymRange `json:"actor"`
-	ID      SymRange `json:"id"`
+	Depth   NumRange
+	Start   NumRange
+	End     NumRange
+	Dur     NumRange
+	Mission SymRange
+	Actor   SymRange
+	ID      SymRange
 }
 
 func numRangeOf(col []float64) NumRange {
@@ -142,10 +153,12 @@ func symRangeOf(col []uint32, syms []string) SymRange {
 	return r
 }
 
-// buildSegStats computes the zone-map footer for a frame.
-func buildSegStats(f *Frame, jobVersion uint64) *SegStats {
+// FrameStats computes a frame's zone maps: exactly the stats footer
+// EncodeSegment writes for (f, jobVersion). The serving store keeps
+// one per job in memory so pruning needs no I/O.
+func FrameStats(f *Frame, jobVersion uint64) *SegStats {
 	return &SegStats{
-		FormatVersion: SegmentVersion,
+		FormatVersion: segmentVersion,
 		JobVersion:    jobVersion,
 		Meta:          f.Meta,
 		Rows:          f.rows(),
@@ -162,49 +175,168 @@ func buildSegStats(f *Frame, jobVersion uint64) *SegStats {
 // EncodeSegment serializes a frame (and its zone-map stats) into the
 // segment file format.
 func EncodeSegment(f *Frame, jobVersion uint64) ([]byte, error) {
-	rows := f.rows()
-	body := make([]byte, 0, 8+rows*(4+8*3+4*3)+len(f.Syms)*8)
-	body = binary.LittleEndian.AppendUint32(body, uint32(rows))
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(f.Syms)))
+	rows, nsyms := f.rows(), len(f.Syms)
+	if rows > maxSegRows || nsyms > maxSegSyms {
+		return nil, fmt.Errorf("query: segment too large (%d rows, %d symbols)", rows, nsyms)
+	}
+	le := binary.LittleEndian
+	// magic | body frame | stats frame (a few hundred bytes) | trailer
+	out := make([]byte, 0, len(segMagic)+16+rows*(4+8*3+4*3)+nsyms*8+8+256+8)
+	out = append(out, segMagic...)
+	out = append(out, make([]byte, 8)...)
+	body := len(out)
+	out = le.AppendUint32(out, uint32(rows))
+	out = le.AppendUint32(out, uint32(nsyms))
 	for _, v := range f.Depth {
-		body = binary.LittleEndian.AppendUint32(body, uint32(v))
+		out = le.AppendUint32(out, uint32(v))
 	}
 	for _, col := range [][]float64{f.Start, f.End, f.Dur} {
 		for _, v := range col {
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+			out = le.AppendUint64(out, math.Float64bits(v))
 		}
 	}
 	for _, col := range [][]uint32{f.Mission, f.Actor, f.ID} {
 		for _, v := range col {
-			body = binary.LittleEndian.AppendUint32(body, v)
+			out = le.AppendUint32(out, v)
 		}
 	}
 	for _, s := range f.Syms {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(s)))
-		body = append(body, s...)
+		out = appendSegString(out, s)
 	}
+	sealSegFrame(out, body)
 
-	stats, err := json.Marshal(buildSegStats(f, jobVersion))
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]byte, 0, len(segMagic)+8+len(body)+8+len(stats)+8)
-	out = append(out, segMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, segCRC))
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(stats)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(stats, segCRC))
-	out = append(out, stats...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(8+len(stats)))
+	out = append(out, make([]byte, 8)...)
+	stats := len(out)
+	out = appendSegStats(out, FrameStats(f, jobVersion))
+	sealSegFrame(out, stats)
+	out = le.AppendUint32(out, uint32(len(out)-stats+8))
 	out = append(out, segTrailerMagic...)
 	return out, nil
 }
 
+// sealSegFrame fills the 8-byte frame header just before out[start:]
+// with the payload's length and CRC.
+func sealSegFrame(out []byte, start int) {
+	payload := out[start:]
+	binary.LittleEndian.PutUint32(out[start-8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[start-4:], crc32.Checksum(payload, segCRC))
+}
+
+func appendSegString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// appendSegStats appends the binary stats payload (layout in the file
+// comment).
+func appendSegStats(b []byte, st *SegStats) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(st.FormatVersion))
+	b = le.AppendUint64(b, st.JobVersion)
+	b = appendSegString(b, st.Meta.ID)
+	b = appendSegString(b, st.Meta.Platform)
+	b = appendSegString(b, st.Meta.Algorithm)
+	b = le.AppendUint64(b, math.Float64bits(st.Meta.Runtime))
+	b = le.AppendUint64(b, uint64(st.Meta.Supersteps))
+	b = le.AppendUint64(b, uint64(st.Meta.Operations))
+	b = le.AppendUint32(b, uint32(st.Rows))
+	for _, r := range [...]*NumRange{&st.Depth, &st.Start, &st.End, &st.Dur} {
+		b = le.AppendUint64(b, math.Float64bits(r.Min))
+		b = le.AppendUint64(b, math.Float64bits(r.Max))
+		finite := byte(0)
+		if r.Finite {
+			finite = 1
+		}
+		b = append(b, finite)
+	}
+	for _, r := range [...]*SymRange{&st.Mission, &st.Actor, &st.ID} {
+		b = appendSegString(b, r.Min)
+		b = appendSegString(b, r.Max)
+	}
+	return b
+}
+
+// segStatsReader decodes the stats payload. The first short read marks
+// it bad and every later read returns zero; decoded strings are
+// substrings of one copy of the payload.
+type segStatsReader struct {
+	b   []byte
+	s   string
+	off int
+	bad bool
+}
+
+// take advances past n bytes and returns where they start.
+func (r *segStatsReader) take(n uint64) (int, bool) {
+	if r.bad || n > uint64(len(r.b)-r.off) {
+		r.bad = true
+		return 0, false
+	}
+	i := r.off
+	r.off += int(n)
+	return i, true
+}
+
+func (r *segStatsReader) u32() uint32 {
+	if i, ok := r.take(4); ok {
+		return binary.LittleEndian.Uint32(r.b[i:])
+	}
+	return 0
+}
+
+func (r *segStatsReader) u64() uint64 {
+	if i, ok := r.take(8); ok {
+		return binary.LittleEndian.Uint64(r.b[i:])
+	}
+	return 0
+}
+
+func (r *segStatsReader) str() string {
+	n := uint64(r.u32())
+	if i, ok := r.take(n); ok {
+		return r.s[i:r.off]
+	}
+	return ""
+}
+
+func decodeSegStats(payload []byte) (*SegStats, error) {
+	r := &segStatsReader{b: payload, s: string(payload)}
+	st := &SegStats{FormatVersion: int(r.u32()), JobVersion: r.u64()}
+	st.Meta.ID, st.Meta.Platform, st.Meta.Algorithm = r.str(), r.str(), r.str()
+	st.Meta.Runtime = math.Float64frombits(r.u64())
+	st.Meta.Supersteps = int(int64(r.u64()))
+	st.Meta.Operations = int(int64(r.u64()))
+	st.Rows = int(r.u32())
+	for _, nr := range [...]*NumRange{&st.Depth, &st.Start, &st.End, &st.Dur} {
+		nr.Min = math.Float64frombits(r.u64())
+		nr.Max = math.Float64frombits(r.u64())
+		if i, ok := r.take(1); ok {
+			switch payload[i] {
+			case 1:
+				nr.Finite = true
+			case 0:
+			default:
+				r.bad = true
+			}
+		}
+	}
+	for _, sr := range [...]*SymRange{&st.Mission, &st.Actor, &st.ID} {
+		sr.Min, sr.Max = r.str(), r.str()
+	}
+	switch {
+	case r.bad || r.off != len(payload):
+		return nil, fmt.Errorf("query: malformed segment stats")
+	case st.FormatVersion != segmentVersion:
+		return nil, fmt.Errorf("query: segment stats format %d, want %d", st.FormatVersion, segmentVersion)
+	case st.Rows > maxSegRows:
+		return nil, fmt.Errorf("query: implausible segment stats rows")
+	}
+	return st, nil
+}
+
 // DecodeSegmentStats recovers the stats footer from the tail of a
 // segment file without the body: tail holds the file's last len(tail)
-// bytes and fileSize the full size. Returns ErrSegmentTail when the
+// bytes and fileSize the full size. Returns errSegmentTail when the
 // window is too small (caller re-reads with a bigger one).
 func DecodeSegmentStats(tail []byte, fileSize int64) (*SegStats, error) {
 	if int64(len(tail)) > fileSize {
@@ -222,7 +354,7 @@ func DecodeSegmentStats(tail []byte, fileSize int64) (*SegStats, error) {
 		return nil, fmt.Errorf("query: bad segment stats length")
 	}
 	if frameLen+8 > int64(len(tail)) {
-		return nil, ErrSegmentTail
+		return nil, errSegmentTail
 	}
 	frame := tail[int64(len(tail))-8-frameLen : len(tail)-8]
 	statsLen := binary.LittleEndian.Uint32(frame[:4])
@@ -234,11 +366,7 @@ func DecodeSegmentStats(tail []byte, fileSize int64) (*SegStats, error) {
 	if crc32.Checksum(payload, segCRC) != crc {
 		return nil, fmt.Errorf("query: segment stats checksum mismatch")
 	}
-	var st SegStats
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("query: segment stats: %w", err)
-	}
-	return &st, nil
+	return decodeSegStats(payload)
 }
 
 // DecodeSegment deserializes a full segment file into a Frame (Ops is

@@ -23,7 +23,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.JobVersion != uint64(i+1) || st.FormatVersion != SegmentVersion {
+		if st.JobVersion != uint64(i+1) || st.FormatVersion != segmentVersion {
 			t.Fatalf("stats header wrong: %+v", st)
 		}
 		if got.rows() != f.rows() {
@@ -81,10 +81,10 @@ func TestSegmentStatsFromTail(t *testing.T) {
 	if st.Rows != full.Rows || st.JobVersion != full.JobVersion || st.Dur != full.Dur || st.Mission != full.Mission {
 		t.Fatalf("tail stats %+v != full stats %+v", st, full)
 	}
-	// A window too small for the footer reports ErrSegmentTail, not
+	// A window too small for the footer reports errSegmentTail, not
 	// garbage.
-	if _, err := DecodeSegmentStats(blob[len(blob)-8:], int64(len(blob))); err != ErrSegmentTail {
-		t.Fatalf("tiny window: got %v, want ErrSegmentTail", err)
+	if _, err := DecodeSegmentStats(blob[len(blob)-8:], int64(len(blob))); err != errSegmentTail {
+		t.Fatalf("tiny window: got %v, want errSegmentTail", err)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 		job := genJob(rng, fmt.Sprintf("prune-%03d", i))
 		meta := genMeta(rng, job)
 		f := BuildColumns(job).Frame(meta)
-		st := buildSegStats(f, 1)
+		st := FrameStats(f, 1)
 		raw := genAggQuery(rng)
 		q, err := Parse(raw)
 		if err != nil {
@@ -158,7 +158,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 func TestZoneMapPruningEffective(t *testing.T) {
 	job := testJob() // starts 0..20, missions Cleanup..ProcessGraph
 	meta := JobMeta{ID: "q", Platform: "Giraph", Runtime: 20, Supersteps: 3}
-	st := buildSegStats(BuildColumns(job).Frame(meta), 1)
+	st := FrameStats(BuildColumns(job).Frame(meta), 1)
 	prunable := []string{
 		`from jobs where start > 100 group by mission`,
 		`from jobs where duration < 0 group by mission`,
@@ -211,7 +211,7 @@ func TestPruneNumericLookalikeSymbols(t *testing.T) {
 		},
 	}
 	f := BuildColumns(job).Frame(JobMeta{ID: "numsym"})
-	st := buildSegStats(f, 1)
+	st := FrameStats(f, 1)
 
 	// "5.0" is lexicographically outside the ["5","5"] range but
 	// numerically equal to every value in it: pruning would be wrong.

@@ -3,10 +3,12 @@ package service
 // Analytical query engine v2 surface: GET /query2 executes cross-job
 // aggregate queries ("from jobs where ... group by ...") over the
 // store's on-disk columnar segments without materializing archive.Job
-// trees. Per job the engine reads only the segment's stats footer
-// first; if the query's zone maps prove no row can match, the body is
-// never touched (the archivedb ColSegTailReads/ColSegFullReads
-// counters make that observable). GET /internal/query2 returns the
+// trees. Per job the engine first consults the zone maps the store
+// keeps in memory; if they prove no row can match, the segment file is
+// never opened, and otherwise it is read once (the archivedb
+// ColSegFullReads counter makes both observable). Jobs are aggregated
+// by one worker per core, each partial landing in its job's slot so the
+// result does not depend on scheduling. GET /internal/query2 returns the
 // raw per-job partials for the router's scatter-gather — the merge is
 // the same canonical fold either way, so a routed response is
 // byte-identical to a single-node one.
@@ -18,7 +20,10 @@ package service
 
 import (
 	"net/http"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/query"
 	"repro/internal/shard"
@@ -50,20 +55,63 @@ func (s *Server) aggQuery(w http.ResponseWriter, r *http.Request) (*query.Query,
 	return q, raw, true
 }
 
-// localPartials computes one partial aggregate per stored job, using
-// the segment fast path (tail read -> zone-map prune -> body decode)
-// and falling back to the in-memory columns when a segment is
-// missing, stale, or corrupt (pre-v2 archives, crash before rebuild).
+// localPartials computes one partial aggregate per stored job, in job
+// ID order.
 func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
 	ids := s.store.ids()
-	partials := make([]query.JobPartial, 0, len(ids))
-	for _, id := range ids {
-		jp, ok, err := s.partialForJob(q, id)
-		if err != nil {
-			return nil, err
+	return partialsInOrder(len(ids), func(i int) (query.JobPartial, bool, error) {
+		return s.partialForJob(q, ids[i])
+	})
+}
+
+// partialsInOrder calls part for indexes 0..n-1 over
+// runtime.GOMAXPROCS(0) workers and returns the ok partials in index
+// order. Workers claim indexes in order and each writes only its own
+// slot, so the result is the serial loop's; on failure the error
+// returned is the lowest index's, which is also what the serial loop
+// returns. After a failure no new index is claimed — every index below
+// the failing one was already. With one worker it is the serial loop.
+func partialsInOrder(n int, part func(i int) (query.JobPartial, bool, error)) ([]query.JobPartial, error) {
+	type slot struct {
+		jp  query.JobPartial
+		ok  bool
+		err error
+	}
+	slots := make([]slot, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			sl := &slots[i]
+			if sl.jp, sl.ok, sl.err = part(i); sl.err != nil {
+				failed.Store(true)
+			}
 		}
-		if ok {
-			partials = append(partials, jp)
+	}
+	if workers := min(runtime.GOMAXPROCS(0), n); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	partials := make([]query.JobPartial, 0, n)
+	for _, sl := range slots {
+		if sl.err != nil {
+			return nil, sl.err
+		}
+		if sl.ok {
+			partials = append(partials, sl.jp)
 		}
 	}
 	return partials, nil
@@ -72,43 +120,37 @@ func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
 // partialForJob aggregates one job. ok is false when the job vanished
 // between listing and reading (a concurrent delete) — it simply
 // contributes nothing, exactly as if the listing had run later.
+//
+// One get yields the columns, the zone map and the version of one
+// publish. A pruned job costs no I/O; a scanned one costs exactly one
+// segment read, whose CRCs and version are checked. A missing, corrupt
+// or older segment (v1 layout, crash before rebuild) falls back to
+// the in-memory columns and is rewritten for the next query; a newer
+// one means a Put is publishing right now and is left alone.
 func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, bool, error) {
-	version := s.store.version(id)
-	if db := s.store.db; db != nil && version != 0 {
-		// Stats footer first: a pruned segment costs one small tail
-		// read and its column blocks are never touched.
-		if tail, size, ok, err := db.GetSegmentTail(id, query.SegmentTailHint); err == nil && ok {
-			st, serr := query.DecodeSegmentStats(tail, size)
-			if serr == query.ErrSegmentTail {
-				// Footer larger than the hint window (pathological
-				// symbol inventory); fall back to a full read.
-				if blob, ok2, err2 := db.GetSegment(id); err2 == nil && ok2 {
-					if f, fst, derr := query.DecodeSegment(blob); derr == nil && fst.JobVersion == version {
-						jp, aerr := q.AggregateFrame(f)
-						return jp, aerr == nil, aerr
-					}
-				}
-			} else if serr == nil && st.FormatVersion == query.SegmentVersion && st.JobVersion == version {
-				if q.PruneAgainst(st) {
-					return query.PrunedPartial(id), true, nil
-				}
-				if blob, ok2, err2 := db.GetSegment(id); err2 == nil && ok2 {
-					if f, fst, derr := query.DecodeSegment(blob); derr == nil && fst.JobVersion == version {
-						jp, aerr := q.AggregateFrame(f)
-						return jp, aerr == nil, aerr
-					}
-				}
-			}
-		}
-	}
-	// Lazy rebuild: no usable segment, so aggregate the in-memory
-	// columns and persist a fresh segment for the next query.
 	sj, ok := s.store.get(id)
 	if !ok {
 		return query.JobPartial{}, false, nil
 	}
-	s.store.writeSegment(id, sj, version)
-	jp, err := q.AggregateFrame(sj.Cols.Frame(jobMeta(id, sj.Summary)))
+	if q.PruneAgainst(sj.Stats) {
+		return query.PrunedPartial(id), true, nil
+	}
+	if db := s.store.db; db != nil {
+		rebuild := true
+		if blob, ok, err := db.GetSegment(id); err == nil && ok {
+			if f, st, err := query.DecodeSegment(blob); err == nil {
+				if st.JobVersion == sj.Version {
+					jp, err := q.AggregateFrame(f)
+					return jp, err == nil, err
+				}
+				rebuild = st.JobVersion < sj.Version
+			}
+		}
+		if rebuild {
+			s.store.writeSegment(id, sj)
+		}
+	}
+	jp, err := q.AggregateFrame(sj.frame())
 	return jp, err == nil, err
 }
 

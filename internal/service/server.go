@@ -514,7 +514,7 @@ func (s *Server) handleJobAggregate(w http.ResponseWriter, id, raw string, q *qu
 			"job %q is still streaming; aggregate queries need a sealed archive", id)
 		return
 	}
-	jp, err := q.AggregateFrame(sj.Cols.Frame(jobMeta(id, sj.Summary)))
+	jp, err := q.AggregateFrame(sj.frame())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

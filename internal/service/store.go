@@ -43,15 +43,20 @@ type Summary struct {
 	ModelErrors       []string `json:"modelErrors,omitempty"`
 }
 
-// storedJob is one archived job: the operation tree, its summary, and
-// Cols, the columnar projection of the tree that every query on the
-// job — ?q= row queries, aggregates, the ?mission=/?actor=/?path=
-// lookups — evaluates against. Cols is built once when the job enters
-// the store, after which the tree is treated as immutable.
+// storedJob is one published version of an archived job: the operation
+// tree, its summary, and Cols, the columnar projection of the tree that
+// every query on the job — ?q= row queries, aggregates, the
+// ?mission=/?actor=/?path= lookups — evaluates against. Stats is the
+// zone map of Cols (the footer its segment carries), so /query2 prunes
+// without I/O; Version orders replicated writes of the job. All of it
+// is built once when the job enters the store and is immutable after,
+// so one get sees one consistent publish.
 type storedJob struct {
 	Job     *archive.Job
 	Summary Summary
 	Cols    *query.Columns
+	Stats   *query.SegStats
+	Version uint64
 }
 
 // pathKey is an operation's mission path from the root, e.g.
@@ -60,9 +65,18 @@ func pathKey(op *archive.Operation) string {
 	return strings.Join(op.Path(), "/")
 }
 
-func indexJob(job *archive.Job, sum Summary) *storedJob {
-	return &storedJob{Job: job, Summary: sum, Cols: query.BuildColumns(job)}
+// indexJob builds the stored form of version of a job kept under key id.
+func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJob {
+	cols := query.BuildColumns(job)
+	return &storedJob{
+		Job: job, Summary: sum, Cols: cols, Version: version,
+		Stats: query.FrameStats(cols.Frame(jobMeta(id, sum)), version),
+	}
 }
+
+// frame returns the job's columns as a frame tagged with its job.*
+// fields.
+func (sj *storedJob) frame() *query.Frame { return sj.Cols.Frame(sj.Stats.Meta) }
 
 // persistedJob is the archivedb payload schema: the serving summary
 // plus the full performance archive of one job. encoding/json emits
@@ -110,10 +124,9 @@ type StoreOptions struct {
 // background probe re-closes the breaker once storage recovers. It is
 // safe for concurrent readers and writers.
 type Store struct {
-	mu       sync.RWMutex
-	jobs     map[string]*storedJob
-	versions map[string]uint64
-	db       *archivedb.DB
+	mu   sync.RWMutex
+	jobs map[string]*storedJob
+	db   *archivedb.DB
 
 	// streamKeys tracks, per live streamed job, the archivedb keys of
 	// its acked ingest batches so sealing can delete them in one sweep.
@@ -143,7 +156,6 @@ type Store struct {
 func newStore() *Store {
 	return &Store{
 		jobs:       map[string]*storedJob{},
-		versions:   map[string]uint64{},
 		streamKeys: map[string][]string{},
 		hints:      map[string]map[string]shard.HintRecord{},
 	}
@@ -215,11 +227,10 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 			return nil, fmt.Errorf("service: job %q persisted without an archive", id)
 		}
 		archive.New().Add(pj.Job) // restore parent links and child order
-		s.jobs[id] = indexJob(pj.Job, pj.Summary)
 		if pj.Version == 0 {
 			pj.Version = 1
 		}
-		s.versions[id] = pj.Version
+		s.jobs[id] = indexJob(id, pj.Job, pj.Summary, pj.Version)
 	}
 	sort.Slice(s.recoveredStream, func(i, j int) bool {
 		a, b := s.recoveredStream[i], s.recoveredStream[j]
@@ -312,11 +323,11 @@ func jobMeta(id string, sum Summary) query.JobMeta {
 // segment is rebuilt lazily from the in-memory columns on the next
 // aggregate query — so a failure here must not fail the Put that
 // carries the durable record.
-func (s *Store) writeSegment(id string, sj *storedJob, version uint64) {
+func (s *Store) writeSegment(id string, sj *storedJob) {
 	if s.db == nil {
 		return
 	}
-	blob, err := query.EncodeSegment(sj.Cols.Frame(jobMeta(id, sj.Summary)), version)
+	blob, err := query.EncodeSegment(sj.frame(), sj.Version)
 	if err != nil {
 		return
 	}
@@ -336,10 +347,8 @@ func (s *Store) writeSegment(id string, sj *storedJob, version uint64) {
 // breaker.
 func (s *Store) Put(job *archive.Job, sum Summary) error {
 	archive.New().Add(job)
-	sj := indexJob(job, sum)
-	s.mu.RLock()
-	version := s.versions[sum.ID] + 1
-	s.mu.RUnlock()
+	version := s.version(sum.ID) + 1
+	sj := indexJob(sum.ID, job, sum, version)
 	if s.db != nil {
 		payload, err := json.Marshal(persistedJob{Summary: sum, Job: job, Version: version})
 		if err != nil {
@@ -353,11 +362,10 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 			return err
 		}
 		s.breaker.success()
-		s.writeSegment(sum.ID, sj, version)
+		s.writeSegment(sum.ID, sj)
 	}
 	s.mu.Lock()
 	s.jobs[sum.ID] = sj
-	s.versions[sum.ID] = version
 	s.generation++
 	s.mu.Unlock()
 	return nil
@@ -365,10 +373,10 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 
 // version returns the stored job's write version (0 when unknown).
 func (s *Store) version(id string) uint64 {
-	s.mu.RLock()
-	v := s.versions[id]
-	s.mu.RUnlock()
-	return v
+	if sj, ok := s.get(id); ok {
+		return sj.Version
+	}
+	return 0
 }
 
 // export returns the replication payload for a stored job: the exact
@@ -376,10 +384,7 @@ func (s *Store) version(id string) uint64 {
 // replicas receive what the primary fsynced) plus its version. It feeds
 // both the write-path replication fan-out and the router's read-repair.
 func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err error) {
-	s.mu.RLock()
-	sj, have := s.jobs[id]
-	version = s.versions[id]
-	s.mu.RUnlock()
+	sj, have := s.get(id)
 	if !have {
 		return nil, 0, false, nil
 	}
@@ -389,14 +394,14 @@ func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err 
 			return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
 		}
 		if have {
-			return payload, version, true, nil
+			return payload, sj.Version, true, nil
 		}
 	}
-	payload, err = json.Marshal(persistedJob{Summary: sj.Summary, Job: sj.Job, Version: version})
+	payload, err = json.Marshal(persistedJob{Summary: sj.Summary, Job: sj.Job, Version: sj.Version})
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
 	}
-	return payload, version, true, nil
+	return payload, sj.Version, true, nil
 }
 
 // applyReplica applies one replicated write: the exact payload bytes
@@ -411,10 +416,7 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	if version == 0 {
 		version = 1
 	}
-	s.mu.RLock()
-	cur := s.versions[id]
-	s.mu.RUnlock()
-	if cur >= version {
+	if s.version(id) >= version {
 		return nil
 	}
 	var pj persistedJob
@@ -425,7 +427,7 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 		return fmt.Errorf("service: replica %q has no archive", id)
 	}
 	archive.New().Add(pj.Job)
-	sj := indexJob(pj.Job, pj.Summary)
+	sj := indexJob(id, pj.Job, pj.Summary, version)
 	if s.db != nil {
 		if !s.breaker.allow() {
 			return errDegraded
@@ -435,12 +437,11 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 			return err
 		}
 		s.breaker.success()
-		s.writeSegment(id, sj, version)
+		s.writeSegment(id, sj)
 	}
 	s.mu.Lock()
-	if s.versions[id] < version {
+	if cur, ok := s.jobs[id]; !ok || cur.Version < version {
 		s.jobs[id] = sj
-		s.versions[id] = version
 		s.generation++
 	}
 	s.mu.Unlock()

@@ -142,12 +142,9 @@ func (s *Store) HintCount() int {
 // implementing shard.LocalReplicaStore for the anti-entropy sweep.
 func (s *Store) Digest() []shard.DigestEntry {
 	s.mu.RLock()
-	out := make([]shard.DigestEntry, 0, len(s.versions))
-	for id, v := range s.versions {
-		if v == 0 {
-			v = 1
-		}
-		out = append(out, shard.DigestEntry{ID: id, Version: v})
+	out := make([]shard.DigestEntry, 0, len(s.jobs))
+	for id, sj := range s.jobs {
+		out = append(out, shard.DigestEntry{ID: id, Version: sj.Version})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
