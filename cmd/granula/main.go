@@ -1,161 +1,128 @@
-// Command granula runs one graph-processing job on a simulated platform
-// under the full Granula pipeline — modeling, monitoring, archiving — and
-// writes the performance archive plus optional visual reports.
+// Command granula is the Granula command line. Its run subcommand runs
+// one job under the full pipeline (modeling, monitoring, archiving) and
+// writes the performance archive; every other subcommand reads archives
+// back:
 //
-// Example:
+//	granula run   -platform giraph -algorithm bfs -archive out/archive.json
+//	granula model -check out/archive.json -job giraph-bfs-dg1000
+//	granula query -archive out/archive.json -job giraph-bfs-dg1000 -breakdown
+//	granula viz   -archive out/archive.json -job giraph-bfs-dg1000 -chart gantt
+//	granula diff  -baseline main/archive.json -current pr/archive.json
 //
-//	granula -platform giraph -algorithm bfs -vertices 50000 -edges 250000 \
-//	        -archive out/archive.json -html out/report.html
+// Every subcommand keeps one exit-code contract, so a CI caller can tell
+// a finding from a broken input:
+//
+//	0 — ok
+//	1 — a finding: a regression, a model mismatch, no operation matched
+//	2 — usage or input error (bad flags, unreadable or invalid files,
+//	    unknown job, no comparable jobs)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/archive"
-	"repro/internal/chokepoint"
-	"repro/internal/datagen"
-	"repro/internal/graph"
-	"repro/internal/platforms"
-	"repro/internal/viz"
 )
 
-func main() {
-	platform := flag.String("platform", "giraph", "platform to run: giraph or powergraph")
-	algorithm := flag.String("algorithm", "bfs", "algorithm: bfs, sssp, pagerank, wcc, cdlp")
-	vertices := flag.Int64("vertices", 50_000, "synthetic graph vertex count")
-	edges := flag.Int64("edges", 250_000, "synthetic graph edge count")
-	kind := flag.String("graph", "social-network", "generator: social-network, rmat, uniform")
-	seed := flag.Int64("seed", 42, "generator seed")
-	scale := flag.Float64("scale", 1, "work scale factor; 0 scales to dg1000 size")
-	source := flag.Int64("source", -1, "source vertex for bfs/sssp; -1 picks a peripheral vertex")
-	iterations := flag.Int("iterations", 10, "iterations for pagerank/cdlp")
-	archivePath := flag.String("archive", "", "write the performance archive JSON here")
-	htmlPath := flag.String("html", "", "write the HTML report here")
-	showTree := flag.Bool("tree", false, "print the full operation tree")
-	chokepoints := flag.Bool("chokepoints", false, "run choke-point analysis on the result")
-	appendTo := flag.Bool("append", false, "append the job to an existing archive file instead of overwriting")
-	flag.Parse()
+const (
+	exitOK      = 0
+	exitFinding = 1
+	exitError   = 2
+)
 
-	var genKind datagen.Kind
-	switch *kind {
-	case "social-network":
-		genKind = datagen.SocialNetwork
-	case "rmat":
-		genKind = datagen.RMAT
-	case "uniform":
-		genKind = datagen.Uniform
-	default:
-		fatalf("unknown graph kind %q", *kind)
-	}
-	cfg := datagen.Config{
-		Kind: genKind, Vertices: *vertices, Edges: *edges, Seed: *seed, Directed: true,
-	}
-	if genKind == datagen.SocialNetwork {
-		base := datagen.DG1000Shaped(*seed)
-		cfg.ZipfS = base.ZipfS
-		cfg.Locality = base.Locality
-		cfg.LocalWindow = base.LocalWindow
-	}
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		fatalf("generate dataset: %v", err)
-	}
-	src := graph.VertexID(*source)
-	if *source < 0 {
-		src = datagen.PeripheralSource(ds.Graph)
-	}
-	fmt.Printf("dataset %s: %d vertices, %d edges (seed %d)\n", ds.Name, ds.Graph.NumVertices(), len(ds.Edges), *seed)
-	fmt.Printf("running %s on %s (source %d, scale %.0f)...\n", *algorithm, *platform, src, *scale)
-
-	out, err := platforms.Run(platforms.Spec{
-		Platform:   *platform,
-		Algorithm:  *algorithm,
-		Source:     src,
-		Iterations: *iterations,
-		Dataset:    ds,
-		WorkScale:  *scale,
-	})
-	if err != nil {
-		fatalf("run: %v", err)
-	}
-
-	fmt.Println()
-	bar, err := viz.BreakdownBar(out.Job, 60)
-	if err != nil {
-		fatalf("breakdown: %v", err)
-	}
-	fmt.Print(bar)
-	fmt.Printf("\nsupersteps/iterations: %d\n", out.Supersteps)
-	if len(out.ModelErrors) == 0 {
-		fmt.Printf("model check: job conforms to the %s performance model\n", out.Model.Platform)
-	} else {
-		fmt.Printf("model check: %d mismatches, first: %v\n", len(out.ModelErrors), out.ModelErrors[0])
-	}
-	if *showTree {
-		fmt.Println()
-		fmt.Print(viz.OperationTree(out.Job))
-	}
-	if *chokepoints {
-		cfg := platforms.DAS5Config()
-		report, err := chokepoint.Analyze(out.Job, chokepoint.Options{
-			CPUCapacity:      float64(cfg.Nodes * cfg.CoresPerNode),
-			DiskCapacity:     cfg.DiskBandwidth,
-			SharedFSCapacity: cfg.SharedFSBandwidth,
-		})
-		if err != nil {
-			fatalf("chokepoint analysis: %v", err)
-		}
-		fmt.Println()
-		fmt.Print(report.Render())
-	}
-
-	a := archive.New()
-	if *appendTo && *archivePath != "" {
-		if f, err := os.Open(*archivePath); err == nil {
-			existing, loadErr := archive.Load(f)
-			f.Close()
-			if loadErr != nil {
-				fatalf("load existing archive: %v", loadErr)
-			}
-			a = existing
-		}
-	}
-	a.Add(out.Job)
-	if *archivePath != "" {
-		if err := writeFile(*archivePath, func(f *os.File) error { return a.Save(f) }); err != nil {
-			fatalf("write archive: %v", err)
-		}
-		fmt.Printf("archive written to %s (%d job(s))\n", *archivePath, len(a.Jobs))
-	}
-	if *htmlPath != "" {
-		if err := os.MkdirAll(filepath.Dir(*htmlPath), 0o755); err != nil {
-			fatalf("write report: %v", err)
-		}
-		if err := os.WriteFile(*htmlPath, []byte(viz.HTMLReport(a)), 0o644); err != nil {
-			fatalf("write report: %v", err)
-		}
-		fmt.Printf("report written to %s\n", *htmlPath)
-	}
+// subcommands maps each name to a function that defines the
+// subcommand's flags on fs and returns its body, to run once fs has
+// parsed the arguments. Keeping the two apart lets a test parse a
+// documented command line without running it.
+var subcommands = map[string]func(fs *flag.FlagSet) func(stdout, stderr io.Writer) int{
+	"run":   runCmd,
+	"model": modelCmd,
+	"query": queryCmd,
+	"viz":   vizCmd,
+	"diff":  diffCmd,
 }
 
-func writeFile(path string, fn func(*os.File) error) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the subcommand args[0] with the flags that follow it.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || subcommands[args[0]] == nil {
+		return errorf(stderr, "usage: granula run|model|query|viz|diff [flags]; granula <subcommand> -h lists its flags")
+	}
+	fs := flag.NewFlagSet("granula "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	body := subcommands[args[0]](fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		return exitError
+	}
+	if fs.NArg() > 0 {
+		return errorf(stderr, "granula %s: unexpected argument %q", args[0], fs.Arg(0))
+	}
+	return body(stdout, stderr)
+}
+
+// errorf reports a usage or input error and returns its exit code.
+func errorf(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, format+"\n", args...)
+	return exitError
+}
+
+func loadArchive(path string) (*archive.Archive, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	a, err := archive.Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("load %s: %w", path, err)
+	}
+	return a, nil
+}
+
+// pickJob returns the job with the given ID, or the first job when id
+// is empty.
+func pickJob(a *archive.Archive, id string) (*archive.Job, error) {
+	if id == "" {
+		if len(a.Jobs) == 0 {
+			return nil, errors.New("archive has no jobs")
 		}
+		return a.Jobs[0], nil
+	}
+	if j := a.Job(id); j != nil {
+		return j, nil
+	}
+	return nil, fmt.Errorf("no job %q in archive", id)
+}
+
+// writeFile creates path, and its directory if missing, and fills it
+// with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return fn(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+// writeString is writeFile for content already rendered.
+func writeString(path, content string) error {
+	return writeFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, content)
+		return err
+	})
 }
