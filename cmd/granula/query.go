@@ -83,7 +83,12 @@ func queryCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) int {
 		case q != nil && q.IsAggregate():
 			return printAggregate(stdout, stderr, q, *sel, "job", job.ID, []*archive.Job{job})
 		case q != nil:
-			ops = q.SelectColumns(query.BuildColumns(job))
+			// Rows are depth-first, the order Walk visits.
+			var all []*archive.Operation
+			job.Root.Walk(func(op *archive.Operation) { all = append(all, op) })
+			for _, r := range q.SelectColumns(query.BuildColumns(job)) {
+				ops = append(ops, all[r])
+			}
 		case *path != "":
 			ops = job.Find(strings.Split(*path, "/")...)
 		case *mission != "":

@@ -200,30 +200,6 @@ func (j *Job) FindAll(mission string) []*Operation {
 	return out
 }
 
-// activeAt returns the operations whose interval contains time t, in
-// depth-first order.
-func (j *Job) activeAt(t float64) []*Operation {
-	var out []*Operation
-	if j.Root == nil {
-		return out
-	}
-	j.Root.Walk(func(o *Operation) {
-		if o.Start <= t && t < o.End {
-			out = append(out, o)
-		}
-	})
-	return out
-}
-
-// sumDurations totals the durations of a set of operations.
-func sumDurations(ops []*Operation) float64 {
-	total := 0.0
-	for _, op := range ops {
-		total += op.Duration()
-	}
-	return total
-}
-
 // New returns an empty archive at the current format version.
 func New() *Archive {
 	return &Archive{Version: formatVersion}

@@ -105,31 +105,6 @@ func TestFindAllAndWalk(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	j := testJob()
-	ops := j.activeAt(6)
-	missions := map[string]bool{}
-	for _, op := range ops {
-		missions[op.Mission] = true
-	}
-	if !missions["GiraphJob"] || !missions["ProcessGraph"] || !missions["Superstep"] {
-		t.Fatalf("activeAt(6) = %v", missions)
-	}
-	if missions["Startup"] || missions["Cleanup"] {
-		t.Fatalf("activeAt(6) includes inactive ops: %v", missions)
-	}
-}
-
-func TestSumDurations(t *testing.T) {
-	j := testJob()
-	if got := sumDurations(j.Root.Children); got != 10 {
-		t.Fatalf("sumDurations = %v", got)
-	}
-	if got := sumDurations(nil); got != 0 {
-		t.Fatalf("sumDurations(nil) = %v", got)
-	}
-}
-
 func TestValidateCatchesBadTrees(t *testing.T) {
 	good := testJob()
 	if err := good.Validate(); err != nil {

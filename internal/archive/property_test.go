@@ -116,30 +116,3 @@ func TestWalkVisitsEveryOpOnceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestActiveAtConsistencyProperty: every operation returned by activeAt(t)
-// indeed contains t, and the root is always active inside its interval.
-func TestActiveAtConsistencyProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		id := 0
-		job := &Job{ID: "p", Root: randomTree(rng, &id, 0, 100, 0)}
-		job.Root.link(nil)
-		for trial := 0; trial < 10; trial++ {
-			at := rng.Float64() * 100
-			ops := job.activeAt(at)
-			for _, op := range ops {
-				if at < op.Start || at >= op.End {
-					return false
-				}
-			}
-			if at < job.Root.End && len(ops) == 0 {
-				return false // root must be active
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -32,21 +32,6 @@ type Config struct {
 	NodeNameStart  int
 }
 
-// defaultConfig returns a DAS5-like 8-node cluster: 24 cores per node,
-// 500 MB/s local disks, 10 Gbit/s NICs, and a shared filesystem server.
-func defaultConfig() Config {
-	return Config{
-		Nodes:             8,
-		CoresPerNode:      24,
-		DiskBandwidth:     500e6,
-		NICBandwidth:      1.25e9, // 10 Gbit/s
-		NetLatency:        50e-6,
-		SharedFSBandwidth: 1.0e9,
-		NodeNamePrefix:    "node",
-		NodeNameStart:     339,
-	}
-}
-
 // Cluster is a set of simulated nodes sharing a network fabric and a
 // shared storage service.
 type Cluster struct {

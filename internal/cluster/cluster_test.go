@@ -39,16 +39,6 @@ func TestClusterConstruction(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigIsPaperScale(t *testing.T) {
-	cfg := defaultConfig()
-	if cfg.Nodes != 8 {
-		t.Fatalf("default Nodes = %d, want 8 (the paper uses 8 DAS5 nodes)", cfg.Nodes)
-	}
-	if cfg.CoresPerNode <= 0 || cfg.DiskBandwidth <= 0 || cfg.NICBandwidth <= 0 {
-		t.Fatal("default config has non-positive capacities")
-	}
-}
-
 func TestExecConsumesCPU(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e, testConfig())

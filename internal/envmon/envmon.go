@@ -43,15 +43,6 @@ type Sample struct {
 	Used float64 `json:"used"`
 }
 
-// cpuUsed returns Used for CPU samples and 0 otherwise, a convenience for
-// CPU-only consumers.
-func (s Sample) cpuUsed() float64 {
-	if s.Kind == kindCPU {
-		return s.Used
-	}
-	return 0
-}
-
 // Monitor samples a cluster's resources at a fixed simulated interval.
 type Monitor struct {
 	cluster  *cluster.Cluster

@@ -198,12 +198,3 @@ func TestNodesSortedAndExcludeSharedFS(t *testing.T) {
 		t.Fatalf("nodes = %v, want [node0 node1]", got)
 	}
 }
-
-func TestSampleCPUUsedHelper(t *testing.T) {
-	if (Sample{Kind: kindCPU, Used: 3}).cpuUsed() != 3 {
-		t.Fatal("CPU sample helper wrong")
-	}
-	if (Sample{Kind: kindDisk, Used: 3}).cpuUsed() != 0 {
-		t.Fatal("non-CPU sample must report 0 cpu")
-	}
-}

@@ -38,6 +38,8 @@ func pipelineBytes(t *testing.T, platform string) []byte {
 	}
 
 	// Queries over the archived job, including ordering and info access.
+	cols := query.BuildColumns(out.Job)
+	f := cols.Frame(query.JobMeta{ID: out.Job.ID})
 	for _, qs := range []string{
 		`mission = Compute order by start`,
 		`actor ~ Worker and duration > 0 order by duration desc limit 10`,
@@ -47,8 +49,8 @@ func pipelineBytes(t *testing.T, platform string) []byte {
 		if err != nil {
 			t.Fatalf("parse %q: %v", qs, err)
 		}
-		for _, op := range q.Select(out.Job) {
-			fmt.Fprintf(&buf, "%s %s %s %.6f %.6f\n", op.ID, op.Mission, op.Actor, op.Start, op.End)
+		for _, r := range q.SelectColumns(cols) {
+			fmt.Fprintf(&buf, "%s %s %s %.6f %.6f\n", f.Syms[f.ID[r]], f.Syms[f.Mission[r]], f.Syms[f.Actor[r]], f.Start[r], f.End[r])
 		}
 	}
 

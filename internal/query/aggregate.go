@@ -180,7 +180,7 @@ func (f *Frame) minMaxAgg(a aggSpec) (frameAgg, error) {
 			return frameAgg{mode: mode, num: num}, nil
 		}
 	}
-	if opsOnlyField(a.field) && f.Ops == nil {
+	if opsOnlyField(a.field) && !f.detailed() {
 		return frameAgg{}, fmt.Errorf("query: field %q requires operation details not stored in columnar segments", a.field)
 	}
 	field := a.field

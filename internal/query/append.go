@@ -13,17 +13,20 @@ import (
 //
 // Row order is arrival (completion) order, not the depth-first order
 // BuildColumns produces — a live job's tree is still growing, so there
-// is no final DFS order to use yet. Live query results therefore come
-// back in completion order; the sealed archive entering the store is
-// re-indexed with BuildColumns, which restores the canonical DFS order
-// (the seal-equivalence suite pins that the two agree byte for byte on
-// the finished tree).
+// is no final DFS order to use yet, and no tree to rebuild (Frame.Tree
+// needs depth-first rows). Live query results therefore come back in
+// completion order; the sealed archive entering the store is re-indexed
+// with BuildColumns, which restores the canonical DFS order (the
+// seal-equivalence suite pins that the two agree byte for byte on the
+// finished tree).
 //
 // Concurrency: Append and Snapshot are safe to call concurrently. A
 // snapshot copies only slice headers (O(1)); appends after the snapshot
 // either write past the snapshot's length or reallocate the backing
-// array, so rows a snapshot can reach are never rewritten. The intern
-// maps are touched only under the writer lock.
+// array, so rows a snapshot can reach are never rewritten — and since
+// the infos were copied, a later change to the appended operation (an
+// info event after its end) is invisible to readers. The intern maps
+// are touched only under the writer lock.
 type AppendColumns struct {
 	mu   sync.Mutex
 	cols Columns
@@ -35,8 +38,8 @@ func NewAppendColumns() *AppendColumns {
 }
 
 // Append adds one completed operation at the given tree depth; path is
-// its mission path from the root ("A/B/C"), which a completed view no
-// longer carries parents to derive.
+// its mission path from the root ("A/B/C"). The columns keep nothing of
+// op once Append returns.
 func (a *AppendColumns) Append(op *archive.Operation, depth int, path string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -34,23 +34,19 @@ func flattenDFS(job *archive.Job) []opDepth {
 }
 
 // requireColumnsIdentical asserts two column sets hold identical
-// frames: same rows (pointer-identical ops), same typed values, and the
-// same interned symbol and path tables.
+// frames: same rows, same typed values, and the same interned symbol,
+// path and key/value tables.
 func requireColumnsIdentical(t *testing.T, want, got *Columns) {
 	t.Helper()
 	w, g := &want.f, &got.f
-	if len(w.Ops) != len(g.Ops) {
-		t.Fatalf("rows: want %d, got %d", len(w.Ops), len(g.Ops))
-	}
-	for i := range w.Ops {
-		if w.Ops[i] != g.Ops[i] {
-			t.Fatalf("row %d: different operation (%q vs %q)", i, w.Ops[i].ID, g.Ops[i].ID)
-		}
+	if w.rows() != g.rows() {
+		t.Fatalf("rows: want %d, got %d", w.rows(), g.rows())
 	}
 	for name, cols := range map[string][2]any{
 		"depth": {w.Depth, g.Depth}, "start": {w.Start, g.Start}, "end": {w.End, g.End}, "dur": {w.Dur, g.Dur},
 		"mission": {w.Mission, g.Mission}, "actor": {w.Actor, g.Actor}, "id": {w.ID, g.ID},
 		"path": {w.Path, g.Path}, "paths": {w.Paths, g.Paths},
+		"infos": {w.infos, g.infos}, "derived": {w.derived, g.derived}, "kvs": {w.kvs, g.kvs},
 		"syms": {w.Syms, g.Syms}, "symFinite": {w.SymFinite, g.SymFinite},
 	} {
 		if !reflect.DeepEqual(cols[0], cols[1]) {
@@ -128,12 +124,16 @@ func TestAppendColumnsCompletionOrderOracle(t *testing.T) {
 			ac.Append(od.op, od.depth, od.path)
 		}
 		snap := ac.Snapshot()
+		order := make([]*archive.Operation, len(rows))
+		for i, od := range rows {
+			order[i] = od.op
+		}
 		for _, qs := range oracleQueries {
 			q, err := Parse(qs)
 			if err != nil {
 				t.Fatalf("parse %q: %v", qs, err)
 			}
-			assertSameOps(t, qs, appendOracleSelect(q, rows), q.SelectColumns(snap))
+			assertSameOps(t, qs, appendOracleSelect(q, rows), q.SelectColumns(snap), order)
 		}
 	}
 }
@@ -152,7 +152,8 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			queries := []string{`mission = Compute`, `duration > 5 order by start`, `actor ~ Worker limit 9`}
+			queries := []string{`mission = Compute`, `duration > 5 order by start`, `actor ~ Worker limit 9`,
+				`info.Vertices >= 1000 order by info.Vertices`, `derived.PercentOfJob > 10`}
 			for {
 				select {
 				case <-stop:
@@ -171,6 +172,9 @@ func TestAppendColumnsSnapshotIsolation(t *testing.T) {
 					if len(got) > n {
 						t.Errorf("snapshot of %d rows returned %d ops", n, len(got))
 						return
+					}
+					for _, r := range got {
+						_, _ = snap.f.Infos(r), snap.f.Derived(r)
 					}
 				}
 				if snap.rows() != n {

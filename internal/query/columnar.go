@@ -11,56 +11,76 @@ import (
 
 // Columns builds one job's Frame: the operation tree flattened into the
 // frame's typed parallel arrays, with mission, actor, and ID strings
-// interned into its symbol table and mission paths into its path table.
-// It declares no column of its own — the frame is the only row layout —
-// and adds just the intern maps a builder needs. Built once when a job
-// enters the store and treated as immutable, so repeated queries
-// evaluate predicates against typed columns — an integer compare or a
+// interned into its symbol table, mission paths into its path table,
+// and info keys and values into its key/value table. It declares no
+// column of its own — the frame is the only row layout — and adds just
+// the intern maps a builder needs. Built once when a job enters the
+// store and treated as immutable, so repeated queries evaluate
+// predicates against typed columns — an integer compare or a
 // precomputed per-symbol bitmap per row — instead of converting fields
 // to strings per operation the way the tree walker does. The tree
-// walker (Query.Select) remains the oracle: Query.SelectColumns returns
-// exactly the same operations in the same order.
+// walker (Query.Select, kept in the tests) remains the oracle:
+// Query.SelectColumns returns the rows of exactly the same operations
+// in the same order.
 type Columns struct {
 	f Frame
-	// symIDs and pathIDs index f.Syms and f.Paths while rows are being
-	// added; nil once BuildColumns returns and on snapshots, both
-	// read-only.
-	symIDs  map[string]uint32
-	pathIDs map[string]uint32
+	// symIDs, pathIDs and kvIDs index f.Syms, f.Paths and f.kvs while rows
+	// are being added; nil once BuildColumns returns and on snapshots,
+	// both read-only.
+	symIDs, pathIDs, kvIDs map[string]uint32
+	keys                   []string // scratch for sorting one map's keys
 }
 
 func newColumns() Columns {
-	return Columns{symIDs: map[string]uint32{}, pathIDs: map[string]uint32{}}
+	return Columns{symIDs: map[string]uint32{}, pathIDs: map[string]uint32{}, kvIDs: map[string]uint32{}}
 }
 
 // intern returns s's ID in the frame's symbol table, adding it on first
 // sight together with the numeric interpretation compareValues would
 // give it, so compiled predicates and sort keys never re-parse a symbol.
 func (c *Columns) intern(s string) uint32 {
-	if id, ok := c.symIDs[s]; ok {
-		return id
-	}
 	f := &c.f
-	id := uint32(len(f.Syms))
-	c.symIDs[s] = id
-	f.Syms = append(f.Syms, s)
-	v, err := strconv.ParseFloat(s, 64)
-	f.SymFloat = append(f.SymFloat, v)
-	f.SymFinite = append(f.SymFinite, err == nil && isFinite(v))
+	id := internIn(c.symIDs, &f.Syms, s)
+	if int(id) == len(f.SymFloat) {
+		v, err := strconv.ParseFloat(s, 64)
+		f.SymFloat = append(f.SymFloat, v)
+		f.SymFinite = append(f.SymFinite, err == nil && isFinite(v))
+	}
 	return id
 }
 
-// add appends one operation row. path is the operation's mission path
-// from the root, "A/B/C".
+// internIn returns s's ID in the table ids indexes, appending it to
+// *table on first sight.
+func internIn(ids map[string]uint32, table *[]string, s string) uint32 {
+	id, ok := ids[s]
+	if !ok {
+		id = uint32(len(*table))
+		ids[s] = id
+		*table = append(*table, s)
+	}
+	return id
+}
+
+// addKVs appends one row of col: m's entries, sorted by key.
+func (c *Columns) addKVs(col *kvColumn, m map[string]string) {
+	c.keys = c.keys[:0]
+	for k := range m {
+		c.keys = append(c.keys, k)
+	}
+	sort.Strings(c.keys)
+	for _, k := range c.keys {
+		col.pairs = append(col.pairs, [2]uint32{internIn(c.kvIDs, &c.f.kvs, k), internIn(c.kvIDs, &c.f.kvs, m[k])})
+	}
+	col.end = append(col.end, uint32(len(col.pairs)))
+}
+
+// add appends one operation row, copying its infos and derived infos.
+// path is the operation's mission path from the root, "A/B/C".
 func (c *Columns) add(op *archive.Operation, depth int32, path string) {
 	f := &c.f
-	pid, ok := c.pathIDs[path]
-	if !ok {
-		pid = uint32(len(f.Paths))
-		c.pathIDs[path] = pid
-		f.Paths = append(f.Paths, path)
-	}
-	f.Ops = append(f.Ops, op)
+	f.Path = append(f.Path, internIn(c.pathIDs, &f.Paths, path))
+	c.addKVs(&f.infos, op.Infos)
+	c.addKVs(&f.derived, op.Derived)
 	f.Depth = append(f.Depth, depth)
 	f.Start = append(f.Start, op.Start)
 	f.End = append(f.End, op.End)
@@ -68,7 +88,6 @@ func (c *Columns) add(op *archive.Operation, depth int32, path string) {
 	f.Mission = append(f.Mission, c.intern(op.Mission))
 	f.Actor = append(f.Actor, c.intern(op.Actor))
 	f.ID = append(f.ID, c.intern(op.ID))
-	f.Path = append(f.Path, pid)
 }
 
 // BuildColumns flattens job's operation tree into columns, in
@@ -87,7 +106,7 @@ func BuildColumns(job *archive.Job) *Columns {
 	}
 	walk(job.Root, 0, job.Root.Mission)
 	// The columns are read-only from here; the intern maps are garbage.
-	c.symIDs, c.pathIDs = nil, nil
+	c.symIDs, c.pathIDs, c.kvIDs, c.keys = nil, nil, nil, nil
 	return &c
 }
 
@@ -103,13 +122,14 @@ func (c *Columns) Frame(meta JobMeta) *Frame {
 	return &f
 }
 
-// SelectColumns runs the query against the columnar projection and
-// returns exactly what Select(job) would return for the job the columns
-// were built from: the same operations, in the same order. The
-// predicate tree is compiled once per call into row evaluators (cheap —
-// a bitmap over the symbol table per string predicate), after which
-// evaluation does no per-row string conversion on the built-in fields.
-func (q *Query) SelectColumns(c *Columns) []*archive.Operation {
+// SelectColumns runs the query against the columns and returns the
+// matching rows, ordered and limited. For columns BuildColumns made
+// from a job these are the depth-first indexes of exactly the
+// operations the tree walker returns, in the same order. The predicate
+// tree is compiled once per call into row evaluators (cheap — a bitmap
+// over the symbol table per string predicate), after which evaluation
+// does no per-row string conversion on the built-in fields.
+func (q *Query) SelectColumns(c *Columns) []int {
 	if c == nil || c.rows() == 0 {
 		return nil
 	}
@@ -118,24 +138,20 @@ func (q *Query) SelectColumns(c *Columns) []*archive.Operation {
 	if q.where != nil {
 		var err error
 		if ev, err = compileFrameExpr(q.where, f); err != nil {
-			// Columns always carry Ops and Path, and parsed queries name
-			// only known fields, so nothing a caller passes can get here.
+			// Columns with rows always carry their details, and parsed
+			// queries name only known fields, so nothing a caller passes
+			// can get here.
 			panic(fmt.Sprintf("query: SelectColumns: %v", err))
 		}
 	}
-	var out []*archive.Operation
-	var rows []int32
-	needRows := q.orderBy != ""
-	for r, op := range f.Ops {
+	var out []int
+	for r := 0; r < f.rows(); r++ {
 		if ev == nil || ev(r) {
-			out = append(out, op)
-			if needRows {
-				rows = append(rows, int32(r))
-			}
+			out = append(out, r)
 		}
 	}
 	if q.orderBy != "" && len(out) > 1 {
-		q.sortByColumns(f, out, rows)
+		q.sortByColumns(f, out)
 	}
 	if q.limit >= 0 && len(out) > q.limit {
 		out = out[:q.limit]
@@ -153,22 +169,22 @@ type sortKey struct {
 	ok  bool
 }
 
-func makeSortKey(f *Frame, row int32, field string) sortKey {
-	// fieldValue is the oracle for the string form (including "" for an
-	// absent info key, which the tree path sorts on as well).
-	s, _ := fieldValue(f.Ops[row], int(f.Depth[row]), field)
+func makeSortKey(f *Frame, row int, field string) sortKey {
+	// The string form fieldValue gives on the tree ("" for an absent info
+	// key, which the tree path sorts on as well).
+	s, _ := f.fieldString(row, field)
 	v, err := strconv.ParseFloat(s, 64)
 	return sortKey{str: s, num: v, ok: err == nil && isFinite(v)}
 }
 
-func (q *Query) sortByColumns(f *Frame, out []*archive.Operation, rows []int32) {
+func (q *Query) sortByColumns(f *Frame, rows []int) {
 	type pair struct {
-		op  *archive.Operation
+		row int
 		key sortKey
 	}
-	pairs := make([]pair, len(out))
-	for i := range out {
-		pairs[i] = pair{op: out[i], key: makeSortKey(f, rows[i], q.orderBy)}
+	pairs := make([]pair, len(rows))
+	for i, r := range rows {
+		pairs[i] = pair{row: r, key: makeSortKey(f, r, q.orderBy)}
 	}
 	cmp := func(a, b sortKey) int {
 		if a.ok && b.ok {
@@ -192,7 +208,7 @@ func (q *Query) sortByColumns(f *Frame, out []*archive.Operation, rows []int32) 
 		sort.SliceStable(pairs, func(i, j int) bool { return cmp(pairs[i].key, pairs[j].key) < 0 })
 	}
 	for i := range pairs {
-		out[i] = pairs[i].op
+		rows[i] = pairs[i].row
 	}
 }
 

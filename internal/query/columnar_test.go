@@ -122,21 +122,34 @@ func randomJob(rng *rand.Rand, nOps int) *archive.Job {
 	return &archive.Job{ID: "rand", Root: root}
 }
 
-func assertSameOps(t *testing.T, qs string, tree, col []*archive.Operation) {
+// assertSameOps checks that the selected rows are the tree walker's
+// operations in its order, where order lists the operation of each row.
+func assertSameOps(t *testing.T, qs string, tree []*archive.Operation, rows []int, order []*archive.Operation) {
 	t.Helper()
-	if len(tree) != len(col) {
-		t.Fatalf("query %q: tree returned %d ops, columnar %d", qs, len(tree), len(col))
+	if len(tree) != len(rows) {
+		t.Fatalf("query %q: tree returned %d ops, columnar %d", qs, len(tree), len(rows))
 	}
-	for i := range tree {
-		if tree[i] != col[i] {
-			t.Fatalf("query %q: row %d differs: tree %q, columnar %q", qs, i, tree[i].ID, col[i].ID)
+	for i, r := range rows {
+		if tree[i] != order[r] {
+			t.Fatalf("query %q: row %d differs: tree %q, columnar %q", qs, i, tree[i].ID, order[r].ID)
 		}
 	}
 }
 
-// TestSelectColumnarOracle asserts SelectColumns returns pointer-
-// identical results, in identical order, to the tree-walking Select on
-// every oracle query over the standard, weird, and random jobs.
+// dfsOps lists a job's operations in depth-first order: the operation
+// of each row BuildColumns makes.
+func dfsOps(job *archive.Job) []*archive.Operation {
+	var out []*archive.Operation
+	if job.Root != nil {
+		job.Root.Walk(func(op *archive.Operation) { out = append(out, op) })
+	}
+	return out
+}
+
+// TestSelectColumnarOracle asserts SelectColumns returns the depth-first
+// indexes of exactly the operations the tree-walking Select returns, in
+// identical order, on every oracle query over the standard, weird, and
+// random jobs.
 func TestSelectColumnarOracle(t *testing.T) {
 	jobs := []*archive.Job{testJob(), weirdJob(), {ID: "empty"}}
 	rng := rand.New(rand.NewSource(7))
@@ -145,19 +158,16 @@ func TestSelectColumnarOracle(t *testing.T) {
 	}
 	for ji, job := range jobs {
 		cols := BuildColumns(job)
-		if job.Root != nil {
-			n := 0
-			job.Root.Walk(func(*archive.Operation) { n++ })
-			if cols.rows() != n {
-				t.Fatalf("job %d: columns have %d rows, tree has %d ops", ji, cols.rows(), n)
-			}
+		order := dfsOps(job)
+		if cols.rows() != len(order) {
+			t.Fatalf("job %d: columns have %d rows, tree has %d ops", ji, cols.rows(), len(order))
 		}
 		for _, qs := range oracleQueries {
 			q, err := Parse(qs)
 			if err != nil {
 				t.Fatalf("parse %q: %v", qs, err)
 			}
-			assertSameOps(t, qs, q.Select(job), q.SelectColumns(cols))
+			assertSameOps(t, qs, q.Select(job), q.SelectColumns(cols), order)
 		}
 	}
 }
@@ -169,6 +179,7 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 	job := randomJob(rng, 400)
 	archive.New().Add(job) // parent links, which the tree side of a path match reads
 	cols := BuildColumns(job)
+	order := dfsOps(job)
 	fields := []string{"mission", "actor", "id", "depth", "duration", "start", "end", "info.Vertices", "derived.PercentOfJob"}
 	ops := []string{"=", "!=", "~", ">", ">=", "<", "<="}
 	values := []string{"Compute", "42", "Worker-1", "0", "3", "10.5", "op-17", "2", "NaN", "1e2"}
@@ -186,7 +197,7 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", qs, err)
 		}
-		assertSameOps(t, qs, q.Select(job), q.SelectColumns(cols))
+		assertSameOps(t, qs, q.Select(job), q.SelectColumns(cols), order)
 	}
 
 	// Exact lookups (the service's ?mission=/?actor=/?path=): every key
@@ -210,7 +221,7 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 			}
 			continue
 		}
-		assertSameOps(t, fmt.Sprint("exact ", k), q.Select(job), q.SelectColumns(cols))
+		assertSameOps(t, fmt.Sprint("exact ", k), q.Select(job), q.SelectColumns(cols), order)
 	}
 	// Exact means string identity: "42" and "0042" are equal to the =
 	// operator (both parse as 42) and distinct here.

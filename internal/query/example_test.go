@@ -25,8 +25,10 @@ func ExampleParse() {
 		fmt.Println("parse error:", err)
 		return
 	}
-	for _, op := range q.Select(job) {
-		fmt.Printf("%s by %s: %.0fs\n", op.Mission, op.Actor, op.Duration())
+	cols := query.BuildColumns(job)
+	f := cols.Frame(query.JobMeta{ID: job.ID})
+	for _, r := range q.SelectColumns(cols) {
+		fmt.Printf("%s by %s: %.0fs\n", f.Syms[f.Mission[r]], f.Syms[f.Actor[r]], f.Dur[r])
 	}
 	// Output:
 	// Compute by Worker-1: 7s

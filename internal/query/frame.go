@@ -9,12 +9,12 @@ import (
 )
 
 // Frame is one job's rows in columnar form plus its job-level metadata
-// — the only row layout: row queries, aggregates, and the segment codec
-// all read it. Two sources produce frames: Columns, filled from an
-// operation tree when a job enters the store or as a live job's
-// operations complete (Ops and Path populated, so info./derived. fields
-// and path lookups work), and decoded on-disk segments (Ops and Path
-// nil; the engine never materializes the archive tree). Both yield
+// — the only row layout: row queries, aggregates, the segment codec and
+// the archive tree a reader asks for (Tree) all come from it. Two
+// sources produce frames: Columns, filled from an operation tree when a
+// job enters the store or as a live job's operations complete (every
+// column set, so info./derived. fields and path lookups work), and
+// decoded on-disk segments (no paths, infos or derived). Both yield
 // byte-identical aggregation results for queries that stay on the
 // columnar fields.
 type Frame struct {
@@ -32,18 +32,109 @@ type Frame struct {
 	SymFloat  []float64
 	SymFinite []bool
 
-	// Ops is the operation of each row when the source retains the tree;
-	// nil for frames decoded from segments.
-	Ops []*archive.Operation
-
 	// Path is each row's mission path from the root ("A/B/C") as an index
-	// into Paths. In memory only, like Ops: segments do not store it.
-	Path  []uint32
-	Paths []string
+	// into Paths; infos and derived are each row's recorded and derived
+	// infos, interned into kvs. They live in memory only: segments do not
+	// store them, so a decoded frame has none.
+	Path           []uint32
+	Paths          []string
+	infos, derived kvColumn
+	kvs            []string
+}
+
+// kvColumn is a string map per row in columnar form: row r's entries
+// are pairs[end[r-1]:end[r]] (from 0 for the first row), sorted by key,
+// each a key and a value index into the frame's kvs.
+type kvColumn struct {
+	end   []uint32
+	pairs [][2]uint32
+}
+
+// row returns row r's entries.
+func (c *kvColumn) row(r int) [][2]uint32 {
+	lo := uint32(0)
+	if r > 0 {
+		lo = c.end[r-1]
+	}
+	return c.pairs[lo:c.end[r]]
 }
 
 // rows returns the number of operation rows in the frame.
 func (f *Frame) rows() int { return len(f.Depth) }
+
+// detailed reports whether the frame carries paths, infos and derived.
+func (f *Frame) detailed() bool { return f.Path != nil }
+
+// kvField resolves an info.<key> or derived.<key> field to its column
+// and key.
+func (f *Frame) kvField(field string) (*kvColumn, string, bool) {
+	if key, ok := strings.CutPrefix(field, "info."); ok {
+		return &f.infos, key, true
+	}
+	if key, ok := strings.CutPrefix(field, "derived."); ok {
+		return &f.derived, key, true
+	}
+	return nil, "", false
+}
+
+// lookup returns row r's value for key in c.
+func (f *Frame) lookup(c *kvColumn, r int, key string) (string, bool) {
+	for _, p := range c.row(r) {
+		if f.kvs[p[0]] == key {
+			return f.kvs[p[1]], true
+		}
+	}
+	return "", false
+}
+
+// kvMap returns row r's entries in c as a fresh map, nil when it has
+// none.
+func (f *Frame) kvMap(c *kvColumn, r int) map[string]string {
+	pairs := c.row(r)
+	if len(pairs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(pairs))
+	for _, p := range pairs {
+		m[f.kvs[p[0]]] = f.kvs[p[1]]
+	}
+	return m
+}
+
+// Infos returns row r's recorded infos as a fresh map, nil when it has
+// none.
+func (f *Frame) Infos(r int) map[string]string { return f.kvMap(&f.infos, r) }
+
+// Derived returns row r's derived infos as a fresh map, nil when it has
+// none.
+func (f *Frame) Derived(r int) map[string]string { return f.kvMap(&f.derived, r) }
+
+// Tree rebuilds the operation tree of a depth-first frame — one that
+// BuildColumns filled — and returns its root, nil for a frame without
+// rows. A row's parent is the nearest earlier row one level up, so no
+// parent column is needed; children keep row order. Parent links are
+// left to archive.Archive.Add, as for any decoded tree.
+func (f *Frame) Tree() *archive.Operation {
+	if f.rows() == 0 {
+		return nil
+	}
+	ops := make([]archive.Operation, f.rows())
+	var open []*archive.Operation // open[d] is the latest row at depth d
+	for r := range ops {
+		op := &ops[r]
+		*op = archive.Operation{
+			ID: f.Syms[f.ID[r]], Actor: f.Syms[f.Actor[r]], Mission: f.Syms[f.Mission[r]],
+			Start: f.Start[r], End: f.End[r], Infos: f.Infos(r), Derived: f.Derived(r),
+		}
+		d := int(f.Depth[r])
+		if d > 0 {
+			parent := open[d-1]
+			parent.Children = append(parent.Children, op)
+		}
+		open = append(open[:d], op)
+	}
+	return &ops[0]
+}
 
 // symCompare orders two interned symbols with compareValues semantics,
 // using the precomputed numeric interpretations.
@@ -87,15 +178,8 @@ func (f *Frame) fieldString(r int, field string) (string, bool) {
 	if strings.HasPrefix(lf, "job.") {
 		return f.Meta.field(lf)
 	}
-	if f.Ops != nil {
-		if key, ok := strings.CutPrefix(field, "info."); ok {
-			v, present := f.Ops[r].Infos[key]
-			return v, present
-		}
-		if key, ok := strings.CutPrefix(field, "derived."); ok {
-			v, present := f.Ops[r].Derived[key]
-			return v, present
-		}
+	if col, key, ok := f.kvField(field); ok && f.detailed() {
+		return f.lookup(col, r, key)
 	}
 	return "", false
 }
@@ -127,7 +211,7 @@ func (f *Frame) numExtractor(field string) (func(r int) float64, error) {
 // compileFrameExpr compiles the where tree against a frame — the only
 // function that turns an expr into a rowEval. job.* fields are constant
 // per frame; info./derived. fields and path matches error when the
-// frame has no operation tree.
+// frame has no details.
 func compileFrameExpr(e expr, f *Frame) (rowEval, error) {
 	switch t := e.(type) {
 	case orExpr:
@@ -190,22 +274,13 @@ func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
 		return func(int) bool { return res }, nil
 	}
 	if opsOnlyField(pr.field) {
-		if f.Ops == nil {
+		if !f.detailed() {
 			return nil, fmt.Errorf("query: field %q requires operation details not stored in columnar segments", pr.field)
 		}
-		if key, ok := strings.CutPrefix(pr.field, "info."); ok {
+		if col, key, ok := f.kvField(pr.field); ok {
 			op, value := pr.op, pr.value
-			ops := f.Ops
 			return func(r int) bool {
-				v, present := ops[r].Infos[key]
-				return present && evalStringPredicate(v, op, value)
-			}, nil
-		}
-		if key, ok := strings.CutPrefix(pr.field, "derived."); ok {
-			op, value := pr.op, pr.value
-			ops := f.Ops
-			return func(r int) bool {
-				v, present := ops[r].Derived[key]
+				v, present := f.lookup(col, r, key)
 				return present && evalStringPredicate(v, op, value)
 			}, nil
 		}
@@ -228,7 +303,7 @@ func compileFrameExact(e exactExpr, f *Frame) (rowEval, error) {
 	case "actor":
 		col = f.Actor
 	case "path":
-		if f.Path == nil {
+		if !f.detailed() {
 			return nil, fmt.Errorf("query: path matches require operation details not stored in columnar segments")
 		}
 		col, dict = f.Path, f.Paths

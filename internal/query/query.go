@@ -16,7 +16,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -125,42 +124,6 @@ func Parse(input string) (*Query, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-// Select runs the query over a job's operation tree.
-func (q *Query) Select(job *archive.Job) []*archive.Operation {
-	var out []*archive.Operation
-	if job.Root == nil {
-		return out
-	}
-	depths := map[*archive.Operation]int{}
-	var walk func(op *archive.Operation, d int)
-	walk = func(op *archive.Operation, d int) {
-		depths[op] = d
-		if q.where == nil || q.where.eval(op, d) {
-			out = append(out, op)
-		}
-		for _, c := range op.Children {
-			walk(c, d+1)
-		}
-	}
-	walk(job.Root, 0)
-	if q.orderBy != "" {
-		field := q.orderBy
-		sort.SliceStable(out, func(i, j int) bool {
-			vi, _ := fieldValue(out[i], depths[out[i]], field)
-			vj, _ := fieldValue(out[j], depths[out[j]], field)
-			less := compareValues(vi, vj) < 0
-			if q.desc {
-				return !less && compareValues(vi, vj) != 0
-			}
-			return less
-		})
-	}
-	if q.limit >= 0 && len(out) > q.limit {
-		out = out[:q.limit]
-	}
-	return out
 }
 
 // --- lexer ---

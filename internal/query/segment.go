@@ -369,8 +369,8 @@ func DecodeSegmentStats(tail []byte, fileSize int64) (*SegStats, error) {
 	return decodeSegStats(payload)
 }
 
-// DecodeSegment deserializes a full segment file into a Frame (Ops is
-// nil — segments do not carry info/derived maps) and its stats.
+// DecodeSegment deserializes a full segment file into a Frame (without
+// paths, infos or derived — segments do not carry them) and its stats.
 func DecodeSegment(blob []byte) (*Frame, *SegStats, error) {
 	if len(blob) < len(segMagic)+8 || string(blob[:len(segMagic)]) != segMagic {
 		return nil, nil, fmt.Errorf("query: bad segment magic")

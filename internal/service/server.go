@@ -375,7 +375,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a := archive.New()
-	a.Jobs = append(a.Jobs, sj.Job)
+	a.Jobs = append(a.Jobs, sj.tree())
 	w.Header().Set("Content-Type", "application/json")
 	a.Save(w)
 }
@@ -393,13 +393,14 @@ type operationView struct {
 	Derived  map[string]string `json:"derived,omitempty"`
 }
 
-func viewOps(ops []*archive.Operation) []operationView {
-	out := make([]operationView, 0, len(ops))
-	for _, op := range ops {
+// viewRows renders the given rows of f.
+func viewRows(f *query.Frame, rows []int) []operationView {
+	out := make([]operationView, 0, len(rows))
+	for _, r := range rows {
 		out = append(out, operationView{
-			ID: op.ID, Actor: op.Actor, Mission: op.Mission, Path: pathKey(op),
-			Start: op.Start, End: op.End, Duration: op.Duration(),
-			Infos: op.Infos, Derived: op.Derived,
+			ID: f.Syms[f.ID[r]], Actor: f.Syms[f.Actor[r]], Mission: f.Syms[f.Mission[r]],
+			Path: f.Paths[f.Path[r]], Start: f.Start[r], End: f.End[r], Duration: f.Dur[r],
+			Infos: f.Infos(r), Derived: f.Derived(r),
 		})
 	}
 	return out
@@ -420,10 +421,11 @@ type queryResponse struct {
 // handleQuery serves GET /jobs/{id}/query. Exactly one selector is
 // required: ?q= runs the internal/query language; ?mission=, ?actor=,
 // and ?path= select the operations whose field equals the value
-// exactly. All four are one scan of the job's columns. A job that is
-// still streaming (no archive yet) answers from its incremental columns
-// over completed operations, marked live so the response cache never
-// files the moving bytes.
+// exactly. All four are one scan of the job's columns, and the matched
+// rows render straight from them. A job that is still streaming (no
+// archive yet) answers from its incremental columns over completed
+// operations, marked live so the response cache never files the moving
+// bytes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fail(siteQuery); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -483,12 +485,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// completion order, race-free against concurrent ingest.
 		cols = live.Columns()
 	} else {
-		// Built at Put time in depth-first order; SelectColumns returns
-		// exactly what q.Select(sj.Job) would.
+		// Built at Put time in depth-first order, the tree's row order.
 		cols = sj.Cols
 	}
-	ops := q.SelectColumns(cols)
-	resp := queryResponse{JobID: id, Count: len(ops), Operations: viewOps(ops)}
+	rows := q.SelectColumns(cols)
+	resp := queryResponse{JobID: id, Count: len(rows), Operations: viewRows(cols.Frame(query.JobMeta{}), rows)}
 	if live != nil {
 		resp.Live = true
 		resp.LastSeq = lastSeq
@@ -535,22 +536,23 @@ func (s *Server) handleViz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	job := sj.tree()
 	switch kind := r.PathValue("kind"); kind {
 	case "breakdown":
 		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, viz.SVGBreakdown(sj.Job))
+		fmt.Fprint(w, viz.SVGBreakdown(job))
 	case "cpu":
 		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, viz.SVGCPUChart(sj.Job))
+		fmt.Fprint(w, viz.SVGCPUChart(job))
 	case "gantt":
 		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, viz.SVGWorkerGantt(sj.Job, 1, 0))
+		fmt.Fprint(w, viz.SVGWorkerGantt(job, 1, 0))
 	case "tree":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, viz.OperationTree(sj.Job))
+		fmt.Fprint(w, viz.OperationTree(job))
 	case "report":
 		a := archive.New()
-		a.Jobs = append(a.Jobs, sj.Job)
+		a.Jobs = append(a.Jobs, job)
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, viz.HTMLReport(a))
 	default:
@@ -604,7 +606,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	report, err := regression.Compare(baseline.Job, current.Job,
+	report, err := regression.Compare(baseline.tree(), current.tree(),
 		regression.Thresholds{RelativeChange: req.Threshold, MinSeconds: req.MinSeconds})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -208,8 +208,9 @@ func TestServerQueryEndpoints(t *testing.T) {
 	}
 
 	// Actor selector returns that actor's ops.
-	actor, want := sj.Job.Root.Actor, 0
-	sj.Job.Root.Walk(func(op *archive.Operation) {
+	tree := sj.tree()
+	actor, want := tree.Root.Actor, 0
+	tree.Root.Walk(func(op *archive.Operation) {
 		if op.Actor == actor {
 			want++
 		}

@@ -1,8 +1,9 @@
 // Package service implements granula-serve: the long-running serving
 // layer over the Granula pipeline. It owns a bounded job executor pool
 // that runs (platform, algorithm, graph) simulations concurrently, an
-// in-memory archive store that keeps one columnar projection per job
-// for every query to scan (DESIGN.md ablation item 6), and a JSON HTTP
+// in-memory archive store in which the frame is the stored job — every
+// query scans it (DESIGN.md ablation item 6), and the operation tree is
+// rebuilt from it only for a reader that needs one — and a JSON HTTP
 // API that exposes submission, status, archive retrieval, the query
 // language, visualization, and regression diffs.
 //
@@ -43,33 +44,35 @@ type Summary struct {
 	ModelErrors       []string `json:"modelErrors,omitempty"`
 }
 
-// storedJob is one published version of an archived job: the operation
-// tree, its summary, and Cols, the columnar projection of the tree that
-// every query on the job — ?q= row queries, aggregates, the
-// ?mission=/?actor=/?path= lookups — evaluates against. Stats is the
-// zone map of Cols (the footer its segment carries), so /query2 prunes
-// without I/O; Version orders replicated writes of the job. All of it
-// is built once when the job enters the store and is immutable after,
-// so one get sees one consistent publish.
+// storedJob is one published version of an archived job. The frame is
+// the stored job: Cols holds every operation row — fields, mission
+// paths, infos and derived infos — that the queries on the job (?q= row
+// queries, aggregates, the ?mission=/?actor=/?path= lookups) evaluate
+// against and render from. ID, Platform and EnvSamples are the rest of
+// the archive; no operation tree is kept, and tree rebuilds one from
+// the frame for the readers that need it. Stats is the zone map of Cols
+// (the footer its segment carries), so /query2 prunes without I/O;
+// Version orders replicated writes of the job. All of it is built once
+// when the job enters the store and is immutable after, so one get sees
+// one consistent publish.
 type storedJob struct {
-	Job     *archive.Job
-	Summary Summary
-	Cols    *query.Columns
-	Stats   *query.SegStats
-	Version uint64
+	ID, Platform string
+	EnvSamples   []archive.EnvSample
+	Summary      Summary
+	Cols         *query.Columns
+	Stats        *query.SegStats
+	Version      uint64
 }
 
-// pathKey is an operation's mission path from the root, e.g.
-// "GiraphJob/ProcessGraph/Superstep" — the key ?path= matches.
-func pathKey(op *archive.Operation) string {
-	return strings.Join(op.Path(), "/")
-}
-
-// indexJob builds the stored form of version of a job kept under key id.
+// indexJob builds the stored form of version of a job kept under key
+// id. It first links job — parent pointers and canonical child order —
+// so rows are depth-first over the sorted tree, whatever its source.
 func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJob {
+	archive.New().Add(job)
 	cols := query.BuildColumns(job)
 	return &storedJob{
-		Job: job, Summary: sum, Cols: cols, Version: version,
+		ID: job.ID, Platform: job.Platform, EnvSamples: job.EnvSamples,
+		Summary: sum, Cols: cols, Version: version,
 		Stats: query.FrameStats(cols.Frame(jobMeta(id, sum)), version),
 	}
 }
@@ -77,6 +80,15 @@ func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJ
 // frame returns the job's columns as a frame tagged with its job.*
 // fields.
 func (sj *storedJob) frame() *query.Frame { return sj.Cols.Frame(sj.Stats.Meta) }
+
+// tree rebuilds the job's archive tree from its frame: what /archive,
+// /viz and /diff read, and export without a database. Each call builds
+// a fresh operation tree; EnvSamples is the stored slice, read-only.
+func (sj *storedJob) tree() *archive.Job {
+	job := &archive.Job{ID: sj.ID, Platform: sj.Platform, Root: sj.frame().Tree(), EnvSamples: sj.EnvSamples}
+	archive.New().Add(job)
+	return job
+}
 
 // persistedJob is the archivedb payload schema: the serving summary
 // plus the full performance archive of one job. encoding/json emits
@@ -115,7 +127,7 @@ type StoreOptions struct {
 }
 
 // Store is the performance-archive store: completed jobs keyed by job
-// ID, each with its columnar projection. Without a database it is purely
+// ID, each kept as its frame. Without a database it is purely
 // in-memory (a restart loses everything); with one it is a
 // write-through cache — Put persists to the WAL before publishing to
 // readers, and opening a store over an existing database restores
@@ -226,7 +238,6 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 		if pj.Job == nil {
 			return nil, fmt.Errorf("service: job %q persisted without an archive", id)
 		}
-		archive.New().Add(pj.Job) // restore parent links and child order
 		if pj.Version == 0 {
 			pj.Version = 1
 		}
@@ -334,10 +345,11 @@ func (s *Store) writeSegment(id string, sj *storedJob) {
 	_ = s.db.PutSegment(id, blob)
 }
 
-// Put indexes and stores a completed job under its summary ID. Adding
-// the job to a throwaway archive first restores parent links and child
-// ordering, so rows and path keys are canonical for jobs fresh out of
-// the harness (Load-ed archives are already linked; relinking is
+// Put indexes and stores a completed job under its summary ID. The
+// store keeps the job's frame, not job: once Put returns, the caller's
+// tree is the caller's again. Indexing links job first, so rows, path
+// keys and the persisted bytes are canonical for jobs fresh out of the
+// harness (Load-ed archives are already linked; relinking is
 // idempotent).
 //
 // With a backing database the job is persisted before it becomes
@@ -346,7 +358,6 @@ func (s *Store) writeSegment(id string, sj *storedJob) {
 // without touching storage; every real persistence outcome feeds the
 // breaker.
 func (s *Store) Put(job *archive.Job, sum Summary) error {
-	archive.New().Add(job)
 	version := s.version(sum.ID) + 1
 	sj := indexJob(sum.ID, job, sum, version)
 	if s.db != nil {
@@ -397,7 +408,7 @@ func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err 
 			return payload, sj.Version, true, nil
 		}
 	}
-	payload, err = json.Marshal(persistedJob{Summary: sj.Summary, Job: sj.Job, Version: sj.Version})
+	payload, err = json.Marshal(persistedJob{Summary: sj.Summary, Job: sj.tree(), Version: sj.Version})
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
 	}
@@ -426,7 +437,6 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	if pj.Job == nil {
 		return fmt.Errorf("service: replica %q has no archive", id)
 	}
-	archive.New().Add(pj.Job)
 	sj := indexJob(id, pj.Job, pj.Summary, version)
 	if s.db != nil {
 		if !s.breaker.allow() {

@@ -5,11 +5,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
+	"repro/internal/archivedb"
 	"repro/internal/datagen"
 	"repro/internal/platforms"
 	"repro/internal/stream"
@@ -60,13 +64,33 @@ func TestStorePutGet(t *testing.T) {
 	}
 }
 
+// pathKey is an operation's mission path from the root, e.g.
+// "GiraphJob/ProcessGraph/Superstep" — the key ?path= matches.
+func pathKey(op *archive.Operation) string {
+	return strings.Join(op.Path(), "/")
+}
+
+// viewOps renders operations of a linked tree the way /query renders
+// rows: the tree reference the row rendering is checked against.
+func viewOps(ops []*archive.Operation) []operationView {
+	out := make([]operationView, 0, len(ops))
+	for _, op := range ops {
+		out = append(out, operationView{
+			ID: op.ID, Actor: op.Actor, Mission: op.Mission, Path: pathKey(op),
+			Start: op.Start, End: op.End, Duration: op.Duration(),
+			Infos: op.Infos, Derived: op.Derived,
+		})
+	}
+	return out
+}
+
 // TestLookupMatchesTreeReference pins the ?mission=/?actor=/?path=
 // lookups to the tree: for every key of real Giraph and PowerGraph
 // archives the response bytes equal the tree reference (Job.FindAll,
 // an actor walk, Job.Find) rendered through viewOps. The odd job adds
 // keys that only exact matching gets right, and the live job the same
-// lookups mid-stream, where rows are in completion order and views have
-// no parents.
+// lookups mid-stream, where rows are in completion order and each
+// row's path is still its full path from the root.
 func TestLookupMatchesTreeReference(t *testing.T) {
 	ts, store := streamStack(t, ServerOptions{})
 	check := func(jobID, selector, value string, want queryResponse) {
@@ -159,8 +183,8 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 	if code, _, body, _ := postIngest(t, ts.URL, "live", events[:5]); code != http.StatusOK {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
-	a := operationView{ID: "a", Actor: "W-0", Mission: "Step", Path: "Step", Start: 1, End: 3, Duration: 2}
-	b := operationView{ID: "b", Actor: "W-1", Mission: "Step", Path: "Step", Start: 1.5, End: 2, Duration: 0.5}
+	a := operationView{ID: "a", Actor: "W-0", Mission: "Step", Path: "Job/Step", Start: 1, End: 3, Duration: 2}
+	b := operationView{ID: "b", Actor: "W-1", Mission: "Step", Path: "Job/Step", Start: 1.5, End: 2, Duration: 0.5}
 	for _, row := range []struct {
 		selector, value string
 		want            []operationView
@@ -178,11 +202,132 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 	}
 	// Sealed, the same lookup is depth-first again: a, b.
 	sealed, _ := store.get("live")
-	steps := sealed.Job.Find("Job", "Step")
+	steps := sealed.tree().Find("Job", "Step")
 	if len(steps) != 2 || steps[0].ID != "a" || steps[1].ID != "b" {
 		t.Fatalf("sealed tree has steps %+v, want a then b", steps)
 	}
 	check("live", "path", "Job/Step", queryResponse{Operations: viewOps(steps)})
+}
+
+// reachesTree reports whether v reaches an archive job or operation
+// through pointers, maps, slices, interfaces or struct fields.
+func reachesTree(v reflect.Value, seen map[uintptr]bool) bool {
+	if t := v.Type(); t == reflect.TypeOf(archive.Operation{}) || t == reflect.TypeOf(archive.Job{}) {
+		return true
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map:
+		if v.IsNil() || seen[v.Pointer()] {
+			return false
+		}
+		seen[v.Pointer()] = true
+		if v.Kind() == reflect.Pointer {
+			return reachesTree(v.Elem(), seen)
+		}
+		for it := v.MapRange(); it.Next(); {
+			if reachesTree(it.Key(), seen) || reachesTree(it.Value(), seen) {
+				return true
+			}
+		}
+	case reflect.Interface:
+		return !v.IsNil() && reachesTree(v.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if reachesTree(v.Field(i), seen) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if reachesTree(v.Index(i), seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestStoreRetainsNoTree: a stored job is its frame. The tree a caller
+// Puts is collected once the caller drops it, and whether a job enters
+// by Put, as a replica, or from the database when the store reopens,
+// nothing the store holds reaches an archive tree. The replica store,
+// having no database, exports the replicated bytes by rebuilding the
+// tree from its frame.
+func TestStoreRetainsNoTree(t *testing.T) {
+	requireNoTree := func(s *Store, how string) {
+		t.Helper()
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if len(s.jobs) != 1 || reachesTree(reflect.ValueOf(s.jobs), map[uintptr]bool{}) {
+			t.Fatalf("after %s the store holds %d jobs (want 1) or reaches an archive tree", how, len(s.jobs))
+		}
+	}
+	dir := t.TempDir()
+	db, err := archivedb.Open(dir, archivedb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStoreWithOptions(db, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	id := func() string {
+		out := testOutput(t, "Giraph", "BFS")
+		if err := s.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
+			t.Fatal(err)
+		}
+		// The runtime never finalizes an object that reaches itself, and
+		// a linked root does through its children's parent links. Cutting
+		// them on the caller's side leaves the root collectable unless the
+		// store reaches it.
+		root := out.Job.Root
+		root.Children = nil
+		runtime.SetFinalizer(root, func(*archive.Operation) { close(collected) })
+		return out.Job.ID
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().Before(deadline) {
+				continue
+			}
+			t.Fatal("the root of the Put tree was never collected: the store keeps it")
+		}
+		break
+	}
+	requireNoTree(s, "Put")
+
+	payload, version, _, err := s.export(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := newStore()
+	if err := replica.applyReplica(id, version, payload); err != nil {
+		t.Fatal(err)
+	}
+	requireNoTree(replica, "applyReplica")
+	if exported, _, _, err := replica.export(id); err != nil || !bytes.Equal(exported, payload) {
+		t.Fatalf("the replica exports other bytes than it was sent (%v)", err)
+	}
+
+	s.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = archivedb.Open(dir, archivedb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reopened, err := NewStoreWithOptions(db, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	requireNoTree(reopened, "a reopen")
 }
 
 func TestStoreIDsSortedAndArchive(t *testing.T) {

@@ -464,10 +464,12 @@ func TestReplicatorDetectorShortCircuitsToHint(t *testing.T) {
 	if got := byID(shards, corpse).hits.Load(); got != before {
 		t.Fatalf("down-marked follower was contacted (%d requests)", got-before)
 	}
-	hints, _ := journal.PendingHints(corpse)
-	if len(hints) != 1 || hints[0].ID != id {
-		t.Fatalf("hints for down follower = %+v, want 1 for %s", hints, id)
-	}
+	// The healthy follower may meet the quorum first; the corpse's hint is
+	// journaled on its own push goroutine, possibly after the return.
+	waitFor(t, 5*time.Second, "the down follower's hint", func() bool {
+		hints, _ := journal.PendingHints(corpse)
+		return len(hints) == 1 && hints[0].ID == id
+	})
 }
 
 func equalStrings(a, b []string) bool {

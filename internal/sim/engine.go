@@ -253,27 +253,9 @@ func (p *Proc) Sleep(d float64) {
 	p.block()
 }
 
-// waitUntil suspends the calling process until the simulated clock reaches
-// t. If t is in the past it returns immediately.
-func (p *Proc) waitUntil(t float64) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t - p.eng.now)
-}
-
 // Run executes events until the queue is empty or the engine is stopped.
 // It returns an error if called while already running.
 func (e *Engine) Run() error {
-	return e.run(-1)
-}
-
-// runUntil executes events with timestamps <= t, then sets the clock to t.
-func (e *Engine) runUntil(t float64) error {
-	return e.run(t)
-}
-
-func (e *Engine) run(until float64) error {
 	if e.running {
 		return errors.New("sim: engine already running")
 	}
@@ -286,12 +268,7 @@ func (e *Engine) run(until float64) error {
 		if e.interrupted.Load() {
 			return errInterrupted
 		}
-		next := e.queue[0]
-		if until >= 0 && next.at > until {
-			e.now = until
-			return nil
-		}
-		heap.Pop(&e.queue)
+		next := heap.Pop(&e.queue).(*event)
 		if next.canceled {
 			continue
 		}
@@ -304,20 +281,7 @@ func (e *Engine) run(until float64) error {
 			return nil
 		}
 	}
-	if until >= 0 && until > e.now {
-		e.now = until
-	}
 	return nil
-}
-
-// idle reports whether the event queue holds no runnable events.
-func (e *Engine) idle() bool {
-	for _, ev := range e.queue {
-		if !ev.canceled {
-			return false
-		}
-	}
-	return true
 }
 
 // Interrupt asks a running simulation to stop between events; Run then

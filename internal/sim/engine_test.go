@@ -158,74 +158,3 @@ func TestProcessPanicIsReported(t *testing.T) {
 		t.Fatal("expected error from panicking process")
 	}
 }
-
-func TestWaitUntil(t *testing.T) {
-	e := NewEngine()
-	var times []float64
-	e.Spawn("p", func(p *Proc) {
-		p.waitUntil(3)
-		times = append(times, p.Now())
-		p.waitUntil(1) // already past; must not block or rewind
-		times = append(times, p.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 2 || !almostEqual(times[0], 3) || !almostEqual(times[1], 3) {
-		t.Fatalf("times = %v, want [3 3]", times)
-	}
-}
-
-func TestRunUntilStopsEarly(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(1)
-			ticks++
-		}
-	})
-	if err := e.runUntil(10.5); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
-	}
-	if !almostEqual(e.Now(), 10.5) {
-		t.Fatalf("now = %v, want 10.5", e.Now())
-	}
-	// Resuming runs the rest.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 100 {
-		t.Fatalf("ticks = %d after full run, want 100", ticks)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	if err := e.runUntil(42); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(e.Now(), 42) {
-		t.Fatalf("now = %v, want 42", e.Now())
-	}
-}
-
-func TestIdleReflectsQueue(t *testing.T) {
-	e := NewEngine()
-	if !e.idle() {
-		t.Fatal("new engine should be idle")
-	}
-	e.Spawn("p", func(p *Proc) { p.Sleep(1) })
-	if e.idle() {
-		t.Fatal("engine with pending spawn should not be idle")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.idle() {
-		t.Fatal("engine should be idle after Run")
-	}
-}

@@ -1,8 +1,7 @@
 package sim
 
 // This file provides the synchronization primitives used by model code:
-// one-shot events, FIFO mailboxes, counting semaphores, and reusable
-// barriers. All of them follow the same discipline: a process that cannot
+// one-shot events, FIFO mailboxes, and reusable barriers. All of them follow the same discipline: a process that cannot
 // make progress registers itself and calls block(); whoever makes progress
 // possible calls wake() on the waiters in FIFO order, preserving
 // determinism.
@@ -84,81 +83,6 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		w.wake()
 	}
 	return v
-}
-
-// tryGet dequeues a value without blocking. The second result reports
-// whether a value was available.
-func (m *Mailbox[T]) tryGet() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
-		return zero, false
-	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v, true
-}
-
-// semaphore is a counting semaphore with FIFO fairness: acquisitions are
-// granted strictly in arrival order, so a large request cannot be starved
-// by a stream of small ones.
-type semaphore struct {
-	eng     *Engine
-	avail   int
-	waiters []*semWaiter
-}
-
-type semWaiter struct {
-	p     *Proc
-	n     int
-	woken bool
-}
-
-// newSemaphore returns a semaphore with n initial permits.
-func newSemaphore(e *Engine, n int) *semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore capacity")
-	}
-	return &semaphore{eng: e, avail: n}
-}
-
-// acquire takes n permits, suspending p until they are available.
-func (s *semaphore) acquire(p *Proc, n int) {
-	if n < 0 {
-		panic("sim: negative semaphore acquire")
-	}
-	if len(s.waiters) == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	w := &semWaiter{p: p, n: n}
-	s.waiters = append(s.waiters, w)
-	for {
-		p.block()
-		w.woken = false
-		if len(s.waiters) > 0 && s.waiters[0] == w && s.avail >= n {
-			s.waiters = s.waiters[1:]
-			s.avail -= n
-			s.grantNext()
-			return
-		}
-	}
-}
-
-// release returns n permits and wakes the head waiter if it can now
-// proceed.
-func (s *semaphore) release(n int) {
-	if n < 0 {
-		panic("sim: negative semaphore release")
-	}
-	s.avail += n
-	s.grantNext()
-}
-
-func (s *semaphore) grantNext() {
-	if len(s.waiters) > 0 && s.avail >= s.waiters[0].n && !s.waiters[0].woken {
-		s.waiters[0].woken = true
-		s.waiters[0].p.wake()
-	}
 }
 
 // Barrier is a reusable synchronization barrier for a fixed number of

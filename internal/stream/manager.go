@@ -357,17 +357,10 @@ func (j *Job) apply(e Event) {
 		lo.op.End = e.Time
 		lo.ended = true
 		j.open--
-		// Freeze an immutable view for the live columns: info events may
-		// still arrive for an ended op (the archive assembly sees them),
-		// but live readers must never race a map write.
-		view := *lo.op
-		if lo.op.Infos != nil {
-			view.Infos = make(map[string]string, len(lo.op.Infos))
-			for k, v := range lo.op.Infos {
-				view.Infos[k] = v
-			}
-		}
-		j.cols.Append(&view, lo.depth, lo.path)
+		// Append copies the row, infos included: info events may still
+		// arrive for an ended op (the archive assembly sees them), but
+		// live readers never see the staging map they write.
+		j.cols.Append(lo.op, lo.depth, lo.path)
 	case typeInfo:
 		lo := j.ops[e.Op]
 		if lo.op.Infos == nil {

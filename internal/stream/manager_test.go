@@ -218,15 +218,17 @@ func TestLiveQueryOverPartialJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := q.SelectColumns(j.Columns())
-	if len(got) != 1 || got[0].ID != "op-2" {
+	cols := j.Columns()
+	f := cols.Frame(query.JobMeta{})
+	got := q.SelectColumns(cols)
+	if len(got) != 1 || f.Syms[f.ID[got[0]]] != "op-2" || f.Paths[f.Path[got[0]]] != "Job/Load" {
 		t.Fatalf("live query: %+v", got)
 	}
-	lookup := func(field, value string) []*archive.Operation {
-		return query.Exact(field, value).SelectColumns(j.Columns())
+	lookup := func(field, value string) []int {
+		return query.Exact(field, value).SelectColumns(cols)
 	}
-	if ops := lookup("mission", "Load"); len(ops) != 1 || ops[0].Infos["Bytes"] != "1000" {
-		t.Fatalf("mission lookup: %+v", ops)
+	if rows := lookup("mission", "Load"); len(rows) != 1 || f.Infos(rows[0])["Bytes"] != "1000" {
+		t.Fatalf("mission lookup: %+v", rows)
 	}
 	if ops := lookup("actor", "Worker-0"); len(ops) != 1 {
 		t.Fatalf("actor lookup: %+v", ops)

@@ -31,18 +31,6 @@ type Config struct {
 	ReleaseLatency float64
 }
 
-// defaultConfig mirrors a stock Hadoop 2.x deployment: container grants in
-// heartbeat rounds and multi-second JVM startup.
-func defaultConfig() Config {
-	return Config{
-		SubmitLatency:    2.0,
-		AllocLatency:     0.25,
-		LaunchLatency:    2.5,
-		LaunchCPUSeconds: 1.0,
-		ReleaseLatency:   1.5,
-	}
-}
-
 // ResourceManager tracks cluster capacity and running applications.
 type ResourceManager struct {
 	cluster *cluster.Cluster

@@ -180,10 +180,3 @@ func TestReleaseReturnsCores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := defaultConfig()
-	if cfg.SubmitLatency <= 0 || cfg.LaunchLatency <= 0 || cfg.AllocLatency <= 0 {
-		t.Fatalf("default config has non-positive latencies: %+v", cfg)
-	}
-}
