@@ -8,7 +8,6 @@
 package archive
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -231,7 +230,7 @@ func (a *Archive) Job(id string) *Job {
 func (a *Archive) Save(w io.Writer) error {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
-	e.buf, e.err = e.buf[:0], nil
+	e.buf, e.err, e.compact = e.buf[:0], nil, false
 	e.archive(a)
 	if e.err != nil {
 		return e.err
@@ -240,12 +239,17 @@ func (a *Archive) Save(w io.Writer) error {
 	return err
 }
 
-// Load reads an archive from JSON and restores internal links.
+// Load reads an archive from JSON and restores internal links. It
+// decodes the first JSON value of r in one pass (see decoder); what
+// follows that value is ignored.
 func Load(r io.Reader) (*Archive, error) {
-	var a Archive
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("archive: decode: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("archive: read: %w", err)
+	}
+	a, err := decodeArchive(data)
+	if err != nil {
+		return nil, err
 	}
 	if a.Version != formatVersion {
 		return nil, fmt.Errorf("archive: unsupported format version %d", a.Version)
@@ -254,6 +258,9 @@ func Load(r io.Reader) (*Archive, error) {
 		if j == nil {
 			return nil, fmt.Errorf("archive: null job entry")
 		}
+		if err := j.checkNoNull(); err != nil {
+			return nil, err
+		}
 		if j.Root != nil {
 			j.Root.link(nil)
 		}
@@ -261,5 +268,26 @@ func Load(r io.Reader) (*Archive, error) {
 			return nil, err
 		}
 	}
-	return &a, nil
+	return a, nil
+}
+
+// checkNoNull refuses a decoded job whose tree holds a null operation,
+// which JSON can spell ("children": [null]) and nothing else handles.
+func (j *Job) checkNoNull() error {
+	var walk func(o *Operation) error
+	walk = func(o *Operation) error {
+		for _, c := range o.Children {
+			if c == nil {
+				return fmt.Errorf("archive: job %s: null operation under %s", j.ID, o.ID)
+			}
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if j.Root == nil {
+		return nil
+	}
+	return walk(j.Root)
 }

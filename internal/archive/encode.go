@@ -13,21 +13,51 @@ import (
 // encoder writes the archive schema as encoding/json with a two-space
 // indent would: fields in declaration order under their json tags,
 // omitempty fields left out when empty, map keys sorted, floats in
-// ES6 number form, strings HTML-escaped. The fixed schema lets it skip
-// encoding/json's reflection and its second, re-indenting pass. The
-// Encoder it replaces is kept in the tests as its oracle.
+// ES6 number form, strings HTML-escaped. In compact mode it writes what
+// json.Marshal would instead: no newlines, no indent, no space after a
+// colon. The fixed schema lets it skip encoding/json's reflection and,
+// indented, its second, re-indenting pass. The Encoder and Marshal it
+// replaces are kept in the tests as its oracles.
 type encoder struct {
-	buf  []byte
-	keys []string // scratch for sorting one map's keys
-	err  error    // first unsupported value
+	buf     []byte
+	keys    []string // scratch for sorting one map's keys
+	err     error    // first unsupported value
+	compact bool
 }
 
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
+// AppendRecord appends the persisted form of one stored job to dst: the
+// compact JSON object {"summary":…,"job":…,"version":…}, byte for byte
+// what json.Marshal writes for a struct of those three members when
+// summary is already compact JSON and version, 0, is left out. A NaN
+// or infinite float is an error.
+func AppendRecord(dst, summary []byte, j *Job, version uint64) ([]byte, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.buf, e.err, e.compact = e.buf[:0], nil, true
+	e.raw(`{"summary":`)
+	e.buf = append(e.buf, summary...)
+	e.raw(`,"job":`)
+	e.job(j, 0)
+	if version != 0 {
+		e.raw(`,"version":`)
+		e.buf = strconv.AppendUint(e.buf, version, 10)
+	}
+	e.raw("}")
+	if e.err != nil {
+		return nil, e.err
+	}
+	return append(dst, e.buf...), nil
+}
+
 func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
 
-// newline starts a line indented to depth.
+// newline starts a line indented to depth; compact, it writes nothing.
 func (e *encoder) newline(depth int) {
+	if e.compact {
+		return
+	}
 	e.buf = append(e.buf, '\n')
 	for range depth {
 		e.buf = append(e.buf, "  "...)
@@ -43,7 +73,17 @@ func (e *encoder) field(first bool, depth int, name string) {
 	e.newline(depth)
 	e.buf = append(e.buf, '"')
 	e.buf = append(e.buf, name...)
-	e.buf = append(e.buf, `": `...)
+	e.buf = append(e.buf, '"')
+	e.colon()
+}
+
+// colon separates a member name from its value.
+func (e *encoder) colon() {
+	if e.compact {
+		e.raw(":")
+	} else {
+		e.raw(": ")
+	}
 }
 
 // string writes s quoted. Plain ASCII with nothing to escape is copied;
@@ -95,7 +135,7 @@ func (e *encoder) stringMap(m map[string]string, depth int) {
 		}
 		e.newline(depth + 1)
 		e.string(k)
-		e.raw(": ")
+		e.colon()
 		e.string(m[k])
 	}
 	e.newline(depth)

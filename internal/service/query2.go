@@ -59,21 +59,22 @@ func (s *Server) aggQuery(w http.ResponseWriter, r *http.Request) (*query.Query,
 // ID order.
 func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
 	ids := s.store.ids()
-	return partialsInOrder(len(ids), func(i int) (query.JobPartial, bool, error) {
+	return inOrder(len(ids), func(i int) (query.JobPartial, bool, error) {
 		return s.partialForJob(q, ids[i])
 	})
 }
 
-// partialsInOrder calls part for indexes 0..n-1 over
-// runtime.GOMAXPROCS(0) workers and returns the ok partials in index
-// order. Workers claim indexes in order and each writes only its own
-// slot, so the result is the serial loop's; on failure the error
-// returned is the lowest index's, which is also what the serial loop
-// returns. After a failure no new index is claimed — every index below
-// the failing one was already. With one worker it is the serial loop.
-func partialsInOrder(n int, part func(i int) (query.JobPartial, bool, error)) ([]query.JobPartial, error) {
+// inOrder calls part for indexes 0..n-1 over runtime.GOMAXPROCS(0)
+// workers and returns the ok results in index order: the /query2
+// fan-out over jobs and the store's reopen use it. Workers claim
+// indexes in order and each writes only its own slot, so the result is
+// the serial loop's; on failure the error returned is the lowest
+// index's, which is also what the serial loop returns. After a failure
+// no new index is claimed — every index below the failing one was
+// already. With one worker it is the serial loop.
+func inOrder[T any](n int, part func(i int) (T, bool, error)) ([]T, error) {
 	type slot struct {
-		jp  query.JobPartial
+		v   T
 		ok  bool
 		err error
 	}
@@ -87,7 +88,7 @@ func partialsInOrder(n int, part func(i int) (query.JobPartial, bool, error)) ([
 				return
 			}
 			sl := &slots[i]
-			if sl.jp, sl.ok, sl.err = part(i); sl.err != nil {
+			if sl.v, sl.ok, sl.err = part(i); sl.err != nil {
 				failed.Store(true)
 			}
 		}
@@ -105,16 +106,16 @@ func partialsInOrder(n int, part func(i int) (query.JobPartial, bool, error)) ([
 		}
 		wg.Wait()
 	}
-	partials := make([]query.JobPartial, 0, n)
+	out := make([]T, 0, n)
 	for _, sl := range slots {
 		if sl.err != nil {
 			return nil, sl.err
 		}
 		if sl.ok {
-			partials = append(partials, sl.jp)
+			out = append(out, sl.v)
 		}
 	}
-	return partials, nil
+	return out, nil
 }
 
 // partialForJob aggregates one job. ok is false when the job vanished

@@ -321,7 +321,7 @@ func TestQuery2UpgradesV1Segments(t *testing.T) {
 func TestQuery2FanOutOrderAndLowestError(t *testing.T) {
 	const n = 200
 	for run := 0; run < 20; run++ {
-		got, err := partialsInOrder(n, func(i int) (query.JobPartial, bool, error) {
+		got, err := inOrder(n, func(i int) (query.JobPartial, bool, error) {
 			return query.JobPartial{Job: fmt.Sprintf("j%03d", i), Rows: i}, i%5 != 0, nil
 		})
 		if err != nil {
@@ -336,7 +336,7 @@ func TestQuery2FanOutOrderAndLowestError(t *testing.T) {
 			}
 		}
 
-		_, err = partialsInOrder(n, func(i int) (query.JobPartial, bool, error) {
+		_, err = inOrder(n, func(i int) (query.JobPartial, bool, error) {
 			if i == 37 || i == 91 || i == 199 {
 				return query.JobPartial{}, false, fmt.Errorf("job %d failed", i)
 			}

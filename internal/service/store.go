@@ -90,17 +90,38 @@ func (sj *storedJob) tree() *archive.Job {
 	return job
 }
 
-// persistedJob is the archivedb payload schema: the serving summary
-// plus the full performance archive of one job. encoding/json emits
-// struct fields in declaration order and map keys sorted, so the bytes
-// are deterministic for a given job. Version orders replicated writes
-// of the same ID: a replica at version >= v treats an incoming v as a
-// replay and acks without rewriting. Records persisted before versions
-// existed carry 0 and are read back as version 1.
-type persistedJob struct {
-	Summary Summary      `json:"summary"`
-	Job     *archive.Job `json:"job"`
-	Version uint64       `json:"version,omitempty"`
+// encodeRecord renders the archivedb payload of one job version: the
+// compact JSON object {"summary":…,"job":…,"version":…} of the serving
+// summary, the job's full performance archive and its write version,
+// fields in that order and map keys sorted, so the bytes are
+// deterministic for a given job. Only the summary goes through
+// encoding/json; archive.AppendRecord writes the rest in one pass.
+// Version orders replicated writes of the same ID: a replica at
+// version >= v treats an incoming v as a replay and acks without
+// rewriting.
+func encodeRecord(sum Summary, job *archive.Job, version uint64) ([]byte, error) {
+	raw, err := json.Marshal(sum)
+	if err != nil {
+		return nil, err
+	}
+	return archive.AppendRecord(nil, raw, job, version)
+}
+
+// decodeRecord inverts encodeRecord in one pass over payload. Records
+// persisted before versions existed carry none and are read back as
+// version 1; a record without a job is an error.
+func decodeRecord(payload []byte) (*archive.Job, Summary, uint64, error) {
+	var sum Summary
+	job, version, err := archive.DecodeRecord(payload, func(raw []byte) error {
+		return json.Unmarshal(raw, &sum)
+	})
+	if err != nil {
+		return nil, Summary{}, 0, err
+	}
+	if job == nil {
+		return nil, Summary{}, 0, errors.New("record holds no archive")
+	}
+	return job, sum, max(version, 1), nil
 }
 
 // errDegraded is returned by Put while the persistence circuit breaker
@@ -192,56 +213,52 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
+	if err := s.load(); err != nil {
+		return nil, err
+	}
+	// The probe starts only once the store exists: a failed open has
+	// nothing to stop.
 	s.probeStop = make(chan struct{})
 	s.probeDone = make(chan struct{})
 	go s.probeLoop(interval)
-	for _, id := range db.IDs() {
-		payload, ok, err := db.Get(id)
-		if err != nil {
-			return nil, fmt.Errorf("service: load job %q: %w", id, err)
-		}
-		if !ok {
-			continue
-		}
-		if target, hintID, isHint := parseHintKey(id); isHint {
-			// Journaled hinted-handoff records from before the last
-			// shutdown: restore them for the drainer. A hint that fails
-			// validation is dropped — the anti-entropy sweep converges the
-			// replica it would have repaired.
-			rec, err := shard.DecodeHintRecord(payload)
-			if err != nil || rec.Target != target || rec.ID != hintID {
-				continue
+	return s, nil
+}
+
+// loaded is one record of the database a store opens over, read and
+// decoded: a stored job, a journaled hint, or an acked ingest batch.
+type loaded struct {
+	id    string
+	job   *storedJob
+	hint  *shard.HintRecord
+	batch *streamBatch
+}
+
+// load warms the store with every record in its database. Reading,
+// checksumming and decoding a record is most of a reopen, so workers
+// do it over GOMAXPROCS, each holding one undecoded payload at a time;
+// the records are then applied in ID order, and the error returned is
+// the lowest ID's — what a serial loop over the IDs would return.
+func (s *Store) load() error {
+	ids := s.db.IDs()
+	recs, err := inOrder(len(ids), func(i int) (loaded, bool, error) {
+		return s.loadRecord(ids[i])
+	})
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		switch {
+		case r.job != nil:
+			s.jobs[r.id] = r.job
+		case r.hint != nil:
+			if s.hints[r.hint.Target] == nil {
+				s.hints[r.hint.Target] = map[string]shard.HintRecord{}
 			}
-			if s.hints[target] == nil {
-				s.hints[target] = map[string]shard.HintRecord{}
-			}
-			if old, ok := s.hints[target][hintID]; !ok || old.Version <= rec.Version {
-				s.hints[target][hintID] = rec
-			}
-			continue
+			s.hints[r.hint.Target][r.hint.ID] = *r.hint
+		default:
+			s.streamKeys[r.batch.JobID] = append(s.streamKeys[r.batch.JobID], r.id)
+			s.recoveredStream = append(s.recoveredStream, *r.batch)
 		}
-		if jobID, lastSeq, isStream := parseStreamKey(id); isStream {
-			// Acked ingest batches of jobs that were still streaming at
-			// the last shutdown. They are not archives; surface them for
-			// the serving layer to replay (or discard, if the job was
-			// sealed) instead of decoding them as jobs.
-			s.streamKeys[jobID] = append(s.streamKeys[jobID], id)
-			s.recoveredStream = append(s.recoveredStream, streamBatch{
-				JobID: jobID, LastSeq: lastSeq, Payload: payload,
-			})
-			continue
-		}
-		var pj persistedJob
-		if err := json.Unmarshal(payload, &pj); err != nil {
-			return nil, fmt.Errorf("service: decode job %q: %w", id, err)
-		}
-		if pj.Job == nil {
-			return nil, fmt.Errorf("service: job %q persisted without an archive", id)
-		}
-		if pj.Version == 0 {
-			pj.Version = 1
-		}
-		s.jobs[id] = indexJob(id, pj.Job, pj.Summary, pj.Version)
 	}
 	sort.Slice(s.recoveredStream, func(i, j int) bool {
 		a, b := s.recoveredStream[i], s.recoveredStream[j]
@@ -250,7 +267,42 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 		}
 		return a.LastSeq < b.LastSeq
 	})
-	return s, nil
+	return nil
+}
+
+// loadRecord reads and decodes the record stored under id; ok is false
+// when there is nothing to restore from it.
+func (s *Store) loadRecord(id string) (r loaded, ok bool, err error) {
+	payload, ok, err := s.db.Get(id)
+	if err != nil {
+		return loaded{}, false, fmt.Errorf("service: load job %q: %w", id, err)
+	}
+	if !ok {
+		return loaded{}, false, nil
+	}
+	if target, hintID, isHint := parseHintKey(id); isHint {
+		// Journaled hinted-handoff records from before the last
+		// shutdown: restore them for the drainer. A hint that fails
+		// validation is dropped — the anti-entropy sweep converges the
+		// replica it would have repaired.
+		rec, err := shard.DecodeHintRecord(payload)
+		if err != nil || rec.Target != target || rec.ID != hintID {
+			return loaded{}, false, nil
+		}
+		return loaded{id: id, hint: &rec}, true, nil
+	}
+	if jobID, lastSeq, isStream := parseStreamKey(id); isStream {
+		// Acked ingest batches of jobs that were still streaming at
+		// the last shutdown. They are not archives; surface them for
+		// the serving layer to replay (or discard, if the job was
+		// sealed) instead of decoding them as jobs.
+		return loaded{id: id, batch: &streamBatch{JobID: jobID, LastSeq: lastSeq, Payload: payload}}, true, nil
+	}
+	job, sum, version, err := decodeRecord(payload)
+	if err != nil {
+		return loaded{}, false, fmt.Errorf("service: decode job %q: %w", id, err)
+	}
+	return loaded{id: id, job: indexJob(id, job, sum, version)}, true, nil
 }
 
 // probeLoop is the breaker's recovery path: while the store is
@@ -361,7 +413,7 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 	version := s.version(sum.ID) + 1
 	sj := indexJob(sum.ID, job, sum, version)
 	if s.db != nil {
-		payload, err := json.Marshal(persistedJob{Summary: sum, Job: job, Version: version})
+		payload, err := encodeRecord(sum, job, version)
 		if err != nil {
 			return fmt.Errorf("service: encode job %q: %w", sum.ID, err)
 		}
@@ -408,7 +460,7 @@ func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err 
 			return payload, sj.Version, true, nil
 		}
 	}
-	payload, err = json.Marshal(persistedJob{Summary: sj.Summary, Job: sj.tree(), Version: sj.Version})
+	payload, err = encodeRecord(sj.Summary, sj.tree(), sj.Version)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
 	}
@@ -430,14 +482,11 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	if s.version(id) >= version {
 		return nil
 	}
-	var pj persistedJob
-	if err := json.Unmarshal(payload, &pj); err != nil {
+	job, sum, _, err := decodeRecord(payload)
+	if err != nil {
 		return fmt.Errorf("service: decode replica %q: %w", id, err)
 	}
-	if pj.Job == nil {
-		return fmt.Errorf("service: replica %q has no archive", id)
-	}
-	sj := indexJob(id, pj.Job, pj.Summary, version)
+	sj := indexJob(id, job, sum, version)
 	if s.db != nil {
 		if !s.breaker.allow() {
 			return errDegraded
