@@ -20,6 +20,7 @@
 package query
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -75,32 +76,29 @@ func formatFloatWire(v float64) string {
 
 // --- per-frame execution ---
 
-// aggregate accumulator modes; chosen per (function, field, frame).
+// aggregate accumulator modes, one per function family.
 const (
-	amCount  = iota
-	amSum    // sum and avg: fold a float sum in row order
-	amMinNum // min over an all-finite numeric column
-	amMaxNum // max over an all-finite numeric column
-	amMinSym // min over an interned symbol column
-	amMaxSym // max over an interned symbol column
-	amMinStr // min via per-row string forms (job.*, info., non-finite numeric)
-	amMaxStr // max via per-row string forms
-	amPerc   // percentile: collect matching values
+	amCount = iota
+	amSum   // sum and avg: fold a float sum in row order
+	amPerc  // percentile: collect matching values
+	amMin   // min: keep the row whose value orders first
+	amMax   // max: keep the row whose value orders last
 )
 
+// frameAgg is one aggregate of the agg list resolved against a frame.
 type frameAgg struct {
 	mode int
-	num  func(r int) float64
-	str  func(r int) (string, bool)
-	col  []uint32
+	col  column
+	// numeric orders min/max rows by number: the column is depth, or
+	// floats that are all finite, where number order is compareValues
+	// order.
+	numeric bool
 }
 
 type frameAcc struct {
 	set  bool
+	row  int // min/max: the winning row
 	sum  float64
-	numv float64
-	sym  uint32
-	strv string
 	vals []float64
 }
 
@@ -118,86 +116,64 @@ func allFinite(col []float64) bool {
 func (q *Query) frameAggs(f *Frame) ([]frameAgg, error) {
 	out := make([]frameAgg, len(q.aggs))
 	for i, a := range q.aggs {
+		ag := &out[i]
 		switch a.fn {
 		case "count":
-			out[i] = frameAgg{mode: amCount}
-		case "sum", "avg", "p50", "p95", "p99":
-			num, err := f.numExtractor(a.field)
-			if err != nil {
-				return nil, err
-			}
-			mode := amSum
-			if _, ok := percentileRank(a.fn); ok {
-				mode = amPerc
-			}
-			out[i] = frameAgg{mode: mode, num: num}
-		case "min", "max":
-			ag, err := f.minMaxAgg(a)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ag
+			ag.mode = amCount
+			continue
+		case "sum", "avg":
+			ag.mode = amSum
+		case "min":
+			ag.mode = amMin
+		case "max":
+			ag.mode = amMax
 		default:
-			return nil, fmt.Errorf("query: unknown aggregate %q", a.fn)
+			ag.mode = amPerc
 		}
+		col, err := f.column(a.field)
+		if err != nil {
+			return nil, err
+		}
+		ag.col = col
+		ag.numeric = col.kind == depthField || col.kind == floatField && allFinite(col.num)
 	}
 	return out, nil
 }
 
-// minMaxAgg picks the fastest sound representation for min/max on this
-// frame: symbol-ID compare for interned columns, float compare for
-// all-finite numeric columns, per-row string forms otherwise (the
-// fallback has exactly compareValues semantics, like the others).
-func (f *Frame) minMaxAgg(a aggSpec) (frameAgg, error) {
-	isMin := a.fn == "min"
-	lf := strings.ToLower(a.field)
-	switch lf {
-	case "mission":
-		return symMinMax(isMin, f.Mission), nil
-	case "actor":
-		return symMinMax(isMin, f.Actor), nil
-	case "id":
-		return symMinMax(isMin, f.ID), nil
-	case "duration", "start", "end", "depth":
-		num, err := f.numExtractor(lf)
-		if err != nil {
-			return frameAgg{}, err
-		}
-		finite := true
-		switch lf {
-		case "duration":
-			finite = allFinite(f.Dur)
-		case "start":
-			finite = allFinite(f.Start)
-		case "end":
-			finite = allFinite(f.End)
-		}
-		if finite {
-			mode := amMaxNum
-			if isMin {
-				mode = amMinNum
-			}
-			return frameAgg{mode: mode, num: num}, nil
-		}
+// cmpRows orders rows a and b of a min/max column as compareValues
+// orders their values: by symbol, by number, or by string form. A
+// job.* value is one per frame and compares equal to itself.
+func (ag *frameAgg) cmpRows(a, b int) int {
+	c := &ag.col
+	switch {
+	case c.kind == symbolField:
+		return c.f.symCompare(c.sym[a], c.sym[b])
+	case c.kind == jobField:
+		return 0
+	case ag.numeric:
+		return cmp.Compare(c.number(a), c.number(b))
 	}
-	if opsOnlyField(a.field) && !f.detailed() {
-		return frameAgg{}, fmt.Errorf("query: field %q requires operation details not stored in columnar segments", a.field)
-	}
-	field := a.field
-	str := func(r int) (string, bool) { return f.fieldString(r, field) }
-	mode := amMaxStr
-	if isMin {
-		mode = amMinStr
-	}
-	return frameAgg{mode: mode, str: str}, nil
+	va, _ := c.value(a)
+	vb, _ := c.value(b)
+	return compareValues(va, vb)
 }
 
-func symMinMax(isMin bool, col []uint32) frameAgg {
-	mode := amMaxSym
-	if isMin {
-		mode = amMinSym
+// wins reports whether row r replaces row best as the min (orders
+// strictly before it) or the max (strictly after).
+func (ag *frameAgg) wins(r, best int) bool {
+	c := ag.cmpRows(r, best)
+	return ag.mode == amMin && c < 0 || ag.mode == amMax && c > 0
+}
+
+// present reports whether row r has a value for a min/max: only info
+// and derived fields can lack one.
+func (ag *frameAgg) present(r int) bool {
+	switch ag.col.kind {
+	case infoField, derivedField, absentField:
+		_, ok := ag.col.value(r)
+		return ok
 	}
-	return frameAgg{mode: mode, col: col}
+	return true
 }
 
 // groupKeyer packs one row's group-by values into a comparable key.
@@ -206,51 +182,34 @@ func symMinMax(isMin bool, col []uint32) frameAgg {
 // to a composite string.
 type groupKeyer struct {
 	packed bool
-	cols   []keyCol
+	cols   []column
+	widths []uint
 }
 
-type keyCol struct {
-	sym   []uint32 // symbol column, or
-	depth []int32  // depth column; neither set for per-frame constants
-	width uint
-}
-
-func buildKeyer(q *Query, f *Frame) groupKeyer {
-	k := groupKeyer{packed: true}
+func buildKeyer(q *Query, f *Frame) (groupKeyer, error) {
+	k := groupKeyer{packed: true, cols: make([]column, len(q.groupBy)), widths: make([]uint, len(q.groupBy))}
 	total := uint(0)
-	for _, gf := range q.groupBy {
-		lf := strings.ToLower(gf)
-		var kc keyCol
-		switch lf {
-		case "mission":
-			kc = keyCol{sym: f.Mission, width: bitsFor(len(f.Syms))}
-		case "actor":
-			kc = keyCol{sym: f.Actor, width: bitsFor(len(f.Syms))}
-		case "id":
-			kc = keyCol{sym: f.ID, width: bitsFor(len(f.Syms))}
-		case "depth":
-			max := int32(0)
-			for _, d := range f.Depth {
-				if d > max {
-					max = d
-				}
-			}
-			kc = keyCol{depth: f.Depth, width: bitsFor(int(max) + 1)}
-		default:
-			// job.* (constant per frame) contributes nothing to the
-			// key; info./derived. force the string fallback.
-			if opsOnlyField(gf) {
-				k.packed = false
-			}
-			kc = keyCol{}
+	for i, gf := range q.groupBy {
+		c, err := f.column(gf)
+		if err != nil {
+			return k, err
 		}
-		total += kc.width
-		k.cols = append(k.cols, kc)
+		switch c.kind {
+		case symbolField:
+			k.widths[i] = bitsFor(len(f.Syms))
+		case depthField:
+			k.widths[i] = bitsFor(int(maxDepth(c.depth)) + 1)
+		case infoField, derivedField:
+			k.packed = false
+		}
+		// A job.* field, constant per frame, adds nothing to the key.
+		k.cols[i] = c
+		total += k.widths[i]
 	}
 	if total > 63 {
 		k.packed = false
 	}
-	return k
+	return k, nil
 }
 
 // bitsFor returns the bits needed to represent values in [0, n).
@@ -265,14 +224,22 @@ func bitsFor(n int) uint {
 func (k *groupKeyer) pack(r int) uint64 {
 	key := uint64(0)
 	for i := range k.cols {
-		kc := &k.cols[i]
-		key <<= kc.width
-		switch {
-		case kc.sym != nil:
-			key |= uint64(kc.sym[r])
-		case kc.depth != nil:
-			key |= uint64(kc.depth[r])
+		c := &k.cols[i]
+		key <<= k.widths[i]
+		switch c.kind {
+		case symbolField:
+			key |= uint64(c.sym[r])
+		case depthField:
+			key |= uint64(c.depth[r])
 		}
+	}
+	return key
+}
+
+// values returns row r's group key, each value as fieldValue forms it.
+func (k *groupKeyer) values(r int, key []string) []string {
+	for i := range k.cols {
+		key[i], _ = k.cols[i].value(r)
 	}
 	return key
 }
@@ -296,19 +263,18 @@ func joinKey(parts []string) string {
 // matching values, which is what makes the merge exact).
 func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
 	jp := JobPartial{Job: f.Meta.ID}
-	var ev rowEval
-	if q.where != nil {
-		var err error
-		ev, err = compileFrameExpr(q.where, f)
-		if err != nil {
-			return jp, err
-		}
+	scan, err := q.filter(f)
+	if err != nil {
+		return jp, err
 	}
 	aggs, err := q.frameAggs(f)
 	if err != nil {
 		return jp, err
 	}
-	keyer := buildKeyer(q, f)
+	keyer, err := buildKeyer(q, f)
+	if err != nil {
+		return jp, err
+	}
 	na := len(aggs)
 
 	type slot struct {
@@ -326,36 +292,26 @@ func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
 	}
 	keyBuf := make([]string, len(q.groupBy))
 
-	rows := f.rows()
-	for r := 0; r < rows; r++ {
-		if ev != nil && !ev(r) {
-			continue
-		}
+	scan(func(r int) {
 		jp.Rows++
 		var si int32
+		var ok bool
 		if keyer.packed {
 			k := keyer.pack(r)
-			s, ok := lookupU[k]
-			if !ok {
-				s = int32(len(slots))
-				lookupU[k] = s
-				slots = append(slots, slot{first: int32(r)})
-				accs = append(accs, make([]frameAcc, na)...)
+			if si, ok = lookupU[k]; !ok {
+				si = int32(len(slots))
+				lookupU[k] = si
 			}
-			si = s
 		} else {
-			for gi, gf := range q.groupBy {
-				keyBuf[gi], _ = f.fieldString(r, gf)
+			k := joinKey(keyer.values(r, keyBuf))
+			if si, ok = lookupS[k]; !ok {
+				si = int32(len(slots))
+				lookupS[k] = si
 			}
-			k := joinKey(keyBuf)
-			s, ok := lookupS[k]
-			if !ok {
-				s = int32(len(slots))
-				lookupS[k] = s
-				slots = append(slots, slot{first: int32(r)})
-				accs = append(accs, make([]frameAcc, na)...)
-			}
-			si = s
+		}
+		if !ok {
+			slots = append(slots, slot{first: int32(r)})
+			accs = append(accs, make([]frameAcc, na)...)
 		}
 		slots[si].n++
 		base := int(si) * na
@@ -363,56 +319,24 @@ func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
 			ag := &aggs[ai]
 			acc := &accs[base+ai]
 			switch ag.mode {
-			case amCount:
 			case amSum:
-				acc.sum += ag.num(r)
+				acc.sum += ag.col.number(r)
 			case amPerc:
-				acc.vals = append(acc.vals, ag.num(r))
-			case amMinNum:
-				v := ag.num(r)
-				if !acc.set || v < acc.numv {
-					acc.set, acc.numv = true, v
-				}
-			case amMaxNum:
-				v := ag.num(r)
-				if !acc.set || v > acc.numv {
-					acc.set, acc.numv = true, v
-				}
-			case amMinSym:
-				id := ag.col[r]
-				if !acc.set {
-					acc.set, acc.sym = true, id
-				} else if f.symCompare(id, acc.sym) < 0 {
-					acc.sym = id
-				}
-			case amMaxSym:
-				id := ag.col[r]
-				if !acc.set {
-					acc.set, acc.sym = true, id
-				} else if f.symCompare(id, acc.sym) > 0 {
-					acc.sym = id
-				}
-			case amMinStr:
-				if v, ok := ag.str(r); ok && (!acc.set || compareValues(v, acc.strv) < 0) {
-					acc.set, acc.strv = true, v
-				}
-			case amMaxStr:
-				if v, ok := ag.str(r); ok && (!acc.set || compareValues(v, acc.strv) > 0) {
-					acc.set, acc.strv = true, v
+				acc.vals = append(acc.vals, ag.col.number(r))
+			case amMin, amMax:
+				if ag.present(r) && (!acc.set || ag.wins(r, acc.row)) {
+					acc.set, acc.row = true, r
 				}
 			}
 		}
-	}
+	})
 
 	jp.Groups = make([]GroupPartial, 0, len(slots))
 	for si := range slots {
-		key := make([]string, len(q.groupBy))
-		for gi, gf := range q.groupBy {
-			key[gi], _ = f.fieldString(int(slots[si].first), gf)
-		}
+		key := keyer.values(int(slots[si].first), make([]string, len(q.groupBy)))
 		gp := GroupPartial{Key: key, N: slots[si].n, Aggs: make([]AggPartial, na)}
 		for ai := range aggs {
-			gp.Aggs[ai] = finalizePartial(f, &aggs[ai], &accs[si*na+ai])
+			gp.Aggs[ai] = finalizePartial(&aggs[ai], &accs[si*na+ai])
 		}
 		jp.Groups = append(jp.Groups, gp)
 	}
@@ -420,7 +344,7 @@ func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
 	return jp, nil
 }
 
-func finalizePartial(f *Frame, ag *frameAgg, acc *frameAcc) AggPartial {
+func finalizePartial(ag *frameAgg, acc *frameAcc) AggPartial {
 	switch ag.mode {
 	case amSum:
 		return AggPartial{Sum: formatFloatWire(acc.sum)}
@@ -430,36 +354,15 @@ func finalizePartial(f *Frame, ag *frameAgg, acc *frameAcc) AggPartial {
 			vals[i] = formatFloatWire(v)
 		}
 		return AggPartial{Vals: vals}
-	case amMinNum:
-		if acc.set {
-			s := formatNumField(acc.numv)
+	case amMin, amMax:
+		if !acc.set {
+			break
+		}
+		s, _ := ag.col.value(acc.row)
+		if ag.mode == amMin {
 			return AggPartial{Min: &s}
 		}
-	case amMaxNum:
-		if acc.set {
-			s := formatNumField(acc.numv)
-			return AggPartial{Max: &s}
-		}
-	case amMinSym:
-		if acc.set {
-			s := f.Syms[acc.sym]
-			return AggPartial{Min: &s}
-		}
-	case amMaxSym:
-		if acc.set {
-			s := f.Syms[acc.sym]
-			return AggPartial{Max: &s}
-		}
-	case amMinStr:
-		if acc.set {
-			s := acc.strv
-			return AggPartial{Min: &s}
-		}
-	case amMaxStr:
-		if acc.set {
-			s := acc.strv
-			return AggPartial{Max: &s}
-		}
+		return AggPartial{Max: &s}
 	}
 	return AggPartial{}
 }
@@ -516,15 +419,15 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 	groups := map[string]*group{}
 	var order []*group
 
-	fieldStr := func(op *archive.Operation, d int, field string) (string, bool) {
-		lf := strings.ToLower(field)
-		if strings.HasPrefix(lf, "job.") {
-			return meta.field(lf)
+	fieldStr := func(op *archive.Operation, d int, fd field) (string, bool) {
+		if fd.kind == jobField {
+			s, _ := fd.job(&meta)
+			return s, true
 		}
-		return fieldValue(op, d, field)
+		return fieldValue(op, d, fd.name)
 	}
-	numVal := func(op *archive.Operation, d int, field string) float64 {
-		switch strings.ToLower(field) {
+	numVal := func(op *archive.Operation, d int, fd field) float64 {
+		switch strings.ToLower(fd.name) {
 		case "duration":
 			return op.Duration()
 		case "start":
@@ -534,7 +437,7 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 		case "depth":
 			return float64(d)
 		}
-		v, _ := meta.numField(strings.ToLower(field))
+		_, v := fd.job(&meta)
 		return v
 	}
 	var evalWhere func(e expr, op *archive.Operation, d int) bool
@@ -547,9 +450,9 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 		case notExpr:
 			return !evalWhere(t.a, op, d)
 		case predicate:
-			if strings.HasPrefix(strings.ToLower(t.field), "job.") {
-				v, ok := meta.field(strings.ToLower(t.field))
-				return ok && evalStringPredicate(v, t.op, t.value)
+			if t.field.kind == jobField {
+				v, _ := fieldStr(op, d, t.field)
+				return evalStringPredicate(v, t.op, t.value)
 			}
 			return t.eval(op, d)
 		}
@@ -843,11 +746,11 @@ func sortFloatsDet(vals []float64) {
 // key ascending, which is a total order — so the result order is fully
 // determined by the data, never by map iteration or sort internals.
 func (q *Query) orderGroups(groups []AggGroupView) {
-	cmp := func(a, b AggGroupView) int { return 0 }
+	by := func(a, b AggGroupView) int { return 0 }
 	switch {
 	case q.orderAgg != nil:
 		name := q.orderAgg.name()
-		cmp = func(a, b AggGroupView) int {
+		by = func(a, b AggGroupView) int {
 			va, oka := a.Aggregates[name]
 			vb, okb := b.Aggregates[name]
 			if oka != okb {
@@ -864,17 +767,17 @@ func (q *Query) orderGroups(groups []AggGroupView) {
 			}
 			return compareValues(va, vb)
 		}
-	case q.orderBy != "":
+	case q.orderBy != nil:
 		gi := 0
 		for i, f := range q.groupBy {
-			if strings.EqualFold(f, q.orderBy) {
+			if strings.EqualFold(f.name, q.orderBy.name) {
 				gi = i
 			}
 		}
-		cmp = func(a, b AggGroupView) int { return cmpKeyComponent(a.Key[gi], b.Key[gi]) }
+		by = func(a, b AggGroupView) int { return cmpKeyComponent(a.Key[gi], b.Key[gi]) }
 	}
 	sort.Slice(groups, func(i, j int) bool {
-		c := cmp(groups[i], groups[j])
+		c := by(groups[i], groups[j])
 		if q.desc {
 			c = -c
 		}

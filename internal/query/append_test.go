@@ -85,9 +85,9 @@ func appendOracleSelect(q *Query, rows []opDepth) []*archive.Operation {
 			kept = append(kept, od)
 		}
 	}
-	if q.orderBy != "" {
+	if q.orderBy != nil {
 		key := func(od opDepth) string {
-			s, _ := fieldValue(od.op, od.depth, q.orderBy)
+			s, _ := fieldValue(od.op, od.depth, q.orderBy.name)
 			return s
 		}
 		sort.SliceStable(kept, func(i, j int) bool {

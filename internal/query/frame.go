@@ -65,18 +65,6 @@ func (f *Frame) rows() int { return len(f.Depth) }
 // detailed reports whether the frame carries paths, infos and derived.
 func (f *Frame) detailed() bool { return f.Path != nil }
 
-// kvField resolves an info.<key> or derived.<key> field to its column
-// and key.
-func (f *Frame) kvField(field string) (*kvColumn, string, bool) {
-	if key, ok := strings.CutPrefix(field, "info."); ok {
-		return &f.infos, key, true
-	}
-	if key, ok := strings.CutPrefix(field, "derived."); ok {
-		return &f.derived, key, true
-	}
-	return nil, "", false
-}
-
 // lookup returns row r's value for key in c.
 func (f *Frame) lookup(c *kvColumn, r int, key string) (string, bool) {
 	for _, p := range c.row(r) {
@@ -136,76 +124,88 @@ func (f *Frame) Tree() *archive.Operation {
 	return &ops[0]
 }
 
-// symCompare orders two interned symbols with compareValues semantics,
-// using the precomputed numeric interpretations.
+// symValue returns symbol s with its precomputed numeric reading.
+func (f *Frame) symValue(s uint32) value {
+	return value{s: f.Syms[s], f: f.SymFloat[s], finite: f.SymFinite[s]}
+}
+
+// symCompare orders two interned symbols as compareValues orders their
+// strings.
 func (f *Frame) symCompare(a, b uint32) int {
 	if a == b {
 		return 0
 	}
-	if f.SymFinite[a] && f.SymFinite[b] {
-		switch {
-		case f.SymFloat[a] < f.SymFloat[b]:
-			return -1
-		case f.SymFloat[a] > f.SymFloat[b]:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(f.Syms[a], f.Syms[b])
+	return f.symValue(a).compare(f.symValue(b))
 }
 
-// fieldString returns the string form of a field on one frame row —
-// the frame analogue of fieldValue, extended with job.* fields.
-func (f *Frame) fieldString(r int, field string) (string, bool) {
-	lf := strings.ToLower(field)
-	switch lf {
-	case "mission":
-		return f.Syms[f.Mission[r]], true
-	case "actor":
-		return f.Syms[f.Actor[r]], true
-	case "id":
-		return f.Syms[f.ID[r]], true
-	case "duration":
-		return formatNumField(f.Dur[r]), true
-	case "start":
-		return formatNumField(f.Start[r]), true
-	case "end":
-		return formatNumField(f.End[r]), true
-	case "depth":
-		return strconv.Itoa(int(f.Depth[r])), true
+// column is one resolved field's values on one frame: a symbol, float,
+// depth or key/value column by kind; a job.* field is a per-frame
+// constant, and an absent field is absent on every row.
+type column struct {
+	f     *Frame
+	kind  fieldKind
+	sym   []uint32
+	num   []float64
+	depth []int32
+	kv    *kvColumn
+	key   string
+	str   string  // a job.* field's string form
+	cnum  float64 // a numeric job.* field's number
+}
+
+// column looks a resolved field up on the frame — the one place a field
+// meets a frame's columns. Info and derived fields need the operation
+// details only a frame built from a tree carries.
+func (f *Frame) column(fd field) (column, error) {
+	c := column{f: f, kind: fd.kind}
+	switch fd.kind {
+	case symbolField:
+		c.sym = fd.syms(f)
+	case floatField:
+		c.num = fd.floats(f)
+	case depthField:
+		c.depth = f.Depth
+	case jobField:
+		c.str, c.cnum = fd.job(&f.Meta)
+	default:
+		if !f.detailed() {
+			return c, fmt.Errorf("query: field %q requires operation details not stored in columnar segments", fd.name)
+		}
+		c.kv, c.key = &f.infos, fd.key
+		if fd.kind == derivedField {
+			c.kv = &f.derived
+		}
 	}
-	if strings.HasPrefix(lf, "job.") {
-		return f.Meta.field(lf)
-	}
-	if col, key, ok := f.kvField(field); ok && f.detailed() {
-		return f.lookup(col, r, key)
+	return c, nil
+}
+
+// value returns row r's value in the form fieldValue gives it on the
+// tree; ok is false where the field is absent.
+func (c *column) value(r int) (string, bool) {
+	switch c.kind {
+	case symbolField:
+		return c.f.Syms[c.sym[r]], true
+	case floatField:
+		return formatNumField(c.num[r]), true
+	case depthField:
+		return strconv.Itoa(int(c.depth[r])), true
+	case jobField:
+		return c.str, true
+	case infoField, derivedField:
+		return c.f.lookup(c.kv, r, c.key)
 	}
 	return "", false
 }
 
-// numExtractor returns a per-row numeric extractor for the numeric
-// fields (the ones numericAggField admits).
-func (f *Frame) numExtractor(field string) (func(r int) float64, error) {
-	lf := strings.ToLower(field)
-	switch lf {
-	case "duration":
-		col := f.Dur
-		return func(r int) float64 { return col[r] }, nil
-	case "start":
-		col := f.Start
-		return func(r int) float64 { return col[r] }, nil
-	case "end":
-		col := f.End
-		return func(r int) float64 { return col[r] }, nil
-	case "depth":
-		col := f.Depth
-		return func(r int) float64 { return float64(col[r]) }, nil
+// number returns row r's value of a numeric field.
+func (c *column) number(r int) float64 {
+	switch c.kind {
+	case floatField:
+		return c.num[r]
+	case depthField:
+		return float64(c.depth[r])
 	}
-	if v, ok := f.Meta.numField(lf); ok {
-		return func(int) float64 { return v }, nil
-	}
-	return nil, fmt.Errorf("query: %q is not a numeric field", field)
+	return c.cnum
 }
 
 // compileFrameExpr compiles the where tree against a frame — the only
@@ -248,47 +248,64 @@ func compileFrameExpr(e expr, f *Frame) (rowEval, error) {
 	return nil, fmt.Errorf("query: unknown expression")
 }
 
+// compileFramePredicate compiles pr against the field's column. A
+// symbol or depth predicate is decided once per distinct value into a
+// bitmap, a float predicate is a float compare per row, a job.* one is
+// constant per frame, mirroring what the zone-map pruner decides for
+// whole segments.
 func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
-	lf := strings.ToLower(pr.field)
-	switch lf {
-	case "mission":
-		return f.symbolPredicate(pr, f.Mission), nil
-	case "actor":
-		return f.symbolPredicate(pr, f.Actor), nil
-	case "id":
-		return f.symbolPredicate(pr, f.ID), nil
-	case "depth":
-		return depthPredicate(pr, f.Depth), nil
-	case "duration":
-		return compileNumericPredicate(pr, f.Dur), nil
-	case "start":
-		return compileNumericPredicate(pr, f.Start), nil
-	case "end":
-		return compileNumericPredicate(pr, f.End), nil
+	c, err := f.column(pr.field)
+	if err != nil {
+		return nil, err
 	}
-	if strings.HasPrefix(lf, "job.") {
-		// Constant per frame: fold to a constant evaluator, mirroring
-		// what the zone-map pruner decides for whole segments.
-		v, ok := f.Meta.field(lf)
-		res := ok && evalStringPredicate(v, pr.op, pr.value)
-		return func(int) bool { return res }, nil
-	}
-	if opsOnlyField(pr.field) {
-		if !f.detailed() {
-			return nil, fmt.Errorf("query: field %q requires operation details not stored in columnar segments", pr.field)
+	op, v := pr.op, valueOf(pr.value)
+	switch c.kind {
+	case symbolField:
+		col, t := c.sym, truthOf(op)
+		match := make([]bool, len(f.Syms))
+		for s, str := range f.Syms {
+			if op == "~" {
+				match[s] = strings.Contains(str, v.s)
+			} else {
+				match[s] = t[f.symValue(uint32(s)).compare(v)+1]
+			}
 		}
-		if col, key, ok := f.kvField(pr.field); ok {
-			op, value := pr.op, pr.value
-			return func(r int) bool {
-				v, present := f.lookup(col, r, key)
-				return present && evalStringPredicate(v, op, value)
-			}, nil
+		return func(r int) bool { return match[col[r]] }, nil
+	case depthField:
+		col := c.depth
+		match := make([]bool, maxDepth(col)+1)
+		for d := range match {
+			match[d] = evalStringPredicate(strconv.Itoa(d), op, v.s)
 		}
-		// Case-mismatched prefix (e.g. "Info.X"): absent on every row,
-		// exactly like fieldValue on the tree path.
-		return func(int) bool { return false }, nil
+		return func(r int) bool { return match[col[r]] }, nil
+	case floatField:
+		col := c.num
+		if op == "~" {
+			// Substring match over the decimal form; rare, so the per-row
+			// format cost is acceptable.
+			return func(r int) bool { return strings.Contains(formatNumField(col[r]), v.s) }, nil
+		}
+		t := truthOf(op)
+		return func(r int) bool { return t[compareFloat(col[r], v)+1] }, nil
+	case infoField, derivedField:
+		return func(r int) bool {
+			s, ok := c.value(r)
+			return ok && evalStringPredicate(s, op, v.s)
+		}, nil
 	}
-	return nil, fmt.Errorf("query: unknown field %q", pr.field)
+	s, ok := c.value(0)
+	res := ok && evalStringPredicate(s, op, v.s)
+	return func(int) bool { return res }, nil
+}
+
+// maxDepth returns the largest depth in col, 0 for none: depths are
+// dense from 0, so a bitmap over 0..maxDepth covers every row.
+func maxDepth(col []int32) int32 {
+	top := int32(0)
+	for _, d := range col {
+		top = max(top, d)
+	}
+	return top
 }
 
 // compileFrameExact compiles an exact match to a symbol-ID compare: the

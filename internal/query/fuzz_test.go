@@ -153,12 +153,12 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 	}
 }
 
-// FuzzQueryV2 drives the whole v2 pipeline with arbitrary input: any
-// string that parses must plan and execute over both the columnar
-// frame and the tree walker without panicking, the two engines must
-// produce identical partials, and rendering must succeed. Segment
-// encode/decode of the fuzz job must also round-trip to the same
-// aggregation.
+// FuzzQueryV2 drives the whole query pipeline with arbitrary input:
+// any string that parses must execute over both the columnar frame and
+// the tree walker without panicking. A row query must select the same
+// operations in the same order on both; an aggregate query must give
+// identical partials, the same on a decoded segment unless it needs
+// operation details, and render.
 func FuzzQueryV2(f *testing.F) {
 	seeds := []string{
 		`from jobs group by mission`,
@@ -168,6 +168,9 @@ func FuzzQueryV2(f *testing.F) {
 		`group by depth agg count, min(mission), max(actor) order by count desc limit 2`,
 		`from jobs where not (duration <= 0 or mission = "5.0") group by actor agg avg(duration)`,
 		`mission = Compute order by duration desc limit 5`,
+		`order by info.K desc`, `actor ~ Worker order by info.K`, `order by depth desc limit 3`,
+		`order by id`, `order by end desc`, `duration > NaN order by duration`,
+		`info.K != Inf order by info.K desc`, `not end < +Inf order by start limit 2`,
 		`from jobs where`, `group by`, `top`, `agg`, `from jobs top 99999999 mission by count`,
 		"from jobs group by mission agg \x00", `from jobs group by mission limit 99`,
 	}
@@ -181,14 +184,16 @@ func FuzzQueryV2(f *testing.F) {
 			Children: []*archive.Operation{
 				{ID: "a", Mission: "5", Actor: "Worker-0", Start: 0, End: 5,
 					Infos: map[string]string{"K": "1"}},
-				{ID: "b", Mission: "5.0", Actor: "Worker-1", Start: 0, End: 0},
-				{ID: "c", Mission: "Compute", Actor: "Worker-0", Start: 2, End: 9,
+				{ID: "b", Mission: "5.0", Actor: "Worker-1", Start: 0, End: 0,
+					Infos: map[string]string{"K": "NaN"}},
+				{ID: "c", Mission: "Compute", Actor: "Worker-0", Start: 2, End: math.Inf(1),
 					Derived: map[string]string{"D": "x"}},
 			},
 		},
 	}
 	meta := JobMeta{ID: "fz", Platform: "Giraph", Algorithm: "BFS", Runtime: 21, Supersteps: 2, Operations: 4}
-	frame := BuildColumns(job).Frame(meta)
+	cols, order := BuildColumns(job), dfsOps(job)
+	frame := cols.Frame(meta)
 	seg, err := EncodeSegment(frame, 1)
 	if err != nil {
 		f.Fatal(err)
@@ -203,8 +208,7 @@ func FuzzQueryV2(f *testing.F) {
 			return
 		}
 		if !q.IsAggregate() {
-			_ = q.Select(job)
-			_ = q.SelectColumns(BuildColumns(job))
+			assertSameOps(t, input, q.Select(job), q.SelectColumns(cols), order)
 			return
 		}
 		jpF, errF := q.AggregateFrame(frame)
@@ -223,7 +227,7 @@ func FuzzQueryV2(f *testing.F) {
 		// The decoded segment agrees too, unless the query needs
 		// operation details segments do not store.
 		jpS, errS := q.AggregateFrame(decoded)
-		if q.NeedsOps() {
+		if q.needsOps() {
 			if errS == nil {
 				t.Fatalf("%q needs ops but ran on a segment frame", input)
 			}

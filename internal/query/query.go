@@ -1,19 +1,45 @@
-// Package query implements a small query language over performance
-// archives — the systematic querying the archive format exists for (paper
-// Section 3.3, P3). A query filters a job's operations with boolean
-// predicates over their fields and infos, optionally ordered and limited:
+// Package query implements Granula's query language over performance
+// archives — the systematic querying the archive format exists for
+// (paper Section 3.3, P3). One grammar covers two kinds of query: a row
+// query filters, orders and limits one job's operations; an aggregate
+// query groups them, over one job or over every archived job.
+//
+//	[<expr>] [order by <field> [asc|desc]] [limit N]
+//	<scope> group by <field>[, <field>...] [agg <fn>[, <fn>...]]
+//	        [order by <field>|<fn> [asc|desc]] [limit N]
+//	<scope> top <k> <field>[, <field>...] by <fn>
+//
+// where <scope> is [<expr>] for one job or `from jobs [where <expr>]`
+// for every archived job, and `top k f by fn` is sugar for
+// `group by f agg fn order by fn desc limit k`. An <expr> combines
+// predicates `<field> <op> <value>` with and, or, not and parentheses:
 //
 //	mission = Compute and duration > 1.5 order by duration desc limit 5
 //	actor ~ "Worker-3" and not mission = PreStep
 //	info.Vertices >= 1000 or derived.PercentOfJob > 10
+//	from jobs where job.platform = Giraph group by actor agg count, p95(duration)
 //
-// Fields: mission, actor, id, duration, start, end, depth, plus
-// info.<Key> and derived.<Key>. Operators: = != ~ (substring) > >= < <=.
-// Values: bare words, quoted strings, or numbers. Comparisons are numeric
-// when both sides parse as numbers, string otherwise.
+// Fields: mission, actor and id; duration, start and end; depth; the
+// job.* fields job.id, job.platform, job.algorithm, job.runtime,
+// job.supersteps and job.operations, constant per job and read only by
+// aggregate queries; and info.<Key> and derived.<Key>, the operation
+// details columnar segments do not store. Built-in names are
+// case-insensitive, info and derived keys are not. Operators: = != ~
+// (substring) > >= < <=. Values: bare words, quoted strings, or
+// numbers; comparisons are numeric when both sides parse as finite
+// numbers, string otherwise.
+//
+// Aggregates: count, sum(f), avg(f), min(f), max(f), p50(f), p95(f),
+// p99(f). sum, avg and the percentiles need a numeric field (duration,
+// start, end, depth, job.runtime, job.supersteps, job.operations);
+// min and max take any field. Any field but duration, start and end can
+// be grouped by, and an aggregate query orders by a group field or one
+// of its aggregates. `from jobs` requires group by or top: a cross-job
+// row query would have no stable row identity.
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -22,18 +48,19 @@ import (
 	"repro/internal/archive"
 )
 
-// Query is a parsed query. The v1 form filters, orders, and limits the
-// rows of one job. The v2 extensions (group by / top / from jobs) turn
-// it into an aggregate query, optionally spanning every archived job;
-// see v2.go for the aggregate grammar.
+// Query is a parsed query: a row query, or an aggregate query when it
+// has a group by or top clause.
 type Query struct {
-	where   expr
-	orderBy string
+	where expr
+	// orderBy is the field the query orders by: a row query's, or the
+	// group field an aggregate query names. Nil when it orders by an
+	// aggregate or not at all.
+	orderBy *field
 	desc    bool
 	limit   int
 
 	fromJobs bool
-	groupBy  []string
+	groupBy  []field
 	aggs     []aggSpec
 	orderAgg *aggSpec
 	top      bool
@@ -56,8 +83,8 @@ func Parse(input string) (*Query, error) {
 		q.fromJobs = true
 	}
 	if p.peekIs("where") {
-		// `where` belongs to the cross-job form; the v1 single-job
-		// grammar starts with the bare expression.
+		// `where` belongs to the cross-job form; the single-job forms
+		// start with the bare expression.
 		if !q.fromJobs {
 			return nil, fmt.Errorf("query: 'where' is only used after 'from jobs'")
 		}
@@ -83,6 +110,7 @@ func Parse(input string) (*Query, error) {
 	}
 	// A `top` clause defines its own ordering and limit; trailing
 	// order/limit clauses fall through to the trailing-input error.
+	var orderTok *token
 	if !q.top && p.peekIs("order") {
 		p.next()
 		if !p.peekIs("by") {
@@ -92,12 +120,15 @@ func Parse(input string) (*Query, error) {
 		if p.done() {
 			return nil, fmt.Errorf("query: expected field after 'order by'")
 		}
-		if q.IsAggregate() {
-			if err := p.parseAggOrderTarget(q); err != nil {
+		if t := p.toks[p.pos]; q.IsAggregate() && !t.quoted && aggFns[strings.ToLower(t.text)] {
+			spec, err := p.parseAggSpec()
+			if err != nil {
 				return nil, err
 			}
+			q.orderAgg = &spec
 		} else {
-			q.orderBy = p.next().text
+			tok := p.next()
+			orderTok = &tok
 		}
 		if p.peekIs("desc") {
 			q.desc = true
@@ -120,7 +151,7 @@ func Parse(input string) (*Query, error) {
 	if !p.done() {
 		return nil, fmt.Errorf("query: unexpected trailing input near %q", p.next().text)
 	}
-	if err := q.validate(); err != nil {
+	if err := q.validate(orderTok); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -215,7 +246,7 @@ type notExpr struct{ a expr }
 func (e notExpr) eval(op *archive.Operation, d int) bool { return !e.a.eval(op, d) }
 
 type predicate struct {
-	field string
+	field field
 	op    string
 	value string
 }
@@ -306,46 +337,121 @@ func (p *parser) parsePredicate() (expr, error) {
 	if p.done() {
 		return nil, fmt.Errorf("query: expected predicate")
 	}
-	field := p.next()
-	if field.quoted {
+	name := p.next()
+	if name.quoted {
 		return nil, fmt.Errorf("query: field name cannot be quoted")
 	}
-	if err := validateField(field.text); err != nil {
+	fd, err := resolveField(name.text)
+	if err != nil {
 		return nil, err
 	}
 	if p.done() {
-		return nil, fmt.Errorf("query: expected operator after %q", field.text)
+		return nil, fmt.Errorf("query: expected operator after %q", name.text)
 	}
 	opTok := p.next()
 	if opTok.quoted || !validOps[opTok.text] {
 		return nil, fmt.Errorf("query: bad operator %q", opTok.text)
 	}
 	if p.done() {
-		return nil, fmt.Errorf("query: expected value after %q %s", field.text, opTok.text)
+		return nil, fmt.Errorf("query: expected value after %q %s", name.text, opTok.text)
 	}
-	val := p.next()
-	// Keep the field's original case: info./derived. keys are
-	// case-sensitive (only built-in field names are case-folded).
-	return predicate{field: field.text, op: opTok.text, value: val.text}, nil
+	return predicate{field: fd, op: opTok.text, value: p.next().text}, nil
 }
 
-func validateField(f string) error {
-	lf := strings.ToLower(f)
-	switch lf {
-	case "mission", "actor", "id", "duration", "start", "end", "depth":
-		return nil
+// --- fields ---
+
+// fieldKind is what a resolved field reads.
+type fieldKind uint8
+
+const (
+	symbolField  fieldKind = iota // mission, actor, id: an interned symbol column
+	floatField                    // duration, start, end
+	depthField                    // depth
+	jobField                      // job.*: constant per job
+	infoField                     // info.<key>
+	derivedField                  // derived.<key>
+	absentField                   // a case-mismatched info./derived. prefix: absent on every row
+)
+
+// field is a field resolved once, by Parse: the name as written, its
+// kind, and for a built-in field how to read it.
+type field struct {
+	name string
+	kind fieldKind
+	key  string // an info or derived key
+	// numeric fields are the ones sum, avg and the percentiles take.
+	numeric bool
+	// A symbol or float field's column and its zone map in a segment's
+	// stats; a job.* field's string form and, when numeric, its number.
+	syms    func(*Frame) []uint32
+	floats  func(*Frame) []float64
+	symZone func(*SegStats) SymRange
+	numZone func(*SegStats) NumRange
+	job     func(*JobMeta) (string, float64)
+}
+
+// builtinFields are the fields other than info. and derived. keys, by
+// lower-cased name: the one list of them outside the tree-walk oracle.
+var builtinFields = map[string]field{
+	"mission": {kind: symbolField,
+		syms: func(f *Frame) []uint32 { return f.Mission }, symZone: func(s *SegStats) SymRange { return s.Mission }},
+	"actor": {kind: symbolField,
+		syms: func(f *Frame) []uint32 { return f.Actor }, symZone: func(s *SegStats) SymRange { return s.Actor }},
+	"id": {kind: symbolField,
+		syms: func(f *Frame) []uint32 { return f.ID }, symZone: func(s *SegStats) SymRange { return s.ID }},
+	"duration": {kind: floatField, numeric: true,
+		floats: func(f *Frame) []float64 { return f.Dur }, numZone: func(s *SegStats) NumRange { return s.Dur }},
+	"start": {kind: floatField, numeric: true,
+		floats: func(f *Frame) []float64 { return f.Start }, numZone: func(s *SegStats) NumRange { return s.Start }},
+	"end": {kind: floatField, numeric: true,
+		floats: func(f *Frame) []float64 { return f.End }, numZone: func(s *SegStats) NumRange { return s.End }},
+	"depth": {kind: depthField, numeric: true,
+		numZone: func(s *SegStats) NumRange { return s.Depth }},
+	"job.id": {kind: jobField,
+		job: func(m *JobMeta) (string, float64) { return m.ID, 0 }},
+	"job.platform": {kind: jobField,
+		job: func(m *JobMeta) (string, float64) { return m.Platform, 0 }},
+	"job.algorithm": {kind: jobField,
+		job: func(m *JobMeta) (string, float64) { return m.Algorithm, 0 }},
+	"job.runtime": {kind: jobField, numeric: true,
+		job: func(m *JobMeta) (string, float64) { return formatNumField(m.Runtime), m.Runtime }},
+	"job.supersteps": {kind: jobField, numeric: true,
+		job: func(m *JobMeta) (string, float64) { return strconv.Itoa(m.Supersteps), float64(m.Supersteps) }},
+	"job.operations": {kind: jobField, numeric: true,
+		job: func(m *JobMeta) (string, float64) { return strconv.Itoa(m.Operations), float64(m.Operations) }},
+}
+
+// resolveField resolves a field name as written: built-in and job.*
+// names case-insensitively, info. and derived. keys case-sensitively.
+func resolveField(name string) (field, error) {
+	lf := strings.ToLower(name)
+	if fd, ok := builtinFields[lf]; ok {
+		fd.name = name
+		return fd, nil
 	}
-	if strings.HasPrefix(lf, "info.") || strings.HasPrefix(lf, "derived.") {
-		return nil
+	for _, p := range [...]struct {
+		prefix string
+		kind   fieldKind
+	}{{"info.", infoField}, {"derived.", derivedField}} {
+		if !strings.HasPrefix(lf, p.prefix) {
+			continue
+		}
+		if key, ok := strings.CutPrefix(name, p.prefix); ok {
+			return field{name: name, kind: p.kind, key: key}, nil
+		}
+		return field{name: name, kind: absentField}, nil
 	}
 	if strings.HasPrefix(lf, "job.") {
-		if jobFieldKnown(lf) {
-			return nil
-		}
-		return fmt.Errorf("query: unknown job field %q", f)
+		return field{}, fmt.Errorf("query: unknown job field %q", name)
 	}
-	return fmt.Errorf("query: unknown field %q", f)
+	return field{}, fmt.Errorf("query: unknown field %q", name)
 }
+
+// needsOps reports whether the field reads operation details, which
+// only a frame built from an operation tree carries.
+func (fd *field) needsOps() bool { return fd.kind >= infoField }
+
+// --- tree-walk oracle ---
 
 // fieldValue returns the string form of a field on an operation; ok is
 // false when the field (e.g. an info key) is absent.
@@ -379,51 +485,90 @@ func fieldValue(op *archive.Operation, depth int, field string) (string, bool) {
 }
 
 func (pr predicate) eval(op *archive.Operation, depth int) bool {
-	actual, present := fieldValue(op, depth, pr.field)
-	if !present {
-		return false
-	}
-	switch pr.op {
-	case "~":
-		return strings.Contains(actual, pr.value)
-	case "=":
-		return compareValues(actual, pr.value) == 0
-	case "!=":
-		return compareValues(actual, pr.value) != 0
-	case ">":
-		return compareValues(actual, pr.value) > 0
-	case ">=":
-		return compareValues(actual, pr.value) >= 0
-	case "<":
-		return compareValues(actual, pr.value) < 0
-	case "<=":
-		return compareValues(actual, pr.value) <= 0
-	}
-	return false
+	actual, present := fieldValue(op, depth, pr.field.name)
+	return present && evalStringPredicate(actual, pr.op, pr.value)
 }
 
-// compareValues compares numerically when both sides parse as finite
-// numbers, lexically otherwise. ParseFloat accepts "NaN" and "Inf", but
-// NaN is unordered — every float comparison against it is false, which
-// would make both `> x` and `<= x` fail and leave a total order the
-// sorter relies on broken — so non-finite operands fall back to the
-// string comparison, which is total.
-func compareValues(a, b string) int {
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA == nil && errB == nil && isFinite(fa) && isFinite(fb) {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
-		}
+// --- comparison ---
+
+// value is a string with the number compareValues reads it as: finite
+// when it parses as a finite number.
+type value struct {
+	s      string
+	f      float64
+	finite bool
+}
+
+func valueOf(s string) value {
+	f, err := strconv.ParseFloat(s, 64)
+	return value{s: s, f: f, finite: err == nil && isFinite(f)}
+}
+
+// compare orders two values numerically when both are finite numbers,
+// as strings otherwise. ParseFloat accepts "NaN" and "Inf", but NaN is
+// unordered — every float comparison against it is false, which would
+// make both `> x` and `<= x` fail and leave a total order the sorter
+// relies on broken — so non-finite values compare as strings, which is
+// total.
+func (a value) compare(b value) int {
+	if a.finite && b.finite {
+		return cmp.Compare(a.f, b.f)
 	}
-	return strings.Compare(a, b)
+	return strings.Compare(a.s, b.s)
+}
+
+// compareValues compares two field values as the language does.
+func compareValues(a, b string) int { return valueOf(a).compare(valueOf(b)) }
+
+// compareFloat is compareValues between a float column value, in its
+// formatNumField form, and v — without formatting a finite one.
+func compareFloat(x float64, v value) int {
+	if v.finite && isFinite(x) {
+		return cmp.Compare(x, v.f)
+	}
+	return strings.Compare(formatNumField(x), v.s)
 }
 
 func isFinite(f float64) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
+}
+
+// formatNumField is the exact string form fieldValue produces for the
+// numeric built-in fields.
+func formatNumField(v float64) string {
+	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
+// opHolds applies a comparison operator other than ~ to a compare
+// result.
+func opHolds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	}
+	return false
+}
+
+// truth is an operator's outcome for each compare result -1, 0 and 1,
+// so a compiled predicate looks it up per row.
+type truth [3]bool
+
+func truthOf(op string) truth { return truth{opHolds(op, -1), opHolds(op, 0), opHolds(op, 1)} }
+
+// evalStringPredicate applies an operator to one field value.
+func evalStringPredicate(actual, op, value string) bool {
+	if op == "~" {
+		return strings.Contains(actual, value)
+	}
+	return opHolds(op, compareValues(actual, value))
 }

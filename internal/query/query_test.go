@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -26,8 +27,8 @@ func (q *Query) Select(job *archive.Job) []*archive.Operation {
 		}
 	}
 	walk(job.Root, 0)
-	if q.orderBy != "" {
-		field := q.orderBy
+	if q.orderBy != nil {
+		field := q.orderBy.name
 		sort.SliceStable(out, func(i, j int) bool {
 			vi, _ := fieldValue(out[i], depths[out[i]], field)
 			vj, _ := fieldValue(out[j], depths[out[j]], field)
@@ -167,6 +168,21 @@ func TestParseErrors(t *testing.T) {
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("expected parse error for %q", q)
+		}
+	}
+	// A row query's order-by field resolves like a where-clause field
+	// and is refused with the same messages; an absent info key is not
+	// an error.
+	for q, want := range map[string]string{
+		`mission = Compute order by bogus`: `query: unknown field "bogus"`,
+		`order by job.runtime`:             `query: field "job.runtime" is only available in aggregate queries`,
+		`order by job.nope`:                `query: unknown job field "job.nope"`,
+		`order by "duration"`:              `query: field name cannot be quoted`,
+		`order by info.Nope`:               ``,
+	} {
+		_, err := Parse(q)
+		if got := fmt.Sprint(err); want == "" && err != nil || want != "" && got != want {
+			t.Errorf("Parse(%q) = %v, want %q", q, err, want)
 		}
 	}
 }

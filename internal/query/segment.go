@@ -40,12 +40,12 @@
 package query
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -452,9 +452,8 @@ func DecodeSegment(blob []byte) (*Frame, *SegStats, error) {
 		q += n
 		f.Syms[i] = s
 		if canStartNumber(s) {
-			fv, err := strconv.ParseFloat(s, 64)
-			f.SymFloat[i] = fv
-			f.SymFinite[i] = err == nil && isFinite(fv)
+			v := valueOf(s)
+			f.SymFloat[i], f.SymFinite[i] = v.f, v.finite
 		}
 	}
 	return f, st, nil
@@ -519,29 +518,17 @@ func predPossible(pr predicate, st *SegStats) bool {
 	if pr.op == "~" {
 		return true
 	}
-	lf := strings.ToLower(pr.field)
-	if strings.HasPrefix(lf, "job.") {
+	switch fd := pr.field; fd.kind {
+	case jobField:
 		// Constant per job: the zone "range" is exact.
-		v, ok := st.Meta.field(lf)
-		return ok && evalStringPredicate(v, pr.op, pr.value)
+		v, _ := fd.job(&st.Meta)
+		return evalStringPredicate(v, pr.op, pr.value)
+	case symbolField:
+		return symRangePossible(pr, fd.symZone(st))
+	case floatField, depthField:
+		return numRangePossible(pr, fd.numZone(st))
 	}
-	switch lf {
-	case "mission":
-		return symRangePossible(pr, st.Mission)
-	case "actor":
-		return symRangePossible(pr, st.Actor)
-	case "id":
-		return symRangePossible(pr, st.ID)
-	case "depth":
-		return numRangePossible(pr, st.Depth)
-	case "duration":
-		return numRangePossible(pr, st.Dur)
-	case "start":
-		return numRangePossible(pr, st.Start)
-	case "end":
-		return numRangePossible(pr, st.End)
-	}
-	// info./derived. (and anything else): no zone information.
+	// info./derived.: no zone information.
 	return true
 }
 
@@ -552,7 +539,7 @@ func predPossible(pr predicate, st *SegStats) bool {
 // that do NOT parse as numbers, where every per-row comparison is the
 // string compare the range was built with.
 func symRangePossible(pr predicate, r SymRange) bool {
-	if v, err := strconv.ParseFloat(pr.value, 64); err == nil && isFinite(v) {
+	if valueOf(pr.value).finite {
 		return true
 	}
 	return rangePossible(pr.op,
@@ -565,24 +552,11 @@ func symRangePossible(pr predicate, r SymRange) bool {
 // constant parses as a finite number — otherwise per-row comparisons
 // fall back to string compares the range says nothing about.
 func numRangePossible(pr predicate, r NumRange) bool {
-	if !r.Finite {
+	v := valueOf(pr.value)
+	if !r.Finite || !v.finite {
 		return true
 	}
-	v, err := strconv.ParseFloat(pr.value, 64)
-	if err != nil || !isFinite(v) {
-		return true
-	}
-	cmp := func(a float64) int {
-		switch {
-		case a < v:
-			return -1
-		case a > v:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return rangePossible(pr.op, cmp(r.Min), cmp(r.Max))
+	return rangePossible(pr.op, cmp.Compare(r.Min, v.f), cmp.Compare(r.Max, v.f))
 }
 
 // rangePossible decides `∃ x in [min,max] : x op value` from the

@@ -1,31 +1,7 @@
-// Query language v2: aggregation and cross-job scope.
-//
-// The v1 grammar filters, orders, and limits the operations of a single
-// job. v2 adds three clauses that turn a query into an aggregation:
-//
-//	[from jobs] [<where>] group by <field>[, <field>...]
-//	            [agg <fn>[, <fn>...]] [order by <field>|<fn> [asc|desc]]
-//	            [limit N]
-//	[from jobs] [<where>] top <k> <field>[, <field>...] by <fn>
-//
-// Aggregate functions: count, sum(f), avg(f), min(f), max(f), p50(f),
-// p95(f), p99(f). sum/avg/percentiles require a numeric field
-// (duration, start, end, depth, job.runtime, job.supersteps,
-// job.operations); min/max accept any field. Group-by fields must be
-// discrete: mission, actor, id, depth, or a job.* field.
-//
-// `from jobs` widens the scope from one job to every archived job and
-// is only meaningful for aggregations (a cross-job row query would have
-// no stable row identity), so it requires group by / top. The job.*
-// fields — job.id, job.platform, job.algorithm, job.runtime,
-// job.supersteps, job.operations — are constant per job and usable in
-// the where clause and aggregates of aggregate queries.
-//
-// `top k f by fn` is sugar for
-// `group by f agg fn order by fn desc limit k`.
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,52 +20,11 @@ type JobMeta struct {
 	Operations int     `json:"operations"`
 }
 
-// field resolves a (lower-cased) job.* field to the string form the
-// query engine compares and groups on.
-func (m *JobMeta) field(lf string) (string, bool) {
-	switch lf {
-	case "job.id":
-		return m.ID, true
-	case "job.platform":
-		return m.Platform, true
-	case "job.algorithm":
-		return m.Algorithm, true
-	case "job.runtime":
-		return formatNumField(m.Runtime), true
-	case "job.supersteps":
-		return strconv.Itoa(m.Supersteps), true
-	case "job.operations":
-		return strconv.Itoa(m.Operations), true
-	}
-	return "", false
-}
-
-// numField resolves the numeric job.* fields.
-func (m *JobMeta) numField(lf string) (float64, bool) {
-	switch lf {
-	case "job.runtime":
-		return m.Runtime, true
-	case "job.supersteps":
-		return float64(m.Supersteps), true
-	case "job.operations":
-		return float64(m.Operations), true
-	}
-	return 0, false
-}
-
-func jobFieldKnown(lf string) bool {
-	switch lf {
-	case "job.id", "job.platform", "job.algorithm", "job.runtime", "job.supersteps", "job.operations":
-		return true
-	}
-	return false
-}
-
 // aggSpec is one aggregate in the agg list: a function and, except for
 // count, the field it aggregates.
 type aggSpec struct {
 	fn    string // count sum avg min max p50 p95 p99
-	field string // "" for count
+	field field  // unset for count
 }
 
 // name is the aggregate's stable display name, used as the key in
@@ -98,11 +33,11 @@ func (a aggSpec) name() string {
 	if a.fn == "count" {
 		return "count"
 	}
-	return a.fn + "(" + a.field + ")"
+	return a.fn + "(" + a.field.name + ")"
 }
 
 func (a aggSpec) equal(b aggSpec) bool {
-	return a.fn == b.fn && strings.EqualFold(a.field, b.field)
+	return a.fn == b.fn && strings.EqualFold(a.field.name, b.field.name)
 }
 
 var aggFns = map[string]bool{
@@ -131,7 +66,11 @@ func (q *Query) FromJobs() bool { return q.fromJobs }
 
 // groupFields returns the group-by field list as written.
 func (q *Query) groupFields() []string {
-	return append([]string(nil), q.groupBy...)
+	out := make([]string, len(q.groupBy))
+	for i, f := range q.groupBy {
+		out[i] = f.name
+	}
+	return out
 }
 
 // aggNames returns the display names of the aggregate list.
@@ -143,32 +82,39 @@ func (q *Query) aggNames() []string {
 	return out
 }
 
-// NeedsOps reports whether evaluating the query requires per-operation
-// info/derived maps, which columnar segments do not carry. Such queries
-// run only against sources that retain the operation tree.
-func (q *Query) NeedsOps() bool {
+// needsOps reports whether the query reads a field only a frame built
+// from an operation tree carries — an info or derived field — in its
+// where clause, group fields or aggregates. Segments do not store them.
+func (q *Query) needsOps() bool {
 	needs := false
-	walkPredicates(q.where, func(pr predicate) {
-		if opsOnlyField(pr.field) {
-			needs = true
-		}
-	})
-	for _, a := range q.aggs {
-		if a.field != "" && opsOnlyField(a.field) {
-			needs = true
-		}
+	walkPredicates(q.where, func(pr predicate) { needs = needs || pr.field.needsOps() })
+	for i := range q.aggs {
+		needs = needs || q.aggs[i].field.needsOps()
 	}
-	for _, f := range q.groupBy {
-		if opsOnlyField(f) {
-			needs = true
-		}
+	for i := range q.groupBy {
+		needs = needs || q.groupBy[i].needsOps()
 	}
 	return needs
 }
 
-func opsOnlyField(f string) bool {
-	lf := strings.ToLower(f)
-	return strings.HasPrefix(lf, "info.") || strings.HasPrefix(lf, "derived.")
+// ParseQuery2 parses a /query2 request's query: a cross-job aggregate
+// over the fields columnar segments store. Its errors are the messages
+// a node and the router both answer a bad request with.
+func ParseQuery2(raw string) (*Query, error) {
+	if raw == "" {
+		return nil, errors.New("need a q= query parameter")
+	}
+	q, err := Parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !q.IsAggregate() || !q.FromJobs() {
+		return nil, errors.New("query2 needs a cross-job aggregate query: from jobs [where ...] group by ... (or top k ... by ...)")
+	}
+	if q.needsOps() {
+		return nil, errors.New("info./derived. fields require operation details not stored in columnar segments; use /jobs/{id}/query")
+	}
+	return q, nil
 }
 
 func walkPredicates(e expr, fn func(pr predicate)) {
@@ -253,8 +199,8 @@ func (p *parser) parseAggClause(q *Query) error {
 }
 
 // parseFieldList parses one or more comma-separated field names.
-func (p *parser) parseFieldList() ([]string, error) {
-	var out []string
+func (p *parser) parseFieldList() ([]field, error) {
+	var out []field
 	for {
 		if p.done() {
 			return nil, fmt.Errorf("query: expected field name")
@@ -263,7 +209,7 @@ func (p *parser) parseFieldList() ([]string, error) {
 		if t.quoted {
 			return nil, fmt.Errorf("query: field name cannot be quoted")
 		}
-		out = append(out, t.text)
+		out = append(out, field{name: t.text})
 		if !p.symIs(",") {
 			return out, nil
 		}
@@ -322,106 +268,83 @@ func (p *parser) parseAggSpec() (aggSpec, error) {
 		return aggSpec{}, fmt.Errorf("query: expected ')' after %s(%s", fn, ft.text)
 	}
 	p.next()
-	return aggSpec{fn: fn, field: ft.text}, nil
-}
-
-// parseAggOrderTarget parses the order-by target of an aggregate query:
-// either a group-by field or one of the declared aggregates.
-func (p *parser) parseAggOrderTarget(q *Query) error {
-	t := p.toks[p.pos]
-	if !t.quoted && aggFns[strings.ToLower(t.text)] {
-		spec, err := p.parseAggSpec()
-		if err != nil {
-			return err
-		}
-		q.orderAgg = &spec
-		return nil
-	}
-	q.orderBy = p.next().text
-	return nil
+	return aggSpec{fn: fn, field: field{name: ft.text}}, nil
 }
 
 // --- validation ---
 
-func validGroupField(f string) bool {
-	lf := strings.ToLower(f)
-	switch lf {
-	case "mission", "actor", "id", "depth":
-		return true
-	}
-	if strings.HasPrefix(lf, "job.") {
-		return jobFieldKnown(lf)
-	}
-	// info./derived. keys are discrete too; they aggregate only on
-	// sources that retain the operation tree (enforced at plan time).
-	return strings.HasPrefix(lf, "info.") || strings.HasPrefix(lf, "derived.")
-}
-
-func numericAggField(f string) bool {
-	lf := strings.ToLower(f)
-	switch lf {
-	case "duration", "start", "end", "depth", "job.runtime", "job.supersteps", "job.operations":
-		return true
-	}
-	return false
-}
-
-func (a aggSpec) validate() error {
-	switch a.fn {
-	case "count":
+// resolve resolves the aggregate's field.
+func (a *aggSpec) resolve() error {
+	if a.fn == "count" {
 		return nil
-	case "sum", "avg", "p50", "p95", "p99":
-		if !numericAggField(a.field) {
-			return fmt.Errorf("query: %s requires a numeric field, got %q", a.fn, a.field)
-		}
-		return nil
-	case "min", "max":
-		if err := validateField(a.field); err != nil {
+	}
+	fd, err := resolveField(a.field.name)
+	switch {
+	case a.fn == "min" || a.fn == "max":
+		if err != nil {
 			return fmt.Errorf("query: bad field in %s(): %v", a.fn, err)
 		}
-		return nil
+	case err != nil || !fd.numeric:
+		return fmt.Errorf("query: %s requires a numeric field, got %q", a.fn, a.field.name)
 	}
-	return fmt.Errorf("query: unknown aggregate %q", a.fn)
+	a.field = fd
+	return nil
 }
 
 func firstJobField(e expr) string {
 	found := ""
 	walkPredicates(e, func(pr predicate) {
-		if found == "" && strings.HasPrefix(strings.ToLower(pr.field), "job.") {
-			found = pr.field
+		if found == "" && pr.field.kind == jobField {
+			found = pr.field.name
 		}
 	})
 	return found
 }
 
-// validate enforces the cross-clause rules the recursive-descent parser
-// cannot express locally.
-func (q *Query) validate() error {
+// validate resolves the group, aggregate and order-by fields and
+// enforces the cross-clause rules the recursive-descent parser cannot
+// express locally. orderBy is the order-by field token, nil when the
+// query orders by an aggregate or not at all.
+func (q *Query) validate(orderBy *token) error {
 	if !q.IsAggregate() {
 		if q.fromJobs {
 			return fmt.Errorf("query: 'from jobs' requires 'group by' or 'top'")
 		}
-		if q.where != nil {
-			if f := firstJobField(q.where); f != "" {
-				return fmt.Errorf("query: field %q is only available in aggregate queries", f)
+		if f := firstJobField(q.where); f != "" {
+			return fmt.Errorf("query: field %q is only available in aggregate queries", f)
+		}
+		if orderBy != nil {
+			if orderBy.quoted {
+				return fmt.Errorf("query: field name cannot be quoted")
 			}
+			fd, err := resolveField(orderBy.text)
+			if err != nil {
+				return err
+			}
+			if fd.kind == jobField {
+				return fmt.Errorf("query: field %q is only available in aggregate queries", fd.name)
+			}
+			q.orderBy = &fd
 		}
 		return nil
 	}
 	seen := map[string]bool{}
-	for _, f := range q.groupBy {
-		if !validGroupField(f) {
-			return fmt.Errorf("query: cannot group by %q", f)
+	for i, f := range q.groupBy {
+		fd, err := resolveField(f.name)
+		if err != nil || fd.kind == floatField {
+			return fmt.Errorf("query: cannot group by %q", f.name)
 		}
-		lf := strings.ToLower(f)
+		lf := strings.ToLower(f.name)
 		if seen[lf] {
-			return fmt.Errorf("query: duplicate group field %q", f)
+			return fmt.Errorf("query: duplicate group field %q", f.name)
 		}
 		seen[lf] = true
+		q.groupBy[i] = fd
 	}
 	names := map[string]bool{}
-	for _, a := range q.aggs {
-		if err := a.validate(); err != nil {
+	for i := range q.aggs {
+		a := &q.aggs[i]
+		if err := a.resolve(); err != nil {
 			return err
 		}
 		n := strings.ToLower(a.name())
@@ -440,15 +363,14 @@ func (q *Query) validate() error {
 		if !found {
 			return fmt.Errorf("query: order by %s is not in the agg list", q.orderAgg.name())
 		}
-	} else if q.orderBy != "" {
-		found := false
-		for _, f := range q.groupBy {
-			if strings.EqualFold(f, q.orderBy) {
-				found = true
+	} else if orderBy != nil && orderBy.text != "" {
+		for i := range q.groupBy {
+			if strings.EqualFold(q.groupBy[i].name, orderBy.text) {
+				q.orderBy = &q.groupBy[i]
 			}
 		}
-		if !found {
-			return fmt.Errorf("query: order by %q is not a group field; use an aggregate", q.orderBy)
+		if q.orderBy == nil {
+			return fmt.Errorf("query: order by %q is not a group field; use an aggregate", orderBy.text)
 		}
 	}
 	return nil

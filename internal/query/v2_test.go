@@ -40,15 +40,15 @@ func TestParseV2DefaultAggIsCount(t *testing.T) {
 
 func TestParseV2JobFieldsAndNeedsOps(t *testing.T) {
 	q := parseOK(t, `from jobs where job.runtime > 1 group by job.platform agg count, max(job.runtime)`)
-	if q.NeedsOps() {
+	if q.needsOps() {
 		t.Fatal("job.* query should not need operation details")
 	}
 	q = parseOK(t, `from jobs group by info.Vertices`)
-	if !q.NeedsOps() {
+	if !q.needsOps() {
 		t.Fatal("info.* group field must report NeedsOps")
 	}
 	q = parseOK(t, `from jobs where info.Vertices > 10 group by mission`)
-	if !q.NeedsOps() {
+	if !q.needsOps() {
 		t.Fatal("info.* predicate must report NeedsOps")
 	}
 }

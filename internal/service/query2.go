@@ -29,27 +29,13 @@ import (
 	"repro/internal/shard"
 )
 
-// aggQuery parses and validates a v2 aggregate query from ?q=,
+// aggQuery parses the /query2 query in ?q= (query.ParseQuery2),
 // writing the HTTP error itself when the query is unusable.
 func (s *Server) aggQuery(w http.ResponseWriter, r *http.Request) (*query.Query, string, bool) {
 	raw := r.URL.Query().Get("q")
-	if raw == "" {
-		writeError(w, http.StatusBadRequest, "need a q= query parameter")
-		return nil, "", false
-	}
-	q, err := query.Parse(raw)
+	q, err := query.ParseQuery2(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, "", false
-	}
-	if !q.IsAggregate() || !q.FromJobs() {
-		writeError(w, http.StatusBadRequest,
-			"query2 needs a cross-job aggregate query: from jobs [where ...] group by ... (or top k ... by ...)")
-		return nil, "", false
-	}
-	if q.NeedsOps() {
-		writeError(w, http.StatusBadRequest,
-			"info./derived. fields require operation details not stored in columnar segments; use /jobs/{id}/query")
 		return nil, "", false
 	}
 	return q, raw, true

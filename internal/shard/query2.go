@@ -41,23 +41,9 @@ import (
 // handleQuery2 serves GET /query2 on the router.
 func (rt *Router) handleQuery2(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("q")
-	if raw == "" {
-		writeRouterError(w, http.StatusBadRequest, "need a q= query parameter")
-		return
-	}
-	q, err := query.Parse(raw)
+	q, err := query.ParseQuery2(raw)
 	if err != nil {
 		writeRouterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !q.IsAggregate() || !q.FromJobs() {
-		writeRouterError(w, http.StatusBadRequest,
-			"query2 needs a cross-job aggregate query: from jobs [where ...] group by ... (or top k ... by ...)")
-		return
-	}
-	if q.NeedsOps() {
-		writeRouterError(w, http.StatusBadRequest,
-			"info./derived. fields require operation details not stored in columnar segments; use /jobs/{id}/query")
 		return
 	}
 

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -100,6 +101,45 @@ func TestClusterQuery2ByteEquivalence(t *testing.T) {
 		code, body, _ := mustGet(t, c.rts.URL+path)
 		if code != http.StatusBadRequest {
 			t.Fatalf("%q through router: %d: %s", raw, code, body)
+		}
+	}
+}
+
+// TestQuery2ErrorBodyMatchesNode pins that the router refuses a bad
+// /query2 with the bytes a node writes — valid JSON even when the
+// message holds invalid UTF-8, and HTML characters escaped the same
+// way.
+func TestQuery2ErrorBodyMatchesNode(t *testing.T) {
+	metrics := service.NewMetrics()
+	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := service.NewExecutorWith(1, 4, store, metrics, service.ExecutorOptions{HostParallelism: 1})
+	defer exec.Shutdown(context.Background())
+	node := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())
+	defer node.Close()
+	m, err := shard.NewMap(1, []shard.Node{{ID: "s1", URL: node.URL}}, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(shard.NewRouter(m, shard.RouterOptions{}).Handler())
+	defer router.Close()
+
+	for _, raw := range []string{
+		"from jobs group by mission agg sum(\xff x",
+		`from jobs group by mission agg sum(< x`,
+		`from jobs group by <&>`,
+		``, `mission = X`, `from jobs group by info.K`,
+	} {
+		path := shard.Query2Path + "?" + url.Values{"q": {raw}}.Encode()
+		wantCode, want, _ := mustGet(t, node.URL+path)
+		gotCode, got, _ := mustGet(t, router.URL+path)
+		if wantCode != http.StatusBadRequest || gotCode != http.StatusBadRequest {
+			t.Fatalf("%q: node %d, router %d", raw, wantCode, gotCode)
+		}
+		if !bytes.Equal(got, want) || !json.Valid(got) {
+			t.Fatalf("%q: router body %q, node body %q (valid JSON: %v)", raw, got, want, json.Valid(got))
 		}
 	}
 }

@@ -162,11 +162,17 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 // deterministically.
 func (rt *Router) WaitRepairs() { rt.repairWG.Wait() }
 
-// writeRouterError emits the same JSON error envelope the shards use.
+// writeRouterError emits the JSON error envelope a node writes, byte
+// for byte: encoding/json's indented form, which escapes HTML
+// characters and replaces invalid UTF-8.
 func writeRouterError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", fmt.Sprintf(format, args...))
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
 }
 
 // proxyResult is one shard's answer to a forwarded request.
