@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/service"
 )
 
 // paperArchive is the archive of the full-scale paper run, committed
@@ -382,6 +383,41 @@ func TestQueryRemote(t *testing.T) {
 	}
 	granula(t, 2, "query", "-url", srv.URL, "-job", "ghost", "-select", "mission = Compute")
 	<-requested
+}
+
+// TestQueryRemoteMatchesLocal: a cross-job query over operation details
+// prints the same bytes from a live service holding the committed
+// archive's jobs as from the archive file itself.
+func TestQueryRemoteMatchesLocal(t *testing.T) {
+	a, err := loadArchive(paperArchive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for _, j := range a.Jobs {
+		if err := store.Put(j, service.Summary{ID: j.ID, Platform: j.Platform}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(service.NewServerWith(nil, store, nil, service.ServerOptions{}).Handler())
+	defer srv.Close()
+
+	const sel = "from jobs where derived.PercentOfJob > 10 group by job.platform, mission agg count, max(derived.CPUSeconds)"
+	local := granula(t, 0, "query", "-archive", paperArchive, "-select", sel)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"query", "-url", srv.URL, "-select", sel}, &stdout, &stderr); code != 0 {
+		t.Fatalf("remote query = %d: %s", code, stderr.String())
+	}
+	if stdout.String() != local {
+		t.Fatalf("remote output differs from local:\n%s\nvs\n%s", stdout.String(), local)
+	}
+	if got := stderr.String(); got != "jobs: 2 scanned, 0 pruned\n" {
+		t.Errorf("remote stderr = %q", got)
+	}
 }
 
 // TestRunThenDiff runs a small job into an archive, appends a second

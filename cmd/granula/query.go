@@ -190,7 +190,7 @@ func queryRemote(stdout, stderr io.Writer, base, jobID string, q *query.Query, r
 		return errorf(stderr, "%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	if scanned := resp.Header.Get("X-Granula-Scanned"); scanned != "" {
-		fmt.Fprintf(stderr, "segments: %s scanned, %s pruned\n", scanned, resp.Header.Get("X-Granula-Pruned"))
+		fmt.Fprintf(stderr, "jobs: %s scanned, %s pruned\n", scanned, resp.Header.Get("X-Granula-Pruned"))
 	}
 	stdout.Write(body)
 	return exitOK

@@ -2,22 +2,22 @@ package archivedb
 
 // Columnar segment sidecar: per-job analytical segments stored next to
 // the WAL under <dir>/cols/, one file per job named by the hex of the
-// job ID (invertible, collision-free, filesystem-safe). The DB treats
-// segment blobs as opaque — encoding, checksums, and zone-map stats
-// belong to the query layer — and stores them as derived data:
+// job ID (invertible, collision-free, filesystem-safe). The serving
+// store neither writes nor reads them — /query2 scans the frames it
+// holds in memory — so the callers are the benchmark's layer replay
+// and this package's tests. The DB treats segment blobs as opaque —
+// encoding, checksums, and zone-map stats belong to the query layer —
+// and stores them as derived data:
 //
-//   - Writes are atomic (temp file + rename) but NOT fsynced: a torn
-//     or missing segment after a crash is rebuilt lazily from the
-//     durable archive record, so segments need none of the WAL's
-//     durability machinery.
+//   - Writes are atomic (temp file + rename) but NOT fsynced: a
+//     segment can always be re-encoded from the durable archive
+//     record, so segments need none of the WAL's durability machinery.
 //   - Delete drops the segment with the record, and compaction sweeps
 //     orphans (segments whose job is no longer live, plus abandoned
-//     temp files), so a deleted job can never resurrect through a
-//     segment scan.
+//     temp files), including those an older serving store left behind.
 //   - GetSegmentTail reads only the file's tail — enough for a
-//     zone-map stats footer — without touching the body. The serving
-//     store keeps zone maps in memory and never calls it; the full/tail
-//     read counters in Stats let tests prove what a query read.
+//     zone-map stats footer — without touching the body; the full/tail
+//     read counters in Stats count what a caller read.
 
 import (
 	"encoding/hex"
@@ -84,7 +84,7 @@ func (db *DB) PutSegment(id string, blob []byte) error {
 }
 
 // GetSegment returns the full segment blob for id; ok is false when no
-// segment exists (pre-v2 archive, crash before rebuild, or swept).
+// segment exists (never written, or swept).
 func (db *DB) GetSegment(id string) ([]byte, bool, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, false, err

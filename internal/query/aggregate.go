@@ -9,7 +9,7 @@
 //     order (the order the archive tree walks).
 //  2. Across jobs, per-job partials fold in ascending job-ID order.
 //
-// The naive tree-walk oracle, the single-node segment scan, and the
+// The naive tree-walk oracle, the single-node frame scan, and the
 // router's scatter-gather merge all produce the same fold, which is
 // what makes their rendered bytes identical. Percentiles are EXACT,
 // not sketched: partials carry the matching values themselves and the
@@ -60,8 +60,8 @@ type JobPartial struct {
 	Groups []GroupPartial `json:"groups,omitempty"`
 }
 
-// PrunedPartial is the contribution of a job whose segment the zone
-// maps proved cannot contain a matching row.
+// PrunedPartial is the contribution of a job whose zone map proved it
+// cannot contain a matching row.
 func PrunedPartial(jobID string) JobPartial {
 	return JobPartial{Job: jobID, Pruned: true}
 }
@@ -550,7 +550,7 @@ type AggGroupView struct {
 // row queries already use. Scanned/Pruned describe how the engine got
 // there (zone-map pruning is an execution detail the tree-walk oracle
 // doesn't share), so they are excluded from the body and surface as
-// response headers instead — keeping oracle and segment-path bodies
+// response headers instead — keeping oracle and frame-scan bodies
 // byte-identical.
 type AggResponse struct {
 	Query      string         `json:"query"`

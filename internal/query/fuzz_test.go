@@ -224,12 +224,16 @@ func FuzzQueryV2(f *testing.F) {
 		if string(bf) != string(bt) {
 			t.Fatalf("%q: frame and tree partials diverge:\n%s\nvs\n%s", input, bf, bt)
 		}
+		// Pruning must be sound for whatever predicate came in.
+		if q.PruneAgainst(stats) && jpF.Rows != 0 {
+			t.Fatalf("%q: pruned a job with %d matching rows", input, jpF.Rows)
+		}
 		// The decoded segment agrees too, unless the query needs
 		// operation details segments do not store.
 		jpS, errS := q.AggregateFrame(decoded)
-		if q.needsOps() {
+		if needsDetails(q) {
 			if errS == nil {
-				t.Fatalf("%q needs ops but ran on a segment frame", input)
+				t.Fatalf("%q needs details but ran on a segment frame", input)
 			}
 		} else if errS != nil {
 			t.Fatalf("%q: segment frame: %v", input, errS)
@@ -237,10 +241,6 @@ func FuzzQueryV2(f *testing.F) {
 			bs, _ := json.Marshal(jpS)
 			if string(bs) != string(bf) {
 				t.Fatalf("%q: segment partial diverges:\n%s\nvs\n%s", input, bs, bf)
-			}
-			// Pruning must be sound for whatever predicate came in.
-			if q.PruneAgainst(stats) && jpF.Rows != 0 {
-				t.Fatalf("%q: pruned a segment with %d matching rows", input, jpF.Rows)
 			}
 		}
 		if _, err := q.RenderAggregate(input, "jobs", "", []JobPartial{jpF}); err != nil {

@@ -447,10 +447,6 @@ func resolveField(name string) (field, error) {
 	return field{}, fmt.Errorf("query: unknown field %q", name)
 }
 
-// needsOps reports whether the field reads operation details, which
-// only a frame built from an operation tree carries.
-func (fd *field) needsOps() bool { return fd.kind >= infoField }
-
 // --- tree-walk oracle ---
 
 // fieldValue returns the string form of a field on an operation; ok is

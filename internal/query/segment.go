@@ -480,12 +480,12 @@ func canStartNumber(s string) bool {
 // --- zone-map pruning ---
 
 // PruneAgainst reports whether the zone maps prove no row of the
-// segment can satisfy the where clause — in which case the segment
-// body need not be read at all. The analysis is conservative: any
+// frame they describe can satisfy the where clause — in which case the
+// frame need not be scanned at all. The analysis is conservative: any
 // uncertainty (non-finite values in a column, numeric-looking
-// constants against symbol columns, `not`/`~` operators) keeps the
-// segment scannable, so pruning never changes a result, only skips
-// provably-empty work.
+// constants against symbol columns, `not`/`~` operators, info. and
+// derived. fields) keeps the frame scannable, so pruning never changes
+// a result, only skips provably-empty work.
 func (q *Query) PruneAgainst(st *SegStats) bool {
 	if st.Rows == 0 {
 		return true

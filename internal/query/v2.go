@@ -82,24 +82,9 @@ func (q *Query) aggNames() []string {
 	return out
 }
 
-// needsOps reports whether the query reads a field only a frame built
-// from an operation tree carries — an info or derived field — in its
-// where clause, group fields or aggregates. Segments do not store them.
-func (q *Query) needsOps() bool {
-	needs := false
-	walkPredicates(q.where, func(pr predicate) { needs = needs || pr.field.needsOps() })
-	for i := range q.aggs {
-		needs = needs || q.aggs[i].field.needsOps()
-	}
-	for i := range q.groupBy {
-		needs = needs || q.groupBy[i].needsOps()
-	}
-	return needs
-}
-
-// ParseQuery2 parses a /query2 request's query: a cross-job aggregate
-// over the fields columnar segments store. Its errors are the messages
-// a node and the router both answer a bad request with.
+// ParseQuery2 parses a /query2 request's query: a cross-job aggregate.
+// Its errors are the messages a node and the router both answer a bad
+// request with.
 func ParseQuery2(raw string) (*Query, error) {
 	if raw == "" {
 		return nil, errors.New("need a q= query parameter")
@@ -110,9 +95,6 @@ func ParseQuery2(raw string) (*Query, error) {
 	}
 	if !q.IsAggregate() || !q.FromJobs() {
 		return nil, errors.New("query2 needs a cross-job aggregate query: from jobs [where ...] group by ... (or top k ... by ...)")
-	}
-	if q.needsOps() {
-		return nil, errors.New("info./derived. fields require operation details not stored in columnar segments; use /jobs/{id}/query")
 	}
 	return q, nil
 }

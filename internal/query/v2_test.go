@@ -38,18 +38,33 @@ func TestParseV2DefaultAggIsCount(t *testing.T) {
 	}
 }
 
+// needsDetails reports whether q reads an info. or derived. field in
+// its where clause, group fields or aggregates: operation details only
+// a frame built from a tree carries, not one decoded from a segment.
+func needsDetails(q *Query) bool {
+	needs := false
+	walkPredicates(q.where, func(pr predicate) { needs = needs || pr.field.kind >= infoField })
+	for i := range q.aggs {
+		needs = needs || q.aggs[i].field.kind >= infoField
+	}
+	for i := range q.groupBy {
+		needs = needs || q.groupBy[i].kind >= infoField
+	}
+	return needs
+}
+
 func TestParseV2JobFieldsAndNeedsOps(t *testing.T) {
 	q := parseOK(t, `from jobs where job.runtime > 1 group by job.platform agg count, max(job.runtime)`)
-	if q.needsOps() {
+	if needsDetails(q) {
 		t.Fatal("job.* query should not need operation details")
 	}
 	q = parseOK(t, `from jobs group by info.Vertices`)
-	if !q.needsOps() {
-		t.Fatal("info.* group field must report NeedsOps")
+	if !needsDetails(q) {
+		t.Fatal("info.* group field must need operation details")
 	}
 	q = parseOK(t, `from jobs where info.Vertices > 10 group by mission`)
-	if !q.needsOps() {
-		t.Fatal("info.* predicate must report NeedsOps")
+	if !needsDetails(q) {
+		t.Fatal("info.* predicate must need operation details")
 	}
 }
 

@@ -34,7 +34,7 @@ type Metrics struct {
 	ingestRejected *metrics.Counter
 	watchConns     *metrics.Counter
 
-	// Analytical-query (v2) counters: queries served, and segments
+	// Analytical-query (v2) counters: queries served, and jobs
 	// scanned vs pruned by zone maps across all of them.
 	query2Queries *metrics.Counter
 	query2Scanned *metrics.Counter
@@ -109,11 +109,6 @@ func writeStorage(e *metrics.Emitter, st *archivedb.Stats) {
 	e.Gauge("granula_storage_recovery_replayed_records", "WAL records replayed at the last open.", int64(st.RecoveredRecords))
 	e.Gauge("granula_storage_recovery_snapshot_records", "Index entries restored from the snapshot at the last open.", int64(st.RecoveredFromSnapshot))
 	e.Gauge("granula_storage_recovery_truncated_bytes", "Torn-tail bytes truncated at the last open.", st.TruncatedBytes)
-	e.Counter("granula_storage_colseg_writes_total", "Columnar segments written.", st.ColSegWrites)
-	e.Counter("granula_storage_colseg_deletes_total", "Columnar segments deleted with their job.", st.ColSegDeletes)
-	e.Counter("granula_storage_colseg_full_reads_total", "Columnar segment body reads (scans).", st.ColSegFullReads)
-	e.Counter("granula_storage_colseg_tail_reads_total", "Columnar segment stats-footer reads (prune checks).", st.ColSegTailReads)
-	e.Counter("granula_storage_colseg_sweeps_total", "Orphaned columnar segments removed by compaction sweeps.", st.ColSegSweeps)
 }
 
 // writeLiveJobs closes Metrics.tail.

@@ -2,16 +2,16 @@ package service
 
 // Analytical query engine v2 surface: GET /query2 executes cross-job
 // aggregate queries ("from jobs where ... group by ...") over the
-// store's on-disk columnar segments without materializing archive.Job
-// trees. Per job the engine first consults the zone maps the store
-// keeps in memory; if they prove no row can match, the segment file is
-// never opened, and otherwise it is read once (the archivedb
-// ColSegFullReads counter makes both observable). Jobs are aggregated
-// by one worker per core, each partial landing in its job's slot so the
-// result does not depend on scheduling. GET /internal/query2 returns the
-// raw per-job partials for the router's scatter-gather — the merge is
-// the same canonical fold either way, so a routed response is
-// byte-identical to a single-node one.
+// frames the store holds in memory, without materializing archive.Job
+// trees. Per job the engine first consults the job's zone map; if it
+// proves no row can match, the job is pruned, and otherwise its frame
+// is aggregated — every field a single-job query reads, info. and
+// derived. included. Jobs are aggregated by one worker per core, each
+// partial landing in its job's slot so the result does not depend on
+// scheduling. GET /internal/query2 returns the raw per-job partials for
+// the router's scatter-gather — the merge is the same canonical fold
+// either way, so a routed response is byte-identical to a single-node
+// one.
 //
 // /query2 responses are cached under the store generation like every
 // other read. The X-Granula-Scanned/Pruned headers describe one
@@ -106,14 +106,9 @@ func inOrder[T any](n int, part func(i int) (T, bool, error)) ([]T, error) {
 
 // partialForJob aggregates one job. ok is false when the job vanished
 // between listing and reading (a concurrent delete) — it simply
-// contributes nothing, exactly as if the listing had run later.
-//
-// One get yields the columns, the zone map and the version of one
-// publish. A pruned job costs no I/O; a scanned one costs exactly one
-// segment read, whose CRCs and version are checked. A missing, corrupt
-// or older segment (v1 layout, crash before rebuild) falls back to
-// the in-memory columns and is rewritten for the next query; a newer
-// one means a Put is publishing right now and is left alone.
+// contributes nothing, exactly as if the listing had run later. One get
+// yields the frame and the zone map of one publish; a pruned job is
+// never scanned.
 func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, bool, error) {
 	sj, ok := s.store.get(id)
 	if !ok {
@@ -122,27 +117,12 @@ func (s *Server) partialForJob(q *query.Query, id string) (query.JobPartial, boo
 	if q.PruneAgainst(sj.Stats) {
 		return query.PrunedPartial(id), true, nil
 	}
-	if db := s.store.db; db != nil {
-		rebuild := true
-		if blob, ok, err := db.GetSegment(id); err == nil && ok {
-			if f, st, err := query.DecodeSegment(blob); err == nil {
-				if st.JobVersion == sj.Version {
-					jp, err := q.AggregateFrame(f)
-					return jp, err == nil, err
-				}
-				rebuild = st.JobVersion < sj.Version
-			}
-		}
-		if rebuild {
-			s.store.writeSegment(id, sj)
-		}
-	}
 	jp, err := q.AggregateFrame(sj.frame())
 	return jp, err == nil, err
 }
 
-// handleQuery2 serves GET /query2: cross-job aggregation over
-// columnar segments, merged with the canonical fold and rendered
+// handleQuery2 serves GET /query2: cross-job aggregation over the
+// stored frames, merged with the canonical fold and rendered
 // byte-deterministically.
 func (s *Server) handleQuery2(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fail(siteQuery); err != nil {

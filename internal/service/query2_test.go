@@ -1,17 +1,12 @@
 package service
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -40,6 +35,22 @@ func aggTestJob(i int) (*archive.Job, Summary) {
 			{ID: id + "-c", Mission: "Cleanup", Actor: "Master", Start: end - 1, End: end},
 		},
 	}
+	// Operation details, as the harness attaches them: the superstep
+	// number on each superstep and every operation's share of the job.
+	for k, ss := range root.Children[1].Children {
+		ss.Infos = map[string]string{"Superstep": strconv.Itoa(k)}
+	}
+	var derive func(op *archive.Operation)
+	derive = func(op *archive.Operation) {
+		op.Derived = map[string]string{
+			"PercentOfJob": strconv.FormatFloat(100*(op.End-op.Start)/end, 'f', 2, 64),
+			"CPUSeconds":   strconv.FormatFloat(float64(i%5)*(op.End-op.Start)/4, 'f', 3, 64),
+		}
+		for _, c := range op.Children {
+			derive(c)
+		}
+	}
+	derive(root)
 	job := &archive.Job{ID: id, Platform: platforms[i%3], Root: root}
 	sum := Summary{
 		ID: id, Platform: platforms[i%3], Algorithm: []string{"BFS", "PageRank"}[i%2],
@@ -60,8 +71,8 @@ func fillAggStore(t *testing.T, store *Store, n int) {
 
 // oracleQuery2 computes the /query2 response the slow way: deserialize
 // nothing, just tree-walk every in-memory job and fold partials in the
-// canonical job-ID order. This is the byte-level contract the segment
-// path must reproduce.
+// canonical job-ID order. This is the byte-level contract the frame
+// scan must reproduce.
 func oracleQuery2(t *testing.T, store *Store, raw string) []byte {
 	t.Helper()
 	q, err := query.Parse(raw)
@@ -128,8 +139,9 @@ func startAggServer(t *testing.T, dir string, n int) (*httptest.Server, *Store, 
 	return ts, store, db
 }
 
-// TestQuery2MatchesTreeWalkOracle: the segment fast path must produce
-// byte-identical bodies to the deserialize-and-tree-walk oracle.
+// TestQuery2MatchesTreeWalkOracle: the frame scan must produce
+// byte-identical bodies to the rebuild-and-tree-walk oracle, for every
+// field a single-job query reads.
 func TestQuery2MatchesTreeWalkOracle(t *testing.T) {
 	ts, store, _ := startAggServer(t, t.TempDir(), 30)
 
@@ -141,6 +153,10 @@ func TestQuery2MatchesTreeWalkOracle(t *testing.T) {
 		`from jobs group by job.platform, job.algorithm agg count order by count desc`,
 		`from jobs top 3 actor by sum(duration)`,
 		`from jobs where depth >= 2 group by mission agg min(start), max(end)`,
+		`from jobs where derived.PercentOfJob > 10 group by job.platform, mission agg count, max(derived.CPUSeconds)`,
+		`from jobs group by info.Superstep agg max(duration)`,
+		`from jobs where mission = LoadGraph group by job.platform agg max(derived.PercentOfJob), min(derived.PercentOfJob)`,
+		`from jobs where info.Superstep = 1 or derived.CPUSeconds >= 2 group by actor, derived.PercentOfJob agg count`,
 	}
 	for _, raw := range queries {
 		want := oracleQuery2(t, store, raw)
@@ -149,7 +165,7 @@ func TestQuery2MatchesTreeWalkOracle(t *testing.T) {
 			t.Fatalf("%q: %d: %s", raw, code, got)
 		}
 		if string(got) != string(want) {
-			t.Fatalf("%q: segment path diverges from tree-walk oracle:\n%s\nvs\n%s", raw, got, want)
+			t.Fatalf("%q: frame scan diverges from tree-walk oracle:\n%s\nvs\n%s", raw, got, want)
 		}
 		scanned, _ := strconv.Atoi(hdr.Get(shard.ScannedHeader))
 		pruned, _ := strconv.Atoi(hdr.Get(shard.PrunedHeader))
@@ -182,135 +198,6 @@ func TestQuery2PrunedSegmentsNeverRead(t *testing.T) {
 	if after.ColSegFullReads != before.ColSegFullReads || after.ColSegTailReads != before.ColSegTailReads {
 		t.Fatalf("pruned query touched segments: full reads %d -> %d, tail reads %d -> %d",
 			before.ColSegFullReads, after.ColSegFullReads, before.ColSegTailReads, after.ColSegTailReads)
-	}
-}
-
-// TestQuery2ScanReadsEachSegmentOnce: a query that prunes nothing costs
-// exactly one full read per job and no tail read, and current segments
-// are not rewritten.
-func TestQuery2ScanReadsEachSegmentOnce(t *testing.T) {
-	const n = 20
-	ts, store, db := startAggServer(t, t.TempDir(), n)
-
-	before := db.Stats()
-	raw := `from jobs group by mission agg count, sum(duration)`
-	code, body, hdr := getQuery2(t, ts.URL, raw)
-	if code != http.StatusOK {
-		t.Fatalf("%d: %s", code, body)
-	}
-	if want := oracleQuery2(t, store, raw); string(body) != string(want) {
-		t.Fatalf("scan diverges from oracle:\n%s\nvs\n%s", body, want)
-	}
-	if hdr.Get(shard.ScannedHeader) != strconv.Itoa(n) {
-		t.Fatalf("scanned header = %q, want %d", hdr.Get(shard.ScannedHeader), n)
-	}
-	after := db.Stats()
-	if got := after.ColSegFullReads - before.ColSegFullReads; got != n {
-		t.Fatalf("scan of %d jobs made %d full segment reads", n, got)
-	}
-	if after.ColSegTailReads != before.ColSegTailReads {
-		t.Fatalf("scan made %d tail reads", after.ColSegTailReads-before.ColSegTailReads)
-	}
-	if after.ColSegWrites != before.ColSegWrites {
-		t.Fatalf("scan rewrote %d current segments", after.ColSegWrites-before.ColSegWrites)
-	}
-}
-
-// v1Segment re-encodes a segment in the layout written before the
-// binary stats footer: the same body frame under magic "GRNLCOL1",
-// then a CRC-framed JSON stats frame and the trailer "GCT1".
-func v1Segment(t *testing.T, blob []byte) []byte {
-	t.Helper()
-	_, st, err := query.DecodeSegment(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type numRange struct {
-		Min    float64 `json:"min"`
-		Max    float64 `json:"max"`
-		Finite bool    `json:"finite"`
-	}
-	type symRange struct {
-		Min string `json:"min"`
-		Max string `json:"max"`
-	}
-	stats, err := json.Marshal(struct {
-		FormatVersion int           `json:"format"`
-		JobVersion    uint64        `json:"jobVersion"`
-		Meta          query.JobMeta `json:"meta"`
-		Rows          int           `json:"rows"`
-		Depth         numRange      `json:"depth"`
-		Start         numRange      `json:"start"`
-		End           numRange      `json:"end"`
-		Dur           numRange      `json:"dur"`
-		Mission       symRange      `json:"mission"`
-		Actor         symRange      `json:"actor"`
-		ID            symRange      `json:"id"`
-	}{
-		1, st.JobVersion, st.Meta, st.Rows,
-		numRange(st.Depth), numRange(st.Start), numRange(st.End), numRange(st.Dur),
-		symRange(st.Mission), symRange(st.Actor), symRange(st.ID),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := binary.LittleEndian
-	bodyFrameEnd := 16 + le.Uint32(blob[8:12])
-	out := append([]byte("GRNLCOL1"), blob[8:bodyFrameEnd]...)
-	out = le.AppendUint32(out, uint32(len(stats)))
-	out = le.AppendUint32(out, crc32.Checksum(stats, crc32.MakeTable(crc32.Castagnoli)))
-	out = append(out, stats...)
-	out = le.AppendUint32(out, uint32(8+len(stats)))
-	return append(out, "GCT1"...)
-}
-
-// TestQuery2UpgradesV1Segments: sidecars in the v1 layout do not
-// decode, so /query2 answers from the in-memory columns — byte for byte
-// the oracle — and rewrites each scanned sidecar in the current layout.
-func TestQuery2UpgradesV1Segments(t *testing.T) {
-	const n = 12
-	ts, store, db := startAggServer(t, t.TempDir(), n)
-	for _, id := range store.ids() {
-		blob, ok, err := db.GetSegment(id)
-		if err != nil || !ok {
-			t.Fatalf("segment %s: ok=%v err=%v", id, ok, err)
-		}
-		old := v1Segment(t, blob)
-		if _, _, err := query.DecodeSegment(old); err == nil {
-			t.Fatalf("v1 segment of %s decodes as current", id)
-		}
-		if err := db.PutSegment(id, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, raw := range []string{
-		`from jobs group by mission agg count, sum(duration), p50(duration)`,
-		`from jobs where job.runtime > 22 group by job.platform agg count, max(job.runtime)`,
-		`from jobs where start > 1000000 group by mission`,
-	} {
-		want := oracleQuery2(t, store, raw)
-		code, got, _ := getQuery2(t, ts.URL, raw)
-		if code != http.StatusOK {
-			t.Fatalf("%q: %d: %s", raw, code, got)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("%q over v1 segments diverges from oracle:\n%s\nvs\n%s", raw, got, want)
-		}
-	}
-	for _, id := range store.ids() {
-		blob, _, err := db.GetSegment(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Only the current layout decodes, so success means rewritten.
-		_, st, err := query.DecodeSegment(blob)
-		if err != nil {
-			t.Fatalf("segment %s not rewritten: %v", id, err)
-		}
-		if st.JobVersion != store.version(id) {
-			t.Fatalf("segment %s rewritten at version %d, want %d", id, st.JobVersion, store.version(id))
-		}
 	}
 }
 
@@ -373,43 +260,9 @@ func TestQuery2CachedResponseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestQuery2LazyRebuild: a missing or corrupt segment falls back to the
-// in-memory columns, answers correctly, and rewrites the sidecar.
-func TestQuery2LazyRebuild(t *testing.T) {
-	dir := t.TempDir()
-	ts, store, db := startAggServer(t, dir, 8)
-
-	// One segment vanishes (pre-v2 archive); one is corrupted in place.
-	if err := os.Remove(filepath.Join(dir, "cols", hex.EncodeToString([]byte("agg-002"))+".gcol")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutSegment("agg-005", []byte("not a segment")); err != nil {
-		t.Fatal(err)
-	}
-	raw := `from jobs group by mission agg count, sum(duration), p50(duration)`
-	want := oracleQuery2(t, store, raw)
-	code, got, _ := getQuery2(t, ts.URL, raw)
-	if code != http.StatusOK {
-		t.Fatalf("%d: %s", code, got)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("rebuild path diverges from oracle:\n%s\nvs\n%s", got, want)
-	}
-	for _, id := range []string{"agg-002", "agg-005"} {
-		blob, ok, err := db.GetSegment(id)
-		if err != nil || !ok {
-			t.Fatalf("segment %s not rebuilt: ok=%v err=%v", id, ok, err)
-		}
-		if _, _, err := query.DecodeSegment(blob); err != nil {
-			t.Fatalf("rebuilt segment %s does not decode: %v", id, err)
-		}
-	}
-}
-
-// TestQuery2DeleteNoResurrect pins the ride-along bugfix: deleting a
-// job from the archive database drops its segment, so cross-job
-// aggregation excludes it after a process restart (no resurrection
-// from a stale sidecar file).
+// TestQuery2DeleteNoResurrect: a job deleted from the archive
+// database stays out of cross-job aggregation after a process restart,
+// and leaves no segment file behind.
 func TestQuery2DeleteNoResurrect(t *testing.T) {
 	dir := t.TempDir()
 	ts, store, db := startAggServer(t, dir, 6)
@@ -458,33 +311,39 @@ func TestQuery2DeleteNoResurrect(t *testing.T) {
 	}
 }
 
-// TestQuery2Validation: the endpoint only serves cross-job aggregates
-// over summary fields; everything else gets a specific 400.
+// TestQuery2Validation: the endpoint serves every cross-job aggregate,
+// details included, and answers the oracle's bytes; everything else
+// gets a specific 400.
 func TestQuery2Validation(t *testing.T) {
-	ts, _, _ := startAggServer(t, t.TempDir(), 2)
+	ts, store, _ := startAggServer(t, t.TempDir(), 2)
 
 	for _, tc := range []struct {
 		raw  string
 		code int
 	}{
-		{``, http.StatusBadRequest},                                              // missing q
-		{`mission = Compute`, http.StatusBadRequest},                             // not an aggregate
-		{`group by mission`, http.StatusBadRequest},                              // single-job scope
-		{`from jobs where (`, http.StatusBadRequest},                             // parse error
-		{`from jobs where info.K = 1 group by mission`, http.StatusBadRequest},   // needs ops
-		{`from jobs group by mission agg max(derived.D)`, http.StatusBadRequest}, // needs ops
+		{``, http.StatusBadRequest},                                      // missing q
+		{`mission = Compute`, http.StatusBadRequest},                     // not an aggregate
+		{`group by mission`, http.StatusBadRequest},                      // single-job scope
+		{`from jobs where (`, http.StatusBadRequest},                     // parse error
+		{`from jobs where info.K = 1 group by mission`, http.StatusOK},   // no row has the key
+		{`from jobs group by mission agg max(derived.D)`, http.StatusOK}, // every row lacks the key
 		{`from jobs group by mission`, http.StatusOK},
 	} {
 		code, body, _ := getQuery2(t, ts.URL, tc.raw)
 		if code != tc.code {
 			t.Errorf("%q: %d (want %d): %s", tc.raw, code, tc.code, body)
+			continue
+		}
+		if code == http.StatusOK {
+			if want := oracleQuery2(t, store, tc.raw); string(body) != string(want) {
+				t.Errorf("%q diverges from the oracle:\n%s\nvs\n%s", tc.raw, body, want)
+			}
 		}
 	}
 }
 
 // TestSingleJobAggregateEndpoint: aggregate queries on /jobs/{id}/query
-// run over that one job (and, unlike /query2, may use info./derived.
-// because the in-memory columns carry operations).
+// run over that one job.
 func TestSingleJobAggregateEndpoint(t *testing.T) {
 	store := newStore()
 	fillAggStore(t, store, 3)

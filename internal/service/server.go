@@ -499,10 +499,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobAggregate answers an aggregate ?q= on /jobs/{id}/query:
-// the same v2 language scoped to one job. Runs over the job's
-// in-memory columns — the operation details are at hand, so
-// info./derived. group fields work here (unlike the segment-only
-// /query2 path). Live jobs are refused: their summary (job.runtime
+// the same v2 language scoped to one job, over the job's frame as
+// /query2 reads it. Live jobs are refused: their summary (job.runtime
 // and friends) does not exist until the job seals.
 func (s *Server) handleJobAggregate(w http.ResponseWriter, id, raw string, q *query.Query, sj *storedJob, live *stream.Job) {
 	if q.FromJobs() {

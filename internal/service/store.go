@@ -50,9 +50,9 @@ type Summary struct {
 // queries, aggregates, the ?mission=/?actor=/?path= lookups) evaluate
 // against and render from. ID, Platform and EnvSamples are the rest of
 // the archive; no operation tree is kept, and tree rebuilds one from
-// the frame for the readers that need it. Stats is the zone map of Cols
-// (the footer its segment carries), so /query2 prunes without I/O;
-// Version orders replicated writes of the job. All of it is built once
+// the frame for the readers that need it. Stats is the zone map of
+// Cols, which /query2 prunes with before it scans the frame; Version
+// orders replicated writes of the job. All of it is built once
 // when the job enters the store and is immutable after, so one get sees
 // one consistent publish.
 type storedJob struct {
@@ -369,7 +369,7 @@ func (s *Store) storageStats() *archivedb.Stats {
 
 // jobMeta projects a stored job's summary into the job.* fields the v2
 // query language exposes, keyed by the store key (which is also the
-// segment key and the partial's job ID).
+// partial's job ID).
 func jobMeta(id string, sum Summary) query.JobMeta {
 	return query.JobMeta{
 		ID:         id,
@@ -379,22 +379,6 @@ func jobMeta(id string, sum Summary) query.JobMeta {
 		Supersteps: sum.Supersteps,
 		Operations: sum.Operations,
 	}
-}
-
-// writeSegment encodes and stores the job's columnar segment. Best
-// effort by design: the segment is derived data — a missing or stale
-// segment is rebuilt lazily from the in-memory columns on the next
-// aggregate query — so a failure here must not fail the Put that
-// carries the durable record.
-func (s *Store) writeSegment(id string, sj *storedJob) {
-	if s.db == nil {
-		return
-	}
-	blob, err := query.EncodeSegment(sj.frame(), sj.Version)
-	if err != nil {
-		return
-	}
-	_ = s.db.PutSegment(id, blob)
 }
 
 // Put indexes and stores a completed job under its summary ID. The
@@ -425,7 +409,6 @@ func (s *Store) Put(job *archive.Job, sum Summary) error {
 			return err
 		}
 		s.breaker.success()
-		s.writeSegment(sum.ID, sj)
 	}
 	s.mu.Lock()
 	s.jobs[sum.ID] = sj
@@ -496,7 +479,6 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 			return err
 		}
 		s.breaker.success()
-		s.writeSegment(id, sj)
 	}
 	s.mu.Lock()
 	if cur, ok := s.jobs[id]; !ok || cur.Version < version {

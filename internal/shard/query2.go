@@ -21,10 +21,14 @@ package shard
 // order is fixed by the canonical fold, not because FP addition is
 // associative (it is not).
 //
-// Unreachable shards are skipped and named in X-Granula-Shards-Down —
-// the merged result is the union of live shards' views, same contract
-// as GET /jobs. Scanned/pruned counts are summed post-dedupe, so they
-// too match the single-node answer.
+// Unreachable shards — a transport error, a 5xx, an unreadable body —
+// are skipped and named in X-Granula-Shards-Down: the merged result is
+// the union of live shards' views, same contract as GET /jobs. A shard
+// that refuses the query with a 4xx (one running an older query
+// language, say) is not down: the first such shard in map order
+// answers the client, its status and body relayed. Scanned/pruned
+// counts are summed post-dedupe, so they too match the single-node
+// answer.
 
 import (
 	"encoding/json"
@@ -51,12 +55,8 @@ func (rt *Router) handleQuery2(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	pathq := InternalQuery2Path + "?q=" + url.QueryEscape(raw)
 
-	type shardPartials struct {
-		node     Node
-		partials []query.JobPartial
-		err      error
-	}
-	results := make([]shardPartials, len(rt.m.Shards))
+	results := make([]proxyResult, len(rt.m.Shards))
+	partials := make([][]query.JobPartial, len(rt.m.Shards))
 	var wg sync.WaitGroup
 	for i, n := range rt.m.Shards {
 		wg.Add(1)
@@ -64,30 +64,30 @@ func (rt *Router) handleQuery2(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			res := rt.forward(ctx, n, http.MethodGet, pathq, nil, r.Header)
 			rt.observe(n, res)
-			if res.err != nil || res.status != http.StatusOK {
-				results[i] = shardPartials{node: n, err: fmt.Errorf("unreachable")}
-				return
+			if res.err == nil && res.status == http.StatusOK {
+				var sr struct {
+					Partials []query.JobPartial `json:"partials"`
+				}
+				res.err = json.Unmarshal(res.body, &sr)
+				partials[i] = sr.Partials
 			}
-			var sr struct {
-				Partials []query.JobPartial `json:"partials"`
-			}
-			if err := json.Unmarshal(res.body, &sr); err != nil {
-				results[i] = shardPartials{node: n, err: err}
-				return
-			}
-			results[i] = shardPartials{node: n, partials: sr.Partials}
+			results[i] = res
 		}(i, n)
 	}
 	wg.Wait()
 
 	var all []query.JobPartial
 	var down []string
-	for _, res := range results {
-		if res.err != nil {
+	for i, res := range results {
+		if res.err == nil && res.status >= 400 && res.status < 500 {
+			rt.writeProxied(w, res)
+			return
+		}
+		if res.err != nil || res.status != http.StatusOK {
 			down = append(down, res.node.ID)
 			continue
 		}
-		all = append(all, res.partials...)
+		all = append(all, partials[i]...)
 	}
 	resp, err := q.MergePartials(raw, "jobs", "", all)
 	if err != nil {

@@ -70,6 +70,9 @@ func TestClusterQuery2ByteEquivalence(t *testing.T) {
 		`from jobs where mission = Superstep group by actor agg count, sum(duration) order by sum(duration) desc limit 5`,
 		`from jobs top 3 job.platform by count`,
 		`from jobs where start > 1000000000 group by mission`, // prunable everywhere
+		`from jobs where derived.PercentOfJob > 10 group by job.platform, mission agg count, max(derived.CPUSeconds)`,
+		`from jobs group by info.Superstep agg max(duration)`,
+		`from jobs where mission = LoadGraph group by job.platform agg max(derived.PercentOfJob), min(derived.PercentOfJob)`,
 	}
 	for _, raw := range queries {
 		path := shard.Query2Path + "?" + url.Values{"q": {raw}}.Encode()
@@ -130,7 +133,7 @@ func TestQuery2ErrorBodyMatchesNode(t *testing.T) {
 		"from jobs group by mission agg sum(\xff x",
 		`from jobs group by mission agg sum(< x`,
 		`from jobs group by <&>`,
-		``, `mission = X`, `from jobs group by info.K`,
+		``, `mission = X`, `from jobs group by mission agg avg(actor)`,
 	} {
 		path := shard.Query2Path + "?" + url.Values{"q": {raw}}.Encode()
 		wantCode, want, _ := mustGet(t, node.URL+path)
@@ -141,5 +144,34 @@ func TestQuery2ErrorBodyMatchesNode(t *testing.T) {
 		if !bytes.Equal(got, want) || !json.Valid(got) {
 			t.Fatalf("%q: router body %q, node body %q (valid JSON: %v)", raw, got, want, json.Valid(got))
 		}
+	}
+}
+
+// TestQuery2RelaysShardRefusal: a shard that refuses a query the router
+// accepted (say, one running an older query language) is not down. The
+// router answers with the shard's status and body instead of an empty
+// 200 that names the shard in X-Granula-Shards-Down.
+func TestQuery2RelaysShardRefusal(t *testing.T) {
+	const refusal = `{"error":"query2 is not served here"}`
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(refusal))
+	}))
+	defer node.Close()
+	m, err := shard.NewMap(1, []shard.Node{{ID: "s1", URL: node.URL}}, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(shard.NewRouter(m, shard.RouterOptions{}).Handler())
+	defer router.Close()
+
+	path := shard.Query2Path + "?" + url.Values{"q": {`from jobs group by mission`}}.Encode()
+	code, body, hdr := mustGet(t, router.URL+path)
+	if code != http.StatusBadRequest || string(body) != refusal {
+		t.Fatalf("router answered %d %s, want the shard's 400 %s", code, body, refusal)
+	}
+	if down := hdr.Get("X-Granula-Shards-Down"); down != "" {
+		t.Fatalf("refusing shard reported down: %s", down)
 	}
 }

@@ -37,10 +37,10 @@ const (
 	Query2Path         = "/query2"
 	InternalQuery2Path = "/internal/query2"
 
-	// ScannedHeader/PrunedHeader report how many columnar segments a
-	// v2 query read vs skipped via zone maps. Execution detail, so it
-	// travels in headers — response bodies stay byte-identical across
-	// the segment path, the tree-walk oracle, and the router merge.
+	// ScannedHeader/PrunedHeader report how many jobs a v2 query
+	// scanned vs skipped via zone maps. Execution detail, so it travels
+	// in headers — response bodies stay byte-identical across the frame
+	// scan, the tree-walk oracle, and the router merge.
 	ScannedHeader = "X-Granula-Scanned"
 	PrunedHeader  = "X-Granula-Pruned"
 )
