@@ -10,6 +10,7 @@ package archive
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -52,6 +53,96 @@ func (s EnvSample) CPUUsed() float64 {
 		return s.Used
 	}
 	return 0
+}
+
+// EnvColumns holds a job's environment samples column by column, for a
+// store that keeps many jobs resident: each distinct (node, kind)
+// series once, a per-sample series index and used value, and the
+// sample times run-length coded, since the monitor emits a sample per
+// series at each timestamp. Samples rebuilds the exact slice it was
+// built from. The zero value holds no samples.
+type EnvColumns struct {
+	series []envSeries
+	idx16  []uint16 // per-sample series index while len(series) <= 1<<16
+	idx32  []uint32 // per-sample series index once it is not
+	used   []float64
+	// times holds the value of each run of bit-identical times, so -0
+	// never merges into 0; ends[r] is the sample index one past run r.
+	times []float64
+	ends  []int
+}
+
+type envSeries struct{ node, kind string }
+
+// NewEnvColumns builds the columns of samples, which it does not keep.
+func NewEnvColumns(samples []EnvSample) EnvColumns {
+	n := len(samples)
+	if n == 0 {
+		return EnvColumns{}
+	}
+	sameTime := func(i int) bool {
+		return math.Float64bits(samples[i].Time) == math.Float64bits(samples[i-1].Time)
+	}
+	runs := 1
+	for i := 1; i < n; i++ {
+		if !sameTime(i) {
+			runs++
+		}
+	}
+	c := EnvColumns{
+		used:  make([]float64, n),
+		times: append(make([]float64, 0, runs), samples[0].Time),
+		ends:  make([]int, 0, runs),
+	}
+	idx := make([]uint32, n)
+	ids := map[envSeries]uint32{}
+	for i, s := range samples {
+		key := envSeries{s.Node, s.Kind}
+		k, ok := ids[key]
+		if !ok {
+			k = uint32(len(c.series))
+			ids[key] = k
+			c.series = append(c.series, key)
+		}
+		idx[i], c.used[i] = k, s.Used
+		if i > 0 && !sameTime(i) {
+			c.ends = append(c.ends, i)
+			c.times = append(c.times, s.Time)
+		}
+	}
+	c.ends = append(c.ends, n)
+	if len(c.series) > 1<<16 {
+		c.idx32 = idx
+		return c
+	}
+	c.idx16 = make([]uint16, n)
+	for i, k := range idx {
+		c.idx16[i] = uint16(k)
+	}
+	return c
+}
+
+// Samples returns a new slice of the samples the columns were built
+// from, nil for none, in one allocation; its strings are shared.
+func (c *EnvColumns) Samples() []EnvSample {
+	if len(c.used) == 0 {
+		return nil
+	}
+	out := make([]EnvSample, len(c.used))
+	run := 0
+	for i := range out {
+		if i == c.ends[run] {
+			run++
+		}
+		var k int
+		if c.idx16 != nil {
+			k = int(c.idx16[i])
+		} else {
+			k = int(c.idx32[i])
+		}
+		out[i] = EnvSample{Time: c.times[run], Node: c.series[k].node, Kind: c.series[k].kind, Used: c.used[i]}
+	}
+	return out
 }
 
 // Operation is one operation instance: an actor executing a mission over

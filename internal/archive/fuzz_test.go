@@ -166,7 +166,9 @@ func checkDecodeAgrees(t *testing.T, data []byte) bool {
 // result (the decoder's one intended difference, case-sensitive member
 // names, makes it refuse rather than disagree). For every archive Load
 // accepts, each job's record from AppendRecord is json.Marshal's bytes,
-// and decoding them deep-equals json.Unmarshal's result.
+// and decoding them deep-equals json.Unmarshal's result. For every job
+// either accepts, the samples rebuilt from its EnvColumns encode to the
+// bytes of the samples it was built from.
 func FuzzPersistedJob(f *testing.F) {
 	paper, err := os.ReadFile(filepath.Join("..", "..", "out", "archive.json"))
 	if err != nil {
@@ -184,6 +186,7 @@ func FuzzPersistedJob(f *testing.F) {
 		`{"job":{"root":{"id":"r","children":[{"id":"a"},{"id":"b"}]}},"job":{"root":{"children":[{"end":2}]}},` +
 			`"job":{"root":{"children":[{},{},{}]}}}`,
 		`{"job":{"envSamples":[{"node":"n","kind":"nic"},{}]},"job":{"envSamples":[{"used":1}]},"job":{"envSamples":[{},{}]}}`,
+		`{"job":{"id":"j","envSamples":[{"time":0,"node":"n","used":0},{"time":-0,"node":"n","kind":"cpu","used":-0},{"time":-0,"node":"n","used":1}]}}`,
 		`{"job":{"root":{"infos":{"a":"1"},"derived":{}}},"job":{"root":{"infos":{"b":null},"children":[]}}}`,
 		`{"Job":{},"VERSION":1}`,
 		`{"job":{"id":"A😀\ud800x\\\"\/","platform":"\xff\xc3"},"version":18446744073709551615}`,
@@ -193,13 +196,18 @@ func FuzzPersistedJob(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodeAgrees(t, data)
+		if checkDecodeAgrees(t, data) {
+			if job, _, _ := DecodeRecord(data, func([]byte) error { return nil }); job != nil {
+				checkEnvColumns(t, job)
+			}
+		}
 		a, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		summary := []byte(`{"id":"s","runtime":2.5,"modelErrors":["a\u003cb"]}`) // as json.Marshal writes it
 		for _, j := range a.Jobs {
+			checkEnvColumns(t, j)
 			for _, version := range []uint64{0, 7} {
 				rec, err := AppendRecord(nil, summary, j, version)
 				if err != nil {

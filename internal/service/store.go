@@ -1,11 +1,12 @@
 // Package service implements granula-serve: the long-running serving
 // layer over the Granula pipeline. It owns a bounded job executor pool
 // that runs (platform, algorithm, graph) simulations concurrently, an
-// in-memory archive store in which the frame is the stored job — every
-// query scans it (DESIGN.md ablation item 6), and the operation tree is
-// rebuilt from it only for a reader that needs one — and a JSON HTTP
-// API that exposes submission, status, archive retrieval, the query
-// language, visualization, and regression diffs.
+// in-memory archive store that holds each job as columns — the frame
+// every query scans (DESIGN.md ablation item 6) and the environment
+// samples, from which the archive tree is rebuilt only for a reader
+// that needs one — and a JSON HTTP API that exposes submission, status,
+// archive retrieval, the query language, visualization, and regression
+// diffs.
 //
 // The store and executor are safe for concurrent use; every JSON
 // response is deterministic (sorted keys and slices) so serve output is
@@ -44,20 +45,21 @@ type Summary struct {
 	ModelErrors       []string `json:"modelErrors,omitempty"`
 }
 
-// storedJob is one published version of an archived job. The frame is
-// the stored job: Cols holds every operation row — fields, mission
-// paths, infos and derived infos — that the queries on the job (?q= row
-// queries, aggregates, the ?mission=/?actor=/?path= lookups) evaluate
-// against and render from. ID, Platform and EnvSamples are the rest of
-// the archive; no operation tree is kept, and tree rebuilds one from
-// the frame for the readers that need it. Stats is the zone map of
+// storedJob is one published version of an archived job, held as
+// columns. The frame is the stored job: Cols holds every operation row
+// — fields, mission paths, infos and derived infos — that the queries
+// on the job (?q= row queries, aggregates, the ?mission=/?actor=/?path=
+// lookups) evaluate against and render from. ID, Platform and Env, the
+// environment samples as columns, are the rest of the archive; no
+// operation tree and no sample struct is kept, and tree rebuilds both
+// for the readers that need them. Stats is the zone map of
 // Cols, which /query2 prunes with before it scans the frame; Version
 // orders replicated writes of the job. All of it is built once
 // when the job enters the store and is immutable after, so one get sees
 // one consistent publish.
 type storedJob struct {
 	ID, Platform string
-	EnvSamples   []archive.EnvSample
+	Env          archive.EnvColumns
 	Summary      Summary
 	Cols         *query.Columns
 	Stats        *query.SegStats
@@ -71,7 +73,7 @@ func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJ
 	archive.New().Add(job)
 	cols := query.BuildColumns(job)
 	return &storedJob{
-		ID: job.ID, Platform: job.Platform, EnvSamples: job.EnvSamples,
+		ID: job.ID, Platform: job.Platform, Env: archive.NewEnvColumns(job.EnvSamples),
 		Summary: sum, Cols: cols, Version: version,
 		Stats: query.FrameStats(cols.Frame(jobMeta(id, sum)), version),
 	}
@@ -81,11 +83,11 @@ func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJ
 // fields.
 func (sj *storedJob) frame() *query.Frame { return sj.Cols.Frame(sj.Stats.Meta) }
 
-// tree rebuilds the job's archive tree from its frame: what /archive,
-// /viz and /diff read, and export without a database. Each call builds
-// a fresh operation tree; EnvSamples is the stored slice, read-only.
+// tree rebuilds the job's archive tree from its frame and its samples
+// from their columns: what /archive, /viz and /diff read, and export
+// without a database. Each call builds a fresh job.
 func (sj *storedJob) tree() *archive.Job {
-	job := &archive.Job{ID: sj.ID, Platform: sj.Platform, Root: sj.frame().Tree(), EnvSamples: sj.EnvSamples}
+	job := &archive.Job{ID: sj.ID, Platform: sj.Platform, Root: sj.frame().Tree(), EnvSamples: sj.Env.Samples()}
 	archive.New().Add(job)
 	return job
 }

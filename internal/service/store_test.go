@@ -209,10 +209,10 @@ func TestLookupMatchesTreeReference(t *testing.T) {
 	check("live", "path", "Job/Step", queryResponse{Operations: viewOps(steps)})
 }
 
-// reachesTree reports whether v reaches an archive job or operation
+// reaches reports whether v reaches a value of a type match accepts
 // through pointers, maps, slices, interfaces or struct fields.
-func reachesTree(v reflect.Value, seen map[uintptr]bool) bool {
-	if t := v.Type(); t == reflect.TypeOf(archive.Operation{}) || t == reflect.TypeOf(archive.Job{}) {
+func reaches(v reflect.Value, match func(reflect.Type) bool, seen map[uintptr]bool) bool {
+	if match(v.Type()) {
 		return true
 	}
 	switch v.Kind() {
@@ -222,24 +222,24 @@ func reachesTree(v reflect.Value, seen map[uintptr]bool) bool {
 		}
 		seen[v.Pointer()] = true
 		if v.Kind() == reflect.Pointer {
-			return reachesTree(v.Elem(), seen)
+			return reaches(v.Elem(), match, seen)
 		}
 		for it := v.MapRange(); it.Next(); {
-			if reachesTree(it.Key(), seen) || reachesTree(it.Value(), seen) {
+			if reaches(it.Key(), match, seen) || reaches(it.Value(), match, seen) {
 				return true
 			}
 		}
 	case reflect.Interface:
-		return !v.IsNil() && reachesTree(v.Elem(), seen)
+		return !v.IsNil() && reaches(v.Elem(), match, seen)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if reachesTree(v.Field(i), seen) {
+			if reaches(v.Field(i), match, seen) {
 				return true
 			}
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			if reachesTree(v.Index(i), seen) {
+			if reaches(v.Index(i), match, seen) {
 				return true
 			}
 		}
@@ -247,19 +247,31 @@ func reachesTree(v reflect.Value, seen map[uintptr]bool) bool {
 	return false
 }
 
-// TestStoreRetainsNoTree: a stored job is its frame. The tree a caller
-// Puts is collected once the caller drops it, and whether a job enters
-// by Put, as a replica, or from the database when the store reopens,
-// nothing the store holds reaches an archive tree. The replica store,
-// having no database, exports the replicated bytes by rebuilding the
-// tree from its frame.
+// isTree and isEnvSample are the types a stored job must not reach: an
+// archive job or operation, and a sample struct.
+func isTree(t reflect.Type) bool {
+	return t == reflect.TypeOf(archive.Operation{}) || t == reflect.TypeOf(archive.Job{})
+}
+
+func isEnvSample(t reflect.Type) bool { return t == reflect.TypeOf(archive.EnvSample{}) }
+
+// TestStoreRetainsNoTree: a stored job is its columns. The tree a
+// caller Puts is collected once the caller drops it, and whether a job
+// enters by Put, as a replica, or from the database when the store
+// reopens, nothing the store holds reaches an archive tree or an
+// environment sample struct. The replica store, having no database,
+// exports the replicated bytes by rebuilding the tree and its samples
+// from those columns.
 func TestStoreRetainsNoTree(t *testing.T) {
 	requireNoTree := func(s *Store, how string) {
 		t.Helper()
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		if len(s.jobs) != 1 || reachesTree(reflect.ValueOf(s.jobs), map[uintptr]bool{}) {
+		if len(s.jobs) != 1 || reaches(reflect.ValueOf(s.jobs), isTree, map[uintptr]bool{}) {
 			t.Fatalf("after %s the store holds %d jobs (want 1) or reaches an archive tree", how, len(s.jobs))
+		}
+		if reaches(reflect.ValueOf(s.jobs), isEnvSample, map[uintptr]bool{}) {
+			t.Fatalf("after %s the store reaches an archive.EnvSample", how)
 		}
 	}
 	dir := t.TempDir()
@@ -274,6 +286,9 @@ func TestStoreRetainsNoTree(t *testing.T) {
 	collected := make(chan struct{})
 	id := func() string {
 		out := testOutput(t, "Giraph", "BFS")
+		if len(out.Job.EnvSamples) == 0 {
+			t.Fatal("the job has no environment samples")
+		}
 		if err := s.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
 			t.Fatal(err)
 		}
@@ -340,5 +355,45 @@ func TestStoreIDsSortedAndArchive(t *testing.T) {
 	ids := s.ids()
 	if len(ids) != 2 || !sort.StringsAreSorted(ids) {
 		t.Fatalf("IDs = %v, want both jobs sorted", ids)
+	}
+}
+
+// TestStoredJobBytes gates the resident size of a stored job. Each job
+// of out/archive.json is decoded from its record and indexed 20 times,
+// as a reopen does, and the copies are read as HeapAlloc after GC; the
+// ceilings are about 1.25 times the measured bytes per copy. A stored
+// job holds its operations and its environment samples as columns, so
+// neither an operation tree nor one struct per sample counts here.
+func TestStoredJobBytes(t *testing.T) {
+	// Measured with go1.24 on linux/amd64: 166 and 188 KB; with one
+	// sample struct per sample, 253 and 640 KB.
+	ceilings := map[string]int64{"giraph-bfs-dg1000": 208 << 10, "powergraph-bfs-dg1000": 235 << 10}
+	jobs, sums := paperJobs(t)
+	for i, job := range jobs {
+		payload, err := encodeRecord(sums[i], job, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const copies = 20
+		held := make([]*storedJob, copies)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for c := range held {
+			j, sum, version, err := decodeRecord(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[c] = indexJob(j.ID, j, sum, version)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(held)
+		perJob := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / copies
+		t.Logf("%s: %d samples, %d KB per stored job (ceiling %d KB)",
+			job.ID, len(job.EnvSamples), perJob>>10, ceilings[job.ID]>>10)
+		if ceiling, ok := ceilings[job.ID]; !ok || perJob > ceiling {
+			t.Errorf("%s: a stored job holds %d KB, ceiling %d KB", job.ID, perJob>>10, ceiling>>10)
+		}
 	}
 }
