@@ -52,7 +52,15 @@ func TestAssembleBuildsTree(t *testing.T) {
 	}
 }
 
+// TestAssembleErrors runs every malformed operation log through both
+// ways into the Assembler: Assemble, which checks and adds one record
+// at a time, and AddBatch with complete set, which the live stream's
+// ingest uses. Both must refuse with the same reason, and a refused
+// batch must add nothing.
 func TestAssembleErrors(t *testing.T) {
+	info := func(t float64, op, key string) trace.Record {
+		return trace.Record{Time: t, Job: "j", Op: op, Event: trace.EventInfo, Key: key, Value: "v"}
+	}
 	cases := []struct {
 		name    string
 		records []trace.Record
@@ -63,6 +71,10 @@ func TestAssembleErrors(t *testing.T) {
 			rec(0, "j", "a", "", "c", "m", trace.EventStart),
 			rec(1, "j", "a", "", "c", "m", trace.EventStart),
 		}, "duplicate start"},
+		{"duplicate start under itself", []trace.Record{
+			rec(0, "j", "a", "", "", "Job", trace.EventStart),
+			rec(0, "j", "a", "a", "", "X", trace.EventStart),
+		}, "duplicate start"},
 		{"end before start", []trace.Record{
 			rec(0, "j", "a", "", "", "", trace.EventEnd),
 		}, "end before start"},
@@ -71,9 +83,7 @@ func TestAssembleErrors(t *testing.T) {
 			rec(1, "j", "a", "", "", "", trace.EventEnd),
 			rec(2, "j", "a", "", "", "", trace.EventEnd),
 		}, "duplicate end"},
-		{"info before start", []trace.Record{
-			{Time: 0, Job: "j", Op: "a", Event: trace.EventInfo, Key: "k", Value: "v"},
-		}, "info before start"},
+		{"info before start", []trace.Record{info(0, "a", "k")}, "info before start"},
 		{"never ended", []trace.Record{
 			rec(0, "j", "a", "", "c", "m", trace.EventStart),
 		}, "never ended"},
@@ -81,21 +91,43 @@ func TestAssembleErrors(t *testing.T) {
 			rec(0, "j", "a", "ghost", "c", "m", trace.EventStart),
 			rec(1, "j", "a", "", "", "", trace.EventEnd),
 		}, "unknown parent"},
+		// The one log the Assembler refuses and the assembler before it
+		// accepted: a parent must start before its children.
+		{"parent starts later", []trace.Record{
+			rec(0, "j", "a", "", "c", "Job", trace.EventStart),
+			rec(1, "j", "b", "c", "c", "m", trace.EventStart),
+			rec(1, "j", "c", "a", "c", "m", trace.EventStart),
+			rec(2, "j", "b", "", "", "", trace.EventEnd),
+			rec(2, "j", "c", "", "", "", trace.EventEnd),
+			rec(3, "j", "a", "", "", "", trace.EventEnd),
+		}, "unknown parent"},
 		{"multiple roots", []trace.Record{
 			rec(0, "j", "a", "", "c", "m", trace.EventStart),
 			rec(1, "j", "a", "", "", "", trace.EventEnd),
 			rec(0, "j", "b", "", "c", "m", trace.EventStart),
 			rec(1, "j", "b", "", "", "", trace.EventEnd),
 		}, "multiple root"},
+		{"second root", []trace.Record{
+			rec(0, "j", "a", "", "", "Job", trace.EventStart),
+			rec(0, "j", "b", "", "", "Job", trace.EventStart),
+		}, "multiple root"},
+		{"unknown event", []trace.Record{
+			rec(0, "j", "a", "", "c", "m", "bogus"),
+		}, "unknown event"},
 	}
 	for _, c := range cases {
-		_, err := Assemble("j", "p", c.records, nil)
-		if err == nil {
-			t.Fatalf("%s: expected error", c.name)
-		}
-		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("%s: error %q does not contain %q", c.name, err, c.wantErr)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Assemble("j", "p", c.records, nil); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Assemble: error %v does not contain %q", err, c.wantErr)
+			}
+			a := NewAssembler("j", nil)
+			if err := a.AddBatch(c.records, true); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("AddBatch: error %v does not contain %q", err, c.wantErr)
+			}
+			if a.Open() != 0 || a.root != nil || len(a.ops) != 0 {
+				t.Fatal("a refused batch changed the assembler")
+			}
+		})
 	}
 }
 

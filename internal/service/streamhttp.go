@@ -176,8 +176,8 @@ func (s *Server) persistStreamTail(id string) error {
 	return nil
 }
 
-// finalizeStream retires a sealed live job. A done seal assembles the
-// stream into an archive through the batch pipeline and publishes it
+// finalizeStream retires a sealed live job. A done seal finishes the
+// stream's operation tree into an archive (BuildArchive) and publishes it
 // (write-through, so once Put returns the archive is durable and the
 // redundant stream batches can go); failed/canceled seals retire the
 // stream without an archive. Returns the terminal ingest state.
@@ -287,6 +287,51 @@ func (s *Server) recoverStreams() {
 	}
 }
 
+// watchCursor reads a /watch request's cursor: the sequence number after
+// which to resume, from Last-Event-ID, else ?from=, else 0. A malformed
+// cursor answers 400 and returns false.
+func watchCursor(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	name, raw := "Last-Event-ID", r.Header.Get("Last-Event-ID")
+	if raw == "" {
+		name, raw = "from", r.URL.Query().Get("from")
+	}
+	if raw == "" {
+		return 0, true
+	}
+	v, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad %s %q", name, raw)
+		return 0, false
+	}
+	return v, true
+}
+
+// watchTarget finds what a /watch request tails and counts the
+// connection: a live job, or for a job already sealed and published the
+// seal event, the only fact its tail has left, so late watchers end
+// cleanly. A job known but not streaming answers 409, anything else
+// 404, and ok is false.
+func (s *Server) watchTarget(w http.ResponseWriter, id string) (live *stream.Job, seal *stream.Event, ok bool) {
+	if live, ok = s.streams.Get(id); ok {
+		s.metrics.watchConns.Inc()
+		return live, nil, true
+	}
+	if sj, archived := s.store.get(id); archived {
+		s.metrics.watchConns.Inc()
+		return nil, &stream.Event{
+			Type: stream.TypeSeal, Time: sj.Summary.Runtime,
+			Platform: sj.Summary.Platform, Algorithm: sj.Summary.Algorithm,
+			State: stream.StateDone,
+		}, true
+	}
+	if st, known := s.exec.jobState(id); known {
+		writeError(w, http.StatusConflict, "job %q is %s, not streaming", id, st.Status)
+	} else {
+		writeError(w, http.StatusNotFound, "no job %q", id)
+	}
+	return nil, nil, false
+}
+
 // pollResponse is one long-poll batch: the events past the client's
 // cursor (raw, not windowed), the new cursor to pass back as ?from=,
 // and whether the stream has sealed (sealed + an empty batch means the
@@ -312,21 +357,9 @@ const defaultPollWait = 10 * time.Second
 // client just re-polls. Already-archived jobs answer a terminal sealed
 // batch immediately.
 func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id string) {
-	var from uint64
-	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		v, err := strconv.ParseUint(lei, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
-			return
-		}
-		from = v
-	} else if fq := r.URL.Query().Get("from"); fq != "" {
-		v, err := strconv.ParseUint(fq, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad from %q", fq)
-			return
-		}
-		from = v
+	from, ok := watchCursor(w, r)
+	if !ok {
+		return
 	}
 	wait := defaultPollWait
 	if wq := r.URL.Query().Get("wait"); wq != "" {
@@ -345,31 +378,17 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 		wait = d
 	}
 
-	live, ok := s.streams.Get(id)
+	live, seal, ok := s.watchTarget(w, id)
 	if !ok {
-		if sj, archived := s.store.get(id); archived {
-			// Terminal answer: the job sealed and published before this
-			// poll; hand the client the same closing fact the SSE tail
-			// would, so its loop terminates.
-			s.metrics.watchConns.Inc()
-			writeJSON(w, http.StatusOK, pollResponse{
-				JobID: id, Count: 1, Events: []stream.Event{{
-					Type: stream.TypeSeal, Time: sj.Summary.Runtime,
-					Platform: sj.Summary.Platform, Algorithm: sj.Summary.Algorithm,
-					State: stream.StateDone,
-				}}, Sealed: true, State: "archived",
-			})
-			return
-		}
-		if st, known := s.exec.jobState(id); known {
-			writeError(w, http.StatusConflict, "job %q is %s, not streaming", id, st.Status)
-		} else {
-			writeError(w, http.StatusNotFound, "no job %q", id)
-		}
+		return
+	}
+	if seal != nil {
+		writeJSON(w, http.StatusOK, pollResponse{
+			JobID: id, Count: 1, Events: []stream.Event{*seal}, Sealed: true, State: "archived",
+		})
 		return
 	}
 
-	s.metrics.watchConns.Inc()
 	sub := live.Subscribe()
 	defer live.Unsubscribe(sub)
 	deadline := time.NewTimer(wait)
@@ -464,64 +483,31 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		width = d.Seconds()
 	}
-	var from uint64
-	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		v, err := strconv.ParseUint(lei, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
-			return
-		}
-		from = v
-	} else if fq := r.URL.Query().Get("from"); fq != "" {
-		v, err := strconv.ParseUint(fq, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad from %q", fq)
-			return
-		}
-		from = v
-	}
-
-	sseHeaders := func() {
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-store")
-		h.Set("Connection", "keep-alive")
-		h.Set(liveHeader, "1")
-	}
-
-	live, ok := s.streams.Get(id)
+	from, ok := watchCursor(w, r)
 	if !ok {
-		if sj, archived := s.store.get(id); archived {
-			// The job already sealed and published; answer the tail's only
-			// remaining fact so late watchers terminate cleanly.
-			s.metrics.watchConns.Inc()
-			sseHeaders()
-			w.WriteHeader(http.StatusOK)
-			stream.WriteFrame(w, 0, "seal", stream.Event{ //nolint:errcheck
-				Type: stream.TypeSeal, Time: sj.Summary.Runtime,
-				Platform: sj.Summary.Platform, Algorithm: sj.Summary.Algorithm,
-				State: stream.StateDone,
-			})
-			return
-		}
-		if st, known := s.exec.jobState(id); known {
-			writeError(w, http.StatusConflict, "job %q is %s, not streaming", id, st.Status)
-		} else {
-			writeError(w, http.StatusNotFound, "no job %q", id)
-		}
 		return
 	}
-
-	s.metrics.watchConns.Inc()
-	sseHeaders()
+	live, seal, ok := s.watchTarget(w, id)
+	if !ok {
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-store")
+	h.Set("Connection", "keep-alive")
+	h.Set(liveHeader, "1")
 	w.WriteHeader(http.StatusOK)
+	if seal != nil {
+		stream.WriteFrame(w, 0, "seal", seal) //nolint:errcheck
+		return
+	}
 	flusher.Flush()
 
 	sub := live.Subscribe()
 	defer live.Unsubscribe(sub)
 	var agg *stream.WindowAgg
 	if width > 0 {
-		agg = stream.NewWindowAgg(width)
+		agg = stream.NewWindowAgg(live, width)
 	}
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
@@ -551,11 +537,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if e.Type == stream.TypeSeal {
-				if win := agg.Flush(); win != nil {
-					if err := stream.WriteFrame(w, win.LastSeq, "window", *win); err != nil {
-						return
-					}
-				}
 				if err := stream.WriteFrame(w, e.Seq, "seal", e); err != nil {
 					return
 				}

@@ -441,6 +441,43 @@ func TestWatchWindowedAggregation(t *testing.T) {
 	}
 }
 
+// TestIngestSealEndsItsBatch: a batch with an event past its seal is
+// refused whole with 409, so nothing past the seal reaches the archive
+// or an open tail, whose last frame is the seal.
+func TestIngestSealEndsItsBatch(t *testing.T) {
+	ts, _ := streamStack(t, ServerOptions{})
+	events := streamEventsFixture()
+	if code, _, body, _ := postIngest(t, ts.URL, "sb", events[:5]); code != http.StatusOK {
+		t.Fatalf("first batch: %d: %s", code, body)
+	}
+	// The handler flushes its headers before any frame, so the tail is
+	// subscribed once Get returns.
+	resp, err := http.Get(ts.URL + "/watch/sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	late := stream.Event{Seq: 10, Type: "info", Time: 6, Op: "op-1", Key: "late", Value: "x"}
+	if code, _, body, _ := postIngest(t, ts.URL, "sb", append(events[5:], late)); code != http.StatusConflict {
+		t.Fatalf("batch past its seal: %d: %s", code, body)
+	}
+	if code, ack, body, _ := postIngest(t, ts.URL, "sb", events[5:]); code != http.StatusOK || ack.State != "archived" {
+		t.Fatalf("batch ending at its seal: %d: %s", code, body)
+	}
+	tail, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := strings.Split(strings.TrimSpace(string(tail)), "\n\n")
+	if last := frames[len(frames)-1]; !strings.HasPrefix(last, "id: 9\nevent: seal\n") {
+		t.Fatalf("tail ends with %q, not the seal frame:\n%s", last, tail)
+	}
+	if code, body, _ := getBytes(t, ts.URL+"/jobs/sb/archive"); code != http.StatusOK || bytes.Contains(body, []byte("late")) {
+		t.Fatalf("archive: %d: %s", code, body)
+	}
+}
+
 func TestWatchUnknownAndExecutorJobs(t *testing.T) {
 	ts, _ := streamStack(t, ServerOptions{})
 	if code, _, _ := getBytes(t, ts.URL+"/watch/nope"); code != http.StatusNotFound {

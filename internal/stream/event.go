@@ -12,10 +12,17 @@
 // A job's accepted events are dense (seq 1..lastSeq); a batch whose
 // first new event is not lastSeq+1 is rejected with a gap error, and
 // events at or below lastSeq are idempotently skipped, so replaying an
-// acked batch is always safe. When the terminal "seal" event is
-// accepted the live state is assembled into a normal archive job —
+// acked batch is always safe. A seal ends its batch: a batch with any
+// event after its seal is refused whole.
+//
+// A job's operation records go to one monitor.Assembler as they are
+// accepted — the assembler the batch pipeline runs too — which checks
+// them and grows the job's operation tree; the event log is the only
+// other copy of them, and the only copy of the environment samples.
+// When the terminal "seal" event is accepted that tree is finished
+// into a normal archive job, not assembled a second time, and is
 // byte-identical to what the batch pipeline would have produced from
-// the same records — and handed to the durable store.
+// the same records.
 package stream
 
 import (
@@ -25,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/trace"
 )
 
 // Event types. The start/end/info kinds mirror trace.Record events;
@@ -72,6 +81,19 @@ type Event struct {
 	Platform  string `json:"platform,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
 	State     string `json:"state,omitempty"`
+}
+
+// record returns the platform-log record a start, end or info event
+// carries.
+func (e *Event) record() (trace.Record, bool) {
+	switch e.Type {
+	case typeStart, typeEnd, typeInfo:
+		return trace.Record{
+			Time: e.Time, Op: e.Op, Parent: e.Parent, Actor: e.Actor, Mission: e.Mission,
+			Event: trace.EventType(e.Type), Key: e.Key, Value: e.Value,
+		}, true
+	}
+	return trace.Record{}, false
 }
 
 // maxLineBytes bounds one encoded event line on the ingest path.

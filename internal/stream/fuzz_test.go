@@ -3,6 +3,12 @@ package stream
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/archive"
+	"repro/internal/envmon"
+	"repro/internal/metrics"
+	"repro/internal/monitor"
+	"repro/internal/trace"
 )
 
 // FuzzIngestEvent drives the full external ingest path — JSON-lines
@@ -10,7 +16,9 @@ import (
 // arbitrary bodies. Invariants: no panics; whatever decodes cleanly
 // either ingests or fails without mutating job state; accepted events
 // are dense from 1 and re-encode/re-decode to themselves; replaying an
-// accepted body is always a no-op success.
+// accepted body is always a no-op success; a body that seals done
+// builds the archive the batch path builds from the same records, and
+// builds it again to the same bytes.
 func FuzzIngestEvent(f *testing.F) {
 	if seed, err := EncodeEvents(simpleJobEvents()); err == nil {
 		f.Add(seed)
@@ -79,6 +87,9 @@ func FuzzIngestEvent(f *testing.F) {
 				t.Fatalf("event %d has seq %d", i, got[i].Seq)
 			}
 		}
+		if sealed, state := j.Sealed(); sealed && state == StateDone {
+			checkSealedArchive(t, j, events)
+		}
 		// Idempotent replay of the same body.
 		res2, err := m.Ingest("fuzz", events)
 		if err != nil {
@@ -88,4 +99,57 @@ func FuzzIngestEvent(f *testing.F) {
 			t.Fatalf("replay was not a no-op: %+v vs %+v", res2, res)
 		}
 	})
+}
+
+// checkSealedArchive compares a sealed job's BuildArchive with the
+// batch path over the same records: monitor.Assemble, which
+// FuzzAssemble holds to the assembler that predates the live tree byte
+// for byte, then the same derivation. A second BuildArchive — a publish
+// retried after a failed Put — must give the same bytes.
+func checkSealedArchive(t *testing.T, j *Job, events []Event) {
+	t.Helper()
+	var recs []trace.Record
+	var samples []envmon.Sample
+	for i := range events {
+		if r, ok := events[i].record(); ok {
+			r.Job = j.id
+			recs = append(recs, r)
+		} else if events[i].Type == typeEnv {
+			e := &events[i]
+			samples = append(samples, envmon.Sample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used})
+		}
+	}
+	want, wantErr := monitor.Assemble(j.id, events[len(events)-1].Platform, recs, samples)
+	if wantErr == nil {
+		metrics.StandardRules().Apply(want)
+		metrics.AnnotateDomainBreakdown(want) //nolint:errcheck
+		wantErr = want.Validate()
+	}
+	got, err := j.BuildArchive()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("BuildArchive: %v; batch path: %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	save := func(job *archive.Job) []byte {
+		a := archive.New()
+		a.Add(job)
+		var buf bytes.Buffer
+		if err := a.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(got)
+	if b := save(want); !bytes.Equal(first, b) {
+		t.Fatalf("BuildArchive saves\n%s\nbatch path saves\n%s", first, b)
+	}
+	again, err := j.BuildArchive()
+	if err != nil {
+		t.Fatalf("second BuildArchive: %v", err)
+	}
+	if b := save(again); !bytes.Equal(first, b) {
+		t.Fatalf("second BuildArchive saves\n%s\nfirst saved\n%s", b, first)
+	}
 }

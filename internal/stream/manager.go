@@ -112,10 +112,13 @@ func (m *Manager) open(id string, internal bool) (*Job, error) {
 	j := &Job{
 		id:       id,
 		internal: internal,
-		ops:      map[string]*liveOp{},
 		cols:     query.NewAppendColumns(),
 		subs:     map[chan struct{}]struct{}{},
 	}
+	// Appending copies the row, infos included: info events may still
+	// arrive for an ended op (the archive sees them), but live readers
+	// never see the map they write.
+	j.asm = monitor.NewAssembler(id, j.cols.Append)
 	m.jobs[id] = j
 	return j, nil
 }
@@ -143,9 +146,10 @@ type Result struct {
 
 // Ingest applies one externally submitted batch to a job, creating the
 // live job on its first batch (which must start at seq 1). Batches are
-// all-or-nothing: the whole batch is checked for sequence continuity
-// and tree validity before any event is applied, so a failed batch
-// leaves the job state untouched.
+// all-or-nothing: the whole batch is checked for sequence continuity,
+// for a seal that is not its last event, and for tree validity before
+// any event is applied, so a failed batch leaves the job state
+// untouched.
 func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 	j, err := m.open(id, false)
 	if err != nil {
@@ -164,18 +168,10 @@ func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 	return res, err
 }
 
-// liveOp is the in-flight state of one operation.
-type liveOp struct {
-	op    *archive.Operation // staging copy, mutated until end
-	depth int
-	path  string // mission path from the root, "A/B/C": the path column's value
-	ended bool
-}
-
 // Job is one live job's stream state: the dense event log, the
-// incrementally assembled operation tree, the append-mode columnar
-// index over completed operations, and the subscriber set for /watch
-// tails.
+// operation tree its assembler has built so far, the append-mode
+// columnar index over completed operations, and the subscriber set for
+// /watch tails.
 type Job struct {
 	id       string
 	internal bool
@@ -184,9 +180,7 @@ type Job struct {
 	events  []Event
 	lastSeq uint64
 
-	ops  map[string]*liveOp
-	root *liveOp
-	open int // started, not yet ended
+	asm  *monitor.Assembler
 	cols *query.AppendColumns
 
 	sealed    bool
@@ -225,7 +219,7 @@ func (j *Job) Meta() (platform, algorithm string) {
 func (j *Job) Progress() (events, completedOps, openOps int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.events), j.cols.Rows(), j.open
+	return len(j.events), j.cols.Rows(), j.asm.Open()
 }
 
 func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
@@ -252,15 +246,24 @@ func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
 		if fresh[k].Seq != want {
 			return res, &GapError{Expected: want, Got: fresh[k].Seq}
 		}
+		if fresh[k].Type == TypeSeal && k < len(fresh)-1 {
+			return res, fmt.Errorf("%w: event %d follows the seal at %d", ErrSealed, fresh[k+1].Seq, fresh[k].Seq)
+		}
 	}
 	if maxEvents > 0 && len(j.events)+len(fresh) > maxEvents {
 		return res, ErrOverflow
 	}
-	if err := j.dryRun(fresh); err != nil {
-		return res, err
+	var recs []trace.Record
+	for k := range fresh {
+		if r, ok := fresh[k].record(); ok {
+			recs = append(recs, r)
+		}
+	}
+	if err := j.asm.AddBatch(recs, fresh[len(fresh)-1].Type == TypeSeal); err != nil {
+		return res, fmt.Errorf("stream: events %d-%d: %w", fresh[0].Seq, fresh[len(fresh)-1].Seq, err)
 	}
 	for _, e := range fresh {
-		j.apply(e)
+		j.log(e)
 	}
 	res.Accepted = len(fresh)
 	res.LastSeq = j.lastSeq
@@ -270,104 +273,12 @@ func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
 	return res, nil
 }
 
-// dryRun validates a contiguous batch against the current tree without
-// mutating it, so a rejected batch has no effect.
-func (j *Job) dryRun(events []Event) error {
-	type opState struct {
-		exists, ended bool
-	}
-	overlay := map[string]opState{}
-	state := func(id string) (opState, bool) {
-		if s, ok := overlay[id]; ok {
-			return s, true
-		}
-		if lo, ok := j.ops[id]; ok {
-			return opState{exists: true, ended: lo.ended}, true
-		}
-		return opState{}, false
-	}
-	rootSeen := j.root != nil
-	open := j.open
-	for _, e := range events {
-		switch e.Type {
-		case typeStart:
-			if _, ok := state(e.Op); ok {
-				return fmt.Errorf("stream: event %d: duplicate start for op %q", e.Seq, e.Op)
-			}
-			if e.Parent == "" {
-				if rootSeen {
-					return fmt.Errorf("stream: event %d: multiple root operations", e.Seq)
-				}
-				rootSeen = true
-			} else if _, ok := state(e.Parent); !ok {
-				return fmt.Errorf("stream: event %d: unknown parent %q", e.Seq, e.Parent)
-			}
-			overlay[e.Op] = opState{exists: true}
-			open++
-		case typeEnd:
-			s, ok := state(e.Op)
-			if !ok {
-				return fmt.Errorf("stream: event %d: end before start for op %q", e.Seq, e.Op)
-			}
-			if s.ended {
-				return fmt.Errorf("stream: event %d: duplicate end for op %q", e.Seq, e.Op)
-			}
-			overlay[e.Op] = opState{exists: true, ended: true}
-			open--
-		case typeInfo:
-			if _, ok := state(e.Op); !ok {
-				return fmt.Errorf("stream: event %d: info before start for op %q", e.Seq, e.Op)
-			}
-		case typeEnv:
-			// No tree state.
-		case TypeSeal:
-			if !rootSeen {
-				return fmt.Errorf("stream: event %d: seal before any root operation", e.Seq)
-			}
-			if open != 0 {
-				return fmt.Errorf("stream: event %d: seal with %d operations still open", e.Seq, open)
-			}
-		}
-	}
-	return nil
-}
-
-// apply installs one pre-validated event. Called with j.mu held; cannot
-// fail after dryRun.
-func (j *Job) apply(e Event) {
+// log appends one event whose operation record, if any, the assembler
+// has already taken. Called with j.mu held.
+func (j *Job) log(e Event) {
 	j.events = append(j.events, e)
 	j.lastSeq = e.Seq
-	switch e.Type {
-	case typeStart:
-		lo := &liveOp{op: &archive.Operation{
-			ID: e.Op, Actor: e.Actor, Mission: e.Mission, Start: e.Time,
-		}}
-		if e.Parent == "" {
-			lo.path = e.Mission
-			j.root = lo
-		} else {
-			p := j.ops[e.Parent]
-			lo.depth = p.depth + 1
-			lo.path = p.path + "/" + e.Mission
-		}
-		j.ops[e.Op] = lo
-		j.open++
-	case typeEnd:
-		lo := j.ops[e.Op]
-		lo.op.End = e.Time
-		lo.ended = true
-		j.open--
-		// Append copies the row, infos included: info events may still
-		// arrive for an ended op (the archive assembly sees them), but
-		// live readers never see the staging map they write.
-		j.cols.Append(lo.op, lo.depth, lo.path)
-	case typeInfo:
-		lo := j.ops[e.Op]
-		if lo.op.Infos == nil {
-			lo.op.Infos = map[string]string{}
-		}
-		lo.op.Infos[e.Key] = e.Value
-	case TypeSeal:
+	if e.Type == TypeSeal {
 		j.sealed = true
 		j.sealState = e.State
 		j.platform = e.Platform
@@ -376,18 +287,20 @@ func (j *Job) apply(e Event) {
 }
 
 // publish appends one event from a trusted in-process source, assigning
-// the next sequence number.
-func (j *Job) publish(e Event) error {
+// the next sequence number; rec is its operation record, if it has one.
+func (j *Job) publish(e Event, rec *trace.Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.sealed {
 		return ErrSealed
 	}
-	e.Seq = j.lastSeq + 1
-	if err := j.dryRun([]Event{e}); err != nil {
-		return err
+	if rec != nil {
+		if err := j.asm.Add(*rec); err != nil {
+			return err
+		}
 	}
-	j.apply(e)
+	e.Seq = j.lastSeq + 1
+	j.log(e)
 	j.notifyLocked()
 	return nil
 }
@@ -399,7 +312,7 @@ func (j *Job) PublishRecord(r trace.Record) error {
 		Type: string(r.Event), Time: r.Time,
 		Op: r.Op, Parent: r.Parent, Actor: r.Actor, Mission: r.Mission,
 		Key: r.Key, Value: r.Value,
-	})
+	}, &r)
 }
 
 // PublishSample streams one environment sample from the in-process
@@ -408,28 +321,27 @@ func (j *Job) PublishSample(s envmon.Sample) error {
 	return j.publish(Event{
 		Type: typeEnv, Time: s.Time,
 		Node: s.Node, Kind: s.Kind, Used: s.Used,
-	})
+	}, nil)
 }
 
-// Seal appends the terminal seal event for an in-process job. For
-// non-done states the open-operation check is waived — a failed or
-// canceled run legitimately leaves operations unfinished.
+// Seal appends the terminal seal event for an in-process job. A done
+// seal needs a complete tree; for other states the check is waived — a
+// failed or canceled run legitimately leaves operations unfinished.
 func (j *Job) Seal(platform, algorithm, state string, at float64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.sealed {
 		return ErrSealed
 	}
-	e := Event{
-		Seq: j.lastSeq + 1, Type: TypeSeal, Time: at,
-		Platform: platform, Algorithm: algorithm, State: state,
-	}
 	if state == StateDone {
-		if err := j.dryRun([]Event{e}); err != nil {
+		if err := j.asm.AddBatch(nil, true); err != nil {
 			return err
 		}
 	}
-	j.apply(e)
+	j.log(Event{
+		Seq: j.lastSeq + 1, Type: TypeSeal, Time: at,
+		Platform: platform, Algorithm: algorithm, State: state,
+	})
 	j.notifyLocked()
 	return nil
 }
@@ -478,41 +390,41 @@ func (j *Job) Columns() *query.Columns {
 	return j.cols.Snapshot()
 }
 
-// BuildArchive assembles the sealed stream into a finished archive job
-// through the exact pipeline the batch path uses — monitor.Assemble
-// over the trace records, the standard derivation rules, the domain
-// breakdown, and validation — so a streamed-then-sealed job is
-// byte-identical to the same job run batch-mode.
+// opStart returns the start time and mission of a started operation.
+func (j *Job) opStart(id string) (start float64, mission string, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if op := j.asm.Op(id); op != nil {
+		return op.Start, op.Mission, true
+	}
+	return 0, "", false
+}
+
+// BuildArchive finishes the sealed job's operation tree — the one its
+// assembler built as the events arrived, not a second assembly — with
+// the environment samples from its event log, then derives it as the
+// batch path does: the standard rules, the domain breakdown, and
+// validation. A streamed-then-sealed job is therefore byte-identical to
+// the same job run batch-mode. Each call returns its own copy of the
+// operations: a store links (re-sorts) the tree it is given, and two
+// publishes of one sealed job may run at once.
 func (j *Job) BuildArchive() (*archive.Job, error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if !j.sealed {
-		j.mu.Unlock()
 		return nil, fmt.Errorf("stream: job %q not sealed", j.id)
 	}
-	events := j.events[:len(j.events):len(j.events)]
-	platform := j.platform
-	j.mu.Unlock()
-
-	var records []trace.Record
-	var samples []envmon.Sample
-	for _, e := range events {
-		switch e.Type {
-		case typeStart, typeEnd, typeInfo:
-			records = append(records, trace.Record{
-				Time: e.Time, Job: j.id, Op: e.Op, Parent: e.Parent,
-				Actor: e.Actor, Mission: e.Mission,
-				Event: trace.EventType(e.Type), Key: e.Key, Value: e.Value,
-			})
-		case typeEnv:
-			samples = append(samples, envmon.Sample{
-				Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used,
-			})
+	var samples []archive.EnvSample
+	for _, e := range j.events {
+		if e.Type == typeEnv {
+			samples = append(samples, archive.EnvSample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used})
 		}
 	}
-	job, err := monitor.Assemble(j.id, platform, records, samples)
+	job, err := j.asm.Finish(j.platform, samples)
 	if err != nil {
 		return nil, err
 	}
+	job.Root = copyOp(job.Root)
 	metrics.StandardRules().Apply(job)
 	// The domain breakdown needs a model-conforming tree (Startup /
 	// load / processing domains). Batch-pipeline jobs always have one,
@@ -524,4 +436,15 @@ func (j *Job) BuildArchive() (*archive.Job, error) {
 		return nil, err
 	}
 	return job, nil
+}
+
+// copyOp copies op's subtree. Infos maps stay shared: nothing writes
+// them once the job is sealed.
+func copyOp(op *archive.Operation) *archive.Operation {
+	c := *op
+	c.Children = append([]*archive.Operation(nil), op.Children...)
+	for i, ch := range c.Children {
+		c.Children[i] = copyOp(ch)
+	}
+	return &c
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -135,33 +136,24 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsInvalidTreeShapes holds the tree rules only a seal
+// adds: the tree must be complete when the seal arrives. The rules for
+// each start, end and info record are the assembler's, tested in
+// monitor's TestAssembleErrors.
 func TestIngestRejectsInvalidTreeShapes(t *testing.T) {
 	cases := []struct {
 		name string
 		evs  []Event
 		want string
 	}{
-		{"duplicate start", []Event{
-			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
-			{Seq: 2, Type: typeStart, Time: 0, Op: "a", Parent: "a", Mission: "X"},
-		}, "duplicate start"},
-		{"end before start", []Event{
-			{Seq: 1, Type: typeEnd, Time: 0, Op: "a"},
-		}, "end before start"},
-		{"info before start", []Event{
-			{Seq: 1, Type: typeInfo, Time: 0, Op: "a", Key: "k"},
-		}, "info before start"},
-		{"unknown parent", []Event{
-			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Parent: "nope", Mission: "X"},
-		}, "unknown parent"},
-		{"second root", []Event{
-			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
-			{Seq: 2, Type: typeStart, Time: 0, Op: "b", Mission: "Job"},
-		}, "multiple root"},
 		{"seal with open ops", []Event{
 			{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
 			{Seq: 2, Type: TypeSeal, Time: 1, Platform: "Giraph", State: StateDone},
-		}, "still open"},
+		}, "never ended"},
+		{"seal before any root", []Event{
+			{Seq: 1, Type: typeEnv, Time: 0, Node: "n", Kind: "cpu"},
+			{Seq: 2, Type: TypeSeal, Time: 1, Platform: "Giraph", State: StateFailed},
+		}, "no records"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,6 +161,67 @@ func TestIngestRejectsInvalidTreeShapes(t *testing.T) {
 			_, err := m.Ingest("j", tc.evs)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want %q error, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// TestSealEndsItsBatch: a batch with any event after its seal is
+// refused whole, as ErrSealed, before anything is applied — so the
+// sealed archive carries nothing from past the seal and a tail's last
+// frame is the seal.
+func TestSealEndsItsBatch(t *testing.T) {
+	seal := Event{Type: TypeSeal, Time: 2, Platform: "Giraph", State: StateDone}
+	for _, tc := range []struct {
+		name  string
+		after Event
+	}{
+		{"info after seal", Event{Type: typeInfo, Time: 3, Op: "a", Key: "late", Value: "x"}},
+		{"start after seal", Event{Type: typeStart, Time: 3, Op: "b", Parent: "a", Mission: "Late"}},
+		{"env after seal", Event{Type: typeEnv, Time: 3, Node: "n", Kind: "cpu"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			evs := []Event{
+				{Seq: 1, Type: typeStart, Time: 0, Op: "a", Mission: "Job"},
+				{Seq: 2, Type: typeEnd, Time: 2, Op: "a"},
+				seal, tc.after,
+			}
+			evs[2].Seq, evs[3].Seq = 3, 4
+
+			// As a first batch: refused, and no live job is left behind.
+			m := NewManager(Config{})
+			if _, err := m.Ingest("j", evs); !errors.Is(err, ErrSealed) {
+				t.Fatalf("first batch: want ErrSealed, got %v", err)
+			}
+			if m.Live() != 0 {
+				t.Fatal("refused first batch left a live job")
+			}
+
+			// As a continuation: refused whole, the job unchanged.
+			if _, err := m.Ingest("j", evs[:1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Ingest("j", evs); !errors.Is(err, ErrSealed) {
+				t.Fatalf("continuation: want ErrSealed, got %v", err)
+			}
+			j, _ := m.Get("j")
+			if sealed, _ := j.Sealed(); sealed || j.LastSeq() != 1 {
+				t.Fatalf("refused batch applied: sealed=%v lastSeq=%d", sealed, j.LastSeq())
+			}
+
+			// The batch cut at its seal is accepted and ends the log.
+			if _, err := m.Ingest("j", evs[:3]); err != nil {
+				t.Fatal(err)
+			}
+			if got := j.EventsAfter(0); got[len(got)-1].Type != TypeSeal {
+				t.Fatalf("log ends with %q, not the seal", got[len(got)-1].Type)
+			}
+			job, err := j.BuildArchive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job.Root.Infos["late"] != "" || len(job.Root.Children) != 0 {
+				t.Fatalf("sealed archive carries events past the seal: %+v", job.Root)
 			}
 		})
 	}
@@ -400,16 +453,29 @@ func TestDecodeEventsRejectsMalformed(t *testing.T) {
 	}
 }
 
+// tailWindows folds j's events after seq into windows as a windowed
+// /watch tail resumed from seq does.
+func tailWindows(j *Job, width float64, seq uint64) []Window {
+	agg := NewWindowAgg(j, width)
+	var out []Window
+	for _, e := range j.EventsAfter(seq) {
+		out = append(out, agg.Feed(e)...)
+	}
+	return out
+}
+
+func sealedSimpleJob(t *testing.T) *Job {
+	t.Helper()
+	m := NewManager(Config{})
+	if _, err := m.Ingest("j1", simpleJobEvents()); err != nil {
+		t.Fatal(err)
+	}
+	j, _ := m.Get("j1")
+	return j
+}
+
 func TestWindowAggregation(t *testing.T) {
-	agg := NewWindowAgg(2.0)
-	var closed []Window
-	for _, e := range simpleJobEvents() {
-		closed = append(closed, agg.Feed(e)...)
-	}
-	tail := agg.Flush()
-	if tail != nil {
-		closed = append(closed, *tail)
-	}
+	closed := tailWindows(sealedSimpleJob(t), 2.0, 0)
 	if len(closed) != 4 {
 		t.Fatalf("windows: %d, want 4 (%+v)", len(closed), closed)
 	}
@@ -435,6 +501,24 @@ func TestWindowAggregation(t *testing.T) {
 	// event folded into it.
 	if w0.LastSeq != 3 || w1.LastSeq != 6 || w2.LastSeq != 7 || w3.LastSeq != 9 {
 		t.Fatalf("window LastSeqs: %d %d %d %d", w0.LastSeq, w1.LastSeq, w2.LastSeq, w3.LastSeq)
+	}
+}
+
+// TestWindowResumeIsExact: a windowed tail resumed from any window
+// frame's ID yields exactly the windows the uninterrupted tail sends
+// after that frame, phase durations included — an operation that
+// started before the cursor still has its start in the job's tree.
+func TestWindowResumeIsExact(t *testing.T) {
+	j := sealedSimpleJob(t)
+	all := tailWindows(j, 2.0, 0)
+	for i, w := range all {
+		got, want := tailWindows(j, 2.0, w.LastSeq), all[i+1:]
+		if len(want) == 0 {
+			want = nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed from %d:\n got %+v\nwant %+v", w.LastSeq, got, want)
+		}
 	}
 }
 
@@ -489,7 +573,8 @@ func TestInternalPublishAndSeal(t *testing.T) {
 
 func TestConcurrentIngestAndTail(t *testing.T) {
 	// Many writers racing batches (only contiguous ones land), readers
-	// tailing and querying concurrently — run under -race.
+	// tailing, folding windows and querying concurrently, then racing
+	// publishes of the sealed job — run under -race.
 	m := NewManager(Config{})
 	var events []Event
 	for i := 0; i < 400; i++ {
@@ -524,7 +609,10 @@ func TestConcurrentIngestAndTail(t *testing.T) {
 				default:
 				}
 				if j, ok := m.Get("race"); ok {
-					_ = j.EventsAfter(0)
+					agg := NewWindowAgg(j, 10)
+					for _, e := range j.EventsAfter(0) {
+						agg.Feed(e)
+					}
 					_ = q.SelectColumns(j.Columns())
 					_ = query.Exact("actor", "W").SelectColumns(j.Columns())
 				}
@@ -557,7 +645,46 @@ func TestConcurrentIngestAndTail(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	j, _ := m.Get("race")
-	if j.LastSeq() != uint64(len(events)) {
-		t.Fatalf("lastSeq=%d, want %d", j.LastSeq(), len(events))
+	n := uint64(len(events))
+	if j.LastSeq() != n {
+		t.Fatalf("lastSeq=%d, want %d", j.LastSeq(), n)
+	}
+
+	closing := []Event{
+		{Seq: n + 1, Type: typeEnd, Time: 400, Op: "op-1"},
+		{Seq: n + 2, Type: TypeSeal, Time: 400, Platform: "p", State: StateDone},
+	}
+	if _, err := m.Ingest("race", closing); err != nil {
+		t.Fatal(err)
+	}
+	// Racing publishes of the sealed job: each builds its archive and
+	// links it, as a store does, while a tail still folds windows.
+	saved := make([][]byte, 3)
+	var bw sync.WaitGroup
+	for i := range saved {
+		bw.Add(1)
+		go func(i int) {
+			defer bw.Done()
+			job, err := j.BuildArchive()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			a := archive.New()
+			a.Add(job)
+			var buf bytes.Buffer
+			if err := a.Save(&buf); err != nil {
+				t.Error(err)
+			}
+			saved[i] = buf.Bytes()
+		}(i)
+	}
+	agg := NewWindowAgg(j, 10)
+	for _, e := range j.EventsAfter(0) {
+		agg.Feed(e)
+	}
+	bw.Wait()
+	if len(saved[0]) == 0 || !bytes.Equal(saved[1], saved[0]) || !bytes.Equal(saved[2], saved[0]) {
+		t.Fatal("racing BuildArchive calls built different archives")
 	}
 }

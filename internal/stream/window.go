@@ -18,24 +18,20 @@ type Window struct {
 
 // WindowAgg folds a job's event stream into fixed-width event-time
 // windows incrementally. Feed returns the windows that the new event
-// closed (zero or more — an event far in the future closes every
-// intervening non-empty window); Flush returns the trailing partial
-// window, used at seal.
+// closed: zero or more, since an event far in the future closes every
+// intervening non-empty window, and the seal closes the last one. An
+// ended operation's start and mission come from the job's assembled
+// tree, so a tail resumed after its start still sums its duration.
 type WindowAgg struct {
-	width  float64
-	starts map[string]opStart // open ops: start time + mission
-	cur    *Window
+	width float64
+	job   *Job
+	cur   *Window
 }
 
-type opStart struct {
-	time    float64
-	mission string
-}
-
-// NewWindowAgg returns an aggregator with the given window width in
-// job seconds (must be positive).
-func NewWindowAgg(width float64) *WindowAgg {
-	return &WindowAgg{width: width, starts: map[string]opStart{}}
+// NewWindowAgg returns an aggregator over job's events with the given
+// window width in job seconds (must be positive).
+func NewWindowAgg(job *Job, width float64) *WindowAgg {
+	return &WindowAgg{width: width, job: job}
 }
 
 func (w *WindowAgg) windowFor(t float64) int {
@@ -51,41 +47,32 @@ func (w *WindowAgg) Feed(e Event) []Window {
 	idx := w.windowFor(e.Time)
 	var closed []Window
 	if w.cur != nil && idx > w.cur.Index {
-		w.cur.LastSeq = lastSeqBefore(e.Seq)
+		w.cur.LastSeq = e.Seq - 1 // events are dense
 		closed = append(closed, *w.cur)
 		w.cur = nil
 	}
 	switch e.Type {
 	case typeStart:
-		w.starts[e.Op] = opStart{time: e.Time, mission: e.Mission}
 		w.bucket(idx).Started++
 	case typeEnd:
 		b := w.bucket(idx)
 		b.Completed++
-		if st, ok := w.starts[e.Op]; ok {
+		if start, mission, ok := w.job.opStart(e.Op); ok {
 			if b.Phases == nil {
 				b.Phases = map[string]float64{}
 			}
-			b.Phases[st.mission] += e.Time - st.time
-			delete(w.starts, e.Op)
+			b.Phases[mission] += e.Time - start
 		}
-	case typeInfo, typeEnv, TypeSeal:
-		// Counted toward no bucket, but they advance LastSeq for the
-		// window they fall into if one is open.
 	}
+	// Every event, counted or not, advances the open window's LastSeq.
 	if w.cur != nil && e.Seq > w.cur.LastSeq {
 		w.cur.LastSeq = e.Seq
 	}
-	return closed
-}
-
-// lastSeqBefore returns the sequence number preceding seq (events are
-// dense, so the previous event has seq-1).
-func lastSeqBefore(seq uint64) uint64 {
-	if seq == 0 {
-		return 0
+	if e.Type == TypeSeal && w.cur != nil {
+		closed = append(closed, *w.cur)
+		w.cur = nil
 	}
-	return seq - 1
+	return closed
 }
 
 func (w *WindowAgg) bucket(idx int) *Window {
@@ -97,11 +84,4 @@ func (w *WindowAgg) bucket(idx int) *Window {
 		}
 	}
 	return w.cur
-}
-
-// Flush returns the trailing partial window, if any, and resets it.
-func (w *WindowAgg) Flush() *Window {
-	out := w.cur
-	w.cur = nil
-	return out
 }
