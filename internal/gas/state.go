@@ -129,12 +129,13 @@ func (sh *gasShard) reset() {
 // and benchmarks can drive iterations without a simulation around them.
 func newState(g *graph.Graph, edges []graph.Edge, k int, strategy graph.VertexCutStrategy, hostParallelism int, prog Program) *state {
 	vc := graph.NewVertexCut(g.NumVertices(), edges, k, strategy)
+	pool := sim.NewHostPool(hostParallelism)
 	st := &state{
 		g:            g,
 		vc:           vc,
 		k:            k,
-		pool:         sim.NewHostPool(hostParallelism),
-		frags:        graph.BuildFragments(g.NumVertices(), edges, vc, !g.Directed()),
+		pool:         pool,
+		frags:        graph.BuildFragmentsOn(g.NumVertices(), edges, vc, !g.Directed(), pool.ForkJoin),
 		values:       make([]float64, g.NumVertices()),
 		active:       make([]bool, g.NumVertices()),
 		localArcs:    vc.ArcCounts(),

@@ -70,90 +70,103 @@ func (f *Fragment) MemoryBytes() int64 {
 // undirected graph after all forward arcs), matching the historical
 // map-append construction byte for byte.
 func BuildFragments(n int64, edges []Edge, vc *VertexCut, undirected bool) []*Fragment {
+	return BuildFragmentsOn(n, edges, vc, undirected, func(k int, build func(m int)) {
+		for m := 0; m < k; m++ {
+			build(m)
+		}
+	})
+}
+
+// BuildFragmentsOn is BuildFragments with the machines' builds handed to
+// forkJoin, which must run build(0) … build(k-1) once each and return when
+// all have finished (sim.HostPool.ForkJoin). Each build writes only its
+// own fragment, so the result is the same for every schedule.
+func BuildFragmentsOn(n int64, edges []Edge, vc *VertexCut, undirected bool, forkJoin func(k int, build func(m int))) []*Fragment {
 	if n > 1<<31-1 {
 		panic(fmt.Sprintf("graph: fragment builder supports at most 2^31-1 vertices, got %d", n))
 	}
+	// Bucket the arcs by machine: a stable counting sort, so each bucket
+	// keeps input order and each build reads one contiguous run.
 	k := vc.k
+	off := make([]int, k+1)
+	for _, m := range vc.place {
+		off[m+1]++
+	}
+	for m := 0; m < k; m++ {
+		off[m+1] += off[m]
+	}
+	arcs := make([]Edge, len(edges))
+	cur := append([]int(nil), off[:k]...)
+	for i, m := range vc.place {
+		arcs[cur[m]] = edges[i]
+		cur[m]++
+	}
 	frags := make([]*Fragment, k)
-	for m := 0; m < k; m++ {
-		frags[m] = &Fragment{g2l: make([]int32, n)}
-		for v := range frags[m].g2l {
-			frags[m].g2l[v] = -1
-		}
-	}
-
-	// Pass 1: count local degrees per (machine, vertex) and discover the
-	// local vertex sets. outDeg/inDeg are indexed by global ID here and
-	// compacted to local IDs below.
-	outDeg := make([][]int32, k)
-	inDeg := make([][]int32, k)
-	for m := 0; m < k; m++ {
-		outDeg[m] = make([]int32, n)
-		inDeg[m] = make([]int32, n)
-	}
-	count := func(m int, src, dst VertexID) {
-		outDeg[m][src]++
-		inDeg[m][dst]++
-	}
-	for i, e := range edges {
-		count(vc.place[i], e.Src, e.Dst)
-	}
-	if undirected {
-		for i, e := range edges {
-			if e.Src == e.Dst {
-				continue
-			}
-			count(vc.place[i], e.Dst, e.Src)
-		}
-	}
-
-	// Assign dense local IDs in ascending global order and build offsets.
-	for m := 0; m < k; m++ {
-		f := frags[m]
-		for v := int64(0); v < n; v++ {
-			if outDeg[m][v] > 0 || inDeg[m][v] > 0 {
-				f.g2l[v] = int32(len(f.l2g))
-				f.l2g = append(f.l2g, VertexID(v))
-			}
-		}
-		nl := len(f.l2g)
-		f.outOff = make([]int64, nl+1)
-		f.inOff = make([]int64, nl+1)
-		for lv := 0; lv < nl; lv++ {
-			v := f.l2g[lv]
-			f.outOff[lv+1] = f.outOff[lv] + int64(outDeg[m][v])
-			f.inOff[lv+1] = f.inOff[lv] + int64(inDeg[m][v])
-		}
-		f.outTgt = make([]VertexID, f.outOff[nl])
-		f.inTgt = make([]VertexID, f.inOff[nl])
-	}
-
-	// Pass 2: fill targets in exactly the counting order, reusing the
-	// degree arrays as per-vertex fill cursors.
-	for m := 0; m < k; m++ {
-		for v := range outDeg[m] {
-			outDeg[m][v] = 0
-			inDeg[m][v] = 0
-		}
-	}
-	fill := func(m int, src, dst VertexID) {
-		f := frags[m]
-		ls, ld := f.g2l[src], f.g2l[dst]
-		f.outTgt[f.outOff[ls]+int64(outDeg[m][src])] = dst
-		outDeg[m][src]++
-		f.inTgt[f.inOff[ld]+int64(inDeg[m][dst])] = src
-		inDeg[m][dst]++
-	}
-	for i, e := range edges {
-		fill(vc.place[i], e.Src, e.Dst)
-	}
-	if undirected {
-		for i, e := range edges {
-			if e.Src == e.Dst {
-				continue
-			}
-			fill(vc.place[i], e.Dst, e.Src)
-		}
-	}
+	forkJoin(k, func(m int) {
+		frags[m] = buildFragment(n, arcs[off[m]:off[m+1]], undirected)
+	})
 	return frags
+}
+
+// buildFragment builds one machine's fragment from its bucket of arcs.
+func buildFragment(n int64, arcs []Edge, undirected bool) *Fragment {
+	// each visits the local arcs in neighbor order: the bucket, then for an
+	// undirected graph its reverse arcs, self-loops excepted.
+	each := func(visit func(src, dst VertexID)) {
+		for _, e := range arcs {
+			visit(e.Src, e.Dst)
+		}
+		if undirected {
+			for _, e := range arcs {
+				if e.Src != e.Dst {
+					visit(e.Dst, e.Src)
+				}
+			}
+		}
+	}
+	// Dense local IDs go to the arc endpoints in ascending global order.
+	f := &Fragment{g2l: make([]int32, n)}
+	for v := range f.g2l {
+		f.g2l[v] = -1
+	}
+	nl := 0
+	for _, e := range arcs {
+		for _, v := range [2]VertexID{e.Src, e.Dst} {
+			if f.g2l[v] < 0 {
+				f.g2l[v] = 0
+				nl++
+			}
+		}
+	}
+	f.l2g = make([]VertexID, 0, nl)
+	for v, lv := range f.g2l {
+		if lv == 0 {
+			f.g2l[v] = int32(len(f.l2g))
+			f.l2g = append(f.l2g, VertexID(v))
+		}
+	}
+	// Count local degrees into the offsets, then fill targets in exactly
+	// the counting order behind per-vertex cursors.
+	f.outOff = make([]int64, nl+1)
+	f.inOff = make([]int64, nl+1)
+	each(func(src, dst VertexID) {
+		f.outOff[f.g2l[src]+1]++
+		f.inOff[f.g2l[dst]+1]++
+	})
+	for lv := 0; lv < nl; lv++ {
+		f.outOff[lv+1] += f.outOff[lv]
+		f.inOff[lv+1] += f.inOff[lv]
+	}
+	f.outTgt = make([]VertexID, f.outOff[nl])
+	f.inTgt = make([]VertexID, f.inOff[nl])
+	outCur := append([]int64(nil), f.outOff[:nl]...)
+	inCur := append([]int64(nil), f.inOff[:nl]...)
+	each(func(src, dst VertexID) {
+		ls, ld := f.g2l[src], f.g2l[dst]
+		f.outTgt[outCur[ls]] = dst
+		outCur[ls]++
+		f.inTgt[inCur[ld]] = src
+		inCur[ld]++
+	})
+	return f
 }

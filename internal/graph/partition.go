@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the partitioning strategies the simulated platforms
 // use to distribute a graph across workers: edge-cut partitioners (hash
@@ -57,8 +54,10 @@ type VertexCut struct {
 	place []int
 	// master[v] is the machine owning vertex v's master replica.
 	master []int
-	// replicas[v] is the sorted set of machines holding a replica of v.
-	replicas [][]int
+	// repl[replOff[v]:replOff[v+1]] is the sorted set of machines holding
+	// a replica of v.
+	repl     []int
+	replOff  []int64
 	arcCount []int64
 }
 
@@ -96,17 +95,17 @@ func NewVertexCut(n int64, edges []Edge, k int, strategy VertexCutStrategy) *Ver
 		k:        k,
 		place:    make([]int, len(edges)),
 		master:   make([]int, n),
-		replicas: make([][]int, n),
+		replOff:  make([]int64, n+1),
 		arcCount: make([]int64, k),
 	}
 	// seen[v*k+m] records that machine m already holds a replica of v — a
 	// flat bitset instead of per-vertex maps, which dominated the profile
-	// of large cuts.
+	// of large cuts. replOff[v+1] counts v's replicas until the prefix sum.
 	seen := make([]bool, n*int64(k))
 	record := func(v VertexID, m int) {
-		if !seen[int64(v)*int64(k)+int64(m)] {
-			seen[int64(v)*int64(k)+int64(m)] = true
-			vc.replicas[v] = append(vc.replicas[v], m)
+		if i := int64(v)*int64(k) + int64(m); !seen[i] {
+			seen[i] = true
+			vc.replOff[v+1]++
 		}
 	}
 	for i, e := range edges {
@@ -122,23 +121,35 @@ func NewVertexCut(n int64, edges []Edge, k int, strategy VertexCutStrategy) *Ver
 		record(e.Src, m)
 		record(e.Dst, m)
 	}
+	// Count-then-fill into one flat array: an isolated vertex gets one
+	// replica, and scanning each seen row in machine order sorts the rest.
 	for v := int64(0); v < n; v++ {
-		sort.Ints(vc.replicas[v])
-		if len(vc.replicas[v]) > 0 {
-			// Master is the least-loaded replica machine, ties by index —
-			// deterministic and spreads masters.
-			best := vc.replicas[v][0]
-			for _, m := range vc.replicas[v][1:] {
-				if vc.arcCount[m] < vc.arcCount[best] {
-					best = m
-				}
+		vc.replOff[v+1] = vc.replOff[v] + max(vc.replOff[v+1], 1)
+	}
+	vc.repl = make([]int, vc.replOff[n])
+	for v := int64(0); v < n; v++ {
+		lo, hi := vc.replOff[v], vc.replOff[v+1]
+		r := vc.repl[lo:lo:hi]
+		for m, ok := range seen[v*int64(k) : (v+1)*int64(k)] {
+			if ok {
+				r = append(r, m)
 			}
-			vc.master[v] = best
-		} else {
+		}
+		if len(r) == 0 {
 			// Isolated vertex: assign by hash.
 			vc.master[v] = int(uint64(v) % uint64(k))
-			vc.replicas[v] = []int{vc.master[v]}
+			vc.repl[lo] = vc.master[v]
+			continue
 		}
+		// Master is the least-loaded replica machine, ties by index —
+		// deterministic and spreads masters.
+		best := r[0]
+		for _, m := range r[1:] {
+			if vc.arcCount[m] < vc.arcCount[best] {
+				best = m
+			}
+		}
+		vc.master[v] = best
 	}
 	return vc
 }
@@ -177,7 +188,9 @@ func (vc *VertexCut) greedyPlace(e Edge, seen []bool) int {
 func (vc *VertexCut) Master(v VertexID) int { return vc.master[v] }
 
 // Replicas returns the sorted machines holding a replica of v.
-func (vc *VertexCut) Replicas(v VertexID) []int { return vc.replicas[v] }
+func (vc *VertexCut) Replicas(v VertexID) []int {
+	return vc.repl[vc.replOff[v]:vc.replOff[v+1]:vc.replOff[v+1]]
+}
 
 // ArcCounts returns per-machine arc counts.
 func (vc *VertexCut) ArcCounts() []int64 { return vc.arcCount }
@@ -185,12 +198,8 @@ func (vc *VertexCut) ArcCounts() []int64 { return vc.arcCount }
 // ReplicationFactor returns the average number of replicas per vertex —
 // PowerGraph's key partitioning-quality metric.
 func (vc *VertexCut) ReplicationFactor() float64 {
-	if len(vc.replicas) == 0 {
+	if len(vc.master) == 0 {
 		return 0
 	}
-	total := 0
-	for _, r := range vc.replicas {
-		total += len(r)
-	}
-	return float64(total) / float64(len(vc.replicas))
+	return float64(len(vc.repl)) / float64(len(vc.master))
 }
