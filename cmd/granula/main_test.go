@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -355,6 +357,41 @@ op-000558  Compute                GiraphWorker-6         start=   55.864 dur=   
 			t.Errorf("granula %s:\n%s\nwant:\n%s", strings.Join(args, " "), got, c.want)
 		}
 	}
+}
+
+// TestQueryJobSuperstepsCountsIterations: job.supersteps is the
+// service's one summary, so a PowerGraph job counts its GAS iterations
+// (as /query2 does), not only Superstep operations.
+func TestQueryJobSuperstepsCountsIterations(t *testing.T) {
+	a, err := loadArchive(paperArchive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pickJob(a, "powergraph-bfs-dg1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterations := strconv.Itoa(len(pg.FindAll("Iteration")))
+	out := granula(t, 0, "query", "-archive", paperArchive, "-select",
+		"from jobs group by job.platform agg max(job.supersteps)")
+	var res struct {
+		Groups []struct {
+			Key        []string          `json:"key"`
+			Aggregates map[string]string `json:"aggregates"`
+		} `json:"groups"`
+	}
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("%v: %s", err, out)
+	}
+	for _, g := range res.Groups {
+		if g.Key[0] == "PowerGraph" {
+			if got := g.Aggregates["max(job.supersteps)"]; got != iterations || got == "0" {
+				t.Fatalf("PowerGraph job.supersteps = %s, want its %s iterations", got, iterations)
+			}
+			return
+		}
+	}
+	t.Fatalf("no PowerGraph group in:\n%s", out)
 }
 
 // TestQueryRemote checks which endpoint -url sends each query to and

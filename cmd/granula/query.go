@@ -12,6 +12,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/service"
 )
 
 // queryCmd inspects a performance archive: it lists jobs, resolves
@@ -61,8 +62,9 @@ func queryCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) int {
 		if *jobID == "" {
 			fmt.Fprintf(stdout, "%d job(s):\n", len(a.Jobs))
 			for _, j := range a.Jobs {
+				sum := service.Summarize(j, "")
 				fmt.Fprintf(stdout, "  %-30s platform=%-12s makespan=%.2fs ops=%d samples=%d\n",
-					j.ID, j.Platform, j.Root.Duration(), countOps(j), len(j.EnvSamples))
+					j.ID, j.Platform, sum.Runtime, sum.Operations, len(j.EnvSamples))
 			}
 			return exitOK
 		}
@@ -112,12 +114,6 @@ func queryCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) int {
 	}
 }
 
-func countOps(j *archive.Job) int {
-	n := 0
-	j.Root.Walk(func(*archive.Operation) { n++ })
-	return n
-}
-
 func printKV(w io.Writer, label string, m map[string]string) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -129,34 +125,15 @@ func printKV(w io.Writer, label string, m map[string]string) {
 	}
 }
 
-// cliJobMeta derives the job.* metadata fields from a raw archive.
-// Raw archives carry no execution summary, so job.algorithm is empty,
-// job.runtime is the root operation's span, and job.supersteps counts
-// operations with the Superstep mission — close enough for filtering
-// and grouping; the service's /query2 uses the authoritative summary.
-func cliJobMeta(j *archive.Job) query.JobMeta {
-	runtime := 0.0
-	supersteps := 0
-	if j.Root != nil {
-		runtime = j.Root.Duration()
-		supersteps = len(j.FindAll("Superstep"))
-	}
-	return query.JobMeta{
-		ID:         j.ID,
-		Platform:   j.Platform,
-		Runtime:    runtime,
-		Supersteps: supersteps,
-		Operations: countOps(j),
-	}
-}
-
 // printAggregate runs an aggregate query over the given jobs with the
 // exact engine the service uses (per-job partials, canonical-fold
 // merge) and prints the service's byte format.
 func printAggregate(stdout, stderr io.Writer, q *query.Query, raw, scope, jobID string, jobs []*archive.Job) int {
 	partials := make([]query.JobPartial, 0, len(jobs))
 	for _, j := range jobs {
-		jp, err := q.AggregateFrame(query.BuildColumns(j).Frame(cliJobMeta(j)))
+		// A raw archive names no algorithm, so job.algorithm is empty.
+		meta := service.JobMeta(j.ID, service.Summarize(j, ""))
+		jp, err := q.AggregateFrame(query.BuildColumns(j).Frame(meta))
 		if err != nil {
 			return errorf(stderr, "%v", err)
 		}

@@ -58,6 +58,21 @@ func DomainBreakdown(job *archive.Job) (Breakdown, error) {
 	return b, nil
 }
 
+// Steps returns a job's step operations, the units its algorithm
+// iterates in: ProcessGraph's Superstep children (Pregel), else its
+// Iteration children (GAS and single-node). A job with neither, or
+// with no root, has none.
+func Steps(job *archive.Job) []*archive.Operation {
+	if job.Root == nil {
+		return nil
+	}
+	steps := job.Find(job.Root.Mission, "ProcessGraph", "Superstep")
+	if len(steps) == 0 {
+		steps = job.Find(job.Root.Mission, "ProcessGraph", "Iteration")
+	}
+	return steps
+}
+
 // SetupPercent returns Ts as a percentage of the total.
 func (b Breakdown) SetupPercent() float64 { return percent(b.Setup, b.Total) }
 

@@ -479,22 +479,31 @@ func (e *Executor) process(id string) {
 		e.finishErr(id, req, stack, err)
 		return
 	}
-	if err := e.persist(ctx, job, sum); err != nil {
-		// A job is only "done" once its archive is durable: if the
-		// write-through store cannot persist it even with retries, the
-		// job fails rather than acking a result a restart would lose.
-		e.finishErr(id, req, "", fmt.Errorf("persist archive: %w", err))
+	if err := e.publish(ctx, job, sum); err != nil {
+		// The job fails rather than acking a result a restart, or the
+		// loss of this shard, would lose.
+		e.finishErr(id, req, "", err)
 		return
 	}
-	if e.repl != nil {
-		// Cluster mode: "done" additionally means the write quorum holds
-		// the archive, so losing this shard cannot lose an acked job.
-		if err := e.replicate(ctx, id); err != nil {
-			e.finishErr(id, req, "", fmt.Errorf("replicate archive: %w", err))
-			return
-		}
-	}
 	e.setDone(id, sum)
+}
+
+// publish is the one path by which a finished job enters the store,
+// for executor jobs and sealed /ingest streams alike: it persists the
+// archive (with retry) and, in cluster mode, waits until the write
+// quorum holds it. So once publish returns nil, "done" and "archived"
+// both mean the same durable copies.
+func (e *Executor) publish(ctx context.Context, job *archive.Job, sum Summary) error {
+	if err := e.persist(ctx, job, sum); err != nil {
+		return fmt.Errorf("persist archive: %w", err)
+	}
+	if e.repl == nil {
+		return nil
+	}
+	if err := e.replicate(ctx, sum.ID); err != nil {
+		return fmt.Errorf("replicate archive: %w", err)
+	}
+	return nil
 }
 
 // replicate pushes a freshly persisted job to its replica set and waits
@@ -699,28 +708,7 @@ func (e *Executor) run(ctx context.Context, id string, req JobRequest) (Summary,
 	if lj != nil {
 		lj.Seal(out.Job.Platform, req.Algorithm, stream.StateDone, out.Runtime) //nolint:errcheck
 	}
-	return summarize(req, out), out.Job, nil
-}
-
-func summarize(req JobRequest, out *platforms.Output) Summary {
-	ops := 0
-	if out.Job.Root != nil {
-		out.Job.Root.Walk(func(*archive.Operation) { ops++ })
-	}
-	sum := Summary{
-		ID:                out.Job.ID,
-		Platform:          out.Job.Platform,
-		Algorithm:         req.Algorithm,
-		Runtime:           out.Runtime,
-		Supersteps:        out.Supersteps,
-		Operations:        ops,
-		SetupPercent:      out.Breakdown.SetupPercent(),
-		IOPercent:         out.Breakdown.IOPercent(),
-		ProcessingPercent: out.Breakdown.ProcessingPercent(),
-		ReplicationFactor: out.ReplicationFactor,
-	}
-	for _, me := range out.ModelErrors {
-		sum.ModelErrors = append(sum.ModelErrors, fmt.Sprintf("%v", me))
-	}
-	return sum
+	sum := Summarize(out.Job, req.Algorithm)
+	sum.ReplicationFactor = out.ReplicationFactor
+	return sum, out.Job, nil
 }

@@ -85,7 +85,7 @@ func oracleQuery2(t *testing.T, store *Store, raw string) []byte {
 		if !ok {
 			continue
 		}
-		jp, err := q.AggregateTree(sj.tree(), jobMeta(id, sj.Summary))
+		jp, err := q.AggregateTree(sj.tree(), JobMeta(id, sj.Summary))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestSingleJobAggregateEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sj, _ := store.get("agg-001")
-	jp, err := q.AggregateTree(sj.tree(), jobMeta("agg-001", sj.Summary))
+	jp, err := q.AggregateTree(sj.tree(), JobMeta("agg-001", sj.Summary))
 	if err != nil {
 		t.Fatal(err)
 	}

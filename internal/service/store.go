@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/archivedb"
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -43,6 +44,33 @@ type Summary struct {
 	ProcessingPercent float64  `json:"processingPercent"`
 	ReplicationFactor float64  `json:"replicationFactor,omitempty"`
 	ModelErrors       []string `json:"modelErrors,omitempty"`
+}
+
+// Summarize condenses a finished archive into its summary. It is the
+// one definition of a job's reported numbers, whether the executor ran
+// the job, it was streamed in, or the CLI reads it from a file: runtime
+// is the root's span, operations the tree size, supersteps the count of
+// core.Steps, the percentages the domain breakdown (zero for a tree
+// outside the domain model), and model errors the platform model's
+// check (none for a platform without a built-in model). The archive
+// holds no replication factor; the executor adds the engine's.
+func Summarize(job *archive.Job, algorithm string) Summary {
+	sum := Summary{ID: job.ID, Platform: job.Platform, Algorithm: algorithm, Supersteps: len(core.Steps(job))}
+	if job.Root != nil {
+		sum.Runtime = job.Root.Duration()
+		job.Root.Walk(func(*archive.Operation) { sum.Operations++ })
+	}
+	if bd, err := core.DomainBreakdown(job); err == nil {
+		sum.SetupPercent = bd.SetupPercent()
+		sum.IOPercent = bd.IOPercent()
+		sum.ProcessingPercent = bd.ProcessingPercent()
+	}
+	if model := core.ModelFor(job.Platform); model != nil {
+		for _, me := range model.CheckJob(job) {
+			sum.ModelErrors = append(sum.ModelErrors, fmt.Sprintf("%v", me))
+		}
+	}
+	return sum
 }
 
 // storedJob is one published version of an archived job, held as
@@ -75,7 +103,7 @@ func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJ
 	return &storedJob{
 		ID: job.ID, Platform: job.Platform, Env: archive.NewEnvColumns(job.EnvSamples),
 		Summary: sum, Cols: cols, Version: version,
-		Stats: query.FrameStats(cols.Frame(jobMeta(id, sum)), version),
+		Stats: query.FrameStats(cols.Frame(JobMeta(id, sum)), version),
 	}
 }
 
@@ -369,10 +397,10 @@ func (s *Store) storageStats() *archivedb.Stats {
 	return &st
 }
 
-// jobMeta projects a stored job's summary into the job.* fields the v2
-// query language exposes, keyed by the store key (which is also the
-// partial's job ID).
-func jobMeta(id string, sum Summary) query.JobMeta {
+// JobMeta projects a job's summary into the job.* fields the v2 query
+// language exposes, keyed by the store key (which is also the partial's
+// job ID).
+func JobMeta(id string, sum Summary) query.JobMeta {
 	return query.JobMeta{
 		ID:         id,
 		Platform:   sum.Platform,

@@ -2,13 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"repro/internal/archive"
-	"repro/internal/metrics"
 	"repro/internal/stream"
 )
 
@@ -121,17 +121,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	state := "streaming"
 	if j, ok := s.streams.Get(id); ok {
 		if sealed, _ := j.Sealed(); sealed {
-			st, ferr := s.finalizeStream(id, j)
+			st, ferr := s.finalizeStream(r.Context(), id, j)
+			if errors.Is(ferr, errSealRejected) {
+				// The stream cannot assemble into a valid archive; retire
+				// it so the client is not stuck retrying.
+				s.dropStream(id)
+				writeError(w, http.StatusUnprocessableEntity, "%v", ferr)
+				return
+			}
 			if ferr != nil {
-				if errors.Is(ferr, errDegraded) {
-					s.setRetryAfter(w)
-					writeError(w, http.StatusServiceUnavailable, "%v", ferr)
-				} else {
-					// The stream cannot assemble into a valid archive;
-					// retire it so the client is not stuck retrying.
-					s.dropStream(id)
-					writeError(w, http.StatusUnprocessableEntity, "seal rejected: %v", ferr)
-				}
+				// Storage, breaker or quorum: the stream stays live and
+				// sealed, and the client's replay publishes it again.
+				s.setRetryAfter(w)
+				writeError(w, http.StatusServiceUnavailable, "%v", ferr)
 				return
 			}
 			state = st
@@ -176,20 +178,28 @@ func (s *Server) persistStreamTail(id string) error {
 	return nil
 }
 
+// errSealRejected marks a sealed stream whose events cannot assemble
+// into a valid archive: the one seal failure a replay cannot fix.
+var errSealRejected = errors.New("seal rejected")
+
 // finalizeStream retires a sealed live job. A done seal finishes the
-// stream's operation tree into an archive (BuildArchive) and publishes it
-// (write-through, so once Put returns the archive is durable and the
-// redundant stream batches can go); failed/canceled seals retire the
-// stream without an archive. Returns the terminal ingest state.
-func (s *Server) finalizeStream(id string, j *stream.Job) (string, error) {
+// stream's operation tree into an archive (BuildArchive) and publishes
+// it through the executor's one publish path, so once the stream is
+// acked "archived" it is durable and, in a cluster, held by the write
+// quorum, exactly as an executor job is once "done"; only then do its
+// redundant stream batches go. A tree that cannot assemble fails with
+// errSealRejected; any other error leaves the stream live and sealed.
+// Failed/canceled seals retire the stream without an archive. Returns
+// the terminal ingest state.
+func (s *Server) finalizeStream(ctx context.Context, id string, j *stream.Job) (string, error) {
 	_, sealState := j.Sealed()
 	if sealState == stream.StateDone {
 		job, err := j.BuildArchive()
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("%w: %v", errSealRejected, err)
 		}
 		_, algorithm := j.Meta()
-		if err := s.store.Put(job, streamSummary(job, algorithm)); err != nil {
+		if err := s.exec.publish(ctx, job, Summarize(job, algorithm)); err != nil {
 			return "", err
 		}
 		s.dropStream(id)
@@ -207,30 +217,6 @@ func (s *Server) dropStream(id string) {
 	s.durableMu.Lock()
 	delete(s.durable, id)
 	s.durableMu.Unlock()
-}
-
-// streamSummary condenses an externally streamed archive into the
-// status summary. Unlike executor jobs there is no platforms.Output to
-// read, so the counts come from the assembled tree and the breakdown
-// from the domain annotation (zero for free-form trees the model does
-// not cover).
-func streamSummary(job *archive.Job, algorithm string) Summary {
-	sum := Summary{ID: job.ID, Platform: job.Platform, Algorithm: algorithm}
-	if job.Root != nil {
-		job.Root.Walk(func(op *archive.Operation) {
-			sum.Operations++
-			if op.Mission == "Superstep" {
-				sum.Supersteps++
-			}
-		})
-		sum.Runtime = job.Root.Duration()
-	}
-	if bd, err := metrics.AnnotateDomainBreakdown(job); err == nil {
-		sum.SetupPercent = bd.SetupPercent()
-		sum.IOPercent = bd.IOPercent()
-		sum.ProcessingPercent = bd.ProcessingPercent()
-	}
-	return sum
 }
 
 // recoverStreams replays the acked ingest batches found in the WAL at
@@ -282,7 +268,7 @@ func (s *Server) recoverStreams() {
 			// Crash landed between the seal's durability and the archive
 			// publish; finish the publish now. A failure leaves the job
 			// live and sealed, retried on the client's next ingest.
-			s.finalizeStream(id, j) //nolint:errcheck
+			s.finalizeStream(context.Background(), id, j) //nolint:errcheck
 		}
 	}
 }

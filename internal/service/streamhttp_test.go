@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/envmon"
 	"repro/internal/platforms"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -485,31 +488,37 @@ func TestWatchUnknownAndExecutorJobs(t *testing.T) {
 	}
 }
 
-// TestHTTPStreamedSealEquivalence is the HTTP half of the
-// seal-equivalence oracle: a job streamed through /ingest and sealed
-// must serve byte-identical /archive and /query responses — including
-// the strong ETag — to the same job run by the executor's batch path.
-func TestHTTPStreamedSealEquivalence(t *testing.T) {
-	req := JobRequest{Platform: "Giraph", Algorithm: "BFS", Vertices: 300, Edges: 900, ID: "eq-job"}
+// streamedTwin is one job served twice: server A ran it on the
+// executor's batch path, server B received the identical simulation's
+// live records purely through /ingest, in 64-event batches, sealed done.
+type streamedTwin struct {
+	tsA, tsB       *httptest.Server
+	storeA, storeB *Store
+	events         []stream.Event // what B ingested, seal last
+}
 
+func newStreamedTwin(t *testing.T, req JobRequest) *streamedTwin {
+	t.Helper()
 	// Server A: the batch path.
 	storeA := newStore()
 	metricsA := NewMetrics()
 	execA := NewExecutorWith(1, 4, storeA, metricsA, ExecutorOptions{HostParallelism: 1})
 	tsA := httptest.NewServer(NewServerWith(execA, storeA, metricsA, ServerOptions{}).Handler())
-	defer tsA.Close()
-	defer execA.Shutdown(context.Background())
-	if id := submitUntilAccepted(t, tsA.URL, req); id != "eq-job" {
+	t.Cleanup(func() {
+		tsA.Close()
+		execA.Shutdown(context.Background())
+	})
+	if id := submitUntilAccepted(t, tsA.URL, req); id != req.ID {
 		t.Fatalf("submit id %q", id)
 	}
-	if st := waitHTTPTerminal(t, tsA.URL, "eq-job"); st.Status != StatusDone {
+	if st := waitHTTPTerminal(t, tsA.URL, req.ID); st.Status != StatusDone {
 		t.Fatalf("batch job: %+v", st)
 	}
 
 	// Capture the identical simulation's live records, exactly as an
 	// external runner would emit them.
 	ds, err := datagen.Generate(datagen.Config{
-		Kind: datagen.SocialNetwork, Vertices: 300, Edges: 900, Seed: 42, Directed: true,
+		Kind: datagen.SocialNetwork, Vertices: req.Vertices, Edges: req.Edges, Seed: 42, Directed: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -523,12 +532,12 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 		mu.Unlock()
 	}
 	out, err := platforms.Run(platforms.Spec{
-		Platform:        "Giraph",
-		Algorithm:       "BFS",
+		Platform:        req.Platform,
+		Algorithm:       req.Algorithm,
 		Source:          datagen.PeripheralSource(ds.Graph),
 		Iterations:      10,
 		Dataset:         ds,
-		JobID:           "eq-job",
+		JobID:           req.ID,
 		HostParallelism: 1,
 		RecordSink: func(r trace.Record) {
 			push(stream.Event{Type: string(r.Event), Time: r.Time, Op: r.Op, Parent: r.Parent,
@@ -541,38 +550,72 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push(stream.Event{Type: stream.TypeSeal, Time: out.Runtime, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone})
+	push(stream.Event{Type: stream.TypeSeal, Time: out.Runtime, Platform: out.Job.Platform, Algorithm: req.Algorithm, State: stream.StateDone})
 
 	// Server B: the same job arrives purely through /ingest, in batches.
-	tsB, _ := streamStack(t, ServerOptions{})
+	tsB, storeB := streamStack(t, ServerOptions{})
 	for off := 0; off < len(events); off += 64 {
 		end := min(off+64, len(events))
-		if code, _, body, _ := postIngest(t, tsB.URL, "eq-job", events[off:end]); code != http.StatusOK {
+		if code, _, body, _ := postIngest(t, tsB.URL, req.ID, events[off:end]); code != http.StatusOK {
 			t.Fatalf("ingest batch at %d: %d: %s", off, code, body)
 		}
 	}
+	return &streamedTwin{tsA: tsA, tsB: tsB, storeA: storeA, storeB: storeB, events: events}
+}
 
-	equivalent := func(t *testing.T, id string) {
-		t.Helper()
-		for _, p := range []string{
-			"/jobs/" + id + "/archive",
-			"/jobs/" + id + "/query?q=" + url.QueryEscape(`mission = "Superstep" order by start`),
-			"/jobs/" + id + "/query?mission=ProcessGraph",
-		} {
-			codeA, bodyA, hdrA := getBytes(t, tsA.URL+p)
-			codeB, bodyB, hdrB := getBytes(t, tsB.URL+p)
-			if codeA != http.StatusOK || codeB != http.StatusOK {
-				t.Fatalf("%s: batch %d streamed %d", p, codeA, codeB)
-			}
-			if !bytes.Equal(bodyA, bodyB) {
-				t.Fatalf("%s: streamed bytes differ from batch (%d vs %d bytes)", p, len(bodyB), len(bodyA))
-			}
-			if hdrA.Get("ETag") == "" || hdrA.Get("ETag") != hdrB.Get("ETag") {
-				t.Fatalf("%s: ETag %q vs %q", p, hdrA.Get("ETag"), hdrB.Get("ETag"))
-			}
+// equivalent asserts that B serves job id as A does: byte-identical
+// /archive and /query responses with the same strong ETag, the same
+// stored summary on every field the archive holds (all but the engine's
+// replication factor), and the same /query2 over job.supersteps.
+func (tw *streamedTwin) equivalent(t *testing.T, id string) {
+	t.Helper()
+	for _, p := range []string{
+		"/jobs/" + id + "/archive",
+		"/jobs/" + id + "/query?q=" + url.QueryEscape(`mission = "Superstep" order by start`),
+		"/jobs/" + id + "/query?mission=ProcessGraph",
+	} {
+		codeA, bodyA, hdrA := getBytes(t, tw.tsA.URL+p)
+		codeB, bodyB, hdrB := getBytes(t, tw.tsB.URL+p)
+		if codeA != http.StatusOK || codeB != http.StatusOK {
+			t.Fatalf("%s: batch %d streamed %d", p, codeA, codeB)
+		}
+		if !bytes.Equal(bodyA, bodyB) {
+			t.Fatalf("%s: streamed bytes differ from batch (%d vs %d bytes)", p, len(bodyB), len(bodyA))
+		}
+		if hdrA.Get("ETag") == "" || hdrA.Get("ETag") != hdrB.Get("ETag") {
+			t.Fatalf("%s: ETag %q vs %q", p, hdrA.Get("ETag"), hdrB.Get("ETag"))
 		}
 	}
-	equivalent(t, "eq-job")
+	sjA, okA := tw.storeA.get(id)
+	sjB, okB := tw.storeB.get(id)
+	if !okA || !okB {
+		t.Fatalf("%s stored: batch %v streamed %v", id, okA, okB)
+	}
+	want := sjA.Summary
+	want.ReplicationFactor = 0
+	if !reflect.DeepEqual(sjB.Summary, want) {
+		t.Fatalf("streamed summary differs from batch:\n got %+v\nwant %+v", sjB.Summary, want)
+	}
+	if want.Supersteps == 0 {
+		t.Fatalf("batch summary counts no steps: %+v", want)
+	}
+	q := shard.Query2Path + "?q=" + url.QueryEscape("from jobs group by job.supersteps agg count")
+	_, bodyA, _ := getBytes(t, tw.tsA.URL+q)
+	if code, bodyB, _ := getBytes(t, tw.tsB.URL+q); code != http.StatusOK || !bytes.Equal(bodyA, bodyB) {
+		t.Fatalf("/query2 over job.supersteps: streamed %d\n%s\nbatch\n%s", code, bodyB, bodyA)
+	}
+}
+
+// TestHTTPStreamedSealEquivalence is the HTTP half of the
+// seal-equivalence oracle: a job streamed through /ingest and sealed
+// must serve byte-identical /archive and /query responses — including
+// the strong ETag — and the same summary as the same job run by the
+// executor's batch path.
+func TestHTTPStreamedSealEquivalence(t *testing.T) {
+	req := JobRequest{Platform: "Giraph", Algorithm: "BFS", Vertices: 300, Edges: 900, ID: "eq-job"}
+	tw := newStreamedTwin(t, req)
+	tsA, tsB, events := tw.tsA, tw.tsB, tw.events
+	tw.equivalent(t, "eq-job")
 
 	// The same stream under three IDs at once, each with an SSE tail
 	// attached as soon as its first event has opened the job: every tail
@@ -639,9 +682,125 @@ func TestHTTPStreamedSealEquivalence(t *testing.T) {
 			return
 		}
 		for _, id := range ids {
-			equivalent(t, id)
+			tw.equivalent(t, id)
 		}
 	})
+}
+
+// TestHTTPStreamedSealSummaryEquivalence extends the oracle to the
+// platforms whose steps are GAS or single-node iterations, not Pregel
+// supersteps: the streamed twin reports the same step count as the
+// batch run.
+func TestHTTPStreamedSealSummaryEquivalence(t *testing.T) {
+	for _, platform := range []string{"PowerGraph", "OpenG"} {
+		t.Run(platform, func(t *testing.T) {
+			id := "eq-" + strings.ToLower(platform)
+			newStreamedTwin(t, JobRequest{Platform: platform, Algorithm: "BFS", Vertices: 300, Edges: 900, ID: id}).equivalent(t, id)
+		})
+	}
+}
+
+// failOneAppend is an archivedb.FaultInjector that fails exactly one WAL
+// append once armed: the one after skip more appends pass.
+type failOneAppend struct {
+	mu   sync.Mutex
+	skip int // appends to pass before the failing one; -1 disarmed
+}
+
+func (f *failOneAppend) arm(skip int) {
+	f.mu.Lock()
+	f.skip = skip
+	f.mu.Unlock()
+}
+
+func (f *failOneAppend) Fail(site string) error {
+	if site != "archivedb.append" {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case f.skip < 0:
+		return nil
+	case f.skip > 0:
+		f.skip--
+		return nil
+	}
+	f.skip = -1
+	return errors.New("injected append failure")
+}
+
+func (f *failOneAppend) Mangle(_ string, frame []byte) ([]byte, error) { return frame, nil }
+
+// TestSealTransientStorageErrorKeepsStream: a storage error while a
+// sealed stream publishes is not the stream's fault. The seal answers
+// 503 with Retry-After, the job stays live and sealed with every event
+// it acked, and replaying the seal batch publishes it. Only a tree that
+// cannot assemble answers 422 and retires the stream.
+func TestSealTransientStorageErrorKeepsStream(t *testing.T) {
+	inj := &failOneAppend{skip: -1}
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true, Injector: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := NewMetrics()
+	store, err := NewStoreWithOptions(db, StoreOptions{Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One attempt, so the single injected error reaches the client
+	// instead of being absorbed by the publish's retry.
+	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{Retry: RetryPolicy{Attempts: 1}})
+	srv := NewServerWith(exec, store, metrics, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		exec.Shutdown(context.Background())
+		store.Close()
+		db.Close()
+	})
+	events := streamEventsFixture()
+
+	if code, ack, body, _ := postIngest(t, ts.URL, "t1", events[:5]); code != http.StatusOK || ack.State != "streaming" {
+		t.Fatalf("first batch: %d %+v: %s", code, ack, body)
+	}
+	// The seal batch's own append passes; the publish's append fails.
+	inj.arm(1)
+	code, _, body, hdr := postIngest(t, ts.URL, "t1", events)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("seal under a storage error: %d (Retry-After %q): %s", code, hdr.Get("Retry-After"), body)
+	}
+	j, live := srv.streams.Get("t1")
+	if !live {
+		t.Fatal("stream dropped after a transient storage error")
+	}
+	if sealed, _ := j.Sealed(); !sealed || j.LastSeq() != 9 || len(j.EventsAfter(0)) != 9 {
+		t.Fatalf("stream after 503: sealed %v, lastSeq %d, %d events", sealed, j.LastSeq(), len(j.EventsAfter(0)))
+	}
+	if _, stored := store.get("t1"); stored {
+		t.Fatal("failed publish left the job in the store")
+	}
+	if code, ack, body, _ := postIngest(t, ts.URL, "t1", events[5:]); code != http.StatusOK || ack.State != "archived" {
+		t.Fatalf("replayed seal batch: %d %+v: %s", code, ack, body)
+	}
+	if code, body, _ := getBytes(t, ts.URL+"/jobs/t1/archive"); code != http.StatusOK || !bytes.Contains(body, []byte("op-3")) {
+		t.Fatalf("archive after replay: %d: %s", code, body)
+	}
+
+	// A child that outlives its parent cannot assemble: 422, retired.
+	bad := []stream.Event{
+		{Seq: 1, Type: "start", Time: 0, Op: "op-1", Actor: "Client", Mission: "Job"},
+		{Seq: 2, Type: "start", Time: 1, Op: "op-2", Parent: "op-1", Actor: "Worker-0", Mission: "Load"},
+		{Seq: 3, Type: "end", Time: 2, Op: "op-1"},
+		{Seq: 4, Type: "end", Time: 3, Op: "op-2"},
+		{Seq: 5, Type: stream.TypeSeal, Time: 3, Platform: "Giraph", Algorithm: "BFS", State: stream.StateDone},
+	}
+	if code, _, body, _ := postIngest(t, ts.URL, "t2", bad); code != http.StatusUnprocessableEntity {
+		t.Fatalf("unassemblable seal: %d: %s", code, body)
+	}
+	if _, live := srv.streams.Get("t2"); live {
+		t.Fatal("unassemblable stream still live")
+	}
 }
 
 // TestStreamRestartRecovery is the chaos half: acked ingest batches

@@ -701,3 +701,29 @@ func TestClusterStreamFailoverReplay(t *testing.T) {
 		t.Fatalf("archive after failover replay: %d: %s", st, body)
 	}
 }
+
+// TestClusterStreamArchivedQuorum pins "archived means what done means":
+// a sealed stream is acked only once the write quorum holds it, exactly
+// like an executor job. R=2/W=2 with self-heal off, so no hint or
+// anti-entropy sweep can mend a gap later: both owners export
+// byte-identical records as soon as the seal is acked, and the router
+// still serves the archive with the primary dead.
+func TestClusterStreamArchivedQuorum(t *testing.T) {
+	c := startCluster(t, clusterConfig{shards: 3, replication: 2, quorum: 2, nosync: true})
+	const id = "live-quorum"
+	if code, ack, _ := ingestVia(t, c.rts.URL, id, clusterStreamEvents()); code != http.StatusOK || ack["state"] != "archived" {
+		t.Fatalf("seal via router: %d %v", code, ack)
+	}
+	owners := c.m.Owners(id)
+	primary, follower := shardByID(c, owners[0].ID), shardByID(c, owners[1].ID)
+	onPrimary, ok1 := exportBytes(primary, id)
+	onFollower, ok2 := exportBytes(follower, id)
+	if !ok1 || !ok2 || !bytes.Equal(onPrimary, onFollower) {
+		t.Errorf("acked stream on its owners: primary %v, follower %v, identical %v",
+			ok1, ok2, bytes.Equal(onPrimary, onFollower))
+	}
+	primary.kill()
+	if st, body, _ := mustGet(t, c.rts.URL+"/jobs/"+id+"/archive"); st != http.StatusOK {
+		t.Fatalf("archive with the primary dead: %d: %s", st, body)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/archive"
+	"repro/internal/core"
 )
 
 // This file renders the figure families as standalone SVG documents.
@@ -185,18 +186,14 @@ func SVGCPUChart(job *archive.Job) string {
 // SVGWorkerGantt renders the per-worker superstep Gantt chart (Figure 8's
 // form) over the [from, to] superstep window (pass from > to for all).
 func SVGWorkerGantt(job *archive.Job, from, to int) string {
-	steps := job.Find(job.Root.Mission, "ProcessGraph", "Superstep")
-	local := "LocalSuperstep"
-	if len(steps) == 0 {
-		steps = job.Find(job.Root.Mission, "ProcessGraph", "Iteration")
-		local = "LocalIteration"
-	}
+	steps := core.Steps(job)
 	var sb strings.Builder
 	if len(steps) == 0 {
 		svgHeader(&sb, 400, 60, "no supersteps")
 		sb.WriteString("</svg>\n")
 		return sb.String()
 	}
+	local := "Local" + steps[0].Mission
 	if from > to {
 		from, to = 0, len(steps)-1
 	}

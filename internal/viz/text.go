@@ -190,11 +190,7 @@ func domainPhaseAt(job *archive.Job, t float64) string {
 // PostStep as '-'. Only the [from, to] window of supersteps is drawn
 // (inclusive, 0-indexed; pass from > to for all).
 func WorkerGantt(job *archive.Job, width, from, to int) string {
-	steps := job.Find(job.Root.Mission, "ProcessGraph", "Superstep")
-	if len(steps) == 0 {
-		// PowerGraph-style jobs use Iteration.
-		steps = job.Find(job.Root.Mission, "ProcessGraph", "Iteration")
-	}
+	steps := core.Steps(job)
 	if len(steps) == 0 {
 		return "no supersteps found\n"
 	}
