@@ -7,6 +7,7 @@
 package shard_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -566,6 +568,43 @@ func missingOn(cs *clusterShard, ids []string) []string {
 	return missing
 }
 
+// TestRouterOversizedBodyMatchesNode: a body over a node's cap gets the
+// node's answer through the router too — the same 413 status and the
+// same bytes — whether the router or the shard is the one to refuse it.
+func TestRouterOversizedBodyMatchesNode(t *testing.T) {
+	c := startCluster(t, clusterConfig{shards: 1, replication: 1, quorum: 1, nosync: true})
+	huge := `{"platform":"` + strings.Repeat("x", 1<<20) + `"}`
+	var batch strings.Builder
+	for seq := 1; batch.Len() <= 4<<20; seq++ {
+		fmt.Fprintf(&batch, `{"seq":%d,"type":"info","time":1,"op":"op-1","key":"k","value":%q}`+"\n", seq, strings.Repeat("v", 1000))
+	}
+	for _, tc := range []struct{ name, path, body string }{
+		{"submit", "/jobs", huge},
+		{"diff", "/diff", huge},
+		{"ingest", "/ingest/oversized", batch.String()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			post := func(base string) (int, string) {
+				resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, string(body)
+			}
+			nodeCode, nodeBody := post(c.shards[0].url)
+			routerCode, routerBody := post(c.rts.URL)
+			if nodeCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("node answered %d, want 413: %s", nodeCode, nodeBody)
+			}
+			if routerCode != nodeCode || routerBody != nodeBody {
+				t.Fatalf("router answered %d %q, node %d %q", routerCode, routerBody, nodeCode, nodeBody)
+			}
+		})
+	}
+}
+
 // clusterStreamEvents is a tiny well-formed live stream: a root with
 // one child operation and an env sample, sealed done at t=4.
 func clusterStreamEvents() []stream.Event {
@@ -606,7 +645,9 @@ func ingestVia(t *testing.T, base, id string, events []stream.Event) (int, map[s
 // TestClusterStreamTailThroughRouter pins satellite coverage for the
 // router's SSE pass-through: a live job ingested through the router is
 // tailed through the router, frames arrive incrementally with the
-// owning shard stamped, and the sealed archive is readable afterwards.
+// owning shard stamped — the first frame is read from the open
+// response before the rest of the stream is even posted — and the
+// sealed archive is readable afterwards.
 func TestClusterStreamTailThroughRouter(t *testing.T) {
 	c := startCluster(t, clusterConfig{shards: 3, replication: 2, quorum: 1, nosync: true})
 	events := clusterStreamEvents()
@@ -620,34 +661,51 @@ func TestClusterStreamTailThroughRouter(t *testing.T) {
 		t.Fatalf("status via router: %d", st)
 	}
 
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		body, _ := stream.EncodeEvents(events)
-		resp, err := http.Post(c.rts.URL+"/ingest/"+id, "application/x-ndjson", bytes.NewReader(body))
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	req, err := http.NewRequest(http.MethodGet, c.rts.URL+"/watch/"+id, nil)
+	// The tail closes at the seal frame; the context only turns a relay
+	// that never delivers into a failure rather than a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.rts.URL+"/watch/"+id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &http.Client{} // no timeout: the tail closes at the seal frame
-	resp, err := tc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("watch via router: %d %v: %s", resp.StatusCode, err, text)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch via router: %d", resp.StatusCode)
 	}
 	if resp.Header.Get(shard.ShardHeader) == "" {
 		t.Fatal("watch response lacks owning-shard header")
 	}
-	for _, want := range []string{"id: 1\nevent: op\n", "id: 4\nevent: env\n", "id: 7\nevent: seal\n"} {
-		if !bytes.Contains(text, []byte(want)) {
-			t.Fatalf("router tail missing %q:\n%s", want, text)
+	// The first frame must reach the client while the stream is still
+	// open: a relay that buffered until the shard closed would never
+	// deliver it, since the seal is only posted below.
+	rd := bufio.NewReader(resp.Body)
+	var first strings.Builder
+	for !strings.HasSuffix(first.String(), "\n\n") {
+		line, err := rd.ReadString('\n')
+		first.WriteString(line)
+		if err != nil {
+			t.Fatalf("reading the first frame: %v: %q", err, first.String())
+		}
+	}
+	if !strings.HasPrefix(first.String(), "id: 1\nevent: op\n") {
+		t.Fatalf("first frame through the router = %q, want id 1", first.String())
+	}
+
+	if code, _, _ := ingestVia(t, c.rts.URL, id, events); code != http.StatusOK {
+		t.Fatalf("post the rest of the stream via router: %d", code)
+	}
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatalf("read the rest of the tail: %v", err)
+	}
+	for _, want := range []string{"id: 4\nevent: env\n", "id: 7\nevent: seal\n"} {
+		if !bytes.Contains(rest, []byte(want)) {
+			t.Fatalf("router tail missing %q:\n%s%s", want, first.String(), rest)
 		}
 	}
 

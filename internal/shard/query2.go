@@ -32,12 +32,9 @@ package shard
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/query"
 )
@@ -55,39 +52,21 @@ func (rt *Router) handleQuery2(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	pathq := InternalQuery2Path + "?q=" + url.QueryEscape(raw)
 
-	results := make([]proxyResult, len(rt.m.Shards))
-	partials := make([][]query.JobPartial, len(rt.m.Shards))
-	var wg sync.WaitGroup
-	for i, n := range rt.m.Shards {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			res := rt.forward(ctx, n, http.MethodGet, pathq, nil, r.Header)
-			rt.observe(n, res)
-			if res.err == nil && res.status == http.StatusOK {
-				var sr struct {
-					Partials []query.JobPartial `json:"partials"`
-				}
-				res.err = json.Unmarshal(res.body, &sr)
-				partials[i] = sr.Partials
-			}
-			results[i] = res
-		}(i, n)
-	}
-	wg.Wait()
-
 	var all []query.JobPartial
 	var down []string
-	for i, res := range results {
+	for _, res := range rt.scatter(ctx, pathq, r.Header) {
 		if res.err == nil && res.status >= 400 && res.status < 500 {
 			rt.writeProxied(w, res)
 			return
 		}
-		if res.err != nil || res.status != http.StatusOK {
+		var sr struct {
+			Partials []query.JobPartial `json:"partials"`
+		}
+		if res.err != nil || res.status != http.StatusOK || json.Unmarshal(res.body, &sr) != nil {
 			down = append(down, res.node.ID)
 			continue
 		}
-		all = append(all, partials[i]...)
+		all = append(all, sr.Partials...)
 	}
 	resp, err := q.MergePartials(raw, "jobs", "", all)
 	if err != nil {
@@ -99,10 +78,7 @@ func (rt *Router) handleQuery2(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if len(down) > 0 {
-		sort.Strings(down)
-		w.Header()["X-Granula-Shards-Down"] = []string{fmt.Sprint(down)}
-	}
+	setShardsDown(w, down)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ScannedHeader, strconv.Itoa(resp.Scanned))
 	w.Header().Set(PrunedHeader, strconv.Itoa(resp.Pruned))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -181,16 +182,30 @@ type proxyResult struct {
 	status int
 	header http.Header
 	body   []byte
+	// stream is a streamed request's open 200 body, left for
+	// writeProxied to relay; body is unset then.
+	stream io.ReadCloser
 	err    error // transport-level failure; status/header/body are unset
 }
 
-// forward issues one proxied request to one shard and buffers the
-// response. Request latency is recorded against the shard either way.
-func (rt *Router) forward(ctx context.Context, n Node, method, pathq string, body []byte, hdr http.Header) proxyResult {
+// forward sends one routed request to one shard: it is the only code
+// that reaches a shard's public API. It passes the client's negotiation
+// headers and the deadline the router works under, so the shard stops
+// serving an answer the client has already given up on; it times and
+// counts the request against the shard; and it feeds the failure
+// detector, passively. Only a transport failure counts as a miss — a
+// shard answering any HTTP status, even 5xx, is alive (it may be
+// degraded read-only, which is not death and must not trigger
+// promotion). The response is buffered, except a streamed request's
+// 200: that body stays open, sent on the no-timeout streamClient.
+func (rt *Router) forward(ctx context.Context, n Node, method, pathq string, body []byte, hdr http.Header, stream bool) (res proxyResult) {
 	start := time.Now()
 	defer func() {
 		rt.metrics.requests.With(n.ID).Inc()
 		rt.metrics.latency.With(n.ID).Observe(time.Since(start).Seconds())
+		if rt.det != nil {
+			rt.det.observe(n.ID, res.err == nil)
+		}
 	}()
 	var rd io.Reader
 	if body != nil {
@@ -205,28 +220,35 @@ func (rt *Router) forward(ctx context.Context, n Node, method, pathq string, bod
 			req.Header.Set(k, v)
 		}
 	}
-	// Deadline propagation: the shard sees the same absolute deadline
-	// the router is working under, so it stops serving an answer the
-	// client has already given up on.
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
 	}
-	resp, err := rt.client.Do(req)
+	client := rt.client
+	if stream {
+		client = rt.streamClient
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return proxyResult{node: n, err: err}
+	}
+	res = proxyResult{node: n, status: resp.StatusCode, header: resp.Header}
+	if stream && resp.StatusCode == http.StatusOK {
+		res.stream = resp.Body
+		return res
 	}
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if res.body, err = io.ReadAll(resp.Body); err != nil {
 		return proxyResult{node: n, err: err}
 	}
-	return proxyResult{node: n, status: resp.StatusCode, header: resp.Header, body: buf}
+	return res
 }
 
 // writeProxied relays one shard response to the client, stamping the
 // serving shard. Bodies pass through untouched — the cluster's
 // byte-determinism contract is that these are exactly the bytes a
-// single-node granula-serve would have written.
+// single-node granula-serve would have written. An open stream is
+// relayed chunk by chunk, each flushed so a frame reaches the client
+// the moment the shard emits it, until either side closes.
 func (rt *Router) writeProxied(w http.ResponseWriter, res proxyResult) {
 	for _, k := range []string{"Content-Type", "ETag", "Retry-After", "X-Granula-Expected-Seq"} {
 		if v := res.header.Get(k); v != "" {
@@ -234,15 +256,29 @@ func (rt *Router) writeProxied(w http.ResponseWriter, res proxyResult) {
 		}
 	}
 	w.Header().Set(ShardHeader, res.node.ID)
+	if res.stream == nil {
+		w.WriteHeader(res.status)
+		w.Write(res.body)
+		return
+	}
+	defer res.stream.Close()
+	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(res.status)
-	w.Write(res.body)
-}
-
-// definitive reports whether a result should be returned to the client
-// as-is rather than failed over: any HTTP response below 500 that is
-// not a 404/409 miss, plus — pastMisses — the misses themselves.
-func retriableStatus(status int) bool {
-	return status >= 500 || status == http.StatusNotFound || status == http.StatusConflict
+	rc := http.NewResponseController(w)
+	rc.Flush()
+	buf := make([]byte, 4096)
+	for {
+		nr, rerr := res.stream.Read(buf)
+		if nr > 0 {
+			if _, werr := w.Write(buf[:nr]); werr != nil {
+				return
+			}
+			rc.Flush()
+		}
+		if rerr != nil {
+			return
+		}
+	}
 }
 
 // boundCtx derives the request context the whole routed attempt chain
@@ -289,30 +325,19 @@ func (rt *Router) routeOrder(owners []Node, countPromotions bool) []Node {
 	return append(live, dead...)
 }
 
-// observe feeds a proxy outcome to the failure detector, passively.
-// Only transport-level failures count as misses — a shard answering
-// any HTTP status, even 5xx, is alive (it may be degraded read-only,
-// which is not death and must not trigger promotion).
-func (rt *Router) observe(n Node, res proxyResult) {
-	if rt.det == nil {
-		return
-	}
-	rt.det.observe(n.ID, res.err == nil)
-}
-
 // tryOwners forwards the request to owners in order until one returns a
-// non-retriable response. Retriable results (transport errors, 5xx, and
-// — when failoverMisses — 404/409 from replicas that may simply not
-// hold the record yet) fail over to the next owner and are counted
-// against the shard that failed, bounded by the per-request retry
-// budget and the request deadline (see boundCtx). When a later owner
-// serves a 2xx after an earlier one answered 404, the missing replica
-// is queued for read-repair. If every attempted owner fails, the
-// least-bad response is returned: a definitive client error beats a
-// 5xx beats a transport error; a spent deadline answers 504.
-// onServe, when non-nil, observes the result that was served
-// successfully.
-func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Node, method, pathq string, body []byte, failoverMisses bool, onServe func(proxyResult)) {
+// non-retriable response, and is the router's only owner loop.
+// Retriable results (transport errors, 5xx, and — when failoverMisses —
+// 404/409 from replicas that may simply not hold the record yet) fail
+// over to the next owner and are counted against the shard that
+// failed, bounded by the per-request retry budget and the request
+// deadline (see boundCtx). When a later owner serves a 2xx after an
+// earlier one answered 404, the missing replica is queued for
+// read-repair. If every attempted owner fails, the least-bad response
+// is returned: a definitive client error beats a 5xx beats a transport
+// error; a spent deadline answers 504. stream is forward's: a served
+// 200 is relayed as it arrives. The served result, if any, is returned.
+func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Node, method, pathq string, body []byte, failoverMisses, stream bool) *proxyResult {
 	ctx, cancel := rt.boundCtx(r)
 	defer cancel()
 	var (
@@ -330,23 +355,18 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 		}
 	}
 	for i, n := range owners {
-		if i > 0 && rt.budget >= 0 && i > rt.budget {
+		if rt.budget >= 0 && i > rt.budget {
 			break // retry budget spent; answer with the least-bad result
 		}
 		if ctx.Err() != nil {
 			rt.metrics.exhausted.Inc()
 			writeRouterError(w, http.StatusGatewayTimeout,
 				"deadline exceeded after %d attempts for %s %s", i, method, pathq)
-			return
+			return nil
 		}
-		res := rt.forward(ctx, n, method, pathq, body, r.Header)
-		rt.observe(n, res)
-		retry := res.err != nil || res.status >= 500 ||
-			(failoverMisses && retriableStatus(res.status))
-		if res.err == nil && res.status == http.StatusNotModified {
-			// 304 is a success: the shard validated the client's ETag.
-			retry = false
-		}
+		res := rt.forward(ctx, n, method, pathq, body, r.Header, stream)
+		miss := res.status == http.StatusNotFound || res.status == http.StatusConflict
+		retry := res.err != nil || res.status >= 500 || (failoverMisses && miss)
 		if retry && res.err != nil && ctx.Err() != nil {
 			// The transport error is (or masks) the deadline expiring;
 			// report the timeout rather than a misleading 502.
@@ -354,33 +374,46 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 			rt.metrics.exhausted.Inc()
 			writeRouterError(w, http.StatusGatewayTimeout,
 				"deadline exceeded after %d attempts for %s %s", i+1, method, pathq)
-			return
+			return nil
 		}
 		if !retry {
 			if res.status < 300 && len(missed404) > 0 {
 				rt.scheduleRepairs(r.PathValue("id"), res.node, missed404)
 			}
-			if onServe != nil {
-				onServe(res)
-			}
 			rt.writeProxied(w, res)
-			return
+			return &res
 		}
 		if res.err == nil && res.status == http.StatusNotFound {
 			missed404 = append(missed404, n)
 		}
 		rt.metrics.failovers.With(n.ID).Inc()
 		if best == nil || rank(res) > rank(*best) {
-			cp := res
-			best = &cp
+			best = &res
 		}
 	}
 	rt.metrics.exhausted.Inc()
 	if best == nil || best.err != nil {
 		writeRouterError(w, http.StatusBadGateway, "no shard reachable for %s %s", method, pathq)
-		return
+		return nil
 	}
 	rt.writeProxied(w, *best)
+	return nil
+}
+
+// readBody reads a routed request's body up to limit, answering the way
+// a node does when it cannot: 413 for an oversized body, 400 otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeRouterError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		writeRouterError(w, http.StatusBadRequest, "read request: %v", err)
+	default:
+		return body, true
+	}
+	return nil, false
 }
 
 // handleSubmit routes POST /jobs to the job's primary, failing over
@@ -388,14 +421,8 @@ func (rt *Router) tryOwners(w http.ResponseWriter, r *http.Request, owners []Nod
 // request without an ID gets a router-assigned one first — placement
 // needs the ID before any shard sees the request.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if ok := isMaxBytes(err, &tooBig); ok {
-			writeRouterError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeRouterError(w, http.StatusBadRequest, "read request: %v", err)
+	body, ok := readBody(w, r, maxProxyBytes)
+	if !ok {
 		return
 	}
 	var peek struct {
@@ -415,21 +442,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		peek.ID = fmt.Sprintf("job-r%06d", rt.seq.Add(1))
 		fields["id"] = peek.ID
+		var err error
 		if body, err = json.Marshal(fields); err != nil {
 			writeRouterError(w, http.StatusInternalServerError, "rewrite request: %v", err)
 			return
 		}
 	}
 	owners := rt.routeOrder(rt.m.owners(peek.ID), true)
-	rt.tryOwners(w, r, owners, http.MethodPost, "/jobs", body, false, nil)
-}
-
-func isMaxBytes(err error, target **http.MaxBytesError) bool {
-	mbe, ok := err.(*http.MaxBytesError)
-	if ok {
-		*target = mbe
-	}
-	return ok
+	rt.tryOwners(w, r, owners, http.MethodPost, "/jobs", body, false, false)
 }
 
 // handleStatus routes GET /jobs/{id} primary-first: the primary's
@@ -437,14 +457,14 @@ func isMaxBytes(err error, target **http.MaxBytesError) bool {
 // from their store fallback when the primary is down.
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodGet, "/jobs/"+id, nil, true, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodGet, "/jobs/"+id, nil, true, false)
 }
 
 // handleCancel routes DELETE /jobs/{id} primary-first; only the shard
 // whose executor queued the job can cancel it.
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodDelete, "/jobs/"+id, nil, true, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodDelete, "/jobs/"+id, nil, true, false)
 }
 
 // handleRead serves the job-scoped read endpoints (/archive, /query,
@@ -469,17 +489,13 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	// spread across the live replicas, but a Down node never takes the
 	// first attempt.
 	owners = rt.routeOrder(owners, false)
-	pathq := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathq += "?" + r.URL.RawQuery
-	}
+	pathq := r.URL.RequestURI()
 
 	// Divergence probe bookkeeping happens before the response is
 	// written so the probe sees exactly what was served.
 	probe := rt.repairN > 0 && len(owners) > 1 && rt.reads.Add(1)%uint64(rt.repairN) == 0
 
-	var served *proxyResult
-	rt.tryOwners(w, r, owners, http.MethodGet, pathq, nil, true, func(res proxyResult) { served = &res })
+	served := rt.tryOwners(w, r, owners, http.MethodGet, pathq, nil, true, false)
 	if probe && served != nil && served.status == http.StatusOK {
 		etag := served.header.Get("ETag")
 		if etag != "" {
@@ -515,7 +531,7 @@ func (rt *Router) probeDivergence(id, pathq, etag string, served, other Node) {
 	defer cancel()
 	hdr := http.Header{}
 	hdr.Set("If-None-Match", etag)
-	res := rt.forward(ctx, other, http.MethodGet, pathq, nil, hdr)
+	res := rt.forward(ctx, other, http.MethodGet, pathq, nil, hdr, false)
 	if res.err != nil {
 		rt.metrics.probesClean.Inc()
 		return
@@ -568,51 +584,52 @@ func (rt *Router) pushRepair(ctx context.Context, n Node, rec ReplicaRecord) {
 	}
 }
 
+// scatter sends GET pathq to every shard concurrently and returns the
+// answers in map order: the router's only fan-out.
+func (rt *Router) scatter(ctx context.Context, pathq string, hdr http.Header) []proxyResult {
+	out := make([]proxyResult, len(rt.m.Shards))
+	var wg sync.WaitGroup
+	for i, n := range rt.m.Shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = rt.forward(ctx, n, http.MethodGet, pathq, nil, hdr, false)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// setShardsDown names the shards a fan-out skipped.
+func setShardsDown(w http.ResponseWriter, down []string) {
+	if len(down) > 0 {
+		sort.Strings(down)
+		w.Header()["X-Granula-Shards-Down"] = []string{fmt.Sprint(down)}
+	}
+}
+
 // handleList fans GET /jobs out to every shard and merges the states
 // sorted by job ID. Unreachable shards are skipped — the merged listing
 // is the union of the live shards' views and carries a header naming
 // any shard that did not answer.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type shardList struct {
-		node Node
-		jobs []json.RawMessage
-		err  error
-	}
-	results := make([]shardList, len(rt.m.Shards))
-	var wg sync.WaitGroup
-	for i, n := range rt.m.Shards {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			res := rt.forward(r.Context(), n, http.MethodGet, "/jobs", nil, r.Header)
-			if res.err != nil || res.status != http.StatusOK {
-				results[i] = shardList{node: n, err: fmt.Errorf("unreachable")}
-				return
-			}
-			var lr struct {
-				Jobs []json.RawMessage `json:"jobs"`
-			}
-			if err := json.Unmarshal(res.body, &lr); err != nil {
-				results[i] = shardList{node: n, err: err}
-				return
-			}
-			results[i] = shardList{node: n, jobs: lr.Jobs}
-		}(i, n)
-	}
-	wg.Wait()
-
+	ctx, cancel := rt.boundCtx(r)
+	defer cancel()
 	type keyed struct {
 		id  string
 		raw json.RawMessage
 	}
 	var all []keyed
 	var down []string
-	for _, res := range results {
-		if res.err != nil {
+	for _, res := range rt.scatter(ctx, "/jobs", r.Header) {
+		var lr struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		if res.err != nil || res.status != http.StatusOK || json.Unmarshal(res.body, &lr) != nil {
 			down = append(down, res.node.ID)
 			continue
 		}
-		for _, raw := range res.jobs {
+		for _, raw := range lr.Jobs {
 			var peek struct {
 				ID string `json:"id"`
 			}
@@ -625,10 +642,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, k := range all {
 		jobs = append(jobs, k.raw)
 	}
-	if len(down) > 0 {
-		sort.Strings(down)
-		w.Header()["X-Granula-Shards-Down"] = []string{fmt.Sprint(down)}
-	}
+	setShardsDown(w, down)
 	out := struct {
 		Count int               `json:"count"`
 		Jobs  []json.RawMessage `json:"jobs"`
@@ -651,117 +665,23 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // replay from the start is idempotent and rebuilds the stream there.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestProxyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if isMaxBytes(err, &tooBig) {
-			writeRouterError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeRouterError(w, http.StatusBadRequest, "read request: %v", err)
+	body, ok := readBody(w, r, maxIngestProxyBytes)
+	if !ok {
 		return
 	}
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), true), http.MethodPost, "/ingest/"+id, body, false, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), true), http.MethodPost, "/ingest/"+id, body, false, false)
 }
 
-// handleWatch passes GET /watch/{id} through as a live SSE stream:
-// frames are relayed to the client with an immediate flush per chunk,
-// never buffered. Failover is connect-time only — owners are tried in
-// order until one accepts the tail (the stream usually lives on the
-// primary; 404/409 from a shard without it fails over to the next) —
-// because switching shards mid-stream could replay or skip frames. A
-// dropped tail is resumed by the client reconnecting with
-// Last-Event-ID, which is forwarded.
+// handleWatch routes GET /watch/{id}, the SSE tail and its ?poll=1
+// long-poll fallback alike, the way reads are routed: primary-first,
+// with a 404/409 from a shard that does not hold the stream failing
+// over to the next owner. Failover is connect-time only — an open tail
+// is relayed as it arrives, because switching shards mid-stream could
+// replay or skip frames. A dropped tail is resumed by the client
+// reconnecting with Last-Event-ID, which is forwarded.
 func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	pathq := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathq += "?" + r.URL.RawQuery
-	}
-	if r.URL.Query().Get("poll") == "1" {
-		// Long-poll fallback: the shard answers one buffered JSON batch,
-		// so the ordinary failover path applies — no streaming relay.
-		rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(id), false), http.MethodGet, pathq, nil, false, nil)
-		return
-	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeRouterError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-	var best *proxyResult
-	for _, n := range rt.routeOrder(rt.m.owners(id), false) {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.URL+pathq, nil)
-		if err != nil {
-			writeRouterError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		for _, k := range []string{"Last-Event-ID", "Accept"} {
-			if v := r.Header.Get(k); v != "" {
-				req.Header.Set(k, v)
-			}
-		}
-		start := time.Now()
-		resp, err := rt.streamClient.Do(req)
-		rt.metrics.requests.With(n.ID).Inc()
-		rt.metrics.latency.With(n.ID).Observe(time.Since(start).Seconds())
-		if rt.det != nil {
-			rt.det.observe(n.ID, err == nil)
-		}
-		if err != nil {
-			rt.metrics.failovers.With(n.ID).Inc()
-			if best == nil {
-				best = &proxyResult{node: n, err: err}
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			// Buffered relay candidate; retriable answers fail over.
-			buf, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			res := proxyResult{node: n, status: resp.StatusCode, header: resp.Header, body: buf}
-			if resp.StatusCode >= 500 || retriableStatus(resp.StatusCode) {
-				rt.metrics.failovers.With(n.ID).Inc()
-				if best == nil || best.err != nil || best.status >= 500 {
-					best = &res
-				}
-				continue
-			}
-			rt.writeProxied(w, res)
-			return
-		}
-		// Connected: relay the event stream chunk by chunk, flushing
-		// each so frames reach the client the moment the shard emits
-		// them. No failover past this point.
-		defer resp.Body.Close()
-		h := w.Header()
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			h.Set("Content-Type", ct)
-		}
-		h.Set("Cache-Control", "no-store")
-		h.Set(ShardHeader, n.ID)
-		w.WriteHeader(http.StatusOK)
-		flusher.Flush()
-		buf := make([]byte, 4096)
-		for {
-			nr, rerr := resp.Body.Read(buf)
-			if nr > 0 {
-				if _, werr := w.Write(buf[:nr]); werr != nil {
-					return
-				}
-				flusher.Flush()
-			}
-			if rerr != nil {
-				return
-			}
-		}
-	}
-	rt.metrics.exhausted.Inc()
-	if best == nil || best.err != nil {
-		writeRouterError(w, http.StatusBadGateway, "no shard reachable for GET %s", pathq)
-		return
-	}
-	rt.writeProxied(w, *best)
+	stream := r.URL.Query().Get("poll") != "1"
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(r.PathValue("id")), false), http.MethodGet, r.URL.RequestURI(), nil, true, stream)
 }
 
 // handleDiff routes POST /diff to the baseline job's primary. Both jobs
@@ -769,9 +689,8 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 // cross-shard pairs answer 404 from the owning shard and are documented
 // as a router limitation.
 func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBytes))
-	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, "read request: %v", err)
+	body, ok := readBody(w, r, maxProxyBytes)
+	if !ok {
 		return
 	}
 	var peek struct {
@@ -785,7 +704,7 @@ func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "diff request needs a baselineId")
 		return
 	}
-	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(peek.BaselineID), false), http.MethodPost, "/diff", body, false, nil)
+	rt.tryOwners(w, r, rt.routeOrder(rt.m.owners(peek.BaselineID), false), http.MethodPost, "/diff", body, false, false)
 }
 
 // shardHealth is one shard's row in the router's /cluster view.
@@ -810,24 +729,16 @@ func (rt *Router) probeShards(ctx context.Context) []shardHealth {
 	ctx, cancel := context.WithTimeout(ctx, rt.healthT)
 	defer cancel()
 	out := make([]shardHealth, len(rt.m.Shards))
-	var wg sync.WaitGroup
-	for i, n := range rt.m.Shards {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			sh := shardHealth{ID: n.ID, URL: n.URL, Status: "down"}
-			if rt.det != nil {
-				sh.Detector = rt.det.stateOf(n.ID).String()
-			}
-			res := rt.forward(ctx, n, http.MethodGet, "/healthz", nil, http.Header{})
-			if res.err == nil && res.status == http.StatusOK && json.Valid(res.body) {
-				sh.Status = "up"
-				sh.Health = res.body
-			}
-			out[i] = sh
-		}(i, n)
+	for i, res := range rt.scatter(ctx, "/healthz", nil) {
+		sh := shardHealth{ID: res.node.ID, URL: res.node.URL, Status: "down"}
+		if rt.det != nil {
+			sh.Detector = rt.det.stateOf(res.node.ID).String()
+		}
+		if res.err == nil && res.status == http.StatusOK && json.Valid(res.body) {
+			sh.Status, sh.Health = "up", res.body
+		}
+		out[i] = sh
 	}
-	wg.Wait()
 	return out
 }
 

@@ -38,6 +38,7 @@ type fakeShard struct {
 	submits   []string        // job IDs POSTed to /jobs
 	applied   []ReplicaRecord // records POSTed to /internal/replicate
 	deadlines []string        // X-Granula-Deadline values seen on reads
+	live      map[string]bool // job IDs whose /watch stream this shard holds
 }
 
 func (fs *fakeShard) setJob(id string, j fakeJob) {
@@ -59,8 +60,15 @@ func (fs *fakeShard) submittedIDs() []string {
 }
 
 func newFakeShard(id string) *fakeShard {
-	fs := &fakeShard{id: id, jobs: map[string]fakeJob{}}
+	fs := &fakeShard{id: id, jobs: map[string]fakeJob{}, live: map[string]bool{}}
 	mux := http.NewServeMux()
+	recordDeadline := func(r *http.Request) {
+		if h := r.Header.Get(DeadlineHeader); h != "" {
+			fs.mu.Lock()
+			fs.deadlines = append(fs.deadlines, h)
+			fs.mu.Unlock()
+		}
+	}
 	fail := func(w http.ResponseWriter) bool {
 		fs.hits.Add(1)
 		if d := fs.delay.Load(); d > 0 {
@@ -89,6 +97,7 @@ func newFakeShard(id string) *fakeShard {
 		fmt.Fprintf(w, "{\n  \"id\": %q,\n  \"status\": \"queued\"\n}\n", req.ID)
 	})
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+		recordDeadline(r)
 		if fail(w) {
 			return
 		}
@@ -106,11 +115,7 @@ func newFakeShard(id string) *fakeShard {
 		fmt.Fprintf(w, "{\"count\": %d, \"jobs\": [%s]}\n", len(entries), strings.Join(entries, ", "))
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if h := r.Header.Get(DeadlineHeader); h != "" {
-			fs.mu.Lock()
-			fs.deadlines = append(fs.deadlines, h)
-			fs.mu.Unlock()
-		}
+		recordDeadline(r)
 		if fail(w) {
 			return
 		}
@@ -146,6 +151,25 @@ func newFakeShard(id string) *fakeShard {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, j.body)
+	})
+	mux.HandleFunc("GET /watch/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if fail(w) {
+			return
+		}
+		id := r.PathValue("id")
+		fs.mu.Lock()
+		live := fs.live[id]
+		fs.mu.Unlock()
+		switch {
+		case !live:
+			http.Error(w, fmt.Sprintf("{\"error\": \"no live job %q\"}", id), http.StatusNotFound)
+		case r.URL.Query().Get("poll") == "1":
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, "{\"jobId\": %q, \"state\": \"streaming\"}\n", id)
+		default:
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "id: 1\nevent: op\ndata: {}\n\n")
+		}
 	})
 	mux.HandleFunc("POST "+ReplicatePath, func(w http.ResponseWriter, r *http.Request) {
 		if fail(w) {
@@ -502,6 +526,44 @@ func TestRouterListMergesShards(t *testing.T) {
 	if got := w.Header().Get("X-Granula-Shards-Down"); !strings.Contains(got, shards[0].id) {
 		t.Fatalf("down header %q does not name %s", got, shards[0].id)
 	}
+}
+
+// TestRouterWatchFailsOver: /watch is routed like a read in both its
+// forms. The first owner answers 404 because the stream lives on the
+// second; the SSE tail and the ?poll=1 batch alike must come back as
+// the second owner's 200, stamped with that shard.
+func TestRouterWatchFailsOver(t *testing.T) {
+	shards, m, rt := newFakeCluster(t, 3, 2, 1, 0)
+	const id = "job-watch"
+	owners := m.owners(id)
+	holder := byID(shards, owners[1].ID)
+	holder.mu.Lock()
+	holder.live[id] = true
+	holder.mu.Unlock()
+
+	for _, tc := range []struct {
+		name, path, contentType, body string
+	}{
+		{"sse", "/watch/" + id, "text/event-stream", "id: 1\nevent: op\ndata: {}\n\n"},
+		{"poll", "/watch/" + id + "?poll=1", "application/json", fmt.Sprintf("{\"jobId\": %q, \"state\": \"streaming\"}\n", id)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := routerGet(t, rt, tc.path, nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("watch = %d: %s", w.Code, w.Body)
+			}
+			if got := w.Header().Get(ShardHeader); got != holder.id {
+				t.Fatalf("served by %q, want the stream's holder %q", got, holder.id)
+			}
+			if got := w.Header().Get("Content-Type"); got != tc.contentType {
+				t.Fatalf("Content-Type %q, want %q", got, tc.contentType)
+			}
+			if got := w.Body.String(); got != tc.body {
+				t.Fatalf("body %q, want %q", got, tc.body)
+			}
+		})
+	}
+	rt.WaitRepairs()
 }
 
 func TestRouterClusterAndHealth(t *testing.T) {

@@ -807,6 +807,45 @@ func TestRouterPropagatesDeadlineToShards(t *testing.T) {
 	}
 }
 
+// TestRouterListCarriesDeadlineAndFeedsDetector: the GET /jobs fan-out
+// is a routed request like any other. Every shard sees the client's
+// deadline, and a shard the fan-out cannot reach is a detector miss.
+func TestRouterListCarriesDeadlineAndFeedsDetector(t *testing.T) {
+	shards, m, _ := newFakeCluster(t, 3, 2, 1, 0)
+	d := NewDetector(m, "", DetectorOptions{})
+	defer d.Close()
+	rt := NewRouter(m, RouterOptions{Detector: d})
+	deadline := time.Now().Add(5 * time.Second).UnixMilli()
+	hdr := map[string]string{DeadlineHeader: strconv.FormatInt(deadline, 10)}
+	if w := routerGet(t, rt, "/jobs", hdr); w.Code != http.StatusOK {
+		t.Fatalf("list = %d: %s", w.Code, w.Body)
+	}
+	for _, fs := range shards {
+		fs.mu.Lock()
+		seen := append([]string(nil), fs.deadlines...)
+		fs.mu.Unlock()
+		if len(seen) != 1 || seen[0] != hdr[DeadlineHeader] {
+			t.Fatalf("shard %s saw deadlines %v, want [%s]", fs.id, seen, hdr[DeadlineHeader])
+		}
+	}
+
+	dead := shards[2]
+	dead.srv.Close()
+	w := routerGet(t, rt, "/jobs", nil)
+	if got := w.Header().Get("X-Granula-Shards-Down"); !strings.Contains(got, dead.id) {
+		t.Fatalf("down header %q does not name %s", got, dead.id)
+	}
+	for _, st := range d.snapshot() {
+		want := 0
+		if st.ID == dead.id {
+			want = 1
+		}
+		if st.Misses != want {
+			t.Fatalf("detector counts %d misses for %s, want %d", st.Misses, st.ID, want)
+		}
+	}
+}
+
 func TestRouterPromotesPastDownPrimary(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 3, 2, 1, 0)
 	d := NewDetector(m, "", DetectorOptions{})

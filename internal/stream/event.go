@@ -161,6 +161,11 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 		dec.DisallowUnknownFields()
 		var e Event
 		if err := dec.Decode(&e); err != nil {
+			if rerr := sc.Err(); rerr != nil {
+				// A failed read (an oversized body, say) cut this last
+				// line short: the read is the error, not the line.
+				return nil, fmt.Errorf("stream: %w", rerr)
+			}
 			return nil, fmt.Errorf("stream: line %d: %w", lineNo, err)
 		}
 		// Trailing garbage after the object is malformed input, not a

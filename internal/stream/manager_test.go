@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/archive"
 	"repro/internal/datagen"
@@ -450,6 +452,17 @@ func TestDecodeEventsRejectsMalformed(t *testing.T) {
 		if _, err := DecodeEvents(strings.NewReader(line)); err == nil {
 			t.Errorf("decode accepted %q", line)
 		}
+	}
+}
+
+// TestDecodeEventsReportsReadError: a read that fails mid-line reports
+// the read's error, not the truncated line it left behind.
+func TestDecodeEventsReportsReadError(t *testing.T) {
+	body := `{"seq":1,"type":"start","op":"a"}` + "\n" + `{"seq":2,"type":"start","op":"b"}`
+	errCut := errors.New("read cut short")
+	r := io.MultiReader(strings.NewReader(body[:len(body)-5]), iotest.ErrReader(errCut))
+	if _, err := DecodeEvents(r); !errors.Is(err, errCut) {
+		t.Fatalf("decode of a cut read = %v, want the read error", err)
 	}
 }
 
