@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/envmon"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -101,18 +102,25 @@ func Example_customModel() {
 		log.Fatal(err)
 	}
 
-	// Run the instrumented job once, with the environment monitor on.
+	// Run the instrumented job once, with the environment monitor on,
+	// then assemble its operation log and samples into an archive job.
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.Config{
 		Nodes: 4, CoresPerNode: 8,
 		DiskBandwidth: 200e6, NICBandwidth: 1e9, SharedFSBandwidth: 500e6,
 		NodeNamePrefix: "node", NodeNameStart: 1,
 	})
-	session := &monitor.Session{Cluster: c, SampleInterval: 0.5, JobID: "sortmerge-1", Platform: "SortMerge"}
-	job, err := session.Run(func(p *sim.Proc, em *trace.Emitter) error {
+	oplog := trace.NewLog()
+	em := trace.NewEmitter(oplog, "sortmerge-1", eng.Now)
+	mon := envmon.Start(c, 0.5)
+	eng.Spawn("sortmerge", func(p *sim.Proc) {
 		sortMergeJob(p, c, em)
-		return nil
+		mon.Stop()
 	})
+	if err := eng.Run(); err != nil {
+		log.Fatal(err)
+	}
+	job, err := monitor.Assemble("sortmerge-1", "SortMerge", oplog.Records(), mon.Samples())
 	if err != nil {
 		log.Fatal(err)
 	}

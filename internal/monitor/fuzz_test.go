@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -218,12 +219,12 @@ func FuzzAssemble(f *testing.F) {
 				mine = append(mine, r)
 			}
 		}
-		a := NewAssembler("j", nil)
+		a := NewAssembler("j")
 		batchErr := a.AddBatch(mine, true)
 		if (batchErr == nil) != (gotErr == nil) {
 			t.Fatalf("AddBatch says %v, Assemble says %v", batchErr, gotErr)
 		}
-		if batchErr != nil && (a.Open() != 0 || a.root != nil || len(a.ops) != 0) {
+		if batchErr != nil && (a.Open() != 0 || a.root != nil || len(a.ops) != 0 || a.Ended() != 0) {
 			t.Fatalf("refused batch (%v) changed the assembler", batchErr)
 		}
 
@@ -250,6 +251,18 @@ func FuzzAssemble(f *testing.F) {
 			}
 			if b := savedBytes(t, batched); !bytes.Equal(b, wantBytes) {
 				t.Fatalf("AddBatch saves\n%s\noracle saves\n%s", b, wantBytes)
+			}
+			// The ended operations come back in the order of their end
+			// records.
+			var ends, got []string
+			for _, r := range mine {
+				if r.Event == trace.EventEnd {
+					ends = append(ends, r.Op)
+				}
+			}
+			a.EachEnded(func(op *archive.Operation, _ int, _ string) { got = append(got, op.ID) })
+			if a.Ended() != len(ends) || strings.Join(got, ",") != strings.Join(ends, ",") {
+				t.Fatalf("ended %d ops in order %v, end records say %v", a.Ended(), got, ends)
 			}
 		}
 	})

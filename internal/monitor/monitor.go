@@ -3,20 +3,16 @@
 // logs (operation records) and environment logs (resource samples) — and
 // assembles them into the operation tree of a performance archive. The
 // Assembler does that record by record, for a finished log (Assemble)
-// and for a live stream alike. The package also provides Session, the end-to-end harness that runs a job on the
-// simulated cluster with the environment monitor attached and returns the
-// assembled archive job.
+// and for a live stream alike, and keeps the operations that have ended
+// in end order, the rows a live query reads.
 package monitor
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"repro/internal/archive"
-	"repro/internal/cluster"
 	"repro/internal/envmon"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -25,15 +21,16 @@ import (
 // and info records and links operations into a tree. It links an
 // operation under its parent the moment it starts, so a parent must
 // start before its children, and keeps each operation's depth, mission
-// path and the count of operations still open. Assemble runs it over a
-// finished log; the live stream runs it as a job runs and finishes it
-// at seal. An Assembler is not safe for concurrent use.
+// path, the count of operations still open and the ended operations in
+// end order. Assemble runs it over a finished log; the live stream runs
+// it as a job runs and finishes it at seal. An Assembler is not safe for
+// concurrent use.
 type Assembler struct {
 	jobID string
 	ops   map[string]*node
 	root  *node
 	open  int
-	ended func(op *archive.Operation, depth int, path string)
+	ended []*node // in end order
 }
 
 // node is the assembly state of one started operation.
@@ -44,14 +41,25 @@ type node struct {
 	ended bool
 }
 
-// NewAssembler returns an empty assembler for jobID. ended, if non-nil,
-// is called with each operation as its end record is added.
-func NewAssembler(jobID string, ended func(op *archive.Operation, depth int, path string)) *Assembler {
-	return &Assembler{jobID: jobID, ops: map[string]*node{}, ended: ended}
+// NewAssembler returns an empty assembler for jobID.
+func NewAssembler(jobID string) *Assembler {
+	return &Assembler{jobID: jobID, ops: map[string]*node{}}
 }
 
 // Open returns the number of operations started and not yet ended.
 func (a *Assembler) Open() int { return a.open }
+
+// Ended returns the number of operations ended so far.
+func (a *Assembler) Ended() int { return len(a.ended) }
+
+// EachEnded calls fn with each ended operation in end order, with its
+// depth and mission path from the root ("A/B/C"). The operation is the
+// assembler's own: it must not be kept past a later Add.
+func (a *Assembler) EachEnded(fn func(op *archive.Operation, depth int, path string)) {
+	for _, n := range a.ended {
+		fn(n.op, n.depth, n.path)
+	}
+}
 
 // Op returns a started operation, or nil. The assembler keeps writing
 // to it as its end and info records arrive.
@@ -178,9 +186,7 @@ func (a *Assembler) add(r *trace.Record) {
 		n := a.ops[r.Op]
 		n.op.End, n.ended = r.Time, true
 		a.open--
-		if a.ended != nil {
-			a.ended(n.op, n.depth, n.path)
-		}
+		a.ended = append(a.ended, n)
 	case trace.EventInfo:
 		op := a.ops[r.Op].op
 		if op.Infos == nil {
@@ -196,7 +202,7 @@ func (a *Assembler) add(r *trace.Record) {
 // ignored. The records must describe a single rooted tree of completed
 // operations in which each operation starts after its parent does.
 func Assemble(jobID, platform string, records []trace.Record, samples []envmon.Sample) (*archive.Job, error) {
-	a := NewAssembler(jobID, nil)
+	a := NewAssembler(jobID)
 	for _, r := range records {
 		if r.Job != jobID {
 			continue
@@ -210,68 +216,4 @@ func Assemble(jobID, platform string, records []trace.Record, samples []envmon.S
 		env = append(env, archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
 	}
 	return a.Finish(platform, env)
-}
-
-// Session runs one instrumented job end to end: it starts the environment
-// monitor, executes the job body, serializes the platform log through the
-// text format (exercising the same parse path a real deployment uses),
-// and assembles the archive job.
-type Session struct {
-	// Cluster is the environment to monitor.
-	Cluster *cluster.Cluster
-	// SampleInterval is the environment monitor's period in simulated
-	// seconds (1.0 reproduces the paper's per-second CPU figures).
-	SampleInterval float64
-	// JobID and Platform label the archive job.
-	JobID    string
-	Platform string
-	// RecordSink, when non-nil, observes every platform-log record as it
-	// is emitted during Run, before assembly. SampleSink likewise
-	// observes every environment sample. Both are invoked synchronously
-	// from the simulation; they let live observers tail a running job
-	// without altering what Run assembles.
-	RecordSink func(trace.Record)
-	SampleSink func(envmon.Sample)
-}
-
-// Run executes body as a simulated process with an emitter bound to this
-// session's job, then assembles and returns the archive job. The
-// simulation engine is run to completion; Run must therefore be called
-// with an idle engine.
-func (s *Session) Run(body func(p *sim.Proc, em *trace.Emitter) error) (*archive.Job, error) {
-	if s.SampleInterval <= 0 {
-		s.SampleInterval = 1.0
-	}
-	eng := s.Cluster.Engine()
-	log := trace.NewLog()
-	if s.RecordSink != nil {
-		log.SetSink(s.RecordSink)
-	}
-	em := trace.NewEmitter(log, s.JobID, eng.Now)
-	mon := envmon.Start(s.Cluster, s.SampleInterval)
-	if s.SampleSink != nil {
-		mon.SetSink(s.SampleSink)
-	}
-	var bodyErr error
-	eng.Spawn("granula-session", func(p *sim.Proc) {
-		bodyErr = body(p, em)
-		mon.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("monitor: simulation failed: %w", err)
-	}
-	if bodyErr != nil {
-		return nil, bodyErr
-	}
-	// Round-trip the platform log through its text encoding: platforms
-	// write log files; Granula parses them.
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, log.Records()); err != nil {
-		return nil, fmt.Errorf("monitor: encode platform log: %w", err)
-	}
-	records, err := trace.Parse(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: parse platform log: %w", err)
-	}
-	return Assemble(s.JobID, s.Platform, records, mon.Samples())
 }

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/envmon"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -120,93 +118,13 @@ func TestAssembleErrors(t *testing.T) {
 			if _, err := Assemble("j", "p", c.records, nil); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("Assemble: error %v does not contain %q", err, c.wantErr)
 			}
-			a := NewAssembler("j", nil)
+			a := NewAssembler("j")
 			if err := a.AddBatch(c.records, true); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("AddBatch: error %v does not contain %q", err, c.wantErr)
 			}
-			if a.Open() != 0 || a.root != nil || len(a.ops) != 0 {
+			if a.Open() != 0 || a.root != nil || len(a.ops) != 0 || a.Ended() != 0 {
 				t.Fatal("a refused batch changed the assembler")
 			}
 		})
 	}
-}
-
-func TestSessionRunsEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.Config{
-		Nodes: 2, CoresPerNode: 4,
-		DiskBandwidth: 100, NICBandwidth: 100, SharedFSBandwidth: 100,
-		NodeNamePrefix: "n",
-	})
-	s := &Session{Cluster: c, SampleInterval: 0.5, JobID: "sess-1", Platform: "Test"}
-	job, err := s.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		root := em.Start(trace.Root, "Client", "Job")
-		work := em.Start(root, "Worker", "Work")
-		c.Node(0).Exec(p, 2) // 2 cpu-seconds
-		em.End(work)
-		em.End(root)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.ID != "sess-1" || job.Platform != "Test" {
-		t.Fatalf("job meta = %s/%s", job.ID, job.Platform)
-	}
-	if job.Root.Mission != "Job" || len(job.Root.Children) != 1 {
-		t.Fatalf("tree wrong: %+v", job.Root)
-	}
-	if job.Root.Duration() < 2 {
-		t.Fatalf("root duration = %v, want >= 2", job.Root.Duration())
-	}
-	// The environment monitor must have recorded the CPU work.
-	total := 0.0
-	for _, s := range job.EnvSamples {
-		total += s.CPUUsed()
-	}
-	if total < 2-1e-6 {
-		t.Fatalf("sampled CPU = %v, want ~2", total)
-	}
-	if n := eng.Shutdown(); n != 0 {
-		t.Fatalf("leaked %d processes", n)
-	}
-}
-
-func TestSessionPropagatesBodyError(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.Config{
-		Nodes: 1, CoresPerNode: 1,
-		DiskBandwidth: 1, NICBandwidth: 1, SharedFSBandwidth: 1,
-		NodeNamePrefix: "n",
-	})
-	s := &Session{Cluster: c, JobID: "fail", Platform: "Test"}
-	_, err := s.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		return strings.NewReader("").UnreadByte() // any error
-	})
-	if err == nil {
-		t.Fatal("expected body error to propagate")
-	}
-}
-
-func TestSessionDefaultInterval(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.Config{
-		Nodes: 1, CoresPerNode: 1,
-		DiskBandwidth: 1, NICBandwidth: 1, SharedFSBandwidth: 1,
-		NodeNamePrefix: "n",
-	})
-	s := &Session{Cluster: c, JobID: "d", Platform: "Test"}
-	job, err := s.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		op := em.Start(trace.Root, "c", "Job")
-		p.Sleep(2.5)
-		em.End(op)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(job.EnvSamples) < 2 {
-		t.Fatalf("samples = %d, want >= 2 at default 1s interval", len(job.EnvSamples))
-	}
-	_ = eng
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/gas"
+	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/pregel"
 	"repro/internal/yarn"
@@ -121,7 +122,7 @@ func powerGraphPaperConfig(ds *datagen.Dataset) gas.Config {
 		Machines:       8,
 		LoadThreads:    16,
 		ComputeThreads: 6,
-		CutStrategy:    graphCutDefault,
+		CutStrategy:    graph.VertexCutHash,
 		MaxIterations:  500,
 		ChunkBytes:     256 << 20,
 		WorkScale:      dg1000WorkScale(ds),

@@ -1,6 +1,7 @@
 package platforms
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -23,16 +24,6 @@ import (
 	"repro/internal/yarn"
 	"repro/internal/zookeeper"
 )
-
-// graphCutDefault keeps calibration.go free of a graph import cycle note.
-const graphCutDefault = graph.VertexCutHash
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Spec describes one job run under the Granula pipeline.
 type Spec struct {
@@ -59,8 +50,8 @@ type Spec struct {
 	// HostParallelism bounds the host goroutines the engines may use for
 	// semantic superstep/iteration compute. It changes only wall-clock
 	// speed — archives are byte-identical for every value. 0 selects
-	// runtime.NumCPU(); 1 forces the serial engine. When a Pregel/GAS
-	// override config sets its own HostParallelism, that wins.
+	// runtime.NumCPU(); 1 forces the serial engine. It is the only
+	// source of the engines' value: an override config's own is ignored.
 	HostParallelism int
 	// Pregel / GAS / Single override the calibrated platform configs
 	// when non-nil.
@@ -71,8 +62,9 @@ type Spec struct {
 	// when non-nil (e.g. for replication/locality ablations).
 	HDFS *dfs.HDFSConfig
 	// RecordSink and SampleSink, when non-nil, observe every platform-log
-	// record and environment sample live as the simulation emits them
-	// (see monitor.Session). They do not change the assembled archive.
+	// record and environment sample live, synchronously from the
+	// simulation as it emits them. They do not change the assembled
+	// archive.
 	RecordSink func(trace.Record)
 	SampleSink func(envmon.Sample)
 }
@@ -142,6 +134,11 @@ func finishErr(ctx context.Context, err error) error {
 	return err
 }
 
+// body is a platform job, run as the one simulated process of RunContext
+// with the emitter of the job's platform log. It returns the algorithm's
+// result in an Output for finish to complete.
+type body func(p *sim.Proc, em *trace.Emitter) (*Output, error)
+
 // RunContext is Run with cancellation: when ctx is canceled or its
 // deadline passes, the simulation engine is interrupted between events,
 // its processes are unwound, and the context's error is returned.
@@ -155,7 +152,7 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 	if spec.Cluster.Nodes == 0 {
 		spec.Cluster = DAS5Config()
 	}
-	if spec.SampleInterval == 0 {
+	if spec.SampleInterval <= 0 {
 		spec.SampleInterval = 1.0
 	}
 	if spec.Iterations == 0 {
@@ -170,23 +167,73 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("platforms: run aborted: %w", err)
 	}
+	var (
+		platform string
+		model    *core.Model
+		setup    func(Spec, *cluster.Cluster) (body, error)
+	)
 	switch strings.ToLower(spec.Platform) {
 	case "giraph":
-		return runGiraph(ctx, spec)
+		platform, model, setup = "Giraph", core.GiraphModel(), giraph
 	case "powergraph":
-		return runPowerGraph(ctx, spec)
+		platform, model, setup = "PowerGraph", core.PowerGraphModel(), powerGraph
 	case "openg":
-		return runSingleNode(ctx, spec)
+		platform, model, setup = "OpenG", core.SingleNodeModel(), openG
 	default:
 		return nil, fmt.Errorf("platforms: unknown platform %q", spec.Platform)
 	}
-}
 
-func runGiraph(ctx context.Context, spec Spec) (*Output, error) {
 	eng := sim.NewEngine()
 	defer eng.Shutdown()
 	defer watchContext(ctx, eng)()
 	c := cluster.New(eng, spec.Cluster)
+	run, err := setup(spec, c)
+	if err != nil {
+		return nil, err
+	}
+	log := trace.NewLog()
+	if spec.RecordSink != nil {
+		log.SetSink(spec.RecordSink)
+	}
+	em := trace.NewEmitter(log, spec.JobID, eng.Now)
+	mon := envmon.Start(c, spec.SampleInterval)
+	if spec.SampleSink != nil {
+		mon.SetSink(spec.SampleSink)
+	}
+	var (
+		out    *Output
+		runErr error
+	)
+	eng.Spawn("granula-session", func(p *sim.Proc) {
+		out, runErr = run(p, em)
+		mon.Stop()
+	})
+	if err := eng.Run(); err != nil {
+		return nil, finishErr(ctx, fmt.Errorf("platforms: simulation failed: %w", err))
+	}
+	if runErr != nil {
+		return nil, finishErr(ctx, runErr)
+	}
+	// Round-trip the platform log through its text encoding: platforms
+	// write log files; Granula parses them.
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, log.Records()); err != nil {
+		return nil, fmt.Errorf("platforms: encode platform log: %w", err)
+	}
+	records, err := trace.Parse(&buf)
+	if err != nil {
+		return nil, fmt.Errorf("platforms: parse platform log: %w", err)
+	}
+	job, err := monitor.Assemble(spec.JobID, platform, records, mon.Samples())
+	if err != nil {
+		return nil, finishErr(ctx, err)
+	}
+	return finish(job, model, out)
+}
+
+// giraph configures a Giraph deployment on c, stages the input in its
+// HDFS, and returns the job body.
+func giraph(spec Spec, c *cluster.Cluster) (body, error) {
 	cfg := giraphPaperConfig(spec.Dataset)
 	if spec.Pregel != nil {
 		cfg = *spec.Pregel
@@ -194,13 +241,11 @@ func runGiraph(ctx context.Context, spec Spec) (*Output, error) {
 		// Fit the calibrated deployment to the requested cluster: one
 		// worker per node, threads bounded by the node's cores.
 		cfg.Workers = spec.Cluster.Nodes
-		cfg.ComputeThreads = minInt(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
-		cfg.ParseThreads = minInt(cfg.ParseThreads, spec.Cluster.CoresPerNode)
+		cfg.ComputeThreads = min(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
+		cfg.ParseThreads = min(cfg.ParseThreads, spec.Cluster.CoresPerNode)
 	}
 	cfg.WorkScale = spec.WorkScale
-	if cfg.HostParallelism == 0 {
-		cfg.HostParallelism = spec.HostParallelism
-	}
+	cfg.HostParallelism = spec.HostParallelism
 	prog, combiner, err := pregelProgram(spec)
 	if err != nil {
 		return nil, err
@@ -224,43 +269,28 @@ func runGiraph(ctx context.Context, spec Spec) (*Output, error) {
 	if err := pregel.StageInput(h, deps.InputPath, spec.Dataset, cfg.WorkScale); err != nil {
 		return nil, err
 	}
-	session := &monitor.Session{
-		Cluster:        c,
-		SampleInterval: spec.SampleInterval,
-		JobID:          spec.JobID,
-		Platform:       "Giraph",
-		RecordSink:     spec.RecordSink,
-		SampleSink:     spec.SampleSink,
-	}
-	var res *pregel.Result
-	job, err := session.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		var runErr error
-		res, runErr = pregel.RunJob(p, deps, cfg, prog, spec.Dataset, em)
-		return runErr
-	})
-	if err != nil {
-		return nil, finishErr(ctx, err)
-	}
-	return finish(spec, job, core.GiraphModel(), res.Values, res.Supersteps, res.Runtime)
+	return func(p *sim.Proc, em *trace.Emitter) (*Output, error) {
+		res, err := pregel.RunJob(p, deps, cfg, prog, spec.Dataset, em)
+		if err != nil {
+			return nil, err
+		}
+		return &Output{Values: res.Values, Supersteps: res.Supersteps, Runtime: res.Runtime}, nil
+	}, nil
 }
 
-func runPowerGraph(ctx context.Context, spec Spec) (*Output, error) {
-	eng := sim.NewEngine()
-	defer eng.Shutdown()
-	defer watchContext(ctx, eng)()
-	c := cluster.New(eng, spec.Cluster)
+// powerGraph configures a PowerGraph deployment on c, stages the input
+// in its shared store, and returns the job body.
+func powerGraph(spec Spec, c *cluster.Cluster) (body, error) {
 	cfg := powerGraphPaperConfig(spec.Dataset)
 	if spec.GAS != nil {
 		cfg = *spec.GAS
 	} else {
 		cfg.Machines = spec.Cluster.Nodes
-		cfg.LoadThreads = minInt(cfg.LoadThreads, spec.Cluster.CoresPerNode)
-		cfg.ComputeThreads = minInt(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
+		cfg.LoadThreads = min(cfg.LoadThreads, spec.Cluster.CoresPerNode)
+		cfg.ComputeThreads = min(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
 	}
 	cfg.WorkScale = spec.WorkScale
-	if cfg.HostParallelism == 0 {
-		cfg.HostParallelism = spec.HostParallelism
-	}
+	cfg.HostParallelism = spec.HostParallelism
 	prog, err := gasProgram(spec)
 	if err != nil {
 		return nil, err
@@ -276,71 +306,42 @@ func runPowerGraph(ctx context.Context, spec Spec) (*Output, error) {
 	if err := gas.StageInput(store, deps.InputPath, spec.Dataset, cfg.WorkScale); err != nil {
 		return nil, err
 	}
-	session := &monitor.Session{
-		Cluster:        c,
-		SampleInterval: spec.SampleInterval,
-		JobID:          spec.JobID,
-		Platform:       "PowerGraph",
-		RecordSink:     spec.RecordSink,
-		SampleSink:     spec.SampleSink,
-	}
-	var res *gas.Result
-	job, err := session.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		var runErr error
-		res, runErr = gas.RunJob(p, deps, cfg, prog, spec.Dataset, em)
-		return runErr
-	})
-	if err != nil {
-		return nil, finishErr(ctx, err)
-	}
-	out, err := finish(spec, job, core.PowerGraphModel(), res.Values, res.Iterations, res.Runtime)
-	if err != nil {
-		return nil, err
-	}
-	out.ReplicationFactor = res.ReplicationFactor
-	return out, nil
+	return func(p *sim.Proc, em *trace.Emitter) (*Output, error) {
+		res, err := gas.RunJob(p, deps, cfg, prog, spec.Dataset, em)
+		if err != nil {
+			return nil, err
+		}
+		return &Output{Values: res.Values, Supersteps: res.Iterations, Runtime: res.Runtime,
+			ReplicationFactor: res.ReplicationFactor}, nil
+	}, nil
 }
 
-func runSingleNode(ctx context.Context, spec Spec) (*Output, error) {
-	eng := sim.NewEngine()
-	defer eng.Shutdown()
-	defer watchContext(ctx, eng)()
-	c := cluster.New(eng, spec.Cluster)
-	cfg := spec.Single
-	if cfg == nil {
-		d := single.DefaultConfig()
-		d.Threads = minInt(d.Threads, spec.Cluster.CoresPerNode)
-		cfg = &d
+// openG configures the single-node OpenG deployment on c, stages its
+// input, and returns the job body.
+func openG(spec Spec, c *cluster.Cluster) (body, error) {
+	cfg := single.DefaultConfig()
+	if spec.Single != nil {
+		cfg = *spec.Single
+	} else {
+		cfg.Threads = min(cfg.Threads, spec.Cluster.CoresPerNode)
 	}
-	runCfg := *cfg
-	runCfg.WorkScale = spec.WorkScale
+	cfg.WorkScale = spec.WorkScale
 	kernel, err := singleKernel(spec)
 	if err != nil {
 		return nil, err
 	}
 	deps := single.Deps{
 		Cluster:    c,
-		InputBytes: single.StageInput(spec.Dataset, runCfg.WorkScale),
+		InputBytes: single.StageInput(spec.Dataset, cfg.WorkScale),
 		OutputPath: "/local/out",
 	}
-	session := &monitor.Session{
-		Cluster:        c,
-		SampleInterval: spec.SampleInterval,
-		JobID:          spec.JobID,
-		Platform:       "OpenG",
-		RecordSink:     spec.RecordSink,
-		SampleSink:     spec.SampleSink,
-	}
-	var res *single.Result
-	job, err := session.Run(func(p *sim.Proc, em *trace.Emitter) error {
-		var runErr error
-		res, runErr = single.RunJob(p, deps, runCfg, kernel, spec.Dataset, em)
-		return runErr
-	})
-	if err != nil {
-		return nil, finishErr(ctx, err)
-	}
-	return finish(spec, job, core.SingleNodeModel(), res.Values, res.Iterations, res.Runtime)
+	return func(p *sim.Proc, em *trace.Emitter) (*Output, error) {
+		res, err := single.RunJob(p, deps, cfg, kernel, spec.Dataset, em)
+		if err != nil {
+			return nil, err
+		}
+		return &Output{Values: res.Values, Supersteps: res.Iterations, Runtime: res.Runtime}, nil
+	}, nil
 }
 
 // singleKernel maps an algorithm name to its single-node kernel.
@@ -363,7 +364,10 @@ func singleKernel(spec Spec) (single.Kernel, error) {
 	}
 }
 
-func finish(spec Spec, job *archive.Job, model *core.Model, values []float64, steps int, runtime float64) (*Output, error) {
+// finish completes out, the platform body's result, with the assembled
+// job: it applies the standard derivation rules, annotates the domain
+// breakdown, validates the job and checks it against model.
+func finish(job *archive.Job, model *core.Model, out *Output) (*Output, error) {
 	metrics.StandardRules().Apply(job)
 	breakdown, err := metrics.AnnotateDomainBreakdown(job)
 	if err != nil {
@@ -372,15 +376,8 @@ func finish(spec Spec, job *archive.Job, model *core.Model, values []float64, st
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	return &Output{
-		Job:         job,
-		Breakdown:   breakdown,
-		Values:      values,
-		Supersteps:  steps,
-		Runtime:     runtime,
-		Model:       model,
-		ModelErrors: model.CheckJob(job),
-	}, nil
+	out.Job, out.Breakdown, out.Model, out.ModelErrors = job, breakdown, model, model.CheckJob(job)
+	return out, nil
 }
 
 // pregelProgram maps an algorithm name to its Pregel program and natural

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chokepoint"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
+	"repro/internal/single"
 )
 
 func smallDataset(t *testing.T) *datagen.Dataset {
@@ -273,6 +274,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Spec{Platform: "Giraph", Algorithm: "BFS"}); err == nil {
 		t.Fatal("missing dataset should fail")
 	}
+	// An error of the platform's job body comes back from Run.
+	_, err := Run(Spec{Platform: "OpenG", Algorithm: "BFS", Dataset: ds, Cluster: smallCluster(),
+		WorkScale: 1, Single: &single.Config{NodeID: 99}})
+	if err == nil || !strings.Contains(err.Error(), "node 99 out of range") {
+		t.Fatalf("body error: got %v", err)
+	}
 }
 
 func TestRunDefaultJobID(t *testing.T) {
@@ -284,6 +291,17 @@ func TestRunDefaultJobID(t *testing.T) {
 	}
 	if !strings.Contains(out.Job.ID, "giraph-bfs") {
 		t.Fatalf("job ID = %q", out.Job.ID)
+	}
+	// The environment monitor samples every simulated second by default.
+	seconds := map[float64]bool{}
+	for _, s := range out.Job.EnvSamples {
+		if s.Time != math.Trunc(s.Time) {
+			t.Fatalf("sample at %v s, want whole seconds", s.Time)
+		}
+		seconds[s.Time] = true
+	}
+	if len(seconds) < 2 {
+		t.Fatalf("samples at %d distinct times, want at least 2", len(seconds))
 	}
 }
 

@@ -13,18 +13,17 @@ import (
 // and info keys and values into its key/value table. It declares no
 // column of its own — the frame is the only row layout — and adds just
 // the intern maps a builder needs. BuildColumns fills it from a tree in
-// depth-first order; AppendColumns fills it as a live job's operations
-// complete. Either way it is immutable once handed out, and queries
-// evaluate against its typed columns (Frame.column) instead of
-// converting fields to strings per operation the way the tree walker
-// does. The tree walker (Query.Select, in the tests) is the oracle:
-// Query.SelectColumns returns the rows of exactly the same operations
-// in the same order.
+// depth-first order; ColumnsFrom fills it from rows in any order, such
+// as a live job's completed operations. Either way it is immutable once
+// handed out, and queries evaluate against its typed columns
+// (Frame.column) instead of converting fields to strings per operation
+// the way the tree walker does. The tree walker (Query.Select, in the
+// tests) is the oracle: Query.SelectColumns returns the rows of exactly
+// the same operations in the same order.
 type Columns struct {
 	f Frame
 	// symIDs, pathIDs and kvIDs index f.Syms, f.Paths and f.kvs while rows
-	// are being added; nil once BuildColumns returns and on snapshots,
-	// both read-only.
+	// are being added; nil once the columns are built and read-only.
 	symIDs, pathIDs, kvIDs map[string]uint32
 	keys                   []string // scratch for sorting one map's keys
 }
@@ -94,15 +93,25 @@ func BuildColumns(job *archive.Job) *Columns {
 	if job == nil || job.Root == nil {
 		return &Columns{}
 	}
-	c := newColumns()
-	var walk func(op *archive.Operation, d int32, path string)
-	walk = func(op *archive.Operation, d int32, path string) {
-		c.add(op, d, path)
-		for _, ch := range op.Children {
-			walk(ch, d+1, path+"/"+ch.Mission)
+	return ColumnsFrom(func(add func(op *archive.Operation, depth int, path string)) {
+		var walk func(op *archive.Operation, d int, path string)
+		walk = func(op *archive.Operation, d int, path string) {
+			add(op, d, path)
+			for _, ch := range op.Children {
+				walk(ch, d+1, path+"/"+ch.Mission)
+			}
 		}
-	}
-	walk(job.Root, 0, job.Root.Mission)
+		walk(job.Root, 0, job.Root.Mission)
+	})
+}
+
+// ColumnsFrom builds columns from the rows each passes to add, in that
+// order: an operation, its tree depth and its mission path from the
+// root ("A/B/C"). The columns copy what they need of each operation, its
+// infos included, and keep nothing of it once ColumnsFrom returns.
+func ColumnsFrom(each func(add func(op *archive.Operation, depth int, path string))) *Columns {
+	c := newColumns()
+	each(func(op *archive.Operation, depth int, path string) { c.add(op, int32(depth), path) })
 	// The columns are read-only from here; the intern maps are garbage.
 	c.symIDs, c.pathIDs, c.kvIDs, c.keys = nil, nil, nil, nil
 	return &c

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/archive"
@@ -60,18 +59,23 @@ func requireColumnsIdentical(t *testing.T, want, got *Columns) {
 	}
 }
 
-// TestAppendColumnsDFSOrderEqualsBuild pins the seal-equivalence
-// property at the column layer: appending a finished tree's operations
-// in depth-first order produces columns identical — rows, typed values,
-// and symbol table — to a from-scratch BuildColumns.
-func TestAppendColumnsDFSOrderEqualsBuild(t *testing.T) {
+// columnsOf builds columns from explicit rows with ColumnsFrom.
+func columnsOf(rows []opDepth) *Columns {
+	return ColumnsFrom(func(add func(op *archive.Operation, depth int, path string)) {
+		for _, od := range rows {
+			add(od.op, od.depth, od.path)
+		}
+	})
+}
+
+// TestColumnsFromDFSOrderEqualsBuild pins the seal-equivalence property
+// at the column layer: a finished tree's operations given to ColumnsFrom
+// in depth-first order produce columns identical — rows, typed values,
+// and symbol table — to a from-scratch walk of the tree.
+func TestColumnsFromDFSOrderEqualsBuild(t *testing.T) {
 	jobs := []*archive.Job{testJob(), weirdJob(), randomJob(rand.New(rand.NewSource(7)), 300)}
 	for _, job := range jobs {
-		ac := NewAppendColumns()
-		for _, od := range flattenDFS(job) {
-			ac.Append(od.op, od.depth, od.path)
-		}
-		requireColumnsIdentical(t, BuildColumns(job), ac.Snapshot())
+		requireColumnsIdentical(t, BuildColumns(job), columnsOf(flattenDFS(job)))
 	}
 }
 
@@ -108,22 +112,18 @@ func appendOracleSelect(q *Query, rows []opDepth) []*archive.Operation {
 	return out
 }
 
-// TestAppendColumnsCompletionOrderOracle runs every oracle query over
-// columns appended in a shuffled (completion-like) order and checks
+// TestColumnsFromCompletionOrderOracle runs every oracle query over
+// columns built in a shuffled (completion-like) order and checks
 // SelectColumns against an independent reimplementation of the tree
 // walker's semantics over that same arrival order. This is the live
 // /query contract: completed operations, arrival order, identical
 // predicate and sort semantics.
-func TestAppendColumnsCompletionOrderOracle(t *testing.T) {
+func TestColumnsFromCompletionOrderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, job := range []*archive.Job{testJob(), weirdJob(), randomJob(rng, 200)} {
 		rows := flattenDFS(job)
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		ac := NewAppendColumns()
-		for _, od := range rows {
-			ac.Append(od.op, od.depth, od.path)
-		}
-		snap := ac.Snapshot()
+		cols := columnsOf(rows)
 		order := make([]*archive.Operation, len(rows))
 		for i, od := range rows {
 			order[i] = od.op
@@ -133,63 +133,7 @@ func TestAppendColumnsCompletionOrderOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", qs, err)
 			}
-			assertSameOps(t, qs, appendOracleSelect(q, rows), q.SelectColumns(snap), order)
+			assertSameOps(t, qs, appendOracleSelect(q, rows), q.SelectColumns(cols), order)
 		}
-	}
-}
-
-// TestAppendColumnsSnapshotIsolation proves a snapshot never observes
-// rows appended after it was taken, and that concurrent appenders and
-// queriers are race-free (run under -race).
-func TestAppendColumnsSnapshotIsolation(t *testing.T) {
-	job := randomJob(rand.New(rand.NewSource(3)), 500)
-	rows := flattenDFS(job)
-	ac := NewAppendColumns()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			queries := []string{`mission = Compute`, `duration > 5 order by start`, `actor ~ Worker limit 9`,
-				`info.Vertices >= 1000 order by info.Vertices`, `derived.PercentOfJob > 10`}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := ac.Snapshot()
-				n := snap.rows()
-				for _, qs := range queries {
-					q, err := Parse(qs)
-					if err != nil {
-						t.Errorf("parse: %v", err)
-						return
-					}
-					got := q.SelectColumns(snap)
-					if len(got) > n {
-						t.Errorf("snapshot of %d rows returned %d ops", n, len(got))
-						return
-					}
-					for _, r := range got {
-						_, _ = snap.f.Infos(r), snap.f.Derived(r)
-					}
-				}
-				if snap.rows() != n {
-					t.Errorf("snapshot grew from %d to %d rows", n, snap.rows())
-					return
-				}
-			}
-		}(int64(r))
-	}
-	for _, od := range rows {
-		ac.Append(od.op, od.depth, od.path)
-	}
-	close(stop)
-	wg.Wait()
-	if ac.Rows() != len(rows) {
-		t.Fatalf("appended %d rows, have %d", len(rows), ac.Rows())
 	}
 }

@@ -43,6 +43,17 @@ const siteRun = "executor.run"
 // maxTimeoutSeconds bounds JobRequest.TimeoutSeconds (about 11 days).
 const maxTimeoutSeconds = 1e6
 
+// Bounds on a JobRequest's sizes. The generator and the simulated
+// cluster allocate in proportion to them, so an unbounded request could
+// exhaust the server's memory; these leave room above the largest jobs
+// in use (the 200k-vertex, 1M-edge dg1000 stand-in).
+const (
+	maxVertices   = 1_000_000
+	maxEdges      = 10_000_000
+	maxNodes      = 64
+	maxIterations = 1_000
+)
+
 // JobRequest describes one simulation to run. Zero fields select the
 // documented defaults, which are filled in at submission time so the
 // recorded request (and hence the status JSON) is self-describing.
@@ -99,6 +110,10 @@ func (r *JobRequest) validate() error {
 	}
 	if r.Vertices < 0 || r.Edges < 0 || r.Nodes < 0 || r.Iterations < 0 {
 		return fmt.Errorf("service: job request sizes must be non-negative")
+	}
+	if r.Vertices > maxVertices || r.Edges > maxEdges || r.Nodes > maxNodes || r.Iterations > maxIterations {
+		return fmt.Errorf("service: job request sizes must be at most %d vertices, %d edges, %d nodes and %d iterations",
+			maxVertices, maxEdges, maxNodes, maxIterations)
 	}
 	if math.IsNaN(r.TimeoutSeconds) || math.IsInf(r.TimeoutSeconds, 0) || r.TimeoutSeconds < 0 {
 		return fmt.Errorf("service: job timeout must be a non-negative finite number of seconds")
@@ -229,14 +244,23 @@ type Executor struct {
 	rng   *rand.Rand // backoff jitter
 
 	dsMu     sync.Mutex
-	datasets map[datasetKey]*datagen.Dataset
+	datasets []cachedDataset // least recently used first; at most maxDatasets
 }
+
+// maxDatasets bounds the executor's dataset cache. Its keys are chosen
+// by clients, so past the bound the least recently used dataset goes.
+const maxDatasets = 16
 
 type datasetKey struct {
 	kind     string
 	vertices int64
 	edges    int64
 	seed     int64
+}
+
+type cachedDataset struct {
+	key datasetKey
+	ds  *datagen.Dataset
 }
 
 // NewExecutorWith starts a pool of workers over a queue of the given
@@ -276,7 +300,6 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 		queueCap: queueCap,
 		states:   map[string]*JobState{},
 		rng:      rand.New(rand.NewSource(1)),
-		datasets: map[datasetKey]*datagen.Dataset{},
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.wg.Add(workers)
@@ -640,8 +663,13 @@ func (e *Executor) dataset(req JobRequest) (*datagen.Dataset, error) {
 	key := datasetKey{kind: req.GraphKind, vertices: req.Vertices, edges: req.Edges, seed: req.Seed}
 	e.dsMu.Lock()
 	defer e.dsMu.Unlock()
-	if ds, ok := e.datasets[key]; ok {
-		return ds, nil
+	for i, c := range e.datasets {
+		if c.key == key {
+			// Move the hit to the most recently used end.
+			copy(e.datasets[i:], e.datasets[i+1:])
+			e.datasets[len(e.datasets)-1] = c
+			return c.ds, nil
+		}
 	}
 	var kind datagen.Kind
 	switch req.GraphKind {
@@ -659,7 +687,10 @@ func (e *Executor) dataset(req JobRequest) (*datagen.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.datasets[key] = ds
+	if len(e.datasets) == maxDatasets {
+		e.datasets = append(e.datasets[:0], e.datasets[1:]...)
+	}
+	e.datasets = append(e.datasets, cachedDataset{key, ds})
 	return ds, nil
 }
 

@@ -2,8 +2,11 @@ package service
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
 )
 
 // smallRequest is a fast-running request for executor tests.
@@ -97,6 +100,74 @@ func TestExecutorValidatesRequests(t *testing.T) {
 	}
 	if _, err := e.submit(req); err == nil {
 		t.Fatal("duplicate job ID accepted")
+	}
+}
+
+// TestJobRequestValidateBounds checks validate's size bounds at their
+// edges: each size is accepted at its bound and refused one past it, so
+// an oversized request answers 400 before the executor generates or
+// simulates anything.
+func TestJobRequestValidateBounds(t *testing.T) {
+	base := JobRequest{Platform: "Giraph", Algorithm: "BFS"}
+	for _, c := range []struct {
+		name string
+		set  func(r *JobRequest, n int64)
+		max  int64
+	}{
+		{"vertices", func(r *JobRequest, n int64) { r.Vertices = n }, maxVertices},
+		{"edges", func(r *JobRequest, n int64) { r.Edges = n }, maxEdges},
+		{"nodes", func(r *JobRequest, n int64) { r.Nodes = int(n) }, maxNodes},
+		{"iterations", func(r *JobRequest, n int64) { r.Iterations = int(n) }, maxIterations},
+	} {
+		for _, n := range []int64{c.max, c.max + 1, math.MaxInt32} {
+			req := base
+			c.set(&req, n)
+			if err := req.validate(); (err == nil) != (n <= c.max) {
+				t.Errorf("%s = %d: validate says %v", c.name, n, err)
+			}
+		}
+	}
+	req := base
+	req.Vertices = math.MaxInt64
+	if err := req.validate(); err == nil {
+		t.Fatal("validate accepted 2^63-1 vertices")
+	}
+}
+
+// TestExecutorDatasetCacheEvictsLRU fills the dataset cache past its
+// bound with tiny client-chosen graphs: it keeps maxDatasets of them,
+// dropping the least recently used, so a recently used one survives.
+func TestExecutorDatasetCacheEvictsLRU(t *testing.T) {
+	e := NewExecutorWith(1, 1, newStore(), nil, ExecutorOptions{})
+	defer e.Shutdown(context.Background())
+
+	req := func(seed int64) JobRequest {
+		return JobRequest{GraphKind: "uniform", Vertices: 8, Edges: 16, Seed: seed}
+	}
+	get := func(seed int64) *datagen.Dataset {
+		ds, err := e.dataset(req(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	first := get(1)
+	second := get(2)
+	for seed := int64(3); seed <= maxDatasets; seed++ {
+		get(seed)
+	}
+	if get(1) != first { // a hit, which makes seed 2 the least recently used
+		t.Fatal("a cached dataset was generated again")
+	}
+	get(maxDatasets + 1)
+	if n := len(e.datasets); n != maxDatasets {
+		t.Fatalf("cache holds %d datasets after %d, want %d", n, maxDatasets+1, maxDatasets)
+	}
+	if get(1) != first {
+		t.Fatal("the most recently used dataset was evicted")
+	}
+	if get(2) == second {
+		t.Fatal("the least recently used dataset was kept")
 	}
 }
 

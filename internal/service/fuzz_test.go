@@ -10,7 +10,7 @@ import (
 
 // FuzzJobRequest fuzzes the submit pipeline's pure half: JSON decode →
 // validate → applyDefaults must never panic, must reject NaN/Inf and
-// negative timeouts and negative sizes, and must leave any accepted
+// negative timeouts and negative or oversized sizes, and must leave any accepted
 // request in a state the executor can run (positive sizes, a known
 // graph kind, a deadline that converts to a non-negative Duration).
 func FuzzJobRequest(f *testing.F) {
@@ -48,6 +48,9 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if req.Vertices < 0 || req.Edges < 0 || req.Nodes < 0 || req.Iterations < 0 {
 			t.Fatalf("validate accepted negative sizes: %+v", req)
+		}
+		if req.Vertices > maxVertices || req.Edges > maxEdges || req.Nodes > maxNodes || req.Iterations > maxIterations {
+			t.Fatalf("validate accepted oversized sizes: %+v", req)
 		}
 		if math.IsNaN(req.TimeoutSeconds) || math.IsInf(req.TimeoutSeconds, 0) || req.TimeoutSeconds < 0 {
 			t.Fatalf("validate accepted a bad timeout: %v", req.TimeoutSeconds)

@@ -112,13 +112,9 @@ func (m *Manager) open(id string, internal bool) (*Job, error) {
 	j := &Job{
 		id:       id,
 		internal: internal,
-		cols:     query.NewAppendColumns(),
+		asm:      monitor.NewAssembler(id),
 		subs:     map[chan struct{}]struct{}{},
 	}
-	// Appending copies the row, infos included: info events may still
-	// arrive for an ended op (the archive sees them), but live readers
-	// never see the map they write.
-	j.asm = monitor.NewAssembler(id, j.cols.Append)
 	m.jobs[id] = j
 	return j, nil
 }
@@ -169,9 +165,8 @@ func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 }
 
 // Job is one live job's stream state: the dense event log, the
-// operation tree its assembler has built so far, the append-mode
-// columnar index over completed operations, and the subscriber set for
-// /watch tails.
+// operation tree its assembler has built so far, and the subscriber set
+// for /watch tails.
 type Job struct {
 	id       string
 	internal bool
@@ -180,8 +175,7 @@ type Job struct {
 	events  []Event
 	lastSeq uint64
 
-	asm  *monitor.Assembler
-	cols *query.AppendColumns
+	asm *monitor.Assembler
 
 	sealed    bool
 	sealState string
@@ -219,7 +213,7 @@ func (j *Job) Meta() (platform, algorithm string) {
 func (j *Job) Progress() (events, completedOps, openOps int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.events), j.cols.Rows(), j.asm.Open()
+	return len(j.events), j.asm.Ended(), j.asm.Open()
 }
 
 func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
@@ -384,10 +378,14 @@ func (j *Job) notifyLocked() {
 	}
 }
 
-// Columns returns a point-in-time snapshot of the incremental columnar
-// index over completed operations (completion order).
+// Columns returns the columns of the operations completed so far, in
+// completion order. They are built on each call from the assembler's
+// ended operations, infos as they stand now, and share nothing with the
+// live tree.
 func (j *Job) Columns() *query.Columns {
-	return j.cols.Snapshot()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return query.ColumnsFrom(j.asm.EachEnded)
 }
 
 // opStart returns the start time and mission of a started operation.
