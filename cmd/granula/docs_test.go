@@ -2,20 +2,28 @@ package main
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestDocCommands holds the documents to the binaries: every `go run
-// ./cmd/<x>` names a package that exists, and every `granula <sub> ...`
-// command line names a subcommand whose own FlagSet parses its flags.
-// Nothing runs. Every subcommand must be documented at least once.
+// ./cmd/<x>` names a package that exists, every `go run ./cmd/experiments
+// ...` line parses against that command's flags with each -exp value one
+// of its experiments, and every `granula <sub> ...` command line names a
+// subcommand whose own FlagSet parses its flags. Nothing runs. Every
+// subcommand must be documented at least once.
 func TestDocCommands(t *testing.T) {
 	goRun := regexp.MustCompile(`go run \./cmd/([\w-]+)`)
+	experimentsCmd := regexp.MustCompile("go run \\./cmd/experiments([^`]*)")
+	experiments, exps := experimentsCLI(t)
 	// One space after "granula": aligned columns such as the README's
 	// layout listing are not command lines.
 	granulaCmd := regexp.MustCompile("(?:^|[\\s`/(])granula ([^\\s`]+)(.*)")
@@ -35,6 +43,18 @@ func TestDocCommands(t *testing.T) {
 			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
 				if files, _ := filepath.Glob(filepath.Join("..", m[1], "*.go")); len(files) == 0 {
 					t.Errorf("%s:%d: go run ./cmd/%s: no such package", doc, at, m[1])
+				}
+			}
+			for _, m := range experimentsCmd.FindAllStringSubmatch(line, -1) {
+				fs := experiments()
+				args := shellWords(m[1])
+				if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+					t.Errorf("%s:%d: go run ./cmd/experiments %q does not parse: %v %v", doc, at, args, err, fs.Args())
+				}
+				for _, exp := range strings.Split(fs.Lookup("exp").Value.String(), ",") {
+					if !exps[exp] {
+						t.Errorf("%s:%d: go run ./cmd/experiments: no experiment %q", doc, at, exp)
+					}
 				}
 			}
 			m := granulaCmd.FindStringSubmatch(line)
@@ -61,6 +81,72 @@ func TestDocCommands(t *testing.T) {
 			t.Errorf("no document shows granula %s", name)
 		}
 	}
+}
+
+// experimentsCLI reads cmd/experiments' flags and -exp values from its
+// source, since a main package cannot be imported: it returns a FlagSet
+// maker with the same flag names and kinds (each bool flag a bool), and
+// the keys of experimentSteps plus "all".
+func experimentsCLI(t *testing.T) (func() *flag.FlagSet, map[string]bool) {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../experiments/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bools, values := map[string]bool{}, map[string]bool{}
+	exps := map[string]bool{"all": true}
+	str := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		v, err := strconv.Unquote(lit.Value)
+		return v, err == nil
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || len(n.Args) == 0 {
+				break
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
+				if name, ok := str(n.Args[0]); ok {
+					if sel.Sel.Name == "Bool" {
+						bools[name] = true
+					} else {
+						values[name] = true
+					}
+				}
+			}
+		case *ast.FuncDecl:
+			if n.Name.Name == "experimentSteps" {
+				ast.Inspect(n, func(n ast.Node) bool {
+					if kv, ok := n.(*ast.KeyValueExpr); ok {
+						if key, ok := str(kv.Key); ok {
+							exps[key] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		return true
+	})
+	if !values["exp"] || len(exps) < 2 {
+		t.Fatalf("cmd/experiments: found no -exp flag or experiments (flags %v %v, experiments %v)", bools, values, exps)
+	}
+	return func() *flag.FlagSet {
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		for name := range bools {
+			fs.Bool(name, false, "")
+		}
+		for name := range values {
+			fs.String(name, "all", "")
+		}
+		return fs
+	}, exps
 }
 
 // shellWords splits a documented command line into arguments as a shell

@@ -199,7 +199,7 @@ func TestVizReproducesPaperFigures(t *testing.T) {
 // the PowerGraph one is the paper's Figure 7 diagnosis, found unaided.
 func TestVizChokepoints(t *testing.T) {
 	for job, want := range map[string]string{
-		"giraph-bfs-dg1000": `Choke-point analysis of giraph-bfs-dg1000 (makespan 85.28s)
+		"giraph-bfs-dg1000": `Choke-point analysis of giraph-bfs-dg1000 (makespan 85.27s)
 
 Blocking-chain profile (who gates completion):
   Compute                 19.92s   23.4%
@@ -211,7 +211,7 @@ Blocking-chain profile (who gates completion):
   ServerCleanup            4.00s    4.7%
   AbortWorkers             2.50s    2.9%
   ClientCleanup            2.50s    2.9%
-  Message                  1.18s    1.4%
+  Message                  1.17s    1.4%
   PostStep                 1.15s    1.4%
   ZkCleanup                1.13s    1.3%
   PreStep                  0.34s    0.4%
@@ -220,9 +220,9 @@ Blocking-chain profile (who gates completion):
 
 Ranked choke-points:
   1. [dominant-operation] Compute — impact 19.92s (23.4%)
-     Compute operations gate 23.4% of the job's completion (19.92s of 85.28s)
+     Compute operations gate 23.4% of the job's completion (19.92s of 85.27s)
   2. [dominant-operation] LocalLoad — impact 19.57s (23.0%)
-     LocalLoad operations gate 23.0% of the job's completion (19.57s of 85.28s)
+     LocalLoad operations gate 23.0% of the job's completion (19.57s of 85.27s)
   3. [latency-bound] Startup — impact 14.86s (17.4%)
      Startup leaves the CPU idle (0.4 of 192.0 cpu-s/s): latency-bound — look at coordination, provisioning, or I/O waits
   4. [latency-bound] Cleanup — impact 10.13s (11.9%)
@@ -230,14 +230,14 @@ Ranked choke-points:
   5. [latency-bound] OffloadGraph — impact 8.09s (9.5%)
      OffloadGraph leaves the CPU idle (0.0 of 192.0 cpu-s/s): latency-bound — look at coordination, provisioning, or I/O waits
 `,
-		"powergraph-bfs-dg1000": `Choke-point analysis of powergraph-bfs-dg1000 (makespan 407.70s)
+		"powergraph-bfs-dg1000": `Choke-point analysis of powergraph-bfs-dg1000 (makespan 407.65s)
 
 Blocking-chain profile (who gates completion):
   ParseEdges             347.62s   85.3%
   ReadEdgeFile            20.60s    5.1%
-  DistributeEdges         11.56s    2.8%
+  DistributeEdges         11.54s    2.8%
   FinalizeGraph            9.10s    2.2%
-  Scatter                  5.54s    1.4%
+  Scatter                  5.53s    1.4%
   Apply                    4.50s    1.1%
   WriteResults             3.30s    0.8%
   CollectResults           1.76s    0.4%
@@ -245,15 +245,15 @@ Blocking-chain profile (who gates completion):
   MpiStartup               1.20s    0.3%
   LocalIteration           0.74s    0.2%
   MpiFinalize              0.30s    0.1%
-  Iteration                0.01s    0.0%
+  Iteration                0.00s    0.0%
 
 Ranked choke-points:
-  1. [single-node-hotspot] LoadGraph — impact 388.90s (95.4%)
+  1. [single-node-hotspot] LoadGraph — impact 388.86s (95.4%)
      LoadGraph runs almost entirely on node339 (94% of all CPU during the operation) while the other 7 nodes idle — parallelize this stage
   2. [dominant-operation] ParseEdges — impact 347.62s (85.3%)
-     ParseEdges operations gate 85.3% of the job's completion (347.62s of 407.70s)
+     ParseEdges operations gate 85.3% of the job's completion (347.62s of 407.65s)
   3. [latency-bound] OffloadGraph — impact 5.05s (1.2%)
-     OffloadGraph leaves the CPU idle (1.0 of 192.0 cpu-s/s): latency-bound — look at coordination, provisioning, or I/O waits
+     OffloadGraph leaves the CPU idle (0.8 of 192.0 cpu-s/s): latency-bound — look at coordination, provisioning, or I/O waits
 `,
 	} {
 		if got := granula(t, 0, "viz", "-archive", paperArchive, "-job", job, "-chart", "chokepoints"); got != want {
@@ -304,19 +304,19 @@ func TestQuery(t *testing.T) {
 		want string
 	}{
 		{[]string{}, `2 job(s):
-  giraph-bfs-dg1000              platform=Giraph       makespan=85.28s ops=851 samples=2150
-  powergraph-bfs-dg1000          platform=PowerGraph   makespan=407.70s ops=844 samples=10200
+  giraph-bfs-dg1000              platform=Giraph       makespan=85.27s ops=851 samples=2150
+  powergraph-bfs-dg1000          platform=PowerGraph   makespan=407.65s ops=844 samples=10200
 `},
-		{[]string{"-job", giraph, "-breakdown"}, "total 85.28s: setup 29.3%, input/output 44.0%, processing 26.7%\n"},
+		{[]string{"-job", giraph, "-breakdown"}, "total 85.27s: setup 29.3%, input/output 44.0%, processing 26.7%\n"},
 		{[]string{"-job", giraph, "-path", "GiraphJob/LoadGraph"},
-			"op-000013  LoadGraph              GiraphMaster           start=   14.865 dur=   29.429\n"},
-		{[]string{"-job", "powergraph-bfs-dg1000", "-mission", "LoadGraph", "-infos"}, `op-000004  LoadGraph              PowergraphClient       start=    1.200 dur=  388.896
-  derived CPUSeconds=5990.076087000011
-  derived Duration=388.895515083332
-  derived PercentOfJob=95.3883861620722
+			"op-000013  LoadGraph              GiraphMaster           start=   14.865 dur=   29.424\n"},
+		{[]string{"-job", "powergraph-bfs-dg1000", "-mission", "LoadGraph", "-infos"}, `op-000004  LoadGraph              PowergraphClient       start=    1.200 dur=  388.865
+  derived CPUSeconds=5990.2608869999785
+  derived Duration=388.8647150833369
+  derived PercentOfJob=95.39184902230073
 `},
-		{[]string{"-job", giraph, "-select", "mission = Compute order by duration desc limit 2"}, `op-000554  Compute                GiraphWorker-2         start=   55.864 dur=    4.207
-op-000558  Compute                GiraphWorker-6         start=   55.864 dur=    4.202
+		{[]string{"-job", giraph, "-select", "mission = Compute order by duration desc limit 2"}, `op-000554  Compute                GiraphWorker-2         start=   55.855 dur=    4.207
+op-000558  Compute                GiraphWorker-6         start=   55.855 dur=    4.202
 `},
 		{[]string{"-select", "from jobs group by job.platform agg count"}, `{
   "query": "from jobs group by job.platform agg count",

@@ -20,14 +20,14 @@ func runGAS(t *testing.T, ds *datagen.Dataset, prog gas.Program) []float64 {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.Config{
 		Nodes: 4, CoresPerNode: 8,
-		DiskBandwidth: 200e6, NICBandwidth: 500e6, NetLatency: 1e-4,
+		DiskBandwidth: 200e6, NICBandwidth: 500e6,
 		SharedFSBandwidth: 300e6, NodeNamePrefix: "node",
 	})
 	store := dfs.NewSharedStore(c)
 	deps := gas.Deps{
 		Cluster:    c,
 		Store:      store,
-		MPI:        mpi.Config{SpawnLatency: 0.15, MsgOverheadBytes: 64, FinalizeLatency: 0.2},
+		MPI:        mpi.Config{SpawnLatency: 0.15, FinalizeLatency: 0.2},
 		InputPath:  "/in",
 		OutputPath: "/out",
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/pregel"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/yarn"
 	"repro/internal/zookeeper"
 )
 
@@ -21,13 +20,12 @@ func runPregel(t *testing.T, ds *datagen.Dataset, prog pregel.Program, combiner 
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.Config{
 		Nodes: 4, CoresPerNode: 8,
-		DiskBandwidth: 200e6, NICBandwidth: 500e6, NetLatency: 1e-4,
+		DiskBandwidth: 200e6, NICBandwidth: 500e6,
 		SharedFSBandwidth: 300e6, NodeNamePrefix: "node",
 	})
-	h := dfs.NewHDFS(c, dfs.HDFSConfig{BlockSize: 1 << 20, Replication: 2, NameNodeLatency: 0.001})
+	h := dfs.NewHDFS(c, dfs.HDFSConfig{BlockSize: 1 << 20, Replication: 2})
 	deps := pregel.Deps{
 		Cluster:    c,
-		RM:         yarn.NewResourceManager(c, yarn.Config{SubmitLatency: 0.1, AllocLatency: 0.01, LaunchLatency: 0.1, LaunchCPUSeconds: 0.05, ReleaseLatency: 0.05}),
 		HDFS:       h,
 		ZK:         zookeeper.NewService(c.Node(0), zookeeper.Config{OpLatency: 0.004, OpCPUSeconds: 0.0005, ConnectLatency: 0.05}),
 		InputPath:  "/in",
@@ -39,7 +37,10 @@ func runPregel(t *testing.T, ds *datagen.Dataset, prog pregel.Program, combiner 
 	cfg := pregel.Config{
 		Workers: 4, ComputeThreads: 4, ParseThreads: 4,
 		Combiner: combiner, MaxSupersteps: 500, WorkScale: 1,
-		Costs: pregel.CostModel{},
+		Costs: pregel.CostModel{
+			AppSubmitSeconds: 0.1, ContainerAllocSeconds: 0.01, ContainerLaunchSeconds: 0.1,
+			ContainerLaunchCPUSeconds: 0.05, AppReleaseSeconds: 0.05,
+		},
 	}
 	em := trace.NewEmitter(trace.NewLog(), "alg-test", eng.Now)
 	var values []float64

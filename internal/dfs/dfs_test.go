@@ -14,7 +14,6 @@ func testCluster(e *sim.Engine) *cluster.Cluster {
 		CoresPerNode:      2,
 		DiskBandwidth:     1000,
 		NICBandwidth:      2000,
-		NetLatency:        0.001,
 		SharedFSBandwidth: 500,
 		NodeNamePrefix:    "n",
 	})
@@ -22,7 +21,7 @@ func testCluster(e *sim.Engine) *cluster.Cluster {
 
 func testHDFS(e *sim.Engine) (*cluster.Cluster, *HDFS) {
 	c := testCluster(e)
-	h := NewHDFS(c, HDFSConfig{BlockSize: 100, Replication: 2, NameNodeLatency: 0.001})
+	h := NewHDFS(c, HDFSConfig{BlockSize: 100, Replication: 2})
 	return c, h
 }
 
@@ -49,7 +48,7 @@ func TestHDFSCreateAndMetadata(t *testing.T) {
 func TestHDFSReplicationClamped(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	h := NewHDFS(c, HDFSConfig{BlockSize: 10, Replication: 99, NameNodeLatency: 0})
+	h := NewHDFS(c, HDFSConfig{BlockSize: 10, Replication: 99})
 	if h.cfg.Replication != c.Size() {
 		t.Fatalf("replication = %d, want clamped to %d", h.cfg.Replication, c.Size())
 	}
@@ -198,9 +197,9 @@ func TestSharedStoreReadWrite(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 1000 bytes total at 500 B/s shared = 2s (+2 latencies).
-	if math.Abs(end-2.002) > 1e-3 {
-		t.Fatalf("end = %v, want ≈2.002", end)
+	// 1000 bytes total at 500 B/s shared = 2s.
+	if math.Abs(end-2) > 1e-9 {
+		t.Fatalf("end = %v, want 2", end)
 	}
 	if sz, err := s.Size("/g"); err != nil || sz != 500 {
 		t.Fatalf("Size = %d,%v", sz, err)

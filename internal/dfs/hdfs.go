@@ -18,21 +18,19 @@ import (
 // defaultBlockSize is the HDFS block size in bytes (128 MB).
 const defaultBlockSize = 128 << 20
 
-// HDFSConfig parameterizes the distributed filesystem.
+// HDFSConfig parameterizes the distributed filesystem. Namenode
+// metadata operations are free: at a few per worker and phase they moved
+// no number the paper reports.
 type HDFSConfig struct {
 	BlockSize   int64
 	Replication int
-	// NameNodeLatency is the metadata round-trip cost per namenode
-	// operation, in seconds.
-	NameNodeLatency float64
 }
 
 // DefaultHDFSConfig mirrors a stock HDFS deployment.
 func DefaultHDFSConfig() HDFSConfig {
 	return HDFSConfig{
-		BlockSize:       defaultBlockSize,
-		Replication:     3,
-		NameNodeLatency: 0.002,
+		BlockSize:   defaultBlockSize,
+		Replication: 3,
 	}
 }
 
@@ -118,7 +116,6 @@ func (h *HDFS) Create(path string, size int64) error {
 // the namenode round-trip, the local or remote transfer of every block,
 // and the disk write on each replica in the pipeline.
 func (h *HDFS) Write(p *sim.Proc, from *cluster.Node, path string, size int64) error {
-	p.Sleep(h.cfg.NameNodeLatency)
 	if err := h.Create(path, size); err != nil {
 		return err
 	}
@@ -214,7 +211,6 @@ func (h *HDFS) ReadSplit(p *sim.Proc, at *cluster.Node, s Split) (localBytes int
 	if !ok {
 		return 0, fmt.Errorf("dfs: no such file %q", s.Path)
 	}
-	p.Sleep(h.cfg.NameNodeLatency)
 	blockStart := int64(0)
 	for _, b := range f.blocks {
 		blockEnd := blockStart + b.Size

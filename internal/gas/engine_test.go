@@ -71,14 +71,14 @@ func newTestEnv(t *testing.T, ds *datagen.Dataset, workScale float64) *testEnv {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.Config{
 		Nodes: 4, CoresPerNode: 8,
-		DiskBandwidth: 200e6, NICBandwidth: 500e6, NetLatency: 1e-4,
+		DiskBandwidth: 200e6, NICBandwidth: 500e6,
 		SharedFSBandwidth: 300e6, NodeNamePrefix: "node", NodeNameStart: 200,
 	})
 	store := dfs.NewSharedStore(c)
 	deps := Deps{
 		Cluster:    c,
 		Store:      store,
-		MPI:        mpi.Config{SpawnLatency: 0.05, MsgOverheadBytes: 32, FinalizeLatency: 0.05},
+		MPI:        mpi.Config{SpawnLatency: 0.05, FinalizeLatency: 0.05},
 		InputPath:  "/data/" + ds.Name,
 		OutputPath: "/out",
 	}

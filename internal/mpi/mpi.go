@@ -17,8 +17,6 @@ import (
 type Config struct {
 	// SpawnLatency is mpirun's per-rank process start cost, in seconds.
 	SpawnLatency float64
-	// MsgOverheadBytes is the fixed framing overhead charged per message.
-	MsgOverheadBytes float64
 	// FinalizeLatency is the per-world teardown cost.
 	FinalizeLatency float64
 }
@@ -109,10 +107,10 @@ func (c *Comm) size() int { return len(c.world.comms) }
 func (c *Comm) Node() *cluster.Node { return c.node }
 
 // Send transmits a tagged payload of the given size to rank to, charging
-// the sender's NIC for the bytes plus framing overhead.
+// the sender's NIC for the bytes.
 func (c *Comm) Send(p *sim.Proc, to int, tag string, bytes float64, payload any) {
 	dst := c.world.comms[to]
-	c.world.cluster.Transfer(p, c.node, dst.node, bytes+c.world.cfg.MsgOverheadBytes)
+	c.world.cluster.Transfer(p, c.node, dst.node, bytes)
 	dst.inbox.Put(Message{From: c.rank, Tag: tag, Bytes: bytes, Payload: payload})
 }
 

@@ -13,14 +13,13 @@ func testCluster(e *sim.Engine) *cluster.Cluster {
 		CoresPerNode:      4,
 		DiskBandwidth:     1e6,
 		NICBandwidth:      1e6,
-		NetLatency:        0.001,
 		SharedFSBandwidth: 1e6,
 		NodeNamePrefix:    "n",
 	})
 }
 
 func testConfig() Config {
-	return Config{SpawnLatency: 0.1, MsgOverheadBytes: 0, FinalizeLatency: 0.1}
+	return Config{SpawnLatency: 0.1, FinalizeLatency: 0.1}
 }
 
 // runWorld spawns a world of n ranks running fn and waits for completion.
@@ -190,10 +189,9 @@ func TestBytesSentAccounted(t *testing.T) {
 			c.Recv(p, "x")
 		}
 	})
-	// The sender's NIC carries the payload plus the message framing.
-	want := 1000 + w.cfg.MsgOverheadBytes
-	if got := w.comms[0].node.NIC.Consumed(); got != want {
-		t.Fatalf("rank 0 NIC bytes = %v, want %v", got, want)
+	// The sender's NIC carries the payload, the receiver's nothing.
+	if got := w.comms[0].node.NIC.Consumed(); got != 1000 {
+		t.Fatalf("rank 0 NIC bytes = %v, want 1000", got)
 	}
 }
 

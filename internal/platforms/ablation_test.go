@@ -1,14 +1,12 @@
 package platforms
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/dfs"
-	"repro/internal/gas"
 	"repro/internal/graph"
-	"repro/internal/pregel"
 )
 
 // TestDesignAblations is the committed result behind the ablation table
@@ -29,34 +27,35 @@ func TestDesignAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	giraph := func(edit func(*Spec, *pregel.Config)) Spec {
-		cfg := giraphPaperConfig(ds)
-		spec := Spec{Platform: "Giraph", Pregel: &cfg}
-		edit(&spec, &cfg)
-		return spec
+	// Every variant runs the paper's calibration with one edit.
+	type variant struct {
+		name     string
+		platform string
+		edit     func(*calibration)
+		want     []float64 // one per metric
 	}
-	powergraph := func(edit func(*gas.Config)) Spec {
-		cfg := powerGraphPaperConfig(ds)
-		edit(&cfg)
-		return Spec{Platform: "PowerGraph", GAS: &cfg}
+	giraph := func(name string, edit func(*calibration), want ...float64) variant {
+		return variant{name, "Giraph", edit, want}
 	}
-	paper := func(*Spec, *pregel.Config) {}
+	powergraph := func(name string, edit func(*calibration), want ...float64) variant {
+		return variant{name, "PowerGraph", edit, want}
+	}
+	paper := func(*calibration) {}
 	// Locality only matters when the network is scarcer than the disks:
 	// the HDFS row runs on a 1 Gbit/s fabric (the oversubscribed networks
 	// rack-locality was designed for), not DAS5's 10 Gbit/s.
-	hdfs := func(replication int) Spec {
-		return giraph(func(s *Spec, _ *pregel.Config) {
-			s.Cluster = DAS5Config()
-			s.Cluster.NICBandwidth = 125e6
-			h := dfs.DefaultHDFSConfig()
-			h.Replication = replication
-			s.HDFS = &h
-		})
+	hdfs := func(replication int) func(*calibration) {
+		return func(c *calibration) {
+			c.Cluster.NICBandwidth = 125e6
+			c.HDFS.Replication = replication
+		}
 	}
-	checkpoint := func(interval, failAt int) Spec {
-		return giraph(func(_ *Spec, c *pregel.Config) {
-			c.CheckpointInterval, c.FailAtSuperstep, c.FailWorker = interval, failAt, 2
-		})
+	// Checkpointing is an ablation row only: the paper's calibration
+	// leaves it off, so TestCalibrationElasticity names it.
+	checkpoint := func(interval, failAt int) func(*calibration) {
+		return func(c *calibration) {
+			c.Pregel.CheckpointInterval, c.Pregel.FailAtSuperstep, c.Pregel.FailWorker = interval, failAt, 2
+		}
 	}
 
 	type metric struct {
@@ -64,50 +63,46 @@ func TestDesignAblations(t *testing.T) {
 		get  func(*Output) float64
 	}
 	runtime := metric{"runtime s", func(o *Output) float64 { return o.Runtime }}
-	type variant struct {
-		name string
-		spec Spec
-		want []float64 // one per metric
-	}
 	for _, row := range []struct {
 		name     string
 		metrics  []metric
 		variants []variant // ascending in every metric
 	}{
 		{"combiner", []metric{runtime}, []variant{
-			{"on", giraph(paper), []float64{85.77}},
-			{"off", giraph(func(_ *Spec, c *pregel.Config) { c.Combiner = nil }), []float64{88.71}},
+			giraph("on", paper, 85.77),
+			giraph("off", func(c *calibration) { c.Pregel.Combiner = nil }, 88.71),
 		}},
 		{"partitioner", []metric{runtime}, []variant{
-			{"hash", giraph(func(_ *Spec, c *pregel.Config) { c.Partitioner = graph.NewHashPartitioner(8) }), []float64{85.77}},
-			{"range", giraph(func(_ *Spec, c *pregel.Config) {
-				c.Partitioner = rangePartitioner{k: 8, n: ds.Graph.NumVertices()}
-			}), []float64{99.61}},
+			giraph("hash", func(c *calibration) { c.Pregel.Partitioner = graph.NewHashPartitioner(8) }, 85.77),
+			giraph("range", func(c *calibration) {
+				c.Pregel.Partitioner = rangePartitioner{k: 8, n: ds.Graph.NumVertices()}
+			}, 99.61),
 		}},
 		{"vertex-cut", []metric{{"replication", func(o *Output) float64 { return o.ReplicationFactor }}, runtime}, []variant{
-			{"greedy", powergraph(func(c *gas.Config) { c.CutStrategy = graph.VertexCutGreedy }), []float64{2.735, 399.1}},
-			{"hash", powergraph(func(c *gas.Config) { c.CutStrategy = graph.VertexCutHash }), []float64{5.235, 407.5}},
+			powergraph("greedy", func(c *calibration) { c.GAS.CutStrategy = graph.VertexCutGreedy }, 2.735, 399.1),
+			powergraph("hash", func(c *calibration) { c.GAS.CutStrategy = graph.VertexCutHash }, 5.235, 407.5),
 		}},
 		{"loader", []metric{runtime, {"IO %", func(o *Output) float64 { return o.Breakdown.IOPercent() }}}, []variant{
-			{"parallel", powergraph(func(c *gas.Config) { c.ParallelLoad = true }), []float64{93.18, 85.50}},
-			{"sequential", powergraph(func(c *gas.Config) { c.ParallelLoad = false }), []float64{407.5, 96.68}},
+			powergraph("parallel", func(c *calibration) { c.GAS.ParallelLoad = true }, 93.18, 85.50),
+			powergraph("sequential", func(c *calibration) { c.GAS.ParallelLoad = false }, 407.5, 96.68),
 		}},
 		{"hdfs-replication", []metric{{"IO s", func(o *Output) float64 { return o.Breakdown.IO }}}, []variant{
-			{"3", hdfs(3), []float64{75.48}},
-			{"1", hdfs(1), []float64{77.06}},
+			giraph("3", hdfs(3), 75.48),
+			giraph("1", hdfs(1), 77.06),
 		}},
 		{"checkpointing", []metric{runtime}, []variant{
-			{"off", checkpoint(0, 0), []float64{85.77}},
-			{"every-2", checkpoint(2, 0), []float64{141.2}},
-			{"every-2-with-failure", checkpoint(2, 3), []float64{157.5}},
+			giraph("off", checkpoint(0, 0), 85.77),
+			giraph("every-2", checkpoint(2, 0), 141.2),
+			giraph("every-2-with-failure", checkpoint(2, 3), 157.5),
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			prev := make([]float64, len(row.metrics))
 			for _, v := range row.variants {
-				spec := v.spec
-				spec.Algorithm, spec.Dataset, spec.Source = "BFS", ds, datagen.PeripheralSource(ds.Graph)
-				out, err := Run(spec)
+				spec := Spec{Platform: v.platform, Algorithm: "BFS", Dataset: ds, Source: datagen.PeripheralSource(ds.Graph)}
+				cal := paperCalibration(spec)
+				v.edit(&cal)
+				out, err := run(context.Background(), spec, cal)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}

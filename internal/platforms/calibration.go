@@ -3,27 +3,21 @@ package platforms
 import (
 	"repro/internal/cluster"
 	"repro/internal/datagen"
+	"repro/internal/dfs"
 	"repro/internal/gas"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/pregel"
-	"repro/internal/yarn"
+	"repro/internal/single"
 	"repro/internal/zookeeper"
 )
 
-// This file holds the paper-scale calibration. The paper's experiment is
-// BFS on dg1000 — an LDBC Datagen social network with 1.03 billion
-// vertices and edges — on 8 DAS5 nodes, with these measured outcomes:
-//
-//	Giraph:     total 81.59 s — setup 30.9%, input/output 43.3%,
-//	            processing 25.8% (Figure 5); LoadGraph saturates the CPU,
-//	            cumulative peak ≈190.30 cpu-s/s (Figure 6).
-//	PowerGraph: total 400.38 s — input/output 94.8%, processing <3.1%
-//	            (Figure 5); only one node busy while loading, cumulative
-//	            peak ≈46.93 cpu-s/s (Figure 7).
-//
-// The constants below were fixed once against those shapes (see
-// EXPERIMENTS.md for the resulting numbers) and are not fitted per run.
+// This file holds the paper-scale calibration: the constants below were
+// fixed once against the shapes of the paper's Figures 5-7 (BFS on dg1000
+// on 8 DAS5 nodes) and are not fitted per run. The paper's numbers live in
+// one table, cmd/experiments/paper.go, which TestPaperFidelity holds the
+// reproduction to; TestCalibrationElasticity records which of those
+// numbers each constant moves.
 
 // paperEdges is the dg1000 edge count the cost models scale to.
 const paperEdges = 1.03e9
@@ -46,97 +40,104 @@ func DAS5Config() cluster.Config {
 		CoresPerNode:      24,
 		DiskBandwidth:     500e6,
 		NICBandwidth:      1.25e9,
-		NetLatency:        50e-6,
 		SharedFSBandwidth: 1.0e9,
 		NodeNamePrefix:    "node",
 		NodeNameStart:     339,
 	}
 }
 
-// giraphYarnConfig is the Yarn latency profile calibrated to Giraph's
-// slow, CPU-light startup (Figures 5-6).
-func giraphYarnConfig() yarn.Config {
-	return yarn.Config{
-		SubmitLatency:    4.0,
-		AllocLatency:     0.4,
-		LaunchLatency:    6.0,
-		LaunchCPUSeconds: 1.5,
-		ReleaseLatency:   2.0,
-	}
+// calibration is the whole simulated deployment of one run: the
+// cluster, Giraph's stack (HDFS, ZooKeeper, and the Pregel platform,
+// whose cost model also prices YARN), PowerGraph's (MPI and the GAS
+// platform), and the single-node OpenG platform. WorkScale and
+// HostParallelism are not calibration: they come from the Spec.
+type calibration struct {
+	Cluster   cluster.Config
+	HDFS      dfs.HDFSConfig
+	ZooKeeper zookeeper.Config
+	Pregel    pregel.Config
+	MPI       mpi.Config
+	GAS       gas.Config
+	Single    single.Config
 }
 
-// giraphZKConfig is the coordination-cost profile.
-func giraphZKConfig() zookeeper.Config {
-	return zookeeper.Config{
-		OpLatency:      0.004,
-		OpCPUSeconds:   0.0005,
-		ConnectLatency: 0.08,
+// paperCalibration returns the calibration RunContext runs spec with,
+// fitted to spec's cluster (DAS5Config when it is zero): one Giraph
+// worker and one PowerGraph rank per node, thread counts bounded by the
+// node's cores, and the combiner of spec's Pregel program.
+func paperCalibration(spec Spec) calibration {
+	hw := spec.Cluster
+	if hw.Nodes == 0 {
+		hw = DAS5Config()
 	}
-}
-
-// giraphPaperConfig returns the Pregel-platform configuration calibrated
-// to the paper's Giraph deployment: 8 workers (one per node), parallel
-// parse threads that saturate the node during loading, and JVM-grade
-// per-unit compute costs.
-func giraphPaperConfig(ds *datagen.Dataset) pregel.Config {
-	return pregel.Config{
-		Workers:        8,
-		ComputeThreads: 8,
-		ParseThreads:   24,
-		Combiner:       pregel.MinCombiner{},
-		MaxSupersteps:  200,
-		WorkScale:      dg1000WorkScale(ds),
-		Costs: pregel.CostModel{
-			ParseCPUPerByte:          160e-9,
-			BuildCPUPerEdge:          180e-9,
-			ShuffleBytesPerEdge:      16,
-			ComputeCPUPerVertex:      700e-9,
-			ComputeCPUPerMessage:     380e-9,
-			MessageBytes:             16,
-			OutputBytesPerVertex:     16,
-			CheckpointBytesPerVertex: 24,
-			RecoveryDetectSeconds:    5.0,
-			WorkerShutdownSeconds:    2.5,
-			ClientCleanupSeconds:     2.5,
-			ServerCleanupSeconds:     2.0,
-			ZkCleanupSeconds:         1.0,
+	_, combiner, _ := pregelProgram(spec)
+	openG := single.DefaultConfig()
+	openG.Threads = min(openG.Threads, hw.CoresPerNode)
+	return calibration{
+		Cluster: hw,
+		HDFS:    dfs.DefaultHDFSConfig(),
+		ZooKeeper: zookeeper.Config{
+			OpLatency:      0.004,
+			OpCPUSeconds:   0.0005,
+			ConnectLatency: 0.08,
 		},
-	}
-}
-
-// powerGraphMPIConfig is the MPI cost profile (fast startup).
-func powerGraphMPIConfig() mpi.Config {
-	return mpi.Config{
-		SpawnLatency:     0.15,
-		MsgOverheadBytes: 64,
-		FinalizeLatency:  0.3,
-	}
-}
-
-// powerGraphPaperConfig returns the GAS-platform configuration calibrated
-// to the paper's PowerGraph deployment: 8 ranks, a sequential loader
-// whose parse cost pins one node for minutes at dg1000 scale, and cheap
-// C++ per-unit compute costs.
-func powerGraphPaperConfig(ds *datagen.Dataset) gas.Config {
-	return gas.Config{
-		Machines:       8,
-		LoadThreads:    16,
-		ComputeThreads: 6,
-		CutStrategy:    graph.VertexCutHash,
-		MaxIterations:  500,
-		ChunkBytes:     256 << 20,
-		WorkScale:      dg1000WorkScale(ds),
-		Costs: gas.CostModel{
-			ParseCPUPerByte:        270e-9,
-			DistributeBytesPerEdge: 16,
-			FinalizeCPUPerEdge:     150e-9,
-			FinalizeCPUPerReplica:  250e-9,
-			GatherCPUPerEdge:       70e-9,
-			ApplyCPUPerVertex:      200e-9,
-			ScatterCPUPerEdge:      70e-9,
-			PartialBytes:           8,
-			SyncBytes:              8,
-			ResultBytesPerVertex:   16,
+		// Giraph: parse threads that saturate the node during loading,
+		// and JVM-grade per-unit compute costs.
+		Pregel: pregel.Config{
+			Workers:        hw.Nodes,
+			ComputeThreads: min(8, hw.CoresPerNode),
+			ParseThreads:   min(24, hw.CoresPerNode),
+			Combiner:       combiner,
+			MaxSupersteps:  200,
+			Costs: pregel.CostModel{
+				ParseCPUPerByte:          160e-9,
+				BuildCPUPerEdge:          180e-9,
+				ShuffleBytesPerEdge:      16,
+				ComputeCPUPerVertex:      700e-9,
+				ComputeCPUPerMessage:     380e-9,
+				MessageBytes:             16,
+				OutputBytesPerVertex:     16,
+				CheckpointBytesPerVertex: 24,
+				RecoveryDetectSeconds:    5.0,
+				// YARN: Giraph's slow, CPU-light startup (Figures 5-6).
+				AppSubmitSeconds:          4.0,
+				ContainerAllocSeconds:     0.4,
+				ContainerLaunchSeconds:    6.0,
+				ContainerLaunchCPUSeconds: 1.5,
+				AppReleaseSeconds:         2.0,
+				WorkerShutdownSeconds:     2.5,
+				ClientCleanupSeconds:      2.5,
+				ServerCleanupSeconds:      2.0,
+				ZkCleanupSeconds:          1.0,
+			},
 		},
+		// PowerGraph: fast MPI startup, a sequential loader whose parse
+		// cost pins one node for minutes at dg1000 scale, and cheap C++
+		// per-unit compute costs.
+		MPI: mpi.Config{
+			SpawnLatency:    0.15,
+			FinalizeLatency: 0.3,
+		},
+		GAS: gas.Config{
+			Machines:       hw.Nodes,
+			LoadThreads:    min(16, hw.CoresPerNode),
+			ComputeThreads: min(6, hw.CoresPerNode),
+			CutStrategy:    graph.VertexCutHash,
+			MaxIterations:  500,
+			ChunkBytes:     256 << 20,
+			Costs: gas.CostModel{
+				ParseCPUPerByte:        270e-9,
+				DistributeBytesPerEdge: 16,
+				FinalizeCPUPerEdge:     150e-9,
+				FinalizeCPUPerReplica:  250e-9,
+				GatherCPUPerEdge:       70e-9,
+				ApplyCPUPerVertex:      200e-9,
+				ScatterCPUPerEdge:      70e-9,
+				PartialBytes:           8,
+				SyncBytes:              8,
+				ResultBytesPerVertex:   16,
+			},
+		},
+		Single: openG,
 	}
 }

@@ -81,7 +81,7 @@ func Example() {
 	// Output:
 	// dataset: 20000 vertices, 100000 edges, degree skew 784x
 	//
-	// giraph-bfs-social-network-n20000-m100000 (Giraph): total 25.93s
+	// giraph-bfs-social-network-n20000-m100000 (Giraph): total 25.92s
 	//   [ssssssssssssssssssssssssssssssssssipsssssssssssssssssssssss]
 	//   setup (s): 96.4%   input/output (i): 1.2%   processing (p): 2.4%
 	//
@@ -104,7 +104,7 @@ func Example() {
 	//   superstep 13: mean compute  0.000s, imbalance 1.83x
 	//
 	// slowest load worker: GiraphWorker-5 (0.30s)
-	// total runtime: 25.93s over 14 supersteps
+	// total runtime: 25.92s over 14 supersteps
 }
 
 // Example_powerGraphLoader localizes the paper's PowerGraph diagnosis
@@ -161,10 +161,10 @@ func Example_powerGraphLoader() {
 	fmt.Printf("\nshared filesystem: %.1f GB read, peak %.0f MB/s\n", total/1e9, peak/1e6)
 	fmt.Printf("vertex-cut replication factor: %.2f\n", out.ReplicationFactor)
 	// Output:
-	// processing 3.0%, input/output 96.6% of 407.70s
+	// processing 3.0%, input/output 96.6% of 407.65s
 	//
-	// SequentialLoad     PowergraphRank-0       379.79s  (54240244.26014483 bytes/s)
-	//   read 20.60s + parse 347.62s + distribute 11.56s
+	// SequentialLoad     PowergraphRank-0       379.76s  (54244643.34146953 bytes/s)
+	//   read 20.60s + parse 347.62s + distribute 11.54s
 	// FinalizeGraph      PowergraphRank-0         8.91s
 	// FinalizeGraph      PowergraphRank-7         9.10s
 	// FinalizeGraph      PowergraphRank-1         8.95s
@@ -216,7 +216,7 @@ func Example_crossover() {
 	// BFS runtime (simulated seconds) by effective input size:
 	// edges (effective)  OpenG (1 node)     Giraph (8) PowerGraph (8)
 	// 5e+07                         6.2           27.9           21.2
-	// 2.5e+08                      29.5           38.7          100.1
+	// 2.5e+08                      29.5           38.6          100.1
 	// 1e+09                       116.9           79.6          396.0
-	// 4e+09                       466.5          248.2         1579.5
+	// 4e+09                       466.5          247.3         1579.4
 }

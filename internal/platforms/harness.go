@@ -21,7 +21,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/single"
 	"repro/internal/trace"
-	"repro/internal/yarn"
 	"repro/internal/zookeeper"
 )
 
@@ -50,17 +49,8 @@ type Spec struct {
 	// HostParallelism bounds the host goroutines the engines may use for
 	// semantic superstep/iteration compute. It changes only wall-clock
 	// speed — archives are byte-identical for every value. 0 selects
-	// runtime.NumCPU(); 1 forces the serial engine. It is the only
-	// source of the engines' value: an override config's own is ignored.
+	// runtime.NumCPU(); 1 forces the serial engine.
 	HostParallelism int
-	// Pregel / GAS / Single override the calibrated platform configs
-	// when non-nil.
-	Pregel *pregel.Config
-	GAS    *gas.Config
-	Single *single.Config
-	// HDFS overrides the Giraph deployment's filesystem configuration
-	// when non-nil (e.g. for replication/locality ablations).
-	HDFS *dfs.HDFSConfig
 	// RecordSink and SampleSink, when non-nil, observe every platform-log
 	// record and environment sample live, synchronously from the
 	// simulation as it emits them. They do not change the assembled
@@ -143,14 +133,16 @@ type body func(p *sim.Proc, em *trace.Emitter) (*Output, error)
 // deadline passes, the simulation engine is interrupted between events,
 // its processes are unwound, and the context's error is returned.
 func RunContext(ctx context.Context, spec Spec) (*Output, error) {
+	return run(ctx, spec, paperCalibration(spec))
+}
+
+// run is RunContext with the deployment cal instead of the paper's.
+func run(ctx context.Context, spec Spec, cal calibration) (*Output, error) {
 	if spec.Dataset == nil {
 		return nil, fmt.Errorf("platforms: spec needs a dataset")
 	}
 	if spec.WorkScale == 0 {
 		spec.WorkScale = dg1000WorkScale(spec.Dataset)
-	}
-	if spec.Cluster.Nodes == 0 {
-		spec.Cluster = DAS5Config()
 	}
 	if spec.SampleInterval <= 0 {
 		spec.SampleInterval = 1.0
@@ -170,7 +162,7 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 	var (
 		platform string
 		model    *core.Model
-		setup    func(Spec, *cluster.Cluster) (body, error)
+		setup    func(Spec, calibration, *cluster.Cluster) (body, error)
 	)
 	switch strings.ToLower(spec.Platform) {
 	case "giraph":
@@ -186,8 +178,8 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 	eng := sim.NewEngine()
 	defer eng.Shutdown()
 	defer watchContext(ctx, eng)()
-	c := cluster.New(eng, spec.Cluster)
-	run, err := setup(spec, c)
+	c := cluster.New(eng, cal.Cluster)
+	job, err := setup(spec, cal, c)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +197,7 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 		runErr error
 	)
 	eng.Spawn("granula-session", func(p *sim.Proc) {
-		out, runErr = run(p, em)
+		out, runErr = job(p, em)
 		mon.Stop()
 	})
 	if err := eng.Run(); err != nil {
@@ -224,45 +216,28 @@ func RunContext(ctx context.Context, spec Spec) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platforms: parse platform log: %w", err)
 	}
-	job, err := monitor.Assemble(spec.JobID, platform, records, mon.Samples())
+	assembled, err := monitor.Assemble(spec.JobID, platform, records, mon.Samples())
 	if err != nil {
 		return nil, finishErr(ctx, err)
 	}
-	return finish(job, model, out)
+	return finish(assembled, model, out)
 }
 
-// giraph configures a Giraph deployment on c, stages the input in its
+// giraph deploys Giraph on c as cal describes, stages the input in its
 // HDFS, and returns the job body.
-func giraph(spec Spec, c *cluster.Cluster) (body, error) {
-	cfg := giraphPaperConfig(spec.Dataset)
-	if spec.Pregel != nil {
-		cfg = *spec.Pregel
-	} else {
-		// Fit the calibrated deployment to the requested cluster: one
-		// worker per node, threads bounded by the node's cores.
-		cfg.Workers = spec.Cluster.Nodes
-		cfg.ComputeThreads = min(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
-		cfg.ParseThreads = min(cfg.ParseThreads, spec.Cluster.CoresPerNode)
-	}
+func giraph(spec Spec, cal calibration, c *cluster.Cluster) (body, error) {
+	cfg := cal.Pregel
 	cfg.WorkScale = spec.WorkScale
 	cfg.HostParallelism = spec.HostParallelism
-	prog, combiner, err := pregelProgram(spec)
+	prog, _, err := pregelProgram(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Pregel == nil {
-		cfg.Combiner = combiner
-	}
-	hcfg := dfs.DefaultHDFSConfig()
-	if spec.HDFS != nil {
-		hcfg = *spec.HDFS
-	}
-	h := dfs.NewHDFS(c, hcfg)
+	h := dfs.NewHDFS(c, cal.HDFS)
 	deps := pregel.Deps{
 		Cluster:    c,
-		RM:         yarn.NewResourceManager(c, giraphYarnConfig()),
 		HDFS:       h,
-		ZK:         zookeeper.NewService(c.Node(0), giraphZKConfig()),
+		ZK:         zookeeper.NewService(c.Node(0), cal.ZooKeeper),
 		InputPath:  "/input/" + spec.Dataset.Name,
 		OutputPath: "/output",
 	}
@@ -278,17 +253,10 @@ func giraph(spec Spec, c *cluster.Cluster) (body, error) {
 	}, nil
 }
 
-// powerGraph configures a PowerGraph deployment on c, stages the input
+// powerGraph deploys PowerGraph on c as cal describes, stages the input
 // in its shared store, and returns the job body.
-func powerGraph(spec Spec, c *cluster.Cluster) (body, error) {
-	cfg := powerGraphPaperConfig(spec.Dataset)
-	if spec.GAS != nil {
-		cfg = *spec.GAS
-	} else {
-		cfg.Machines = spec.Cluster.Nodes
-		cfg.LoadThreads = min(cfg.LoadThreads, spec.Cluster.CoresPerNode)
-		cfg.ComputeThreads = min(cfg.ComputeThreads, spec.Cluster.CoresPerNode)
-	}
+func powerGraph(spec Spec, cal calibration, c *cluster.Cluster) (body, error) {
+	cfg := cal.GAS
 	cfg.WorkScale = spec.WorkScale
 	cfg.HostParallelism = spec.HostParallelism
 	prog, err := gasProgram(spec)
@@ -299,7 +267,7 @@ func powerGraph(spec Spec, c *cluster.Cluster) (body, error) {
 	deps := gas.Deps{
 		Cluster:    c,
 		Store:      store,
-		MPI:        powerGraphMPIConfig(),
+		MPI:        cal.MPI,
 		InputPath:  "/data/" + spec.Dataset.Name,
 		OutputPath: "/out",
 	}
@@ -316,15 +284,10 @@ func powerGraph(spec Spec, c *cluster.Cluster) (body, error) {
 	}, nil
 }
 
-// openG configures the single-node OpenG deployment on c, stages its
-// input, and returns the job body.
-func openG(spec Spec, c *cluster.Cluster) (body, error) {
-	cfg := single.DefaultConfig()
-	if spec.Single != nil {
-		cfg = *spec.Single
-	} else {
-		cfg.Threads = min(cfg.Threads, spec.Cluster.CoresPerNode)
-	}
+// openG deploys the single-node OpenG platform on c as cal describes,
+// stages its input, and returns the job body.
+func openG(spec Spec, cal calibration, c *cluster.Cluster) (body, error) {
+	cfg := cal.Single
 	cfg.WorkScale = spec.WorkScale
 	kernel, err := singleKernel(spec)
 	if err != nil {

@@ -1,6 +1,7 @@
 package platforms
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/chokepoint"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
-	"repro/internal/single"
 )
 
 func smallDataset(t *testing.T) *datagen.Dataset {
@@ -275,8 +275,10 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("missing dataset should fail")
 	}
 	// An error of the platform's job body comes back from Run.
-	_, err := Run(Spec{Platform: "OpenG", Algorithm: "BFS", Dataset: ds, Cluster: smallCluster(),
-		WorkScale: 1, Single: &single.Config{NodeID: 99}})
+	spec := Spec{Platform: "OpenG", Algorithm: "BFS", Dataset: ds, Cluster: smallCluster(), WorkScale: 1}
+	cal := paperCalibration(spec)
+	cal.Single.NodeID = 99
+	_, err := run(context.Background(), spec, cal)
 	if err == nil || !strings.Contains(err.Error(), "node 99 out of range") {
 		t.Fatalf("body error: got %v", err)
 	}

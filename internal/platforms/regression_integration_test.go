@@ -1,6 +1,7 @@
 package platforms
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/regression"
@@ -14,26 +15,20 @@ import (
 func TestRegressionWorkflowEndToEnd(t *testing.T) {
 	ds := smallDataset(t)
 
-	baselineCfg := giraphPaperConfig(ds)
-	baselineCfg.Workers = 4
-	baseline, err := Run(Spec{
+	spec := Spec{
 		Platform: "Giraph", Algorithm: "BFS", Dataset: ds,
 		Cluster: smallCluster(), WorkScale: 1500, JobID: "nightly",
-		Pregel: &baselineCfg,
-	})
+	}
+	baselineCal := paperCalibration(spec)
+	baseline, err := run(context.Background(), spec, baselineCal)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The "new build": parsing became 2.5x more expensive.
-	slowCfg := giraphPaperConfig(ds)
-	slowCfg.Workers = 4
-	slowCfg.Costs.ParseCPUPerByte *= 2.5
-	current, err := Run(Spec{
-		Platform: "Giraph", Algorithm: "BFS", Dataset: ds,
-		Cluster: smallCluster(), WorkScale: 1500, JobID: "nightly",
-		Pregel: &slowCfg,
-	})
+	slowCal := paperCalibration(spec)
+	slowCal.Pregel.Costs.ParseCPUPerByte *= 2.5
+	current, err := run(context.Background(), spec, slowCal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +67,7 @@ func TestRegressionWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// An identical re-run passes (determinism makes thresholds exact).
-	again, err := Run(Spec{
-		Platform: "Giraph", Algorithm: "BFS", Dataset: ds,
-		Cluster: smallCluster(), WorkScale: 1500, JobID: "nightly",
-		Pregel: &baselineCfg,
-	})
+	again, err := run(context.Background(), spec, baselineCal)
 	if err != nil {
 		t.Fatal(err)
 	}

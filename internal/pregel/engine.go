@@ -9,14 +9,12 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/yarn"
 	"repro/internal/zookeeper"
 )
 
 // Deps are the platform's substrate services.
 type Deps struct {
 	Cluster *cluster.Cluster
-	RM      *yarn.ResourceManager
 	HDFS    *dfs.HDFS
 	ZK      *zookeeper.Service
 	// InputPath is the HDFS path of the edge-list input; it must exist
@@ -86,7 +84,7 @@ func validate(deps Deps, cfg Config) error {
 			return fmt.Errorf("pregel: fail worker %d out of range", cfg.FailWorker)
 		}
 	}
-	if deps.Cluster == nil || deps.RM == nil || deps.HDFS == nil || deps.ZK == nil {
+	if deps.Cluster == nil || deps.HDFS == nil || deps.ZK == nil {
 		return fmt.Errorf("pregel: missing substrate dependency")
 	}
 	if !deps.HDFS.Exists(deps.InputPath) {
@@ -95,15 +93,14 @@ func validate(deps Deps, cfg Config) error {
 	return nil
 }
 
-// worker is one launched Giraph worker: its container, its command
-// mailbox, and its zookeeper session.
+// worker is one launched Giraph worker: its container's node, its
+// command mailbox, and its zookeeper session.
 type worker struct {
-	id        int
-	container *yarn.Container
-	node      *cluster.Node
-	cmds      *sim.Mailbox[workerCmd]
-	zk        *zookeeper.Session
-	proc      *sim.Proc
+	id   int
+	node *cluster.Node
+	cmds *sim.Mailbox[workerCmd]
+	zk   *zookeeper.Session
+	proc *sim.Proc
 }
 
 type workerCmd struct {
@@ -125,7 +122,6 @@ type job struct {
 	em      *trace.Emitter
 	js      *jobState
 
-	app      *yarn.Application
 	workers  []*worker
 	splits   []dfs.Split
 	masterZK *zookeeper.Session
@@ -178,18 +174,19 @@ func (j *job) run() (*Result, error) {
 	}, nil
 }
 
-// startup implements Startup = JobStartup + LaunchWorkers.
+// startup implements Startup = JobStartup + LaunchWorkers. JobStartup
+// submits the application to YARN and is granted one container per
+// worker, serially and round-robin over the nodes; LaunchWorkers starts
+// them.
 func (j *job) startup(root trace.OpRef) {
+	c := j.cfg.Costs
 	op := j.em.Start(root, "GiraphClient", "Startup")
 	defer j.em.End(op)
 
 	jobStartup := j.em.Start(op, "GiraphClient", "JobStartup")
-	j.app = j.deps.RM.Submit(j.p, "giraph")
-	containers, err := j.app.AllocateContainers(j.p, j.cfg.Workers, j.cfg.ComputeThreads)
-	if err != nil {
-		j.fail(err)
-		j.em.End(jobStartup)
-		return
+	j.p.Sleep(c.AppSubmitSeconds)
+	for range j.cfg.Workers {
+		j.p.Sleep(c.ContainerAllocSeconds)
 	}
 	j.em.End(jobStartup)
 
@@ -197,15 +194,14 @@ func (j *job) startup(root trace.OpRef) {
 	ready := make([]*sim.Event, j.cfg.Workers)
 	for i := 0; i < j.cfg.Workers; i++ {
 		w := &worker{
-			id:        i,
-			container: containers[i],
-			node:      containers[i].Node,
-			cmds:      sim.NewMailbox[workerCmd](j.eng),
+			id:   i,
+			node: j.deps.Cluster.Node(i % j.deps.Cluster.Size()),
+			cmds: sim.NewMailbox[workerCmd](j.eng),
 		}
 		j.workers = append(j.workers, w)
 		ready[i] = sim.NewEvent(j.eng)
 		readyEv := ready[i]
-		w.proc = containers[i].Launch(j.p, fmt.Sprintf("giraph-worker-%d", i), func(wp *sim.Proc) {
+		w.proc = j.launch(fmt.Sprintf("giraph-worker-%d", i), w.node, func(wp *sim.Proc) {
 			local := j.em.Start(launch, w.actor(), "LocalStartup")
 			w.zk = j.deps.ZK.Connect(wp, w.actor())
 			// Worker registration znode.
@@ -220,6 +216,17 @@ func (j *job) startup(root trace.OpRef) {
 	}
 	j.masterZK = j.deps.ZK.Connect(j.p, "GiraphMaster")
 	j.em.End(launch)
+}
+
+// launch starts fn as a container process on node, after the container
+// launch latency and the JVM-startup CPU it charges there.
+func (j *job) launch(name string, node *cluster.Node, fn func(*sim.Proc)) *sim.Proc {
+	c := j.cfg.Costs
+	return j.eng.Spawn(name, func(wp *sim.Proc) {
+		wp.Sleep(c.ContainerLaunchSeconds)
+		node.Exec(wp, c.ContainerLaunchCPUSeconds)
+		fn(wp)
+	})
 }
 
 func (w *worker) actor() string { return fmt.Sprintf("GiraphWorker-%d", w.id) }
@@ -420,22 +427,17 @@ func (j *job) recoverWorker(processOp trace.OpRef) int {
 	old.cmds.Put(workerCmd{kind: "die", done: dead})
 	dead.Wait(j.p)
 
+	// The replacement container is the next round-robin grant, after
+	// the job's first Workers.
 	restart := j.em.Start(rec, "GiraphMaster", "RestartWorker")
-	containers, err := j.app.AllocateContainers(j.p, 1, j.cfg.ComputeThreads)
-	if err != nil {
-		j.fail(err)
-		j.em.End(restart)
-		j.em.End(rec)
-		return j.lastCheckpoint
-	}
+	j.p.Sleep(c.ContainerAllocSeconds)
 	w := &worker{
-		id:        j.cfg.FailWorker,
-		container: containers[0],
-		node:      containers[0].Node,
-		cmds:      sim.NewMailbox[workerCmd](j.eng),
+		id:   j.cfg.FailWorker,
+		node: j.deps.Cluster.Node(j.cfg.Workers % j.deps.Cluster.Size()),
+		cmds: sim.NewMailbox[workerCmd](j.eng),
 	}
 	ready := sim.NewEvent(j.eng)
-	w.proc = containers[0].Launch(j.p, fmt.Sprintf("giraph-worker-%d-r", w.id), func(wp *sim.Proc) {
+	w.proc = j.launch(fmt.Sprintf("giraph-worker-%d-r", w.id), w.node, func(wp *sim.Proc) {
 		local := j.em.Start(restart, w.actor(), "LocalStartup")
 		w.zk = j.deps.ZK.Connect(wp, w.actor())
 		_ = w.zk.Create(wp, fmt.Sprintf("/giraph-w%d-r", w.id))
@@ -588,9 +590,7 @@ func (j *job) cleanup(root trace.OpRef) {
 	j.em.End(cc)
 
 	sc := j.em.Start(jc, "GiraphClient", "ServerCleanup")
-	if j.app != nil {
-		j.app.Release(j.p)
-	}
+	j.p.Sleep(c.AppReleaseSeconds)
 	j.p.Sleep(c.ServerCleanupSeconds)
 	j.em.End(sc)
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/yarn"
 	"repro/internal/zookeeper"
 )
 
@@ -77,15 +76,13 @@ func newTestEnv(t *testing.T, ds *datagen.Dataset, workScale float64) *testEnv {
 		CoresPerNode:      8,
 		DiskBandwidth:     200e6,
 		NICBandwidth:      500e6,
-		NetLatency:        1e-4,
 		SharedFSBandwidth: 300e6,
 		NodeNamePrefix:    "node",
 		NodeNameStart:     100,
 	})
-	h := dfs.NewHDFS(c, dfs.HDFSConfig{BlockSize: 1 << 20, Replication: 2, NameNodeLatency: 0.001})
+	h := dfs.NewHDFS(c, dfs.HDFSConfig{BlockSize: 1 << 20, Replication: 2})
 	deps := Deps{
 		Cluster:    c,
-		RM:         yarn.NewResourceManager(c, yarn.Config{SubmitLatency: 0.5, AllocLatency: 0.05, LaunchLatency: 0.5, LaunchCPUSeconds: 0.2, ReleaseLatency: 0.2}),
 		HDFS:       h,
 		ZK:         zookeeper.NewService(c.Node(0), zookeeper.Config{OpLatency: 0.004, OpCPUSeconds: 0.0005, ConnectLatency: 0.05}),
 		InputPath:  "/input/" + ds.Name,
@@ -112,19 +109,24 @@ func testDataset(t *testing.T) *datagen.Dataset {
 
 // testCosts are modest per-unit costs for small test jobs.
 var testCosts = CostModel{
-	ParseCPUPerByte:          60e-9,
-	BuildCPUPerEdge:          150e-9,
-	ShuffleBytesPerEdge:      16,
-	ComputeCPUPerVertex:      250e-9,
-	ComputeCPUPerMessage:     120e-9,
-	MessageBytes:             16,
-	OutputBytesPerVertex:     16,
-	CheckpointBytesPerVertex: 24,
-	RecoveryDetectSeconds:    2.0,
-	WorkerShutdownSeconds:    0.3,
-	ClientCleanupSeconds:     1.0,
-	ServerCleanupSeconds:     1.5,
-	ZkCleanupSeconds:         0.5,
+	ParseCPUPerByte:           60e-9,
+	BuildCPUPerEdge:           150e-9,
+	ShuffleBytesPerEdge:       16,
+	ComputeCPUPerVertex:       250e-9,
+	ComputeCPUPerMessage:      120e-9,
+	MessageBytes:              16,
+	OutputBytesPerVertex:      16,
+	CheckpointBytesPerVertex:  24,
+	RecoveryDetectSeconds:     2.0,
+	AppSubmitSeconds:          0.5,
+	ContainerAllocSeconds:     0.05,
+	ContainerLaunchSeconds:    0.5,
+	ContainerLaunchCPUSeconds: 0.2,
+	AppReleaseSeconds:         0.2,
+	WorkerShutdownSeconds:     0.3,
+	ClientCleanupSeconds:      1.0,
+	ServerCleanupSeconds:      1.5,
+	ZkCleanupSeconds:          0.5,
 }
 
 func testJobConfig(workers int) Config {

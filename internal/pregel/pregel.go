@@ -1,8 +1,9 @@
 // Package pregel implements a Giraph-like vertex-centric BSP
 // graph-processing platform on the simulated cluster: YARN-deployed
-// master and workers, HDFS input with locality-aware splits, ZooKeeper
-// barrier synchronization, and iterative supersteps with sender-side
-// message combining. Algorithms execute for real — vertex values, message
+// master and workers (YARN's submission, container grants, launches and
+// release are priced as delays in the CostModel), HDFS input with
+// locality-aware splits, ZooKeeper barrier synchronization, and iterative
+// supersteps with sender-side message combining. Algorithms execute for real — vertex values, message
 // traffic, and the active-vertex frontier all come from running the actual
 // program on the actual graph — while durations are charged to the
 // simulated clock through a calibrated cost model.
@@ -84,6 +85,19 @@ type CostModel struct {
 	// RecoveryDetectSeconds is the master's failure-detection latency
 	// (missed heartbeats before declaring a worker dead).
 	RecoveryDetectSeconds float64
+	// AppSubmitSeconds is the YARN cost of submitting the application
+	// and starting its application master.
+	AppSubmitSeconds float64
+	// ContainerAllocSeconds is YARN's per-container grant time; grants
+	// are serial (heartbeat-driven allocation rounds).
+	ContainerAllocSeconds float64
+	// ContainerLaunchSeconds and ContainerLaunchCPUSeconds are the
+	// NodeManager's fixed cost of starting a container process and the
+	// CPU its JVM startup charges on the container's node.
+	ContainerLaunchSeconds    float64
+	ContainerLaunchCPUSeconds float64
+	// AppReleaseSeconds is YARN's application teardown latency.
+	AppReleaseSeconds float64
 	// WorkerShutdownSeconds is the per-worker teardown latency.
 	WorkerShutdownSeconds float64
 	// ClientCleanupSeconds and ServerCleanupSeconds are fixed cleanup

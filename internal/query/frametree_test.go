@@ -33,8 +33,8 @@ func paperArchive(t testing.TB) (*archive.Archive, []byte) {
 // move a byte.
 func TestSegmentBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"giraph-bfs-dg1000":     "d7430f0a5cbadc09a98d4d833eea21bbc990e5137b230cb1414f1d75648d5ff6",
-		"powergraph-bfs-dg1000": "dd9968823aac938f2e1a58321a86b2c94d731206fdc06fe022b0f3b7a24173fa",
+		"giraph-bfs-dg1000":     "6bed23445a44fc64001e8594fa0779842cabaf8ae826a187a9e37d566d9c7373",
+		"powergraph-bfs-dg1000": "8458acd1cb017d55449dc51249a323e43d41b9387c60adb4a08360ed00064300",
 	}
 	a, _ := paperArchive(t)
 	if len(a.Jobs) != len(want) {

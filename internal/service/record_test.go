@@ -65,8 +65,8 @@ func paperJobs(t *testing.T) ([]*archive.Job, []Summary) {
 // the same bytes from the stored frame.
 func TestPersistedBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"giraph-bfs-dg1000":     "c569b761042742258f5df69f5e01f2974f788e70c27601fed22da2b3d80a6cf6",
-		"powergraph-bfs-dg1000": "226f9c573faf85a0cce483c4c8051bab8e37b5c426ccc87fc287962ddda1d000",
+		"giraph-bfs-dg1000":     "aa99ddecb3746deb2880a937f4a3082d479ea49c06de57615d595ca18d5abc1b",
+		"powergraph-bfs-dg1000": "87c733af4cbdc0a5c5242f8992358481e347036f6a4ca0bfecafe96fa81c37c8",
 	}
 	jobs, sums := paperJobs(t)
 	if len(jobs) != len(want) {

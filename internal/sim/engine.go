@@ -1,7 +1,7 @@
 // Package sim implements a deterministic, process-based discrete-event
 // simulation kernel. It is the foundation of the simulated cluster
 // environment on which the graph-processing platforms in this repository
-// run: simulated YARN, HDFS, ZooKeeper, MPI, the Pregel engine, and the
+// run: simulated HDFS, ZooKeeper, MPI, the Pregel engine, and the
 // GAS engine are all written as sim processes.
 //
 // A simulation is driven by an Engine that owns a virtual clock and a

@@ -277,11 +277,11 @@ type ComputeImbalance struct {
 }
 
 // SuperstepImbalance computes per-superstep compute imbalance for
-// Pregel-style jobs.
+// Pregel-style jobs; a job without LocalSuperstep/Compute phases (GAS
+// iterations) has none.
 func SuperstepImbalance(job *archive.Job) []ComputeImbalance {
-	steps := job.Find(job.Root.Mission, "ProcessGraph", "Superstep")
 	var out []ComputeImbalance
-	for i, step := range steps {
+	for i, step := range core.Steps(job) {
 		var durs []float64
 		for _, local := range step.ChildrenByMission("LocalSuperstep") {
 			for _, phase := range local.ChildrenByMission("Compute") {
