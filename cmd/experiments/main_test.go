@@ -86,7 +86,8 @@ func firstDiff(got, want string) string {
 // TestPaperGolden is the committed result behind every Figure 3–8
 // number in EXPERIMENTS.md: the full-scale run (seed 42, every step, in
 // order, as `-exp all -out` does) must reproduce out/ byte for byte —
-// the transcript and each figure, report and archive. A cost-model or
+// the transcript and each figure, report and archive — and out/ holds
+// nothing else. A cost-model or
 // kernel change that moves a number fails here; regenerate with
 //
 //	go run ./cmd/experiments -out out > out/experiments_output.txt
@@ -128,6 +129,15 @@ func TestPaperGolden(t *testing.T) {
 		}
 		if content != string(want) {
 			t.Errorf("%s differs from out/%s at %s", name, name, firstDiff(content, string(want)))
+		}
+	}
+	committed, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range committed {
+		if _, ok := got[e.Name()]; !ok {
+			t.Errorf("out/%s is committed but the run does not produce it, so nothing checks it", e.Name())
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archivedb"
 	"repro/internal/service"
 	"repro/internal/shard"
 )
@@ -182,10 +183,16 @@ func (l *syncLog) String() string {
 // loop through it — submit, poll until done, read the archive — and
 // stops it the way SIGTERM does: cancel, exit 0.
 func TestRouterServeSmoke(t *testing.T) {
-	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
+	store, err := service.NewStoreWithOptions(db, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
 	metrics := service.NewMetrics()
 	exec := service.NewExecutorWith(2, 8, store, metrics, service.ExecutorOptions{})
 	backend := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())

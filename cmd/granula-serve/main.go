@@ -3,12 +3,14 @@
 // algorithm, graph) simulations concurrently and publishes the analyzed
 // archives to an indexed store.
 //
-// By default the store is in-memory and a restart loses every archive.
-// With -data-dir the store is backed by the archivedb storage engine: a
+// The store is always backed by the archivedb storage engine: a
 // CRC32-framed write-ahead log with segment rotation, index snapshots,
-// and background compaction. Every archive acked as "done" is then
-// durable — restarting against the same directory serves byte-identical
-// /archive and /query responses.
+// and background compaction. With -data-dir every archive acked as
+// "done" is durable — restarting against the same directory serves
+// byte-identical /archive and /query responses. Without it the database
+// lives in a temporary directory, written without fsync and removed at
+// exit, so a restart starts empty; a killed process leaves the
+// directory behind in $TMPDIR.
 //
 // API (all JSON unless noted):
 //
@@ -23,7 +25,7 @@
 //	POST   /ingest/{id}           append a batch of live events (JSON lines) for an external job
 //	GET    /watch/{id}            SSE tail of a live job (Last-Event-ID resume, ?window= aggregation)
 //	GET    /healthz               liveness + coarse load
-//	GET    /metrics               Prometheus text format (incl. storage gauges with -data-dir)
+//	GET    /metrics               Prometheus text format (incl. storage gauges)
 //
 // Live streaming: jobs running outside the server push their platform
 // -log events through POST /ingest/{id} while they run (sequenced,
@@ -113,7 +115,7 @@ func parseFlags(args []string, stderr io.Writer) (*serveConfig, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 4, "executor pool size")
 	fs.IntVar(&cfg.queueCap, "queue", 64, "bounded job-queue capacity")
-	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable archive directory (empty = in-memory store, lost on restart)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable archive directory (empty = a temporary directory, written without fsync and removed at exit)")
 	fs.BoolVar(&cfg.noSync, "no-sync", false, "skip fsync per archive write (faster; a machine crash may lose acked jobs)")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-shutdown drain budget")
 	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 0, "default per-job deadline applied when a submit carries none (0 = unlimited)")
@@ -179,19 +181,24 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		defer stop()
 	}
 
-	var db *archivedb.DB
-	if cfg.dataDir != "" {
-		dbOpts := archivedb.Options{NoSync: cfg.noSync, GroupCommitWindow: cfg.commitWindow}
-		if inj != nil {
-			dbOpts.Injector = inj
-		}
-		db, err = archivedb.Open(cfg.dataDir, dbOpts)
-		if err != nil {
+	dir, temp := cfg.dataDir, cfg.dataDir == ""
+	if temp {
+		if dir, err = os.MkdirTemp("", "granula-serve-"); err != nil {
 			fmt.Fprintf(stderr, "granula-serve: %v\n", err)
 			return 1
 		}
-		defer db.Close()
+		defer os.RemoveAll(dir)
 	}
+	dbOpts := archivedb.Options{NoSync: cfg.noSync || temp, GroupCommitWindow: cfg.commitWindow}
+	if inj != nil {
+		dbOpts.Injector = inj
+	}
+	db, err := archivedb.Open(dir, dbOpts)
+	if err != nil {
+		fmt.Fprintf(stderr, "granula-serve: %v\n", err)
+		return 1
+	}
+	defer db.Close()
 	metrics := service.NewMetrics()
 	store, err := service.NewStoreWithOptions(db, service.StoreOptions{Metrics: metrics})
 	if err != nil {
@@ -199,9 +206,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		return 1
 	}
 	defer store.Close()
-	if db != nil {
-		fmt.Fprintf(stderr, "granula-serve: data dir %s (%d archived jobs restored)\n",
-			cfg.dataDir, store.Len())
+	if temp {
+		fmt.Fprintf(stderr, "granula-serve: no -data-dir: temporary data dir %s, removed at exit\n", dir)
+	} else {
+		fmt.Fprintf(stderr, "granula-serve: data dir %s (%d archived jobs restored)\n", dir, store.Len())
 	}
 	// One stream manager shared by the executor (in-process jobs mirror
 	// their supersteps into it) and the server (/ingest and /watch).

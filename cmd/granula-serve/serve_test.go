@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -171,6 +172,29 @@ func TestServeSmoke(t *testing.T) {
 	s.stop(t)
 	if out := s.log.String(); !strings.Contains(out, "shutting down, draining jobs") || strings.Contains(out, "drain incomplete") {
 		t.Fatalf("shutdown log:\n%s", out)
+	}
+}
+
+// TestServeWithoutDataDir: without -data-dir the node still archives
+// through a database, in the temporary directory it announces, and that
+// directory is gone once run returns.
+func TestServeWithoutDataDir(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	s := boot(t, "-workers", "1")
+	m := regexp.MustCompile(`temporary data dir (\S+), removed at exit`).FindStringSubmatch(s.log.String())
+	if m == nil {
+		t.Fatalf("no temporary data dir announced:\n%s", s.log)
+	}
+	if _, err := os.Stat(m[1]); err != nil {
+		t.Fatalf("announced data dir: %v", err)
+	}
+	s.runJob(t, "tmp-1")
+	if _, body := s.get(t, "/metrics"); !bytes.Contains(body, []byte("\ngranula_storage_live_jobs 1\n")) {
+		t.Fatalf("the archived job is not in the database:\n%s", body)
+	}
+	s.stop(t)
+	if _, err := os.Stat(m[1]); !os.IsNotExist(err) {
+		t.Fatalf("temporary data dir %s outlived the process (stat: %v)", m[1], err)
 	}
 }
 

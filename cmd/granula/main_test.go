@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/archivedb"
 	"repro/internal/service"
 )
 
@@ -430,11 +431,16 @@ func TestQueryRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
+	t.Cleanup(func() { db.Close() })
+	store, err := service.NewStoreWithOptions(db, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
 	for _, j := range a.Jobs {
 		if err := store.Put(j, service.Summary{ID: j.ID, Platform: j.Platform}); err != nil {
 			t.Fatal(err)

@@ -35,9 +35,10 @@ import (
 
 // IndexMeta is the per-job secondary-index metadata persisted next to
 // each record: the distinct missions, actors, and root paths of the
-// job's operation tree, as computed by the serving store. It rides in
-// the WAL envelope and the snapshot so an index can be warmed without
-// decoding the archive payload.
+// job's operation tree. It rides in the WAL envelope and the snapshot
+// so an index could be warmed without decoding the archive payload, but
+// every caller passes it empty: the serving store keeps no such index.
+// It can go once bench/, which still passes it, stops doing so.
 type IndexMeta struct {
 	Missions []string `json:"missions,omitempty"`
 	Actors   []string `json:"actors,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -302,12 +304,106 @@ func waitBreakerClosed(t *testing.T, store *Store) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if store.breakerStatus() == breakerClosed {
+		if store.breaker.current() == breakerClosed {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("breaker did not close after faults cleared (state %v)", store.breakerStatus())
+	t.Fatalf("breaker did not close after faults cleared (state %v)", store.breaker.current())
+}
+
+// appendFaults is an archivedb.FaultInjector that counts WAL appends
+// and fails every one of them while failing is set.
+type appendFaults struct {
+	failing atomic.Bool
+	appends atomic.Int64
+}
+
+func (f *appendFaults) Fail(site string) error {
+	if site != "archivedb.append" {
+		return nil
+	}
+	f.appends.Add(1)
+	if f.failing.Load() {
+		return errors.New("injected append failure")
+	}
+	return nil
+}
+
+func (f *appendFaults) Mangle(_ string, frame []byte) ([]byte, error) { return frame, nil }
+
+// TestEveryWriteKindTakesTheBreaker: archives, replicas, ingest batches
+// and hints all go through the store's one guarded write. One failed
+// append of each kind trips a breaker of threshold four, and while it
+// is open each kind answers errDegraded and appends nothing to the WAL.
+func TestEveryWriteKindTakesTheBreaker(t *testing.T) {
+	f := &appendFaults{}
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true, Injector: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	store, err := NewStoreWithOptions(db, StoreOptions{BreakerThreshold: 4, BreakerCooldown: time.Hour, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+
+	out := testOutput(t, "Giraph", "BFS")
+	sum := summarize(JobRequest{Algorithm: "BFS"}, out)
+	src := tempStore(t)
+	if err := src.Put(out.Job, sum); err != nil {
+		t.Fatal(err)
+	}
+	payload, version, _, err := src.export(sum.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []struct {
+		kind  string
+		write func(round int) error
+	}{
+		{"archive", func(round int) error {
+			s := sum
+			s.ID = fmt.Sprintf("put-%d", round)
+			return store.Put(out.Job, s)
+		}},
+		{"replica", func(round int) error { return store.applyReplica(fmt.Sprintf("rep-%d", round), version, payload) }},
+		{"ingest batch", func(round int) error { return store.appendStreamBatch("live", uint64(round+1), []byte("{}")) }},
+		{"hint", func(round int) error { return store.AppendHint(hint("s2", fmt.Sprintf("hint-%d", round), 1)) }},
+	}
+
+	f.failing.Store(true)
+	for i, w := range writes {
+		if err := w.write(0); err == nil || errors.Is(err, errDegraded) {
+			t.Fatalf("%s with a failing append: err = %v, want the storage error", w.kind, err)
+		}
+		want := breakerClosed
+		if i == len(writes)-1 {
+			want = breakerOpen
+		}
+		if got := store.breaker.current(); got != want {
+			t.Fatalf("after %d failed writes (last: %s) the breaker is %v, want %v", i+1, w.kind, got, want)
+		}
+	}
+	if n := f.appends.Load(); n != int64(len(writes)) {
+		t.Fatalf("%d appends for %d writes", n, len(writes))
+	}
+
+	f.failing.Store(false)
+	walBytes := db.Stats().WALBytes
+	for _, w := range writes {
+		if err := w.write(1); !errors.Is(err, errDegraded) {
+			t.Errorf("%s while the breaker is open: err = %v, want errDegraded", w.kind, err)
+		}
+	}
+	if n := f.appends.Load(); n != int64(len(writes)) || db.Stats().WALBytes != walBytes || len(db.IDs()) != 0 {
+		t.Fatalf("an open breaker let writes reach the WAL: %d appends, WAL %d -> %d bytes, records %v",
+			n, walBytes, db.Stats().WALBytes, db.IDs())
+	}
+	if store.Len() != 0 || store.HintCount() != 0 {
+		t.Fatalf("refused writes were published: %d jobs, %d hints", store.Len(), store.HintCount())
+	}
 }
 
 // TestBreakerOpensAndRecoversOverHTTP drives the breaker through its
@@ -435,7 +531,7 @@ func counterValue(t *testing.T, m *Metrics, name string) uint64 {
 func TestChaosPanicRecoveredInWorker(t *testing.T) {
 	inj := chaosInjector(t, "rate=0,seed=3,kinds=panic,sites=executor.run:1")
 	metrics := NewMetrics()
-	exec := NewExecutorWith(1, 4, newStore(), metrics, ExecutorOptions{Faults: inj})
+	exec := NewExecutorWith(1, 4, tempStore(t), metrics, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
 		defer cancel()
@@ -476,7 +572,7 @@ func TestChaosPanicRecoveredInWorker(t *testing.T) {
 func TestChaosHandlerPanicIsolated(t *testing.T) {
 	inj := chaosInjector(t, "rate=0,seed=5,kinds=panic,sites=http.submit:1")
 	metrics := NewMetrics()
-	store := newStore()
+	store := tempStore(t)
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
@@ -503,7 +599,7 @@ func TestChaosHandlerPanicIsolated(t *testing.T) {
 // worker for the next job.
 func TestChaosDeadlineFreesHungWorker(t *testing.T) {
 	inj := chaosInjector(t, "rate=0,seed=9,kinds=hang,sites=executor.run:1")
-	exec := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{Faults: inj})
+	exec := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{Faults: inj})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)
 		defer cancel()
@@ -539,7 +635,7 @@ func TestChaosDeadlineFreesHungWorker(t *testing.T) {
 // jobs that carry no deadline of their own.
 func TestChaosDefaultTimeoutApplied(t *testing.T) {
 	inj := chaosInjector(t, "rate=0,seed=2,kinds=hang,sites=executor.run:1")
-	exec := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{
+	exec := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{
 		Faults:         inj,
 		DefaultTimeout: 50 * time.Millisecond,
 	})
@@ -564,7 +660,7 @@ func TestChaosDefaultTimeoutApplied(t *testing.T) {
 func TestChaosCancelFreesQueueSlotUnderLoad(t *testing.T) {
 	inj := chaosInjector(t, "rate=0,seed=4,kinds=hang,sites=executor.run:1")
 	metrics := NewMetrics()
-	store := newStore()
+	store := tempStore(t)
 	exec := NewExecutorWith(1, 2, store, metrics, ExecutorOptions{Faults: inj})
 	ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{}).Handler())
 	defer ts.Close()
@@ -679,7 +775,7 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 // before they are buffered.
 func TestSubmitBodyTooLarge(t *testing.T) {
 	metrics := NewMetrics()
-	store := newStore()
+	store := tempStore(t)
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 	defer func() {
 		ctx, cancel := newTimeoutCtx(30 * time.Second)

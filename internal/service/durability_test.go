@@ -257,23 +257,3 @@ func TestPersistFailureFailsJob(t *testing.T) {
 	}
 	t.Fatal("job did not reach a terminal state")
 }
-
-// TestStoreWithNilDB covers the -data-dir="" degradation.
-func TestStoreWithNilDB(t *testing.T) {
-	s, err := NewStoreWithOptions(nil, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.db != nil || s.storageStats() != nil {
-		t.Fatal("nil-db store reports storage")
-	}
-	m := NewMetrics()
-	exec := NewExecutorWith(1, 1, s, m, ExecutorOptions{})
-	defer exec.Shutdown(context.Background())
-	NewServerWith(exec, s, m, ServerOptions{})
-	var buf bytes.Buffer
-	m.reg.Write(&buf)
-	if bytes.Contains(buf.Bytes(), []byte("granula_storage_")) {
-		t.Fatalf("in-memory metrics leak storage family:\n%s", buf.String())
-	}
-}

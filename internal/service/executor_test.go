@@ -36,7 +36,7 @@ func waitTerminal(t *testing.T, e *Executor, id string) JobState {
 }
 
 func TestExecutorRunsJob(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	e := NewExecutorWith(2, 8, store, nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
@@ -64,7 +64,7 @@ func TestExecutorRunsJob(t *testing.T) {
 }
 
 func TestExecutorRecordsFailure(t *testing.T) {
-	e := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	id, err := e.submit(smallRequest("NoSuchPlatform", "BFS"))
@@ -78,7 +78,7 @@ func TestExecutorRecordsFailure(t *testing.T) {
 }
 
 func TestExecutorValidatesRequests(t *testing.T) {
-	e := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	bad := []JobRequest{
@@ -138,7 +138,7 @@ func TestJobRequestValidateBounds(t *testing.T) {
 // bound with tiny client-chosen graphs: it keeps maxDatasets of them,
 // dropping the least recently used, so a recently used one survives.
 func TestExecutorDatasetCacheEvictsLRU(t *testing.T) {
-	e := NewExecutorWith(1, 1, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 1, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	req := func(seed int64) JobRequest {
@@ -174,7 +174,7 @@ func TestExecutorDatasetCacheEvictsLRU(t *testing.T) {
 func TestExecutorQueueBound(t *testing.T) {
 	// Zero workers is clamped to one; stall it with a big job so the
 	// 1-slot queue fills.
-	e := NewExecutorWith(1, 1, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 1, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	big := JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}
@@ -198,7 +198,7 @@ func TestExecutorQueueBound(t *testing.T) {
 }
 
 func TestExecutorCancelQueued(t *testing.T) {
-	e := NewExecutorWith(1, 8, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 8, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 
 	// Occupy the single worker, then queue a victim.
@@ -226,7 +226,7 @@ func TestExecutorCancelQueued(t *testing.T) {
 }
 
 func TestExecutorShutdownDrains(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	e := NewExecutorWith(2, 16, store, nil, ExecutorOptions{})
 
 	var ids []string
@@ -259,7 +259,7 @@ func TestExecutorShutdownDrains(t *testing.T) {
 }
 
 func TestExecutorShutdownDeadlineCancelsQueued(t *testing.T) {
-	e := NewExecutorWith(1, 16, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(1, 16, tempStore(t), nil, ExecutorOptions{})
 
 	// One slow job holds the worker; the rest wait in the queue.
 	if _, err := e.submit(JobRequest{Platform: "Giraph", Algorithm: "PageRank", Vertices: 60_000, Edges: 300_000}); err != nil {
@@ -290,7 +290,7 @@ func TestExecutorShutdownDeadlineCancelsQueued(t *testing.T) {
 }
 
 func TestExecutorStatesOrder(t *testing.T) {
-	e := NewExecutorWith(2, 16, newStore(), nil, ExecutorOptions{})
+	e := NewExecutorWith(2, 16, tempStore(t), nil, ExecutorOptions{})
 	defer e.Shutdown(context.Background())
 	for i := 0; i < 4; i++ {
 		if _, err := e.submit(smallRequest("OpenG", "BFS")); err != nil {

@@ -88,12 +88,8 @@ func writeCaches(e *metrics.Emitter, c *respCacheStats) {
 }
 
 // writeStorage continues Metrics.tail with one archivedb snapshot per
-// scrape; st is nil, and the family absent, when the store runs without
-// durability.
-func writeStorage(e *metrics.Emitter, st *archivedb.Stats) {
-	if st == nil {
-		return
-	}
+// scrape.
+func writeStorage(e *metrics.Emitter, st archivedb.Stats) {
 	e.Counter("granula_groupcommit_batches_total", "WAL group-commit batches flushed.", st.GroupCommits)
 	e.Counter("granula_groupcommit_records_total", "Records appended through group commit.", st.GroupCommitRecords)
 	e.Counter("granula_groupcommit_fsyncs_total", "Shared fsyncs issued by the committer.", st.GroupCommitFsyncs)

@@ -69,8 +69,8 @@ var goldenStorage = archivedb.Stats{
 var goldenCaches = respCacheStats{Hits: 70, Misses: 30, NotModified: 13, Evictions: 4, Size: 26}
 
 // TestMetricsGolden pins granula-serve's /metrics byte for byte on a
-// single node without storage or caches and on a durable node with
-// both. The .prom files were written by the hand-rolled writers this
+// node with the response cache disabled and on one with it enabled;
+// both report storage. The .prom files were written by the hand-rolled writers this
 // registry replaced (see CHANGES.md, PR 19). A change that means to move
 // the exposition edits the file to match what the failing test prints
 // and reviews the diff; no test writes it.
@@ -78,10 +78,10 @@ func TestMetricsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		file    string
 		caches  *respCacheStats
-		storage *archivedb.Stats
+		storage archivedb.Stats
 	}{
-		{"testdata/metrics_single.prom", nil, nil},
-		{"testdata/metrics_durable.prom", &goldenCaches, &goldenStorage},
+		{"testdata/metrics_single.prom", nil, goldenStorage},
+		{"testdata/metrics_durable.prom", &goldenCaches, goldenStorage},
 	} {
 		m := goldenMetrics()
 		m.tail.Bind(func(e *metrics.Emitter) {

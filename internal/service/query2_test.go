@@ -345,7 +345,7 @@ func TestQuery2Validation(t *testing.T) {
 // TestSingleJobAggregateEndpoint: aggregate queries on /jobs/{id}/query
 // run over that one job.
 func TestSingleJobAggregateEndpoint(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	fillAggStore(t, store, 3)
 	ts := httptest.NewServer(NewServerWith(nil, store, nil, ServerOptions{}).Handler())
 	t.Cleanup(ts.Close)

@@ -61,8 +61,9 @@ func paperJobs(t *testing.T) ([]*archive.Job, []Summary) {
 // TestPersistedBytesPinned pins the WAL payload Put writes for both
 // paper jobs: the SHA-256 values were computed when the payload was
 // still json.Marshal(persistedJob), so the one-pass record encoder is
-// held to that format byte for byte. Export without a database renders
-// the same bytes from the stored frame.
+// held to that format byte for byte. A second store fed the same jobs
+// exports the same bytes, and so does re-encoding the tree rebuilt from
+// the stored frame.
 func TestPersistedBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"giraph-bfs-dg1000":     "aa99ddecb3746deb2880a937f4a3082d479ea49c06de57615d595ca18d5abc1b",
@@ -82,7 +83,7 @@ func TestPersistedBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	mem := newStore()
+	mem := tempStore(t)
 	for i, j := range jobs {
 		if err := store.Put(j, sums[i]); err != nil {
 			t.Fatal(err)
@@ -103,7 +104,11 @@ func TestPersistedBytesPinned(t *testing.T) {
 			t.Fatalf("export(%s): ok=%v err=%v", j.ID, ok, err)
 		}
 		if !bytes.Equal(exported, payload) {
-			t.Errorf("%s: export without a database differs from the persisted payload", j.ID)
+			t.Errorf("%s: a second store exports other bytes than the first persisted", j.ID)
+		}
+		sj, _ := store.get(j.ID)
+		if rebuilt, err := encodeRecord(sj.Summary, sj.tree(), sj.Version); err != nil || !bytes.Equal(rebuilt, payload) {
+			t.Errorf("%s: the record rebuilt from the stored frame differs from the persisted payload (%v)", j.ID, err)
 		}
 	}
 }
@@ -153,7 +158,7 @@ func TestParentEraRecordsReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newStore()
+	ref := tempStore(t)
 	payloads := map[string][]byte{}
 	for i, j := range jobs {
 		if err := ref.Put(j, sums[i]); err != nil {

@@ -20,7 +20,7 @@ import (
 func exportedJob(t *testing.T) (id string, payload []byte, version uint64) {
 	t.Helper()
 	out := testOutput(t, "Giraph", "BFS")
-	src := newStore()
+	src := tempStore(t)
 	if err := src.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func exportedJob(t *testing.T) (id string, payload []byte, version uint64) {
 
 func TestStoreVersionTracksPuts(t *testing.T) {
 	out := testOutput(t, "Giraph", "BFS")
-	s := newStore()
+	s := tempStore(t)
 	id := out.Job.ID
 	if got := s.version(id); got != 0 {
 		t.Fatalf("Version of an unknown job = %d, want 0", got)
@@ -70,7 +70,7 @@ func TestStoreVersionTracksPuts(t *testing.T) {
 func TestStoreApplyReplicaIdempotent(t *testing.T) {
 	id, payload, version := exportedJob(t)
 
-	dst := newStore()
+	dst := tempStore(t)
 	if err := dst.applyReplica(id, version, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func (f replicateFunc) ReplicateJob(ctx context.Context, id string, version uint
 // replicates the exact persisted bytes, and a quorum failure fails the
 // job — the client must never see done with fewer than W copies.
 func TestExecutorReplicationGate(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	var gotID string
 	var gotVersion uint64
 	var gotPayload []byte
@@ -203,7 +203,7 @@ func TestExecutorReplicationGate(t *testing.T) {
 			gotID, gotVersion, len(gotPayload), id, wantVersion, len(wantPayload))
 	}
 
-	fail := NewExecutorWith(1, 4, newStore(), nil, ExecutorOptions{
+	fail := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{
 		Replicator: replicateFunc(func(context.Context, string, uint64, []byte) error {
 			return errors.New("2 of 3 replicas unreachable")
 		}),
@@ -230,7 +230,7 @@ func TestExecutorReplicationGate(t *testing.T) {
 func TestServerReplicationEndpoints(t *testing.T) {
 	id, payload, version := exportedJob(t)
 
-	store := newStore()
+	store := tempStore(t)
 	exec := NewExecutorWith(1, 4, store, nil, ExecutorOptions{})
 	defer exec.Shutdown(context.Background())
 	ts := httptest.NewServer(NewServerWith(exec, store, nil, ServerOptions{}).Handler())

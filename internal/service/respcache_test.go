@@ -31,7 +31,7 @@ func revJob(id string, rev int) *archive.Job {
 	}
 }
 
-// cacheTestServer wires a server over a plain in-memory store with the
+// cacheTestServer wires a server over a temp-dir store with the
 // given cache options, plus a tiny executor the handlers require.
 func cacheTestServer(t *testing.T, store *Store, opts ServerOptions) *httptest.Server {
 	t.Helper()
@@ -71,7 +71,7 @@ func getWithETag(t *testing.T, url, ifNoneMatch string) (int, string, []byte) {
 // after the underlying job changes, and a 304 again after an unrelated
 // write that bumped the generation but not these bytes.
 func TestETagRoundTrip(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestETagRoundTrip(t *testing.T) {
 // byte-identical (body and Content-Type) to a server with every cache
 // disabled, on first hit and on repeat (cached) hits.
 func TestResponseCacheByteEquivalence(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	out := testOutput(t, "Giraph", "BFS")
 	if err := store.Put(out.Job, summarize(JobRequest{Algorithm: "BFS"}, out)); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 // increasing revisions, every read that starts after revision r acked
 // must observe revision >= r, on both the query and archive endpoints.
 func TestResponseCacheNoStaleReads(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	if err := store.Put(revJob("live", 0), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 // TestCacheMetricsExposed checks the /metrics families for both caches
 // and the group-commit counters appear once traffic has flowed.
 func TestCacheMetricsExposed(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCacheMetricsExposed(t *testing.T) {
 // entry of the old one without counting evictions, and a response
 // rendered under an older generation than the cache's is not stored.
 func TestResponseCacheHoldsOneGeneration(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("j%d", i)
 		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {
@@ -356,7 +356,7 @@ func TestResponseCacheHoldsOneGeneration(t *testing.T) {
 // TestResponseCacheLRUEviction fills the cache beyond capacity and
 // checks eviction keeps it bounded while still serving correct bytes.
 func TestResponseCacheLRUEviction(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("j%d", i)
 		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {

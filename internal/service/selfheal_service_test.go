@@ -128,7 +128,7 @@ func TestHintJournalVersionOrdering(t *testing.T) {
 // publish generation, and the digest decodes into the store's sorted
 // (id, version) set.
 func TestInternalHealthAndDigestEndpoints(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	metrics := NewMetrics()
 	exec := NewExecutorWith(2, 8, store, metrics, ExecutorOptions{})
 	t.Cleanup(func() { exec.Shutdown(context.Background()) })
@@ -330,7 +330,7 @@ func TestWatchLongPollErrors(t *testing.T) {
 // a fixed constant would re-synchronize every backed-off client into
 // the next thundering herd.
 func TestRetryAfterJitter(t *testing.T) {
-	store := newStore()
+	store := tempStore(t)
 	exec := NewExecutorWith(1, 4, store, nil, ExecutorOptions{})
 	t.Cleanup(func() { exec.Shutdown(context.Background()) })
 	srv := NewServerWith(exec, store, nil, ServerOptions{})

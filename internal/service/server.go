@@ -126,11 +126,11 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 		s.resp = newRespCache(opts.RespCacheSize)
 	}
 	m.gauges.Bind(func(e *metrics.Emitter) {
-		writeGauges(e, exec.QueueDepth(), store.Len(), store.breakerStatus())
+		writeGauges(e, exec.QueueDepth(), store.Len(), store.breaker.current())
 	})
 	m.tail.Bind(func(e *metrics.Emitter) {
 		writeCaches(e, s.cacheStats())
-		writeStorage(e, store.storageStats())
+		writeStorage(e, store.db.Stats())
 		writeLiveJobs(e, s.streams.Live())
 	})
 	mux := http.NewServeMux()
@@ -645,7 +645,7 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	breaker := s.store.breakerStatus()
+	breaker := s.store.breaker.current()
 	status := "ok"
 	if breaker != breakerClosed {
 		status = "degraded"

@@ -19,7 +19,7 @@ import (
 // newTestServer wires a full service stack on an httptest server.
 func newTestServer(t *testing.T, workers, queueCap int) (*httptest.Server, *Executor, *Store) {
 	t.Helper()
-	store := newStore()
+	store := tempStore(t)
 	metrics := NewMetrics()
 	exec := NewExecutorWith(workers, queueCap, store, metrics, ExecutorOptions{})
 	srv := NewServerWith(exec, store, metrics, ServerOptions{})

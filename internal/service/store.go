@@ -1,12 +1,12 @@
 // Package service implements granula-serve: the long-running serving
 // layer over the Granula pipeline. It owns a bounded job executor pool
 // that runs (platform, algorithm, graph) simulations concurrently, an
-// in-memory archive store that holds each job as columns — the frame
-// every query scans (DESIGN.md ablation item 6) and the environment
-// samples, from which the archive tree is rebuilt only for a reader
-// that needs one — and a JSON HTTP API that exposes submission, status,
-// archive retrieval, the query language, visualization, and regression
-// diffs.
+// archive store that holds each job as columns — the frame every query
+// scans (DESIGN.md ablation item 6) and the environment samples, from
+// which the archive tree is rebuilt only for a reader that needs one —
+// written through to an archivedb database, and a JSON HTTP API that
+// exposes submission, status, archive retrieval, the query language,
+// visualization, and regression diffs.
 //
 // The store and executor are safe for concurrent use; every JSON
 // response is deterministic (sorted keys and slices) so serve output is
@@ -112,8 +112,8 @@ func indexJob(id string, job *archive.Job, sum Summary, version uint64) *storedJ
 func (sj *storedJob) frame() *query.Frame { return sj.Cols.Frame(sj.Stats.Meta) }
 
 // tree rebuilds the job's archive tree from its frame and its samples
-// from their columns: what /archive, /viz and /diff read, and export
-// without a database. Each call builds a fresh job.
+// from their columns: what /archive, /viz and /diff read. Each call
+// builds a fresh job.
 func (sj *storedJob) tree() *archive.Job {
 	job := &archive.Job{ID: sj.ID, Platform: sj.Platform, Root: sj.frame().Tree(), EnvSamples: sj.Env.Samples()}
 	archive.New().Add(job)
@@ -154,15 +154,15 @@ func decodeRecord(payload []byte) (*archive.Job, Summary, uint64, error) {
 	return job, sum, max(version, 1), nil
 }
 
-// errDegraded is returned by Put while the persistence circuit breaker
-// is open: the store is in degraded read-only mode — reads and queries
-// keep serving from the in-memory cache, but nothing new is accepted
-// until a probe confirms storage has recovered. HTTP maps it to 503.
+// errDegraded is returned by every write while the persistence circuit
+// breaker is open: the store is in degraded read-only mode — reads and
+// queries keep serving from the in-memory cache, but nothing new is
+// accepted until a probe confirms storage has recovered. HTTP maps it
+// to 503.
 var errDegraded = errors.New("service: archive storage degraded (circuit breaker open), store is read-only")
 
-// StoreOptions tunes the durability circuit breaker of a store with a
-// backing database; the zero value selects the defaults. Stores without
-// a database have no breaker (there is no storage to fail).
+// StoreOptions tunes the store's durability circuit breaker; the zero
+// value selects the defaults.
 type StoreOptions struct {
 	// BreakerThreshold is the consecutive persist failures that trip
 	// the store into degraded read-only mode; < 1 selects 5.
@@ -178,9 +178,8 @@ type StoreOptions struct {
 }
 
 // Store is the performance-archive store: completed jobs keyed by job
-// ID, each kept as its frame. Without a database it is purely
-// in-memory (a restart loses everything); with one it is a
-// write-through cache — Put persists to the WAL before publishing to
+// ID, each kept as its frame. It is a write-through cache over its
+// database: every write reaches the WAL before it is published to
 // readers, and opening a store over an existing database restores
 // every archived job. A circuit breaker guards persistence: after
 // repeated failures the store trips to degraded read-only mode and a
@@ -196,7 +195,7 @@ type Store struct {
 	streamKeys map[string][]string
 	// hints is the in-memory view of the hinted-handoff journal
 	// (target -> job ID -> newest hint), mirrored to archivedb under
-	// hintKeyPrefix when there is one; see store_hints.go.
+	// hintKeyPrefix; see store_hints.go.
 	hints map[string]map[string]shard.HintRecord
 	// recoveredStream holds the stream batches found during warm-up,
 	// sorted by (job, lastSeq); the server replays them at startup.
@@ -215,30 +214,27 @@ type Store struct {
 	closeOnce sync.Once
 }
 
-// newStore returns an empty in-memory store with no durability.
-func newStore() *Store {
-	return &Store{
-		jobs:       map[string]*storedJob{},
-		streamKeys: map[string][]string{},
-		hints:      map[string]map[string]shard.HintRecord{},
-	}
-}
-
 // NewStoreWithOptions returns a store backed by db, warmed with every
-// job already persisted in it. A nil db gives an in-memory store.
+// job already persisted in it. A nil db is an error.
 func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
-	s := newStore()
-	s.db = db
 	if db == nil {
-		return s, nil
+		return nil, errors.New("service: a store needs a database")
 	}
 	m := opts.Metrics
 	if m == nil {
 		m = NewMetrics()
 	}
-	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
-		m.transitions.With(to.String()).Inc()
-	})
+	s := &Store{
+		jobs:       map[string]*storedJob{},
+		db:         db,
+		streamKeys: map[string][]string{},
+		hints:      map[string]map[string]shard.HintRecord{},
+		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
+			m.transitions.With(to.String()).Inc()
+		}),
+		probeStop: make(chan struct{}),
+		probeDone: make(chan struct{}),
+	}
 	interval := opts.ProbeInterval
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
@@ -248,8 +244,6 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 	}
 	// The probe starts only once the store exists: a failed open has
 	// nothing to stop.
-	s.probeStop = make(chan struct{})
-	s.probeDone = make(chan struct{})
 	go s.probeLoop(interval)
 	return s, nil
 }
@@ -364,37 +358,32 @@ func (s *Store) probeLoop(interval time.Duration) {
 
 // Close stops the background recovery probe. It does not close the
 // backing database (the store does not own it). Safe to call multiple
-// times; a store without a database has nothing to stop.
+// times.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
-		if s.probeStop != nil {
-			close(s.probeStop)
-			<-s.probeDone
-		}
+		close(s.probeStop)
+		<-s.probeDone
 	})
-}
-
-// breakerStatus returns the persistence breaker's state; stores without
-// a database report closed.
-func (s *Store) breakerStatus() breakerState {
-	if s.breaker == nil {
-		return breakerClosed
-	}
-	return s.breaker.current()
 }
 
 // readOnly reports whether the store is in degraded read-only mode
 // (breaker open): reads serve from cache, submits should be shed.
-func (s *Store) readOnly() bool { return s.breakerStatus() == breakerOpen }
+func (s *Store) readOnly() bool { return s.breaker.current() == breakerOpen }
 
-// storageStats returns the backing engine's stats, or nil when the
-// store is in-memory.
-func (s *Store) storageStats() *archivedb.Stats {
-	if s.db == nil {
-		return nil
+// write is the store's one durable write: archives, replicas, ingest
+// batches and hints all append to the WAL here. While the breaker is
+// open it fails fast with errDegraded without touching storage; every
+// real persistence outcome feeds the breaker.
+func (s *Store) write(key string, payload []byte) error {
+	if !s.breaker.allow() {
+		return errDegraded
 	}
-	st := s.db.Stats()
-	return &st
+	if err := s.db.Put(key, payload, archivedb.IndexMeta{}); err != nil {
+		s.breaker.failure()
+		return err
+	}
+	s.breaker.success()
+	return nil
 }
 
 // JobMeta projects a job's summary into the job.* fields the v2 query
@@ -418,27 +407,17 @@ func JobMeta(id string, sum Summary) query.JobMeta {
 // harness (Load-ed archives are already linked; relinking is
 // idempotent).
 //
-// With a backing database the job is persisted before it becomes
-// visible to readers; an error means the job is neither durable nor
-// published. While the breaker is open Put fails fast with errDegraded
-// without touching storage; every real persistence outcome feeds the
-// breaker.
+// The job is persisted before it becomes visible to readers; an error
+// means the job is neither durable nor published.
 func (s *Store) Put(job *archive.Job, sum Summary) error {
 	version := s.version(sum.ID) + 1
 	sj := indexJob(sum.ID, job, sum, version)
-	if s.db != nil {
-		payload, err := encodeRecord(sum, job, version)
-		if err != nil {
-			return fmt.Errorf("service: encode job %q: %w", sum.ID, err)
-		}
-		if !s.breaker.allow() {
-			return errDegraded
-		}
-		if err := s.db.Put(sum.ID, payload, archivedb.IndexMeta{}); err != nil {
-			s.breaker.failure()
-			return err
-		}
-		s.breaker.success()
+	payload, err := encodeRecord(sum, job, version)
+	if err != nil {
+		return fmt.Errorf("service: encode job %q: %w", sum.ID, err)
+	}
+	if err := s.write(sum.ID, payload); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.jobs[sum.ID] = sj
@@ -456,24 +435,19 @@ func (s *Store) version(id string) uint64 {
 }
 
 // export returns the replication payload for a stored job: the exact
-// persistedJob bytes (from the backing database when there is one, so
-// replicas receive what the primary fsynced) plus its version. It feeds
-// both the write-path replication fan-out and the router's read-repair.
+// record bytes the database holds, so replicas receive what the primary
+// persisted, plus its version. It feeds both the write-path replication
+// fan-out and the router's read-repair. A stored job the database does
+// not hold is an error.
 func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err error) {
 	sj, have := s.get(id)
 	if !have {
 		return nil, 0, false, nil
 	}
-	if s.db != nil {
-		payload, have, err = s.db.Get(id)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
-		}
-		if have {
-			return payload, sj.Version, true, nil
-		}
+	payload, have, err = s.db.Get(id)
+	if err == nil && !have {
+		err = errors.New("not in the database")
 	}
-	payload, err = encodeRecord(sj.Summary, sj.tree(), sj.Version)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("service: export job %q: %w", id, err)
 	}
@@ -500,15 +474,8 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 		return fmt.Errorf("service: decode replica %q: %w", id, err)
 	}
 	sj := indexJob(id, job, sum, version)
-	if s.db != nil {
-		if !s.breaker.allow() {
-			return errDegraded
-		}
-		if err := s.db.Put(id, payload, archivedb.IndexMeta{}); err != nil {
-			s.breaker.failure()
-			return err
-		}
-		s.breaker.success()
+	if err := s.write(id, payload); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if cur, ok := s.jobs[id]; !ok || cur.Version < version {
@@ -601,22 +568,12 @@ func parseStreamKey(key string) (jobID string, lastSeq uint64, ok bool) {
 // appendStreamBatch persists one acked ingest batch through the same
 // WAL group-commit path archives take: the caller acks the batch to the
 // client only after this returns, so "202 accepted" means the events
-// survive a crash. In-memory stores (no database) ack immediately —
-// they advertise no durability for archives either. The breaker guards
-// the write exactly as it guards Put.
+// survive a crash.
 func (s *Store) appendStreamBatch(jobID string, lastSeq uint64, payload []byte) error {
-	if s.db == nil {
-		return nil
-	}
-	if !s.breaker.allow() {
-		return errDegraded
-	}
 	key := streamBatchKey(jobID, lastSeq)
-	if err := s.db.Put(key, payload, archivedb.IndexMeta{}); err != nil {
-		s.breaker.failure()
+	if err := s.write(key, payload); err != nil {
 		return err
 	}
-	s.breaker.success()
 	s.mu.Lock()
 	s.streamKeys[jobID] = append(s.streamKeys[jobID], key)
 	s.mu.Unlock()
@@ -645,9 +602,6 @@ func (s *Store) deleteStreamBatches(jobID string) error {
 	keys := s.streamKeys[jobID]
 	delete(s.streamKeys, jobID)
 	s.mu.Unlock()
-	if s.db == nil {
-		return nil
-	}
 	var first error
 	for _, k := range keys {
 		if err := s.db.Delete(k); err != nil && first == nil {

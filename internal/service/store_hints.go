@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/archivedb"
 	"repro/internal/shard"
 )
 
@@ -40,8 +39,8 @@ func parseHintKey(key string) (target, id string, ok bool) {
 }
 
 // AppendHint journals one missed replica write durably, implementing
-// shard.HintJournal. The hint takes the same breaker-guarded WAL write
-// path as archives — an acked hint survives a crash, which is what
+// shard.HintJournal. The hint takes the store's one breaker-guarded WAL
+// write, as archives do — an acked hint survives a crash, which is what
 // lets it count toward the write quorum. A hint for the same
 // (target, id) is superseded when the new version is equal or newer;
 // an older version is silently dropped (the journal already holds a
@@ -57,15 +56,8 @@ func (s *Store) AppendHint(rec shard.HintRecord) error {
 	if have && cur.Version > rec.Version {
 		return nil
 	}
-	if s.db != nil {
-		if !s.breaker.allow() {
-			return errDegraded
-		}
-		if err := s.db.Put(hintKey(rec.Target, rec.ID), buf, archivedb.IndexMeta{}); err != nil {
-			s.breaker.failure()
-			return err
-		}
-		s.breaker.success()
+	if err := s.write(hintKey(rec.Target, rec.ID), buf); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if s.hints[rec.Target] == nil {
@@ -121,7 +113,7 @@ func (s *Store) DeleteHint(target, id string, version uint64) error {
 		}
 	}
 	s.mu.Unlock()
-	if !have || s.db == nil {
+	if !have {
 		return nil
 	}
 	return s.db.Delete(hintKey(target, id))

@@ -41,9 +41,34 @@ func testOutput(t testing.TB, platform, algorithm string) *platforms.Output {
 	return out
 }
 
+// tempStore opens a store over a fresh no-sync database in a test
+// temp dir; both close when the test ends.
+func tempStore(t testing.TB) *Store {
+	t.Helper()
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s, err := NewStoreWithOptions(db, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestStoreNeedsDatabase: a store is always written through to a
+// database; there is no in-memory store to fall back to.
+func TestStoreNeedsDatabase(t *testing.T) {
+	if s, err := NewStoreWithOptions(nil, StoreOptions{}); err == nil || s != nil {
+		t.Fatalf("NewStoreWithOptions(nil) = %v, %v; want an error", s, err)
+	}
+}
+
 func TestStorePutGet(t *testing.T) {
 	out := testOutput(t, "Giraph", "BFS")
-	s := newStore()
+	s := tempStore(t)
 	if s.Len() != 0 {
 		t.Fatalf("new store has %d jobs", s.Len())
 	}
@@ -259,9 +284,8 @@ func isEnvSample(t reflect.Type) bool { return t == reflect.TypeOf(archive.EnvSa
 // caller Puts is collected once the caller drops it, and whether a job
 // enters by Put, as a replica, or from the database when the store
 // reopens, nothing the store holds reaches an archive tree or an
-// environment sample struct. The replica store, having no database,
-// exports the replicated bytes by rebuilding the tree and its samples
-// from those columns.
+// environment sample struct. The replica exports the bytes it was
+// sent.
 func TestStoreRetainsNoTree(t *testing.T) {
 	requireNoTree := func(s *Store, how string) {
 		t.Helper()
@@ -319,7 +343,7 @@ func TestStoreRetainsNoTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := newStore()
+	replica := tempStore(t)
 	if err := replica.applyReplica(id, version, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +372,7 @@ func TestStoreRetainsNoTree(t *testing.T) {
 func TestStoreIDsSortedAndArchive(t *testing.T) {
 	g := testOutput(t, "Giraph", "BFS")
 	pg := testOutput(t, "PowerGraph", "BFS")
-	s := newStore()
+	s := tempStore(t)
 	s.Put(pg.Job, summarize(JobRequest{Algorithm: "BFS"}, pg))
 	s.Put(g.Job, summarize(JobRequest{Algorithm: "BFS"}, g))
 

@@ -28,7 +28,7 @@ import (
 // streamStack wires a service stack with live streaming enabled.
 func streamStack(t *testing.T, opts ServerOptions) (*httptest.Server, *Store) {
 	t.Helper()
-	store := newStore()
+	store := tempStore(t)
 	metrics := NewMetrics()
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 	srv := NewServerWith(exec, store, metrics, opts)
@@ -344,7 +344,7 @@ func TestWatchTailAndResume(t *testing.T) {
 func TestWatchSealRace(t *testing.T) {
 	events := streamEventsFixture()
 	for _, mode := range []string{"sse", "poll"} {
-		store := newStore()
+		store := tempStore(t)
 		metrics := NewMetrics()
 		exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
 		srv := NewServerWith(exec, store, metrics, ServerOptions{})
@@ -500,7 +500,7 @@ type streamedTwin struct {
 func newStreamedTwin(t *testing.T, req JobRequest) *streamedTwin {
 	t.Helper()
 	// Server A: the batch path.
-	storeA := newStore()
+	storeA := tempStore(t)
 	metricsA := NewMetrics()
 	execA := NewExecutorWith(1, 4, storeA, metricsA, ExecutorOptions{HostParallelism: 1})
 	tsA := httptest.NewServer(NewServerWith(execA, storeA, metricsA, ServerOptions{}).Handler())
@@ -965,7 +965,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 // and ends with a seal frame once it completes.
 func TestExecutorJobsStreamLive(t *testing.T) {
 	streams := stream.NewManager(stream.Config{})
-	store := newStore()
+	store := tempStore(t)
 	metrics := NewMetrics()
 	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{Streams: streams, HostParallelism: 1})
 	ts := httptest.NewServer(NewServerWith(exec, store, metrics, ServerOptions{Streams: streams}).Handler())

@@ -334,6 +334,23 @@ func mustGet(t *testing.T, rawurl string) (int, []byte, http.Header) {
 	return resp.StatusCode, body, resp.Header
 }
 
+// nodeStore opens the store of a single granula-serve node over a fresh
+// no-sync database in a test temp dir; both close when the test ends.
+func nodeStore(t *testing.T) *service.Store {
+	t.Helper()
+	db, err := archivedb.Open(t.TempDir(), archivedb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	store, err := service.NewStoreWithOptions(db, service.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	return store
+}
+
 // TestClusterRouterByteEquivalence pins the determinism contract of the
 // whole cluster: for a fixed shard map, /archive and /query bytes
 // served through the router equal the bytes a single granula-serve
@@ -341,10 +358,7 @@ func mustGet(t *testing.T, rawurl string) (int, []byte, http.Header) {
 // sharding happened.
 func TestClusterRouterByteEquivalence(t *testing.T) {
 	metrics := service.NewMetrics()
-	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := nodeStore(t)
 	exec := service.NewExecutorWith(2, 64, store, metrics, service.ExecutorOptions{HostParallelism: 1})
 	defer exec.Shutdown(context.Background())
 	single := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())

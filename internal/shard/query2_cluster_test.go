@@ -23,10 +23,7 @@ import (
 // the body.
 func TestClusterQuery2ByteEquivalence(t *testing.T) {
 	metrics := service.NewMetrics()
-	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := nodeStore(t)
 	exec := service.NewExecutorWith(2, 64, store, metrics, service.ExecutorOptions{HostParallelism: 1})
 	defer exec.Shutdown(context.Background())
 	single := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())
@@ -114,10 +111,7 @@ func TestClusterQuery2ByteEquivalence(t *testing.T) {
 // way.
 func TestQuery2ErrorBodyMatchesNode(t *testing.T) {
 	metrics := service.NewMetrics()
-	store, err := service.NewStoreWithOptions(nil, service.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := nodeStore(t)
 	exec := service.NewExecutorWith(1, 4, store, metrics, service.ExecutorOptions{HostParallelism: 1})
 	defer exec.Shutdown(context.Background())
 	node := httptest.NewServer(service.NewServerWith(exec, store, metrics, service.ServerOptions{}).Handler())
