@@ -55,12 +55,14 @@ func (s EnvSample) CPUUsed() float64 {
 	return 0
 }
 
-// EnvColumns holds a job's environment samples column by column, for a
-// store that keeps many jobs resident: each distinct (node, kind)
-// series once, a per-sample series index and used value, and the
-// sample times run-length coded, since the monitor emits a sample per
-// series at each timestamp. Samples rebuilds the exact slice it was
-// built from. The zero value holds no samples.
+// EnvColumns holds a job's environment samples column by column: each
+// distinct (node, kind) series once, a per-sample series index and used
+// value, and the sample times run-length coded, since the monitor emits
+// a sample per series at each timestamp. It is the form of both a
+// stored job's samples, built at once by NewEnvColumns for a store that
+// keeps many jobs resident, and a live job's, grown by Append as the
+// monitor samples. Samples rebuilds the exact slice it was built from.
+// The zero value holds no samples.
 type EnvColumns struct {
 	series []envSeries
 	idx16  []uint16 // per-sample series index while len(series) <= 1<<16
@@ -70,78 +72,119 @@ type EnvColumns struct {
 	// never merges into 0; ends[r] is the sample index one past run r.
 	times []float64
 	ends  []int
+	// ids maps a series to its index while samples are appended; it is
+	// rebuilt on demand, so NewEnvColumns does not keep it. last is the
+	// newest sample's series: the monitor names its series in the same
+	// order at every timestamp, so the one after it is tried first.
+	ids  map[envSeries]uint32
+	last uint32
 }
 
 type envSeries struct{ node, kind string }
 
-// NewEnvColumns builds the columns of samples, which it does not keep.
+// NewEnvColumns builds the columns of samples, which it does not keep,
+// each column allocated once at its exact size.
 func NewEnvColumns(samples []EnvSample) EnvColumns {
 	n := len(samples)
 	if n == 0 {
 		return EnvColumns{}
 	}
-	sameTime := func(i int) bool {
-		return math.Float64bits(samples[i].Time) == math.Float64bits(samples[i-1].Time)
-	}
 	runs := 1
 	for i := 1; i < n; i++ {
-		if !sameTime(i) {
+		if math.Float64bits(samples[i].Time) != math.Float64bits(samples[i-1].Time) {
 			runs++
 		}
 	}
 	c := EnvColumns{
-		used:  make([]float64, n),
-		times: append(make([]float64, 0, runs), samples[0].Time),
+		idx16: make([]uint16, 0, n),
+		used:  make([]float64, 0, n),
+		times: make([]float64, 0, runs),
 		ends:  make([]int, 0, runs),
 	}
-	idx := make([]uint32, n)
-	ids := map[envSeries]uint32{}
-	for i, s := range samples {
-		key := envSeries{s.Node, s.Kind}
-		k, ok := ids[key]
-		if !ok {
-			k = uint32(len(c.series))
-			ids[key] = k
-			c.series = append(c.series, key)
-		}
-		idx[i], c.used[i] = k, s.Used
-		if i > 0 && !sameTime(i) {
-			c.ends = append(c.ends, i)
-			c.times = append(c.times, s.Time)
-		}
+	for _, s := range samples {
+		c.Append(s)
 	}
-	c.ends = append(c.ends, n)
-	if len(c.series) > 1<<16 {
-		c.idx32 = idx
-		return c
-	}
-	c.idx16 = make([]uint16, n)
-	for i, k := range idx {
-		c.idx16[i] = uint16(k)
-	}
+	c.ids = nil
 	return c
 }
 
-// Samples returns a new slice of the samples the columns were built
-// from, nil for none, in one allocation; its strings are shared.
+// Append adds s after the samples the columns hold.
+func (c *EnvColumns) Append(s EnvSample) {
+	key := envSeries{s.Node, s.Kind}
+	k := c.last + 1
+	if int(k) >= len(c.series) {
+		k = 0
+	}
+	if len(c.series) == 0 || c.series[k] != key {
+		k = c.seriesIndex(key)
+	}
+	c.last = k
+	if c.idx32 != nil {
+		c.idx32 = append(c.idx32, k)
+	} else {
+		c.idx16 = append(c.idx16, uint16(k))
+	}
+	c.used = append(c.used, s.Used)
+	if r := len(c.times) - 1; r >= 0 && math.Float64bits(s.Time) == math.Float64bits(c.times[r]) {
+		c.ends[r]++
+	} else {
+		c.times = append(c.times, s.Time)
+		c.ends = append(c.ends, len(c.used))
+	}
+}
+
+// seriesIndex returns the index of key, adding it to the series table if
+// it is new, and widens the per-sample index to 32 bits at the series
+// a 16-bit index cannot hold.
+func (c *EnvColumns) seriesIndex(key envSeries) uint32 {
+	if c.ids == nil {
+		c.ids = make(map[envSeries]uint32, len(c.series)+1)
+		for i, s := range c.series {
+			c.ids[s] = uint32(i)
+		}
+	}
+	if k, ok := c.ids[key]; ok {
+		return k
+	}
+	k := uint32(len(c.series))
+	c.ids[key] = k
+	c.series = append(c.series, key)
+	if k == 1<<16 {
+		c.idx32 = make([]uint32, len(c.idx16), cap(c.idx16))
+		for i, v := range c.idx16 {
+			c.idx32[i] = uint32(v)
+		}
+		c.idx16 = nil
+	}
+	return k
+}
+
+// Each calls fn with each sample from index from on, in order; its
+// strings are shared.
+func (c *EnvColumns) Each(from int, fn func(EnvSample)) {
+	run := sort.SearchInts(c.ends, from+1)
+	for i := from; i < len(c.used); i++ {
+		if i == c.ends[run] {
+			run++
+		}
+		var k uint32
+		if c.idx16 != nil {
+			k = uint32(c.idx16[i])
+		} else {
+			k = c.idx32[i]
+		}
+		fn(EnvSample{Time: c.times[run], Node: c.series[k].node, Kind: c.series[k].kind, Used: c.used[i]})
+	}
+}
+
+// Samples returns a new slice of the samples the columns hold, nil for
+// none, in one allocation; its strings are shared.
 func (c *EnvColumns) Samples() []EnvSample {
 	if len(c.used) == 0 {
 		return nil
 	}
-	out := make([]EnvSample, len(c.used))
-	run := 0
-	for i := range out {
-		if i == c.ends[run] {
-			run++
-		}
-		var k int
-		if c.idx16 != nil {
-			k = int(c.idx16[i])
-		} else {
-			k = int(c.idx32[i])
-		}
-		out[i] = EnvSample{Time: c.times[run], Node: c.series[k].node, Kind: c.series[k].kind, Used: c.used[i]}
-	}
+	out := make([]EnvSample, 0, len(c.used))
+	c.Each(0, func(s EnvSample) { out = append(out, s) })
 	return out
 }
 

@@ -103,8 +103,18 @@ func (e *encoder) string(s string) {
 }
 
 // float writes f as encoding/json does: 'f' format, or 'e' outside
-// [1e-6, 1e21) with a one-digit negative exponent unpadded.
+// [1e-6, 1e21) with a one-digit negative exponent unpadded. An integral
+// f below 2^53 in magnitude, other than -0, is written as the integer
+// it holds, which is what 'f' format writes for it, without the
+// shortest-digits search: most environment samples and times are
+// whole numbers.
 func (e *encoder) float(f float64) {
+	if math.Abs(f) < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			e.buf = strconv.AppendInt(e.buf, i, 10)
+			return
+		}
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
 			e.err = fmt.Errorf("archive: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))

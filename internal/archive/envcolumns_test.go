@@ -45,7 +45,7 @@ func paperArchive(t *testing.T) *Archive {
 }
 
 // TestEnvColumnsRoundTrip holds EnvColumns to the samples it was built
-// from, byte for byte, on the cases a naive layout gets wrong: a -0 time
+// from or appended, byte for byte, on the cases a naive layout gets wrong: a -0 time
 // after a 0 (run-length coding by == merges them), unsorted and
 // repeated times, the empty and "cpu" kinds (distinct series that
 // encode differently), nil and empty slices, and more series than a
@@ -88,6 +88,23 @@ func TestEnvColumnsRoundTrip(t *testing.T) {
 				t.Fatalf("%d series: 32-bit index %t, want %t", len(cols.series), cols.idx32 != nil, wide)
 			}
 			checkEnvColumns(t, &Job{ID: "j", Platform: "P", EnvSamples: samples})
+
+			// Appended one by one, as a live job's are, the columns
+			// hold the same samples and widen the index at the same
+			// series.
+			var grown EnvColumns
+			for _, s := range samples {
+				grown.Append(s)
+			}
+			if (grown.idx32 != nil) != (cols.idx32 != nil) {
+				t.Fatalf("appended columns: 32-bit index %t, built %t", grown.idx32 != nil, cols.idx32 != nil)
+			}
+			checkEnvColumns(t, &Job{ID: "j", Platform: "P", EnvSamples: grown.Samples()})
+			want, _ := AppendRecord(nil, []byte(`{}`), &Job{ID: "j", Platform: "P", EnvSamples: samples}, 1)
+			got, _ := AppendRecord(nil, []byte(`{}`), &Job{ID: "j", Platform: "P", EnvSamples: grown.Samples()}, 1)
+			if !bytes.Equal(got, want) {
+				t.Fatal("appended columns rebuild different samples")
+			}
 		})
 	}
 

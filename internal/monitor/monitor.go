@@ -212,8 +212,11 @@ func Assemble(jobID, platform string, records []trace.Record, samples []envmon.S
 		}
 	}
 	var env []archive.EnvSample
-	for _, s := range samples {
-		env = append(env, archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
+	if len(samples) > 0 {
+		env = make([]archive.EnvSample, len(samples))
+		for i, s := range samples {
+			env[i] = archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used}
+		}
 	}
 	return a.Finish(platform, env)
 }

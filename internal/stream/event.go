@@ -18,11 +18,12 @@
 // A job's operation records go to one monitor.Assembler as they are
 // accepted — the assembler the batch pipeline runs too — which checks
 // them and grows the job's operation tree; the event log is the only
-// other copy of them, and the only copy of the environment samples.
-// When the terminal "seal" event is accepted that tree is finished
-// into a normal archive job, not assembled a second time, and is
-// byte-identical to what the batch pipeline would have produced from
-// the same records.
+// other copy of them. The log keeps the environment samples, nearly all
+// of a job's events, as archive.EnvColumns, their only copy, and reads
+// them back as events on demand. When the terminal "seal" event is
+// accepted that tree is finished into a normal archive job, not
+// assembled a second time, and is byte-identical to what the batch
+// pipeline would have produced from the same records.
 package stream
 
 import (

@@ -3,9 +3,12 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/envmon"
 	"repro/internal/query"
 	"repro/internal/trace"
 )
@@ -138,8 +141,9 @@ func TestStreamLiveQueryDuringIngest(t *testing.T) {
 }
 
 // TestStreamPublishAllocs pins the allocations of publishing one end
-// record to a live in-process job at zero: the event log and the
-// assembler take the record with nothing but their amortized growth.
+// record, and one environment sample, to a live in-process job at zero:
+// the event log, the sample columns and the assembler take them with
+// nothing but their amortized growth.
 func TestStreamPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
@@ -168,5 +172,71 @@ func TestStreamPublishAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("publishing one end record allocates %v times, want 0", allocs)
+	}
+
+	samples := liveSamples(25*runs + runs + 1) // AllocsPerRun adds a warm-up call
+	// The steady state: every series known.
+	for _, s := range samples[:25*runs] {
+		if err := j.PublishSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next = 25 * runs
+	allocs = testing.AllocsPerRun(runs, func() {
+		if err := j.PublishSample(samples[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("publishing one environment sample allocates %v times, want 0", allocs)
+	}
+}
+
+// liveSamples returns n samples as the monitor writes them: 25 series
+// (five nodes, five resource kinds) named in the same order at each
+// whole-second timestamp, most of them reading a whole number.
+func liveSamples(n int) []envmon.Sample {
+	kinds := []string{"cpu", "mem", "disk", "nic", "gpu"}
+	samples := make([]envmon.Sample, n)
+	for i := range samples {
+		k := i % 25
+		samples[i] = envmon.Sample{Time: float64(i / 25), Node: "node-" + strconv.Itoa(k/5), Kind: kinds[k%5], Used: float64(i % 4)}
+		if i%10 == 0 {
+			samples[i].Used = 0.37
+		}
+	}
+	return samples
+}
+
+// TestLiveEnvBytes gates what a live job's log holds per environment
+// sample: 100,000 samples over 25 series published into a live job cost
+// at most 40 heap bytes each. The heap is read after two collections, so
+// that sync.Pool's victim cache holds nothing at either reading.
+func TestLiveEnvBytes(t *testing.T) {
+	const n, ceiling = 100_000, 40
+	samples := liveSamples(n)
+	j, err := NewManager(Config{}).OpenInternal("env-bytes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, s := range samples {
+		if err := j.PublishSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(j)
+	runtime.KeepAlive(samples)
+	perSample := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%d samples: %.1f heap bytes per sample (ceiling %d)", n, perSample, ceiling)
+	if perSample > ceiling {
+		t.Fatalf("a live job holds %.1f bytes per environment sample, ceiling %d", perSample, ceiling)
 	}
 }

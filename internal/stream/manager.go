@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/archive"
@@ -166,13 +167,18 @@ func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 
 // Job is one live job's stream state: the dense event log, the
 // operation tree its assembler has built so far, and the subscriber set
-// for /watch tails.
+// for /watch tails. The log is held in two parts ordered by sequence
+// number: the environment samples as columns, and every other event
+// as itself. An env event that carries more than its sample also keeps
+// a copy of itself, so the log reads back exactly what was accepted.
 type Job struct {
 	id       string
 	internal bool
 
 	mu      sync.Mutex
 	events  []Event
+	env     archive.EnvColumns
+	oddEnv  map[uint64]Event
 	lastSeq uint64
 
 	asm *monitor.Assembler
@@ -213,7 +219,7 @@ func (j *Job) Meta() (platform, algorithm string) {
 func (j *Job) Progress() (events, completedOps, openOps int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.events), j.asm.Ended(), j.asm.Open()
+	return int(j.lastSeq), j.asm.Ended(), j.asm.Open()
 }
 
 func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
@@ -244,7 +250,7 @@ func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
 			return res, fmt.Errorf("%w: event %d follows the seal at %d", ErrSealed, fresh[k+1].Seq, fresh[k].Seq)
 		}
 	}
-	if maxEvents > 0 && len(j.events)+len(fresh) > maxEvents {
+	if maxEvents > 0 && int(j.lastSeq)+len(fresh) > maxEvents {
 		return res, ErrOverflow
 	}
 	var recs []trace.Record
@@ -270,52 +276,64 @@ func (j *Job) ingest(events []Event, maxEvents int) (Result, error) {
 // log appends one event whose operation record, if any, the assembler
 // has already taken. Called with j.mu held.
 func (j *Job) log(e Event) {
-	j.events = append(j.events, e)
 	j.lastSeq = e.Seq
-	if e.Type == TypeSeal {
+	switch e.Type {
+	case typeEnv:
+		s := archive.EnvSample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used}
+		j.env.Append(s)
+		if e != envEvent(e.Seq, s) {
+			if j.oddEnv == nil {
+				j.oddEnv = map[uint64]Event{}
+			}
+			j.oddEnv[e.Seq] = e
+		}
+		return
+	case TypeSeal:
 		j.sealed = true
 		j.sealState = e.State
 		j.platform = e.Platform
 		j.algorithm = e.Algorithm
 	}
+	j.events = append(j.events, e)
 }
 
-// publish appends one event from a trusted in-process source, assigning
-// the next sequence number; rec is its operation record, if it has one.
-func (j *Job) publish(e Event, rec *trace.Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.sealed {
-		return ErrSealed
-	}
-	if rec != nil {
-		if err := j.asm.Add(*rec); err != nil {
-			return err
-		}
-	}
-	e.Seq = j.lastSeq + 1
-	j.log(e)
-	j.notifyLocked()
-	return nil
+// envEvent returns the env event at seq that carries s and nothing else.
+func envEvent(seq uint64, s archive.EnvSample) Event {
+	return Event{Seq: seq, Type: typeEnv, Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used}
 }
 
 // PublishRecord streams one platform-log record from an in-process
 // engine (wired through trace.Log's sink).
 func (j *Job) PublishRecord(r trace.Record) error {
-	return j.publish(Event{
-		Type: string(r.Event), Time: r.Time,
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.sealed {
+		return ErrSealed
+	}
+	if err := j.asm.Add(r); err != nil {
+		return err
+	}
+	j.log(Event{
+		Seq: j.lastSeq + 1, Type: string(r.Event), Time: r.Time,
 		Op: r.Op, Parent: r.Parent, Actor: r.Actor, Mission: r.Mission,
 		Key: r.Key, Value: r.Value,
-	}, &r)
+	})
+	j.notifyLocked()
+	return nil
 }
 
 // PublishSample streams one environment sample from the in-process
-// monitor.
+// monitor; it goes straight to the job's sample columns.
 func (j *Job) PublishSample(s envmon.Sample) error {
-	return j.publish(Event{
-		Type: typeEnv, Time: s.Time,
-		Node: s.Node, Kind: s.Kind, Used: s.Used,
-	}, nil)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.sealed {
+		return ErrSealed
+	}
+	j.env.Append(archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
+	j.lastSeq++
+	j.notifyLocked()
+	return nil
 }
 
 // Seal appends the terminal seal event for an in-process job. A done
@@ -341,15 +359,32 @@ func (j *Job) Seal(platform, algorithm, state string, at float64) error {
 }
 
 // EventsAfter returns accepted events with sequence numbers greater
-// than seq. The returned slice is immutable (events are dense and
-// append-only); callers must not modify it.
+// than seq, in order, nil for none. Each call builds its window into a
+// new slice, merging the sample columns back into events; the caller
+// owns it.
 func (j *Job) EventsAfter(seq uint64) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if seq >= j.lastSeq {
 		return nil
 	}
-	return j.events[seq:len(j.events):len(j.events)]
+	out := make([]Event, 0, j.lastSeq-seq)
+	// r events and so seq-r samples sit at or below seq.
+	r := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq > seq })
+	next := seq + 1
+	j.env.Each(int(seq)-r, func(s archive.EnvSample) {
+		for ; r < len(j.events) && j.events[r].Seq == next; r++ {
+			out = append(out, j.events[r])
+			next++
+		}
+		e, ok := j.oddEnv[next]
+		if !ok {
+			e = envEvent(next, s)
+		}
+		out = append(out, e)
+		next++
+	})
+	return append(out, j.events[r:]...)
 }
 
 // Subscribe registers a notification channel signaled (non-blocking,
@@ -400,8 +435,8 @@ func (j *Job) opStart(id string) (start float64, mission string, ok bool) {
 
 // BuildArchive finishes the sealed job's operation tree — the one its
 // assembler built as the events arrived, not a second assembly — with
-// the environment samples from its event log, then derives it as the
-// batch path does: the standard rules, the domain breakdown, and
+// the environment samples from its sample columns, then derives it as
+// the batch path does: the standard rules, the domain breakdown, and
 // validation. A streamed-then-sealed job is therefore byte-identical to
 // the same job run batch-mode. Each call returns its own copy of the
 // operations: a store links (re-sorts) the tree it is given, and two
@@ -412,13 +447,7 @@ func (j *Job) BuildArchive() (*archive.Job, error) {
 	if !j.sealed {
 		return nil, fmt.Errorf("stream: job %q not sealed", j.id)
 	}
-	var samples []archive.EnvSample
-	for _, e := range j.events {
-		if e.Type == typeEnv {
-			samples = append(samples, archive.EnvSample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used})
-		}
-	}
-	job, err := j.asm.Finish(j.platform, samples)
+	job, err := j.asm.Finish(j.platform, j.env.Samples())
 	if err != nil {
 		return nil, err
 	}

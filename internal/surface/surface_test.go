@@ -1,9 +1,12 @@
-// Package surface holds one test and no product code: the dead-surface
-// gate. Every exported identifier under internal/ must have a caller in
-// a non-test file of another package (cmd/, internal/ or the bench/
-// module), or be listed in testdata/allowlist.txt with its reason.
+// Package surface holds repository-wide checks and no product code.
+// The dead-surface gate: every exported identifier under internal/ must
+// have a caller in a non-test file of another package (cmd/, internal/
+// or the bench/ module), or be listed in testdata/allowlist.txt with its
+// reason. The claims check: every statistic in BENCH_claims.json follows
+// from the pairs it lists.
 //
 //	go test -run TestNoDeadExports ./internal/surface/
+//	go test -run TestBenchClaims ./internal/surface/
 package surface
 
 import (
