@@ -11,12 +11,21 @@
 //
 // The naive tree-walk oracle, the single-node frame scan, and the
 // router's scatter-gather merge all produce the same fold, which is
-// what makes their rendered bytes identical. Percentiles are EXACT,
+// what makes their rendered bytes identical. The frame scan is the
+// kernel in kernel.go: the where clause becomes a selection vector,
+// group keys map to dense slots, and each aggregate folds its column
+// over the selection, whose order is row order. Percentiles are EXACT,
 // not sketched: partials carry the matching values themselves and the
 // merge sorts the concatenation — see DESIGN.md for the contract and
-// the sketch trade-off. Partials serialize floats as shortest
-// round-trip strings ('g', -1), which survive JSON exactly (including
-// NaN/Inf, which encoding/json would reject as numbers).
+// the sketch trade-off.
+//
+// Partials are typed: sums and percentile values are float64s, a
+// min/max is its winning value. Strings appear only on the wire, in
+// JobPartial's JSON form (the router's GET /internal/query2), where
+// floats are shortest round-trip strings ('g', -1), which survive JSON
+// exactly (including NaN/Inf, which encoding/json would reject as
+// numbers). The single-node merge and the router's merge of decoded
+// partials are one typed fold.
 package query
 
 import (
@@ -24,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,39 +41,104 @@ import (
 	"repro/internal/archive"
 )
 
-// AggPartial is one aggregate's per-job partial state. Which fields
-// are set depends on the function: sum/avg carry Sum, min/max carry
-// Min or Max (the winning value's string form), percentiles carry the
-// matched values, and count needs nothing beyond the group's row count.
-type AggPartial struct {
-	Sum  string   `json:"sum,omitempty"`
-	Min  *string  `json:"min,omitempty"`
-	Max  *string  `json:"max,omitempty"`
-	Vals []string `json:"vals,omitempty"`
+// JobPartial is one job's contribution to a cross-job aggregation —
+// the unit the router's scatter-gather ships between nodes. Its groups
+// are in order of first appearance in the job; the JSON form orders
+// them by group key.
+type JobPartial struct {
+	Job    string
+	Pruned bool
+	Rows   int
+	groups []groupPartial
 }
 
-// GroupPartial is one group's per-job partial: the group key, the
+// groupPartial is one group's per-job partial: the group key, the
 // number of matching rows, and one partial per aggregate in the
 // query's agg list.
-type GroupPartial struct {
-	Key  []string     `json:"key"`
-	N    uint64       `json:"n"`
-	Aggs []AggPartial `json:"aggs"`
+type groupPartial struct {
+	key  []string
+	n    uint64
+	aggs []aggPartial
 }
 
-// JobPartial is one job's contribution to a cross-job aggregation —
-// the unit the router's scatter-gather ships between nodes.
-type JobPartial struct {
-	Job    string         `json:"job"`
-	Pruned bool           `json:"pruned,omitempty"`
-	Rows   int            `json:"rows"`
-	Groups []GroupPartial `json:"groups,omitempty"`
+// aggPartial is one aggregate's per-job partial state. Which fields
+// are set depends on the function: sum/avg carry sum, min/max carry
+// ext (when a row had a value), percentiles carry the matched values
+// in row order, and count needs nothing beyond the group's row count.
+type aggPartial struct {
+	has  uint8 // hasSum, hasMin or hasMax
+	sum  float64
+	ext  extreme
+	vals []float64
+}
+
+const (
+	hasSum = 1 << iota
+	hasMin
+	hasMax
+)
+
+// extreme is a min/max winner as compareValues reads it. A winner from
+// a numeric column keeps only its number (bare) until the wire or the
+// rendered response needs its string form; a non-finite one is never
+// bare.
+type extreme struct {
+	value
+	bare bool
+}
+
+// numExtreme is the extreme for x read from a numeric column.
+func numExtreme(x float64) extreme {
+	if isFinite(x) {
+		return extreme{value: value{f: x, finite: true}, bare: true}
+	}
+	return extreme{value: value{s: formatNumField(x), f: x}}
+}
+
+// str is the value's string form, as fieldValue gives it on the tree.
+func (e *extreme) str() string {
+	if e.bare {
+		return formatNumField(e.f)
+	}
+	return e.s
+}
+
+// compare orders two extremes as compareValues orders their strings.
+func (e *extreme) compare(o *extreme) int {
+	if e.finite && o.finite {
+		return cmp.Compare(e.f, o.f)
+	}
+	return strings.Compare(e.str(), o.str())
 }
 
 // PrunedPartial is the contribution of a job whose zone map proved it
 // cannot contain a matching row.
 func PrunedPartial(jobID string) JobPartial {
 	return JobPartial{Job: jobID, Pruned: true}
+}
+
+// --- wire form ---
+
+// wirePartial and its parts are JobPartial's JSON form: every float a
+// string, groups ordered by key.
+type wirePartial struct {
+	Job    string      `json:"job"`
+	Pruned bool        `json:"pruned,omitempty"`
+	Rows   int         `json:"rows"`
+	Groups []wireGroup `json:"groups,omitempty"`
+}
+
+type wireGroup struct {
+	Key  []string  `json:"key"`
+	N    uint64    `json:"n"`
+	Aggs []wireAgg `json:"aggs"`
+}
+
+type wireAgg struct {
+	Sum  string   `json:"sum,omitempty"`
+	Min  *string  `json:"min,omitempty"`
+	Max  *string  `json:"max,omitempty"`
+	Vals []string `json:"vals,omitempty"`
 }
 
 // formatFloatWire is the exact-round-trip wire form for floats in
@@ -74,297 +149,269 @@ func formatFloatWire(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// --- per-frame execution ---
-
-// aggregate accumulator modes, one per function family.
-const (
-	amCount = iota
-	amSum   // sum and avg: fold a float sum in row order
-	amPerc  // percentile: collect matching values
-	amMin   // min: keep the row whose value orders first
-	amMax   // max: keep the row whose value orders last
-)
-
-// frameAgg is one aggregate of the agg list resolved against a frame.
-type frameAgg struct {
-	mode int
-	col  column
-	// numeric orders min/max rows by number: the column is depth, or
-	// floats that are all finite, where number order is compareValues
-	// order.
-	numeric bool
-}
-
-type frameAcc struct {
-	set  bool
-	row  int // min/max: the winning row
-	sum  float64
-	vals []float64
-}
-
-// allFinite reports whether every value in col is finite.
-func allFinite(col []float64) bool {
-	for _, v := range col {
-		if !isFinite(v) {
-			return false
-		}
+// MarshalJSON writes the partial's wire form.
+func (jp JobPartial) MarshalJSON() ([]byte, error) {
+	w := wirePartial{Job: jp.Job, Pruned: jp.Pruned, Rows: jp.Rows}
+	if len(jp.groups) > 0 {
+		w.Groups = make([]wireGroup, len(jp.groups))
 	}
-	return true
-}
-
-// frameAggs resolves the query's agg list against a concrete frame.
-func (q *Query) frameAggs(f *Frame) ([]frameAgg, error) {
-	out := make([]frameAgg, len(q.aggs))
-	for i, a := range q.aggs {
-		ag := &out[i]
-		switch a.fn {
-		case "count":
-			ag.mode = amCount
-			continue
-		case "sum", "avg":
-			ag.mode = amSum
-		case "min":
-			ag.mode = amMin
-		case "max":
-			ag.mode = amMax
-		default:
-			ag.mode = amPerc
-		}
-		col, err := f.column(a.field)
-		if err != nil {
-			return nil, err
-		}
-		ag.col = col
-		ag.numeric = col.kind == depthField || col.kind == floatField && allFinite(col.num)
-	}
-	return out, nil
-}
-
-// cmpRows orders rows a and b of a min/max column as compareValues
-// orders their values: by symbol, by number, or by string form. A
-// job.* value is one per frame and compares equal to itself.
-func (ag *frameAgg) cmpRows(a, b int) int {
-	c := &ag.col
-	switch {
-	case c.kind == symbolField:
-		return c.f.symCompare(c.sym[a], c.sym[b])
-	case c.kind == jobField:
-		return 0
-	case ag.numeric:
-		return cmp.Compare(c.number(a), c.number(b))
-	}
-	va, _ := c.value(a)
-	vb, _ := c.value(b)
-	return compareValues(va, vb)
-}
-
-// wins reports whether row r replaces row best as the min (orders
-// strictly before it) or the max (strictly after).
-func (ag *frameAgg) wins(r, best int) bool {
-	c := ag.cmpRows(r, best)
-	return ag.mode == amMin && c < 0 || ag.mode == amMax && c > 0
-}
-
-// present reports whether row r has a value for a min/max: only info
-// and derived fields can lack one.
-func (ag *frameAgg) present(r int) bool {
-	switch ag.col.kind {
-	case infoField, derivedField, absentField:
-		_, ok := ag.col.value(r)
-		return ok
-	}
-	return true
-}
-
-// groupKeyer packs one row's group-by values into a comparable key.
-// When the per-field value domains fit, the key is a packed uint64 of
-// symbol IDs / depths — no per-row allocation; otherwise it falls back
-// to a composite string.
-type groupKeyer struct {
-	packed bool
-	cols   []column
-	widths []uint
-}
-
-func buildKeyer(q *Query, f *Frame) (groupKeyer, error) {
-	k := groupKeyer{packed: true, cols: make([]column, len(q.groupBy)), widths: make([]uint, len(q.groupBy))}
-	total := uint(0)
-	for i, gf := range q.groupBy {
-		c, err := f.column(gf)
-		if err != nil {
-			return k, err
-		}
-		switch c.kind {
-		case symbolField:
-			k.widths[i] = bitsFor(len(f.Syms))
-		case depthField:
-			k.widths[i] = bitsFor(int(maxDepth(c.depth)) + 1)
-		case infoField, derivedField:
-			k.packed = false
-		}
-		// A job.* field, constant per frame, adds nothing to the key.
-		k.cols[i] = c
-		total += k.widths[i]
-	}
-	if total > 63 {
-		k.packed = false
-	}
-	return k, nil
-}
-
-// bitsFor returns the bits needed to represent values in [0, n).
-func bitsFor(n int) uint {
-	w := uint(0)
-	for (1 << w) < n {
-		w++
-	}
-	return w
-}
-
-func (k *groupKeyer) pack(r int) uint64 {
-	key := uint64(0)
-	for i := range k.cols {
-		c := &k.cols[i]
-		key <<= k.widths[i]
-		switch c.kind {
-		case symbolField:
-			key |= uint64(c.sym[r])
-		case depthField:
-			key |= uint64(c.depth[r])
-		}
-	}
-	return key
-}
-
-// values returns row r's group key, each value as fieldValue forms it.
-func (k *groupKeyer) values(r int, key []string) []string {
-	for i := range k.cols {
-		key[i], _ = k.cols[i].value(r)
-	}
-	return key
-}
-
-// joinKey builds an unambiguous composite string key (length-prefixed
-// components, so no separator collision).
-func joinKey(parts []string) string {
-	var sb strings.Builder
-	for _, p := range parts {
-		sb.WriteString(strconv.Itoa(len(p)))
-		sb.WriteByte(':')
-		sb.WriteString(p)
-	}
-	return sb.String()
-}
-
-// AggregateFrame scans one frame and returns the job's partial
-// aggregate. The hot loop allocates O(distinct groups), not O(rows):
-// group slots live in flat slices keyed by a packed integer key
-// (percentile aggregates are the documented exception — they retain
-// matching values, which is what makes the merge exact).
-func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
-	jp := JobPartial{Job: f.Meta.ID}
-	scan, err := q.filter(f)
-	if err != nil {
-		return jp, err
-	}
-	aggs, err := q.frameAggs(f)
-	if err != nil {
-		return jp, err
-	}
-	keyer, err := buildKeyer(q, f)
-	if err != nil {
-		return jp, err
-	}
-	na := len(aggs)
-
-	type slot struct {
-		first int32
-		n     uint64
-	}
-	var slots []slot
-	var accs []frameAcc
-	var lookupU map[uint64]int32
-	var lookupS map[string]int32
-	if keyer.packed {
-		lookupU = make(map[uint64]int32)
-	} else {
-		lookupS = make(map[string]int32)
-	}
-	keyBuf := make([]string, len(q.groupBy))
-
-	scan(func(r int) {
-		jp.Rows++
-		var si int32
-		var ok bool
-		if keyer.packed {
-			k := keyer.pack(r)
-			if si, ok = lookupU[k]; !ok {
-				si = int32(len(slots))
-				lookupU[k] = si
+	for i := range jp.groups {
+		g := &jp.groups[i]
+		wg := wireGroup{Key: g.key, N: g.n, Aggs: make([]wireAgg, len(g.aggs))}
+		for ai := range g.aggs {
+			a, wa := &g.aggs[ai], &wg.Aggs[ai]
+			if a.has&hasSum != 0 {
+				wa.Sum = formatFloatWire(a.sum)
 			}
-		} else {
-			k := joinKey(keyer.values(r, keyBuf))
-			if si, ok = lookupS[k]; !ok {
-				si = int32(len(slots))
-				lookupS[k] = si
+			if a.has&(hasMin|hasMax) != 0 {
+				s := a.ext.str()
+				if a.has&hasMin != 0 {
+					wa.Min = &s
+				} else {
+					wa.Max = &s
+				}
 			}
-		}
-		if !ok {
-			slots = append(slots, slot{first: int32(r)})
-			accs = append(accs, make([]frameAcc, na)...)
-		}
-		slots[si].n++
-		base := int(si) * na
-		for ai := range aggs {
-			ag := &aggs[ai]
-			acc := &accs[base+ai]
-			switch ag.mode {
-			case amSum:
-				acc.sum += ag.col.number(r)
-			case amPerc:
-				acc.vals = append(acc.vals, ag.col.number(r))
-			case amMin, amMax:
-				if ag.present(r) && (!acc.set || ag.wins(r, acc.row)) {
-					acc.set, acc.row = true, r
+			if len(a.vals) > 0 {
+				wa.Vals = make([]string, len(a.vals))
+				for k, v := range a.vals {
+					wa.Vals[k] = formatFloatWire(v)
 				}
 			}
 		}
-	})
-
-	jp.Groups = make([]GroupPartial, 0, len(slots))
-	for si := range slots {
-		key := keyer.values(int(slots[si].first), make([]string, len(q.groupBy)))
-		gp := GroupPartial{Key: key, N: slots[si].n, Aggs: make([]AggPartial, na)}
-		for ai := range aggs {
-			gp.Aggs[ai] = finalizePartial(&aggs[ai], &accs[si*na+ai])
-		}
-		jp.Groups = append(jp.Groups, gp)
+		w.Groups[i] = wg
 	}
-	sortGroupPartials(jp.Groups)
+	sort.Slice(w.Groups, func(i, j int) bool { return cmpKey(w.Groups[i].Key, w.Groups[j].Key) < 0 })
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads the partial's wire form. A sum or percentile
+// value that does not parse as a float is an error.
+func (jp *JobPartial) UnmarshalJSON(b []byte) error {
+	var w wirePartial
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*jp = JobPartial{Job: w.Job, Pruned: w.Pruned, Rows: w.Rows}
+	if len(w.Groups) > 0 {
+		jp.groups = make([]groupPartial, len(w.Groups))
+	}
+	for i, wg := range w.Groups {
+		g := &jp.groups[i]
+		g.key, g.n, g.aggs = wg.Key, wg.N, make([]aggPartial, len(wg.Aggs))
+		for ai, wa := range wg.Aggs {
+			a := &g.aggs[ai]
+			if wa.Sum != "" {
+				v, err := strconv.ParseFloat(wa.Sum, 64)
+				if err != nil {
+					return fmt.Errorf("query: malformed sum partial %q", wa.Sum)
+				}
+				a.has, a.sum = a.has|hasSum, v
+			}
+			switch {
+			case wa.Min != nil:
+				a.has, a.ext = a.has|hasMin, extreme{value: valueOf(*wa.Min)}
+			case wa.Max != nil:
+				a.has, a.ext = a.has|hasMax, extreme{value: valueOf(*wa.Max)}
+			}
+			for _, vs := range wa.Vals {
+				v, err := strconv.ParseFloat(vs, 64)
+				if err != nil {
+					return fmt.Errorf("query: malformed percentile partial %q", vs)
+				}
+				a.vals = append(a.vals, v)
+			}
+		}
+	}
+	return nil
+}
+
+// --- per-frame execution ---
+
+// AggregateFrame scans one frame and returns the job's partial
+// aggregate. Its allocations depend on the number of groups, not rows
+// (percentile aggregates are the documented exception — they retain
+// the matching values, in one allocation, which is what makes the
+// merge exact).
+func (q *Query) AggregateFrame(f *Frame) (JobPartial, error) {
+	s := getScan(f)
+	defer s.release()
+	return s.aggregate(q)
+}
+
+// aggregate runs the kernel for q over s's frame: the selection, the
+// group slots, then one fold per aggregate.
+func (s *scan) aggregate(q *Query) (JobPartial, error) {
+	f := s.f
+	jp := JobPartial{Job: f.Meta.ID}
+	sel, err := s.selection(q.where)
+	if err != nil {
+		return jp, err
+	}
+	defer s.put(sel)
+	na, ng := len(q.aggs), len(q.groupBy)
+	cols := grow(s.cols, na+ng) // zero: cleared after each scan
+	defer clear(cols)
+	s.cols = cols
+	for i, a := range q.aggs {
+		if a.fn == "count" {
+			continue
+		}
+		if cols[i], err = f.column(a.field); err != nil {
+			return jp, err
+		}
+	}
+	for i, gf := range q.groupBy {
+		if cols[na+i], err = f.column(gf); err != nil {
+			return jp, err
+		}
+	}
+	slots := s.group(cols[na:], sel)
+	jp.Rows = len(sel)
+	keys := make([]string, slots*ng)
+	aggs := make([]aggPartial, slots*na)
+	jp.groups = make([]groupPartial, slots)
+	for sl := range jp.groups {
+		g := &jp.groups[sl]
+		g.key = keys[sl*ng : (sl+1)*ng : (sl+1)*ng]
+		for i := range g.key {
+			g.key[i], _ = cols[na+i].value(int(s.first[sl]))
+		}
+		g.n = s.n[sl]
+		g.aggs = aggs[sl*na : (sl+1)*na : (sl+1)*na]
+	}
+	if slots == 0 {
+		return jp, nil
+	}
+	for i, a := range q.aggs {
+		s.fold(a.fn, &cols[i], sel, aggs[i:], na)
+	}
 	return jp, nil
 }
 
-func finalizePartial(ag *frameAgg, acc *frameAcc) AggPartial {
-	switch ag.mode {
-	case amSum:
-		return AggPartial{Sum: formatFloatWire(acc.sum)}
-	case amPerc:
-		vals := make([]string, len(acc.vals))
-		for i, v := range acc.vals {
-			vals[i] = formatFloatWire(v)
+// fold folds column c over the selection into one aggregate's partial
+// of every slot, slot sl's at out[sl*stride].
+func (s *scan) fold(fn string, c *column, sel []int32, out []aggPartial, stride int) {
+	slot := s.slot
+	switch fn {
+	case "count":
+	case "sum", "avg":
+		sums := grow(s.acc, len(s.n))
+		clear(sums)
+		switch c.kind {
+		case floatField:
+			for i, r := range sel {
+				sums[slot[i]] += c.num[r]
+			}
+		case depthField:
+			for i, r := range sel {
+				sums[slot[i]] += float64(c.depth[r])
+			}
+		default: // a numeric job.* field: added once per row, in row order
+			for i := range sel {
+				sums[slot[i]] += c.cnum
+			}
 		}
-		return AggPartial{Vals: vals}
-	case amMin, amMax:
-		if !acc.set {
-			break
+		for sl, sum := range sums {
+			out[sl*stride].has, out[sl*stride].sum = hasSum, sum
 		}
-		s, _ := ag.col.value(acc.row)
-		if ag.mode == amMin {
-			return AggPartial{Min: &s}
+		s.acc = sums
+	case "min", "max":
+		s.extremes(fn == "min", c, sel, out, stride)
+	default: // p50, p95, p99: each slot's values, in row order, in one array
+		vals := make([]float64, len(sel))
+		lo := 0
+		for sl, n := range s.n {
+			out[sl*stride].vals = vals[lo : lo : lo+int(n)]
+			lo += int(n)
 		}
-		return AggPartial{Max: &s}
+		for i, r := range sel {
+			p := &out[int(slot[i])*stride]
+			p.vals = append(p.vals, c.number(int(r)))
+		}
 	}
-	return AggPartial{}
+}
+
+// extremes folds a min (or max) over the selection: the first row
+// whose value orders strictly before (after) every earlier one in its
+// group wins, in compareValues order.
+func (s *scan) extremes(isMin bool, c *column, sel []int32, out []aggPartial, stride int) {
+	f, slot := s.f, s.slot
+	bit := uint8(hasMax)
+	if isMin {
+		bit = hasMin
+	}
+	wins := func(c int) bool { return isMin && c < 0 || !isMin && c > 0 }
+	switch {
+	case c.kind == depthField || c.kind == floatField:
+		// Each group starts from its first row. An all-finite float
+		// column compares by number alone; depths, and floats beside a
+		// non-finite value, through compareFloats.
+		best := grow(s.acc, len(s.n))
+		for sl, r := range s.first {
+			best[sl] = c.number(int(r))
+		}
+		if c.kind == floatField && c.finite {
+			sign := 1.0 // for finite x and y, x < y is -x > -y
+			if !isMin {
+				sign = -1
+			}
+			for i, r := range sel {
+				if x := c.num[r]; sign*x < sign*best[slot[i]] {
+					best[slot[i]] = x
+				}
+			}
+		} else {
+			for i, r := range sel {
+				if x := c.number(int(r)); wins(compareFloats(x, best[slot[i]])) {
+					best[slot[i]] = x
+				}
+			}
+		}
+		for sl, x := range best {
+			out[sl*stride].has, out[sl*stride].ext = bit, numExtreme(x)
+		}
+		s.acc = best
+	case c.kind == symbolField:
+		best := grow(s.best, len(s.n))
+		s.best = best
+		for i, r := range sel {
+			sl, id := slot[i], c.sym[r]
+			p := &out[int(sl)*stride]
+			if p.has == 0 || wins(f.symCompare(id, best[sl])) {
+				p.has, best[sl] = bit, id
+			}
+		}
+		for sl := range s.n {
+			out[sl*stride].ext = extreme{value: f.symValue(best[sl])}
+		}
+	case c.kind == jobField:
+		// One value per frame: every group's first row wins.
+		v := extreme{value: valueOf(c.str)}
+		for sl := range s.n {
+			out[sl*stride].has, out[sl*stride].ext = bit, v
+		}
+	case c.kind == infoField || c.kind == derivedField:
+		for i, r := range sel {
+			str, ok := c.value(int(r))
+			if !ok {
+				continue
+			}
+			v := valueOf(str)
+			p := &out[int(slot[i])*stride]
+			if p.has == 0 || wins(v.compare(p.ext.value)) {
+				p.has, p.ext = bit, extreme{value: v}
+			}
+		}
+	}
+}
+
+// compareFloats is compareValues between two numbers' formatNumField
+// forms, formatting only when one is not finite.
+func compareFloats(a, b float64) int {
+	if isFinite(a) && isFinite(b) {
+		return cmp.Compare(a, b)
+	}
+	return strings.Compare(formatNumField(a), formatNumField(b))
 }
 
 // cmpKeyComponent is the total order on group-key components:
@@ -393,10 +440,6 @@ func cmpKey(a, b []string) int {
 	return 0
 }
 
-func sortGroupPartials(gs []GroupPartial) {
-	sort.Slice(gs, func(i, j int) bool { return cmpKey(gs[i].Key, gs[j].Key) < 0 })
-}
-
 // --- tree-walk oracle ---
 
 // AggregateTree computes the same partial as AggregateFrame by walking
@@ -405,16 +448,10 @@ func sortGroupPartials(gs []GroupPartial) {
 // the columnar path against.
 func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error) {
 	jp := JobPartial{Job: meta.ID}
-	type acc struct {
-		set  bool
-		sum  float64
-		strv string
-		vals []float64
-	}
 	type group struct {
 		key  []string
 		n    uint64
-		accs []acc
+		aggs []aggPartial
 	}
 	groups := map[string]*group{}
 	var order []*group
@@ -468,29 +505,30 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 				for gi, gf := range q.groupBy {
 					key[gi], _ = fieldStr(op, d, gf)
 				}
-				jk := joinKey(key)
+				jk := string(appendKey(nil, key))
 				g, ok := groups[jk]
 				if !ok {
-					g = &group{key: key, accs: make([]acc, len(q.aggs))}
+					g = &group{key: key, aggs: make([]aggPartial, len(q.aggs))}
 					groups[jk] = g
 					order = append(order, g)
 				}
 				g.n++
 				for ai, a := range q.aggs {
-					ac := &g.accs[ai]
+					ac := &g.aggs[ai]
 					switch a.fn {
 					case "count":
 					case "sum", "avg":
+						ac.has = hasSum
 						ac.sum += numVal(op, d, a.field)
 					case "p50", "p95", "p99":
 						ac.vals = append(ac.vals, numVal(op, d, a.field))
 					case "min":
-						if v, ok := fieldStr(op, d, a.field); ok && (!ac.set || compareValues(v, ac.strv) < 0) {
-							ac.set, ac.strv = true, v
+						if v, ok := fieldStr(op, d, a.field); ok && (ac.has == 0 || compareValues(v, ac.ext.s) < 0) {
+							ac.has, ac.ext = hasMin, extreme{value: valueOf(v)}
 						}
 					case "max":
-						if v, ok := fieldStr(op, d, a.field); ok && (!ac.set || compareValues(v, ac.strv) > 0) {
-							ac.set, ac.strv = true, v
+						if v, ok := fieldStr(op, d, a.field); ok && (ac.has == 0 || compareValues(v, ac.ext.s) > 0) {
+							ac.has, ac.ext = hasMax, extreme{value: valueOf(v)}
 						}
 					}
 				}
@@ -502,36 +540,22 @@ func (q *Query) AggregateTree(job *archive.Job, meta JobMeta) (JobPartial, error
 		walk(job.Root, 0)
 	}
 
-	jp.Groups = make([]GroupPartial, 0, len(order))
+	jp.groups = make([]groupPartial, 0, len(order))
 	for _, g := range order {
-		gp := GroupPartial{Key: g.key, N: g.n, Aggs: make([]AggPartial, len(q.aggs))}
-		for ai, a := range q.aggs {
-			ac := &g.accs[ai]
-			switch a.fn {
-			case "sum", "avg":
-				gp.Aggs[ai] = AggPartial{Sum: formatFloatWire(ac.sum)}
-			case "p50", "p95", "p99":
-				vals := make([]string, len(ac.vals))
-				for i, v := range ac.vals {
-					vals[i] = formatFloatWire(v)
-				}
-				gp.Aggs[ai] = AggPartial{Vals: vals}
-			case "min":
-				if ac.set {
-					s := ac.strv
-					gp.Aggs[ai] = AggPartial{Min: &s}
-				}
-			case "max":
-				if ac.set {
-					s := ac.strv
-					gp.Aggs[ai] = AggPartial{Max: &s}
-				}
-			}
-		}
-		jp.Groups = append(jp.Groups, gp)
+		jp.groups = append(jp.groups, groupPartial{key: g.key, n: g.n, aggs: g.aggs})
 	}
-	sortGroupPartials(jp.Groups)
 	return jp, nil
+}
+
+// appendKey appends an unambiguous composite key of parts to b
+// (length-prefixed components, so no separator collision).
+func appendKey(b []byte, parts []string) []byte {
+	for _, p := range parts {
+		b = strconv.AppendInt(b, int64(len(p)), 10)
+		b = append(b, ':')
+		b = append(b, p...)
+	}
+	return b
 }
 
 // --- merge + render ---
@@ -568,7 +592,8 @@ type AggResponse struct {
 
 type mergedAgg struct {
 	sum  float64
-	mm   *string
+	set  bool
+	ext  extreme
 	vals []float64
 }
 
@@ -582,7 +607,10 @@ type mergedGroup struct {
 // Partials are first sorted by job ID and deduplicated (replicas of a
 // job produce byte-identical partials, so keeping the first is
 // well-defined) — that gives every caller, single-node or scatter-
-// gather, the same canonical fold order.
+// gather, the same canonical fold order. The merged groups are put in
+// plain string order of their keys before the query orders them, so
+// the result does not depend on the order groups arrive in within a
+// job's partial either.
 func (q *Query) MergePartials(raw, scope, jobID string, partials []JobPartial) (*AggResponse, error) {
 	sort.SliceStable(partials, func(i, j int) bool { return partials[i].Job < partials[j].Job })
 	deduped := partials[:0:0]
@@ -603,6 +631,7 @@ func (q *Query) MergePartials(raw, scope, jobID string, partials []JobPartial) (
 	}
 	groups := map[string]*mergedGroup{}
 	var order []*mergedGroup
+	var kb []byte
 	for _, jp := range deduped {
 		if jp.Pruned {
 			resp.Pruned++
@@ -610,49 +639,43 @@ func (q *Query) MergePartials(raw, scope, jobID string, partials []JobPartial) (
 		}
 		resp.Scanned++
 		resp.Rows += jp.Rows
-		for _, gp := range jp.Groups {
-			if len(gp.Key) != len(q.groupBy) || len(gp.Aggs) != len(q.aggs) {
+		for gi := range jp.groups {
+			gp := &jp.groups[gi]
+			if len(gp.key) != len(q.groupBy) || len(gp.aggs) != len(q.aggs) {
 				return nil, fmt.Errorf("query: malformed partial from job %q", jp.Job)
 			}
-			jk := joinKey(gp.Key)
-			g, ok := groups[jk]
+			kb = appendKey(kb[:0], gp.key)
+			g, ok := groups[string(kb)]
 			if !ok {
-				g = &mergedGroup{key: gp.Key, aggs: make([]mergedAgg, len(q.aggs))}
-				groups[jk] = g
+				g = &mergedGroup{key: gp.key, aggs: make([]mergedAgg, len(q.aggs))}
+				groups[string(kb)] = g
 				order = append(order, g)
 			}
-			g.n += gp.N
+			g.n += gp.n
 			for ai, a := range q.aggs {
-				ma := &g.aggs[ai]
-				ap := gp.Aggs[ai]
+				ma, ap := &g.aggs[ai], &gp.aggs[ai]
 				switch a.fn {
 				case "count":
 				case "sum", "avg":
-					v, err := strconv.ParseFloat(ap.Sum, 64)
-					if err != nil {
-						return nil, fmt.Errorf("query: malformed sum partial %q", ap.Sum)
+					if ap.has&hasSum == 0 {
+						return nil, fmt.Errorf("query: malformed sum partial from job %q", jp.Job)
 					}
-					ma.sum += v
+					ma.sum += ap.sum
 				case "p50", "p95", "p99":
-					for _, vs := range ap.Vals {
-						v, err := strconv.ParseFloat(vs, 64)
-						if err != nil {
-							return nil, fmt.Errorf("query: malformed percentile partial %q", vs)
-						}
-						ma.vals = append(ma.vals, v)
-					}
+					ma.vals = append(ma.vals, ap.vals...)
 				case "min":
-					if ap.Min != nil && (ma.mm == nil || compareValues(*ap.Min, *ma.mm) < 0) {
-						ma.mm = ap.Min
+					if ap.has&hasMin != 0 && (!ma.set || ap.ext.compare(&ma.ext) < 0) {
+						ma.set, ma.ext = true, ap.ext
 					}
 				case "max":
-					if ap.Max != nil && (ma.mm == nil || compareValues(*ap.Max, *ma.mm) > 0) {
-						ma.mm = ap.Max
+					if ap.has&hasMax != 0 && (!ma.set || ap.ext.compare(&ma.ext) > 0) {
+						ma.set, ma.ext = true, ap.ext
 					}
 				}
 			}
 		}
 	}
+	slices.SortFunc(order, func(a, b *mergedGroup) int { return slices.Compare(a.key, b.key) })
 
 	resp.Groups = make([]AggGroupView, 0, len(order))
 	for _, g := range order {
@@ -672,8 +695,8 @@ func (q *Query) MergePartials(raw, scope, jobID string, partials []JobPartial) (
 					view.Aggregates[a.name()] = formatNumField(percentile(ma.vals, rank))
 				}
 			case "min", "max":
-				if ma.mm != nil {
-					view.Aggregates[a.name()] = *ma.mm
+				if ma.set {
+					view.Aggregates[a.name()] = ma.ext.str()
 				}
 			}
 		}
@@ -746,6 +769,12 @@ func sortFloatsDet(vals []float64) {
 // key ascending, which is a total order — so the result order is fully
 // determined by the data, never by map iteration or sort internals.
 func (q *Query) orderGroups(groups []AggGroupView) {
+	c := q.groupOrder()
+	sort.Slice(groups, func(i, j int) bool { return c(groups[i], groups[j]) < 0 })
+}
+
+// groupOrder returns the comparison orderGroups sorts by.
+func (q *Query) groupOrder() func(a, b AggGroupView) int {
 	by := func(a, b AggGroupView) int { return 0 }
 	switch {
 	case q.orderAgg != nil:
@@ -776,14 +805,14 @@ func (q *Query) orderGroups(groups []AggGroupView) {
 		}
 		by = func(a, b AggGroupView) int { return cmpKeyComponent(a.Key[gi], b.Key[gi]) }
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		c := by(groups[i], groups[j])
+	return func(a, b AggGroupView) int {
+		c := by(a, b)
 		if q.desc {
 			c = -c
 		}
 		if c != 0 {
-			return c < 0
+			return c
 		}
-		return cmpKey(groups[i].Key, groups[j].Key) < 0
-	})
+		return cmpKey(a.Key, b.Key)
+	}
 }

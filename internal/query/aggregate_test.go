@@ -541,3 +541,55 @@ func TestBenchPathsAgree(t *testing.T) {
 		}
 	}
 }
+
+// groupFrame builds a frame of rows operations over exactly groups
+// (mission, actor) pairs.
+func groupFrame(rows, groups int) *Frame {
+	root := &archive.Operation{ID: "r", Mission: "Job", Actor: "Worker-0", Start: 0, End: 1e6}
+	for i := 0; i < rows-1; i++ {
+		g := (i + 1) % groups
+		root.Children = append(root.Children, &archive.Operation{
+			ID: fmt.Sprintf("op%d", i), Mission: "Compute", Actor: fmt.Sprintf("Worker-%d", g),
+			Start: float64(i % 1000), End: float64(i%1000) + float64(i%7)/2,
+		})
+	}
+	root.Mission = "Compute"
+	return BuildColumns(&archive.Job{ID: "g", Platform: "Giraph", Root: root}).Frame(JobMeta{ID: "g", Platform: "Giraph", Runtime: 100})
+}
+
+// TestScanAllocsPerGroup gates the kernel's allocations per frame: a
+// fixed number of slices sized by the group count (the groups, their
+// keys, their partials) whatever the rows and the groups, and one more
+// per percentile aggregate, which keeps every matching value in one
+// array: its bytes grow with the rows, its count does not.
+func TestScanAllocsPerGroup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	for _, c := range []struct {
+		raw  string
+		want float64
+	}{
+		{`from jobs where duration >= 0 group by mission, actor agg count, sum(duration), min(duration), max(actor)`, 3},
+		{`from jobs where duration > 1 and not actor = Worker-3 group by job.platform, actor agg count, avg(end), max(duration)`, 3},
+		{`from jobs group by actor, depth agg count, p95(duration), p50(start)`, 5},
+	} {
+		q, err := Parse(c.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range []int{1000, 8000} {
+			for _, groups := range []int{8, 64} {
+				f := groupFrame(rows, groups)
+				got := testing.AllocsPerRun(20, func() {
+					if _, err := q.AggregateFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got != c.want {
+					t.Errorf("%q: %.0f allocs per frame at %d rows in %d groups, want %.0f", c.raw, got, rows, groups, c.want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -114,6 +115,7 @@ func ColumnsFrom(each func(add func(op *archive.Operation, depth int, path strin
 	each(func(op *archive.Operation, depth int, path string) { c.add(op, int32(depth), path) })
 	// The columns are read-only from here; the intern maps are garbage.
 	c.symIDs, c.pathIDs, c.kvIDs, c.keys = nil, nil, nil, nil
+	c.f.noteFinite()
 	return &c
 }
 
@@ -138,11 +140,17 @@ func (q *Query) SelectColumns(c *Columns) []int {
 		return nil
 	}
 	f := &c.f
+	s := getScan(f)
+	sel, err := s.selection(q.where)
 	var out []int
-	scan, err := q.filter(f)
-	if err == nil {
-		scan(func(r int) { out = append(out, r) })
+	if err == nil && len(sel) > 0 {
+		out = make([]int, len(sel))
+		for i, r := range sel {
+			out[i] = int(r)
+		}
+		s.put(sel)
 	}
+	s.release()
 	if err == nil && q.orderBy != nil && len(out) > 1 {
 		err = sortRows(f, *q.orderBy, q.desc, out)
 	}
@@ -161,11 +169,32 @@ func (q *Query) SelectColumns(c *Columns) []int {
 // sortRows stable-sorts rows by the field's value with compareValues
 // semantics, ascending or descending: depth-first order breaks ties in
 // both directions, as on the tree. An absent value sorts as "", as it
-// does there.
+// does there. A depth column, or a float column with only finite
+// values, is keyed by its numbers, where number order is compareValues
+// order; other columns by their values as compare reads them.
 func sortRows(f *Frame, by field, desc bool, rows []int) error {
 	c, err := f.column(by)
 	if err != nil {
 		return err
+	}
+	sign := 1
+	if desc {
+		sign = -1
+	}
+	if c.kind == depthField || c.kind == floatField && c.finite {
+		type keyed struct {
+			row int
+			key float64
+		}
+		keys := make([]keyed, len(rows))
+		for i, r := range rows {
+			keys[i] = keyed{row: r, key: c.number(r)}
+		}
+		sort.SliceStable(keys, func(i, j int) bool { return sign*cmp.Compare(keys[i].key, keys[j].key) < 0 })
+		for i := range keys {
+			rows[i] = keys[i].row
+		}
+		return nil
 	}
 	type keyed struct {
 		row int
@@ -173,39 +202,16 @@ func sortRows(f *Frame, by field, desc bool, rows []int) error {
 	}
 	keys := make([]keyed, len(rows))
 	for i, r := range rows {
+		if c.kind == symbolField {
+			keys[i] = keyed{row: r, key: f.symValue(c.sym[r])}
+			continue
+		}
 		s, _ := c.value(r)
 		keys[i] = keyed{row: r, key: valueOf(s)}
-	}
-	sign := 1
-	if desc {
-		sign = -1
 	}
 	sort.SliceStable(keys, func(i, j int) bool { return sign*keys[i].key.compare(keys[j].key) < 0 })
 	for i := range keys {
 		rows[i] = keys[i].row
 	}
 	return nil
-}
-
-// rowEval is a compiled predicate over one frame row.
-type rowEval func(row int) bool
-
-// filter compiles the where clause against f and returns the scan of
-// the rows it matches, which calls fn on each in row order: the row
-// loop of SelectColumns and AggregateFrame alike.
-func (q *Query) filter(f *Frame) (func(fn func(r int)), error) {
-	var ev rowEval
-	if q.where != nil {
-		var err error
-		if ev, err = compileFrameExpr(q.where, f); err != nil {
-			return nil, err
-		}
-	}
-	return func(fn func(r int)) {
-		for r := 0; r < f.rows(); r++ {
-			if ev == nil || ev(r) {
-				fn(r)
-			}
-		}
-	}, nil
 }

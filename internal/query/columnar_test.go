@@ -215,9 +215,9 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 		q := Exact(k[0], k[1])
 		if k[0] == "id" {
 			// Not an exact-match field: the tree matches nothing and the
-			// frame compiler refuses, rather than answering differently.
-			if _, err := compileFrameExpr(q.where, &cols.f); err == nil || len(q.Select(job)) != 0 {
-				t.Fatalf("exact %v: want a compile error and an empty tree result", k)
+			// frame scan refuses, rather than answering differently.
+			if _, err := getScan(&cols.f).selection(q.where); err == nil || len(q.Select(job)) != 0 {
+				t.Fatalf("exact %v: want a scan error and an empty tree result", k)
 			}
 			continue
 		}
@@ -236,8 +236,8 @@ func TestSelectColumnarRandomQueries(t *testing.T) {
 // --- allocation gates (the perf-correctness contract) ---
 
 // TestColumnarEvalAllocs pins the columnar evaluation hot path at zero
-// allocations per evaluated operation: evaluating a compiled typed
-// predicate over every row of a Figure-5-scale archive must not
+// allocations: once a scan's buffers are warm, turning a where clause
+// into the selection vector of a Figure-5-scale archive must not
 // allocate at all.
 func TestColumnarEvalAllocs(t *testing.T) {
 	if raceEnabled {
@@ -254,18 +254,17 @@ func TestColumnarEvalAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := compileFrameExpr(q.where, &cols.f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := getScan(&cols.f)
 		matched := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			for r := 0; r < cols.rows(); r++ {
-				if ev(r) {
-					matched++
-				}
+			sel, err := s.selection(q.where)
+			if err != nil {
+				t.Fatal(err)
 			}
+			matched += len(sel)
+			s.put(sel)
 		})
+		s.release()
 		if allocs != 0 {
 			t.Errorf("query %q: %.1f allocs per full-column evaluation, want 0", qs, allocs)
 		}

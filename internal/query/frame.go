@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/archive"
 )
@@ -32,6 +31,11 @@ type Frame struct {
 	SymFloat  []float64
 	SymFinite []bool
 
+	// startFinite, endFinite and durFinite report that every value of the
+	// column is finite, so number order is compareValues order; noted
+	// once, when the frame is built.
+	startFinite, endFinite, durFinite bool
+
 	// Path is each row's mission path from the root ("A/B/C") as an index
 	// into Paths; infos and derived are each row's recorded and derived
 	// infos, interned into kvs. They live in memory only: segments do not
@@ -59,6 +63,20 @@ func (c *kvColumn) row(r int) [][2]uint32 {
 	return c.pairs[lo:c.end[r]]
 }
 
+// noteFinite notes which float columns hold only finite values.
+func (f *Frame) noteFinite() {
+	f.startFinite, f.endFinite, f.durFinite = allFinite(f.Start), allFinite(f.End), allFinite(f.Dur)
+}
+
+func allFinite(col []float64) bool {
+	for _, v := range col {
+		if !isFinite(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // rows returns the number of operation rows in the frame.
 func (f *Frame) rows() int { return len(f.Depth) }
 
@@ -67,12 +85,20 @@ func (f *Frame) detailed() bool { return f.Path != nil }
 
 // lookup returns row r's value for key in c.
 func (f *Frame) lookup(c *kvColumn, r int, key string) (string, bool) {
-	for _, p := range c.row(r) {
-		if f.kvs[p[0]] == key {
-			return f.kvs[p[1]], true
-		}
+	if id, ok := f.lookupID(c, r, key); ok {
+		return f.kvs[id], true
 	}
 	return "", false
+}
+
+// lookupID returns the index in kvs of row r's value for key in c.
+func (f *Frame) lookupID(c *kvColumn, r int, key string) (uint32, bool) {
+	for _, p := range c.row(r) {
+		if f.kvs[p[0]] == key {
+			return p[1], true
+		}
+	}
+	return 0, false
 }
 
 // kvMap returns row r's entries in c as a fresh map, nil when it has
@@ -151,6 +177,8 @@ type column struct {
 	key   string
 	str   string  // a job.* field's string form
 	cnum  float64 // a numeric job.* field's number
+	// finite reports that a float column holds only finite values.
+	finite bool
 }
 
 // column looks a resolved field up on the frame — the one place a field
@@ -162,7 +190,7 @@ func (f *Frame) column(fd field) (column, error) {
 	case symbolField:
 		c.sym = fd.syms(f)
 	case floatField:
-		c.num = fd.floats(f)
+		c.num, c.finite = fd.floats(f)
 	case depthField:
 		c.depth = f.Depth
 	case jobField:
@@ -206,132 +234,4 @@ func (c *column) number(r int) float64 {
 		return float64(c.depth[r])
 	}
 	return c.cnum
-}
-
-// compileFrameExpr compiles the where tree against a frame — the only
-// function that turns an expr into a rowEval. job.* fields are constant
-// per frame; info./derived. fields and path matches error when the
-// frame has no details.
-func compileFrameExpr(e expr, f *Frame) (rowEval, error) {
-	switch t := e.(type) {
-	case orExpr:
-		a, err := compileFrameExpr(t.a, f)
-		if err != nil {
-			return nil, err
-		}
-		b, err := compileFrameExpr(t.b, f)
-		if err != nil {
-			return nil, err
-		}
-		return func(r int) bool { return a(r) || b(r) }, nil
-	case andExpr:
-		a, err := compileFrameExpr(t.a, f)
-		if err != nil {
-			return nil, err
-		}
-		b, err := compileFrameExpr(t.b, f)
-		if err != nil {
-			return nil, err
-		}
-		return func(r int) bool { return a(r) && b(r) }, nil
-	case notExpr:
-		a, err := compileFrameExpr(t.a, f)
-		if err != nil {
-			return nil, err
-		}
-		return func(r int) bool { return !a(r) }, nil
-	case predicate:
-		return compileFramePredicate(t, f)
-	case exactExpr:
-		return compileFrameExact(t, f)
-	}
-	return nil, fmt.Errorf("query: unknown expression")
-}
-
-// compileFramePredicate compiles pr against the field's column. A
-// symbol or depth predicate is decided once per distinct value into a
-// bitmap, a float predicate is a float compare per row, a job.* one is
-// constant per frame, mirroring what the zone-map pruner decides for
-// whole segments.
-func compileFramePredicate(pr predicate, f *Frame) (rowEval, error) {
-	c, err := f.column(pr.field)
-	if err != nil {
-		return nil, err
-	}
-	op, v := pr.op, valueOf(pr.value)
-	switch c.kind {
-	case symbolField:
-		col, t := c.sym, truthOf(op)
-		match := make([]bool, len(f.Syms))
-		for s, str := range f.Syms {
-			if op == "~" {
-				match[s] = strings.Contains(str, v.s)
-			} else {
-				match[s] = t[f.symValue(uint32(s)).compare(v)+1]
-			}
-		}
-		return func(r int) bool { return match[col[r]] }, nil
-	case depthField:
-		col := c.depth
-		match := make([]bool, maxDepth(col)+1)
-		for d := range match {
-			match[d] = evalStringPredicate(strconv.Itoa(d), op, v.s)
-		}
-		return func(r int) bool { return match[col[r]] }, nil
-	case floatField:
-		col := c.num
-		if op == "~" {
-			// Substring match over the decimal form; rare, so the per-row
-			// format cost is acceptable.
-			return func(r int) bool { return strings.Contains(formatNumField(col[r]), v.s) }, nil
-		}
-		t := truthOf(op)
-		return func(r int) bool { return t[compareFloat(col[r], v)+1] }, nil
-	case infoField, derivedField:
-		return func(r int) bool {
-			s, ok := c.value(r)
-			return ok && evalStringPredicate(s, op, v.s)
-		}, nil
-	}
-	s, ok := c.value(0)
-	res := ok && evalStringPredicate(s, op, v.s)
-	return func(int) bool { return res }, nil
-}
-
-// maxDepth returns the largest depth in col, 0 for none: depths are
-// dense from 0, so a bitmap over 0..maxDepth covers every row.
-func maxDepth(col []int32) int32 {
-	top := int32(0)
-	for _, d := range col {
-		top = max(top, d)
-	}
-	return top
-}
-
-// compileFrameExact compiles an exact match to a symbol-ID compare: the
-// value is looked up once in the column's dictionary and rows compare
-// IDs, so "5" never equals "5.0" the way the = operator has it.
-func compileFrameExact(e exactExpr, f *Frame) (rowEval, error) {
-	var col []uint32
-	dict := f.Syms
-	switch e.field {
-	case "mission":
-		col = f.Mission
-	case "actor":
-		col = f.Actor
-	case "path":
-		if !f.detailed() {
-			return nil, fmt.Errorf("query: path matches require operation details not stored in columnar segments")
-		}
-		col, dict = f.Path, f.Paths
-	default:
-		return nil, fmt.Errorf("query: no exact match on field %q", e.field)
-	}
-	for id, s := range dict {
-		if s == e.value {
-			want := uint32(id)
-			return func(r int) bool { return col[r] == want }, nil
-		}
-	}
-	return func(int) bool { return false }, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -245,6 +246,31 @@ func FuzzQueryV2(f *testing.F) {
 		}
 		if _, err := q.RenderAggregate(input, "jobs", "", []JobPartial{jpF}); err != nil {
 			t.Fatalf("%q: render: %v", input, err)
+		}
+	})
+}
+
+// FuzzValueOf holds valueOf, which skips strconv.ParseFloat for a
+// string that cannot start a float literal, to the plain parse: the
+// same number (bit for bit) and finiteness for every string, and every
+// string the guard skips is one ParseFloat refuses.
+func FuzzValueOf(f *testing.F) {
+	for _, s := range []string{
+		"", "+", "-", ".", "5", "-5.0", "+.5e3", "0x1p-2", "1_000", "0x_1p0", "inf", "-Inf", "+infinity",
+		"NaN", "nan", "n", "I", "Worker-3", "e5", "_1", " 1", "\t", "1e400", "-1e-400", "+-1", "--1",
+		"٣", "\x00", "ｉnf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pf, err := strconv.ParseFloat(s, 64)
+		want := value{s: s, f: pf, finite: err == nil && isFinite(pf)}
+		got := valueOf(s)
+		if got.s != want.s || math.Float64bits(got.f) != math.Float64bits(want.f) || got.finite != want.finite {
+			t.Fatalf("valueOf(%q) = %+v, ParseFloat gives %+v (err %v)", s, got, want, err)
+		}
+		if !canStartFloat(s) && err == nil {
+			t.Fatalf("canStartFloat(%q) is false, but ParseFloat reads %v", s, pf)
 		}
 	})
 }

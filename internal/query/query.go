@@ -384,7 +384,7 @@ type field struct {
 	// A symbol or float field's column and its zone map in a segment's
 	// stats; a job.* field's string form and, when numeric, its number.
 	syms    func(*Frame) []uint32
-	floats  func(*Frame) []float64
+	floats  func(*Frame) ([]float64, bool) // the column and whether it is all finite
 	symZone func(*SegStats) SymRange
 	numZone func(*SegStats) NumRange
 	job     func(*JobMeta) (string, float64)
@@ -400,11 +400,11 @@ var builtinFields = map[string]field{
 	"id": {kind: symbolField,
 		syms: func(f *Frame) []uint32 { return f.ID }, symZone: func(s *SegStats) SymRange { return s.ID }},
 	"duration": {kind: floatField, numeric: true,
-		floats: func(f *Frame) []float64 { return f.Dur }, numZone: func(s *SegStats) NumRange { return s.Dur }},
+		floats: func(f *Frame) ([]float64, bool) { return f.Dur, f.durFinite }, numZone: func(s *SegStats) NumRange { return s.Dur }},
 	"start": {kind: floatField, numeric: true,
-		floats: func(f *Frame) []float64 { return f.Start }, numZone: func(s *SegStats) NumRange { return s.Start }},
+		floats: func(f *Frame) ([]float64, bool) { return f.Start, f.startFinite }, numZone: func(s *SegStats) NumRange { return s.Start }},
 	"end": {kind: floatField, numeric: true,
-		floats: func(f *Frame) []float64 { return f.End }, numZone: func(s *SegStats) NumRange { return s.End }},
+		floats: func(f *Frame) ([]float64, bool) { return f.End, f.endFinite }, numZone: func(s *SegStats) NumRange { return s.End }},
 	"depth": {kind: depthField, numeric: true,
 		numZone: func(s *SegStats) NumRange { return s.Depth }},
 	"job.id": {kind: jobField,
@@ -496,8 +496,29 @@ type value struct {
 }
 
 func valueOf(s string) value {
+	if !canStartFloat(s) {
+		return value{s: s}
+	}
 	f, err := strconv.ParseFloat(s, 64)
 	return value{s: s, f: f, finite: err == nil && isFinite(f)}
+}
+
+// canStartFloat reports whether s can start a float literal: after an
+// optional sign, a digit, a dot, or the first letter of inf, infinity
+// or NaN. strconv.ParseFloat rejects every other string, and would
+// allocate an error saying so.
+func canStartFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // compare orders two values numerically when both are finite numbers,

@@ -451,30 +451,11 @@ func DecodeSegment(blob []byte) (*Frame, *SegStats, error) {
 		s := region[q : q+n]
 		q += n
 		f.Syms[i] = s
-		if canStartNumber(s) {
-			v := valueOf(s)
-			f.SymFloat[i], f.SymFinite[i] = v.f, v.finite
-		}
+		v := valueOf(s)
+		f.SymFloat[i], f.SymFinite[i] = v.f, v.finite
 	}
+	f.noteFinite()
 	return f, st, nil
-}
-
-// canStartNumber is a cheap pre-filter for the symbol-as-number cache:
-// strconv.ParseFloat cannot succeed unless the string starts with a
-// digit, sign, dot, or an inf/NaN spelling.
-func canStartNumber(s string) bool {
-	if s == "" {
-		return false
-	}
-	switch c := s[0]; {
-	case c >= '0' && c <= '9':
-		return true
-	case c == '+' || c == '-' || c == '.':
-		return true
-	case c == 'i' || c == 'I' || c == 'n' || c == 'N': // inf / NaN
-		return true
-	}
-	return false
 }
 
 // --- zone-map pruning ---

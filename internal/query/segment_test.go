@@ -139,7 +139,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if jp.Rows != 0 || len(jp.Groups) != 0 {
+			if jp.Rows != 0 || len(jp.groups) != 0 {
 				t.Fatalf("%q pruned a segment with %d matching rows (stats %+v)", raw, jp.Rows, st)
 			}
 		} else {

@@ -207,7 +207,7 @@ func TestJobMetaFieldsInAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jp2.Rows != 0 || len(jp2.Groups) != 0 {
+	if jp2.Rows != 0 || len(jp2.groups) != 0 {
 		t.Fatalf("non-matching job.* filter matched rows: %+v", jp2)
 	}
 }

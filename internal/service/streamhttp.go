@@ -246,7 +246,7 @@ func (s *Server) recoverStreams() {
 		}
 		replayOK := true
 		for _, b := range group {
-			events, err := stream.DecodeEvents(bytes.NewReader(b.Payload))
+			events, err := stream.DecodeAcked(bytes.NewReader(b.Payload))
 			if err != nil {
 				replayOK = false
 				break

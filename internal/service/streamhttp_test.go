@@ -146,6 +146,11 @@ func TestIngestErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed: %d: %s", resp.StatusCode, body)
 	}
+	// So does an event carrying a field its type does not use.
+	stray := []stream.Event{{Seq: 3, Type: "env", Time: 2, Node: "n", Kind: "cpu", Op: "a", Actor: "w", Value: "x"}}
+	if code, _, body, _ := postIngest(t, ts.URL, "g1", stray); code != http.StatusBadRequest {
+		t.Fatalf("env event with operation fields: %d: %s", code, body)
+	}
 
 	// A tree-invalid batch answers 400 and leaves state untouched.
 	bad := []stream.Event{{Seq: 3, Type: "end", Time: 2, Op: "nope"}}
@@ -888,6 +893,70 @@ func TestStreamRestartRecovery(t *testing.T) {
 	}
 	if n := len(store3.recoveredStreamBatches()); n != 0 {
 		t.Fatalf("%d stale stream batches survived archiving", n)
+	}
+}
+
+// TestStreamRecoveryDropsStrayFields pins that a batch acked and
+// persisted with fields its events' types do not use (which /ingest
+// once accepted and now refuses) still replays on restart: the stray
+// fields are dropped, a live stream resumes and a sealed one publishes.
+func TestStreamRecoveryDropsStrayFields(t *testing.T) {
+	dir := t.TempDir()
+	events := streamEventsFixture()
+	stray := streamEventsFixture()
+	stray[2].Node = "node-0"                                    // info
+	stray[4].Op, stray[4].Actor, stray[4].Value = "a", "w", "x" // env
+	stray[8].Node, stray[8].Used = "node-1", 2                  // seal
+
+	db, err := archivedb.Open(dir, archivedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStoreWithOptions(db, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		id     string
+		events []stream.Event
+	}{{"live", stray[:6]}, {"sealed", stray}} {
+		payload, err := stream.EncodeEvents(b.events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stream.DecodeEvents(bytes.NewReader(payload)); err == nil {
+			t.Fatalf("%s: /ingest would accept the stray fields", b.id)
+		}
+		if err := store.appendStreamBatch(b.id, uint64(len(b.events)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+	db.Close()
+
+	db, err = archivedb.Open(dir, archivedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	metrics := NewMetrics()
+	store, err = NewStoreWithOptions(db, StoreOptions{Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
+	defer exec.Shutdown(context.Background())
+	srv := NewServerWith(exec, store, metrics, ServerOptions{})
+	j, live := srv.streams.Get("live")
+	if !live {
+		t.Fatal("live stream with stray fields dropped on recovery")
+	}
+	if got := j.EventsAfter(0); !reflect.DeepEqual(got, events[:6]) {
+		t.Fatalf("recovered events %+v, want %+v", got, events[:6])
+	}
+	if _, ok := store.get("sealed"); !ok {
+		t.Fatal("sealed stream with stray fields not published on recovery")
 	}
 }
 

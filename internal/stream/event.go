@@ -101,7 +101,10 @@ func (e *Event) record() (trace.Record, bool) {
 const maxLineBytes = 1 << 20
 
 // validate checks the event's shape independent of any job state (the
-// sequence-continuity and tree checks happen at apply time).
+// sequence-continuity and tree checks happen at apply time). An event
+// carrying a field its type does not use is refused: an operation
+// record uses the operation fields, an env sample node, kind and used,
+// a seal platform, algorithm and state.
 func (e *Event) validate() error {
 	if e.Seq == 0 {
 		return fmt.Errorf("stream: event needs seq >= 1")
@@ -141,13 +144,42 @@ func (e *Event) validate() error {
 	default:
 		return fmt.Errorf("stream: event %d: unknown type %q", e.Seq, e.Type)
 	}
+	if *e != e.used() {
+		return fmt.Errorf("stream: event %d: %s event carries fields its type does not use", e.Seq, e.Type)
+	}
 	return nil
+}
+
+// used returns e with only the fields its type uses; an event of an
+// unknown type comes back whole.
+func (e *Event) used() Event {
+	u := Event{Seq: e.Seq, Type: e.Type, Time: e.Time}
+	switch e.Type {
+	case typeStart, typeEnd, typeInfo:
+		u.Op, u.Parent, u.Actor, u.Mission, u.Key, u.Value = e.Op, e.Parent, e.Actor, e.Mission, e.Key, e.Value
+	case typeEnv:
+		u.Node, u.Kind, u.Used = e.Node, e.Kind, e.Used
+	case TypeSeal:
+		u.Platform, u.Algorithm, u.State = e.Platform, e.Algorithm, e.State
+	default:
+		return *e
+	}
+	return u
 }
 
 // DecodeEvents parses a JSON-lines ingest body: one event object per
 // line, blank lines skipped, unknown fields rejected. Every decoded
 // event is validated.
-func DecodeEvents(r io.Reader) ([]Event, error) {
+func DecodeEvents(r io.Reader) ([]Event, error) { return decodeEvents(r, false) }
+
+// DecodeAcked parses a batch persisted when it was acked, as
+// DecodeEvents does, except that the fields an event's type does not
+// use are dropped before it is validated: events acked before such
+// fields were refused were persisted with them, and nothing reads
+// them, so every acked batch still replays.
+func DecodeAcked(r io.Reader) ([]Event, error) { return decodeEvents(r, true) }
+
+func decodeEvents(r io.Reader, acked bool) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLineBytes)
 	var out []Event
@@ -173,6 +205,9 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 		// second event (events are line-delimited).
 		if dec.More() {
 			return nil, fmt.Errorf("stream: line %d: trailing data after event", lineNo)
+		}
+		if acked {
+			e = e.used()
 		}
 		if err := e.validate(); err != nil {
 			return nil, fmt.Errorf("stream: line %d: %w", lineNo, err)

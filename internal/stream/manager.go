@@ -169,8 +169,9 @@ func (m *Manager) Ingest(id string, events []Event) (Result, error) {
 // operation tree its assembler has built so far, and the subscriber set
 // for /watch tails. The log is held in two parts ordered by sequence
 // number: the environment samples as columns, and every other event
-// as itself. An env event that carries more than its sample also keeps
-// a copy of itself, so the log reads back exactly what was accepted.
+// as itself. An env event carries nothing but its sample (validate
+// refuses any other field), so the columns read back exactly what was
+// accepted.
 type Job struct {
 	id       string
 	internal bool
@@ -178,7 +179,6 @@ type Job struct {
 	mu      sync.Mutex
 	events  []Event
 	env     archive.EnvColumns
-	oddEnv  map[uint64]Event
 	lastSeq uint64
 
 	asm *monitor.Assembler
@@ -279,14 +279,7 @@ func (j *Job) log(e Event) {
 	j.lastSeq = e.Seq
 	switch e.Type {
 	case typeEnv:
-		s := archive.EnvSample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used}
-		j.env.Append(s)
-		if e != envEvent(e.Seq, s) {
-			if j.oddEnv == nil {
-				j.oddEnv = map[uint64]Event{}
-			}
-			j.oddEnv[e.Seq] = e
-		}
+		j.env.Append(archive.EnvSample{Time: e.Time, Node: e.Node, Kind: e.Kind, Used: e.Used})
 		return
 	case TypeSeal:
 		j.sealed = true
@@ -377,11 +370,7 @@ func (j *Job) EventsAfter(seq uint64) []Event {
 			out = append(out, j.events[r])
 			next++
 		}
-		e, ok := j.oddEnv[next]
-		if !ok {
-			e = envEvent(next, s)
-		}
-		out = append(out, e)
+		out = append(out, envEvent(next, s))
 		next++
 	})
 	return append(out, j.events[r:]...)

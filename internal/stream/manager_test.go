@@ -447,6 +447,14 @@ func TestDecodeEventsRejectsMalformed(t *testing.T) {
 		`{"seq":1,"type":"start","op":"a"} trailing`,     // trailing data
 		`not json at all`,
 		`{"seq":1,"type":"start","op":"a","time":-5}`, // negative time
+		// Fields the event's type does not use.
+		`{"seq":1,"type":"env","node":"n","kind":"cpu","op":"a","actor":"w","value":"x"}`,
+		`{"seq":1,"type":"env","node":"n","kind":"cpu","platform":"p"}`,
+		`{"seq":1,"type":"seal","platform":"p","state":"done","node":"n"}`,
+		`{"seq":1,"type":"seal","platform":"p","state":"done","mission":"Job"}`,
+		`{"seq":1,"type":"start","op":"a","used":1}`,
+		`{"seq":1,"type":"end","op":"a","state":"done"}`,
+		`{"seq":1,"type":"info","op":"a","key":"k","kind":"cpu"}`,
 	}
 	for _, line := range bad {
 		if _, err := DecodeEvents(strings.NewReader(line)); err == nil {

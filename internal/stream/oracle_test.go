@@ -278,7 +278,8 @@ func (p *logPair) check(all bool, cursors ...uint64) {
 // liveGen draws a random well-formed job: a tree of operations whose
 // children end before their parents, infos, and env samples over a few
 // series with runs of bit-identical times, -0 times and used values,
-// and (for ingest) env events that carry stray operation fields.
+// and (for ingest) env events that carry stray operation fields: those
+// go to stray, and the job gets each without them.
 type liveGen struct {
 	rng    *rand.Rand
 	time   float64
@@ -287,6 +288,7 @@ type liveGen struct {
 	kids   map[string]int // open children per open operation
 	parent map[string]string
 	series int
+	stray  []Event
 }
 
 func newLiveGen(seed int64) *liveGen {
@@ -383,7 +385,10 @@ func (g *liveGen) events(n int, state string) []Event {
 			s := g.sample()
 			e := Event{Type: typeEnv, Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used}
 			if g.rng.Intn(25) == 0 {
-				e.Op, e.Actor, e.Value = "stray", "someone", "x"
+				odd := e
+				odd.Seq = uint64(len(out) + 1)
+				odd.Op, odd.Actor, odd.Value = "stray", "someone", "x"
+				g.stray = append(g.stray, odd)
 			}
 			add(e)
 			continue
@@ -407,6 +412,12 @@ func (g *liveGen) events(n int, state string) []Event {
 // frames of each window, Progress, and the sealed archive's bytes.
 func TestLiveLogMatchesEventSlice(t *testing.T) {
 	t.Run("ingest", func(t *testing.T) {
+		strays := 0
+		defer func() {
+			if strays == 0 {
+				t.Error("no env event with operation fields was drawn")
+			}
+		}()
 		for seed := int64(1); seed <= 12; seed++ {
 			g := newLiveGen(seed)
 			state := StateDone
@@ -414,6 +425,14 @@ func TestLiveLogMatchesEventSlice(t *testing.T) {
 				state = StateFailed
 			}
 			events := g.events(300+g.rng.Intn(300), state)
+			// An env event with operation fields is refused before it
+			// reaches either log.
+			strays += len(g.stray)
+			for _, e := range g.stray {
+				if err := e.validate(); err == nil {
+					t.Fatalf("seed %d: env event %d with operation fields validates", seed, e.Seq)
+				}
+			}
 			maxEvents := 0
 			if seed == 5 {
 				maxEvents = len(events) - 3 // the last events overflow
