@@ -39,7 +39,7 @@ func runGAS(t *testing.T, ds *datagen.Dataset, prog gas.Program) []float64 {
 		CutStrategy: graph.VertexCutHash, MaxIterations: 500,
 		ChunkBytes: 64 << 10, WorkScale: 1, Costs: gas.CostModel{},
 	}
-	em := trace.NewEmitter(trace.NewLog(), "gas-alg-test", eng.Now)
+	em := trace.NewEmitter(func(trace.Record) {}, "gas-alg-test", eng.Now)
 	var values []float64
 	eng.Spawn("client", func(p *sim.Proc) {
 		res, err := gas.RunJob(p, deps, cfg, prog, ds, em)

@@ -42,7 +42,7 @@ func runPregel(t *testing.T, ds *datagen.Dataset, prog pregel.Program, combiner 
 			ContainerLaunchCPUSeconds: 0.05, AppReleaseSeconds: 0.05,
 		},
 	}
-	em := trace.NewEmitter(trace.NewLog(), "alg-test", eng.Now)
+	em := trace.NewEmitter(func(trace.Record) {}, "alg-test", eng.Now)
 	var values []float64
 	eng.Spawn("client", func(p *sim.Proc) {
 		res, err := pregel.RunJob(p, deps, cfg, prog, ds, em)

@@ -33,8 +33,8 @@ type Job struct {
 	EnvSamples []EnvSample `json:"envSamples,omitempty"`
 }
 
-// EnvSample mirrors envmon.Sample in the archive schema: one per-node,
-// per-resource measurement over one sampling interval.
+// EnvSample is one per-node, per-resource measurement over one sampling
+// interval; the environment monitor (internal/envmon) records it as is.
 type EnvSample struct {
 	Time float64 `json:"time"`
 	Node string  `json:"node"`

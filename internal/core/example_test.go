@@ -110,9 +110,10 @@ func Example_customModel() {
 		DiskBandwidth: 200e6, NICBandwidth: 1e9, SharedFSBandwidth: 500e6,
 		NodeNamePrefix: "node", NodeNameStart: 1,
 	})
-	oplog := trace.NewLog()
-	em := trace.NewEmitter(oplog, "sortmerge-1", eng.Now)
-	mon := envmon.Start(c, 0.5)
+	var records []trace.Record
+	var samples []envmon.Sample
+	em := trace.NewEmitter(func(r trace.Record) { records = append(records, r) }, "sortmerge-1", eng.Now)
+	mon := envmon.Start(c, 0.5, func(s envmon.Sample) { samples = append(samples, s) })
 	eng.Spawn("sortmerge", func(p *sim.Proc) {
 		sortMergeJob(p, c, em)
 		mon.Stop()
@@ -120,7 +121,7 @@ func Example_customModel() {
 	if err := eng.Run(); err != nil {
 		log.Fatal(err)
 	}
-	job, err := monitor.Assemble("sortmerge-1", "SortMerge", oplog.Records(), mon.Samples())
+	job, err := monitor.Assemble("sortmerge-1", "SortMerge", records, samples)
 	if err != nil {
 		log.Fatal(err)
 	}

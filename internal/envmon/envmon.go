@@ -11,8 +11,7 @@
 package envmon
 
 import (
-	"fmt"
-
+	"repro/internal/archive"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -29,46 +28,33 @@ const (
 const sharedFSNode = "sharedfs"
 
 // Sample is one per-node, per-resource measurement over one sampling
-// interval.
-type Sample struct {
-	// Time is the end of the sampling interval, in simulated seconds.
-	Time float64 `json:"time"`
-	// Node is the node name (or "sharedfs").
-	Node string `json:"node"`
-	// Kind is the resource: "cpu", "disk", or "nic".
-	Kind string `json:"kind"`
-	// Used is the amount consumed during the interval: cpu-seconds for
-	// CPU (divided by the interval length this is the paper's "CPU time
-	// / second" metric), bytes for disk and NIC.
-	Used float64 `json:"used"`
-}
+// interval: Time is the end of the interval, Node a node name (or
+// "sharedfs"), Kind "cpu", "disk" or "nic", and Used the amount consumed
+// — cpu-seconds for CPU (divided by the interval length this is the
+// paper's "CPU time / second" metric), bytes for disk and NIC. It is the
+// archive's sample type, so samples go into a job unconverted.
+type Sample = archive.EnvSample
 
 // Monitor samples a cluster's resources at a fixed simulated interval.
 type Monitor struct {
 	cluster  *cluster.Cluster
 	interval float64
-	samples  []Sample
 	sink     func(Sample)
 	stopped  bool
 }
 
-// SetSink registers a callback invoked synchronously for every sample
-// recorded after the call, in record order. The sampling process only
-// runs while the simulation engine runs, so setting the sink between
-// Start and the engine run observes every sample. A nil sink disables
-// the callback.
-func (m *Monitor) SetSink(sink func(Sample)) { m.sink = sink }
-
 // Start spawns the monitoring process on the cluster's engine, sampling
-// every interval simulated seconds until Stop is called. The first sample
-// covers (start, start+interval].
-func Start(c *cluster.Cluster, interval float64) *Monitor {
-	if interval <= 0 {
-		panic("envmon: interval must be positive")
+// every interval simulated seconds until Stop is called and handing each
+// sample to sink synchronously, in time order (and gauge order within one
+// tick). The first sample covers (start, start+interval].
+func Start(c *cluster.Cluster, interval float64, sink func(Sample)) *Monitor {
+	if interval <= 0 || sink == nil {
+		panic("envmon: non-positive interval or nil sink")
 	}
 	m := &Monitor{
 		cluster:  c,
 		interval: interval,
+		sink:     sink,
 	}
 	c.Engine().Spawn("envmon", m.run)
 	return m
@@ -100,11 +86,7 @@ func (m *Monitor) run(p *sim.Proc) {
 		t := p.Now()
 		for _, g := range gauges {
 			cur := g.res.Consumed()
-			s := Sample{Time: t, Node: g.node, Kind: g.kind, Used: cur - g.last}
-			m.samples = append(m.samples, s)
-			if m.sink != nil {
-				m.sink(s)
-			}
+			m.sink(Sample{Time: t, Node: g.node, Kind: g.kind, Used: cur - g.last})
 			g.last = cur
 		}
 	}
@@ -113,12 +95,3 @@ func (m *Monitor) run(p *sim.Proc) {
 // Stop makes the monitoring process exit at its next tick. It is safe to
 // call from inside or outside the simulation, and more than once.
 func (m *Monitor) Stop() { m.stopped = true }
-
-// Samples returns all samples recorded so far, in time order (and gauge
-// order within one tick). The returned slice must not be modified.
-func (m *Monitor) Samples() []Sample { return m.samples }
-
-// String summarizes the monitor state for debugging.
-func (m *Monitor) String() string {
-	return fmt.Sprintf("envmon{interval=%gs samples=%d}", m.interval, len(m.samples))
-}

@@ -23,10 +23,16 @@ func testCluster(e *sim.Engine) *cluster.Cluster {
 	})
 }
 
+// start starts a monitor whose samples collect in the returned slice.
+func start(c *cluster.Cluster, interval float64) (*Monitor, *[]Sample) {
+	samples := new([]Sample)
+	return Start(c, interval, func(s Sample) { *samples = append(*samples, s) }), samples
+}
+
 // nodeSeries is the per-interval usage of one resource kind on one node.
-func nodeSeries(m *Monitor, kind, node string) []float64 {
+func nodeSeries(samples []Sample, kind, node string) []float64 {
 	var out []float64
-	for _, s := range m.Samples() {
+	for _, s := range samples {
 		if s.Node == node && s.Kind == kind {
 			out = append(out, s.Used)
 		}
@@ -36,9 +42,9 @@ func nodeSeries(m *Monitor, kind, node string) []float64 {
 
 // nodes is the sorted set of node names in the samples, excluding the
 // shared-FS pseudo-node.
-func nodes(m *Monitor) []string {
+func nodes(samples []Sample) []string {
 	set := map[string]struct{}{}
-	for _, s := range m.Samples() {
+	for _, s := range samples {
 		if s.Node != sharedFSNode {
 			set[s.Node] = struct{}{}
 		}
@@ -54,7 +60,7 @@ func nodes(m *Monitor) []string {
 func TestMonitorSamplesCPU(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	m := Start(c, 1.0)
+	m, samples := start(c, 1.0)
 	e.Spawn("job", func(p *sim.Proc) {
 		// 2 cpu-seconds of single-threaded work on node0: rate 1 for 2s.
 		c.Node(0).Exec(p, 2)
@@ -63,14 +69,14 @@ func TestMonitorSamplesCPU(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	series := nodeSeries(m, kindCPU, "node0")
+	series := nodeSeries(*samples, kindCPU, "node0")
 	if len(series) < 2 {
 		t.Fatalf("series = %v, want >= 2 samples", series)
 	}
 	if !almostEqual(series[0], 1) || !almostEqual(series[1], 1) {
 		t.Fatalf("node0 series = %v, want [1 1 ...]", series)
 	}
-	idle := nodeSeries(m, kindCPU, "node1")
+	idle := nodeSeries(*samples, kindCPU, "node1")
 	for _, v := range idle {
 		if v != 0 {
 			t.Fatalf("idle node shows CPU usage: %v", idle)
@@ -81,7 +87,7 @@ func TestMonitorSamplesCPU(t *testing.T) {
 func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	m := Start(c, 1.0)
+	m, samples := start(c, 1.0)
 	e.Spawn("job", func(p *sim.Proc) {
 		c.Node(0).ReadLocal(p, 150)              // 1.5s at 100 B/s
 		c.Transfer(p, c.Node(0), c.Node(1), 100) // sender NIC
@@ -91,7 +97,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	disk := nodeSeries(m, kindDisk, "node0")
+	disk := nodeSeries(*samples, kindDisk, "node0")
 	total := 0.0
 	for _, v := range disk {
 		total += v
@@ -99,7 +105,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if !almostEqual(total, 150) {
 		t.Fatalf("node0 disk bytes = %v, want 150", total)
 	}
-	nic := nodeSeries(m, kindNIC, "node0")
+	nic := nodeSeries(*samples, kindNIC, "node0")
 	total = 0
 	for _, v := range nic {
 		total += v
@@ -107,7 +113,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 	if !almostEqual(total, 100) {
 		t.Fatalf("node0 nic bytes = %v, want 100", total)
 	}
-	shared := nodeSeries(m, kindDisk, sharedFSNode)
+	shared := nodeSeries(*samples, kindDisk, sharedFSNode)
 	total = 0
 	for _, v := range shared {
 		total += v
@@ -120,7 +126,7 @@ func TestMonitorSamplesDiskAndNIC(t *testing.T) {
 func TestMonitorStopsAfterStop(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	m := Start(c, 0.5)
+	m, samples := start(c, 0.5)
 	e.Spawn("job", func(p *sim.Proc) {
 		p.Sleep(2)
 		m.Stop()
@@ -129,7 +135,7 @@ func TestMonitorStopsAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Monitor exits at next tick after Stop: at most 2.5s of samples.
-	for _, s := range m.Samples() {
+	for _, s := range *samples {
 		if s.Time > 2.5+1e-9 {
 			t.Fatalf("sample after stop: %+v", s)
 		}
@@ -142,7 +148,7 @@ func TestMonitorStopsAfterStop(t *testing.T) {
 func TestCumulativeSeriesSumsNodes(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	m := Start(c, 1.0)
+	m, samples := start(c, 1.0)
 	e.Spawn("job0", func(p *sim.Proc) { c.Node(0).Exec(p, 3) })
 	e.Spawn("job1", func(p *sim.Proc) { c.Node(1).ExecParallel(p, 6, 2) })
 	e.Spawn("stopper", func(p *sim.Proc) {
@@ -153,7 +159,7 @@ func TestCumulativeSeriesSumsNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	byTime := map[float64]float64{}
-	for _, s := range m.Samples() {
+	for _, s := range *samples {
 		if s.Kind == kindCPU && s.Node != sharedFSNode {
 			byTime[s.Time] += s.Used
 		}
@@ -179,13 +185,13 @@ func TestStartPanicsOnBadInterval(t *testing.T) {
 		}
 	}()
 	e := sim.NewEngine()
-	Start(testCluster(e), 0)
+	Start(testCluster(e), 0, func(Sample) {})
 }
 
 func TestNodesSortedAndExcludeSharedFS(t *testing.T) {
 	e := sim.NewEngine()
 	c := testCluster(e)
-	m := Start(c, 1.0)
+	m, samples := start(c, 1.0)
 	e.Spawn("job", func(p *sim.Proc) {
 		p.Sleep(1.5)
 		m.Stop()
@@ -193,7 +199,7 @@ func TestNodesSortedAndExcludeSharedFS(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := nodes(m)
+	got := nodes(*samples)
 	if len(got) != 2 || got[0] != "node0" || got[1] != "node1" {
 		t.Fatalf("nodes = %v, want [node0 node1]", got)
 	}

@@ -62,7 +62,7 @@ type testEnv struct {
 	eng  *sim.Engine
 	c    *cluster.Cluster
 	deps Deps
-	log  *trace.Log
+	log  *[]trace.Record
 	em   *trace.Emitter
 }
 
@@ -85,8 +85,8 @@ func newTestEnv(t *testing.T, ds *datagen.Dataset, workScale float64) *testEnv {
 	if err := StageInput(store, deps.InputPath, ds, workScale); err != nil {
 		t.Fatal(err)
 	}
-	log := trace.NewLog()
-	em := trace.NewEmitter(log, "gas-test", eng.Now)
+	log := new([]trace.Record)
+	em := trace.NewEmitter(func(r trace.Record) { *log = append(*log, r) }, "gas-test", eng.Now)
 	return &testEnv{eng: eng, c: c, deps: deps, log: log, em: em}
 }
 
@@ -196,7 +196,7 @@ func TestGASSequentialLoadPinsOneNode(t *testing.T) {
 	// Find the LoadGraph window from the trace and compare per-node CPU.
 	var loadStart, loadEnd float64
 	started := map[string]trace.Record{}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		switch r.Event {
 		case trace.EventStart:
 			started[r.Op] = r
@@ -231,7 +231,7 @@ func TestGASTraceTreeWellFormed(t *testing.T) {
 	started := map[string]trace.Record{}
 	ended := map[string]float64{}
 	roots := 0
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		switch r.Event {
 		case trace.EventStart:
 			started[r.Op] = r
@@ -264,12 +264,12 @@ func TestGASTraceTreeWellFormed(t *testing.T) {
 	// Domain-level structure.
 	var missions []string
 	rootID := ""
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		if r.Event == trace.EventStart && r.Parent == "" {
 			rootID = r.Op
 		}
 	}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		if r.Event == trace.EventStart && r.Parent == rootID {
 			missions = append(missions, r.Mission)
 		}
@@ -290,7 +290,7 @@ func TestGASIterationOpsPerRank(t *testing.T) {
 	env := newTestEnv(t, ds, 1)
 	res := runGASJob(t, env, testJobConfig(4), bfs{source: 0}, ds)
 	counts := map[string]int{}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		if r.Event == trace.EventStart {
 			counts[r.Mission]++
 		}
@@ -388,7 +388,7 @@ func TestGASParallelLoadIsFasterAndEquivalent(t *testing.T) {
 	// The parallel variant emits ParallelLoad ops instead of
 	// SequentialLoad.
 	counts := map[string]int{}
-	for _, r := range envPar.log.Records() {
+	for _, r := range *envPar.log {
 		if r.Event == trace.EventStart {
 			counts[r.Mission]++
 		}

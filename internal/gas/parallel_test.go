@@ -13,9 +13,9 @@ import (
 
 // traceFingerprint renders every trace record into one string so two
 // runs can be compared byte for byte.
-func traceFingerprint(log *trace.Log) string {
+func traceFingerprint(log []trace.Record) string {
 	var sb strings.Builder
-	for _, r := range log.Records() {
+	for _, r := range log {
 		fmt.Fprintf(&sb, "%.9f|%s|%s|%s|%s|%s|%s|%s|%s\n",
 			r.Time, r.Job, r.Op, r.Parent, r.Actor, r.Mission, r.Event, r.Key, r.Value)
 	}
@@ -76,7 +76,7 @@ func TestGASParallelMatchesSerialExactly(t *testing.T) {
 				cfg := testJobConfig(4)
 				cfg.HostParallelism = par
 				res := runGASJob(t, env, cfg, pc.prog, ds)
-				tr := traceFingerprint(env.log)
+				tr := traceFingerprint(*env.log)
 				if baseRes == nil {
 					baseRes, baseTrace = res, tr
 					continue

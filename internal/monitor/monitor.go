@@ -2,9 +2,10 @@
 // takes the two kinds of performance data a job run produces — platform
 // logs (operation records) and environment logs (resource samples) — and
 // assembles them into the operation tree of a performance archive. The
-// Assembler does that record by record, for a finished log (Assemble)
-// and for a live stream alike, and keeps the operations that have ended
-// in end order, the rows a live query reads.
+// Assembler does that record by record, for a run as its engines emit
+// records, for a live stream and for a finished log (Assemble) alike,
+// and keeps the operations that have ended in end order, the rows a live
+// query reads.
 package monitor
 
 import (
@@ -12,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/archive"
-	"repro/internal/envmon"
 	"repro/internal/trace"
 )
 
@@ -22,9 +22,9 @@ import (
 // operation under its parent the moment it starts, so a parent must
 // start before its children, and keeps each operation's depth, mission
 // path, the count of operations still open and the ended operations in
-// end order. Assemble runs it over a finished log; the live stream runs
-// it as a job runs and finishes it at seal. An Assembler is not safe for
-// concurrent use.
+// end order. The harness runs it as a job's engines emit records, the
+// live stream as events arrive, finishing it at seal; Assemble runs it
+// over a finished log. An Assembler is not safe for concurrent use.
 type Assembler struct {
 	jobID string
 	ops   map[string]*node
@@ -200,8 +200,9 @@ func (a *Assembler) add(r *trace.Record) {
 // environment samples by running an Assembler over the job's records in
 // log order and finishing it. Records belonging to other jobs are
 // ignored. The records must describe a single rooted tree of completed
-// operations in which each operation starts after its parent does.
-func Assemble(jobID, platform string, records []trace.Record, samples []envmon.Sample) (*archive.Job, error) {
+// operations in which each operation starts after its parent does. The
+// job keeps samples, sorted in place as Finish sorts them.
+func Assemble(jobID, platform string, records []trace.Record, samples []archive.EnvSample) (*archive.Job, error) {
 	a := NewAssembler(jobID)
 	for _, r := range records {
 		if r.Job != jobID {
@@ -211,12 +212,5 @@ func Assemble(jobID, platform string, records []trace.Record, samples []envmon.S
 			return nil, err
 		}
 	}
-	var env []archive.EnvSample
-	if len(samples) > 0 {
-		env = make([]archive.EnvSample, len(samples))
-		for i, s := range samples {
-			env[i] = archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used}
-		}
-	}
-	return a.Finish(platform, env)
+	return a.Finish(platform, samples)
 }

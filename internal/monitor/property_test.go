@@ -33,20 +33,19 @@ func emitRandomTree(rng *rand.Rand, em *trace.Emitter, clock *float64, parent tr
 }
 
 // TestAssembleRandomTreesProperty: any well-nested emitted tree assembles
-// into a valid archive job with the same operation count, and survives
-// the text encode/parse round trip.
+// into a valid archive job with the same operation count.
 func TestAssembleRandomTreesProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		clock := 0.0
-		log := trace.NewLog()
-		em := trace.NewEmitter(log, "prop", func() float64 { return clock })
+		var records []trace.Record
+		em := trace.NewEmitter(func(r trace.Record) { records = append(records, r) }, "prop", func() float64 { return clock })
 		root := em.Start(trace.Root, "Client", "Job")
 		count := 1 + emitRandomTree(rng, em, &clock, root, 0)
 		clock += 1
 		em.End(root)
 
-		job, err := Assemble("prop", "X", log.Records(), nil)
+		job, err := Assemble("prop", "X", records, nil)
 		if err != nil {
 			return false
 		}

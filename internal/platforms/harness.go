@@ -1,7 +1,6 @@
 package platforms
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -53,8 +52,8 @@ type Spec struct {
 	HostParallelism int
 	// RecordSink and SampleSink, when non-nil, observe every platform-log
 	// record and environment sample live, synchronously from the
-	// simulation as it emits them. They do not change the assembled
-	// archive.
+	// simulation as it emits them, alongside the run's own assembler.
+	// They do not change the assembled archive.
 	RecordSink func(trace.Record)
 	SampleSink func(envmon.Sample)
 }
@@ -183,15 +182,14 @@ func run(ctx context.Context, spec Spec, cal calibration) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := trace.NewLog()
-	if spec.RecordSink != nil {
-		log.SetSink(spec.RecordSink)
-	}
-	em := trace.NewEmitter(log, spec.JobID, eng.Now)
-	mon := envmon.Start(c, spec.SampleInterval)
-	if spec.SampleSink != nil {
-		mon.SetSink(spec.SampleSink)
-	}
+	em, assemble := assembling(spec.JobID, eng.Now, spec.RecordSink)
+	var samples []envmon.Sample
+	mon := envmon.Start(c, spec.SampleInterval, func(s envmon.Sample) {
+		samples = append(samples, s)
+		if spec.SampleSink != nil {
+			spec.SampleSink(s)
+		}
+	})
 	var (
 		out    *Output
 		runErr error
@@ -206,21 +204,35 @@ func run(ctx context.Context, spec Spec, cal calibration) (*Output, error) {
 	if runErr != nil {
 		return nil, finishErr(ctx, runErr)
 	}
-	// Round-trip the platform log through its text encoding: platforms
-	// write log files; Granula parses them.
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, log.Records()); err != nil {
-		return nil, fmt.Errorf("platforms: encode platform log: %w", err)
-	}
-	records, err := trace.Parse(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("platforms: parse platform log: %w", err)
-	}
-	assembled, err := monitor.Assemble(spec.JobID, platform, records, mon.Samples())
+	assembled, err := assemble(platform, samples)
 	if err != nil {
 		return nil, finishErr(ctx, err)
 	}
 	return finish(assembled, model, out)
+}
+
+// assembling returns the emitter of job's platform log, which adds each
+// record to one monitor.Assembler as the engines emit it and forwards it
+// to sink when sink is set, and the func that completes the job after the
+// run: it returns the first error the assembler returned, or else the
+// finished job with samples.
+func assembling(job string, now func() float64, sink func(trace.Record)) (*trace.Emitter, func(platform string, samples []archive.EnvSample) (*archive.Job, error)) {
+	asm := monitor.NewAssembler(job)
+	var err error
+	em := trace.NewEmitter(func(r trace.Record) {
+		if err == nil {
+			err = asm.Add(r)
+		}
+		if sink != nil {
+			sink(r)
+		}
+	}, job, now)
+	return em, func(platform string, samples []archive.EnvSample) (*archive.Job, error) {
+		if err != nil {
+			return nil, err
+		}
+		return asm.Finish(platform, samples)
+	}
 }
 
 // giraph deploys Giraph on c as cal describes, stages the input in its

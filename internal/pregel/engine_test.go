@@ -64,7 +64,7 @@ type testEnv struct {
 	eng  *sim.Engine
 	c    *cluster.Cluster
 	deps Deps
-	log  *trace.Log
+	log  *[]trace.Record
 	em   *trace.Emitter
 }
 
@@ -91,8 +91,8 @@ func newTestEnv(t *testing.T, ds *datagen.Dataset, workScale float64) *testEnv {
 	if err := StageInput(h, deps.InputPath, ds, workScale); err != nil {
 		t.Fatal(err)
 	}
-	log := trace.NewLog()
-	em := trace.NewEmitter(log, "test-job", eng.Now)
+	log := new([]trace.Record)
+	em := trace.NewEmitter(func(r trace.Record) { *log = append(*log, r) }, "test-job", eng.Now)
 	return &testEnv{eng: eng, c: c, deps: deps, log: log, em: em}
 }
 
@@ -227,7 +227,7 @@ func TestTraceTreeWellFormed(t *testing.T) {
 	env := newTestEnv(t, ds, 1)
 	runJob(t, env, testJobConfig(4), bfs{source: 0}, ds)
 
-	recs := env.log.Records()
+	recs := *env.log
 	if len(recs) == 0 {
 		t.Fatal("no trace records")
 	}
@@ -304,7 +304,7 @@ func TestSuperstepOpsPerWorker(t *testing.T) {
 
 	// Count LocalSuperstep ops: one per worker per superstep.
 	var localSupersteps int
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		if r.Event == trace.EventStart && r.Mission == "LocalSuperstep" {
 			localSupersteps++
 		}
@@ -314,7 +314,7 @@ func TestSuperstepOpsPerWorker(t *testing.T) {
 	}
 	// Each LocalSuperstep has PreStep, Compute, Message, PostStep.
 	counts := map[string]int{}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		if r.Event == trace.EventStart {
 			counts[r.Mission]++
 		}

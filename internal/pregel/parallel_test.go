@@ -13,9 +13,9 @@ import (
 // traceFingerprint renders every trace record — timestamps, ops, actors,
 // missions, info pairs — into one string. Two runs are equivalent only if
 // their fingerprints match byte for byte.
-func traceFingerprint(log *trace.Log) string {
+func traceFingerprint(log []trace.Record) string {
 	var sb strings.Builder
-	for _, r := range log.Records() {
+	for _, r := range log {
 		fmt.Fprintf(&sb, "%.9f|%s|%s|%s|%s|%s|%s|%s|%s\n",
 			r.Time, r.Job, r.Op, r.Parent, r.Actor, r.Mission, r.Event, r.Key, r.Value)
 	}
@@ -71,7 +71,7 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 					cfg.Combiner = nil
 				}
 				res := runJob(t, env, cfg, pc.prog, ds)
-				tr := traceFingerprint(env.log)
+				tr := traceFingerprint(*env.log)
 				if baseRes == nil {
 					baseRes, baseTrace = res, tr
 					continue
@@ -106,7 +106,7 @@ func TestParallelZeroDefaultsToNumCPU(t *testing.T) {
 	if !reflect.DeepEqual(resSerial, resAuto) {
 		t.Fatalf("HostParallelism=0 result differs from serial:\n got %+v\nwant %+v", resAuto, resSerial)
 	}
-	if a, b := traceFingerprint(envSerial.log), traceFingerprint(envAuto.log); a != b {
+	if a, b := traceFingerprint(*envSerial.log), traceFingerprint(*envAuto.log); a != b {
 		t.Fatal("HostParallelism=0 trace differs from serial")
 	}
 }

@@ -32,7 +32,7 @@ func TestCheckpointingEmitsOpsAndCostsTime(t *testing.T) {
 	// One Checkpoint op per eligible superstep, each with one
 	// LocalCheckpoint per worker.
 	counts := map[string]int{}
-	for _, r := range envCk.log.Records() {
+	for _, r := range *envCk.log {
 		if r.Event == trace.EventStart {
 			counts[r.Mission]++
 		}
@@ -83,7 +83,7 @@ func TestFailureRecoveryProducesCorrectResult(t *testing.T) {
 	}
 	// The recovery operations appear in the trace, once each.
 	counts := map[string]int{}
-	for _, r := range envFail.log.Records() {
+	for _, r := range *envFail.log {
 		if r.Event == trace.EventStart {
 			counts[r.Mission]++
 		}
@@ -115,7 +115,7 @@ func TestRecoveredJobStillConformsStructurally(t *testing.T) {
 	// within parents) must survive the recovery path.
 	started := map[string]trace.Record{}
 	ended := map[string]float64{}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		switch r.Event {
 		case trace.EventStart:
 			started[r.Op] = r

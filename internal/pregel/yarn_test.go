@@ -32,7 +32,7 @@ func yarnSpans(t *testing.T) (CostModel, func(mission string) (first, last float
 
 	start, end := map[string]float64{}, map[string]float64{}
 	mission := map[string]string{}
-	for _, r := range env.log.Records() {
+	for _, r := range *env.log {
 		switch r.Event {
 		case trace.EventStart:
 			start[r.Op], mission[r.Op] = r.Time, r.Mission

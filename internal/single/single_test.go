@@ -23,7 +23,7 @@ func testDataset(t *testing.T) *datagen.Dataset {
 	return ds
 }
 
-func runSingle(t *testing.T, ds *datagen.Dataset, kernel Kernel, scale float64) (*Result, *trace.Log) {
+func runSingle(t *testing.T, ds *datagen.Dataset, kernel Kernel, scale float64) (*Result, []trace.Record) {
 	t.Helper()
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.Config{
@@ -31,8 +31,8 @@ func runSingle(t *testing.T, ds *datagen.Dataset, kernel Kernel, scale float64) 
 		DiskBandwidth: 200e6, NICBandwidth: 1e9, SharedFSBandwidth: 1e9,
 		NodeNamePrefix: "n",
 	})
-	log := trace.NewLog()
-	em := trace.NewEmitter(log, "single-test", eng.Now)
+	var log []trace.Record
+	em := trace.NewEmitter(func(r trace.Record) { log = append(log, r) }, "single-test", eng.Now)
 	deps := Deps{Cluster: c, InputBytes: StageInput(ds, scale), OutputPath: "/out"}
 	cfg := DefaultConfig()
 	cfg.Threads = 8
@@ -127,7 +127,7 @@ func TestTraceHasDomainOperations(t *testing.T) {
 	ds := testDataset(t)
 	_, log := runSingle(t, ds, BFSKernel{Source: 0}, 1)
 	missions := map[string]int{}
-	for _, r := range log.Records() {
+	for _, r := range log {
 		if r.Event == trace.EventStart {
 			missions[r.Mission]++
 		}
@@ -164,7 +164,7 @@ func TestRunJobValidation(t *testing.T) {
 		DiskBandwidth: 1e6, NICBandwidth: 1e6, SharedFSBandwidth: 1e6,
 		NodeNamePrefix: "n",
 	})
-	em := trace.NewEmitter(trace.NewLog(), "v", eng.Now)
+	em := trace.NewEmitter(func(trace.Record) {}, "v", eng.Now)
 	eng.Spawn("client", func(p *sim.Proc) {
 		good := Deps{Cluster: c, InputBytes: 100}
 		cases := []struct {

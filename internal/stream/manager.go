@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/archive"
-	"repro/internal/envmon"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/query"
@@ -296,7 +295,7 @@ func envEvent(seq uint64, s archive.EnvSample) Event {
 }
 
 // PublishRecord streams one platform-log record from an in-process
-// engine (wired through trace.Log's sink).
+// engine (wired through platforms.Spec.RecordSink).
 func (j *Job) PublishRecord(r trace.Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -317,13 +316,13 @@ func (j *Job) PublishRecord(r trace.Record) error {
 
 // PublishSample streams one environment sample from the in-process
 // monitor; it goes straight to the job's sample columns.
-func (j *Job) PublishSample(s envmon.Sample) error {
+func (j *Job) PublishSample(s archive.EnvSample) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.sealed {
 		return ErrSealed
 	}
-	j.env.Append(archive.EnvSample{Time: s.Time, Node: s.Node, Kind: s.Kind, Used: s.Used})
+	j.env.Append(s)
 	j.lastSeq++
 	j.notifyLocked()
 	return nil

@@ -1,18 +1,17 @@
 package trace_test
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/trace"
 )
 
-// A platform instruments one operation with a nested child, then the log
-// is serialized and parsed back — the path every monitored job takes.
+// A platform instruments one operation with a nested child; each record
+// reaches the sink as it is emitted, as it reaches a job's assembler.
 func ExampleEmitter() {
 	clock := 0.0
-	log := trace.NewLog()
-	em := trace.NewEmitter(log, "job-1", func() float64 { return clock })
+	var records []trace.Record
+	em := trace.NewEmitter(func(r trace.Record) { records = append(records, r) }, "job-1", func() float64 { return clock })
 
 	job := em.Start(trace.Root, "Client", "Job")
 	clock = 1
@@ -23,16 +22,6 @@ func ExampleEmitter() {
 	clock = 4
 	em.End(job)
 
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, log.Records()); err != nil {
-		fmt.Println("encode error:", err)
-		return
-	}
-	records, err := trace.Parse(&buf)
-	if err != nil {
-		fmt.Println("parse error:", err)
-		return
-	}
 	for _, r := range records {
 		switch r.Event {
 		case trace.EventStart:

@@ -1,14 +1,18 @@
 // Package trace is the platform-log substrate shared by the simulated
 // graph-processing platforms. Platforms emit structured operation records
 // — start/end events annotated with an actor and a mission, plus free-form
-// info records — into a Log. Granula's monitor (internal/monitor) parses
-// these logs and assembles them into the operation tree defined by a
-// performance model, exactly as the real Granula parses Giraph's log4j
-// output.
+// info records — through an Emitter, which hands each record to a sink the
+// moment it is emitted. Granula's monitor (internal/monitor) assembles
+// them into the operation tree defined by a performance model; the
+// harness (internal/platforms) feeds its assembler from that sink while
+// the job runs.
 //
-// Records have a stable line-oriented text encoding so that the full
-// pipeline (platform writes logs, monitor parses them) is exercised rather
-// than short-circuited through shared memory.
+// Encode and Parse are a line-oriented text encoding of records, the
+// shape of the log4j files the real Granula parses for Giraph. No run
+// goes through it: an in-process platform reaches the assembler through
+// the sink, and a platform outside the process streams its records to
+// the service's /ingest endpoint as JSON lines. The benchmark driver
+// (bench/) still times the codec as a stage.
 package trace
 
 import (
@@ -53,34 +57,6 @@ type Record struct {
 	Value string
 }
 
-// Log is an append-only record sink.
-type Log struct {
-	records []Record
-	sink    func(Record)
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
-// SetSink registers a callback invoked synchronously for every record
-// appended after the call, in append order. It exists so live observers
-// (the streaming subsystem) can tail a job's platform log while the job
-// runs; the log itself remains the source of truth for assembly. A nil
-// sink disables the callback.
-func (l *Log) SetSink(sink func(Record)) { l.sink = sink }
-
-// add appends a record.
-func (l *Log) add(r Record) {
-	l.records = append(l.records, r)
-	if l.sink != nil {
-		l.sink(r)
-	}
-}
-
-// Records returns all records in append order. The slice must not be
-// modified.
-func (l *Log) Records() []Record { return l.records }
-
 // OpRef identifies a started operation for an Emitter's End/Info calls.
 type OpRef struct {
 	id string
@@ -92,23 +68,24 @@ func (o OpRef) valid() bool { return o.id != "" }
 // Root is the OpRef used as the parent of a job's top-level operation.
 var Root = OpRef{}
 
-// Emitter provides platforms with a convenient instrumentation API on top
-// of a Log. Operation IDs are deterministic sequence numbers within the
-// job, keeping archives byte-stable across runs.
+// Emitter provides platforms with a convenient instrumentation API: it
+// hands each record to its sink synchronously, in emit order. Operation
+// IDs are deterministic sequence numbers within the job, keeping archives
+// byte-stable across runs.
 type Emitter struct {
-	log *Log
-	job string
-	now func() float64
-	seq int
+	sink func(Record)
+	job  string
+	now  func() float64
+	seq  int
 }
 
-// NewEmitter creates an emitter for one job. now supplies the current
-// simulated time.
-func NewEmitter(log *Log, job string, now func() float64) *Emitter {
-	if log == nil || now == nil {
-		panic("trace: nil log or clock")
+// NewEmitter creates an emitter for one job that writes every record to
+// sink. now supplies the current simulated time.
+func NewEmitter(sink func(Record), job string, now func() float64) *Emitter {
+	if sink == nil || now == nil {
+		panic("trace: nil sink or clock")
 	}
-	return &Emitter{log: log, job: job, now: now}
+	return &Emitter{sink: sink, job: job, now: now}
 }
 
 // Job returns the job ID the emitter writes under.
@@ -119,7 +96,7 @@ func (e *Emitter) Job() string { return e.job }
 func (e *Emitter) Start(parent OpRef, actor, mission string) OpRef {
 	e.seq++
 	op := OpRef{id: fmt.Sprintf("op-%06d", e.seq)}
-	e.log.add(Record{
+	e.sink(Record{
 		Time:    e.now(),
 		Job:     e.job,
 		Op:      op.id,
@@ -136,7 +113,7 @@ func (e *Emitter) End(op OpRef) {
 	if !op.valid() {
 		panic("trace: End of invalid OpRef")
 	}
-	e.log.add(Record{
+	e.sink(Record{
 		Time:  e.now(),
 		Job:   e.job,
 		Op:    op.id,
@@ -149,7 +126,7 @@ func (e *Emitter) Info(op OpRef, key, value string) {
 	if !op.valid() {
 		panic("trace: Info on invalid OpRef")
 	}
-	e.log.add(Record{
+	e.sink(Record{
 		Time:  e.now(),
 		Job:   e.job,
 		Op:    op.id,
@@ -245,8 +222,7 @@ func Parse(r io.Reader) ([]Record, error) {
 
 // parseLine parses `key="quoted value"` pairs separated by spaces,
 // dispatching each field into the record as it is scanned — no
-// intermediate map, and unescaped values alias the line (Parse runs once
-// per job log line, so this path carries the whole assembly pipeline).
+// intermediate map, and unescaped values alias the line.
 func parseLine(line string) (Record, error) {
 	var rec Record
 	i := 0
