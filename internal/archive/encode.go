@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -86,50 +85,100 @@ func (e *encoder) colon() {
 	}
 }
 
-// string writes s quoted. Plain ASCII with nothing to escape is copied;
-// anything else goes through encoding/json, whose escaping (control
-// bytes, HTML's <>&, U+2028/2029, invalid UTF-8) is the contract.
-func (e *encoder) string(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			e.buf = append(e.buf, b...)
-			return
-		}
+// string writes s quoted, as AppendString does.
+func (e *encoder) string(s string) { e.buf = AppendString(e.buf, s) }
+
+// float writes f as AppendFloat does, noting NaN and ±Inf as the
+// encoder's error.
+func (e *encoder) float(f float64) {
+	var ok bool
+	if e.buf, ok = AppendFloat(e.buf, f); !ok && e.err == nil {
+		e.err = fmt.Errorf("archive: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
 }
 
-// float writes f as encoding/json does: 'f' format, or 'e' outside
-// [1e-6, 1e21) with a one-digit negative exponent unpadded. An integral
-// f below 2^53 in magnitude, other than -0, is written as the integer
-// it holds, which is what 'f' format writes for it, without the
-// shortest-digits search: most environment samples and times are
-// whole numbers.
-func (e *encoder) float(f float64) {
+const hexDigits = "0123456789abcdef"
+
+// AppendString appends s to dst quoted as encoding/json writes a
+// string: HTML's <, > and & as \u003c, \u003e and \u0026, control
+// bytes as \n-style or \u00XX escapes, U+2028 and U+2029 escaped, and
+// each byte of invalid UTF-8 as \ufffd. Plain ASCII with nothing to
+// escape is copied in one piece.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendFloat appends f to dst as encoding/json writes a float64: 'f'
+// format, or 'e' outside [1e-6, 1e21) with a one-digit negative
+// exponent unpadded. An integral f below 2^53 in magnitude, other than
+// -0, is written as the integer it holds, which is what 'f' format
+// writes for it, without the shortest-digits search: most environment
+// samples and times are whole numbers. ok is false, and dst unchanged,
+// for NaN and ±Inf, which JSON cannot hold.
+func AppendFloat(dst []byte, f float64) (_ []byte, ok bool) {
 	if math.Abs(f) < 1<<53 {
 		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
-			e.buf = strconv.AppendInt(e.buf, i, 10)
-			return
+			return strconv.AppendInt(dst, i, 10), true
 		}
 	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if e.err == nil {
-			e.err = fmt.Errorf("archive: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-		}
-		return
+		return dst, false
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if n := len(e.buf); format == 'e' && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-		e.buf[n-2] = e.buf[n-1]
-		e.buf = e.buf[:n-1]
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
+	return dst, true
 }
 
 // stringMap writes a non-empty map at depth with its keys sorted.

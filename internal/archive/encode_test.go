@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +105,34 @@ func TestSaveMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("Save of %v: err %v after %d bytes, want an error and nothing written", bad, err, got.Len())
 			}
 		}
+	}
+}
+
+// TestAppendStringMatchesEncodingJSON holds AppendString to
+// json.Marshal on every single byte, every rune class it escapes, and
+// seeded random byte strings drawn mostly from the bytes and runes
+// where the two rules could part: control bytes, quotes, HTML's <>&,
+// DEL, U+2028/2029, truncated and overlong UTF-8, and plain text.
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		if got, want := AppendString([]byte("x"), s), append([]byte("x"), mustMarshal(t, s)...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendString(%q) = %q, want %q", s, got, want)
+		}
+	}
+	for b := range 256 {
+		check(string([]byte{byte(b)}))
+		check("a" + string([]byte{byte(b)}) + "z")
+	}
+	pieces := []string{"", "a", "plain text", "\x00", "\x1f", "\x7f", "\b\f\n\r\t", `"`, `\`, "<", ">", "&", "/",
+		"\u2028", "\u2029", "\u2027", "é", "✓", "𝄞", "\xff", "\xc3", "\xe2\x80", "\xf0\x9d\x84", "\xc0\xaf", "\xed\xa0\x80", "\ufffd"}
+	rng := rand.New(rand.NewSource(7))
+	for range 20_000 {
+		var sb strings.Builder
+		for range rng.Intn(8) {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		check(sb.String())
 	}
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/archive"
@@ -190,7 +191,7 @@ func sortRows(f *Frame, by field, desc bool, rows []int) error {
 		for i, r := range rows {
 			keys[i] = keyed{row: r, key: c.number(r)}
 		}
-		sort.SliceStable(keys, func(i, j int) bool { return sign*cmp.Compare(keys[i].key, keys[j].key) < 0 })
+		slices.SortStableFunc(keys, func(a, b keyed) int { return sign * cmp.Compare(a.key, b.key) })
 		for i := range keys {
 			rows[i] = keys[i].row
 		}
@@ -209,7 +210,7 @@ func sortRows(f *Frame, by field, desc bool, rows []int) error {
 		s, _ := c.value(r)
 		keys[i] = keyed{row: r, key: valueOf(s)}
 	}
-	sort.SliceStable(keys, func(i, j int) bool { return sign*keys[i].key.compare(keys[j].key) < 0 })
+	slices.SortStableFunc(keys, func(a, b keyed) int { return sign * a.key.compare(b.key) })
 	for i := range keys {
 		rows[i] = keys[i].row
 	}

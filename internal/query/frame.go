@@ -115,13 +115,26 @@ func (f *Frame) kvMap(c *kvColumn, r int) map[string]string {
 	return m
 }
 
-// Infos returns row r's recorded infos as a fresh map, nil when it has
-// none.
-func (f *Frame) Infos(r int) map[string]string { return f.kvMap(&f.infos, r) }
+// KV is one row's recorded or derived infos as a view into its frame,
+// in key (byte) order; reading it builds no map.
+type KV struct {
+	pairs [][2]uint32
+	kvs   []string
+}
 
-// Derived returns row r's derived infos as a fresh map, nil when it has
-// none.
-func (f *Frame) Derived(r int) map[string]string { return f.kvMap(&f.derived, r) }
+// Len returns the number of entries.
+func (kv KV) Len() int { return len(kv.pairs) }
+
+// At returns entry i's key and value.
+func (kv KV) At(i int) (key, value string) {
+	p := kv.pairs[i]
+	return kv.kvs[p[0]], kv.kvs[p[1]]
+}
+
+// RowKV returns row r's recorded and derived infos.
+func (f *Frame) RowKV(r int) (infos, derived KV) {
+	return KV{f.infos.row(r), f.kvs}, KV{f.derived.row(r), f.kvs}
+}
 
 // Tree rebuilds the operation tree of a depth-first frame — one that
 // BuildColumns filled — and returns its root, nil for a frame without
@@ -138,7 +151,7 @@ func (f *Frame) Tree() *archive.Operation {
 		op := &ops[r]
 		*op = archive.Operation{
 			ID: f.Syms[f.ID[r]], Actor: f.Syms[f.Actor[r]], Mission: f.Syms[f.Mission[r]],
-			Start: f.Start[r], End: f.End[r], Infos: f.Infos(r), Derived: f.Derived(r),
+			Start: f.Start[r], End: f.End[r], Infos: f.kvMap(&f.infos, r), Derived: f.kvMap(&f.derived, r),
 		}
 		d := int(f.Depth[r])
 		if d > 0 {

@@ -380,44 +380,6 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	a.Save(w)
 }
 
-// operationView is the flat JSON projection of one operation.
-type operationView struct {
-	ID       string            `json:"id"`
-	Actor    string            `json:"actor"`
-	Mission  string            `json:"mission"`
-	Path     string            `json:"path"`
-	Start    float64           `json:"start"`
-	End      float64           `json:"end"`
-	Duration float64           `json:"duration"`
-	Infos    map[string]string `json:"infos,omitempty"`
-	Derived  map[string]string `json:"derived,omitempty"`
-}
-
-// viewRows renders the given rows of f.
-func viewRows(f *query.Frame, rows []int) []operationView {
-	out := make([]operationView, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, operationView{
-			ID: f.Syms[f.ID[r]], Actor: f.Syms[f.Actor[r]], Mission: f.Syms[f.Mission[r]],
-			Path: f.Paths[f.Path[r]], Start: f.Start[r], End: f.End[r], Duration: f.Dur[r],
-			Infos: f.Infos(r), Derived: f.Derived(r),
-		})
-	}
-	return out
-}
-
-// queryResponse carries the operations matched by a query. The live
-// fields are set only for queries answered from a still-streaming job
-// (omitted on sealed archives, so archived responses are byte-stable
-// across this feature).
-type queryResponse struct {
-	JobID      string          `json:"jobId"`
-	Count      int             `json:"count"`
-	Operations []operationView `json:"operations"`
-	Live       bool            `json:"live,omitempty"`
-	LastSeq    uint64          `json:"lastSeq,omitempty"`
-}
-
 // handleQuery serves GET /jobs/{id}/query. Exactly one selector is
 // required: ?q= runs the internal/query language; ?mission=, ?actor=,
 // and ?path= select the operations whose field equals the value
@@ -489,13 +451,102 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cols = sj.Cols
 	}
 	rows := q.SelectColumns(cols)
-	resp := queryResponse{JobID: id, Count: len(rows), Operations: viewRows(cols.Frame(query.JobMeta{}), rows)}
 	if live != nil {
-		resp.Live = true
-		resp.LastSeq = lastSeq
 		w.Header().Set(liveHeader, "1")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRows(w, id, cols.Frame(query.JobMeta{}), rows, live != nil, lastSeq)
+}
+
+// rowBufs recycles the buffers row answers are rendered into.
+var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRows writes the row answer of /jobs/{id}/query, the given rows
+// of f, in one pass from the frame. Its bytes are what writeJSON writes
+// for {jobId, count, operations, live, lastSeq} with one object per row
+// — id, actor, mission, path, start, end, duration, infos, derived —
+// where live, lastSeq, infos and derived are left out when empty: the
+// two-space indent, the trailing newline, info keys in byte order,
+// encoding/json's escapes and number forms. Like writeJSON's Encoder,
+// it writes no body after the 200 when a row holds a NaN or infinite
+// float, which JSON cannot hold.
+func writeRows(w http.ResponseWriter, id string, f *query.Frame, rows []int, live bool, lastSeq uint64) {
+	bp := rowBufs.Get().(*[]byte)
+	b, ok := appendRows((*bp)[:0], id, f, rows, live, lastSeq)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if ok {
+		w.Write(b)
+	}
+	*bp = b
+	rowBufs.Put(bp)
+}
+
+// appendRows appends the body writeRows writes; ok is false if a row
+// holds a float JSON cannot.
+func appendRows(b []byte, id string, f *query.Frame, rows []int, live bool, lastSeq uint64) (_ []byte, ok bool) {
+	b = append(b, "{\n  \"jobId\": "...)
+	b = archive.AppendString(b, id)
+	b = append(b, ",\n  \"count\": "...)
+	b = strconv.AppendInt(b, int64(len(rows)), 10)
+	b = append(b, ",\n  \"operations\": ["...)
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"id\": "...)
+		b = archive.AppendString(b, f.Syms[f.ID[r]])
+		b = append(b, ",\n      \"actor\": "...)
+		b = archive.AppendString(b, f.Syms[f.Actor[r]])
+		b = append(b, ",\n      \"mission\": "...)
+		b = archive.AppendString(b, f.Syms[f.Mission[r]])
+		b = append(b, ",\n      \"path\": "...)
+		b = archive.AppendString(b, f.Paths[f.Path[r]])
+		for _, m := range [...]struct {
+			name string
+			v    float64
+		}{{",\n      \"start\": ", f.Start[r]}, {",\n      \"end\": ", f.End[r]}, {",\n      \"duration\": ", f.Dur[r]}} {
+			b = append(b, m.name...)
+			if b, ok = archive.AppendFloat(b, m.v); !ok {
+				return b, false
+			}
+		}
+		infos, derived := f.RowKV(r)
+		b = appendKV(b, ",\n      \"infos\": {", infos)
+		b = appendKV(b, ",\n      \"derived\": {", derived)
+		b = append(b, "\n    }"...)
+	}
+	if len(rows) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, ']')
+	if live {
+		b = append(b, ",\n  \"live\": true"...)
+	}
+	if lastSeq != 0 {
+		b = append(b, ",\n  \"lastSeq\": "...)
+		b = strconv.AppendUint(b, lastSeq, 10)
+	}
+	return append(b, "\n}\n"...), true
+}
+
+// appendKV appends a row's non-empty infos or derived infos as the
+// member opened by open, nothing when it has none.
+func appendKV(b []byte, open string, kv query.KV) []byte {
+	if kv.Len() == 0 {
+		return b
+	}
+	b = append(b, open...)
+	for i := range kv.Len() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k, v := kv.At(i)
+		b = append(b, "\n        "...)
+		b = archive.AppendString(b, k)
+		b = append(b, ": "...)
+		b = archive.AppendString(b, v)
+	}
+	return append(b, "\n      }"...)
 }
 
 // handleJobAggregate answers an aggregate ?q= on /jobs/{id}/query:

@@ -53,6 +53,17 @@ func liveJobEvents() ([]Event, []string) {
 	return events, ends
 }
 
+// infoValue returns row r's recorded info key in f.
+func infoValue(f *query.Frame, r int, key string) (string, bool) {
+	infos, _ := f.RowKV(r)
+	for i := range infos.Len() {
+		if k, v := infos.At(i); k == key {
+			return v, true
+		}
+	}
+	return "", false
+}
+
 // rowIDs returns the operation IDs of cols' rows, in row order.
 func rowIDs(cols *query.Columns) []string {
 	f := cols.Frame(query.JobMeta{})
@@ -122,7 +133,7 @@ func TestStreamLiveQueryDuringIngest(t *testing.T) {
 	f := cols.Frame(query.JobMeta{})
 	late := 0
 	for r := range ends {
-		if v, ok := f.Infos(r)["Late"]; ok {
+		if v, ok := infoValue(f, r, "Late"); ok {
 			if v != ends[r] {
 				t.Fatalf("row %d has Late=%s", r, v)
 			}

@@ -282,8 +282,12 @@ func TestLiveQueryOverPartialJob(t *testing.T) {
 	lookup := func(field, value string) []int {
 		return query.Exact(field, value).SelectColumns(cols)
 	}
-	if rows := lookup("mission", "Load"); len(rows) != 1 || f.Infos(rows[0])["Bytes"] != "1000" {
+	rows := lookup("mission", "Load")
+	if len(rows) != 1 {
 		t.Fatalf("mission lookup: %+v", rows)
+	}
+	if v, _ := infoValue(f, rows[0], "Bytes"); v != "1000" {
+		t.Fatalf("mission lookup: row %d has Bytes=%q", rows[0], v)
 	}
 	if ops := lookup("actor", "Worker-0"); len(ops) != 1 {
 		t.Fatalf("actor lookup: %+v", ops)
