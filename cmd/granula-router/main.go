@@ -6,9 +6,9 @@
 // response header and the extra /cluster visibility.
 //
 // Submits go to the job's primary (failing over down the replica set),
-// job reads rotate across replicas so every shard's response cache
-// stays warm, and replicas that miss a record or diverge from the
-// served ETag are repaired in the background from the newest copy.
+// job reads rotate across replicas, and replicas that miss a record or
+// diverge from the served ETag are repaired in the background from the
+// newest copy.
 // Because the router keeps no per-job state, any number of router
 // instances can front the same shards behind one load balancer.
 //

@@ -74,17 +74,11 @@ func writeGauges(e *metrics.Emitter, queueDepth, storeJobs int, breaker breakerS
 	e.Gauge("granula_breaker_state", "Archive-persistence circuit breaker (0=closed, 1=half-open, 2=open).", int64(breaker))
 }
 
-// writeCaches opens Metrics.tail; c is nil, and the family absent, when
-// the response cache is disabled.
-func writeCaches(e *metrics.Emitter, c *respCacheStats) {
-	if c == nil {
-		return
-	}
-	e.Counter("granula_respcache_hits_total", "HTTP response cache hits.", c.Hits)
-	e.Counter("granula_respcache_misses_total", "HTTP response cache misses (handler renders).", c.Misses)
+// writeCaches opens Metrics.tail.
+func writeCaches(e *metrics.Emitter, c respCacheStats) {
+	e.Counter("granula_respcache_hits_total", "/query2 answers replayed from the memo.", c.Hits)
+	e.Counter("granula_respcache_misses_total", "/query2 answers rendered by the handler.", c.Misses)
 	e.Counter("granula_respcache_not_modified_total", "Conditional requests answered 304 Not Modified.", c.NotModified)
-	e.Counter("granula_respcache_evictions_total", "Responses evicted by LRU pressure.", c.Evictions)
-	e.Gauge("granula_respcache_entries", "Responses held in the cache.", int64(c.Size))
 }
 
 // writeStorage continues Metrics.tail with one archivedb snapshot per

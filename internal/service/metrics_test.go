@@ -66,38 +66,29 @@ var goldenStorage = archivedb.Stats{
 	ColSegWrites: 43, ColSegDeletes: 2, ColSegFullReads: 19, ColSegTailReads: 23, ColSegSweeps: 1,
 }
 
-var goldenCaches = respCacheStats{Hits: 70, Misses: 30, NotModified: 13, Evictions: 4, Size: 26}
+var goldenCaches = respCacheStats{Hits: 70, Misses: 30, NotModified: 13}
 
-// TestMetricsGolden pins granula-serve's /metrics byte for byte on a
-// node with the response cache disabled and on one with it enabled;
-// both report storage. The .prom files were written by the hand-rolled writers this
-// registry replaced (see CHANGES.md, PR 19). A change that means to move
-// the exposition edits the file to match what the failing test prints
-// and reviews the diff; no test writes it.
+// TestMetricsGolden pins granula-serve's /metrics byte for byte. The
+// .prom file was written by the hand-rolled writers this registry
+// replaced (see CHANGES.md, PR 19). A change that means to move the
+// exposition edits the file to match what the failing test prints and
+// reviews the diff; no test writes it.
 func TestMetricsGolden(t *testing.T) {
-	for _, tc := range []struct {
-		file    string
-		caches  *respCacheStats
-		storage archivedb.Stats
-	}{
-		{"testdata/metrics_single.prom", nil, goldenStorage},
-		{"testdata/metrics_durable.prom", &goldenCaches, goldenStorage},
-	} {
-		m := goldenMetrics()
-		m.tail.Bind(func(e *metrics.Emitter) {
-			writeCaches(e, tc.caches)
-			writeStorage(e, tc.storage)
-			writeLiveJobs(e, 2)
-		})
-		var buf bytes.Buffer
-		m.reg.Write(&buf)
-		want, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("exposition differs from %s:\n%s", tc.file, buf.Bytes())
-		}
+	const file = "testdata/metrics_durable.prom"
+	m := goldenMetrics()
+	m.tail.Bind(func(e *metrics.Emitter) {
+		writeCaches(e, goldenCaches)
+		writeStorage(e, goldenStorage)
+		writeLiveJobs(e, 2)
+	})
+	var buf bytes.Buffer
+	m.reg.Write(&buf)
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("exposition differs from %s:\n%s", file, buf.Bytes())
 	}
 }
 

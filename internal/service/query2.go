@@ -13,10 +13,10 @@ package service
 // either way, so a routed response is byte-identical to a single-node
 // one.
 //
-// /query2 responses are cached under the store generation like every
-// other read. The X-Granula-Scanned/Pruned headers describe one
-// actual execution, so they appear only when the handler runs (cache
-// misses); a cache hit executed nothing and carries neither.
+// /query2 is the one read whose rendered answers are memoized, under the
+// store generation (respcache.go). The X-Granula-Scanned/Pruned headers
+// describe one actual execution, so only a rendered answer carries
+// them; a memo hit executed nothing and carries neither.
 
 import (
 	"net/http"

@@ -236,27 +236,34 @@ func TestQuery2FanOutOrderAndLowestError(t *testing.T) {
 }
 
 // TestQuery2CachedResponseByteIdentical: the second identical request
-// is served from the response cache without touching storage, and the
-// body is the same bytes.
+// is replayed from the memo, which the hit counter moving by one and
+// the missing X-Granula-Scanned header (a replay executed nothing)
+// both show, and the body is the same bytes.
 func TestQuery2CachedResponseByteIdentical(t *testing.T) {
-	ts, _, db := startAggServer(t, t.TempDir(), 10)
+	_, store, _ := startAggServer(t, t.TempDir(), 10)
+	srv := NewServerWith(nil, store, nil, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	hits := func() uint64 { return srv.resp.stats().Hits }
 
 	raw := `from jobs group by mission agg count, sum(duration)`
-	code, first, _ := getQuery2(t, ts.URL, raw)
-	if code != http.StatusOK {
-		t.Fatalf("%d: %s", code, first)
+	code, first, hdr := getQuery2(t, ts.URL, raw)
+	if code != http.StatusOK || hdr.Get(shard.ScannedHeader) == "" {
+		t.Fatalf("%d %s=%q: %s", code, shard.ScannedHeader, hdr.Get(shard.ScannedHeader), first)
 	}
-	mid := db.Stats()
-	code, second, _ := getQuery2(t, ts.URL, raw)
+	before := hits()
+	code, second, hdr := getQuery2(t, ts.URL, raw)
 	if code != http.StatusOK {
 		t.Fatalf("%d: %s", code, second)
 	}
 	if string(first) != string(second) {
 		t.Fatalf("cached body differs:\n%s\nvs\n%s", second, first)
 	}
-	after := db.Stats()
-	if after.ColSegTailReads != mid.ColSegTailReads || after.ColSegFullReads != mid.ColSegFullReads {
-		t.Fatalf("second request touched storage: %+v vs %+v", after, mid)
+	if after := hits(); after != before+1 {
+		t.Fatalf("memo hits %d -> %d: the repeat was not replayed from the memo", before, after)
+	}
+	if v := hdr.Get(shard.ScannedHeader); v != "" {
+		t.Fatalf("repeat carries %s=%q: it executed", shard.ScannedHeader, v)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestStoreApplyReplicaIdempotent(t *testing.T) {
 	gen := dst.gen()
 
 	// Replaying the same record must ack without republishing: a
-	// generation bump here would invalidate response caches on every
+	// generation bump here would drop the /query2 memo on every
 	// replication retry.
 	if err := dst.applyReplica(id, version, payload); err != nil {
 		t.Fatalf("replay: %v", err)

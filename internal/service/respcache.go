@@ -1,130 +1,88 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
 	"net/http"
 	"sync"
+	"sync/atomic"
 )
 
-// respCache is a bounded LRU of rendered HTTP responses for the
-// read-only archive endpoints (/archive, /query, /viz). It holds one
-// store generation, the newest it has seen, and its entries are keyed
-// on the request. Callers pass the generation they read before the
-// handler touched any data: every acked write bumps the generation
-// inside the store's publish critical section, so a response rendered
-// concurrently with a write can only ever carry the old generation —
-// which no reader that observed the write's ack will present. The first
-// get or put carrying a newer generation therefore drops every entry,
-// and a put carrying an older one is not stored: those bytes could
-// never be hit again. Invalidation is O(1), the cache's memory is that
-// of the live generation's entries, and a hit returns bytes identical
-// to what the handler would render.
-//
-// Every 200 response carries a strong content-hash ETag. Because the
-// tag hashes the body rather than the generation, a client revalidating
-// with If-None-Match still gets 304 across writes that did not change
-// the bytes it holds.
-type respCache struct {
-	mu      sync.Mutex
-	cap     int
-	gen     uint64                   // the generation every entry was rendered under
-	entries map[string]*list.Element // request (METHOD path?rawquery) -> *respEntry
-	lru     list.List                // front is most recent, back is next to evict
+// memoBound caps the /query2 memo: at this many answers it is cleared.
+const memoBound = 512
 
-	hits        uint64
-	misses      uint64
-	notModified uint64
-	evictions   uint64 // LRU evictions within a generation; dropped generations do not count
+// respCache is the read path's response state. Every read GET route
+// answers with a strong content-hash ETag, and 304 to a client that
+// already holds the bytes; only /query2, the read that traffic repeats
+// between writes, also memoizes its rendered answers.
+//
+// The memo holds one store generation, the newest it has seen. Callers
+// pass the generation they read before the handler touched any data;
+// every acked write bumps it inside the store's publish critical
+// section, so an answer rendered concurrently with a write carries the
+// old generation, which no reader that observed the ack presents. So
+// the first get or put under a newer generation drops every answer, and
+// a put under an older one stores nothing.
+type respCache struct {
+	mu   sync.Mutex
+	gen  uint64               // the generation every memoized answer was rendered under
+	memo map[string]respEntry // /query2 raw query -> rendered answer
+
+	hits, misses atomic.Uint64 // /query2 answers replayed from the memo, rendered
+	notModified  atomic.Uint64 // 304s on every validated route
 }
 
 type respEntry struct {
-	req         string
 	contentType string
 	etag        string
 	body        []byte
 }
 
-// newRespCache returns a response cache holding at most capacity
-// responses; capacity < 1 selects 512.
-func newRespCache(capacity int) *respCache {
-	if capacity < 1 {
-		capacity = 512
-	}
-	return &respCache{cap: capacity, entries: make(map[string]*list.Element)}
+// respCacheStats is a point-in-time snapshot of the counters.
+type respCacheStats struct {
+	Hits, Misses, NotModified uint64
 }
 
-// live moves the cache to gen if gen is newer, dropping every entry of
+func (c *respCache) stats() respCacheStats {
+	return respCacheStats{c.hits.Load(), c.misses.Load(), c.notModified.Load()}
+}
+
+// live moves the memo to gen if gen is newer, dropping every answer of
 // the older generation, and reports whether gen is the live generation.
 // Called with c.mu held.
 func (c *respCache) live(gen uint64) bool {
 	if gen > c.gen {
 		c.gen = gen
-		clear(c.entries)
-		c.lru.Init()
+		clear(c.memo)
 	}
 	return gen == c.gen
 }
 
-// respCacheStats is a point-in-time snapshot of the cache counters.
-type respCacheStats struct {
-	Hits        uint64
-	Misses      uint64
-	NotModified uint64
-	Evictions   uint64
-	Size        int
-}
-
-// stats returns the lifetime counters and current size.
-func (c *respCache) stats() respCacheStats {
+// get looks req up. A caller holding an older generation may be served
+// a newer answer: it was published before the call returns.
+func (c *respCache) get(gen uint64, req string) (respEntry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return respCacheStats{
-		Hits: c.hits, Misses: c.misses, NotModified: c.notModified,
-		Evictions: c.evictions, Size: len(c.entries),
-	}
-}
-
-func (c *respCache) get(gen uint64, req string) *respEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var el *list.Element
-	if c.live(gen) {
-		el = c.entries[req]
-	}
-	if el == nil {
-		c.misses++
-		return nil
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*respEntry)
-}
-
-func (c *respCache) put(gen uint64, req, contentType, etag string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.live(gen) {
-		return
-	}
-	if el, ok := c.entries[req]; ok {
-		// A concurrent miss on the same key rendered the same bytes
-		// (same generation, deterministic handlers); keep the first.
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[req] = c.lru.PushFront(&respEntry{req: req, contentType: contentType, etag: etag, body: body})
-	if len(c.entries) > c.cap {
-		delete(c.entries, c.lru.Remove(c.lru.Back()).(*respEntry).req)
-		c.evictions++
-	}
-}
-
-func (c *respCache) countNotModified() {
-	c.mu.Lock()
-	c.notModified++
+	c.live(gen)
+	e, ok := c.memo[req]
 	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return e, ok
+}
+
+func (c *respCache) put(gen uint64, req string, e respEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.live(gen) {
+		if len(c.memo) >= memoBound {
+			clear(c.memo)
+		}
+		c.memo[req] = e
+	}
 }
 
 // etagFor is the strong content-hash validator: quoted first 16 bytes
@@ -134,17 +92,11 @@ func etagFor(body []byte) string {
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
-// bodyRecorder captures a handler's response so the cache middleware
-// can hash, store, and replay it. Only the status and body are kept;
-// Content-Type is read back from the shared header map.
+// bodyRecorder captures a handler's status, headers and body.
 type bodyRecorder struct {
 	header http.Header
 	status int
 	body   []byte
-}
-
-func newBodyRecorder() *bodyRecorder {
-	return &bodyRecorder{header: http.Header{}, status: http.StatusOK}
 }
 
 func (r *bodyRecorder) Header() http.Header { return r.header }
@@ -160,87 +112,53 @@ func (r *bodyRecorder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// cached wraps a read-only GET handler with the response cache. The
-// store generation is read before the handler (or the cache) is
-// consulted — see the respCache doc comment for why that ordering makes
-// a write invalidate every stale body. When the cache is disabled the
-// handler runs bare, byte-identical by construction (this is what the
-// equivalence tests pin).
-func (s *Server) cached(h http.HandlerFunc) http.HandlerFunc {
+// validated wraps a read-only GET handler with the content-hash
+// validator. With memo set it also memoizes the 200 answers under the
+// store generation read before the handler runs (see respCache).
+func (s *Server) validated(h http.HandlerFunc, memo bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.resp == nil {
-			h(w, r)
-			return
-		}
-		gen := s.store.gen()
-		req := r.Method + " " + r.URL.Path + "?" + r.URL.RawQuery
-
-		serve := func(contentType, etag string, body []byte) {
-			if etag == r.Header.Get("If-None-Match") && etag != "" {
-				// The client already holds these exact bytes; the tag is
-				// a content hash, so this holds across generations too.
-				s.resp.countNotModified()
-				w.Header().Set("ETag", etag)
-				w.WriteHeader(http.StatusNotModified)
+		var gen uint64
+		if memo {
+			gen = s.store.gen()
+			if e, ok := s.resp.get(gen, r.URL.RawQuery); ok {
+				// A hit executed nothing, so it replays only Content-Type
+				// and ETag: execution detail like X-Granula-Scanned
+				// would be a lie here.
+				s.answer(w, r, e, http.Header{"Content-Type": {e.contentType}})
 				return
 			}
-			if contentType != "" {
-				w.Header().Set("Content-Type", contentType)
-			}
-			w.Header().Set("ETag", etag)
-			w.Write(body)
 		}
-
-		if e := s.resp.get(gen, req); e != nil {
-			serve(e.contentType, e.etag, e.body)
-			return
-		}
-		rec := newBodyRecorder()
+		rec := &bodyRecorder{header: http.Header{}, status: http.StatusOK}
 		h(rec, r)
-		if rec.header.Get(liveHeader) != "" {
-			// The body was computed from a still-streaming job: its bytes
-			// move without the store generation moving, so caching or
-			// tagging it would pin stale data. Replay verbatim; once the
-			// job seals and publishes, responses drop the marker and cache
-			// normally under the bumped generation.
-			for k, vs := range rec.header {
-				if k == liveHeader {
-					continue
-				}
-				w.Header()[k] = vs
-			}
+		if rec.header.Get(liveHeader) != "" || rec.status != http.StatusOK {
+			// A live body moves without the store generation moving, so
+			// a validator would pin stale data; errors are cheap to
+			// recompute. Relay both verbatim, without the live marker.
+			delete(rec.header, liveHeader)
+			maps.Copy(w.Header(), rec.header)
 			w.WriteHeader(rec.status)
 			w.Write(rec.body)
 			return
 		}
-		if rec.status != http.StatusOK {
-			// Errors are cheap to recompute and must not occupy slots;
-			// replay them verbatim without a validator.
-			for k, vs := range rec.header {
-				w.Header()[k] = vs
-			}
-			w.WriteHeader(rec.status)
-			w.Write(rec.body)
-			return
+		e := respEntry{contentType: rec.header.Get("Content-Type"), etag: etagFor(rec.body), body: rec.body}
+		if memo {
+			s.resp.put(gen, r.URL.RawQuery, e)
 		}
-		contentType := rec.header.Get("Content-Type")
-		etag := etagFor(rec.body)
-		s.resp.put(gen, req, contentType, etag, rec.body)
-		if etag == r.Header.Get("If-None-Match") {
-			s.resp.countNotModified()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		// The execution path replays every header the handler set —
-		// auxiliary headers like X-Granula-Scanned describe this one
-		// run. Cache hits go through serve and replay only
-		// Content-Type and ETag: a hit executed nothing, so execution
-		// detail would be a lie there.
-		for k, vs := range rec.header {
-			w.Header()[k] = vs
-		}
-		w.Header().Set("ETag", etag)
-		w.Write(rec.body)
+		// The execution path replays every header the handler set.
+		s.answer(w, r, e, rec.header)
 	}
+}
+
+// answer writes e, or a 304 when the client already holds these exact
+// bytes: the tag is a content hash, so that holds across generations.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, e respEntry, header http.Header) {
+	if e.etag == r.Header.Get("If-None-Match") {
+		s.resp.notModified.Add(1)
+		w.Header().Set("ETag", e.etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	maps.Copy(w.Header(), header)
+	w.Header().Set("ETag", e.etag)
+	w.Write(e.body)
 }

@@ -8,12 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // revJob builds a tiny synthetic job whose content is fully determined
@@ -31,12 +35,12 @@ func revJob(id string, rev int) *archive.Job {
 	}
 }
 
-// cacheTestServer wires a server over a temp-dir store with the
-// given cache options, plus a tiny executor the handlers require.
-func cacheTestServer(t *testing.T, store *Store, opts ServerOptions) *httptest.Server {
+// cacheTestServer wires a server over a temp-dir store, plus a tiny
+// executor the handlers require.
+func cacheTestServer(t *testing.T, store *Store) *httptest.Server {
 	t.Helper()
 	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
-	srv := NewServerWith(exec, store, nil, opts)
+	srv := NewServerWith(exec, store, nil, ServerOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -75,7 +79,7 @@ func TestETagRoundTrip(t *testing.T) {
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
-	ts := cacheTestServer(t, store, ServerOptions{})
+	ts := cacheTestServer(t, store)
 	url := ts.URL + "/jobs/live/query?q=depth+%3D+0"
 
 	code, etag1, body1 := getWithETag(t, url, "")
@@ -113,10 +117,10 @@ func TestETagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResponseCacheByteEquivalence proves the tentpole's safety claim
-// for the read path: with every cache enabled, responses are
-// byte-identical (body and Content-Type) to a server with every cache
-// disabled, on first hit and on repeat (cached) hits.
+// TestResponseCacheByteEquivalence proves the read path's safety
+// claim: what the validator serves is byte-identical (status, body and
+// Content-Type) to what the unwrapped handler renders, on first hit and
+// on repeats, which /query2 replays from its memo.
 func TestResponseCacheByteEquivalence(t *testing.T) {
 	store := tempStore(t)
 	out := testOutput(t, "Giraph", "BFS")
@@ -125,9 +129,18 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 	}
 	id := out.Job.ID
 
-	cached := cacheTestServer(t, store, ServerOptions{})
-	bare := cacheTestServer(t, store, ServerOptions{RespCacheSize: -1})
+	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
+	defer exec.Shutdown(context.Background())
+	srv := NewServerWith(exec, store, nil, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	bare := http.NewServeMux()
+	bare.HandleFunc("GET /jobs/{id}/archive", srv.handleArchive)
+	bare.HandleFunc("GET /jobs/{id}/query", srv.handleQuery)
+	bare.HandleFunc("GET "+shard.Query2Path, srv.handleQuery2)
+	bare.HandleFunc("GET /jobs/{id}/viz/{kind}", srv.handleViz)
 
+	query2 := func(raw string) string { return shard.Query2Path + "?q=" + url.QueryEscape(raw) }
 	paths := []string{
 		"/jobs/" + id + "/archive",
 		"/jobs/" + id + "/query?q=duration+%3E+0.001+order+by+duration+desc+limit+10",
@@ -138,36 +151,33 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 		"/jobs/" + id + "/viz/gantt",
 		"/jobs/" + id + "/query?q=bogus+%3D", // parse error: 400 must match too
 		"/jobs/missing/archive",              // 404 must match too
+		query2(`from jobs group by mission agg count, sum(duration), p95(duration)`),
+		query2(`from jobs where mission = Superstep group by actor agg max(duration)`),
+		query2(`from jobs group by`), // parse error: 400 must match too
 	}
 	for _, p := range paths {
-		var want []byte
-		var wantCode int
-		var wantType string
+		want := httptest.NewRecorder()
+		bare.ServeHTTP(want, httptest.NewRequest(http.MethodGet, p, nil))
+		wantType := want.Result().Header.Get("Content-Type")
 		for round := 0; round < 3; round++ {
-			for _, ts := range []*httptest.Server{bare, cached} {
-				resp, err := http.Get(ts.URL + p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want, wantCode, wantType = body, resp.StatusCode, resp.Header.Get("Content-Type")
-					continue
-				}
-				if resp.StatusCode != wantCode {
-					t.Fatalf("%s round %d: code %d, want %d", p, round, resp.StatusCode, wantCode)
-				}
-				if resp.Header.Get("Content-Type") != wantType {
-					t.Fatalf("%s round %d: Content-Type %q, want %q",
-						p, round, resp.Header.Get("Content-Type"), wantType)
-				}
-				if !bytes.Equal(body, want) {
-					t.Fatalf("%s round %d: cached body diverges from uncached", p, round)
-				}
+			resp, err := http.Get(ts.URL + p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != want.Code {
+				t.Fatalf("%s round %d: code %d, want %d", p, round, resp.StatusCode, want.Code)
+			}
+			if resp.Header.Get("Content-Type") != wantType {
+				t.Fatalf("%s round %d: Content-Type %q, want %q",
+					p, round, resp.Header.Get("Content-Type"), wantType)
+			}
+			if !bytes.Equal(body, want.Body.Bytes()) {
+				t.Fatalf("%s round %d: served body diverges from the handler's", p, round)
 			}
 		}
 	}
@@ -176,13 +186,15 @@ func TestResponseCacheByteEquivalence(t *testing.T) {
 // TestResponseCacheNoStaleReads is the invalidation proof under
 // concurrency (run with -race): while a writer republishes a job with
 // increasing revisions, every read that starts after revision r acked
-// must observe revision >= r, on both the query and archive endpoints.
+// must observe revision >= r, on the query and archive endpoints and on
+// /query2, the one route that memoizes its answers. revJob's root
+// duration is its revision, so max(duration) reads it back.
 func TestResponseCacheNoStaleReads(t *testing.T) {
 	store := tempStore(t)
 	if err := store.Put(revJob("live", 0), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
-	ts := cacheTestServer(t, store, ServerOptions{})
+	ts := cacheTestServer(t, store)
 
 	const revisions = 150
 	var acked atomic.Int64
@@ -216,7 +228,12 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 			Operations []operationView `json:"operations"`
 			Jobs       []*archive.Job  `json:"jobs"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		var agg query.AggResponse // its "jobs" is a count
+		dst := any(&doc)
+		if strings.HasPrefix(path, shard.Query2Path) {
+			dst = &agg
+		}
+		if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 			t.Error(err)
 			return -1
 		}
@@ -226,6 +243,8 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 			rev = doc.Operations[0].Infos["rev"]
 		case len(doc.Jobs) > 0 && doc.Jobs[0].Root != nil:
 			rev = doc.Jobs[0].Root.Infos["rev"]
+		case len(agg.Groups) > 0:
+			rev = agg.Groups[0].Aggregates["max(duration)"]
 		default:
 			t.Errorf("%s: no operations in response", path)
 			return -1
@@ -242,7 +261,11 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 		wg.Add(1)
 		go func(reader int) {
 			defer wg.Done()
-			paths := []string{"/jobs/live/query?q=depth+%3D+0", "/jobs/live/archive"}
+			paths := []string{
+				"/jobs/live/query?q=depth+%3D+0",
+				"/jobs/live/archive",
+				shard.Query2Path + "?q=" + url.QueryEscape("from jobs group by job.platform agg max(duration)"),
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -266,20 +289,20 @@ func TestResponseCacheNoStaleReads(t *testing.T) {
 	}
 }
 
-// TestCacheMetricsExposed checks the /metrics families for both caches
-// and the group-commit counters appear once traffic has flowed.
+// TestCacheMetricsExposed checks the response-cache families on
+// /metrics once /query2 traffic has flowed.
 func TestCacheMetricsExposed(t *testing.T) {
 	store := tempStore(t)
 	if err := store.Put(revJob("live", 1), Summary{ID: "live"}); err != nil {
 		t.Fatal(err)
 	}
-	ts := cacheTestServer(t, store, ServerOptions{})
-	// Two spellings of the same query are distinct response-cache keys
-	// (the raw request differs); a repeat of each spelling exercises
-	// response-cache hits without ever reaching the parser again.
+	ts := cacheTestServer(t, store)
+	// Two spellings of the same query are distinct memo keys (the raw
+	// request differs); a repeat of each spelling is a memo hit that
+	// never reaches the parser again.
 	urls := []string{
-		ts.URL + "/jobs/live/query?q=depth+%3D+0",
-		ts.URL + "/jobs/live/query?q=depth++%3D++0",
+		ts.URL + shard.Query2Path + "?q=" + url.QueryEscape("from jobs group by mission agg count"),
+		ts.URL + shard.Query2Path + "?q=" + url.QueryEscape("from jobs  group by mission agg count"),
 	}
 	for round := 0; round < 2; round++ {
 		for i, url := range urls {
@@ -295,21 +318,17 @@ func TestCacheMetricsExposed(t *testing.T) {
 	wantSamples(t, body,
 		"granula_respcache_hits_total 2",
 		"granula_respcache_misses_total 2",
-		"granula_respcache_entries 2",
 	)
 }
 
-// TestResponseCacheHoldsOneGeneration pins what the cache keeps across
-// a write: the first read under the new store generation drops every
-// entry of the old one without counting evictions, and a response
-// rendered under an older generation than the cache's is not stored.
+// TestResponseCacheHoldsOneGeneration pins what the /query2 memo keeps:
+// the first read under a new store generation drops every answer of the
+// old one, an answer rendered under an older generation than the memo's
+// is not stored, and at its bound the memo is cleared.
 func TestResponseCacheHoldsOneGeneration(t *testing.T) {
 	store := tempStore(t)
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("j%d", i)
-		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {
-			t.Fatal(err)
-		}
+	if err := store.Put(revJob("j0", 0), Summary{ID: "j0"}); err != nil {
+		t.Fatal(err)
 	}
 	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
 	defer exec.Shutdown(context.Background())
@@ -317,74 +336,54 @@ func TestResponseCacheHoldsOneGeneration(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	get := func(id string) {
+	memoLen := func() int {
+		srv.resp.mu.Lock()
+		defer srv.resp.mu.Unlock()
+		return len(srv.resp.memo)
+	}
+	get := func(agg string) {
 		t.Helper()
-		if code, _, _ := getWithETag(t, ts.URL+"/jobs/"+id+"/archive", ""); code != http.StatusOK {
-			t.Fatalf("%s: code %d", id, code)
+		u := ts.URL + shard.Query2Path + "?q=" + url.QueryEscape("from jobs group by mission agg "+agg)
+		if code, _, body := getWithETag(t, u, ""); code != http.StatusOK {
+			t.Fatalf("%s: code %d: %s", agg, code, body)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		get(fmt.Sprintf("j%d", i))
+	aggs := []string{"count", "sum(duration)", "min(duration)", "max(duration)"}
+	for _, agg := range aggs {
+		get(agg)
 	}
-	before := srv.resp.stats()
-	if before.Size != 4 {
-		t.Fatalf("size %d after four distinct reads, want 4", before.Size)
+	if n := memoLen(); n != len(aggs) {
+		t.Fatalf("memo holds %d answers after %d distinct reads", n, len(aggs))
 	}
 
-	if err := store.Put(revJob("j0", 9), Summary{ID: "j0"}); err != nil {
+	if err := store.Put(revJob("j1", 9), Summary{ID: "j1"}); err != nil {
 		t.Fatal(err)
 	}
-	get("j1")
-	after := srv.resp.stats()
-	if after.Size != 1 {
-		t.Fatalf("size %d after a write and one read, want 1: the old generation's entries stay", after.Size)
-	}
-	if after.Evictions != before.Evictions {
-		t.Fatalf("evictions %d -> %d: dropping a generation counted as LRU eviction", before.Evictions, after.Evictions)
+	get("count")
+	if n := memoLen(); n != 1 {
+		t.Fatalf("memo holds %d answers after a write and one read, want 1: the old generation's stay", n)
 	}
 
 	gen := store.gen()
-	srv.resp.put(gen-1, "GET /stale?", "application/json", `"x"`, []byte("stale"))
-	if st := srv.resp.stats(); st.Size != 1 {
-		t.Fatalf("size %d after a put under an older generation, want 1", st.Size)
+	srv.resp.put(gen-1, "q=stale", respEntry{etag: `"x"`, body: []byte("stale")})
+	if n := memoLen(); n != 1 {
+		t.Fatalf("memo holds %d answers after a put under an older generation, want 1", n)
 	}
-	if e := srv.resp.get(gen, "GET /stale?"); e != nil {
-		t.Fatal("a render filed under an older generation was served")
+	if _, ok := srv.resp.get(gen, "q=stale"); ok {
+		t.Fatal("an answer filed under an older generation was served")
 	}
-}
 
-// TestResponseCacheLRUEviction fills the cache beyond capacity and
-// checks eviction keeps it bounded while still serving correct bytes.
-func TestResponseCacheLRUEviction(t *testing.T) {
-	store := tempStore(t)
-	for i := 0; i < 8; i++ {
-		id := fmt.Sprintf("j%d", i)
-		if err := store.Put(revJob(id, i), Summary{ID: id}); err != nil {
-			t.Fatal(err)
-		}
+	for i := memoLen(); i < memoBound; i++ {
+		srv.resp.put(gen, fmt.Sprintf("q=%d", i), respEntry{})
 	}
-	exec := NewExecutorWith(1, 1, store, nil, ExecutorOptions{})
-	defer exec.Shutdown(context.Background())
-	srv := NewServerWith(exec, store, nil, ServerOptions{RespCacheSize: 4})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 8; i++ {
-			code, _, body := getWithETag(t, fmt.Sprintf("%s/jobs/j%d/archive", ts.URL, i), "")
-			if code != http.StatusOK {
-				t.Fatalf("j%d: code %d", i, code)
-			}
-			if !bytes.Contains(body, []byte(fmt.Sprintf(`"rev": "%d"`, i))) {
-				t.Fatalf("j%d: wrong body", i)
-			}
-		}
+	if n := memoLen(); n != memoBound {
+		t.Fatalf("memo holds %d answers, want %d", n, memoBound)
 	}
-	st := srv.resp.stats()
-	if st.Size > 4 {
-		t.Fatalf("cache size %d above capacity 4", st.Size)
+	srv.resp.put(gen, "q=over", respEntry{})
+	if n := memoLen(); n != 1 {
+		t.Fatalf("memo holds %d answers after a put at its bound, want 1: it is cleared", n)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite 8 keys in a 4-slot cache")
+	if _, ok := srv.resp.get(gen, "q=over"); !ok {
+		t.Fatal("the put that cleared the memo was not stored")
 	}
 }

@@ -121,7 +121,7 @@ func checkServed(t *testing.T, base, id string, f *query.Frame, rows []int, sel 
 	defer resp.Body.Close()
 	var got bytes.Buffer
 	got.ReadFrom(resp.Body)
-	// The response cache strips the live marker and tags only sealed
+	// The validator strips the live marker and tags only sealed
 	// answers.
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" ||
 		(resp.Header.Get("ETag") == "") != live || !bytes.Equal(got.Bytes(), want) {

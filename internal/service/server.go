@@ -41,7 +41,7 @@ type Server struct {
 	store   *Store
 	metrics *Metrics
 	faults  *faults.Injector
-	resp    *respCache
+	resp    respCache
 	handler http.Handler
 
 	shardID string
@@ -74,15 +74,12 @@ type Server struct {
 	jitter   *rand.Rand
 }
 
-// ServerOptions tunes the server's robustness and caching behavior.
+// ServerOptions wires the server into its deployment: fault injection,
+// cluster identity, extra metrics and live streams.
 type ServerOptions struct {
 	// Faults is the chaos injector threaded through the handlers; nil
 	// injects nothing.
 	Faults *faults.Injector
-	// RespCacheSize bounds the HTTP response cache: 0 selects the
-	// default capacity, < 0 serves every request from the handler (used
-	// by equivalence tests).
-	RespCacheSize int
 	// ShardID names this node in a cluster; empty means single-node.
 	// It is echoed in /healthz and /cluster.
 	ShardID string
@@ -112,6 +109,7 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 		exec: exec, store: store, metrics: m, faults: opts.Faults,
 		shardID: opts.ShardID, cluster: opts.Cluster, extra: opts.ExtraMetrics,
 		streams: opts.Streams, heartbeat: opts.WatchHeartbeat,
+		resp:    respCache{memo: map[string]respEntry{}},
 		closing: make(chan struct{}),
 		durable: map[string]uint64{},
 		jitter:  rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -122,14 +120,11 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	if s.heartbeat <= 0 {
 		s.heartbeat = 15 * time.Second
 	}
-	if opts.RespCacheSize >= 0 {
-		s.resp = newRespCache(opts.RespCacheSize)
-	}
 	m.gauges.Bind(func(e *metrics.Emitter) {
 		writeGauges(e, exec.QueueDepth(), store.Len(), store.breaker.current())
 	})
 	m.tail.Bind(func(e *metrics.Emitter) {
-		writeCaches(e, s.cacheStats())
+		writeCaches(e, s.resp.stats())
 		writeStorage(e, store.db.Stats())
 		writeLiveJobs(e, s.streams.Live())
 	})
@@ -141,11 +136,11 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	route("GET /jobs", s.handleList)
 	route("GET /jobs/{id}", s.handleStatus)
 	route("DELETE /jobs/{id}", s.handleCancel)
-	route("GET /jobs/{id}/archive", s.cached(s.handleArchive))
-	route("GET /jobs/{id}/query", s.cached(s.handleQuery))
-	route("GET "+shard.Query2Path, s.cached(s.handleQuery2))
+	route("GET /jobs/{id}/archive", s.validated(s.handleArchive, false))
+	route("GET /jobs/{id}/query", s.validated(s.handleQuery, false))
+	route("GET "+shard.Query2Path, s.validated(s.handleQuery2, true))
 	route("GET "+shard.InternalQuery2Path, s.handleInternalQuery2)
-	route("GET /jobs/{id}/viz/{kind}", s.cached(s.handleViz))
+	route("GET /jobs/{id}/viz/{kind}", s.validated(s.handleViz, false))
 	route("POST /ingest/{id}", s.handleIngest)
 	route("GET /watch/{id}", s.handleWatch)
 	route("POST /diff", s.handleDiff)
@@ -386,7 +381,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 // exactly. All four are one scan of the job's columns, and the matched
 // rows render straight from them. A job that is still streaming (no
 // archive yet) answers from its incremental columns over completed
-// operations, marked live so the response cache never files the moving
+// operations, marked live so the validator never tags the moving
 // bytes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fail(siteQuery); err != nil {
@@ -681,7 +676,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 // healthResponse reports liveness plus coarse load and the persistence
 // breaker state, so orchestrators can distinguish healthy from
 // degraded-but-serving. Generation is the store's publish counter — the
-// response-cache key — exposed so operators (and the router's /cluster
+// /query2 memo's key — exposed so operators (and the router's /cluster
 // view) can watch replicas converge after writes. The shard fields are
 // omitted outside cluster mode.
 type healthResponse struct {
@@ -830,14 +825,4 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		info.Map = s.cluster
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// cacheStats samples the response cache for /metrics; nil when it is
-// disabled.
-func (s *Server) cacheStats() *respCacheStats {
-	if s.resp == nil {
-		return nil
-	}
-	cs := s.resp.stats()
-	return &cs
 }

@@ -203,9 +203,9 @@ type Store struct {
 
 	// generation counts publishes. It is bumped inside the same critical
 	// section that makes a job visible, before the Put acks, so a
-	// response computed before a write can only ever be cached under a
-	// generation no post-ack reader observes — that is the entire
-	// invalidation story of the HTTP response cache.
+	// /query2 answer computed before a write can only ever be memoized
+	// under a generation no post-ack reader observes — that is the entire
+	// invalidation story of the /query2 memo.
 	generation uint64
 
 	breaker   *breaker
@@ -487,8 +487,8 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 }
 
 // gen returns the store's publish counter. It changes on every
-// write that becomes visible to readers; response caches key on it so a
-// write invalidates every cached body in O(1).
+// write that becomes visible to readers; the /query2 memo keys on it so
+// a write invalidates every memoized answer in O(1).
 func (s *Store) gen() uint64 {
 	s.mu.RLock()
 	g := s.generation

@@ -21,11 +21,10 @@ const (
 )
 
 // liveHeader marks a response computed from a still-streaming job. The
-// response-cache middleware refuses to file marked bodies: a live job's
-// bytes change between requests without the store generation moving, so
-// caching them would serve stale data. Once the job seals and its
-// archive is published, responses lose the marker and cache normally
-// under the bumped generation.
+// validator relays marked bodies untagged and strips the marker: a live
+// job's bytes change between requests without the store generation
+// moving. Once the job seals and its archive is published, responses
+// lose the marker and carry an ETag.
 const liveHeader = "X-Granula-Live"
 
 // maxIngestBytes caps one POST /ingest batch body (JSON lines).

@@ -210,8 +210,7 @@ func TestStatusStreaming(t *testing.T) {
 
 // TestQueryLiveAndCacheBypass pins satellite (a): responses computed
 // from a live job are never cached (no stale bytes, no ETag), and the
-// sealed archive re-enters the response cache under a fresh generation
-// with a strong ETag.
+// sealed archive's answers carry a strong ETag.
 func TestQueryLiveAndCacheBypass(t *testing.T) {
 	ts, _ := streamStack(t, ServerOptions{})
 	events := streamEventsFixture()

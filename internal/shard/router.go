@@ -73,11 +73,10 @@ type RouterOptions struct {
 // Router is the thin stateless front of a granula-serve cluster: it
 // consistent-hashes job IDs onto the shard map's replica sets, proxies
 // submits to the primary (failing over down the replica list), spreads
-// job reads across replicas (follower reads, so each shard's
-// generation-keyed response cache keeps its hit rate), and repairs
-// replicas that miss records or diverge. All routing state is derived
-// from the static map — the router holds no per-job state and any
-// number of router instances can front the same shards.
+// job reads across replicas (follower reads), and repairs replicas that
+// miss records or diverge. All routing state is derived from the static
+// map — the router holds no per-job state and any number of router
+// instances can front the same shards.
 type Router struct {
 	m      *Map
 	client *http.Client
@@ -469,8 +468,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleRead serves the job-scoped read endpoints (/archive, /query,
 // /viz/*) with follower reads: the replica set is rotated per request
-// so every replica's response cache stays warm and read throughput
-// scales with R, with failover (and repair of 404 replicas) when the
+// so read throughput scales with R, with failover (and repair of 404 replicas) when the
 // chosen follower misses. Every RepairEvery-th successful read also
 // revalidates the served ETag against another replica in the
 // background, catching divergence that failover alone would not
