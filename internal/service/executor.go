@@ -16,6 +16,7 @@ import (
 	"repro/internal/envmon"
 	"repro/internal/faults"
 	"repro/internal/platforms"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -517,29 +518,18 @@ func (e *Executor) process(id string) {
 // quorum holds it. So once publish returns nil, "done" and "archived"
 // both mean the same durable copies.
 func (e *Executor) publish(ctx context.Context, job *archive.Job, sum Summary) error {
-	if err := e.persist(ctx, job, sum); err != nil {
+	rec, err := e.persist(ctx, job, sum)
+	if err != nil {
 		return fmt.Errorf("persist archive: %w", err)
 	}
 	if e.repl == nil {
 		return nil
 	}
-	if err := e.replicate(ctx, sum.ID); err != nil {
+	// The replicas get the bytes put just wrote, not a re-read of them.
+	if err := e.repl.ReplicateJob(ctx, rec.ID, rec.Version, rec.Payload); err != nil {
 		return fmt.Errorf("replicate archive: %w", err)
 	}
 	return nil
-}
-
-// replicate pushes a freshly persisted job to its replica set and waits
-// for the write quorum.
-func (e *Executor) replicate(ctx context.Context, id string) error {
-	payload, version, ok, err := e.store.export(id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("service: job %q vanished before replication", id)
-	}
-	return e.repl.ReplicateJob(ctx, id, version, payload)
 }
 
 // runIsolated runs the simulation with panic isolation: a panicking job
@@ -588,10 +578,11 @@ func (e *Executor) backoff(attempt int) time.Duration {
 }
 
 // persist stores the finished job, retrying transient failures with
-// exponential backoff and jitter. It gives up early when the store
-// reports degraded mode (the breaker is open; retrying cannot help) or
-// when the job's context expires mid-backoff.
-func (e *Executor) persist(ctx context.Context, job *archive.Job, sum Summary) error {
+// exponential backoff and jitter, and returns the record it wrote. It
+// gives up early when the store reports degraded mode (the breaker is
+// open; retrying cannot help) or when the job's context expires
+// mid-backoff.
+func (e *Executor) persist(ctx context.Context, job *archive.Job, sum Summary) (shard.ReplicaRecord, error) {
 	var last error
 	for attempt := 1; attempt <= e.retry.Attempts; attempt++ {
 		if attempt > 1 {
@@ -599,19 +590,19 @@ func (e *Executor) persist(ctx context.Context, job *archive.Job, sum Summary) e
 			select {
 			case <-time.After(e.backoff(attempt - 1)):
 			case <-ctx.Done():
-				return fmt.Errorf("retry abandoned (%v): %w", ctx.Err(), last)
+				return shard.ReplicaRecord{}, fmt.Errorf("retry abandoned (%v): %w", ctx.Err(), last)
 			}
 		}
-		err := e.store.Put(job, sum)
+		rec, err := e.store.put(job, sum)
 		if err == nil {
-			return nil
+			return rec, nil
 		}
 		last = err
 		if errors.Is(err, errDegraded) {
-			return err
+			return shard.ReplicaRecord{}, err
 		}
 	}
-	return fmt.Errorf("after %d attempts: %w", e.retry.Attempts, last)
+	return shard.ReplicaRecord{}, fmt.Errorf("after %d attempts: %w", e.retry.Attempts, last)
 }
 
 func (e *Executor) setRunning(id string) bool {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -236,28 +238,18 @@ func TestServerReplicationEndpoints(t *testing.T) {
 	ts := httptest.NewServer(NewServerWith(exec, store, nil, ServerOptions{}).Handler())
 	defer ts.Close()
 
-	rec, err := json.Marshal(shard.ReplicaRecord{ID: id, Version: version, Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+shard.ReplicatePath, "application/json", bytes.NewReader(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replicate: %s: %s", resp.Status, body)
+	if code, body := postReplica(t, ts.URL, id, strconv.FormatUint(version, 10), payload); code != http.StatusOK {
+		t.Fatalf("replicate: %d: %s", code, body)
 	}
 
 	// The job was never submitted here, yet its status must read done:
 	// the store fallback is what lets any replica answer for a job its
 	// executor never ran.
-	resp, err = http.Get(ts.URL + "/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status of replicated job: %s: %s", resp.Status, body)
@@ -279,13 +271,10 @@ func TestServerReplicationEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("export: %s: %s", resp.Status, body)
 	}
-	var got shard.ReplicaRecord
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != id || got.Version != version || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("export returned (%s, v%d, %d bytes), want (%s, v%d, %d bytes)",
-			got.ID, got.Version, len(got.Payload), id, version, len(payload))
+	gotVersion, err := strconv.ParseUint(resp.Header.Get(shard.VersionHeader), 10, 64)
+	if err != nil || gotVersion != version || !bytes.Equal(body, payload) {
+		t.Fatalf("export returned (v%d, %d bytes, %v), want (v%d, %d bytes)",
+			gotVersion, len(body), err, version, len(payload))
 	}
 
 	resp, err = http.Get(ts.URL + shard.ClusterPath)
@@ -306,13 +295,53 @@ func TestServerReplicationEndpoints(t *testing.T) {
 	}
 
 	// Malformed replication pushes are rejected.
-	resp, err = http.Post(ts.URL+shard.ReplicatePath, "application/json", strings.NewReader(`{"id":""}`))
+	for _, c := range []struct {
+		what, id, version string
+		body              []byte
+	}{
+		{"no id", "", "1", payload},
+		{"no payload", id, "1", nil},
+		{"no version", id, "", payload},
+		{"a version that is not a number", id, "v1", payload},
+		{"a payload that is not a record", "other", "1", []byte(`{"id":""}`)},
+	} {
+		if code, body := postReplica(t, ts.URL, c.id, c.version, c.body); code != http.StatusBadRequest {
+			t.Fatalf("replicate with %s = %d (%s), want 400", c.what, code, body)
+		}
+	}
+}
+
+// pathSegment escapes a job ID into one URL path segment the way the
+// shard peer client does: a "." or ".." segment spells its dots as %2E,
+// or the mux would clean it away.
+func pathSegment(id string) string {
+	if id == "." || id == ".." {
+		return strings.Repeat("%2E", len(id))
+	}
+	return url.PathEscape(id)
+}
+
+// replicaURL is base's URL for job id under one of the per-record
+// prefixes.
+func replicaURL(base, prefix, id string) string { return base + prefix + pathSegment(id) }
+
+// postReplica pushes body as job id's record over the raw replica wire,
+// with version as the version header ("" sends none), and returns the
+// status and the answer's body.
+func postReplica(t testing.TB, base, id, version string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, replicaURL(base, shard.ReplicatePathPrefix, id), bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("replicate without id/payload = %s, want 400", resp.Status)
+	if version != "" {
+		req.Header.Set(shard.VersionHeader, version)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, answer
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"maps"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -160,5 +161,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, e respEntry, hea
 	}
 	maps.Copy(w.Header(), header)
 	w.Header().Set("ETag", e.etag)
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
 	w.Write(e.body)
 }

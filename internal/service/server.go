@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/archive"
 	"repro/internal/faults"
@@ -146,7 +147,9 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 	route("POST /diff", s.handleDiff)
 	route("GET /healthz", s.handleHealthz)
 	route("GET /metrics", s.handleMetrics)
-	route("POST "+shard.ReplicatePath, s.handleReplicate)
+	// {id...} also matches an empty ID, which handleReplicate refuses
+	// with a 400 rather than leaving it to the mux's 404.
+	route("POST "+shard.ReplicatePathPrefix+"{id...}", s.handleReplicate)
 	route("GET "+shard.ExportPathPrefix+"{id}", s.handleExport)
 	route("GET "+shard.ClusterPath, s.handleCluster)
 	route("GET "+shard.HealthPath, s.handleInternalHealth)
@@ -726,33 +729,78 @@ type replicateResponse struct {
 }
 
 // handleReplicate serves the cluster-internal write path: another shard
-// (or the router's read-repair) pushes a job's persisted bytes here.
-// Application is idempotent by (ID, version), so retries and racing
-// repairs are safe; the ack echoes the version now stored locally.
+// (or the router's read-repair) pushes a job's persisted bytes here, as
+// the body of POST ReplicatePathPrefix+{id} with the version in
+// shard.VersionHeader. The body is stored as it came, after one decode
+// that proves it is a record. Application is idempotent by (ID,
+// version), so retries and racing repairs are safe; the ack echoes the
+// version now stored locally. Every refusal of the request itself is a
+// 4xx, which the pusher does not retry.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var rec shard.ReplicaRecord
-	if !decodeBody(w, r, &rec) {
+	id := r.PathValue("id")
+	version, err := strconv.ParseUint(r.Header.Get(shard.VersionHeader), 10, 64)
+	switch {
+	case id == "" || !utf8.ValidString(id):
+		writeError(w, http.StatusBadRequest, "replica needs a UTF-8 job id in its path")
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "replica needs a decimal %s header", shard.VersionHeader)
 		return
 	}
-	if rec.ID == "" || len(rec.Payload) == 0 {
-		writeError(w, http.StatusBadRequest, "replica record needs an id and a payload")
+	payload, ok := readRecord(w, r)
+	if !ok {
 		return
 	}
-	if err := s.store.applyReplica(rec.ID, rec.Version, rec.Payload); err != nil {
-		if errors.Is(err, errDegraded) {
+	if err := s.store.applyReplica(id, version, payload); err != nil {
+		switch {
+		case errors.Is(err, errBadRecord):
+			writeError(w, http.StatusBadRequest, "%v", err)
+		case errors.Is(err, errDegraded):
 			s.setRetryAfter(w)
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
+		default:
+			writeError(w, http.StatusInternalServerError, "%v", err)
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, replicateResponse{ID: rec.ID, Version: s.store.version(rec.ID)})
+	writeJSON(w, http.StatusOK, replicateResponse{ID: id, Version: s.store.version(id)})
+}
+
+// readRecord reads a replica's body, capped at shard.MaxRecordBytes:
+// exactly Content-Length bytes into one buffer when the length is
+// known. An empty body is a 400, an oversized one a 413.
+func readRecord(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > shard.MaxRecordBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "replica body exceeds %d bytes", shard.MaxRecordBytes)
+		return nil, false
+	}
+	var buf []byte
+	var err error
+	if r.ContentLength >= 0 {
+		buf = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, buf)
+	} else {
+		buf, err = io.ReadAll(http.MaxBytesReader(w, r.Body, shard.MaxRecordBytes))
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "replica body exceeds %d bytes", tooBig.Limit)
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad replica body: %v", err)
+		return nil, false
+	case len(buf) == 0:
+		writeError(w, http.StatusBadRequest, "replica has an empty body")
+		return nil, false
+	}
+	return buf, true
 }
 
 // handleExport serves the cluster-internal read side of replication:
-// the exact persisted bytes plus version for one job, consumed by the
-// router's read-repair to converge divergent replicas.
+// the exact persisted bytes as the body and the version in
+// shard.VersionHeader, consumed by the router's read-repair and the
+// anti-entropy pull to converge divergent replicas.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	payload, version, ok, err := s.store.export(id)
@@ -764,17 +812,11 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	// Marshal compactly instead of via writeJSON: its indenting would
-	// reformat the embedded payload, and read-repair must ship the
-	// exact bytes the primary fsynced so replicas stay byte-identical.
-	blob, err := json.Marshal(shard.ReplicaRecord{ID: id, Version: version, Payload: payload})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+	w.Header().Set(shard.VersionHeader, strconv.FormatUint(version, 10))
 	w.WriteHeader(http.StatusOK)
-	w.Write(blob)
+	w.Write(payload)
 }
 
 // handleInternalHealth serves the failure detector's probe target: a

@@ -161,6 +161,10 @@ func decodeRecord(payload []byte) (*archive.Job, Summary, uint64, error) {
 // to 503.
 var errDegraded = errors.New("service: archive storage degraded (circuit breaker open), store is read-only")
 
+// errBadRecord is returned by applyReplica for a payload that does not
+// decode as a record. HTTP maps it to 400: a pusher must not retry it.
+var errBadRecord = errors.New("service: undecodable replica record")
+
 // StoreOptions tunes the store's durability circuit breaker; the zero
 // value selects the defaults.
 type StoreOptions struct {
@@ -410,20 +414,27 @@ func JobMeta(id string, sum Summary) query.JobMeta {
 // The job is persisted before it becomes visible to readers; an error
 // means the job is neither durable nor published.
 func (s *Store) Put(job *archive.Job, sum Summary) error {
+	_, err := s.put(job, sum)
+	return err
+}
+
+// put is Put returning the record it wrote: the bytes now in the WAL
+// and their version, which is what the replicas receive.
+func (s *Store) put(job *archive.Job, sum Summary) (shard.ReplicaRecord, error) {
 	version := s.version(sum.ID) + 1
 	sj := indexJob(sum.ID, job, sum, version)
 	payload, err := encodeRecord(sum, job, version)
 	if err != nil {
-		return fmt.Errorf("service: encode job %q: %w", sum.ID, err)
+		return shard.ReplicaRecord{}, fmt.Errorf("service: encode job %q: %w", sum.ID, err)
 	}
 	if err := s.write(sum.ID, payload); err != nil {
-		return err
+		return shard.ReplicaRecord{}, err
 	}
 	s.mu.Lock()
 	s.jobs[sum.ID] = sj
 	s.generation++
 	s.mu.Unlock()
-	return nil
+	return shard.ReplicaRecord{ID: sum.ID, Version: version, Payload: payload}, nil
 }
 
 // version returns the stored job's write version (0 when unknown).
@@ -436,9 +447,9 @@ func (s *Store) version(id string) uint64 {
 
 // export returns the replication payload for a stored job: the exact
 // record bytes the database holds, so replicas receive what the primary
-// persisted, plus its version. It feeds both the write-path replication
-// fan-out and the router's read-repair. A stored job the database does
-// not hold is an error.
+// persisted, plus its version. It feeds the router's read-repair and
+// the anti-entropy push; the write path pushes what put wrote. A
+// stored job the database does not hold is an error.
 func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err error) {
 	sj, have := s.get(id)
 	if !have {
@@ -461,7 +472,8 @@ func (s *Store) export(id string) (payload []byte, version uint64, ok bool, err 
 // push the same record any number of times. The raw bytes go to the
 // backing database unchanged, keeping every replica byte-identical to
 // the primary; the decoded job is published to readers under the same
-// generation rules as Put.
+// generation rules as Put. A payload that is not a record fails with
+// errBadRecord and writes nothing.
 func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	if version == 0 {
 		version = 1
@@ -471,7 +483,7 @@ func (s *Store) applyReplica(id string, version uint64, payload []byte) error {
 	}
 	job, sum, _, err := decodeRecord(payload)
 	if err != nil {
-		return fmt.Errorf("service: decode replica %q: %w", id, err)
+		return fmt.Errorf("%w %q: %v", errBadRecord, id, err)
 	}
 	sj := indexJob(id, job, sum, version)
 	if err := s.write(id, payload); err != nil {

@@ -223,7 +223,8 @@ func (ae *AntiEntropy) pushRecord(ctx context.Context, n Node, id string) bool {
 	if err != nil || !ok {
 		return false
 	}
-	return ae.peer.replicate(ctx, n, rec) == nil
+	_, err = ae.peer.replicate(ctx, n, rec)
+	return err == nil
 }
 
 // pullRecord fetches the peer's bytes for id and applies them locally.

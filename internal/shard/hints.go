@@ -159,7 +159,7 @@ func (d *Drainer) drainOnce(ctx context.Context) int {
 			}
 			// Replaying a hint is the POST the original fan-out would
 			// have issued.
-			err := d.peer.replicate(ctx, node, ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
+			_, err := d.peer.replicate(ctx, node, ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
 			pick(err == nil, d.metrics.hintsDrained, d.metrics.hintsDrainFailed).Inc()
 			if err != nil {
 				break // peer still unreachable; retry next tick

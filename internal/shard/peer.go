@@ -3,19 +3,23 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
 // maxPeerErrorBytes caps how much of a peer's error body is kept;
-// maxPeerRecordBytes caps an exported record or a digest.
+// MaxRecordBytes caps a replicated or exported record and a digest. It
+// is archivedb's default record cap, so any record a shard can persist
+// can cross to its peers.
 const (
-	maxPeerErrorBytes  = 4096
-	maxPeerRecordBytes = 64 << 20
+	maxPeerErrorBytes = 4096
+	MaxRecordBytes    = 64 << 20
 )
 
 // peerClient is the client side of the cluster-internal wire protocol —
@@ -35,41 +39,77 @@ func newPeerClient(c *http.Client, timeout time.Duration) peerClient {
 	return peerClient{client: c}
 }
 
-// do issues one request and returns the status with at most limit bytes
-// of body (error bodies are capped at maxPeerErrorBytes regardless).
-func (p peerClient) do(ctx context.Context, method, url string, body []byte, limit int64) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// recordURL is n's URL for job id under one of the per-record prefixes.
+// The ID is escaped into one path segment. url.PathEscape leaves dots
+// alone, and the server's mux would clean a "." or ".." segment away, so
+// those two IDs spell their dots as %2E.
+func recordURL(n Node, prefix, id string) string {
+	seg := url.PathEscape(id)
+	if id == "." || id == ".." {
+		seg = strings.Repeat("%2E", len(id))
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		limit = maxPeerErrorBytes
-	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, buf, nil
+	return n.URL + prefix + seg
 }
 
-// replicateBytes POSTs one encoded ReplicaRecord to n. The endpoint is
-// idempotent by (ID, version), so replays — a drained hint, a racing
-// repair — are harmless acks. A non-200 answer is an error carrying
-// the status; a transport failure reports status 0.
-func (p peerClient) replicateBytes(ctx context.Context, n Node, rec []byte) (int, error) {
-	status, body, err := p.do(ctx, http.MethodPost, n.URL+ReplicatePath, rec, maxPeerErrorBytes)
+// do issues one request and returns the status, the answer's headers
+// and at most limit bytes of body (error bodies are capped at
+// maxPeerErrorBytes regardless). A 200 answer that declares more than
+// limit bytes is an error.
+func (p peerClient) do(req *http.Request, limit int64) (int, http.Header, []byte, error) {
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	size := resp.ContentLength
+	if resp.StatusCode != http.StatusOK {
+		limit, size = maxPeerErrorBytes, -1
+	} else if size > limit {
+		return 0, nil, nil, fmt.Errorf("%s answered %d bytes, above the %d limit", req.URL.Path, size, limit)
+	}
+	buf, err := readSized(io.LimitReader(resp.Body, limit), size)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return resp.StatusCode, resp.Header, buf, nil
+}
+
+// readSized reads r to its end. With the length known (n >= 0) it reads
+// into one buffer of exactly n bytes instead of growing one by
+// doubling; a body shorter than n is an error.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// get issues one GET of url.
+func (p peerClient) get(ctx context.Context, url string, limit int64) (int, http.Header, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return p.do(req, limit)
+}
+
+// replicate POSTs rec to n: the payload is the body, byte for byte. The
+// endpoint is idempotent by (ID, version), so replays — a drained hint,
+// a racing repair — are harmless acks. A non-200 answer is an error
+// carrying the status; a transport failure reports status 0.
+func (p peerClient) replicate(ctx context.Context, n Node, rec ReplicaRecord) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		recordURL(n, ReplicatePathPrefix, rec.ID), bytes.NewReader(rec.Payload))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(VersionHeader, strconv.FormatUint(rec.Version, 10))
+	status, _, body, err := p.do(req, maxPeerErrorBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -79,32 +119,23 @@ func (p peerClient) replicateBytes(ctx context.Context, n Node, rec []byte) (int
 	return status, nil
 }
 
-// replicate encodes rec and POSTs it to n.
-func (p peerClient) replicate(ctx context.Context, n Node, rec ReplicaRecord) error {
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = p.replicateBytes(ctx, n, buf)
-	return err
-}
-
 // export fetches n's record for id; ok is false when n does not hold
-// it, cannot be reached, or answers something that is not that record.
+// it, cannot be reached, or answers something that is not a record.
 func (p peerClient) export(ctx context.Context, n Node, id string) (rec ReplicaRecord, ok bool) {
-	status, body, err := p.do(ctx, http.MethodGet, n.URL+ExportPathPrefix+id, nil, maxPeerRecordBytes)
-	if err != nil || status != http.StatusOK || json.Unmarshal(body, &rec) != nil {
+	status, hdr, body, err := p.get(ctx, recordURL(n, ExportPathPrefix, id), MaxRecordBytes)
+	if err != nil || status != http.StatusOK || len(body) == 0 {
 		return ReplicaRecord{}, false
 	}
-	if rec.ID != id || rec.Version == 0 || len(rec.Payload) == 0 {
+	version, err := strconv.ParseUint(hdr.Get(VersionHeader), 10, 64)
+	if err != nil || version == 0 {
 		return ReplicaRecord{}, false
 	}
-	return rec, true
+	return ReplicaRecord{ID: id, Version: version, Payload: body}, true
 }
 
 // digest GETs and validates n's (jobID, version) digest.
 func (p peerClient) digest(ctx context.Context, n Node) ([]DigestEntry, error) {
-	status, body, err := p.do(ctx, http.MethodGet, n.URL+DigestPath, nil, maxPeerRecordBytes)
+	status, _, body, err := p.get(ctx, n.URL+DigestPath, MaxRecordBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +149,7 @@ func (p peerClient) digest(ctx context.Context, n Node) ([]DigestEntry, error) {
 // (breaker-open) shard is reachable and must not be promoted around, it
 // still serves reads and replica applies.
 func (p peerClient) alive(ctx context.Context, n Node) bool {
-	status, _, err := p.do(ctx, http.MethodGet, n.URL+HealthPath, nil, maxPeerErrorBytes)
+	status, _, _, err := p.get(ctx, n.URL+HealthPath, maxPeerErrorBytes)
 	return err == nil && status >= 200 && status < 300
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,12 +17,18 @@ import (
 // replicator and the router's read-repair; they are not part of the
 // public API.
 const (
-	// ReplicatePath accepts a ReplicaRecord POST and applies it
-	// idempotently (by job ID + version) to the shard's store.
-	ReplicatePath = "/internal/replicate"
-	// ExportPathPrefix + {id} returns the ReplicaRecord for a stored
-	// job, the unit of replication and read-repair.
+	// ReplicatePathPrefix + {id} accepts one job's record and applies
+	// it idempotently (by job ID + version) to the shard's store. The
+	// body is the record bytes themselves, the version travels in
+	// VersionHeader, and the ID is the path segment, escaped.
+	ReplicatePathPrefix = "/internal/replicate/"
+	// ExportPathPrefix + {id} answers a stored job's record the same
+	// way: the record bytes as the body, the version in VersionHeader.
+	// It is the unit of replication and read-repair.
 	ExportPathPrefix = "/internal/export/"
+	// VersionHeader carries a record's write version on the replicate
+	// and export exchanges, in decimal.
+	VersionHeader = "X-Granula-Version"
 	// ClusterPath reports a node's shard identity and map version (on
 	// shards) or the full membership with live health (on the router).
 	ClusterPath = "/cluster"
@@ -49,10 +54,13 @@ const (
 // (the exact bytes the primary wrote to its archivedb, so every replica
 // stores byte-identical records) plus the version that makes replays
 // idempotent — a receiver at version >= Version acks without rewriting.
+// It never crosses the wire as one value: the replicate and export
+// exchanges put ID in the path, Version in VersionHeader and Payload
+// as the body.
 type ReplicaRecord struct {
-	ID      string          `json:"id"`
-	Version uint64          `json:"version"`
-	Payload json.RawMessage `json:"payload"`
+	ID      string
+	Version uint64
+	Payload []byte
 }
 
 // Replicator is the shard-side write fan-out: after a job's archive is
@@ -158,11 +166,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 		return nil
 	}
 
-	rec, err := json.Marshal(ReplicaRecord{ID: id, Version: version, Payload: payload})
-	if err != nil {
-		return fmt.Errorf("shard: encode replica %q: %w", id, err)
-	}
-
+	rec := ReplicaRecord{ID: id, Version: version, Payload: payload}
 	type result struct {
 		node   Node
 		hinted bool
@@ -227,7 +231,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 // push sends one replica record to one follower, retrying once on
 // transport errors (a connection blip is common during shard restarts;
 // anything longer is the quorum's problem).
-func (r *Replicator) push(ctx context.Context, n Node, rec []byte) error {
+func (r *Replicator) push(ctx context.Context, n Node, rec ReplicaRecord) error {
 	var last error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
@@ -237,7 +241,7 @@ func (r *Replicator) push(ctx context.Context, n Node, rec []byte) error {
 				return ctx.Err()
 			}
 		}
-		status, err := r.peer.replicateBytes(ctx, n, rec)
+		status, err := r.peer.replicate(ctx, n, rec)
 		if err == nil {
 			return nil
 		}

@@ -236,7 +236,11 @@ func (rt *Router) forward(ctx context.Context, n Node, method, pathq string, bod
 		return res
 	}
 	defer resp.Body.Close()
-	if res.body, err = io.ReadAll(resp.Body); err != nil {
+	size := resp.ContentLength
+	if method == http.MethodHead {
+		size = -1 // the length of the body a GET would have had
+	}
+	if res.body, err = readSized(resp.Body, size); err != nil {
 		return proxyResult{node: n, err: err}
 	}
 	return res
@@ -577,7 +581,7 @@ func (rt *Router) repairPair(id string, a, b Node) {
 
 // pushRepair replicates a record onto a shard and counts the repair.
 func (rt *Router) pushRepair(ctx context.Context, n Node, rec ReplicaRecord) {
-	if rt.peer.replicate(ctx, n, rec) == nil {
+	if _, err := rt.peer.replicate(ctx, n, rec); err == nil {
 		rt.metrics.repairs.Inc()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,15 +172,17 @@ func newFakeShard(id string) *fakeShard {
 			io.WriteString(w, "id: 1\nevent: op\ndata: {}\n\n")
 		}
 	})
-	mux.HandleFunc("POST "+ReplicatePath, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+ReplicatePathPrefix+"{id...}", func(w http.ResponseWriter, r *http.Request) {
 		if fail(w) {
 			return
 		}
-		var rec ReplicaRecord
-		if err := json.NewDecoder(r.Body).Decode(&rec); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		version, verr := strconv.ParseUint(r.Header.Get(VersionHeader), 10, 64)
+		payload, err := io.ReadAll(r.Body)
+		if err != nil || verr != nil || r.PathValue("id") == "" || len(payload) == 0 {
+			http.Error(w, "bad replica", http.StatusBadRequest)
 			return
 		}
+		rec := ReplicaRecord{ID: r.PathValue("id"), Version: version, Payload: payload}
 		fs.mu.Lock()
 		fs.applied = append(fs.applied, rec)
 		if cur, ok := fs.jobs[rec.ID]; !ok || rec.Version > cur.version {
@@ -201,7 +204,8 @@ func newFakeShard(id string) *fakeShard {
 			http.Error(w, fmt.Sprintf("{\"error\": \"no job %q\"}", id), http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(ReplicaRecord{ID: id, Version: j.version, Payload: json.RawMessage(j.body)})
+		w.Header().Set(VersionHeader, strconv.FormatUint(j.version, 10))
+		io.WriteString(w, j.body)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if fail(w) {
