@@ -154,6 +154,20 @@ func TestParseFlagsCluster(t *testing.T) {
 	}
 }
 
+// TestPeersRefuseSlashInShardID: a shard ID with a '/' cannot name a
+// hint's target in the journal, so the map refuses it before anything
+// starts.
+func TestPeersRefuseSlashInShardID(t *testing.T) {
+	var buf bytes.Buffer
+	args := []string{"-shard-id", "rack1/s1", "-peers", "rack1/s1=http://h1:1,s2=http://h2:1"}
+	if code := run(context.Background(), args, &buf); code != 2 {
+		t.Fatalf("run(%v) = %d, want exit code 2", args, code)
+	}
+	if !strings.Contains(buf.String(), "rack1/s1") {
+		t.Fatalf("the refusal does not name the shard ID: %s", buf.String())
+	}
+}
+
 func TestParseFlagsSelfHealing(t *testing.T) {
 	var buf bytes.Buffer
 	// Self-healing is on by default for clustered nodes; the periods

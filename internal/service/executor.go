@@ -109,6 +109,9 @@ func (r *JobRequest) validate() error {
 	if r.Algorithm == "" {
 		return fmt.Errorf("service: job request needs an algorithm")
 	}
+	if err := checkJobID(r.ID); err != nil {
+		return err
+	}
 	if r.Vertices < 0 || r.Edges < 0 || r.Nodes < 0 || r.Iterations < 0 {
 		return fmt.Errorf("service: job request sizes must be non-negative")
 	}

@@ -380,11 +380,16 @@ func (r neverRead) Read([]byte) (int, error) {
 // on the default graph, whose record is over 1 MiB.
 func bigJob(t *testing.T) (*archive.Job, Summary) {
 	t.Helper()
+	return runRequest(t, "big", JobRequest{Platform: "PowerGraph", Algorithm: "PageRank", Nodes: 16})
+}
+
+// runRequest runs what POST /jobs would for req, as job id.
+func runRequest(t *testing.T, id string, req JobRequest) (*archive.Job, Summary) {
+	t.Helper()
 	exec := NewExecutorWith(1, 4, tempStore(t), nil, ExecutorOptions{})
 	t.Cleanup(func() { exec.Shutdown(context.Background()) })
-	req := JobRequest{Platform: "PowerGraph", Algorithm: "PageRank", Nodes: 16}
 	req.applyDefaults()
-	sum, job, err := exec.run(context.Background(), "big", req)
+	sum, job, err := exec.run(context.Background(), id, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,6 +453,7 @@ func FuzzReplicate(f *testing.F) {
 		{"s", "-1", seed}, {"s", "18446744073709551615", seed}, {"s", "18446744073709551616", seed},
 		{"t", "1", seed[:len(seed)/2]}, {"t", "1", nil}, {"t", "1", []byte("null")},
 		{"t", "1", []byte(`{"x":1}`)}, {"t", "1", []byte(`{"job":null}`)}, {"\xff", "1", seed},
+		{"~hint/s2/s", "1", seed}, {"~stream/s/00000000000000000001", "1", seed},
 	} {
 		f.Add(c.id, c.version, c.body)
 	}
@@ -455,7 +461,7 @@ func FuzzReplicate(f *testing.F) {
 		held := store.version(id)
 		v, verr := strconv.ParseUint(version, 10, 64)
 		_, _, _, derr := decodeRecord(body)
-		refuse := id == "" || !utf8.ValidString(id) || verr != nil || len(body) == 0 ||
+		refuse := id == "" || !utf8.ValidString(id) || strings.HasPrefix(id, "~") || verr != nil || len(body) == 0 ||
 			(derr != nil && held < max(v, 1))
 
 		req := httptest.NewRequest(http.MethodPost, shard.ReplicatePathPrefix+"x", bytes.NewReader(body))

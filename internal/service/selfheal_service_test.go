@@ -30,10 +30,7 @@ func hintStore(t *testing.T, dir string) (*Store, *archivedb.DB) {
 }
 
 func hint(target, id string, version uint64) shard.HintRecord {
-	return shard.HintRecord{
-		Target: target, ID: id, Version: version,
-		Payload: json.RawMessage(`{"v":` + strconv.FormatUint(version, 10) + `}`),
-	}
+	return shard.HintRecord{Target: target, ID: id, Version: version}
 }
 
 // TestHintJournalSurvivesRestart is the property the sloppy quorum

@@ -740,8 +740,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	version, err := strconv.ParseUint(r.Header.Get(shard.VersionHeader), 10, 64)
 	switch {
-	case id == "" || !utf8.ValidString(id):
-		writeError(w, http.StatusBadRequest, "replica needs a UTF-8 job id in its path")
+	case id == "" || !utf8.ValidString(id) || checkJobID(id) != nil:
+		writeError(w, http.StatusBadRequest, "replica needs a UTF-8 job id that does not begin with '~' in its path")
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "replica needs a decimal %s header", shard.VersionHeader)

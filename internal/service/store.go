@@ -308,16 +308,19 @@ func (s *Store) loadRecord(id string) (r loaded, ok bool, err error) {
 	if !ok {
 		return loaded{}, false, nil
 	}
-	if target, hintID, isHint := parseHintKey(id); isHint {
+	if strings.HasPrefix(id, hintKeyPrefix) {
 		// Journaled hinted-handoff records from before the last
-		// shutdown: restore them for the drainer. A hint that fails
-		// validation is dropped — the anti-entropy sweep converges the
-		// replica it would have repaired.
-		rec, err := shard.DecodeHintRecord(payload)
-		if err != nil || rec.Target != target || rec.ID != hintID {
-			return loaded{}, false, nil
+		// shutdown: restore them for the drainer. The value is the
+		// version in decimal; any other value, such as the JSON
+		// envelope older journals stored with a copy of the record,
+		// restores at version 0: "push whatever this node holds". A key
+		// hintKey could not have written holds nothing to restore.
+		target, hintID, parsed := parseHintKey(id)
+		version, perr := strconv.ParseUint(string(payload), 10, 64)
+		if perr != nil {
+			version = 0
 		}
-		return loaded{id: id, hint: &rec}, true, nil
+		return loaded{id: id, hint: &shard.HintRecord{Target: target, ID: hintID, Version: version}}, parsed, nil
 	}
 	if jobID, lastSeq, isStream := parseStreamKey(id); isStream {
 		// Acked ingest batches of jobs that were still streaming at
@@ -539,9 +542,19 @@ func (s *Store) ids() []string {
 // streamKeyPrefix namespaces the archivedb records that hold acked
 // ingest batches of in-flight streamed jobs. '~' sorts after every
 // printable job-ID character and the prefix never collides with a job
-// ID the API accepts, so stream records and archives share one WAL
-// without ambiguity; warm-up routes on the prefix.
+// ID the API accepts (checkJobID), so stream records and archives
+// share one WAL without ambiguity; warm-up routes on the prefix.
 const streamKeyPrefix = "~stream/"
+
+// checkJobID refuses a job ID in the store's reserved namespace: keys
+// that begin with '~' hold hints and ingest batches, and a job stored
+// under one would be read back as one of those at reopen.
+func checkJobID(id string) error {
+	if strings.HasPrefix(id, "~") {
+		return fmt.Errorf("service: job ID %q begins with '~', which is reserved", id)
+	}
+	return nil
+}
 
 // streamBatch is one durable acked ingest batch: the encoded events of
 // a live streamed job up to LastSeq, recovered at startup so a restart

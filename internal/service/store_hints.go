@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/shard"
@@ -11,44 +12,39 @@ import (
 // hintKeyPrefix namespaces the archivedb records that journal hinted
 // handoff: replica writes that missed their target and count toward
 // the sloppy write quorum as durable hints. Like streamKeyPrefix, '~'
-// keeps the namespace disjoint from every job ID the API accepts, so
-// hints ride the same WAL (and the same group commit, fsync, and
-// recovery path) as the archives they carry.
+// keeps the namespace disjoint from every job ID the API accepts
+// (checkJobID refuses the rest), so hints ride the same WAL (and the
+// same group commit, fsync, and recovery path) as the archives they
+// name.
 const hintKeyPrefix = "~hint/"
 
 // hintKey builds the archivedb key for one journaled hint. Target
-// shard IDs cannot contain '/' (ParseNodes rejects them in URLs form
-// "id=url" and IDs are plain tokens), so the first slash after the
-// prefix splits target from job ID even when the job ID itself has
-// slashes.
+// shard IDs cannot contain '/' (shard.NewMap refuses them), so the
+// first slash after the prefix splits target from job ID even when the
+// job ID itself has slashes.
 func hintKey(target, id string) string {
 	return hintKeyPrefix + target + "/" + id
 }
 
 // parseHintKey inverts hintKey.
 func parseHintKey(key string) (target, id string, ok bool) {
-	rest := strings.TrimPrefix(key, hintKeyPrefix)
-	if rest == key {
-		return "", "", false
-	}
-	i := strings.Index(rest, "/")
-	if i <= 0 || i == len(rest)-1 {
-		return "", "", false
-	}
-	return rest[:i], rest[i+1:], true
+	rest, ok := strings.CutPrefix(key, hintKeyPrefix)
+	target, id, cut := strings.Cut(rest, "/")
+	return target, id, ok && cut && target != "" && id != ""
 }
 
 // AppendHint journals one missed replica write durably, implementing
-// shard.HintJournal. The hint takes the store's one breaker-guarded WAL
-// write, as archives do — an acked hint survives a crash, which is what
-// lets it count toward the write quorum. A hint for the same
-// (target, id) is superseded when the new version is equal or newer;
-// an older version is silently dropped (the journal already holds a
-// strictly better hint).
+// shard.HintJournal. The WAL value is the hint's version alone: the
+// record it names is already in this store. The hint takes the
+// store's one breaker-guarded WAL write, as archives do — an acked
+// hint survives a crash, which is what lets it count toward the write
+// quorum. A hint for the same (target, id) is superseded when the new
+// version is equal or newer; an older version is silently dropped (the
+// journal already holds a strictly better hint).
 func (s *Store) AppendHint(rec shard.HintRecord) error {
-	buf, err := shard.EncodeHintRecord(rec)
-	if err != nil {
-		return err
+	key := hintKey(rec.Target, rec.ID)
+	if target, id, ok := parseHintKey(key); !ok || target != rec.Target || id != rec.ID {
+		return fmt.Errorf("service: hint for %q to %q has no journal key", rec.ID, rec.Target)
 	}
 	s.mu.RLock()
 	cur, have := s.hints[rec.Target][rec.ID]
@@ -56,7 +52,7 @@ func (s *Store) AppendHint(rec shard.HintRecord) error {
 	if have && cur.Version > rec.Version {
 		return nil
 	}
-	if err := s.write(hintKey(rec.Target, rec.ID), buf); err != nil {
+	if err := s.write(key, strconv.AppendUint(nil, rec.Version, 10)); err != nil {
 		return err
 	}
 	s.mu.Lock()

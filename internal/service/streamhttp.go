@@ -63,6 +63,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
+	if err := checkJobID(id); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	events, err := stream.DecodeEvents(r.Body)
 	if err != nil {

@@ -183,7 +183,8 @@ func (ae *AntiEntropy) sweepPeer(ctx context.Context, peer Node, local map[strin
 		lv, rv := local[id], remoteV[id]
 		switch {
 		case lv > rv:
-			if ae.pushRecord(ctx, peer, id) {
+			// Races with hints and read-repair are harmless.
+			if _, held, err := ae.peer.pushLocal(ctx, ae.store.ExportRecord, peer, id); held && err == nil {
 				pushed++
 			}
 		case rv > lv:
@@ -216,15 +217,17 @@ func (ae *AntiEntropy) coOwned(id, peerID string) bool {
 	return selfOwns && peerOwns
 }
 
-// pushRecord ships the local bytes for id to the peer (races with hints
-// and read-repair are harmless).
-func (ae *AntiEntropy) pushRecord(ctx context.Context, n Node, id string) bool {
-	rec, ok, err := ae.store.ExportRecord(id)
-	if err != nil || !ok {
-		return false
+// pushLocal pushes the node's own persisted record for id, read with
+// export, to n: the one push of anti-entropy and of hint drains. held
+// is false when the node holds no record for id; version is the
+// version pushed.
+func (p peerClient) pushLocal(ctx context.Context, export func(string) (ReplicaRecord, bool, error), n Node, id string) (version uint64, held bool, err error) {
+	rec, held, err := export(id)
+	if err != nil || !held {
+		return 0, held, err
 	}
-	_, err = ae.peer.replicate(ctx, n, rec)
-	return err == nil
+	_, err = p.replicate(ctx, n, rec)
+	return rec.Version, true, err
 }
 
 // pullRecord fetches the peer's bytes for id and applies them locally.

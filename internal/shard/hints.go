@@ -2,72 +2,22 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
-	"unicode/utf8"
 )
 
 // HintRecord is the durable unit of hinted handoff: a replica write
 // that could not reach its target within the quorum window, journaled
 // by the acking node (under archivedb's `~hint/` namespace, see
 // internal/service) and replayed by the drainer when the target
-// returns. Payload is the exact persisted bytes of the job — replaying
-// a hint is the same POST /internal/replicate the original fan-out
-// would have issued, so a drained replica is byte-identical to one
-// that never missed the write.
+// returns. It names the record rather than carrying it: the acking
+// node persisted the job before it pushed, so a drain exports the
+// node's own record (at Version or newer) and pushes that, the same
+// push anti-entropy makes. Version 0 means "whatever the node holds".
 type HintRecord struct {
-	Target  string          `json:"target"`
-	ID      string          `json:"id"`
-	Version uint64          `json:"version"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// validate checks the structural invariants every hint must hold
-// before it is journaled or replayed. Fuzzed via FuzzHintRecord.
-func (h HintRecord) validate() error {
-	switch {
-	case h.Target == "":
-		return fmt.Errorf("shard: hint has no target")
-	case !utf8.ValidString(h.Target):
-		return fmt.Errorf("shard: hint target is not valid UTF-8")
-	case h.ID == "":
-		return fmt.Errorf("shard: hint has no job id")
-	case !utf8.ValidString(h.ID):
-		return fmt.Errorf("shard: hint job id is not valid UTF-8")
-	case h.Version == 0:
-		return fmt.Errorf("shard: hint for %q has version 0", h.ID)
-	case len(h.Payload) == 0:
-		return fmt.Errorf("shard: hint for %q has no payload", h.ID)
-	case !json.Valid(h.Payload):
-		return fmt.Errorf("shard: hint for %q has a non-JSON payload", h.ID)
-	}
-	return nil
-}
-
-// EncodeHintRecord validates and marshals one hint for the journal.
-func EncodeHintRecord(h HintRecord) ([]byte, error) {
-	if err := h.validate(); err != nil {
-		return nil, err
-	}
-	buf, err := json.Marshal(h)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode hint for %q: %w", h.ID, err)
-	}
-	return buf, nil
-}
-
-// DecodeHintRecord unmarshals and validates one journaled hint.
-func DecodeHintRecord(buf []byte) (HintRecord, error) {
-	var h HintRecord
-	if err := json.Unmarshal(buf, &h); err != nil {
-		return HintRecord{}, fmt.Errorf("shard: decode hint: %w", err)
-	}
-	if err := h.validate(); err != nil {
-		return HintRecord{}, err
-	}
-	return h, nil
+	Target  string
+	ID      string
+	Version uint64
 }
 
 // HintJournal is the durable hint store a shard node provides (the
@@ -89,6 +39,9 @@ type HintJournal interface {
 	DeleteHint(target, id string, version uint64) error
 	// HintCount returns the total pending hints across targets.
 	HintCount() int
+	// ExportRecord returns the node's own persisted record for a job:
+	// what a drain pushes.
+	ExportRecord(id string) (ReplicaRecord, bool, error)
 }
 
 // DrainerOptions tunes NewDrainer; zero values select defaults.
@@ -135,8 +88,9 @@ func NewDrainer(m *Map, journal HintJournal, opts DrainerOptions) *Drainer {
 }
 
 // drainOnce attempts one replay pass over every pending target and
-// returns how many hints were delivered (and deleted). Targets the
-// detector marks Down are skipped; a replay failure abandons that
+// returns how many hints were delivered (and deleted). A hint is
+// replayed by pushing the node's current record for its job. Targets
+// the detector marks Down are skipped; a replay failure abandons that
 // target for this pass (the peer is still unreachable) but other
 // targets keep draining.
 func (d *Drainer) drainOnce(ctx context.Context) int {
@@ -157,15 +111,19 @@ func (d *Drainer) drainOnce(ctx context.Context) int {
 			if ctx.Err() != nil {
 				return drained
 			}
-			// Replaying a hint is the POST the original fan-out would
-			// have issued.
-			_, err := d.peer.replicate(ctx, node, ReplicaRecord{ID: h.ID, Version: h.Version, Payload: h.Payload})
-			pick(err == nil, d.metrics.hintsDrained, d.metrics.hintsDrainFailed).Inc()
+			version, held, err := d.peer.pushLocal(ctx, d.journal.ExportRecord, node, h.ID)
 			if err != nil {
+				d.metrics.hintsDrainFailed.Inc()
 				break // peer still unreachable; retry next tick
 			}
-			d.journal.DeleteHint(target, h.ID, h.Version) //nolint:errcheck
-			drained++
+			if held {
+				d.metrics.hintsDrained.Inc()
+				drained++
+			}
+			// A push delivers every hint up to the version it pushed. A
+			// node without the job has nothing to hand off: anti-entropy
+			// converges the target from whichever node holds it.
+			d.journal.DeleteHint(target, h.ID, max(version, h.Version)) //nolint:errcheck
 		}
 	}
 	return drained

@@ -141,11 +141,13 @@ func (e *quorumError) Error() string {
 //
 // With a hint journal configured the quorum is sloppy: a follower push
 // that fails (or is skipped because the detector marked the follower
-// Down) journals the record as a durable hint instead, and the hint
-// counts as an ack — "done implies W durable copies" still holds, with
-// the hint as the W-th copy until the drainer delivers it. Without a
-// journal, followers that miss the write are caught up later by
-// read-repair and anti-entropy but do not count toward the quorum.
+// Down) journals a durable hint instead — (target, id, version), naming
+// the record the caller has just persisted — and the hint counts as an
+// ack until the drainer pushes that record. The hint and the record sit
+// on this node, so such an ack is an obligation, not a second machine's
+// copy. Without a journal, followers that miss the write are caught up
+// later by read-repair and anti-entropy but do not count toward the
+// quorum.
 func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64, payload []byte) error {
 	start := time.Now()
 	outcome := func(reached bool) {
@@ -189,9 +191,7 @@ func (r *Replicator) ReplicateJob(ctx context.Context, id string, version uint64
 				// The hint is journaled on the push goroutine itself, not
 				// the collector — so followers that fail after the quorum
 				// already returned still get their hints recorded.
-				if herr := r.hints.AppendHint(HintRecord{
-					Target: n.ID, ID: id, Version: version, Payload: payload,
-				}); herr == nil {
+				if herr := r.hints.AppendHint(HintRecord{Target: n.ID, ID: id, Version: version}); herr == nil {
 					hinted = true
 					r.selfheal.hintsRecorded.Inc()
 				} else {

@@ -19,20 +19,26 @@ import (
 // In-memory test doubles for the durable interfaces.
 
 // memJournal is an in-memory HintJournal with the same supersede
-// semantics the service-layer journal implements.
+// semantics the service-layer journal implements. Its memStore holds
+// the node's own records, which drains export and push.
 type memJournal struct {
+	*memStore
 	mu    sync.Mutex
 	hints map[string]map[string]HintRecord // target -> job ID -> newest hint
 }
 
 func newMemJournal() *memJournal {
-	return &memJournal{hints: map[string]map[string]HintRecord{}}
+	return &memJournal{memStore: newMemStore(), hints: map[string]map[string]HintRecord{}}
+}
+
+// hold stores a record on the node and journals a hint naming it for
+// target, as a replica write that missed target leaves them.
+func (j *memJournal) hold(target, id string, version uint64, payload string) error {
+	j.ApplyRecord(ReplicaRecord{ID: id, Version: version, Payload: []byte(payload)})
+	return j.AppendHint(HintRecord{Target: target, ID: id, Version: version})
 }
 
 func (j *memJournal) AppendHint(rec HintRecord) error {
-	if err := rec.validate(); err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	byID := j.hints[rec.Target]
@@ -311,41 +317,7 @@ func TestDetectorFlapNeverReachesDown(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Hint records and digests (the fuzzed wire formats).
-
-func TestHintRecordRoundTrip(t *testing.T) {
-	h := HintRecord{Target: "s2", ID: "job-1", Version: 3, Payload: json.RawMessage(`{"id":"job-1","state":"done"}`)}
-	buf, err := EncodeHintRecord(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHintRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Target != h.Target || got.ID != h.ID || got.Version != h.Version || !bytes.Equal(got.Payload, h.Payload) {
-		t.Fatalf("round trip mismatch: %+v != %+v", got, h)
-	}
-}
-
-func TestHintRecordInvalid(t *testing.T) {
-	cases := map[string]HintRecord{
-		"no target":   {ID: "j", Version: 1, Payload: json.RawMessage(`{}`)},
-		"no id":       {Target: "s2", Version: 1, Payload: json.RawMessage(`{}`)},
-		"version 0":   {Target: "s2", ID: "j", Payload: json.RawMessage(`{}`)},
-		"no payload":  {Target: "s2", ID: "j", Version: 1},
-		"bad payload": {Target: "s2", ID: "j", Version: 1, Payload: json.RawMessage(`{`)},
-		"bad utf8":    {Target: "\xff", ID: "j", Version: 1, Payload: json.RawMessage(`{}`)},
-	}
-	for name, h := range cases {
-		if _, err := EncodeHintRecord(h); err == nil {
-			t.Errorf("%s: encode accepted invalid hint %+v", name, h)
-		}
-	}
-	if _, err := DecodeHintRecord([]byte(`not json`)); err == nil {
-		t.Error("decode accepted non-JSON input")
-	}
-}
+// Digests (the fuzzed wire format).
 
 func TestDigestRoundTrip(t *testing.T) {
 	entries := []DigestEntry{{ID: "a", Version: 1}, {ID: "b", Version: 7}, {ID: "c", Version: 2}}
@@ -424,8 +396,8 @@ func TestReplicatorSloppyQuorum(t *testing.T) {
 	}
 	for _, target := range wantTargets {
 		hints, _ := journal.PendingHints(target)
-		if len(hints) != 1 || hints[0].ID != id || hints[0].Version != 1 || !bytes.Equal(hints[0].Payload, payload) {
-			t.Fatalf("hints for %s = %+v, want the missed write verbatim", target, hints)
+		if len(hints) != 1 || hints[0] != (HintRecord{Target: target, ID: id, Version: 1}) {
+			t.Fatalf("hints for %s = %+v, want the missed write's (target, id, version)", target, hints)
 		}
 	}
 	waitFor(t, 5*time.Second, "recorded hint counters", func() bool {
@@ -495,15 +467,13 @@ func TestDrainerReplaysHints(t *testing.T) {
 		return json.RawMessage(fmt.Sprintf(`{"id":"job-%d","state":"done"}`, i))
 	}
 	for i, target := range []string{shards[1].id, shards[1].id, shards[2].id} {
-		if err := journal.AppendHint(HintRecord{
-			Target: target, ID: fmt.Sprintf("job-%d", i), Version: uint64(i + 1), Payload: payload(i),
-		}); err != nil {
+		if err := journal.hold(target, fmt.Sprintf("job-%d", i), uint64(i+1), string(payload(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A hint whose target left the map is unreachable garbage: skipped,
 	// never delivered, never an error.
-	journal.AppendHint(HintRecord{Target: "ghost", ID: "job-x", Version: 1, Payload: json.RawMessage(`{}`)})
+	journal.AppendHint(HintRecord{Target: "ghost", ID: "job-x", Version: 1})
 
 	dr := NewDrainer(m, journal, DrainerOptions{Metrics: sh})
 	if got := dr.drainOnce(context.Background()); got != 3 {
@@ -515,7 +485,7 @@ func TestDrainerReplaysHints(t *testing.T) {
 	if drained := MetricSum(t, sh.WritePrometheus, "granula_selfheal_hints_total", `event="drained"`); drained != 3 {
 		t.Fatalf("drained counter = %v, want 3", drained)
 	}
-	// The replayed bytes are the journaled payloads verbatim.
+	// The replayed bytes are the node's own records verbatim.
 	applied := byID(shards, shards[1].id).appliedRecords()
 	if len(applied) != 2 {
 		t.Fatalf("target got %d replays, want 2", len(applied))
@@ -534,7 +504,7 @@ func TestDrainerReplaysHints(t *testing.T) {
 func TestDrainerSkipsDownTargetsAndKeepsHints(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 3, 3, 2, 0)
 	journal := newMemJournal()
-	journal.AppendHint(HintRecord{Target: shards[1].id, ID: "job-keep", Version: 1, Payload: json.RawMessage(`{"x":1}`)})
+	journal.hold(shards[1].id, "job-keep", 1, `{"x":1}`)
 
 	d := NewDetector(m, "", DetectorOptions{})
 	defer d.Close()
@@ -568,7 +538,7 @@ func TestDrainerKeepsHintOnFailedReplay(t *testing.T) {
 	shards, m, _ := newFakeCluster(t, 2, 2, 1, 0)
 	journal := newMemJournal()
 	sh := NewSelfHealMetrics()
-	journal.AppendHint(HintRecord{Target: shards[1].id, ID: "job-retry", Version: 1, Payload: json.RawMessage(`{"x":1}`)})
+	journal.hold(shards[1].id, "job-retry", 1, `{"x":1}`)
 	shards[1].failing.Store(true)
 
 	dr := NewDrainer(m, journal, DrainerOptions{Metrics: sh})

@@ -122,6 +122,11 @@ func (m *Map) init() error {
 	sort.Slice(m.Shards, func(i, j int) bool { return m.Shards[i].ID < m.Shards[j].ID })
 	ids := make([]string, 0, len(m.Shards))
 	for _, n := range m.Shards {
+		if strings.Contains(n.ID, "/") {
+			// A hint's journal key is ~hint/<target>/<job ID>: the
+			// first slash after the prefix ends the target.
+			return fmt.Errorf("shard: shard ID %q contains '/'", n.ID)
+		}
 		if n.URL == "" {
 			return fmt.Errorf("shard: shard %q has no URL", n.ID)
 		}
