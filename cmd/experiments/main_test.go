@@ -83,8 +83,8 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
-// TestPaperGolden is the committed result behind every Figure 3–8
-// number in EXPERIMENTS.md: the full-scale run (seed 42, every step, in
+// TestPaperGolden is the committed result behind every measured Figure
+// 5–8 number in EXPERIMENTS.md: the full-scale run (seed 42, every step, in
 // order, as `-exp all -out` does) must reproduce out/ byte for byte —
 // the transcript and each figure, report and archive — and out/ holds
 // nothing else. A cost-model or

@@ -12,9 +12,9 @@
 // Because the router keeps no per-job state, any number of router
 // instances can front the same shards behind one load balancer.
 //
-// The shard map comes from -shards (an id=url list) or -map (a JSON
-// file, see internal/shard.Map); both sides of the cluster must be
-// started with the same membership and -replication/-quorum settings.
+// The shard map comes from -shards, the same id=url list every shard
+// gets as -peers, with the same -replication/-quorum settings: router
+// and shards build one ring from one input.
 //
 // Router-specific endpoints:
 //
@@ -54,15 +54,12 @@ func main() {
 type routerConfig struct {
 	addr        string
 	shards      string
-	mapFile     string
 	replication int
 	quorum      int
-	vnodes      int
 	mapVersion  uint64
 	repairEvery int
 	retryBudget int
 	probeEvery  time.Duration
-	noDetector  bool
 }
 
 // parseFlags parses args into a routerConfig without touching globals,
@@ -73,20 +70,17 @@ func parseFlags(args []string, stderr io.Writer) (*routerConfig, error) {
 	cfg := &routerConfig{}
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.shards, "shards", "", `shard map as "id=url,id=url,..."`)
-	fs.StringVar(&cfg.mapFile, "map", "", "shard map JSON file (alternative to -shards; see internal/shard.Map)")
 	fs.IntVar(&cfg.replication, "replication", 0, "replicas per job incl. the primary (0 = all shards); must match the shards' setting")
 	fs.IntVar(&cfg.quorum, "quorum", 0, "write-quorum acks per job (0 = majority); must match the shards' setting")
-	fs.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
-	fs.Uint64Var(&cfg.mapVersion, "map-version", 1, "shard-map version (with -shards; -map files carry their own)")
+	fs.Uint64Var(&cfg.mapVersion, "map-version", 1, "shard-map version")
 	fs.IntVar(&cfg.repairEvery, "repair-every", 16, "probe replica divergence on every Nth successful job read (0 = disable probing)")
 	fs.IntVar(&cfg.retryBudget, "retry-budget", 0, "failover retries per routed request after the first attempt (0 = default of 3, -1 = unlimited)")
 	fs.DurationVar(&cfg.probeEvery, "heartbeat-interval", 0, "failure-detector probe period (0 = 500ms)")
-	fs.BoolVar(&cfg.noDetector, "no-detector", false, "disable the failure detector; routing falls back to pure ring order")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if (cfg.shards == "") == (cfg.mapFile == "") {
-		fmt.Fprintf(stderr, "granula-router: exactly one of -shards or -map is required\n")
+	if cfg.shards == "" {
+		fmt.Fprintf(stderr, "granula-router: -shards is required\n")
 		return nil, fmt.Errorf("bad shard map flags")
 	}
 	if cfg.repairEvery < 0 {
@@ -100,16 +94,14 @@ func parseFlags(args []string, stderr io.Writer) (*routerConfig, error) {
 	return cfg, nil
 }
 
-// loadMap builds the shard map from whichever source was configured.
+// loadMap builds the shard map from -shards, as granula-serve builds
+// its own from -peers.
 func loadMap(cfg *routerConfig) (*shard.Map, error) {
-	if cfg.mapFile != "" {
-		return shard.LoadMap(cfg.mapFile)
-	}
 	nodes, err := shard.ParseNodes(cfg.shards)
 	if err != nil {
 		return nil, err
 	}
-	return shard.NewMap(cfg.mapVersion, nodes, cfg.replication, cfg.quorum, cfg.vnodes)
+	return shard.NewMap(cfg.mapVersion, nodes, cfg.replication, cfg.quorum, 0)
 }
 
 // run is the testable entry point: it serves until ctx is canceled
@@ -131,13 +123,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "granula-router: %v\n", err)
 		return 1
 	}
-	var det *shard.Detector
-	if !cfg.noDetector {
-		// Self "" — the router is not in the map and probes every shard.
-		det = shard.NewDetector(m, "", shard.DetectorOptions{Interval: cfg.probeEvery})
-		det.Start()
-		defer det.Close()
-	}
+	// Self "" — the router is not in the map and probes every shard.
+	det := shard.NewDetector(m, "", shard.DetectorOptions{Interval: cfg.probeEvery})
+	det.Start()
+	defer det.Close()
 	rt := shard.NewRouter(m, shard.RouterOptions{
 		RepairEvery: cfg.repairEvery,
 		RetryBudget: cfg.retryBudget,

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -26,9 +24,8 @@ import (
 // as a reviewed change to this list.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "heartbeat-interval", "map", "map-version", "no-detector",
-		"quorum", "repair-every", "replication", "retry-budget", "shards",
-		"vnodes",
+		"addr", "heartbeat-interval", "map-version", "quorum",
+		"repair-every", "replication", "retry-budget", "shards",
 	}
 	var usage bytes.Buffer
 	parseFlags([]string{"-h"}, &usage)
@@ -50,7 +47,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != ":8080" || cfg.replication != 0 || cfg.quorum != 0 || cfg.vnodes != 0 {
+	if cfg.addr != ":8080" || cfg.replication != 0 || cfg.quorum != 0 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if cfg.mapVersion != 1 || cfg.repairEvery != 16 {
@@ -60,13 +57,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 func TestParseFlagsRejectsBadCombos(t *testing.T) {
 	var buf bytes.Buffer
-	// Neither -shards nor -map.
 	if _, err := parseFlags(nil, &buf); err == nil {
 		t.Fatal("parseFlags accepted a router without a shard map")
-	}
-	// Both at once.
-	if _, err := parseFlags([]string{"-shards", "s1=http://h1:1", "-map", "m.json"}, &buf); err == nil {
-		t.Fatal("parseFlags accepted -shards and -map together")
 	}
 	if _, err := parseFlags([]string{"-shards", "s1=http://h1:1", "-repair-every", "-1"}, &buf); err == nil {
 		t.Fatal("parseFlags accepted a negative repair interval")
@@ -83,12 +75,13 @@ func TestParseFlagsRejectsBadCombos(t *testing.T) {
 	}
 }
 
-func TestLoadMapFromFlagAndFile(t *testing.T) {
+// TestLoadMapFromShards: the router's map is the one granula-serve
+// builds from the same list as -peers, with the same R, W and version,
+// so both sides place every job on one ring.
+func TestLoadMapFromShards(t *testing.T) {
+	const list = "s1=http://h1:1,s2=http://h2:1,s3=http://h3:1"
 	var buf bytes.Buffer
-	cfg, err := parseFlags([]string{
-		"-shards", "s1=http://h1:1,s2=http://h2:1,s3=http://h3:1",
-		"-replication", "3", "-quorum", "2", "-map-version", "7",
-	}, &buf)
+	cfg, err := parseFlags([]string{"-shards", list, "-replication", "3", "-quorum", "2", "-map-version", "7"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,45 +92,46 @@ func TestLoadMapFromFlagAndFile(t *testing.T) {
 	if len(m.Shards) != 3 || m.Replication != 3 || m.WriteQuorum != 2 || m.Version != 7 {
 		t.Fatalf("map from -shards wrong: %+v", m)
 	}
+	nodes, err := shard.ParseNodes(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers, err := shard.NewMap(7, nodes, 3, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(m)
+	want, _ := json.Marshal(peers)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("router map differs from the shards' map:\n%s\n%s", got, want)
+	}
+}
 
-	// The same map via a JSON file round-trips.
-	path := filepath.Join(t.TempDir(), "map.json")
-	blob, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg2, err := parseFlags([]string{"-map", path}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := loadMap(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m2.Shards) != 3 || m2.Replication != 3 || m2.WriteQuorum != 2 || m2.Version != 7 {
-		t.Fatalf("map from -map file wrong: %+v", m2)
-	}
-	blob2, err := json.Marshal(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) {
-		t.Fatalf("flag-built and file-built maps differ:\n%s\n%s", blob, blob2)
+// TestRetiredFlagsExitTwo: the router's ring is the shards' ring and it
+// always routes around dead shards, so -vnodes, -map and -no-detector
+// are usage errors. The context is already cancelled, so a router that
+// accepted one would exit 0 at once.
+func TestRetiredFlagsExitTwo(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, extra := range [][]string{{"-vnodes", "7"}, {"-map", "f.json"}, {"-no-detector"}} {
+		var buf bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0", "-shards", "s1=http://h1:1"}, extra...)
+		if code := run(ctx, args, &buf); code != 2 {
+			t.Errorf("granula-router %v exited %d, want 2", extra, code)
+		}
 	}
 }
 
 func TestParseFlagsSelfHealing(t *testing.T) {
 	var buf bytes.Buffer
-	// Defaults: detector on, budget and probe period at their package
-	// defaults (signalled by zero values).
+	// Defaults: budget and probe period at their package defaults
+	// (signalled by zero values).
 	cfg, err := parseFlags([]string{"-shards", "s1=http://h1:1"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.retryBudget != 0 || cfg.probeEvery != 0 || cfg.noDetector {
+	if cfg.retryBudget != 0 || cfg.probeEvery != 0 {
 		t.Fatalf("self-healing defaults wrong: %+v", cfg)
 	}
 
@@ -145,12 +139,11 @@ func TestParseFlagsSelfHealing(t *testing.T) {
 		"-shards", "s1=http://h1:1",
 		"-retry-budget", "-1",
 		"-heartbeat-interval", "250ms",
-		"-no-detector",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.retryBudget != -1 || cfg.probeEvery != 250*time.Millisecond || !cfg.noDetector {
+	if cfg.retryBudget != -1 || cfg.probeEvery != 250*time.Millisecond {
 		t.Fatalf("self-healing flags wrong: %+v", cfg)
 	}
 

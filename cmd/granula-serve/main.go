@@ -33,8 +33,8 @@
 // own supersteps automatically. Either way GET /watch/{id} tails the
 // job over SSE and /jobs/{id}/query answers over the partial archive.
 // When the stream seals, the assembled archive is byte-identical to a
-// batch run over the same records. See the README's "Watching live
-// jobs" section.
+// batch run over the same records. See the README's "Live jobs:
+// /watch and /ingest" section.
 //
 // Throughput, latency and storage figures come from the repository
 // benchmark, which drives this service code over loopback HTTP, e.g.
@@ -50,7 +50,7 @@
 // replica set and acked done only after -quorum shards hold it, and the
 // cluster-internal /internal/replicate, /internal/export/{id}, and
 // /cluster endpoints come up. See internal/shard and the README's
-// "Running a cluster" section.
+// "A cluster: shards behind granula-router" section.
 package main
 
 import (

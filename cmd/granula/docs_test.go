@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -80,6 +81,30 @@ func TestDocCommands(t *testing.T) {
 		if !documented[name] {
 			t.Errorf("no document shows granula %s", name)
 		}
+	}
+}
+
+// docBudget is the most lines README, DESIGN and EXPERIMENTS may hold
+// together. Raising it is a reviewed edit of this line, not drift.
+const docBudget = 1064
+
+// TestDocBudget holds the three documents to docBudget lines, counted
+// as wc -l counts them, and prints each file's count.
+func TestDocBudget(t *testing.T) {
+	total := 0
+	var counts []string
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := strings.Count(string(raw), "\n")
+		total += n
+		counts = append(counts, fmt.Sprintf("%s %d", doc, n))
+	}
+	t.Logf("%s; total %d of %d", strings.Join(counts, ", "), total, docBudget)
+	if total > docBudget {
+		t.Errorf("%s: %d lines, over the budget of %d", strings.Join(counts, ", "), total, docBudget)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 )
 
 // TestDesignAblations is the committed result behind the ablation table
-// in EXPERIMENTS.md and the six design choices DESIGN.md calls out. The
-// values are simulated seconds (or ratios) on one fixed graph, so they
+// in EXPERIMENTS.md, one row per design choice. The values are simulated seconds (or ratios) on one fixed graph, so they
 // are the same on every host: each row lists its variants from cheapest
 // to dearest, and the test asserts that order and each documented value
 // to the four digits the documents print.

@@ -116,8 +116,8 @@ func nudge(f reflect.Value) {
 }
 
 // movesFigures is, for every calibration field that moves a fidelity
-// target, the paper figures whose targets it moves (EXPERIMENTS.md's
-// "constant → figures it moves" table).
+// target, the paper figures whose targets it moves (EXPERIMENTS.md,
+// "Which constant moves which figure").
 var movesFigures = map[string]string{
 	"Cluster.Nodes":             "5",
 	"Cluster.DiskBandwidth":     "5",

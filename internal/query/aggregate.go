@@ -16,8 +16,8 @@
 // group keys map to dense slots, and each aggregate folds its column
 // over the selection, whose order is row order. Percentiles are EXACT,
 // not sketched: partials carry the matching values themselves and the
-// merge sorts the concatenation — see DESIGN.md for the contract and
-// the sketch trade-off.
+// merge sorts the concatenation — see DESIGN.md, "Cross-job
+// aggregation", for the contract and the sketch trade-off.
 //
 // Partials are typed: sums and percentile values are float64s, a
 // min/max is its winning value. Strings appear only on the wire, in

@@ -2,11 +2,11 @@
 // layer over the Granula pipeline. It owns a bounded job executor pool
 // that runs (platform, algorithm, graph) simulations concurrently, an
 // archive store that holds each job as columns — the frame every query
-// scans (DESIGN.md ablation item 6) and the environment samples, from
-// which the archive tree is rebuilt only for a reader that needs one —
-// written through to an archivedb database, and a JSON HTTP API that
-// exposes submission, status, archive retrieval, the query language,
-// visualization, and regression diffs.
+// scans and the environment samples (DESIGN.md, "The store: a job is a
+// frame"), from which the archive tree is rebuilt only for a reader
+// that needs one — written through to an archivedb database, and a JSON
+// HTTP API that exposes submission, status, archive retrieval, the query
+// language, visualization, and regression diffs.
 //
 // The store and executor are safe for concurrent use; every JSON
 // response is deterministic (sorted keys and slices) so serve output is

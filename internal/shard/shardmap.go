@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
-	"os"
 	"sort"
 	"strings"
 )
@@ -20,10 +18,10 @@ type Node struct {
 
 // Map is the cluster's static, versioned shard map: the full membership
 // plus the replication and quorum parameters every node must agree on.
-// The map is propagated as configuration (a -peers flag or a JSON file)
-// and echoed by every node's /cluster endpoint with its version, so an
-// operator can confirm the whole cluster converged on the same map
-// before and after a change.
+// The map is propagated as configuration (granula-serve -peers,
+// granula-router -shards) and echoed by every node's /cluster endpoint
+// with its version, so an operator can confirm the whole cluster
+// converged on the same map before and after a change.
 type Map struct {
 	// Version is bumped by the operator on every map change. Nodes and
 	// the router only compare it for visibility; placement is derived
@@ -89,29 +87,6 @@ func NewMap(version uint64, nodes []Node, replication, writeQuorum, vnodes int) 
 		return nil, err
 	}
 	return m, nil
-}
-
-// LoadMap reads a shard map from a JSON file (the durable form of the
-// -peers flag, for maps too big or too precious for a command line).
-func LoadMap(path string) (*Map, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	var m Map
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return nil, fmt.Errorf("shard: parse map %s: %w", path, err)
-	}
-	if m.Replication < 1 || m.Replication > len(m.Shards) {
-		m.Replication = len(m.Shards)
-	}
-	if m.WriteQuorum < 1 {
-		m.WriteQuorum = m.Replication/2 + 1
-	}
-	if err := m.init(); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // init validates the map and builds its ring.
