@@ -57,7 +57,8 @@ type FaultInjector interface {
 
 // Injection sites threaded through the engine.
 const (
-	// siteAppend guards every WAL append (Put, Delete, Probe).
+	// siteAppend guards every WAL append (Put, Delete, Probe and
+	// compaction's copies).
 	siteAppend = "archivedb.append"
 	// siteRead guards every record read (Get).
 	siteRead = "archivedb.read"
@@ -324,11 +325,12 @@ func (db *DB) replaySegment(n uint64, off int64, last bool) error {
 	}
 
 	for off < size {
-		payload, frameLen, err := readFrame(f, off, size, db.opts.MaxRecordBytes)
+		frame, err := readFrame(f, off, size, db.opts.MaxRecordBytes)
 		if err != nil {
 			return truncate(off)
 		}
-		env, _, err := decodePayload(payload)
+		frameLen := int64(len(frame))
+		env, _, err := decodePayload(frame[frameHeaderSize:])
 		if err != nil {
 			return truncate(off)
 		}
@@ -433,45 +435,6 @@ func (db *DB) rotateLocked() error {
 	}
 	db.readMu.Unlock()
 	return db.createSegmentLocked(db.activeSeg + 1)
-}
-
-// appendLocked writes one frame to the WAL, rotating first if it would
-// overflow the active segment, and returns the record's offset.
-func (db *DB) appendLocked(frame []byte) (int64, error) {
-	if db.activeSize > segmentHeaderSize &&
-		db.activeSize+int64(len(frame)) > db.opts.SegmentSize {
-		if err := db.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	off := db.activeSize
-	if inj := db.opts.Injector; inj != nil {
-		if err := inj.Fail(siteAppend); err != nil {
-			return 0, fmt.Errorf("archivedb: append: %w", err)
-		}
-		torn, err := inj.Mangle(siteAppend, frame)
-		if err != nil {
-			// Torn write: persist the prefix exactly as a crash mid-write
-			// would, without advancing activeSize — the next successful
-			// append overwrites it, and a reopen truncates it as a torn
-			// tail. Either way no reader ever sees the partial frame.
-			if len(torn) > 0 {
-				db.active.WriteAt(torn, off)
-			}
-			return 0, fmt.Errorf("archivedb: append: %w", err)
-		}
-	}
-	if _, err := db.active.WriteAt(frame, off); err != nil {
-		return 0, fmt.Errorf("archivedb: append: %w", err)
-	}
-	if !db.opts.NoSync {
-		if err := db.active.Sync(); err != nil {
-			return 0, fmt.Errorf("archivedb: append sync: %w", err)
-		}
-	}
-	db.activeSize += int64(len(frame))
-	db.segs[db.activeSeg].size = db.activeSize
-	return off, nil
 }
 
 // setLocked points the index at a record and credits its segment.
@@ -594,12 +557,12 @@ func (db *DB) Get(id string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	payload, _, err := readFrame(f, loc.off, loc.off+loc.size, db.opts.MaxRecordBytes)
+	frame, err := readFrame(f, loc.off, loc.off+loc.size, db.opts.MaxRecordBytes)
 	if err != nil {
 		return nil, false, fmt.Errorf("archivedb: record %q unreadable in %s at %d: %w",
 			id, segmentName(loc.seg), loc.off, err)
 	}
-	env, data, err := decodePayload(payload)
+	env, data, err := decodePayload(frame[frameHeaderSize:])
 	if err != nil {
 		return nil, false, err
 	}

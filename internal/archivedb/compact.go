@@ -1,9 +1,7 @@
 package archivedb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 )
@@ -28,11 +26,14 @@ func (db *DB) compactLoop() {
 
 // compact rewrites every live record from sealed segments into the
 // active segment, snapshots the index, and deletes the sealed
-// segments. Crash safety comes from ordering alone: copies are ordinary
-// appends (old and new versions coexist, replay keeps the newer), and
-// victims are removed only after the copies and the snapshot are on
-// disk. A crash at any point leaves a WAL that replays to the same
-// live set.
+// segments. Each victim's live frames go, checksum-verified and byte
+// for byte, to the WAL's one writer as one batch, so memory holds at
+// most one segment's copies. The copies count toward neither group
+// commit nor the snapshot cadence. Crash safety comes from ordering
+// alone: a copy is an ordinary append (old and new versions coexist,
+// replay keeps the newer), and victims are removed only after the
+// copies and the snapshot are on disk. A crash at any point leaves a
+// WAL that replays to the same live set.
 func (db *DB) compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -78,24 +79,24 @@ func (db *DB) compactLocked() error {
 		if err != nil {
 			return err
 		}
+		batch := make([]*commitReq, 0, len(ids))
 		for _, id := range ids {
 			loc := db.index[id]
-			payload, _, err := readFrame(f, loc.off, loc.off+loc.size, db.opts.MaxRecordBytes)
+			frame, err := readFrame(f, loc.off, loc.off+loc.size, db.opts.MaxRecordBytes)
 			if err != nil {
 				return fmt.Errorf("archivedb: compact: record %q unreadable: %w", id, err)
 			}
-			frame := make([]byte, frameHeaderSize+len(payload))
-			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-			copy(frame[frameHeaderSize:], payload)
-			off, err := db.appendLocked(frame)
-			if err != nil {
-				return err
+			batch = append(batch, &commitReq{frame: frame, apply: func(seg uint64, off int64) {
+				db.dropLocked(id)
+				db.setLocked(id, recordLoc{seg: seg, off: off, size: loc.size, meta: loc.meta})
+			}})
+			moved += loc.size
+		}
+		db.writeLocked(batch)
+		for _, r := range batch {
+			if r.err != nil {
+				return r.err
 			}
-			meta := loc.meta
-			db.dropLocked(id)
-			db.setLocked(id, recordLoc{seg: db.activeSeg, off: off, size: int64(len(frame)), meta: meta})
-			moved += int64(len(frame))
 		}
 	}
 

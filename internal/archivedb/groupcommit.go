@@ -9,17 +9,18 @@ import (
 // Group commit batches concurrent WAL appends into one buffered segment
 // write plus one shared fsync. Writers (Put, Delete, Probe) enqueue
 // their encoded frame and block; a single committer goroutine drains the
-// queue, concatenates the frames, writes them with one WriteAt, fsyncs
-// once, applies every index mutation under db.mu, and only then wakes
-// the writers. The durability contract is unchanged: when a writer's
-// call returns nil its record is in the WAL and (unless NoSync) fsynced
-// — the fsync is merely shared across the batch. With
+// queue and hands the batch to writeLocked, the WAL's one writer, which
+// writes the frames with one WriteAt, fsyncs once and applies every
+// index mutation under db.mu; only then are the writers woken. When a
+// writer's call returns nil its record is in the WAL and (unless
+// NoSync) fsynced — the fsync is merely shared across the batch. With
 // Options.GroupCommitWindow > 0 the committer waits that long before
 // draining, trading bounded single-writer latency for larger batches.
 
-// commitReq is one writer's pending append: the encoded frame, the
-// index mutation to run under db.mu once the shared fsync succeeds, and
-// the completion signal carrying the outcome.
+// commitReq is one pending WAL append: the encoded frame, the index
+// mutation to run under db.mu once its run's fsync succeeds, the
+// outcome, and — for a group-commit writer, not a compaction copy — the
+// signal that wakes the writer.
 type commitReq struct {
 	frame []byte
 	apply func(seg uint64, off int64)
@@ -118,13 +119,12 @@ func (db *DB) waitQueueSettled() {
 	}
 }
 
-// flushBatchLocked writes a batch of frames as contiguous runs — one
-// WriteAt and one fsync per run — applying index mutations only after
-// the run's fsync succeeds. Runs break at segment rotation and at
-// injected faults: a vetoed frame fails alone, and a torn (mangled)
-// frame persists its prefix exactly where a crash mid-write would have
-// left it, without advancing activeSize, so the next write overwrites
-// it and a reopen truncates it as a torn tail.
+// flushBatchLocked is group commit's bookkeeping around writeLocked:
+// it counts the batch, its records and its fsyncs, and only once every
+// run is written and applied does it advance the snapshot and
+// compaction cadence, one step per acked record. A periodic snapshot
+// therefore never lands between two records of one run, where it
+// would name a replay position past a record it does not hold.
 func (db *DB) flushBatchLocked(batch []*commitReq) {
 	if db.closed {
 		for _, r := range batch {
@@ -137,7 +137,24 @@ func (db *DB) flushBatchLocked(batch []*commitReq) {
 	if len(batch) > db.stats.GroupCommitMaxBatch {
 		db.stats.GroupCommitMaxBatch = len(batch)
 	}
+	db.stats.GroupCommitFsyncs += db.writeLocked(batch)
+	for _, r := range batch {
+		if r.err == nil {
+			db.afterAppendLocked()
+		}
+	}
+}
 
+// writeLocked is the WAL's one writer: group commit and compaction both
+// append through it. It writes frames as contiguous runs — one WriteAt
+// and one fsync per run — and runs each frame's apply only after its
+// run's fsync succeeds; it returns the number of runs written. Runs
+// break at segment rotation and at injected faults: a vetoed frame
+// fails alone, and a torn (mangled) frame persists its prefix exactly
+// where a crash mid-write would have left it, without advancing
+// activeSize, so the next write overwrites it and a reopen truncates it
+// as a torn tail.
+func (db *DB) writeLocked(batch []*commitReq) (runs uint64) {
 	var run []*commitReq
 	var buf []byte
 	flushRun := func() {
@@ -155,7 +172,7 @@ func (db *DB) flushBatchLocked(batch []*commitReq) {
 		}
 		if runErr != nil {
 			// activeSize stays put: the bytes are unacked and the next
-			// run overwrites them, matching single-append semantics.
+			// run overwrites them.
 			for _, r := range run {
 				r.err = runErr
 			}
@@ -163,13 +180,12 @@ func (db *DB) flushBatchLocked(batch []*commitReq) {
 			db.activeSize += int64(len(buf))
 			db.segs[db.activeSeg].size = db.activeSize
 			off := base
-			db.stats.GroupCommitFsyncs++
+			runs++
 			for _, r := range run {
 				if r.apply != nil {
 					r.apply(db.activeSeg, off)
 				}
 				off += int64(len(r.frame))
-				db.afterAppendLocked()
 			}
 		}
 		run = run[:0]
@@ -211,4 +227,5 @@ func (db *DB) flushBatchLocked(batch []*commitReq) {
 		run = append(run, r)
 	}
 	flushRun()
+	return runs
 }

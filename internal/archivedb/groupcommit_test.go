@@ -319,3 +319,52 @@ func TestGroupCommitDeleteVisibility(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupCommitSnapshotCoversWholeBatch pins that a periodic snapshot
+// never lands between two records of one run. The snapshot names the
+// replay position after everything written, so it must hold every
+// record before that position: with SnapshotEvery 2 and one record
+// already counted, the cadence fires on the first record of a
+// two-record run, and a crash-reopen must still find the second.
+func TestGroupCommitSnapshotCoversWholeBatch(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.SnapshotEvery = 2
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put("a", payloadFor(0), IndexMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []*commitReq
+	for i, id := range []string{"b", "c"} {
+		frame, err := encodeFrame(envelope{Op: opPut, ID: id, Meta: &IndexMeta{}}, payloadFor(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, &commitReq{frame: frame, apply: func(seg uint64, off int64) {
+			db.dropLocked(id)
+			db.setLocked(id, recordLoc{seg: seg, off: off, size: int64(len(frame))})
+		}})
+	}
+	db.mu.Lock()
+	db.flushBatchLocked(batch)
+	db.mu.Unlock()
+	if st := db.Stats(); st.Snapshots != 1 || st.GroupCommitFsyncs != 2 {
+		t.Fatalf("want one snapshot and two runs: %+v", st)
+	}
+
+	crashed, err := Open(copyDir(t, dir), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	for i, id := range []string{"a", "b", "c"} {
+		got, ok, err := crashed.Get(id)
+		if err != nil || !ok || !bytes.Equal(got, payloadFor(i)) {
+			t.Fatalf("crash-reopen lost acked %s: ok=%v err=%v", id, ok, err)
+		}
+	}
+}

@@ -71,30 +71,31 @@ func encodeFrame(env envelope, data []byte) ([]byte, error) {
 	return frame, nil
 }
 
-// readFrame reads and checksums the frame starting at off. fileSize
-// bounds the read so a torn tail is detected without trusting the
-// length field; maxRecord guards against absurd lengths from corrupt
-// headers. It returns the payload and the full frame length on disk.
-func readFrame(r io.ReaderAt, off, fileSize, maxRecord int64) ([]byte, int64, error) {
+// readFrame reads and checksums the frame starting at off and returns
+// its bytes, header included, as they lie on disk. fileSize bounds the
+// read so a torn tail is detected without trusting the length field;
+// maxRecord guards against absurd lengths from corrupt headers.
+func readFrame(r io.ReaderAt, off, fileSize, maxRecord int64) ([]byte, error) {
 	if off+frameHeaderSize > fileSize {
-		return nil, 0, errTornFrame
+		return nil, errTornFrame
 	}
 	var hdr [frameHeaderSize]byte
 	if _, err := r.ReadAt(hdr[:], off); err != nil {
-		return nil, 0, errTornFrame
+		return nil, errTornFrame
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	if n > maxRecord || off+frameHeaderSize+n > fileSize {
-		return nil, 0, errTornFrame
+		return nil, errTornFrame
 	}
-	payload := make([]byte, n)
-	if _, err := r.ReadAt(payload, off+frameHeaderSize); err != nil {
-		return nil, 0, errTornFrame
+	frame := make([]byte, frameHeaderSize+n)
+	copy(frame, hdr[:])
+	if _, err := r.ReadAt(frame[frameHeaderSize:], off+frameHeaderSize); err != nil {
+		return nil, errTornFrame
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, 0, errTornFrame
+	if crc32.Checksum(frame[frameHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errTornFrame
 	}
-	return payload, frameHeaderSize + n, nil
+	return frame, nil
 }
 
 // decodePayload splits a frame payload back into its envelope and data.

@@ -378,6 +378,14 @@ func (e *Executor) listStates() []JobState {
 	return out
 }
 
+// jobCount returns how many jobs listStates would return, without
+// copying their states.
+func (e *Executor) jobCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.order)
+}
+
 // QueueDepth reports the number of jobs waiting for a worker.
 func (e *Executor) QueueDepth() int {
 	e.mu.Lock()

@@ -298,8 +298,8 @@ func TestExecutorStatesOrder(t *testing.T) {
 		}
 	}
 	states := e.listStates()
-	if len(states) != 4 {
-		t.Fatalf("States returned %d, want 4", len(states))
+	if len(states) != 4 || e.jobCount() != 4 {
+		t.Fatalf("States returned %d and jobCount %d, want 4", len(states), e.jobCount())
 	}
 	for i, st := range states {
 		if want := []string{"job-0001", "job-0002", "job-0003", "job-0004"}[i]; st.ID != want {

@@ -22,11 +22,11 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // aggQuery parses the /query2 query in ?q= (query.ParseQuery2),
@@ -50,14 +50,15 @@ func (s *Server) localPartials(q *query.Query) ([]query.JobPartial, error) {
 	})
 }
 
-// inOrder calls part for indexes 0..n-1 over runtime.GOMAXPROCS(0)
-// workers and returns the ok results in index order: the /query2
-// fan-out over jobs and the store's reopen use it. Workers claim
-// indexes in order and each writes only its own slot, so the result is
-// the serial loop's; on failure the error returned is the lowest
-// index's, which is also what the serial loop returns. After a failure
-// no new index is claimed — every index below the failing one was
-// already. With one worker it is the serial loop.
+// inOrder calls part for indexes 0..n-1 through sim.HostPool.ForkJoin
+// over runtime.GOMAXPROCS(0) goroutines and returns the ok results in
+// index order: the /query2 fan-out over jobs and the store's reopen use
+// it. Each call writes only its own slot, so the result is the serial
+// loop's; on failure the error returned is the lowest index's, which is
+// also what the serial loop returns. An index above a failed one is
+// skipped; every index below it still runs. A panicking part re-panics
+// on the caller once every index has finished, where a handler's
+// recover turns it into a 500. With one goroutine it is the serial loop.
 func inOrder[T any](n int, part func(i int) (T, bool, error)) ([]T, error) {
 	type slot struct {
 		v   T
@@ -65,33 +66,22 @@ func inOrder[T any](n int, part func(i int) (T, bool, error)) ([]T, error) {
 		err error
 	}
 	slots := make([]slot, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for !failed.Load() {
-			i := int(next.Add(1) - 1)
-			if i >= n {
+	var lowestFailed atomic.Int64
+	lowestFailed.Store(int64(n))
+	sim.NewHostPool(runtime.GOMAXPROCS(0)).ForkJoin(n, func(i int) {
+		if int64(i) > lowestFailed.Load() {
+			return
+		}
+		sl := &slots[i]
+		if sl.v, sl.ok, sl.err = part(i); sl.err == nil {
+			return
+		}
+		for f := lowestFailed.Load(); int64(i) < f; f = lowestFailed.Load() {
+			if lowestFailed.CompareAndSwap(f, int64(i)) {
 				return
 			}
-			sl := &slots[i]
-			if sl.v, sl.ok, sl.err = part(i); sl.err != nil {
-				failed.Store(true)
-			}
 		}
-	}
-	if workers := min(runtime.GOMAXPROCS(0), n); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	out := make([]T, 0, n)
 	for _, sl := range slots {
 		if sl.err != nil {

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -233,6 +235,28 @@ func TestQuery2FanOutOrderAndLowestError(t *testing.T) {
 			t.Fatalf("error %v, want the lowest failing job's", err)
 		}
 	}
+}
+
+// TestQuery2FanOutPanicReachesCaller pins that a panicking task of the
+// fan-out re-panics on the calling goroutine, where a handler's recover
+// answers 500, instead of ending the process from a worker goroutine.
+// It runs with at least two scheduler threads, where the tasks do not
+// run inline.
+func TestQuery2FanOutPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
+			t.Fatalf("recovered %v, want the task's panic", r)
+		}
+	}()
+	inOrder(64, func(i int) (int, bool, error) {
+		if i == 40 {
+			panic("boom")
+		}
+		return i, true, nil
+	})
+	t.Fatal("inOrder returned past a panicking task")
 }
 
 // TestQuery2CachedResponseByteIdentical: the second identical request

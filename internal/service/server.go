@@ -61,12 +61,6 @@ type Server struct {
 	closing     chan struct{}
 	closingOnce sync.Once
 
-	// durableMu guards durable, the per-live-job high-water sequence
-	// already persisted as stream batches; an ingest ack implies the
-	// batch is at or below this mark.
-	durableMu sync.Mutex
-	durable   map[string]uint64
-
 	// jitterMu guards jitter, the source behind Retry-After values.
 	// Randomizing the hint spreads retries from shed clients over a
 	// window instead of synchronizing them into a thundering herd one
@@ -112,7 +106,6 @@ func NewServerWith(exec *Executor, store *Store, m *Metrics, opts ServerOptions)
 		streams: opts.Streams, heartbeat: opts.WatchHeartbeat,
 		resp:    respCache{memo: map[string]respEntry{}},
 		closing: make(chan struct{}),
-		durable: map[string]uint64{},
 		jitter:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if s.streams == nil {
@@ -702,7 +695,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{
 		Status:     status,
 		Breaker:    breaker.String(),
-		Jobs:       len(s.exec.listStates()),
+		Jobs:       s.exec.jobCount(),
 		QueueDepth: s.exec.QueueDepth(),
 		StoreJobs:  s.store.Len(),
 		Generation: s.store.gen(),

@@ -194,15 +194,17 @@ type Store struct {
 	jobs map[string]*storedJob
 	db   *archivedb.DB
 
-	// streamKeys tracks, per live streamed job, the archivedb keys of
-	// its acked ingest batches so sealing can delete them in one sweep.
-	streamKeys map[string][]string
+	// streamKeys tracks, per live streamed job, its acked ingest
+	// batches: their archivedb keys, so sealing can delete them in one
+	// sweep, and the highest sequence they cover.
+	streamKeys map[string]ackedBatches
 	// hints is the in-memory view of the hinted-handoff journal
 	// (target -> job ID -> newest hint), mirrored to archivedb under
 	// hintKeyPrefix; see store_hints.go.
 	hints map[string]map[string]shard.HintRecord
 	// recoveredStream holds the stream batches found during warm-up,
-	// sorted by (job, lastSeq); the server replays them at startup.
+	// sorted by (job, lastSeq), until the server takes them to replay
+	// at startup.
 	recoveredStream []streamBatch
 
 	// generation counts publishes. It is bumped inside the same critical
@@ -231,7 +233,7 @@ func NewStoreWithOptions(db *archivedb.DB, opts StoreOptions) (*Store, error) {
 	s := &Store{
 		jobs:       map[string]*storedJob{},
 		db:         db,
-		streamKeys: map[string][]string{},
+		streamKeys: map[string]ackedBatches{},
 		hints:      map[string]map[string]shard.HintRecord{},
 		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
 			m.transitions.With(to.String()).Inc()
@@ -284,7 +286,7 @@ func (s *Store) load() error {
 			}
 			s.hints[r.hint.Target][r.hint.ID] = *r.hint
 		default:
-			s.streamKeys[r.batch.JobID] = append(s.streamKeys[r.batch.JobID], r.id)
+			s.addStreamKeyLocked(r.batch.JobID, r.batch.LastSeq, r.id)
 			s.recoveredStream = append(s.recoveredStream, *r.batch)
 		}
 	}
@@ -600,20 +602,45 @@ func (s *Store) appendStreamBatch(jobID string, lastSeq uint64, payload []byte) 
 		return err
 	}
 	s.mu.Lock()
-	s.streamKeys[jobID] = append(s.streamKeys[jobID], key)
+	s.addStreamKeyLocked(jobID, lastSeq, key)
 	s.mu.Unlock()
 	return nil
 }
 
-// recoveredStreamBatches returns the acked ingest batches found when
-// the store was opened over an existing database, sorted by
-// (job, lastSeq) — replay order. The serving layer folds them back into
-// live jobs at startup.
-func (s *Store) recoveredStreamBatches() []streamBatch {
+// ackedBatches is one live streamed job's acked ingest batches: their
+// archivedb keys and durable, the highest sequence they cover. An
+// ingest ack implies its events are at or below durable.
+type ackedBatches struct {
+	keys    []string
+	durable uint64
+}
+
+// addStreamKeyLocked records the acked batch stored under key. Callers
+// hold s.mu (or own the store, during load).
+func (s *Store) addStreamKeyLocked(jobID string, lastSeq uint64, key string) {
+	k := s.streamKeys[jobID]
+	k.keys = append(k.keys, key)
+	k.durable = max(k.durable, lastSeq)
+	s.streamKeys[jobID] = k
+}
+
+// durableSeq returns the highest sequence of a live job's events that
+// its acked batches hold, 0 for none.
+func (s *Store) durableSeq(jobID string) uint64 {
 	s.mu.RLock()
-	out := make([]streamBatch, len(s.recoveredStream))
-	copy(out, s.recoveredStream)
-	s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	return s.streamKeys[jobID].durable
+}
+
+// takeRecoveredStreams hands over, once, the acked ingest batches found
+// when the store was opened over an existing database, sorted by
+// (job, lastSeq) — replay order. The serving layer folds them back into
+// live jobs at startup; after that the store keeps no payload of them.
+func (s *Store) takeRecoveredStreams() []streamBatch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.recoveredStream
+	s.recoveredStream = nil
 	return out
 }
 
@@ -624,7 +651,7 @@ func (s *Store) recoveredStreamBatches() []streamBatch {
 // startup discards the same way.
 func (s *Store) deleteStreamBatches(jobID string) error {
 	s.mu.Lock()
-	keys := s.streamKeys[jobID]
+	keys := s.streamKeys[jobID].keys
 	delete(s.streamKeys, jobID)
 	s.mu.Unlock()
 	var first error

@@ -183,7 +183,7 @@ func TestReservedJobIDsRefused(t *testing.T) {
 	if ids := db.IDs(); len(ids) != 0 {
 		t.Fatalf("the database holds %q", ids)
 	}
-	if store.Len() != 0 || store.HintCount() != 0 || len(store.recoveredStreamBatches()) != 0 {
-		t.Fatalf("reopened: %d jobs, %d hints, %d batches; want none", store.Len(), store.HintCount(), len(store.recoveredStreamBatches()))
+	if store.Len() != 0 || store.HintCount() != 0 || len(store.takeRecoveredStreams()) != 0 {
+		t.Fatalf("reopened: %d jobs, %d hints, %d batches; want none", store.Len(), store.HintCount(), len(store.takeRecoveredStreams()))
 	}
 }

@@ -154,9 +154,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // overlapping tails under different keys; recovery replay is idempotent
 // so overlap is harmless.
 func (s *Server) persistStreamTail(id string) error {
-	s.durableMu.Lock()
-	have := s.durable[id]
-	s.durableMu.Unlock()
+	have := s.store.durableSeq(id)
 	j, ok := s.streams.Get(id)
 	if !ok {
 		return nil
@@ -170,15 +168,7 @@ func (s *Server) persistStreamTail(id string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.store.appendStreamBatch(id, last, payload); err != nil {
-		return err
-	}
-	s.durableMu.Lock()
-	if s.durable[id] < last {
-		s.durable[id] = last
-	}
-	s.durableMu.Unlock()
-	return nil
+	return s.store.appendStreamBatch(id, last, payload)
 }
 
 // errSealRejected marks a sealed stream whose events cannot assemble
@@ -212,14 +202,11 @@ func (s *Server) finalizeStream(ctx context.Context, id string, j *stream.Job) (
 	return "sealed", nil
 }
 
-// dropStream removes a job's live state, its durable stream batches,
-// and its durability bookkeeping.
+// dropStream removes a job's live state and its durable stream
+// batches.
 func (s *Server) dropStream(id string) {
 	s.store.deleteStreamBatches(id)
 	s.streams.Remove(id)
-	s.durableMu.Lock()
-	delete(s.durable, id)
-	s.durableMu.Unlock()
 }
 
 // recoverStreams replays the acked ingest batches found in the WAL at
@@ -229,7 +216,7 @@ func (s *Server) dropStream(id string) {
 // were sealed but not yet published complete their publish. Corrupt or
 // stale batch sets are discarded — they were never acked as archives.
 func (s *Server) recoverStreams() {
-	batches := s.store.recoveredStreamBatches()
+	batches := s.store.takeRecoveredStreams()
 	if len(batches) == 0 {
 		return
 	}
@@ -264,9 +251,6 @@ func (s *Server) recoverStreams() {
 			s.dropStream(id)
 			continue
 		}
-		s.durableMu.Lock()
-		s.durable[id] = j.LastSeq()
-		s.durableMu.Unlock()
 		if sealed, _ := j.Sealed(); sealed {
 			// Crash landed between the seal's durability and the archive
 			// publish; finish the publish now. A failure leaves the job

@@ -890,8 +890,69 @@ func TestStreamRestartRecovery(t *testing.T) {
 	if st := getStatus(t, ts3.URL, "r1"); st.Status != StatusDone {
 		t.Fatalf("status after second restart: %+v", st)
 	}
-	if n := len(store3.recoveredStreamBatches()); n != 0 {
-		t.Fatalf("%d stale stream batches survived archiving", n)
+	for _, id := range db3.IDs() {
+		if strings.HasPrefix(id, streamKeyPrefix) {
+			t.Fatalf("stale stream batch %q survived archiving", id)
+		}
+	}
+}
+
+// TestRecoveredStreamBatchesHandedOverOnce pins that the store hands
+// its recovered ingest batches to the server's replay once and then
+// holds none of their payloads, while the replayed job resumes at the
+// acked sequence and the next ingest persists only what is new.
+func TestRecoveredStreamBatchesHandedOverOnce(t *testing.T) {
+	dir := t.TempDir()
+	events := streamEventsFixture()
+	db, err := archivedb.Open(dir, archivedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStoreWithOptions(db, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := stream.EncodeEvents(events[:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.appendStreamBatch("r1", 6, payload); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	db.Close()
+
+	db, err = archivedb.Open(dir, archivedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	metrics := NewMetrics()
+	store, err = NewStoreWithOptions(db, StoreOptions{Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if len(store.recoveredStream) != 1 {
+		t.Fatalf("%d batches recovered, want 1", len(store.recoveredStream))
+	}
+	exec := NewExecutorWith(1, 4, store, metrics, ExecutorOptions{})
+	defer exec.Shutdown(context.Background())
+	srv := NewServerWith(exec, store, metrics, ServerOptions{})
+	if j, live := srv.streams.Get("r1"); !live || j.LastSeq() != 6 {
+		t.Fatal("recovered stream not resumed at seq 6")
+	}
+	if store.recoveredStream != nil {
+		t.Fatalf("%d recovered batch payloads still resident after replay", len(store.recoveredStream))
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, ack, body, _ := postIngest(t, ts.URL, "r1", events[:7]); code != http.StatusOK || ack.Accepted != 1 {
+		t.Fatalf("ingest after recovery: %d %+v %s", code, ack, body)
+	}
+	want := []string{streamBatchKey("r1", 6), streamBatchKey("r1", 7)}
+	if got := db.IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored keys %q, want %q", got, want)
 	}
 }
 
@@ -989,7 +1050,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := store2.recoveredStreamBatches()
+	got := store2.takeRecoveredStreams()
 	if len(got) != 3 {
 		t.Fatalf("recovered %d batches, want 3: %+v", len(got), got)
 	}
@@ -1022,7 +1083,7 @@ func TestStoreStreamBatchRoundTrip(t *testing.T) {
 		store3.Close()
 		db3.Close()
 	}()
-	got = store3.recoveredStreamBatches()
+	got = store3.takeRecoveredStreams()
 	if len(got) != 1 || got[0].JobID != "j2" {
 		t.Fatalf("after delete: %+v", got)
 	}
